@@ -16,14 +16,18 @@ use rb_llm::ModelId;
 use rb_miri::{DirectOracle, UbClass};
 use rustbrain::{KnowledgeBase, RustBrainConfig};
 
-use crate::report::{median, peak_rss_mb, quantile, ratio, Report};
+use crate::report::{fast_quartile, median, peak_rss_mb, quantile, ratio, Faster, Report};
 
-/// Cases per UB class: 14 classes x 500 = 7,000 cases per sweep, enough
-/// for a sweep to outlast scheduler noise on a 2-core host.
-pub const PER_CLASS: usize = 500;
+/// Cases per UB class: 14 classes x 250 = 3,500 cases per sweep, about
+/// half a second on a 2-core host, so a run has dozens of sweeps to take
+/// its quartiles over.
+pub const PER_CLASS: usize = 250;
 
 /// Full set-ups per run; `setup_s` is their median.
 pub const SETUPS: usize = 3;
+
+/// Sweeps per run however short `--seconds` is.
+const MIN_SWEEPS: usize = 4;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Temperature {
@@ -213,22 +217,31 @@ pub fn run(
 
     let deadline = Instant::now() + Duration::from_secs_f64(seconds);
     let mut throughputs = Vec::new();
-    let mut job_ms = Vec::new();
+    // Each sweep is one window: its throughput and its per-case
+    // `JobResult.wall_ms` percentiles.
+    let (mut p50s, mut p99s) = (Vec::new(), Vec::new());
     let mut last_stats = None;
-    while throughputs.len() < 3 || Instant::now() < deadline {
+    while throughputs.len() < MIN_SWEEPS || Instant::now() < deadline {
         let (wall_s, outcome) = sweep(&setup, seed, jobs);
         check(&mut report, &setup.reference, &outcome.results);
         throughputs.push(cases as f64 / wall_s);
-        job_ms.extend(outcome.jobs.iter().map(|j| j.wall_ms));
+        let job_ms: Vec<f64> = outcome.jobs.iter().map(|j| j.wall_ms).collect();
+        p50s.push(quantile(&job_ms, 0.5));
+        p99s.push(quantile(&job_ms, 0.99));
         last_stats = Some(outcome.stats);
     }
     let stats = last_stats.expect("at least one sweep");
 
     let (pass_rate, exec_rate, sim_per_case) = quality(&setup.reference);
+    let sweeps = throughputs.len();
     report.set("setup_s", median(&setup_times), setup_times.len());
-    report.set("throughput_per_s", median(&throughputs), throughputs.len());
-    report.set("p50_ms", quantile(&job_ms, 0.5), job_ms.len());
-    report.set("p99_ms", quantile(&job_ms, 0.99), job_ms.len());
+    report.set(
+        "throughput_per_s",
+        fast_quartile(&throughputs, Faster::Higher),
+        sweeps,
+    );
+    report.set("p50_ms", fast_quartile(&p50s, Faster::Lower), sweeps);
+    report.set("p99_ms", fast_quartile(&p99s, Faster::Lower), sweeps);
     report.set("sim_ms_per_case", sim_per_case, cases);
     report.set("pass_rate", pass_rate, cases);
     report.set("exec_rate", exec_rate, cases);

@@ -106,6 +106,10 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
+/// Share of `--seconds` the traced batch-warm run spends on its serve
+/// session.
+const SERVE_SHARE: f64 = 0.3;
+
 fn run(args: &Args, work: &std::path::Path) -> Result<Report, String> {
     // Load and the batch engine both use nproc threads, so no run is
     // oversubscribed.
@@ -121,7 +125,15 @@ fn run(args: &Args, work: &std::path::Path) -> Result<Report, String> {
             replay::run_batch(Temperature::Cold, args.seed, args.seconds, jobs, work)
         }
         (Workload::BatchWarm, true) => {
-            replay::run_batch(Temperature::Warm, args.seed, args.seconds, jobs, work)
+            let mut report =
+                replay::run_batch(Temperature::Warm, args.seed, args.seconds, jobs, work)?;
+            // The daemon layer has no gated workload of its own (its
+            // timings are too noisy on a shared host to bound); its
+            // per-layer numbers come from a traced serve-mixed session.
+            let seconds = args.seconds * SERVE_SHARE;
+            let serve = serve::run(&args.rustbrain, args.seed, seconds, jobs, true, work)?;
+            report.adopt(serve, &["serve.", "loadgen."]);
+            Ok(report)
         }
         (Workload::ServeMixed, trace) => {
             serve::run(&args.rustbrain, args.seed, args.seconds, jobs, trace, work)

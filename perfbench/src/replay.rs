@@ -467,6 +467,7 @@ pub fn run_batch(
         "serve.stats_ms",
         "serve.json_us",
         "serve.compactions",
+        "serve.req_p99_ms",
         "loadgen.offered_rps",
         "loadgen.achieved_rps",
         "loadgen.late_p99_ms",

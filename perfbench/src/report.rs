@@ -36,6 +36,20 @@ impl Report {
         self.facts.push(text.into());
     }
 
+    /// Takes over the operations, facts and failures of `other`, and its
+    /// readings of the metrics whose names start with one of `prefixes`.
+    pub fn adopt(&mut self, other: Report, prefixes: &[&str]) {
+        self.attempted += other.attempted;
+        self.failed += other.failed;
+        for (name, reading) in other.metrics {
+            if prefixes.iter().any(|p| name.starts_with(p)) {
+                self.metrics.insert(name, reading);
+            }
+        }
+        self.facts.extend(other.facts);
+        self.failures.extend(other.failures);
+    }
+
     /// Counts `n` failed operations; the first few reasons are kept for
     /// the printed summary.
     pub fn fail(&mut self, n: u64, why: impl Into<String>) {
@@ -60,6 +74,27 @@ pub fn quantile(values: &[f64], q: f64) -> f64 {
     let v = sorted(values);
     let rank = (q * v.len() as f64).ceil() as usize;
     v[rank.clamp(1, v.len()) - 1]
+}
+
+/// Which way a timing reading improves.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Faster {
+    /// A rate: higher is faster.
+    Higher,
+    /// A latency: lower is faster.
+    Lower,
+}
+
+/// The quartile on the fast side of per-window timing readings: the upper
+/// quartile of rates, the lower quartile of latencies. A busy host only
+/// ever slows a window down, and on a shared machine it does so for whole
+/// seconds at a time; the fast quartile follows the program and not its
+/// neighbours, where a median still moves with them.
+pub fn fast_quartile(values: &[f64], faster: Faster) -> f64 {
+    match faster {
+        Faster::Higher => quantile(values, 0.75),
+        Faster::Lower => quantile(values, 0.25),
+    }
 }
 
 /// The middle value (mean of the two middle values for even counts).

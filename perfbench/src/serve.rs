@@ -10,6 +10,11 @@
 //! timed from each request's due time. Every read has a deadline, and shutdown goes out on
 //! the last open connection after the other is closed: an idle peer would
 //! hold a handler and delay the daemon's exit.
+//!
+//! `BENCHMARK.json` does not gate this workload: on a shared host its
+//! timings spread too far from run to run to hold a bound. The traced
+//! `batch-warm` run holds a traced session of it for the daemon's
+//! per-layer numbers.
 
 use std::hint::black_box;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -30,7 +35,7 @@ use rb_serve::json::{self, Value};
 use rustbrain::{KbDelta, KnowledgeBase};
 
 use crate::replay::{kb_merge_ms, kb_store_costs, replay_layers};
-use crate::report::{median, peak_rss_mb, quantile, ratio, Report};
+use crate::report::{fast_quartile, median, peak_rss_mb, quantile, ratio, Faster, Report};
 
 /// Request corpus: 14 classes x 1,200 = 16,800 buggy programs, so the
 /// half of all repairs that are fresh do not run out within a run.
@@ -41,25 +46,36 @@ const STORE_PER_CLASS: usize = 4;
 const COMPACT_SECS: u64 = 2;
 /// The CLI's fixed handler pool; the load never opens more connections.
 const CONNECTIONS: usize = 2;
-/// Full set-ups per run (corpus, store, daemon up to `serving on`).
-const SETUPS: usize = 3;
+/// Full set-ups per run (corpus, store, daemon up to `serving on`); each
+/// takes under a second, so the median is taken over five.
+const SETUPS: usize = 5;
 
-/// The fixed offered rate latency is reported at: about an eighth of the
-/// ~7,500 rps sustained on a 2-core host. At 3,000 rps queueing amplified
-/// host noise into a 28% run-to-run spread of p99; at 1,000 rps it is 10%.
+/// The fixed offered rate latency is reported at: a fifth or less of the
+/// 5,000-7,000 rps the daemon sustains on a contended 2-core host, so the
+/// headline times service rather than queueing. At 2,000 and 3,000 rps the
+/// run-to-run spread of the tail was no smaller.
 const HEADLINE_RPS: f64 = 1000.0;
 /// A ladder probe passes while p99 latency (from due time) stays under
 /// this limit and the generator keeps to its schedule.
 const P99_LIMIT_MS: f64 = 20.0;
 /// Rate ladder: `LADDER_BASE * LADDER_STEP^k` for k < `LADDER_STEPS`
-/// (1,000 to 16,400 rps in 4% steps), searched by bisection.
+/// (1,000 to 16,400 rps in 4% steps), searched by bisection and then a
+/// staircase.
 const LADDER_BASE: f64 = 1000.0;
 const LADDER_STEP: f64 = 1.04;
 const LADDER_STEPS: usize = 72;
-const PROBE_S: f64 = 1.0;
-/// Wall time the ladder takes (7 probes plus their drains); the headline
-/// phase gets the rest of `--seconds`.
-const LADDER_S: f64 = 8.0;
+const PROBE_S: f64 = 0.5;
+/// The staircase probes at least this often, however short the run.
+const MIN_STAIRCASE: usize = 8;
+/// Untimed (but checked) traffic at the headline rate before the
+/// headline phase: the first requests fault the daemon's store in.
+const WARMUP_S: f64 = 1.0;
+/// Share of `--seconds` for the headline phase; the ladder gets the rest.
+const HEADLINE_SHARE: f64 = 0.5;
+/// Headline latency percentiles are taken per window of this length
+/// (1,000 requests, so p99 rests on the 10 slowest), and the run reports
+/// the windows' fast quartile: a host stall spoils a window, not the run.
+const WINDOW_S: f64 = 1.0;
 /// Distinct sent programs the traced run replays through the layers.
 const REPLAY_PROGRAMS: usize = 3000;
 /// A request without a response this long after its due time fails.
@@ -320,6 +336,27 @@ impl Phase {
         self.samples.iter().map(|s| s.recv - s.due).collect()
     }
 
+    /// Latencies grouped into `WINDOW_S` windows by due time; a trailing
+    /// partial window is dropped.
+    fn windows(&self) -> Vec<Vec<f64>> {
+        let width = WINDOW_S * 1e3;
+        let full = (self.samples.last().map_or(0.0, |s| s.due) / width).floor() as usize;
+        let mut windows = vec![Vec::new(); full];
+        for s in &self.samples {
+            if let Some(w) = windows.get_mut((s.due / width) as usize) {
+                w.push(s.recv - s.due);
+            }
+        }
+        windows
+    }
+
+    /// Quantile `q` of latency in each window, then the windows' fast
+    /// quartile.
+    fn window_latency(&self, q: f64) -> f64 {
+        let per_window: Vec<f64> = self.windows().iter().map(|w| quantile(w, q)).collect();
+        fast_quartile(&per_window, Faster::Lower)
+    }
+
     fn late(&self) -> Vec<f64> {
         self.samples
             .iter()
@@ -571,47 +608,58 @@ fn probe_passes(phase: &Phase, reqs: &[Request], lines: &Lines) -> (bool, String
     )
 }
 
-/// Binary search over the fixed ladder for its highest passing rate;
-/// returns the rate that probe achieved (responses per second).
+/// The sustained rate: the ladder rate at which a probe meets the limit
+/// half the time. Bisection over the ladder finds its neighbourhood, then
+/// a one-step-up-after-a-pass, one-step-down-after-a-fail staircase
+/// probes until `deadline`; the result is the mean rate the staircase
+/// probed. A single probe is at the mercy of half a second of host
+/// noise, the mean of a dozen or more is not.
 fn sustained_rps(
     conns: &[TcpStream],
     mix: &mut Mix,
     lines: &Lines,
+    deadline: Instant,
     report: &mut Report,
 ) -> Result<f64, String> {
     let rate = |k: usize| LADDER_BASE * LADDER_STEP.powi(k as i32);
     let mut probes = Vec::new();
-    let mut probe = |k: usize| -> Result<Option<f64>, String> {
+    let mut probe = |k: usize| -> Result<bool, String> {
         let reqs = mix.take((rate(k) * PROBE_S) as usize);
         let phase = run_phase(conns, &reqs, lines, rate(k))?;
         let (pass, summary) = probe_passes(&phase, &reqs, lines);
         probes.push(summary);
-        Ok(pass.then(|| phase.samples.len() as f64 / phase.seconds))
+        Ok(pass)
     };
     // Bisection keeps `lo` passing (or unprobed at 0) and `hi` failing.
     let (mut lo, mut hi) = (0usize, LADDER_STEPS);
-    let mut achieved = None;
     while hi - lo > 1 {
         let mid = (lo + hi) / 2;
-        match probe(mid)? {
-            Some(rps) => {
-                lo = mid;
-                achieved = Some(rps);
-            }
-            None => hi = mid,
+        if probe(mid)? {
+            lo = mid;
+        } else {
+            hi = mid;
         }
     }
-    if achieved.is_none() {
-        achieved = probe(0)?;
+    let mut k = lo;
+    let mut probed = Vec::new();
+    while probed.len() < MIN_STAIRCASE || Instant::now() < deadline {
+        probed.push(rate(k));
+        if probe(k)? {
+            k = (k + 1).min(LADDER_STEPS - 1);
+        } else if k == 0 {
+            return Err(format!(
+                "the lowest ladder rate failed: {}",
+                probes.join("; ")
+            ));
+        } else {
+            k -= 1;
+        }
     }
-    let Some(achieved) = achieved else {
-        return Err(format!("no ladder rate passed: {}", probes.join("; ")));
-    };
     report.fact(format!(
         "ladder ({PROBE_S} s probes, 4% steps, p99 limit {P99_LIMIT_MS} ms): {}",
         probes.join("; ")
     ));
-    Ok(achieved)
+    Ok(probed.iter().sum::<f64>() / probed.len() as f64)
 }
 
 /// Builds the request corpus, seeds the store and starts the daemon.
@@ -695,20 +743,27 @@ pub fn run(
     }
     let mut mix = Mix::new(seed, lines.repair.len());
     let started = Instant::now();
+    let deadline = started + Duration::from_secs_f64(seconds);
 
-    // Headline phase first, then (untraced runs) the capacity ladder in
-    // whatever time is left.
-    let ladder_s = if trace { 0.0 } else { LADDER_S };
-    let headline_s = (seconds - ladder_s).max(2.0);
-    let reqs = mix.take((HEADLINE_RPS * headline_s) as usize);
+    // Warm-up, the headline phase, then (untraced runs) the capacity
+    // ladder in whatever time is left.
+    let warmup = mix.take((HEADLINE_RPS * WARMUP_S) as usize);
+    let warm = run_phase(&conns, &warmup, &lines, HEADLINE_RPS)?;
+    check_phase(&warm, &warmup, &lines, &mut report);
+    let headline_s = if trace {
+        seconds - WARMUP_S
+    } else {
+        seconds * HEADLINE_SHARE - WARMUP_S
+    };
+    let reqs = mix.take((HEADLINE_RPS * headline_s.max(2.0)) as usize);
     let headline = run_phase(&conns, &reqs, &lines, HEADLINE_RPS)?;
     check_phase(&headline, &reqs, &lines, &mut report);
     // A connection that missed a deadline may still deliver stale
     // responses, so nothing more is measured on it.
-    let sustained = if trace || headline.missed > 0 {
+    let sustained = if trace || warm.missed + headline.missed > 0 {
         0.0
     } else {
-        sustained_rps(&conns, &mut mix, &lines, &mut report)?
+        sustained_rps(&conns, &mut mix, &lines, deadline, &mut report)?
     };
     let measured_s = started.elapsed().as_secs_f64();
 
@@ -727,7 +782,7 @@ pub fn run(
     let field = |v: &Value, k: &str| v.get(k).and_then(Value::as_f64).unwrap_or(0.0);
     let flag = |v: &Value, k: &str| v.get(k).and_then(Value::as_bool) == Some(true);
     let n = repairs.len() as f64;
-    let lat = headline.latencies();
+    let windows = headline.windows().len();
     report.fact(format!(
         "headline {HEADLINE_RPS} rps for {:.1} s: {} requests ({} repair, {} fresh programs), \
          daemon p99 {:.3} ms, {} compactions; measured {measured_s:.1} s",
@@ -742,8 +797,8 @@ pub fn run(
     if !trace {
         report.set("setup_s", median(&setup_times), setup_times.len());
         report.set("throughput_per_s", sustained, 1);
-        report.set("p50_ms", quantile(&lat, 0.5), lat.len());
-        report.set("p99_ms", quantile(&lat, 0.99), lat.len());
+        report.set("p50_ms", headline.window_latency(0.5), windows);
+        report.set("p99_ms", headline.window_latency(0.99), windows);
         report.set(
             "sim_ms_per_case",
             ratio(repairs.iter().map(|v| field(v, "overhead_ms")).sum(), n),
@@ -785,6 +840,12 @@ pub fn run(
     });
     report.set("serve.json_us", json_us, sent.len());
     report.set("serve.compactions", stat(&stats, "", "compactions"), 1);
+    let latencies = headline.latencies();
+    report.set(
+        "serve.req_p99_ms",
+        quantile(&latencies, 0.99),
+        latencies.len(),
+    );
     report.set("loadgen.offered_rps", HEADLINE_RPS, reqs.len());
     report.set(
         "loadgen.achieved_rps",
