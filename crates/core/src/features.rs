@@ -47,14 +47,7 @@ pub fn extract_features(program: &Program, report: &MiriReport) -> CodeFeatures 
         .copied()
         .max_by_key(|k| metrics.unsafe_ops[*k as usize])
         .filter(|k| metrics.unsafe_ops[*k as usize] > 0);
-    let (pruned, removed) = prune_program(program);
-    // Safe-only programs (e.g. pure panic bugs) prune to nothing; retrieval
-    // then keys on the full AST instead of an empty skeleton.
-    let vector = if pruned.stmt_count() == 0 {
-        AstVector::embed(program)
-    } else {
-        AstVector::embed(&pruned)
-    };
+    let (vector, removed) = embed_pruned(program);
     CodeFeatures {
         class,
         error_count: report.error_count(),
@@ -63,6 +56,21 @@ pub fn extract_features(program: &Program, report: &MiriReport) -> CodeFeatures 
         vector,
         pruned_stmts: removed,
     }
+}
+
+/// The knowledge-base key of a program: the embedding of its pruned AST
+/// (Algorithm 1), plus the number of statements pruning removed.
+#[must_use]
+pub fn embed_pruned(program: &Program) -> (AstVector, usize) {
+    let (pruned, removed) = prune_program(program);
+    // Safe-only programs (e.g. pure panic bugs) prune to nothing; retrieval
+    // then keys on the full AST instead of an empty skeleton.
+    let vector = if pruned.stmt_count() == 0 {
+        AstVector::embed(program)
+    } else {
+        AstVector::embed(&pruned)
+    };
+    (vector, removed)
 }
 
 #[cfg(test)]

@@ -5,15 +5,13 @@
 use crate::config::RustBrainConfig;
 use crate::evaluate::{evaluate_with_report, EvalTriplet};
 use crate::fast::FastThinking;
-use crate::features::extract_features;
+use crate::features::{embed_pruned, extract_features, CodeFeatures};
 use crate::feedback::Priors;
 use crate::knowledge::KnowledgeBase;
 use crate::slow::{execute_solution, SolutionOutcome};
 use crate::solution::Solution;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rb_lang::prune::prune_program;
-use rb_lang::vectorize::AstVector;
 use rb_lang::Program;
 use rb_llm::{LanguageModel, ModelCallStats, RepairRule, SimulatedModel};
 use rb_miri::{DirectOracle, MiriReport, Oracle, OracleUse, UbClass};
@@ -182,21 +180,19 @@ impl RustBrain {
     /// Pre-seeds the knowledge base with a solved case (used to model a
     /// pre-built knowledge base).
     pub fn seed_knowledge(&mut self, buggy: &Program, class: UbClass, rule: RepairRule) {
-        let (pruned, _) = prune_program(buggy);
-        let vector = if pruned.stmt_count() == 0 {
-            AstVector::embed(buggy)
-        } else {
-            AstVector::embed(&pruned)
-        };
+        let (vector, _) = embed_pruned(buggy);
         self.knowledge.insert(vector, class, rule);
     }
 
     /// Generates (without executing) fast-thinking solutions for a failing
     /// program — exposed for the RQ1 flexibility experiment.
     pub fn generate_solutions(&mut self, program: &Program, report: &MiriReport) -> Vec<Solution> {
-        let features = extract_features(program, report);
+        self.solutions_for(&extract_features(program, report))
+    }
+
+    fn solutions_for(&mut self, features: &CodeFeatures) -> Vec<Solution> {
         self.fast.generate(
-            &features,
+            features,
             &self.priors,
             self.config.max_solutions,
             self.config.temperature,
@@ -300,13 +296,16 @@ impl RustBrain {
         let fast_calls = if lint_agrees { 1.0 } else { 2.0 };
         let fast_cost = fast_calls
             * (profile.latency_base_ms + profile.latency_per_token_ms * fast_tokens as f64);
-        let solutions = {
+        let (features, solutions) = {
             let mut fast_span = rb_obs::span("fast");
             fast_span.add_sim_ms(fast_cost);
             fast_span.tag("triage", if lint_agrees { "static" } else { "model" });
-            let solutions = self.generate_solutions(program, &report);
+            // Extracted once: the features' pruned-AST embedding is also
+            // the knowledge-base key stored on success below.
+            let features = extract_features(program, &report);
+            let solutions = self.solutions_for(&features);
             fast_span.tag("solutions", solutions.len().to_string());
-            solutions
+            (features, solutions)
         };
         let mut best: Option<SolutionOutcome> = None;
         let mut total_overhead = fast_cost;
@@ -416,7 +415,7 @@ impl RustBrain {
         let best = best.expect("at least one solution attempted");
         if best.eval.accuracy && self.config.use_knowledge {
             if let Some(rule) = best.fixing_rule {
-                self.seed_knowledge(program, class, rule);
+                self.knowledge.insert(features.vector, class, rule);
             }
         }
         let eval: &EvalTriplet = &best.eval;
@@ -475,6 +474,20 @@ mod tests {
         assert_eq!(out.class, UbClass::Alloc);
         // Success is stored in the knowledge base.
         assert_eq!(rb.knowledge().len(), 1);
+    }
+
+    #[test]
+    fn repair_stores_the_seed_knowledge_vector_of_its_input() {
+        let (p, gold) = double_free();
+        let mut rb = RustBrain::new(RustBrainConfig::for_model(ModelId::Gpt4, 42));
+        let out = rb.repair(&p, &gold);
+        assert!(out.passed);
+        let mut seeded = RustBrain::new(RustBrainConfig::for_model(ModelId::Gpt4, 42));
+        seeded.seed_knowledge(&p, UbClass::Alloc, RepairRule::RemoveDoubleFree);
+        let stored = &rb.knowledge().entries()[0];
+        let expected = &seeded.knowledge().entries()[0];
+        assert_eq!(stored.vector, expected.vector);
+        assert_eq!(stored.class, out.class);
     }
 
     #[test]

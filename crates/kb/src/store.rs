@@ -179,10 +179,29 @@ mod tests {
     use rb_llm::RepairRule;
     use rb_miri::UbClass;
 
-    fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("rb_kb_store_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    /// A test's own scratch directory, removed when dropped. Tests never
+    /// share one: a directory listing in one test must not see another
+    /// test's in-flight temp files.
+    struct Scratch(PathBuf);
+
+    impl Scratch {
+        fn new(test: &str) -> Scratch {
+            let dir =
+                std::env::temp_dir().join(format!("rb_kb_store_{}_{test}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            Scratch(dir)
+        }
+
+        fn path(&self, name: &str) -> PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     fn entries() -> Vec<KbEntry> {
@@ -198,28 +217,27 @@ mod tests {
 
     #[test]
     fn save_load_round_trips() {
-        let path = scratch("round_trip.rbkb");
+        let scratch = Scratch::new("round_trip");
+        let path = scratch.path("round_trip.rbkb");
         let original = entries();
         save(&path, &original).unwrap();
         assert_eq!(load(&path).unwrap(), original);
         // Overwrite in place: the rename replaces the old content whole.
         save(&path, &[]).unwrap();
         assert!(load(&path).unwrap().is_empty());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn save_leaves_no_temp_files() {
-        let path = scratch("no_droppings.rbkb");
+        let scratch = Scratch::new("no_droppings");
+        let path = scratch.path("no_droppings.rbkb");
         save(&path, &entries()).unwrap();
-        let dir = path.parent().unwrap();
-        let leftovers: Vec<_> = std::fs::read_dir(dir)
+        let leftovers: Vec<_> = std::fs::read_dir(&scratch.0)
             .unwrap()
             .filter_map(Result::ok)
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
             .collect();
         assert!(leftovers.is_empty(), "{leftovers:?}");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -229,7 +247,8 @@ mod tests {
         // thread's rename could promote the other's half-written bytes.
         // With the counter suffix every save is privately staged; the
         // destination is always some save's complete, decodable bytes.
-        let path = scratch("race.rbkb");
+        let scratch = Scratch::new("race");
+        let path = scratch.path("race.rbkb");
         let a: Vec<KbEntry> = entries();
         let b: Vec<KbEntry> = {
             let mut b = entries();
@@ -249,14 +268,12 @@ mod tests {
         });
         let survivor = load(&path).unwrap();
         assert!(survivor == a || survivor == b, "torn store: {survivor:?}");
-        let dir = path.parent().unwrap();
-        let leftovers: Vec<_> = std::fs::read_dir(dir)
+        let leftovers: Vec<_> = std::fs::read_dir(&scratch.0)
             .unwrap()
             .filter_map(Result::ok)
             .filter(|e| e.file_name().to_string_lossy().contains("race.rbkb.tmp."))
             .collect();
         assert!(leftovers.is_empty(), "{leftovers:?}");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -270,25 +287,24 @@ mod tests {
             StoreLayout::Sharded
         );
         // An existing directory is sharded whatever it is called.
-        let dir = scratch("plain_dir");
+        let scratch = Scratch::new("layout");
+        let dir = scratch.path("plain_dir");
         std::fs::create_dir_all(&dir).unwrap();
         assert_eq!(detect_layout(&dir), StoreLayout::Sharded);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn save_any_and_load_any_round_trip_both_layouts() {
         let original = entries();
-        let file = scratch("any_single.rbkb");
+        let scratch = Scratch::new("any");
+        let file = scratch.path("any_single.rbkb");
         let report = save_any(&file, &original).unwrap();
         assert_eq!(report.shards_written, 1);
         assert_eq!(load_any(&file).unwrap(), original);
-        let dir = scratch("any_sharded.rbkb.d");
+        let dir = scratch.path("any_sharded.rbkb.d");
         let report = save_any(&dir, &original).unwrap();
         assert_eq!(report.shards_written, 1, "one class, one segment");
         assert_eq!(load_any(&dir).unwrap(), original);
-        let _ = std::fs::remove_file(&file);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -300,7 +316,8 @@ mod tests {
 
     #[test]
     fn corrupt_file_is_typed_not_a_panic() {
-        let path = scratch("corrupt.rbkb");
+        let scratch = Scratch::new("corrupt");
+        let path = scratch.path("corrupt.rbkb");
         save(&path, &entries()).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
@@ -314,6 +331,5 @@ mod tests {
             load(&path).unwrap_err(),
             StoreError::Corrupt { .. }
         ));
-        let _ = std::fs::remove_file(&path);
     }
 }

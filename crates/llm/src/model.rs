@@ -144,7 +144,8 @@ impl LanguageModel for SimulatedModel {
     }
 
     fn propose(&mut self, ctx: &RepairContext<'_>) -> ModelResponse {
-        let prompt = ctx.render();
+        let src = rb_lang::printer::print_program(ctx.program);
+        let prompt = ctx.render(&src);
         let tokens = count_tokens(&prompt);
         let latency = sample_latency_ms(
             &mut self.rng,
@@ -165,7 +166,6 @@ impl LanguageModel for SimulatedModel {
 
         let class = ctx.error.class();
         let class_skill = self.profile.class_skill(class);
-        let src = rb_lang::printer::print_program(ctx.program);
         let best_shot = ctx
             .shots
             .iter()

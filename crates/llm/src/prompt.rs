@@ -3,7 +3,6 @@
 //! few-shots.
 
 use crate::rules::{RepairRule, RuleKind};
-use rb_lang::printer::print_program;
 use rb_lang::Program;
 use rb_miri::MiriError;
 use serde::{Deserialize, Serialize};
@@ -86,9 +85,10 @@ impl<'p> RepairContext<'p> {
     }
 
     /// Renders the textual prompt (what a real API call would send); used
-    /// for token accounting and latency modelling.
+    /// for token accounting and latency modelling. `src` is the program's
+    /// printed source: the caller prints it once and reuses it.
     #[must_use]
-    pub fn render(&self) -> String {
+    pub fn render(&self, src: &str) -> String {
         let mut out = String::new();
         out.push_str("You are repairing undefined behaviour in Rust code.\n");
         out.push_str("Root cause: ");
@@ -104,7 +104,7 @@ impl<'p> RepairContext<'p> {
             ));
         }
         out.push_str("```rust\n");
-        out.push_str(&print_program(self.program));
+        out.push_str(src);
         out.push_str("```\n");
         out
     }
@@ -114,6 +114,7 @@ impl<'p> RepairContext<'p> {
 mod tests {
     use super::*;
     use rb_lang::parser::parse_program;
+    use rb_lang::printer::print_program;
     use rb_miri::run_program;
 
     #[test]
@@ -133,7 +134,7 @@ mod tests {
         let r = run_program(&p);
         let err = r.errors.first().unwrap();
         let ctx = RepairContext::new(&p, err, PromptStrategy::Modify);
-        let text = ctx.render();
+        let text = ctx.render(&print_program(&p));
         assert!(text.contains("panic"));
         assert!(text.contains("fn main"));
         assert!(text.contains("modifying the erroneous logic"));
@@ -149,6 +150,6 @@ mod tests {
             rule: RepairRule::GuardDivision,
             similarity: 0.93,
         });
-        assert!(ctx.render().contains("guard-division"));
+        assert!(ctx.render(&print_program(&p)).contains("guard-division"));
     }
 }

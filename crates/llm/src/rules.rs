@@ -301,56 +301,75 @@ impl RepairRule {
     #[must_use]
     pub fn apply(self, prog: &Program, err: &MiriError) -> Option<Program> {
         let mut out = prog.clone();
-        let ok = match self {
-            RepairRule::UseDirectPointer => use_direct_pointer(&mut out, err).is_some(),
-            RepairRule::BoolFromComparison => bool_from_comparison(&mut out).is_some(),
-            RepairRule::TransmuteBytesToFromLe => bytes_to_from_le(&mut out).is_some(),
-            RepairRule::BorrowLocalInstead => borrow_local_instead(&mut out).is_some(),
-            RepairRule::DirectFnUse => direct_fn_use(&mut out).is_some(),
-            RepairRule::FixFnPtrSignature => fix_fnptr_signature(&mut out).is_some(),
-            RepairRule::UseAtomics => use_atomics(&mut out).is_some(),
-            RepairRule::WidenArithmetic => widen_arithmetic(&mut out, err).is_some(),
-            RepairRule::UseRawMutDirect => use_raw_mut_direct(&mut out).is_some(),
-            RepairRule::GuardDivision => guard_division(&mut out, err).is_some(),
-            RepairRule::GuardIndex => guard_index(&mut out, err).is_some(),
-            RepairRule::WeakenAssert => weaken_assert(&mut out, err).is_some(),
-            RepairRule::AssertNonNull => assert_non_null(&mut out, err).is_some(),
-            RepairRule::LockSpawnBodies => lock_spawn_bodies(&mut out).is_some(),
-            RepairRule::RemoveDoubleFree => remove_double_free(&mut out, err).is_some(),
-            RepairRule::FixDeallocLayout => fix_dealloc_layout(&mut out, err).is_some(),
-            RepairRule::AddDealloc => add_dealloc(&mut out).is_some(),
-            RepairRule::HoistLocalOut => hoist_local_out(&mut out).is_some(),
-            RepairRule::ReorderDeallocAfterUse => reorder_dealloc(&mut out, err).is_some(),
-            RepairRule::AlignOffsetDown => align_offset(&mut out, err, false).is_some(),
-            RepairRule::AlignOffsetUp => align_offset(&mut out, err, true).is_some(),
-            RepairRule::InitializeBeforeRead => initialize_before_read(&mut out, err).is_some(),
-            RepairRule::UnionUseLargestField => union_largest_field(&mut out).is_some(),
-            RepairRule::RetakePointerAfterWrite => retake_pointer(&mut out, err).is_some(),
-            RepairRule::SingleMutBorrow => single_mut_borrow(&mut out).is_some(),
-            RepairRule::MoveReadAfterJoin => move_read_after_join(&mut out).is_some(),
-            RepairRule::ReplaceTailCallWithReturn => tailcall_to_return(&mut out).is_some(),
-            RepairRule::FixLiteralIndex => fix_literal_index(&mut out, err).is_some(),
-            RepairRule::CopyWithoutOverlap => copy_without_overlap(&mut out).is_some(),
-            RepairRule::DeleteStatement => delete_statement(&mut out, err).is_some(),
-            RepairRule::DuplicateStatement => duplicate_statement(&mut out, err).is_some(),
-            RepairRule::PerturbLiteral => perturb_literal(&mut out, err).is_some(),
-            RepairRule::DisableStatement => disable_statement(&mut out, err).is_some(),
-            RepairRule::StripUnsafe => strip_unsafe(&mut out).is_some(),
-            RepairRule::BreakBinding => break_binding(&mut out).is_some(),
-            RepairRule::BreakTypes => break_types(&mut out).is_some(),
-        };
-        ok.then_some(out)
+        self.apply_in_place(&mut out, err).then_some(out)
+    }
+
+    /// Applies the rule to `prog` in place, returning whether its pattern
+    /// matched. On `false` the program is left equal to its input.
+    pub fn apply_in_place(self, prog: &mut Program, err: &MiriError) -> bool {
+        match self {
+            RepairRule::UseDirectPointer => use_direct_pointer(prog, err).is_some(),
+            RepairRule::BoolFromComparison => bool_from_comparison(prog).is_some(),
+            RepairRule::TransmuteBytesToFromLe => bytes_to_from_le(prog).is_some(),
+            RepairRule::BorrowLocalInstead => borrow_local_instead(prog).is_some(),
+            RepairRule::DirectFnUse => direct_fn_use(prog).is_some(),
+            RepairRule::FixFnPtrSignature => fix_fnptr_signature(prog).is_some(),
+            RepairRule::UseAtomics => use_atomics(prog).is_some(),
+            RepairRule::WidenArithmetic => widen_arithmetic(prog, err).is_some(),
+            RepairRule::UseRawMutDirect => use_raw_mut_direct(prog).is_some(),
+            RepairRule::GuardDivision => guard_division(prog, err).is_some(),
+            RepairRule::GuardIndex => guard_index(prog, err).is_some(),
+            RepairRule::WeakenAssert => weaken_assert(prog, err).is_some(),
+            RepairRule::AssertNonNull => assert_non_null(prog, err).is_some(),
+            RepairRule::LockSpawnBodies => lock_spawn_bodies(prog).is_some(),
+            RepairRule::RemoveDoubleFree => remove_double_free(prog, err).is_some(),
+            RepairRule::FixDeallocLayout => fix_dealloc_layout(prog, err).is_some(),
+            RepairRule::AddDealloc => add_dealloc(prog).is_some(),
+            RepairRule::HoistLocalOut => hoist_local_out(prog).is_some(),
+            RepairRule::ReorderDeallocAfterUse => reorder_dealloc(prog, err).is_some(),
+            RepairRule::AlignOffsetDown => align_offset(prog, err, false).is_some(),
+            RepairRule::AlignOffsetUp => align_offset(prog, err, true).is_some(),
+            RepairRule::InitializeBeforeRead => initialize_before_read(prog, err).is_some(),
+            RepairRule::UnionUseLargestField => union_largest_field(prog).is_some(),
+            RepairRule::RetakePointerAfterWrite => retake_pointer(prog, err).is_some(),
+            RepairRule::SingleMutBorrow => single_mut_borrow(prog).is_some(),
+            RepairRule::MoveReadAfterJoin => move_read_after_join(prog).is_some(),
+            RepairRule::ReplaceTailCallWithReturn => tailcall_to_return(prog).is_some(),
+            RepairRule::FixLiteralIndex => fix_literal_index(prog, err).is_some(),
+            RepairRule::CopyWithoutOverlap => copy_without_overlap(prog).is_some(),
+            RepairRule::DeleteStatement => delete_statement(prog, err).is_some(),
+            RepairRule::DuplicateStatement => duplicate_statement(prog, err).is_some(),
+            RepairRule::PerturbLiteral => perturb_literal(prog, err).is_some(),
+            RepairRule::DisableStatement => disable_statement(prog, err).is_some(),
+            RepairRule::StripUnsafe => strip_unsafe(prog).is_some(),
+            RepairRule::BreakBinding => break_binding(prog).is_some(),
+            RepairRule::BreakTypes => break_types(prog).is_some(),
+        }
     }
 
     /// All non-hallucination rules that match the program/diagnostic.
+    ///
+    /// Every rule is probed on one scratch copy of the program. The copy
+    /// is restored after a match, and after any refusal that left it
+    /// changed, so the result always equals keeping the rules whose
+    /// [`apply`](RepairRule::apply) returns `Some`.
     #[must_use]
     pub fn candidates(prog: &Program, err: &MiriError) -> Vec<RepairRule> {
-        RepairRule::ALL
-            .iter()
-            .copied()
-            .filter(|r| r.kind() != RuleKind::Hallucination)
-            .filter(|r| r.apply(prog, err).is_some())
-            .collect()
+        let mut scratch = prog.clone();
+        let mut out = Vec::new();
+        for rule in RepairRule::ALL {
+            if rule.kind() == RuleKind::Hallucination {
+                continue;
+            }
+            let matched = rule.apply_in_place(&mut scratch, err);
+            if matched {
+                out.push(rule);
+            }
+            if matched || scratch != *prog {
+                scratch.clone_from(prog);
+            }
+        }
+        out
     }
 }
 
@@ -1514,7 +1533,6 @@ fn fix_literal_index(prog: &mut Program, err: &MiriError) -> Option<()> {
     }
     // Fix the literal in the index-variable definition.
     let mut changed = false;
-    rb_lang::visit::map_exprs(prog, &mut |_| {});
     for f in &mut prog.funcs {
         for s in &mut f.body.stmts {
             if let Stmt::Let {
@@ -1595,12 +1613,13 @@ fn strip_unsafe(prog: &mut Program) -> Option<()> {
         .stmts
         .iter()
         .position(|s| matches!(s, Stmt::Unsafe(_)))?;
+    // Refuse before removing anything: a failed rule leaves the program as is.
+    if matches!(&main.stmts[idx], Stmt::Unsafe(b) if b.stmts.is_empty()) {
+        return None;
+    }
     let Stmt::Unsafe(body) = main.stmts.remove(idx) else {
         return None;
     };
-    if body.stmts.is_empty() {
-        return None;
-    }
     for (k, inner) in body.stmts.into_iter().enumerate() {
         main.stmts.insert(idx + k, inner);
     }
@@ -1879,6 +1898,15 @@ mod tests {
         let r = run_program(&deleted);
         assert!(r.passes());
         assert!(r.outputs.is_empty()); // outputs lost: semantically bad
+    }
+
+    #[test]
+    fn strip_unsafe_refusal_leaves_the_program_unchanged() {
+        let p = parse("fn main() { let d: i32 = 0; unsafe { } print(8 / d); }");
+        let err = first_error(&p);
+        let mut edited = p.clone();
+        assert!(!RepairRule::StripUnsafe.apply_in_place(&mut edited, &err));
+        assert_eq!(edited, p);
     }
 
     #[test]
