@@ -40,30 +40,89 @@ pub fn child_branches(stmt: &Stmt) -> u8 {
     }
 }
 
-/// Visits every statement of the program in pre-order, passing its path.
-pub fn for_each_stmt<F: FnMut(&Stmt, &StmtPath)>(prog: &Program, mut f: F) {
-    for (fi, func) in prog.funcs.iter().enumerate() {
-        let base = StmtPath {
-            func: fi,
-            steps: Vec::new(),
-        };
-        walk_block(&func.body, &base, &mut f);
+/// Where [`find_stmt`] is in the program. Its steps live on the walker's
+/// stack, so a [`StmtPath`] is built only when [`StmtAt::path`] asks for
+/// one.
+#[derive(Debug)]
+pub struct StmtAt<'a> {
+    func: usize,
+    step: (usize, u8),
+    parent: Option<&'a StmtAt<'a>>,
+}
+
+impl StmtAt<'_> {
+    /// The path of the statement.
+    #[must_use]
+    pub fn path(&self) -> StmtPath {
+        let mut steps = Vec::new();
+        let mut at = Some(self);
+        while let Some(here) = at {
+            steps.push(here.step);
+            at = here.parent;
+        }
+        steps.reverse();
+        StmtPath {
+            func: self.func,
+            steps,
+        }
     }
 }
 
-fn walk_block<F: FnMut(&Stmt, &StmtPath)>(b: &Block, base: &StmtPath, f: &mut F) {
+/// Searches every statement of the program in pre-order and returns the
+/// first `Some` that `f` gives. Nothing is allocated on the way.
+pub fn find_stmt<'p, T, F>(prog: &'p Program, mut f: F) -> Option<T>
+where
+    F: FnMut(&'p Stmt, &StmtAt<'_>) -> Option<T>,
+{
+    prog.funcs
+        .iter()
+        .enumerate()
+        .find_map(|(fi, func)| find_in_block(&func.body, fi, None, &mut f))
+}
+
+fn find_in_block<'p, T, F>(
+    b: &'p Block,
+    func: usize,
+    parent: Option<&StmtAt<'_>>,
+    f: &mut F,
+) -> Option<T>
+where
+    F: FnMut(&'p Stmt, &StmtAt<'_>) -> Option<T>,
+{
     for (i, s) in b.stmts.iter().enumerate() {
         // The branch recorded at this step is filled in when descending.
-        let here = base.child(i, 0);
-        f(s, &here);
+        if let Some(t) = f(
+            s,
+            &StmtAt {
+                func,
+                step: (i, 0),
+                parent,
+            },
+        ) {
+            return Some(t);
+        }
         for br in 0..child_branches(s) {
             if let Some(cb) = child_block(s, br) {
-                let mut parent = base.child(i, br);
-                parent.steps.last_mut().expect("non-empty").1 = br;
-                walk_block(cb, &parent, f);
+                let here = StmtAt {
+                    func,
+                    step: (i, br),
+                    parent,
+                };
+                if let Some(t) = find_in_block(cb, func, Some(&here), f) {
+                    return Some(t);
+                }
             }
         }
     }
+    None
+}
+
+/// Visits every statement of the program in pre-order, passing its path.
+pub fn for_each_stmt<F: FnMut(&Stmt, &StmtPath)>(prog: &Program, mut f: F) {
+    find_stmt(prog, |s, at| -> Option<()> {
+        f(s, &at.path());
+        None
+    });
 }
 
 /// Looks up a statement by path.
@@ -149,35 +208,53 @@ pub fn remove_stmt(prog: &mut Program, path: &StmtPath) -> Option<Stmt> {
 /// Visits every expression in a statement (not descending into child
 /// statements/blocks).
 pub fn for_each_expr_in_stmt<F: FnMut(&Expr)>(stmt: &Stmt, mut f: F) {
+    find_expr_in_stmt(stmt, |e| -> Option<()> {
+        f(e);
+        None
+    });
+}
+
+/// Searches the expressions of a statement (not descending into child
+/// statements/blocks) in the order of [`for_each_expr_in_stmt`] and
+/// returns the first `Some` that `f` gives.
+pub fn find_expr_in_stmt<'s, T, F: FnMut(&'s Expr) -> Option<T>>(
+    stmt: &'s Stmt,
+    mut f: F,
+) -> Option<T> {
     match stmt {
-        Stmt::Let { init, .. } => walk_expr(init, &mut f),
+        Stmt::Let { init, .. } => find_expr(init, &mut f),
         Stmt::Assign { place, value } => {
-            walk_expr(place, &mut f);
-            walk_expr(value, &mut f);
+            find_expr(place, &mut f).or_else(|| find_expr(value, &mut f))
         }
-        Stmt::Expr(e) | Stmt::Print(e) => walk_expr(e, &mut f),
+        Stmt::Expr(e) | Stmt::Print(e) | Stmt::Return(Some(e)) => find_expr(e, &mut f),
         Stmt::If { cond, .. } | Stmt::While { cond, .. } | Stmt::Assert { cond, .. } => {
-            walk_expr(cond, &mut f);
+            find_expr(cond, &mut f)
         }
-        Stmt::Return(Some(e)) => walk_expr(e, &mut f),
-        Stmt::TailCall(_, args) => {
-            for a in args {
-                walk_expr(a, &mut f);
-            }
-        }
+        Stmt::TailCall(_, args) => args.iter().find_map(|a| find_expr(a, &mut f)),
         Stmt::Unsafe(_)
         | Stmt::Scope(_)
         | Stmt::Spawn(_)
         | Stmt::Lock(..)
         | Stmt::Return(None)
         | Stmt::JoinAll
-        | Stmt::Nop => {}
+        | Stmt::Nop => None,
     }
 }
 
 /// Recursively visits an expression and its subexpressions in pre-order.
 pub fn walk_expr<F: FnMut(&Expr)>(e: &Expr, f: &mut F) {
-    f(e);
+    find_expr(e, &mut |x| -> Option<()> {
+        f(x);
+        None
+    });
+}
+
+/// Searches an expression and its subexpressions in the pre-order of
+/// [`walk_expr`] and returns the first `Some` that `f` gives.
+pub fn find_expr<'e, T, F: FnMut(&'e Expr) -> Option<T>>(e: &'e Expr, f: &mut F) -> Option<T> {
+    if let Some(t) = f(e) {
+        return Some(t);
+    }
     match e {
         Expr::Unary(_, a)
         | Expr::Cast(a, _)
@@ -187,23 +264,13 @@ pub fn walk_expr<F: FnMut(&Expr)>(e: &Expr, f: &mut F) {
         | Expr::Field(a, _)
         | Expr::ArrayRepeat(a, _)
         | Expr::UnionLit(_, _, a)
-        | Expr::UnionField(a, _) => walk_expr(a, f),
-        Expr::Binary(_, a, b) | Expr::Index(a, b) => {
-            walk_expr(a, f);
-            walk_expr(b, f);
-        }
+        | Expr::UnionField(a, _) => find_expr(a, f),
+        Expr::Binary(_, a, b) | Expr::Index(a, b) => find_expr(a, f).or_else(|| find_expr(b, f)),
         Expr::Tuple(xs) | Expr::ArrayLit(xs) | Expr::Call(_, xs) | Expr::Builtin(_, _, xs) => {
-            for x in xs {
-                walk_expr(x, f);
-            }
+            xs.iter().find_map(|x| find_expr(x, f))
         }
-        Expr::CallPtr(c, xs) => {
-            walk_expr(c, f);
-            for x in xs {
-                walk_expr(x, f);
-            }
-        }
-        Expr::Lit(_) | Expr::Var(_) | Expr::StaticRef(_) => {}
+        Expr::CallPtr(c, xs) => find_expr(c, f).or_else(|| xs.iter().find_map(|x| find_expr(x, f))),
+        Expr::Lit(_) | Expr::Var(_) | Expr::StaticRef(_) => None,
     }
 }
 
@@ -326,6 +393,25 @@ mod tests {
         for_each_stmt(&p, |_, path| seen.push(path.clone()));
         // let, if, print(then), unsafe(else), print(inside unsafe)
         assert_eq!(seen.len(), 5);
+    }
+
+    #[test]
+    fn find_stmt_stops_at_the_first_hit_and_gives_its_path() {
+        let p = sample();
+        let mut visited = 0;
+        let path = find_stmt(&p, |s, at| {
+            visited += 1;
+            matches!(s, Stmt::Print(_)).then(|| at.path())
+        });
+        // let, if, then the print in the then-branch: the walk stops there.
+        assert_eq!(visited, 3);
+        assert_eq!(
+            path,
+            Some(StmtPath {
+                func: 0,
+                steps: vec![(1, 0), (0, 0)],
+            })
+        );
     }
 
     #[test]

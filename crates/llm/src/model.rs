@@ -237,7 +237,7 @@ impl LanguageModel for SimulatedModel {
                 } else {
                     RepairRule::DisableStatement
                 };
-                proposals = if lazy.apply(ctx.program, ctx.error).is_some() {
+                proposals = if lazy.matches(ctx.program, ctx.error) {
                     vec![Proposal {
                         rule: lazy,
                         score: 1.0,
@@ -259,7 +259,7 @@ impl LanguageModel for SimulatedModel {
         if self.rng.gen::<f64>() < h {
             let pick =
                 RepairRule::HALLUCINATIONS[self.rng.gen_range(0..RepairRule::HALLUCINATIONS.len())];
-            if pick.apply(ctx.program, ctx.error).is_some() {
+            if pick.matches(ctx.program, ctx.error) {
                 let top = proposals
                     .iter()
                     .map(|p| p.score)

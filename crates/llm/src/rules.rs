@@ -6,18 +6,23 @@
 //! plus a fourth group of *hallucination* edits modelling plausible-looking
 //! but wrong patches that weak models emit.
 //!
-//! A rule inspects the program and the primary oracle diagnostic and, when
-//! its pattern matches, produces a transformed program. Whether the result
-//! actually passes the oracle (and preserves semantics) is decided later by
-//! re-running the oracle — rules are proposals, not guarantees, exactly as
-//! LLM patches are.
+//! A rule is a matcher plus an edit. The matcher
+//! ([`RepairRule::matches`]) reads the program and the primary oracle
+//! diagnostic and decides, without copying or editing anything, whether
+//! the rule applies; it may hand what it found (a path, a binding name) to
+//! the edit. The edit ([`RepairRule::apply_in_place`]) then rewrites the
+//! program and cannot refuse. Whether the result actually passes the
+//! oracle (and preserves semantics) is decided later by re-running the
+//! oracle — rules are proposals, not guarantees, exactly as LLM patches
+//! are.
 
 use rb_lang::ast::{
-    BinOp, Block, BuiltinKind, Expr, IntTy, Lit, Mutability, Program, Stmt, StmtPath, Ty,
+    BinOp, Block, BuiltinKind, Expr, IntTy, Lit, Mutability, Program, StaticDef, Stmt, StmtPath,
+    Ty, UnionDef,
 };
 use rb_lang::visit::{
-    containing_block_mut, for_each_expr_in_stmt, for_each_stmt, get_stmt, map_expr,
-    map_exprs_in_stmt, walk_expr,
+    child_block, child_block_mut, child_branches, find_expr, find_expr_in_stmt, find_stmt,
+    get_stmt, get_stmt_mut, map_expr, map_exprs, map_exprs_in_stmt,
 };
 use rb_miri::{MiriError, UbKind};
 use serde::{Deserialize, Serialize};
@@ -296,80 +301,165 @@ impl RepairRule {
         }
     }
 
-    /// Attempts to apply the rule, returning the transformed program when
-    /// the rule's pattern matches. `err` is the diagnostic being repaired.
+    /// Whether the rule applies to `prog` for the diagnostic `err` being
+    /// repaired. This is the rule's matcher: it reads the borrowed program,
+    /// copies and edits nothing, and stops at the first site that decides.
+    #[must_use]
+    pub fn matches(self, prog: &Program, err: &MiriError) -> bool {
+        use RepairRule::*;
+        match self {
+            UseDirectPointer => laundered_pointer(prog, err).is_some(),
+            BoolFromComparison => bool_transmute(prog),
+            TransmuteBytesToFromLe => bytes_transmute(prog),
+            BorrowLocalInstead => forged_ref_local(prog).is_some(),
+            DirectFnUse => forged_fn_target(prog).is_some(),
+            FixFnPtrSignature => fnptr_transmute(prog).is_some(),
+            UseAtomics => racy_static_access(prog),
+            WidenArithmetic => overflow_site(prog, err).is_some(),
+            UseRawMutDirect => shared_ref_cast(prog).is_some(),
+            GuardDivision => division_site(prog, err).is_some(),
+            GuardIndex => index_site(prog, err).is_some(),
+            WeakenAssert => failing_assert(prog, err).is_some(),
+            AssertNonNull => pointer_use(prog, err).is_some(),
+            LockSpawnBodies => unlocked_spawn(prog),
+            RemoveDoubleFree => second_free(prog, err).is_some(),
+            FixDeallocLayout => bad_dealloc(prog, err).is_some(),
+            AddDealloc => leaked_alloc(prog).is_some(),
+            HoistLocalOut => escaping_scope(prog).is_some(),
+            ReorderDeallocAfterUse => premature_dealloc(prog, err).is_some(),
+            AlignOffsetDown => offset_site(prog, err, false).is_some(),
+            AlignOffsetUp => offset_site(prog, err, true).is_some(),
+            InitializeBeforeRead => late_write(prog, err).is_some(),
+            UnionUseLargestField => union_read(prog).is_some(),
+            RetakePointerAfterWrite => stale_pointer(prog, err).is_some(),
+            SingleMutBorrow => double_mut_borrow(prog).is_some(),
+            MoveReadAfterJoin => racing_read(prog).is_some(),
+            ReplaceTailCallWithReturn => mismatched_tailcall(prog).is_some(),
+            FixLiteralIndex => oob_index_literal(prog, err).is_some(),
+            CopyWithoutOverlap => overlapping_copy(prog),
+            DeleteStatement | DuplicateStatement | DisableStatement => {
+                faulting_stmt(prog, err).is_some()
+            }
+            PerturbLiteral => literal_site(prog, err).is_some(),
+            StripUnsafe => unsafe_block(prog).is_some(),
+            BreakBinding => first_let(prog).is_some(),
+            BreakTypes => first_i32_let(prog).is_some(),
+        }
+    }
+
+    /// Applies the rule, returning the transformed program when it
+    /// [`matches`](RepairRule::matches). `err` is the diagnostic being
+    /// repaired.
     #[must_use]
     pub fn apply(self, prog: &Program, err: &MiriError) -> Option<Program> {
         let mut out = prog.clone();
         self.apply_in_place(&mut out, err).then_some(out)
     }
 
-    /// Applies the rule to `prog` in place, returning whether its pattern
-    /// matched. On `false` the program is left equal to its input.
+    /// Applies the rule to `prog` in place and returns whether it
+    /// [`matches`](RepairRule::matches): the matcher runs first and hands
+    /// what it found to an edit that cannot refuse. On `false` the program
+    /// is untouched.
     pub fn apply_in_place(self, prog: &mut Program, err: &MiriError) -> bool {
+        use RepairRule::*;
         match self {
-            RepairRule::UseDirectPointer => use_direct_pointer(prog, err).is_some(),
-            RepairRule::BoolFromComparison => bool_from_comparison(prog).is_some(),
-            RepairRule::TransmuteBytesToFromLe => bytes_to_from_le(prog).is_some(),
-            RepairRule::BorrowLocalInstead => borrow_local_instead(prog).is_some(),
-            RepairRule::DirectFnUse => direct_fn_use(prog).is_some(),
-            RepairRule::FixFnPtrSignature => fix_fnptr_signature(prog).is_some(),
-            RepairRule::UseAtomics => use_atomics(prog).is_some(),
-            RepairRule::WidenArithmetic => widen_arithmetic(prog, err).is_some(),
-            RepairRule::UseRawMutDirect => use_raw_mut_direct(prog).is_some(),
-            RepairRule::GuardDivision => guard_division(prog, err).is_some(),
-            RepairRule::GuardIndex => guard_index(prog, err).is_some(),
-            RepairRule::WeakenAssert => weaken_assert(prog, err).is_some(),
-            RepairRule::AssertNonNull => assert_non_null(prog, err).is_some(),
-            RepairRule::LockSpawnBodies => lock_spawn_bodies(prog).is_some(),
-            RepairRule::RemoveDoubleFree => remove_double_free(prog, err).is_some(),
-            RepairRule::FixDeallocLayout => fix_dealloc_layout(prog, err).is_some(),
-            RepairRule::AddDealloc => add_dealloc(prog).is_some(),
-            RepairRule::HoistLocalOut => hoist_local_out(prog).is_some(),
-            RepairRule::ReorderDeallocAfterUse => reorder_dealloc(prog, err).is_some(),
-            RepairRule::AlignOffsetDown => align_offset(prog, err, false).is_some(),
-            RepairRule::AlignOffsetUp => align_offset(prog, err, true).is_some(),
-            RepairRule::InitializeBeforeRead => initialize_before_read(prog, err).is_some(),
-            RepairRule::UnionUseLargestField => union_largest_field(prog).is_some(),
-            RepairRule::RetakePointerAfterWrite => retake_pointer(prog, err).is_some(),
-            RepairRule::SingleMutBorrow => single_mut_borrow(prog).is_some(),
-            RepairRule::MoveReadAfterJoin => move_read_after_join(prog).is_some(),
-            RepairRule::ReplaceTailCallWithReturn => tailcall_to_return(prog).is_some(),
-            RepairRule::FixLiteralIndex => fix_literal_index(prog, err).is_some(),
-            RepairRule::CopyWithoutOverlap => copy_without_overlap(prog).is_some(),
-            RepairRule::DeleteStatement => delete_statement(prog, err).is_some(),
-            RepairRule::DuplicateStatement => duplicate_statement(prog, err).is_some(),
-            RepairRule::PerturbLiteral => perturb_literal(prog, err).is_some(),
-            RepairRule::DisableStatement => disable_statement(prog, err).is_some(),
-            RepairRule::StripUnsafe => strip_unsafe(prog).is_some(),
-            RepairRule::BreakBinding => break_binding(prog).is_some(),
-            RepairRule::BreakTypes => break_types(prog).is_some(),
+            UseDirectPointer => {
+                let hit = laundered_pointer(prog, err).map(|(v, o)| (v.to_owned(), o.clone()));
+                edit(hit, prog, use_direct_pointer)
+            }
+            BoolFromComparison => edit_if(bool_transmute(prog), prog, bool_from_comparison),
+            TransmuteBytesToFromLe => edit_if(bytes_transmute(prog), prog, bytes_to_from_le),
+            BorrowLocalInstead => {
+                let hit = forged_ref_local(prog).map(str::to_owned);
+                edit(hit, prog, borrow_local_instead)
+            }
+            DirectFnUse => {
+                let hit = forged_fn_target(prog).map(str::to_owned);
+                edit(hit, prog, direct_fn_use)
+            }
+            FixFnPtrSignature => {
+                let hit = fnptr_transmute(prog)
+                    .map(|(n, ty, g, arity)| (n.to_owned(), ty.clone(), g.clone(), arity));
+                edit(hit, prog, fix_fnptr_signature)
+            }
+            UseAtomics => edit_if(racy_static_access(prog), prog, use_atomics),
+            WidenArithmetic => edit(overflow_site(prog, err), prog, widen_arithmetic),
+            UseRawMutDirect => {
+                let hit = shared_ref_cast(prog).map(|(r, t)| (r.to_owned(), t.clone()));
+                edit(hit, prog, use_raw_mut_direct)
+            }
+            GuardDivision => edit(division_site(prog, err), prog, guard_division),
+            GuardIndex => edit(index_site(prog, err), prog, guard_index),
+            WeakenAssert => edit(failing_assert(prog, err), prog, weaken_assert),
+            AssertNonNull => {
+                let hit = pointer_use(prog, err).map(|(path, p)| (path, p.to_owned()));
+                edit(hit, prog, assert_non_null)
+            }
+            LockSpawnBodies => edit_if(unlocked_spawn(prog), prog, lock_spawn_bodies),
+            RemoveDoubleFree => edit(second_free(prog, err), prog, delete_statement),
+            FixDeallocLayout => {
+                let hit = bad_dealloc(prog, err).map(|(path, s, a)| (path, s.clone(), a.clone()));
+                edit(hit, prog, fix_dealloc_layout)
+            }
+            AddDealloc => {
+                let hit = leaked_alloc(prog).map(|(p, s, a)| (p.to_owned(), s.clone(), a.clone()));
+                edit(hit, prog, add_dealloc)
+            }
+            HoistLocalOut => edit(escaping_scope(prog), prog, hoist_local_out),
+            ReorderDeallocAfterUse => edit(premature_dealloc(prog, err), prog, reorder_dealloc),
+            AlignOffsetDown => {
+                let hit = offset_site(prog, err, false);
+                edit(hit, prog, |p, path| align_offset(p, path, false))
+            }
+            AlignOffsetUp => {
+                let hit = offset_site(prog, err, true);
+                edit(hit, prog, |p, path| align_offset(p, path, true))
+            }
+            InitializeBeforeRead => edit(late_write(prog, err), prog, initialize_before_read),
+            UnionUseLargestField => {
+                let hit = union_read(prog).map(str::to_owned);
+                edit(hit, prog, union_largest_field)
+            }
+            RetakePointerAfterWrite => edit(stale_pointer(prog, err), prog, retake_pointer),
+            SingleMutBorrow => {
+                let hit = double_mut_borrow(prog)
+                    .map(|(first, second, at)| (first.to_owned(), second.to_owned(), at));
+                edit(hit, prog, single_mut_borrow)
+            }
+            MoveReadAfterJoin => edit(racing_read(prog), prog, move_read_after_join),
+            ReplaceTailCallWithReturn => {
+                let hit = mismatched_tailcall(prog)
+                    .map(|(at, name, args, ret)| (at, name.to_owned(), args.to_vec(), ret));
+                edit(hit, prog, tailcall_to_return)
+            }
+            FixLiteralIndex => edit(oob_index_literal(prog, err), prog, fix_literal_index),
+            CopyWithoutOverlap => edit_if(overlapping_copy(prog), prog, copy_without_overlap),
+            DeleteStatement => {
+                let hit = faulting_stmt(prog, err).map(|(path, _)| path);
+                edit(hit, prog, delete_statement)
+            }
+            DuplicateStatement => {
+                let hit = faulting_stmt(prog, err).map(|(path, s)| (path, s.clone()));
+                edit(hit, prog, duplicate_statement)
+            }
+            PerturbLiteral => edit(literal_site(prog, err), prog, perturb_literal),
+            DisableStatement => {
+                let hit = faulting_stmt(prog, err).map(|(path, _)| path);
+                edit(hit, prog, disable_statement)
+            }
+            StripUnsafe => edit(unsafe_block(prog), prog, strip_unsafe),
+            BreakBinding => edit(first_let(prog), prog, break_binding),
+            BreakTypes => edit(first_i32_let(prog), prog, break_types),
         }
     }
 
     /// All non-hallucination rules that match the program/diagnostic.
-    ///
-    /// Every rule is probed on one scratch copy of the program. The copy
-    /// is restored after a match, and after any refusal that left it
-    /// changed, so the result always equals keeping the rules whose
-    /// [`apply`](RepairRule::apply) returns `Some`.
     #[must_use]
     pub fn candidates(prog: &Program, err: &MiriError) -> Vec<RepairRule> {
-        let mut scratch = prog.clone();
-        let mut out = Vec::new();
-        for rule in RepairRule::ALL {
-            if rule.kind() == RuleKind::Hallucination {
-                continue;
-            }
-            let matched = rule.apply_in_place(&mut scratch, err);
-            if matched {
-                out.push(rule);
-            }
-            if matched || scratch != *prog {
-                scratch.clone_from(prog);
-            }
-        }
-        out
+        RepairRule::ALL
+            .into_iter()
+            .filter(|r| r.kind() != RuleKind::Hallucination && r.matches(prog, err))
+            .collect()
     }
 }
 
@@ -397,7 +487,7 @@ pub fn apply_semantic_drift(prog: &Program) -> Option<Program> {
     // written values, union initialisers, atomic stores, plain-value lets.
     // Layout arguments (sizes, alignments, offsets) are left alone — models
     // drift on domain values, not on the mechanics they just repaired.
-    rb_lang::visit::map_exprs(&mut out, &mut |e| match e {
+    map_exprs(&mut out, &mut |e| match e {
         Expr::Builtin(BuiltinKind::PtrWrite | BuiltinKind::AtomicStore, _, args) => {
             if let Some(v) = args.get_mut(1) {
                 bump(v);
@@ -430,433 +520,478 @@ pub fn apply_semantic_drift(prog: &Program) -> Option<Program> {
 
 // ---- shared helpers ---------------------------------------------------------
 
-fn main_body(prog: &mut Program) -> Option<&mut Block> {
-    prog.funcs
-        .iter_mut()
-        .find(|f| f.name == "main")
-        .map(|f| &mut f.body)
+/// What an edit asserts: its rule's matcher found the site it edits.
+const MATCHED: &str = "the rule's matcher found this site";
+
+/// Runs `f` on what a matcher found; `false` when it found nothing.
+fn edit<H>(hit: Option<H>, prog: &mut Program, f: impl FnOnce(&mut Program, H)) -> bool {
+    hit.map(|h| f(prog, h)).is_some()
 }
 
-fn err_path(err: &MiriError) -> Option<&StmtPath> {
-    err.path.as_ref()
+/// [`edit`] for a matcher that only answers yes or no.
+fn edit_if(found: bool, prog: &mut Program, f: fn(&mut Program)) -> bool {
+    edit(found.then_some(()), prog, |p, ()| f(p))
+}
+
+/// The top-level statements of `main`; none when there is no `main`.
+fn main_stmts(prog: &Program) -> &[Stmt] {
+    prog.func("main").map_or(&[], |f| &f.body.stmts)
+}
+
+fn main_body(prog: &mut Program) -> &mut Block {
+    &mut prog
+        .funcs
+        .iter_mut()
+        .find(|f| f.name == "main")
+        .expect(MATCHED)
+        .body
+}
+
+/// The statement the diagnostic points at, with its path.
+fn faulting_stmt<'p, 'e>(
+    prog: &'p Program,
+    err: &'e MiriError,
+) -> Option<(&'e StmtPath, &'p Stmt)> {
+    let path = err.path.as_ref()?;
+    Some((path, get_stmt(prog, path)?))
+}
+
+fn faulting_stmt_mut<'p>(prog: &'p mut Program, path: &StmtPath) -> &'p mut Stmt {
+    get_stmt_mut(prog, path).expect(MATCHED)
+}
+
+/// Searches the expressions of a statement and of every statement nested
+/// in it, in pre-order.
+fn find_in_stmt<'p, T>(s: &'p Stmt, f: &mut impl FnMut(&'p Expr) -> Option<T>) -> Option<T> {
+    find_expr_in_stmt(s, &mut *f).or_else(|| {
+        (0..child_branches(s))
+            .filter_map(|br| child_block(s, br))
+            .flat_map(|b| &b.stmts)
+            .find_map(|inner| find_in_stmt(inner, f))
+    })
 }
 
 /// Does the statement (recursively) contain an expression matching `pred`?
-fn stmt_contains(s: &Stmt, pred: &mut dyn FnMut(&Expr) -> bool) -> bool {
-    let mut found = false;
-    deep_exprs(s, &mut |e| {
-        walk_expr(e, &mut |x| {
-            if pred(x) {
-                found = true;
-            }
-        });
-    });
-    found
+fn stmt_contains(s: &Stmt, pred: impl Fn(&Expr) -> bool) -> bool {
+    find_in_stmt(s, &mut |e| pred(e).then_some(())).is_some()
 }
 
-/// Visits the top-level expressions of a statement and of all statements in
-/// nested blocks.
-fn deep_exprs(s: &Stmt, f: &mut dyn FnMut(&Expr)) {
-    for_each_expr_in_stmt(s, |e| f(e));
-    match s {
-        Stmt::Unsafe(b) | Stmt::Scope(b) | Stmt::Spawn(b) | Stmt::Lock(_, b) => {
-            for inner in &b.stmts {
-                deep_exprs(inner, f);
-            }
-        }
-        Stmt::If {
-            then_blk, else_blk, ..
-        } => {
-            for inner in &then_blk.stmts {
-                deep_exprs(inner, f);
-            }
-            if let Some(e) = else_blk {
-                for inner in &e.stmts {
-                    deep_exprs(inner, f);
-                }
-            }
-        }
-        Stmt::While { body, .. } => {
-            for inner in &body.stmts {
-                deep_exprs(inner, f);
-            }
-        }
-        _ => {}
-    }
+/// Does any expression of the program match `pred`?
+fn prog_contains(prog: &Program, pred: impl Fn(&Expr) -> bool) -> bool {
+    find_stmt(prog, |s, _| find_expr_in_stmt(s, |e| pred(e).then_some(()))).is_some()
 }
 
 /// Rewrites every expression in the statement at `path` (recursively).
-fn rewrite_stmt_at(prog: &mut Program, path: &StmtPath, f: &mut dyn FnMut(&mut Expr)) -> bool {
-    let Some((block, idx)) = containing_block_mut(prog, path) else {
-        return false;
-    };
-    let Some(stmt) = block.stmts.get_mut(idx) else {
-        return false;
-    };
-    map_exprs_in_stmt(stmt, &mut |e| f(e));
-    true
+fn rewrite_stmt_at(prog: &mut Program, path: &StmtPath, f: &mut dyn FnMut(&mut Expr)) {
+    map_exprs_in_stmt(faulting_stmt_mut(prog, path), &mut |e| f(e));
 }
 
 fn int_lit(v: i64, t: IntTy) -> Expr {
     Expr::Lit(Lit::Int(i128::from(v), t))
 }
 
-/// Finds, program-wide, the pointer-variable name and layout arguments of
-/// the first `alloc` call assigned to a variable.
-fn find_alloc(prog: &Program) -> Option<(String, Expr, Expr)> {
-    let mut found = None;
-    for f in &prog.funcs {
-        scan_block_for_alloc(&f.body, &mut found);
-    }
-    found
+fn is_var(e: &Expr, name: &str) -> bool {
+    matches!(e, Expr::Var(n) if n == name)
 }
 
-fn scan_block_for_alloc(b: &Block, found: &mut Option<(String, Expr, Expr)>) {
-    for s in &b.stmts {
-        if found.is_some() {
-            return;
-        }
-        match s {
-            Stmt::Let {
-                name,
-                init: Expr::Builtin(BuiltinKind::Alloc, _, args),
-                ..
-            }
-            | Stmt::Assign {
-                place: Expr::Var(name),
-                value: Expr::Builtin(BuiltinKind::Alloc, _, args),
-            } => {
-                *found = Some((name.clone(), args[0].clone(), args[1].clone()));
-            }
-            Stmt::Unsafe(inner)
-            | Stmt::Scope(inner)
-            | Stmt::Spawn(inner)
-            | Stmt::Lock(_, inner) => scan_block_for_alloc(inner, found),
-            Stmt::If {
-                then_blk, else_blk, ..
-            } => {
-                scan_block_for_alloc(then_blk, found);
-                if let Some(e) = else_blk {
-                    scan_block_for_alloc(e, found);
-                }
-            }
-            Stmt::While { body, .. } => scan_block_for_alloc(body, found),
-            _ => {}
-        }
+/// `<var> as T`: the target type.
+fn cast_of_var<'e>(e: &'e Expr, var: &str) -> Option<&'e Ty> {
+    match e {
+        Expr::Cast(inner, ty) if is_var(inner, var) => Some(ty),
+        _ => None,
     }
+}
+
+fn is_dealloc(e: &Expr) -> bool {
+    matches!(e, Expr::Builtin(BuiltinKind::Dealloc, ..))
+}
+
+fn is_ptr_write(e: &Expr) -> bool {
+    matches!(e, Expr::Builtin(BuiltinKind::PtrWrite, ..))
+}
+
+/// Finds, program-wide, the pointer-variable name and layout arguments of
+/// the first `alloc` call assigned to a variable.
+fn find_alloc(prog: &Program) -> Option<(&str, &Expr, &Expr)> {
+    find_stmt(prog, |s, _| match s {
+        Stmt::Let {
+            name,
+            init: Expr::Builtin(BuiltinKind::Alloc, _, args),
+            ..
+        }
+        | Stmt::Assign {
+            place: Expr::Var(name),
+            value: Expr::Builtin(BuiltinKind::Alloc, _, args),
+        } => Some((name.as_str(), &args[0], &args[1])),
+        _ => None,
+    })
+}
+
+/// The length of the last `let arr: [T; N]` in the program, 0 when none.
+fn array_len(prog: &Program) -> usize {
+    let mut len = 0;
+    find_stmt(prog, |s, _| -> Option<()> {
+        if let Stmt::Let {
+            ty: Ty::Array(_, n),
+            ..
+        } = s
+        {
+            len = *n;
+        }
+        None
+    });
+    len
 }
 
 // ---- safe replacement ---------------------------------------------------------
 
-/// For provenance errors: a pointer variable was built from an integer
-/// (`addr as *const T`, where `addr` came from `p as usize`, `ptr_addr(p)`
-/// or `transmute(r)`). Rewire the laundered pointer's initialiser to borrow
-/// directly from the original pointer/reference.
-fn use_direct_pointer(prog: &mut Program, err: &MiriError) -> Option<()> {
-    if !matches!(err.kind, UbKind::NoProvenance) {
+/// For provenance errors: the first `let` that turns a pointer into an
+/// integer (`p as usize`, `ptr_addr(p)` or `transmute(r)`), when a pointer
+/// is later rebuilt from that integer: the integer variable and the
+/// original pointer.
+fn laundered_pointer<'p>(prog: &'p Program, err: &MiriError) -> Option<(&'p str, &'p Expr)> {
+    if err.kind != UbKind::NoProvenance {
         return None;
     }
-    // Step 1: find `addr` definitions and their pointer origin.
-    let mut origin: Option<(String, Expr)> = None; // (addr_var, original ptr expr)
-    for_each_stmt(prog, |s, _| {
-        if origin.is_some() {
-            return;
+    let (addr, orig) = find_stmt(prog, |s, _| match s {
+        Stmt::Let { name, init, .. } => pointer_origin(init).map(|o| (name.as_str(), o)),
+        _ => None,
+    })?;
+    prog_contains(prog, |e| rebuilds_pointer(e, addr)).then_some((addr, orig))
+}
+
+fn pointer_origin(init: &Expr) -> Option<&Expr> {
+    match init {
+        Expr::Cast(inner, Ty::Int(IntTy::Usize)) => Some(inner),
+        Expr::Builtin(BuiltinKind::PtrAddr, _, args) => Some(&args[0]),
+        Expr::Builtin(BuiltinKind::Transmute, tys, args)
+            if matches!(tys.first(), Some(Ty::Ref(..) | Ty::RawPtr(..)))
+                && matches!(tys.get(1), Some(Ty::Int(IntTy::Usize))) =>
+        {
+            Some(&args[0])
         }
-        if let Stmt::Let { name, init, .. } = s {
-            match init {
-                Expr::Cast(inner, Ty::Int(IntTy::Usize)) => {
-                    origin = Some((name.clone(), (**inner).clone()));
-                }
-                Expr::Builtin(BuiltinKind::PtrAddr, _, args) => {
-                    origin = Some((name.clone(), args[0].clone()));
-                }
-                Expr::Builtin(BuiltinKind::Transmute, tys, args)
-                    if matches!(tys.first(), Some(Ty::Ref(..) | Ty::RawPtr(..)))
-                        && matches!(tys.get(1), Some(Ty::Int(IntTy::Usize))) =>
-                {
-                    origin = Some((name.clone(), args[0].clone()));
-                }
-                _ => {}
-            }
-        }
-    });
-    let (addr_var, orig) = origin?;
-    // Step 2: rewrite `<addr_var> as *const T` into `<orig> as *const T`.
-    let mut changed = false;
-    rb_lang::visit::map_exprs(prog, &mut |e| {
-        if let Expr::Cast(inner, Ty::RawPtr(..)) = e {
-            if matches!(&**inner, Expr::Var(n) if *n == addr_var) {
+        _ => None,
+    }
+}
+
+/// `<addr> as *const T`.
+fn rebuilds_pointer(e: &Expr, addr: &str) -> bool {
+    matches!(cast_of_var(e, addr), Some(Ty::RawPtr(..)))
+}
+
+/// Rewire the laundered pointer's initialiser to borrow directly from the
+/// original pointer/reference.
+fn use_direct_pointer(prog: &mut Program, (addr, orig): (String, Expr)) {
+    map_exprs(prog, &mut |e| {
+        if rebuilds_pointer(e, &addr) {
+            if let Expr::Cast(inner, _) = e {
                 **inner = orig.clone();
-                changed = true;
             }
         }
     });
-    changed.then_some(())
+}
+
+/// `transmute::<u8, bool>(x)`.
+fn is_u8_to_bool(e: &Expr) -> bool {
+    matches!(e, Expr::Builtin(BuiltinKind::Transmute, tys, _)
+        if tys.len() == 2 && tys[1] == Ty::Bool && tys[0] == Ty::Int(IntTy::U8))
+}
+
+fn bool_transmute(prog: &Program) -> bool {
+    prog_contains(prog, is_u8_to_bool)
 }
 
 /// `transmute::<u8, bool>(x)` → `x != 0u8`.
-fn bool_from_comparison(prog: &mut Program) -> Option<()> {
-    let mut changed = false;
-    rb_lang::visit::map_exprs(prog, &mut |e| {
-        if let Expr::Builtin(BuiltinKind::Transmute, tys, args) = e {
-            if tys.len() == 2 && tys[1] == Ty::Bool && tys[0] == Ty::Int(IntTy::U8) {
+fn bool_from_comparison(prog: &mut Program) {
+    map_exprs(prog, &mut |e| {
+        if is_u8_to_bool(e) {
+            if let Expr::Builtin(_, _, args) = e {
                 *e = Expr::Binary(
                     BinOp::Ne,
                     Box::new(args[0].clone()),
                     Box::new(int_lit(0, IntTy::U8)),
                 );
-                changed = true;
             }
         }
     });
-    changed.then_some(())
+}
+
+/// `transmute::<[u8; N], Int>(a)` with `N` a power of two up to 8: the
+/// `uintN` the bytes decode to and the target `Int`.
+fn from_le_bytes_types(e: &Expr) -> Option<(IntTy, IntTy)> {
+    let Expr::Builtin(BuiltinKind::Transmute, tys, _) = e else {
+        return None;
+    };
+    let (Some(Ty::Array(elem, n)), Some(Ty::Int(target))) = (tys.first(), tys.get(1)) else {
+        return None;
+    };
+    if **elem != Ty::Int(IntTy::U8) {
+        return None;
+    }
+    let narrow = match n {
+        1 => IntTy::U8,
+        2 => IntTy::U16,
+        4 => IntTy::U32,
+        8 => IntTy::U64,
+        _ => return None,
+    };
+    Some((narrow, *target))
+}
+
+fn bytes_transmute(prog: &Program) -> bool {
+    prog_contains(prog, |e| from_le_bytes_types(e).is_some())
 }
 
 /// `transmute::<[u8; N], Int>(a)` (size-mismatched) →
 /// `from_le_bytes::<uintN>(a) as Int`.
-fn bytes_to_from_le(prog: &mut Program) -> Option<()> {
-    let mut changed = false;
-    rb_lang::visit::map_exprs(prog, &mut |e| {
-        if let Expr::Builtin(BuiltinKind::Transmute, tys, args) = e {
-            let (Some(Ty::Array(elem, n)), Some(Ty::Int(target))) = (tys.first(), tys.get(1))
-            else {
-                return;
-            };
-            if **elem != Ty::Int(IntTy::U8) {
-                return;
-            }
-            let narrow = match n {
-                1 => IntTy::U8,
-                2 => IntTy::U16,
-                4 => IntTy::U32,
-                8 => IntTy::U64,
-                _ => return,
-            };
+fn bytes_to_from_le(prog: &mut Program) {
+    map_exprs(prog, &mut |e| {
+        let Some((narrow, target)) = from_le_bytes_types(e) else {
+            return;
+        };
+        if let Expr::Builtin(_, _, args) = e {
             let inner = Expr::Builtin(
                 BuiltinKind::FromLeBytes,
                 vec![Ty::Int(narrow)],
                 vec![args[0].clone()],
             );
-            *e = if narrow == *target {
+            *e = if narrow == target {
                 inner
             } else {
-                Expr::Cast(Box::new(inner), Ty::Int(*target))
+                Expr::Cast(Box::new(inner), Ty::Int(target))
             };
-            changed = true;
         }
     });
-    changed.then_some(())
+}
+
+/// `transmute::<usize, &T>(k)`: the `T`.
+fn forged_ref_target(e: &Expr) -> Option<&Ty> {
+    match e {
+        Expr::Builtin(BuiltinKind::Transmute, tys, _) => match (tys.first(), tys.get(1)) {
+            (Some(Ty::Int(IntTy::Usize)), Some(Ty::Ref(inner, _))) => Some(inner),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// A local of `main`, of the type a forged reference points to, declared
+/// before the forging statement.
+fn forged_ref_local(prog: &Program) -> Option<&str> {
+    fn scan<'p>(b: &'p Block, locals: &mut Vec<(&'p str, &'p Ty)>) -> Option<&'p str> {
+        for s in &b.stmts {
+            if let Stmt::Let { name, ty, .. } = s {
+                locals.push((name, ty));
+            }
+            let mut want = None;
+            find_expr_in_stmt(s, |e| -> Option<()> {
+                want = forged_ref_target(e).or(want);
+                None
+            });
+            if let Some((local, _)) = want.and_then(|w| locals.iter().find(|(_, t)| *t == w)) {
+                return Some(local);
+            }
+            if let Stmt::Unsafe(i) | Stmt::Scope(i) | Stmt::Spawn(i) | Stmt::Lock(_, i) = s {
+                if let Some(local) = scan(i, locals) {
+                    return Some(local);
+                }
+            }
+        }
+        None
+    }
+    let main = prog.func("main")?;
+    // Most programs forge nothing: answer them without collecting locals.
+    if !prog_contains(prog, |e| forged_ref_target(e).is_some()) {
+        return None;
+    }
+    scan(&main.body, &mut Vec::new())
 }
 
 /// `transmute::<usize, &T>(k)` → `&local` for some in-scope local of type T.
-fn borrow_local_instead(prog: &mut Program) -> Option<()> {
-    // Find a local of the target type declared in main before the transmute.
-    let mut target: Option<(Ty, String)> = None;
-    let main = prog.funcs.iter().find(|f| f.name == "main")?;
-    let mut locals: Vec<(String, Ty)> = Vec::new();
-    fn scan(b: &Block, locals: &mut Vec<(String, Ty)>, target: &mut Option<(Ty, String)>) {
-        for s in &b.stmts {
-            if let Stmt::Let { name, ty, .. } = s {
-                locals.push((name.clone(), ty.clone()));
-            }
-            let mut hit: Option<Ty> = None;
-            for_each_expr_in_stmt(s, |top| {
-                walk_expr(top, &mut |e| {
-                    if let Expr::Builtin(BuiltinKind::Transmute, tys, _) = e {
-                        if let (Some(Ty::Int(IntTy::Usize)), Some(Ty::Ref(inner, _))) =
-                            (tys.first(), tys.get(1))
-                        {
-                            hit = Some((**inner).clone());
-                        }
-                    }
-                });
-            });
-            if let Some(want) = hit {
-                if target.is_none() {
-                    if let Some((n, _)) = locals.iter().find(|(_, t)| *t == want) {
-                        *target = Some((want, n.clone()));
-                    }
-                }
-            }
-            match s {
-                Stmt::Unsafe(i) | Stmt::Scope(i) | Stmt::Spawn(i) | Stmt::Lock(_, i) => {
-                    scan(i, locals, target);
-                }
-                _ => {}
-            }
-        }
-    }
-    scan(&main.body, &mut locals, &mut target);
-    let (_, local) = target?;
-    let mut changed = false;
-    rb_lang::visit::map_exprs(prog, &mut |e| {
-        if let Expr::Builtin(BuiltinKind::Transmute, tys, _) = e {
-            if matches!(tys.first(), Some(Ty::Int(IntTy::Usize)))
-                && matches!(tys.get(1), Some(Ty::Ref(..)))
-            {
-                *e = Expr::AddrOf(Mutability::Not, Box::new(Expr::Var(local.clone())));
-                changed = true;
-            }
+fn borrow_local_instead(prog: &mut Program, local: String) {
+    map_exprs(prog, &mut |e| {
+        if forged_ref_target(e).is_some() {
+            *e = Expr::AddrOf(Mutability::Not, Box::new(Expr::Var(local.clone())));
         }
     });
-    changed.then_some(())
+}
+
+/// `transmute::<usize, fn..>(addr)`: the `fn..` type.
+fn forged_fn_ptr(e: &Expr) -> Option<&Ty> {
+    match e {
+        Expr::Builtin(BuiltinKind::Transmute, tys, _)
+            if matches!(tys.first(), Some(Ty::Int(IntTy::Usize)))
+                && matches!(tys.get(1), Some(Ty::FnPtr(..))) =>
+        {
+            tys.get(1)
+        }
+        _ => None,
+    }
+}
+
+/// The function (other than `main`) whose signature is the type of the
+/// last forged function pointer.
+fn forged_fn_target(prog: &Program) -> Option<&str> {
+    let mut want = None;
+    find_stmt(prog, |s, _| -> Option<()> {
+        find_expr_in_stmt(s, |e| -> Option<()> {
+            want = forged_fn_ptr(e).or(want);
+            None
+        });
+        None
+    });
+    let want = want?;
+    prog.funcs
+        .iter()
+        .find(|f| f.name != "main" && f.fn_ptr_ty() == *want)
+        .map(|f| f.name.as_str())
 }
 
 /// `transmute::<usize, fn..>(addr)` → a real function with that signature.
-fn direct_fn_use(prog: &mut Program) -> Option<()> {
-    let mut fn_name: Option<String> = None;
-    let mut want: Option<Ty> = None;
-    for f in &prog.funcs {
-        for s in &f.body.stmts {
-            let mut w = None;
-            deep_exprs(s, &mut |top| {
-                walk_expr(top, &mut |e| {
-                    if let Expr::Builtin(BuiltinKind::Transmute, tys, _) = e {
-                        if matches!(tys.first(), Some(Ty::Int(IntTy::Usize)))
-                            && matches!(tys.get(1), Some(Ty::FnPtr(..)))
-                        {
-                            w = Some(tys[1].clone());
-                        }
-                    }
-                });
-            });
-            if w.is_some() {
-                want = w;
-            }
-        }
-    }
-    let want = want?;
-    for f in &prog.funcs {
-        if f.name != "main" && f.fn_ptr_ty() == want {
-            fn_name = Some(f.name.clone());
-            break;
-        }
-    }
-    let fn_name = fn_name?;
-    let mut changed = false;
-    rb_lang::visit::map_exprs(prog, &mut |e| {
-        if let Expr::Builtin(BuiltinKind::Transmute, tys, _) = e {
-            if matches!(tys.first(), Some(Ty::Int(IntTy::Usize)))
-                && matches!(tys.get(1), Some(Ty::FnPtr(..)))
-            {
-                *e = Expr::Var(fn_name.clone());
-                changed = true;
-            }
+fn direct_fn_use(prog: &mut Program, fn_name: String) {
+    map_exprs(prog, &mut |e| {
+        if forged_fn_ptr(e).is_some() {
+            *e = Expr::Var(fn_name.clone());
         }
     });
-    changed.then_some(())
+}
+
+/// The first `let f = transmute::<fnA, fnB>(g)` between fn-pointer types,
+/// when re-typing it or padding a call through `f` changes the program:
+/// the binding, `fnA`, `g` and the arity of `fnA`.
+fn fnptr_transmute(prog: &Program) -> Option<(&str, &Ty, &Expr, usize)> {
+    let hit = find_stmt(prog, |s, _| match s {
+        Stmt::Let {
+            name,
+            init: Expr::Builtin(BuiltinKind::Transmute, tys, args),
+            ..
+        } => match (tys.first(), tys.get(1)) {
+            (Some(src @ Ty::FnPtr(sp, _)), Some(Ty::FnPtr(..))) => {
+                Some((name.as_str(), src, &args[0], sp.len()))
+            }
+            _ => None,
+        },
+        _ => None,
+    })?;
+    let (fname, _, _, arity) = hit;
+    let rebinds = prog
+        .funcs
+        .iter()
+        .any(|f| f.body.stmts.iter().any(|s| reaches_binding(s, fname)));
+    (rebinds || prog_contains(prog, |e| short_call_through(e, fname, arity))).then_some(hit)
+}
+
+/// `let <fname> = transmute..(..)`.
+fn is_transmuted_binding(s: &Stmt, fname: &str) -> bool {
+    matches!(s, Stmt::Let { name, init: Expr::Builtin(BuiltinKind::Transmute, ..), .. }
+        if name == fname)
+}
+
+/// The blocks [`fix_binding`] descends into: all but `while` bodies.
+fn binding_blocks(s: &Stmt) -> u8 {
+    if matches!(s, Stmt::While { .. }) {
+        0
+    } else {
+        child_branches(s)
+    }
+}
+
+/// Does [`fix_binding`] re-type something in `s`?
+fn reaches_binding(s: &Stmt, fname: &str) -> bool {
+    is_transmuted_binding(s, fname)
+        || (0..binding_blocks(s))
+            .filter_map(|br| child_block(s, br))
+            .any(|b| b.stmts.iter().any(|inner| reaches_binding(inner, fname)))
+}
+
+/// `<fname>(args)` through the pointer with fewer than `arity` arguments.
+fn short_call_through(e: &Expr, fname: &str, arity: usize) -> bool {
+    matches!(e, Expr::CallPtr(callee, args) if is_var(callee, fname) && args.len() < arity)
 }
 
 /// A fn pointer transmuted between signatures: re-type the binding to the
 /// source signature and pad call sites with `1` literals.
-fn fix_fnptr_signature(prog: &mut Program) -> Option<()> {
-    // Find `let f: fn(..) = transmute::<fnA, fnB>(g)`.
-    let mut hit: Option<(String, Ty, Expr, usize, usize)> = None;
-    for_each_stmt(prog, |s, _| {
-        if hit.is_some() {
-            return;
-        }
-        if let Stmt::Let {
-            name,
-            init: Expr::Builtin(BuiltinKind::Transmute, tys, args),
-            ..
-        } = s
-        {
-            if let (Some(src @ Ty::FnPtr(sp, _)), Some(Ty::FnPtr(dp, _))) =
-                (tys.first(), tys.get(1))
-            {
-                hit = Some((
-                    name.clone(),
-                    src.clone(),
-                    args[0].clone(),
-                    sp.len(),
-                    dp.len(),
-                ));
-            }
-        }
-    });
-    let (fname, src_ty, fn_expr, src_arity, _dst_arity) = hit?;
-    let mut changed = false;
-    // Rewrite the binding.
+fn fix_fnptr_signature(
+    prog: &mut Program,
+    (fname, src_ty, fn_expr, arity): (String, Ty, Expr, usize),
+) {
     for f in &mut prog.funcs {
         for s in &mut f.body.stmts {
-            fix_binding(s, &fname, &src_ty, &fn_expr, &mut changed);
+            fix_binding(s, &fname, &src_ty, &fn_expr);
         }
     }
-    // Pad call sites.
-    rb_lang::visit::map_exprs(prog, &mut |e| {
-        if let Expr::CallPtr(callee, args) = e {
-            if matches!(&**callee, Expr::Var(n) if *n == fname) && args.len() < src_arity {
-                while args.len() < src_arity {
-                    args.push(int_lit(1, IntTy::I32));
-                }
-                changed = true;
+    map_exprs(prog, &mut |e| {
+        if short_call_through(e, &fname, arity) {
+            if let Expr::CallPtr(_, args) = e {
+                args.resize(arity, int_lit(1, IntTy::I32));
             }
         }
     });
-    changed.then_some(())
 }
 
-fn fix_binding(s: &mut Stmt, fname: &str, src_ty: &Ty, fn_expr: &Expr, changed: &mut bool) {
-    match s {
-        Stmt::Let { name, ty, init } if name == fname => {
-            if matches!(init, Expr::Builtin(BuiltinKind::Transmute, ..)) {
-                *ty = src_ty.clone();
-                *init = fn_expr.clone();
-                *changed = true;
-            }
+fn fix_binding(s: &mut Stmt, fname: &str, src_ty: &Ty, fn_expr: &Expr) {
+    if is_transmuted_binding(s, fname) {
+        if let Stmt::Let { ty, init, .. } = s {
+            *ty = src_ty.clone();
+            *init = fn_expr.clone();
         }
-        Stmt::Unsafe(b) | Stmt::Scope(b) | Stmt::Spawn(b) | Stmt::Lock(_, b) => {
-            for inner in &mut b.stmts {
-                fix_binding(inner, fname, src_ty, fn_expr, changed);
-            }
-        }
-        Stmt::If {
-            then_blk, else_blk, ..
-        } => {
-            for inner in &mut then_blk.stmts {
-                fix_binding(inner, fname, src_ty, fn_expr, changed);
-            }
-            if let Some(e) = else_blk {
-                for inner in &mut e.stmts {
-                    fix_binding(inner, fname, src_ty, fn_expr, changed);
-                }
-            }
-        }
-        _ => {}
+        return;
     }
+    for br in 0..binding_blocks(s) {
+        if let Some(b) = child_block_mut(s, br) {
+            for inner in &mut b.stmts {
+                fix_binding(inner, fname, src_ty, fn_expr);
+            }
+        }
+    }
+}
+
+fn is_mut_static(statics: &[StaticDef], name: &str) -> bool {
+    statics.iter().any(|s| s.mutable && s.name == name)
+}
+
+/// A plain access to a mutable static inside a `spawn` block of `main`
+/// that [`atomicise_block`] would rewrite.
+fn racy_static_access(prog: &Program) -> bool {
+    fn racy(b: &Block, statics: &[StaticDef]) -> bool {
+        b.stmts.iter().any(|s| match s {
+            Stmt::Assign {
+                place: Expr::StaticRef(g),
+                ..
+            } => is_mut_static(statics, g),
+            Stmt::Unsafe(inner) => racy(inner, statics),
+            Stmt::Print(e) => find_expr(e, &mut |x| {
+                matches!(x, Expr::StaticRef(n) if is_mut_static(statics, n)).then_some(())
+            })
+            .is_some(),
+            _ => false,
+        })
+    }
+    main_stmts(prog)
+        .iter()
+        .any(|s| matches!(s, Stmt::Spawn(body) if racy(body, &prog.statics)))
 }
 
 /// Inside every `spawn` block, turn plain mutable-static accesses into
 /// atomic operations.
-fn use_atomics(prog: &mut Program) -> Option<()> {
-    let statics: Vec<String> = prog
-        .statics
-        .iter()
-        .filter(|s| s.mutable)
-        .map(|s| s.name.clone())
-        .collect();
-    if statics.is_empty() {
-        return None;
-    }
-    let mut changed = false;
-    let main = main_body(prog)?;
-    for s in &mut main.stmts {
+fn use_atomics(prog: &mut Program) {
+    let Program { statics, funcs, .. } = prog;
+    let main = funcs.iter_mut().find(|f| f.name == "main").expect(MATCHED);
+    for s in &mut main.body.stmts {
         if let Stmt::Spawn(body) = s {
-            atomicise_block(body, &statics, &mut changed);
+            atomicise_block(body, statics);
         }
     }
-    changed.then_some(())
 }
 
-fn atomicise_block(b: &mut Block, statics: &[String], changed: &mut bool) {
+fn atomicise_block(b: &mut Block, statics: &[StaticDef]) {
     let mut new_stmts = Vec::with_capacity(b.stmts.len());
     for mut s in std::mem::take(&mut b.stmts) {
         match s {
             Stmt::Assign {
                 place: Expr::StaticRef(g),
                 mut value,
-            } if statics.contains(&g) => {
+            } if is_mut_static(statics, &g) => {
                 map_expr(&mut value, &mut |e| {
                     if matches!(e, Expr::StaticRef(n) if *n == g) {
                         *e = Expr::Builtin(
@@ -871,10 +1006,9 @@ fn atomicise_block(b: &mut Block, statics: &[String], changed: &mut bool) {
                     Vec::new(),
                     vec![Expr::StaticRef(g.clone()), value],
                 )));
-                *changed = true;
             }
             Stmt::Unsafe(ref mut inner) => {
-                atomicise_block(inner, statics, changed);
+                atomicise_block(inner, statics);
                 // If the unsafe block now contains only safe atomic ops,
                 // keep it anyway (harmless).
                 new_stmts.push(s);
@@ -882,13 +1016,12 @@ fn atomicise_block(b: &mut Block, statics: &[String], changed: &mut bool) {
             Stmt::Print(mut e) => {
                 map_expr(&mut e, &mut |x| {
                     if let Expr::StaticRef(n) = x {
-                        if statics.contains(n) {
+                        if is_mut_static(statics, n) {
                             *x = Expr::Builtin(
                                 BuiltinKind::AtomicLoad,
                                 Vec::new(),
                                 vec![Expr::StaticRef(n.clone())],
                             );
-                            *changed = true;
                         }
                     }
                 });
@@ -900,9 +1033,8 @@ fn atomicise_block(b: &mut Block, statics: &[String], changed: &mut bool) {
     b.stmts = new_stmts;
 }
 
-/// Replace overflowing i32 arithmetic (checked or `unchecked_*`) with
-/// widened i64 arithmetic.
-fn widen_arithmetic(prog: &mut Program, err: &MiriError) -> Option<()> {
+/// The faulting statement of an arithmetic (or arithmetic-caused) panic.
+fn overflow_site<'e>(prog: &Program, err: &'e MiriError) -> Option<&'e StmtPath> {
     if !matches!(
         err.kind,
         UbKind::UncheckedOverflow
@@ -912,8 +1044,13 @@ fn widen_arithmetic(prog: &mut Program, err: &MiriError) -> Option<()> {
     ) {
         return None;
     }
-    let path = err_path(err)?.clone();
-    let applied = rewrite_stmt_at(prog, &path, &mut |e| match e {
+    faulting_stmt(prog, err).map(|(path, _)| path)
+}
+
+/// Replace overflowing i32 arithmetic (checked or `unchecked_*`) with
+/// widened i64 arithmetic.
+fn widen_arithmetic(prog: &mut Program, path: &StmtPath) {
+    rewrite_stmt_at(prog, path, &mut |e| match e {
         Expr::Builtin(
             b @ (BuiltinKind::UncheckedAdd | BuiltinKind::UncheckedSub | BuiltinKind::UncheckedMul),
             tys,
@@ -941,150 +1078,160 @@ fn widen_arithmetic(prog: &mut Program, err: &MiriError) -> Option<()> {
         }
         _ => {}
     });
-    applied.then_some(())
 }
 
-/// `let r: &T = &x; let p = r as *mut T;` → `let p: *mut T = &raw mut x;`
-fn use_raw_mut_direct(prog: &mut Program) -> Option<()> {
-    // Find the shared-ref binding.
-    let mut ref_bind: Option<(String, Expr)> = None;
-    for_each_stmt(prog, |s, _| {
-        if ref_bind.is_some() {
-            return;
-        }
-        if let Stmt::Let {
+/// The first `let r: &T = &x`, when some `r as *mut T` exists: `r` and `x`.
+fn shared_ref_cast(prog: &Program) -> Option<(&str, &Expr)> {
+    let (rname, target) = find_stmt(prog, |s, _| match s {
+        Stmt::Let {
             name,
             ty: Ty::Ref(_, Mutability::Not),
             init: Expr::AddrOf(Mutability::Not, target),
-        } = s
-        {
-            ref_bind = Some((name.clone(), (**target).clone()));
+        } => Some((name.as_str(), &**target)),
+        _ => None,
+    })?;
+    prog_contains(prog, |e| casts_to_mut_ptr(e, rname)).then_some((rname, target))
+}
+
+/// `<rname> as *mut T`.
+fn casts_to_mut_ptr(e: &Expr, rname: &str) -> bool {
+    matches!(cast_of_var(e, rname), Some(Ty::RawPtr(_, Mutability::Mut)))
+}
+
+/// `let r: &T = &x; let p = r as *mut T;` → `let p: *mut T = &raw mut x;`
+fn use_raw_mut_direct(prog: &mut Program, (rname, target): (String, Expr)) {
+    map_exprs(prog, &mut |e| {
+        if casts_to_mut_ptr(e, &rname) {
+            *e = Expr::RawAddrOf(Mutability::Mut, Box::new(target.clone()));
         }
     });
-    let (rname, target) = ref_bind?;
-    let mut changed = false;
-    rb_lang::visit::map_exprs(prog, &mut |e| {
-        if let Expr::Cast(inner, Ty::RawPtr(_, Mutability::Mut)) = e {
-            if matches!(&**inner, Expr::Var(n) if *n == rname) {
-                **inner = Expr::RawAddrOf(Mutability::Mut, Box::new(target.clone()));
-                // Simplify `&raw mut x as *mut T` to just the raw addr-of.
-                let Expr::Cast(inner2, _) = e else { return };
-                *e = (**inner2).clone();
-                changed = true;
-            }
-        }
-    });
-    changed.then_some(())
 }
 
 // ---- assertion / guarding -----------------------------------------------------
 
-/// Wrap `print(a / b)` in `if b != 0 { .. } else { print(0); }`.
-fn guard_division(prog: &mut Program, err: &MiriError) -> Option<()> {
+/// `a / b` or `a % b`: the divisor.
+fn divisor(e: &Expr) -> Option<&Expr> {
+    match e {
+        Expr::Binary(BinOp::Div | BinOp::Rem, _, b) => Some(b),
+        _ => None,
+    }
+}
+
+/// The faulting statement of a division by zero, when it divides.
+fn division_site<'e>(prog: &Program, err: &'e MiriError) -> Option<&'e StmtPath> {
     if err.kind != UbKind::PanicDivZero {
         return None;
     }
-    let path = err_path(err)?.clone();
-    let stmt = get_stmt(prog, &path).cloned()?;
-    let mut divisor: Option<Expr> = None;
-    let mut scan = stmt.clone();
-    map_exprs_in_stmt(&mut scan, &mut |e| {
-        if let Expr::Binary(BinOp::Div | BinOp::Rem, _, b) = e {
-            divisor = Some((**b).clone());
-        }
-    });
-    let divisor = divisor?;
-    let guarded = Stmt::If {
-        cond: Expr::Binary(BinOp::Ne, Box::new(divisor), Box::new(Expr::i32(0))),
+    let (path, stmt) = faulting_stmt(prog, err)?;
+    stmt_contains(stmt, |e| divisor(e).is_some()).then_some(path)
+}
+
+/// Wraps the statement at `path` in `if <cond> { .. } else { print(0); }`.
+fn guard_stmt(prog: &mut Program, path: &StmtPath, cond: Expr) {
+    let slot = faulting_stmt_mut(prog, path);
+    let stmt = std::mem::replace(slot, Stmt::Nop);
+    *slot = Stmt::If {
+        cond,
         then_blk: Block::new(vec![stmt]),
         else_blk: Some(Block::new(vec![Stmt::Print(Expr::i32(0))])),
     };
-    rb_lang::visit::replace_stmt(prog, &path, guarded).then_some(())
+}
+
+/// Wrap `print(a / b)` in `if b != 0 { .. } else { print(0); }`.
+fn guard_division(prog: &mut Program, path: &StmtPath) {
+    let mut last = None;
+    map_exprs_in_stmt(faulting_stmt_mut(prog, path), &mut |e| {
+        last = divisor(e).cloned().or(last.take());
+    });
+    let cond = Expr::Binary(
+        BinOp::Ne,
+        Box::new(last.expect(MATCHED)),
+        Box::new(Expr::i32(0)),
+    );
+    guard_stmt(prog, path, cond);
+}
+
+/// The faulting statement of an index panic, when it indexes and the
+/// program declares an array: the path and the array's length.
+fn index_site<'e>(prog: &Program, err: &'e MiriError) -> Option<(&'e StmtPath, usize)> {
+    if err.kind != UbKind::PanicIndex {
+        return None;
+    }
+    let (path, stmt) = faulting_stmt(prog, err)?;
+    if !stmt_contains(stmt, |e| matches!(e, Expr::Index(..))) {
+        return None;
+    }
+    let len = array_len(prog);
+    (len != 0).then_some((path, len))
 }
 
 /// Wrap an indexing statement in a bounds guard (passes Miri, but skips the
 /// operation — often semantically unacceptable, which is the point).
-fn guard_index(prog: &mut Program, err: &MiriError) -> Option<()> {
-    if err.kind != UbKind::PanicIndex {
-        return None;
-    }
-    let path = err_path(err)?.clone();
-    let stmt = get_stmt(prog, &path).cloned()?;
-    let mut index_info: Option<(Expr, usize)> = None;
-    let mut scan = stmt.clone();
-    map_exprs_in_stmt(&mut scan, &mut |e| {
-        if let Expr::Index(base, idx) = e {
-            // Try to learn the array length from the base's declared type.
-            let n = match &**base {
-                Expr::Var(_) => None,
-                _ => None,
-            };
-            index_info = Some(((**idx).clone(), n.unwrap_or(0)));
+fn guard_index(prog: &mut Program, (path, len): (&StmtPath, usize)) {
+    let mut last = None;
+    map_exprs_in_stmt(faulting_stmt_mut(prog, path), &mut |e| {
+        if let Expr::Index(_, idx) = e {
+            last = Some((**idx).clone());
         }
     });
-    let (idx, _) = index_info?;
-    // Find the array length from a `let arr: [T; N]` in the same function.
-    let mut len: usize = 0;
-    for_each_stmt(prog, |s, _| {
-        if let Stmt::Let {
-            ty: Ty::Array(_, n),
-            ..
-        } = s
-        {
-            len = *n;
-        }
-    });
-    if len == 0 {
-        return None;
-    }
-    let guarded = Stmt::If {
-        cond: Expr::Binary(BinOp::Lt, Box::new(idx), Box::new(Expr::i32(len as i32))),
-        then_blk: Block::new(vec![stmt]),
-        else_blk: Some(Block::new(vec![Stmt::Print(Expr::i32(0))])),
-    };
-    rb_lang::visit::replace_stmt(prog, &path, guarded).then_some(())
+    let cond = Expr::Binary(
+        BinOp::Lt,
+        Box::new(last.expect(MATCHED)),
+        Box::new(Expr::i32(len as i32)),
+    );
+    guard_stmt(prog, path, cond);
 }
 
-/// Replace a failing assertion's condition with `lhs >= 0`.
-fn weaken_assert(prog: &mut Program, err: &MiriError) -> Option<()> {
+/// The failing `assert(a <op> b, ..)`.
+fn failing_assert<'e>(prog: &Program, err: &'e MiriError) -> Option<&'e StmtPath> {
     if err.kind != UbKind::PanicAssert {
         return None;
     }
-    let path = err_path(err)?.clone();
-    let stmt = rb_lang::visit::get_stmt_mut(prog, &path)?;
-    if let Stmt::Assert { cond, msg } = stmt {
+    match faulting_stmt(prog, err)? {
+        (
+            path,
+            Stmt::Assert {
+                cond: Expr::Binary(..),
+                ..
+            },
+        ) => Some(path),
+        _ => None,
+    }
+}
+
+/// Replace a failing assertion's condition with `lhs >= 0`.
+fn weaken_assert(prog: &mut Program, path: &StmtPath) {
+    if let Stmt::Assert { cond, msg } = faulting_stmt_mut(prog, path) {
         if let Expr::Binary(_, lhs, _) = cond {
             *cond = Expr::Binary(BinOp::Ge, lhs.clone(), Box::new(Expr::i32(0)));
             *msg = "value negative".into();
-            return Some(());
         }
     }
-    None
+}
+
+/// A pointer variable the faulting statement reads or writes through.
+fn pointer_use<'p, 'e>(prog: &'p Program, err: &'e MiriError) -> Option<(&'e StmtPath, &'p str)> {
+    let (path, stmt) = faulting_stmt(prog, err)?;
+    let pvar = find_in_stmt(stmt, &mut |e| match e {
+        Expr::Builtin(BuiltinKind::PtrRead | BuiltinKind::PtrWrite, _, args) => {
+            let mut last = None;
+            find_expr(&args[0], &mut |x| -> Option<()> {
+                if let Expr::Var(n) = x {
+                    last = Some(n.as_str());
+                }
+                None
+            });
+            last
+        }
+        _ => None,
+    })?;
+    Some((path, pvar))
 }
 
 /// Insert `assert(ptr_addr(p) != 0, ..)` before the faulting statement — a
 /// plausible assertion that rarely fixes real UB (kept because real LLMs
 /// propose it constantly).
-fn assert_non_null(prog: &mut Program, err: &MiriError) -> Option<()> {
-    let path = err_path(err)?.clone();
-    let stmt = get_stmt(prog, &path)?;
-    // Find a pointer variable used in the statement.
-    let mut pvar: Option<String> = None;
-    deep_exprs(stmt, &mut |top| {
-        walk_expr(top, &mut |e| {
-            if pvar.is_none() {
-                if let Expr::Builtin(BuiltinKind::PtrRead | BuiltinKind::PtrWrite, _, args) = e {
-                    let mut inner = args[0].clone();
-                    map_expr(&mut inner, &mut |x| {
-                        if let Expr::Var(n) = x {
-                            pvar = Some(n.clone());
-                        }
-                    });
-                }
-            }
-        });
-    });
-    let pvar = pvar?;
+fn assert_non_null(prog: &mut Program, (path, pvar): (&StmtPath, String)) {
     let assert = Stmt::Unsafe(Block::new(vec![Stmt::Assert {
         cond: Expr::Binary(
             BinOp::Ne,
@@ -1097,151 +1244,144 @@ fn assert_non_null(prog: &mut Program, err: &MiriError) -> Option<()> {
         ),
         msg: "null pointer".into(),
     }]));
-    rb_lang::visit::insert_before(prog, &path, assert).then_some(())
+    assert!(
+        rb_lang::visit::insert_before(prog, path, assert),
+        "{MATCHED}"
+    );
+}
+
+/// A `spawn` block not yet wrapped in a lock.
+fn is_unlocked_spawn(s: &Stmt) -> bool {
+    matches!(s, Stmt::Spawn(body)
+        if !(body.stmts.len() == 1 && matches!(body.stmts[0], Stmt::Lock(..))))
+}
+
+fn unlocked_spawn(prog: &Program) -> bool {
+    main_stmts(prog).iter().any(is_unlocked_spawn)
 }
 
 /// Wrap every spawned body in `lock(1) { .. }`.
-fn lock_spawn_bodies(prog: &mut Program) -> Option<()> {
-    let mut changed = false;
-    let main = main_body(prog)?;
-    for s in &mut main.stmts {
-        if let Stmt::Spawn(body) = s {
-            if body.stmts.len() == 1 && matches!(body.stmts[0], Stmt::Lock(..)) {
-                continue; // already locked
+fn lock_spawn_bodies(prog: &mut Program) {
+    for s in &mut main_body(prog).stmts {
+        if is_unlocked_spawn(s) {
+            if let Stmt::Spawn(body) = s {
+                let inner = std::mem::take(body);
+                body.stmts = vec![Stmt::Lock(1, inner)];
             }
-            let inner = std::mem::take(body);
-            body.stmts = vec![Stmt::Lock(1, inner)];
-            changed = true;
         }
     }
-    changed.then_some(())
 }
 
 // ---- semantic modification -----------------------------------------------------
 
-fn stmt_deallocs_var(s: &Stmt, var: &mut Option<String>) -> bool {
-    let mut yes = false;
-    deep_exprs(s, &mut |top| {
-        walk_expr(top, &mut |e| {
-            if let Expr::Builtin(BuiltinKind::Dealloc, _, args) = e {
-                yes = true;
-                if let Expr::Var(n) = &args[0] {
-                    *var = Some(n.clone());
-                }
-            }
-        });
-    });
-    yes
-}
-
-/// Remove the duplicate `dealloc` statement the diagnostic points at.
-fn remove_double_free(prog: &mut Program, err: &MiriError) -> Option<()> {
+/// The duplicate `dealloc` statement a double free points at.
+fn second_free<'e>(prog: &Program, err: &'e MiriError) -> Option<&'e StmtPath> {
     if err.kind != UbKind::DoubleFree {
         return None;
     }
-    let path = err_path(err)?.clone();
-    let stmt = get_stmt(prog, &path)?;
-    let mut var = None;
-    if !stmt_deallocs_var(stmt, &mut var) {
-        return None;
-    }
-    rb_lang::visit::remove_stmt(prog, &path).map(|_| ())
+    let (path, stmt) = faulting_stmt(prog, err)?;
+    stmt_contains(stmt, is_dealloc).then_some(path)
 }
 
-/// Fix a `dealloc`'s layout arguments from the matching `alloc`.
-fn fix_dealloc_layout(prog: &mut Program, err: &MiriError) -> Option<()> {
+/// The faulting `dealloc` and the layout of the matching `alloc`.
+fn bad_dealloc<'p, 'e>(
+    prog: &'p Program,
+    err: &'e MiriError,
+) -> Option<(&'e StmtPath, &'p Expr, &'p Expr)> {
     if err.kind != UbKind::BadDealloc {
         return None;
     }
+    let (path, _) = faulting_stmt(prog, err)?;
     let (_, size, align) = find_alloc(prog)?;
-    let path = err_path(err)?.clone();
-    rewrite_stmt_at(prog, &path, &mut |e| {
+    Some((path, size, align))
+}
+
+/// Fix a `dealloc`'s layout arguments from the matching `alloc`.
+fn fix_dealloc_layout(prog: &mut Program, (path, size, align): (&StmtPath, Expr, Expr)) {
+    rewrite_stmt_at(prog, path, &mut |e| {
         if let Expr::Builtin(BuiltinKind::Dealloc, _, args) = e {
             args[1] = size.clone();
             args[2] = align.clone();
         }
-    })
-    .then_some(())
+    });
+}
+
+/// An `alloc` that nothing ever frees, in a program with a `main`.
+fn leaked_alloc(prog: &Program) -> Option<(&str, &Expr, &Expr)> {
+    prog.func("main")?;
+    let alloc = find_alloc(prog)?;
+    (!prog_contains(prog, is_dealloc)).then_some(alloc)
 }
 
 /// Append `unsafe { dealloc(p, size, align); }` at the end of `main`.
-fn add_dealloc(prog: &mut Program) -> Option<()> {
-    let (var, size, align) = find_alloc(prog)?;
-    // Refuse when a dealloc already exists somewhere.
-    let mut already = false;
-    for_each_stmt(prog, |s, _| {
-        let mut v = None;
-        if stmt_deallocs_var(s, &mut v) {
-            already = true;
-        }
-    });
-    if already {
-        return None;
-    }
-    let main = main_body(prog)?;
-    main.stmts
+fn add_dealloc(prog: &mut Program, (var, size, align): (String, Expr, Expr)) {
+    main_body(prog)
+        .stmts
         .push(Stmt::Unsafe(Block::new(vec![Stmt::Expr(Expr::Builtin(
             BuiltinKind::Dealloc,
             Vec::new(),
             vec![Expr::Var(var), size, align],
         ))])));
-    Some(())
+}
+
+/// The first scope of `main` a raw pointer escapes from.
+fn escaping_scope(prog: &Program) -> Option<usize> {
+    main_stmts(prog).iter().position(|s| match s {
+        Stmt::Scope(body) => body
+            .stmts
+            .iter()
+            .any(|inner| stmt_contains(inner, |e| matches!(e, Expr::RawAddrOf(..)))),
+        _ => false,
+    })
 }
 
 /// Splice the first scope containing a raw-pointer escape into its parent.
-fn hoist_local_out(prog: &mut Program) -> Option<()> {
-    let main = main_body(prog)?;
-    let mut idx = None;
-    for (i, s) in main.stmts.iter().enumerate() {
-        if let Stmt::Scope(body) = s {
-            let escapes = body
-                .stmts
-                .iter()
-                .any(|inner| stmt_contains(inner, &mut |e| matches!(e, Expr::RawAddrOf(..))));
-            if escapes {
-                idx = Some(i);
-                break;
-            }
-        }
+fn hoist_local_out(prog: &mut Program, i: usize) {
+    let main = main_body(prog);
+    if let Stmt::Scope(body) = main.stmts.remove(i) {
+        main.stmts.splice(i..i, body.stmts);
     }
-    let i = idx?;
-    let Stmt::Scope(body) = main.stmts.remove(i) else {
-        return None;
-    };
-    for (k, inner) in body.stmts.into_iter().enumerate() {
-        main.stmts.insert(i + k, inner);
-    }
-    Some(())
 }
 
-/// Move the premature `dealloc` statement to the end of `main`.
-fn reorder_dealloc(prog: &mut Program, err: &MiriError) -> Option<()> {
-    // Plausible whenever memory errors and a dealloc coexist; only actually
-    // fixes use-after-free orderings.
+/// The first statement of `main` that frees, unless it is already last.
+/// Plausible whenever memory errors and a dealloc coexist; only actually
+/// fixes use-after-free orderings.
+fn premature_dealloc(prog: &Program, err: &MiriError) -> Option<usize> {
     if !err.kind.is_ub() {
         return None;
     }
-    let main = main_body(prog)?;
-    let mut idx = None;
-    for (i, s) in main.stmts.iter().enumerate() {
-        let mut v = None;
-        if stmt_deallocs_var(s, &mut v) {
-            idx = Some(i);
-            break;
-        }
-    }
-    let i = idx?;
-    if i + 1 >= main.stmts.len() {
-        return None; // already last
-    }
-    let dealloc = main.stmts.remove(i);
-    main.stmts.push(dealloc);
-    Some(())
+    let stmts = main_stmts(prog);
+    let i = stmts.iter().position(|s| stmt_contains(s, is_dealloc))?;
+    (i + 1 < stmts.len()).then_some(i)
 }
 
-/// Snap a `ptr_offset` literal: `up == false` → 0; `up == true` → round up
-/// to 4 (the common read alignment).
-fn align_offset(prog: &mut Program, err: &MiriError, up: bool) -> Option<()> {
+/// Move the premature `dealloc` statement to the end of `main`.
+fn reorder_dealloc(prog: &mut Program, i: usize) {
+    let main = main_body(prog);
+    let dealloc = main.stmts.remove(i);
+    main.stmts.push(dealloc);
+}
+
+/// `ptr_offset(p, <lit>)` whose literal snapping changes: the new offset
+/// and the literal's type. `up == false` snaps to 0; `up == true` rounds
+/// up to 4 (the common read alignment).
+fn snapped_offset(e: &Expr, up: bool) -> Option<(i64, IntTy)> {
+    let Expr::Builtin(BuiltinKind::PtrOffset, _, args) = e else {
+        return None;
+    };
+    let Expr::Lit(Lit::Int(v, t)) = &args[1] else {
+        return None;
+    };
+    let new = if up {
+        ((*v as i64 + 3) / 4 * 4).max(4)
+    } else {
+        0
+    };
+    (new != *v as i64).then_some((new, *t))
+}
+
+/// The faulting statement of a memory error, when it has an offset to snap.
+fn offset_site<'e>(prog: &Program, err: &'e MiriError, up: bool) -> Option<&'e StmtPath> {
     if !matches!(
         err.kind,
         UbKind::OutOfBounds
@@ -1252,28 +1392,24 @@ fn align_offset(prog: &mut Program, err: &MiriError, up: bool) -> Option<()> {
     ) {
         return None;
     }
-    let path = err_path(err)?.clone();
-    let mut changed = false;
-    rewrite_stmt_at(prog, &path, &mut |e| {
-        if let Expr::Builtin(BuiltinKind::PtrOffset, _, args) = e {
-            if let Expr::Lit(Lit::Int(v, t)) = &args[1] {
-                let new = if up {
-                    ((*v as i64 + 3) / 4 * 4).max(4)
-                } else {
-                    0
-                };
-                if new != *v as i64 {
-                    args[1] = int_lit(new, *t);
-                    changed = true;
-                }
+    let (path, stmt) = faulting_stmt(prog, err)?;
+    stmt_contains(stmt, |e| snapped_offset(e, up).is_some()).then_some(path)
+}
+
+/// Snap the `ptr_offset` literals of the faulting statement.
+fn align_offset(prog: &mut Program, path: &StmtPath, up: bool) {
+    rewrite_stmt_at(prog, path, &mut |e| {
+        if let Some((new, t)) = snapped_offset(e, up) {
+            if let Expr::Builtin(_, _, args) = e {
+                args[1] = int_lit(new, t);
             }
         }
     });
-    changed.then_some(())
 }
 
-/// Move the initialising `ptr_write` before the faulting read.
-fn initialize_before_read(prog: &mut Program, err: &MiriError) -> Option<()> {
+/// The faulting read's index in `main` and the index of the first later
+/// statement of `main` that writes through a pointer.
+fn late_write(prog: &Program, err: &MiriError) -> Option<(usize, usize)> {
     if !matches!(
         err.kind,
         UbKind::UninitRead
@@ -1284,316 +1420,314 @@ fn initialize_before_read(prog: &mut Program, err: &MiriError) -> Option<()> {
     ) {
         return None;
     }
-    let read_idx = err_path(err)?.steps.first()?.0;
-    let main = main_body(prog)?;
-    // Find a later statement containing ptr_write to move before the read.
-    let mut write_idx = None;
-    for (i, s) in main.stmts.iter().enumerate().skip(read_idx + 1) {
-        let mut has_write = false;
-        deep_exprs(s, &mut |top| {
-            walk_expr(top, &mut |e| {
-                if matches!(e, Expr::Builtin(BuiltinKind::PtrWrite, ..)) {
-                    has_write = true;
-                }
-            });
-        });
-        if has_write {
-            write_idx = Some(i);
-            break;
-        }
-    }
-    let wi = write_idx?;
-    // If the write statement also deallocs, split would be wrong; only move
-    // a pure-write unsafe block, else extract the write.
-    let stmt = main.stmts.remove(wi);
-    match stmt {
-        Stmt::Unsafe(mut body) => {
-            let mut writes = Vec::new();
-            let mut rest = Vec::new();
-            for s in std::mem::take(&mut body.stmts) {
-                let mut has_write = false;
-                deep_exprs(&s, &mut |top| {
-                    walk_expr(top, &mut |e| {
-                        if matches!(e, Expr::Builtin(BuiltinKind::PtrWrite, ..)) {
-                            has_write = true;
-                        }
-                    });
-                });
-                if has_write {
-                    writes.push(s);
-                } else {
-                    rest.push(s);
-                }
-            }
+    let read_idx = err.path.as_ref()?.steps.first()?.0;
+    let write_idx = main_stmts(prog)
+        .iter()
+        .enumerate()
+        .skip(read_idx + 1)
+        .find(|(_, s)| stmt_contains(s, is_ptr_write))?
+        .0;
+    Some((read_idx, write_idx))
+}
+
+/// Move the initialising `ptr_write` before the faulting read.
+fn initialize_before_read(prog: &mut Program, (read_idx, wi): (usize, usize)) {
+    let main = main_body(prog);
+    // Move a pure-write unsafe block whole; otherwise extract its writes.
+    let moved = match main.stmts.remove(wi) {
+        Stmt::Unsafe(body) => {
+            let (writes, rest): (Vec<Stmt>, Vec<Stmt>) = body
+                .stmts
+                .into_iter()
+                .partition(|s| stmt_contains(s, is_ptr_write));
             if !rest.is_empty() {
                 main.stmts.insert(wi, Stmt::Unsafe(Block::new(rest)));
             }
-            main.stmts
-                .insert(read_idx, Stmt::Unsafe(Block::new(writes)));
-            Some(())
+            Stmt::Unsafe(Block::new(writes))
         }
-        other => {
-            main.stmts.insert(read_idx, other);
-            Some(())
-        }
+        other => other,
+    };
+    main.stmts.insert(read_idx, moved);
+}
+
+/// `U { f: <int literal> }` for a union whose field `field` is an integer,
+/// with `f` not `field`: the literal's value and `field`'s type.
+fn union_retype(e: &Expr, field: &str, unions: &[UnionDef]) -> Option<(i128, IntTy)> {
+    let Expr::UnionLit(u, f, v) = e else {
+        return None;
+    };
+    if f == field {
+        return None;
     }
+    let def = unions.iter().find(|d| d.name == *u)?;
+    match (&**v, &def.fields.iter().find(|(n, _)| n == field)?.1) {
+        (Expr::Lit(Lit::Int(val, _)), Ty::Int(t)) => Some((*val, *t)),
+        _ => None,
+    }
+}
+
+/// The last union field the program reads, when some union literal
+/// initialises another field and could initialise it instead.
+fn union_read(prog: &Program) -> Option<&str> {
+    let mut field = None;
+    find_stmt(prog, |s, _| -> Option<()> {
+        find_expr_in_stmt(s, |e| -> Option<()> {
+            if let Expr::UnionField(_, f) = e {
+                field = Some(f.as_str());
+            }
+            None
+        });
+        None
+    });
+    let field = field?;
+    prog_contains(prog, |e| union_retype(e, field, &prog.unions).is_some()).then_some(field)
 }
 
 /// Rewrite `U { small: v u8 }` so the field actually read is initialised.
-fn union_largest_field(prog: &mut Program) -> Option<()> {
-    // Which field is read?
-    let mut read_field: Option<String> = None;
-    for_each_stmt(prog, |s, _| {
-        for_each_expr_in_stmt(s, |top| {
-            walk_expr(top, &mut |e| {
-                if let Expr::UnionField(_, f) = e {
-                    read_field = Some(f.clone());
-                }
-            });
-        });
-    });
-    let field = read_field?;
-    // The union's field type, for the literal re-typing.
-    let unions = prog.unions.clone();
-    let mut changed = false;
-    rb_lang::visit::map_exprs(prog, &mut |e| {
-        if let Expr::UnionLit(u, f, v) = e {
-            if *f != field {
-                if let Some(def) = unions.iter().find(|d| d.name == *u) {
-                    if let Some((_, fty)) = def.fields.iter().find(|(n, _)| *n == field) {
-                        if let (Expr::Lit(Lit::Int(val, _)), Ty::Int(t)) = (&**v, fty) {
-                            *e = Expr::UnionLit(
-                                u.clone(),
-                                field.clone(),
-                                Box::new(Expr::Lit(Lit::Int(*val, *t))),
-                            );
-                            changed = true;
-                        }
+fn union_largest_field(prog: &mut Program, field: String) {
+    let Program { unions, funcs, .. } = prog;
+    for func in funcs {
+        for s in &mut func.body.stmts {
+            map_exprs_in_stmt(s, &mut |e| {
+                if let Some((val, t)) = union_retype(e, &field, unions) {
+                    if let Expr::UnionLit(u, _, _) = e {
+                        *e = Expr::UnionLit(
+                            u.clone(),
+                            field.clone(),
+                            Box::new(Expr::Lit(Lit::Int(val, t))),
+                        );
                     }
                 }
-            }
+            });
         }
-    });
-    changed.then_some(())
+    }
 }
 
-/// Inside the faulting block, move a raw-pointer `let` after the write that
-/// invalidates it.
-fn retake_pointer(prog: &mut Program, err: &MiriError) -> Option<()> {
-    if !matches!(err.kind, UbKind::StackBorrowViolation) {
+/// Inside the faulting `unsafe` block, a pointer/reference `let` directly
+/// followed by an assignment: the block's path and the `let`'s index.
+fn stale_pointer<'e>(prog: &Program, err: &'e MiriError) -> Option<(&'e StmtPath, usize)> {
+    if err.kind != UbKind::StackBorrowViolation {
         return None;
     }
-    let path = err_path(err)?.clone();
-    let Some(Stmt::Unsafe(body)) = rb_lang::visit::get_stmt_mut(prog, &path) else {
+    let (path, Stmt::Unsafe(body)) = faulting_stmt(prog, err)? else {
         return None;
     };
-    // Pattern: [.., let p = &raw _ / &_, assign to var, ..] -> swap, so the
-    // pointer/reference is taken *after* the conflicting write.
-    let mut let_idx = None;
-    for (i, s) in body.stmts.iter().enumerate() {
-        if let Stmt::Let {
-            init: Expr::RawAddrOf(..) | Expr::AddrOf(..),
-            ..
-        } = s
-        {
-            if matches!(body.stmts.get(i + 1), Some(Stmt::Assign { .. })) {
-                let_idx = Some(i);
-                break;
-            }
-        }
-    }
-    let i = let_idx?;
-    body.stmts.swap(i, i + 1);
-    Some(())
+    let i = body.stmts.windows(2).position(|w| {
+        matches!(
+            w,
+            [
+                Stmt::Let {
+                    init: Expr::RawAddrOf(..) | Expr::AddrOf(..),
+                    ..
+                },
+                Stmt::Assign { .. }
+            ]
+        )
+    })?;
+    Some((path, i))
 }
 
-/// Remove the second of two `&mut` reborrows and redirect its uses.
-fn single_mut_borrow(prog: &mut Program) -> Option<()> {
-    // Find two let-bindings of `&mut same-var`.
-    let mut first: Option<(String, String)> = None; // (name, target)
-    let mut second: Option<(String, StmtPath)> = None;
-    for_each_stmt(prog, |s, p| {
-        if let Stmt::Let {
+/// Swap the pointer `let` and the write after it, so the pointer/reference
+/// is taken *after* the conflicting write.
+fn retake_pointer(prog: &mut Program, (path, i): (&StmtPath, usize)) {
+    if let Stmt::Unsafe(body) = faulting_stmt_mut(prog, path) {
+        body.stmts.swap(i, i + 1);
+    }
+}
+
+/// Two `let x = &mut v` of the same `v`: the first binding, the second
+/// binding and where the second sits.
+fn double_mut_borrow(prog: &Program) -> Option<(&str, &str, StmtPath)> {
+    let mut first: Option<(&str, &str)> = None;
+    find_stmt(prog, |s, at| {
+        let Stmt::Let {
             name,
             init: Expr::AddrOf(Mutability::Mut, t),
             ..
         } = s
-        {
-            if let Expr::Var(target) = &**t {
-                match &first {
-                    None => first = Some((name.clone(), target.clone())),
-                    Some((_, ft)) if ft == target && second.is_none() => {
-                        second = Some((name.clone(), p.clone()));
-                    }
-                    _ => {}
-                }
+        else {
+            return None;
+        };
+        let Expr::Var(target) = &**t else {
+            return None;
+        };
+        match first {
+            None => {
+                first = Some((name.as_str(), target.as_str()));
+                None
             }
+            Some((first_name, ft)) if ft == target => Some((first_name, name.as_str(), at.path())),
+            Some(_) => None,
         }
-    });
-    let (first_name, _) = first?;
-    let (second_name, second_path) = second?;
-    rb_lang::visit::remove_stmt(prog, &second_path)?;
-    rb_lang::visit::map_exprs(prog, &mut |e| {
-        if matches!(e, Expr::Var(n) if *n == second_name) {
-            *e = Expr::Var(first_name.clone());
-        }
-    });
-    Some(())
+    })
 }
 
-/// Move a main-thread statement that races with spawned threads after the
-/// `join`.
-fn move_read_after_join(prog: &mut Program) -> Option<()> {
-    let main = main_body(prog)?;
-    let join_idx = main.stmts.iter().position(|s| matches!(s, Stmt::JoinAll))?;
-    // A statement between the first spawn and the join that touches a static.
-    let spawn_idx = main
-        .stmts
-        .iter()
-        .position(|s| matches!(s, Stmt::Spawn(_)))?;
-    let mut victim = None;
-    for (i, s) in main
-        .stmts
+/// Remove the second of two `&mut` reborrows and redirect its uses.
+fn single_mut_borrow(prog: &mut Program, (first, second, at): (String, String, StmtPath)) {
+    rb_lang::visit::remove_stmt(prog, &at).expect(MATCHED);
+    map_exprs(prog, &mut |e| {
+        if is_var(e, &second) {
+            *e = Expr::Var(first.clone());
+        }
+    });
+}
+
+/// A statement of `main` between the first `spawn` and the `join` that
+/// touches a static: its index and the join's.
+fn racing_read(prog: &Program) -> Option<(usize, usize)> {
+    let stmts = main_stmts(prog);
+    let join_idx = stmts.iter().position(|s| matches!(s, Stmt::JoinAll))?;
+    let spawn_idx = stmts.iter().position(|s| matches!(s, Stmt::Spawn(_)))?;
+    let victim = stmts
         .iter()
         .enumerate()
         .take(join_idx)
         .skip(spawn_idx + 1)
-    {
-        if matches!(s, Stmt::Spawn(_)) {
-            continue;
-        }
-        if stmt_contains(s, &mut |e| matches!(e, Expr::StaticRef(_))) {
-            victim = Some(i);
-            break;
-        }
-    }
-    let i = victim?;
+        .find(|(_, s)| {
+            !matches!(s, Stmt::Spawn(_)) && stmt_contains(s, |e| matches!(e, Expr::StaticRef(_)))
+        })?
+        .0;
+    Some((victim, join_idx))
+}
+
+/// Move a main-thread statement that races with spawned threads after the
+/// `join`.
+fn move_read_after_join(prog: &mut Program, (i, join_idx): (usize, usize)) {
+    let main = main_body(prog);
     let stmt = main.stmts.remove(i);
     // join_idx shifted left by one.
     main.stmts.insert(join_idx, stmt);
-    Some(())
+}
+
+/// The first `tailcall f(args)`, when `f` returns what its caller returns
+/// or unit: where it sits, `f`, `args`, and whether the caller can return
+/// the call's value.
+fn mismatched_tailcall(prog: &Program) -> Option<(StmtPath, &str, &[Expr], bool)> {
+    let (at, name, args) = find_stmt(prog, |s, at| match s {
+        Stmt::TailCall(name, args) => Some((at.path(), name.as_str(), args.as_slice())),
+        _ => None,
+    })?;
+    let callee_ret = &prog.func(name)?.ret;
+    let returns_call = *callee_ret == prog.funcs.get(at.func)?.ret;
+    (returns_call || *callee_ret == Ty::Unit).then_some((at, name, args, returns_call))
 }
 
 /// Turn `tailcall f(args)` into a plain call (+ return of the first param
 /// when the callee returns unit but the caller does not).
-fn tailcall_to_return(prog: &mut Program) -> Option<()> {
-    let mut target: Option<(StmtPath, String, Vec<Expr>)> = None;
-    for_each_stmt(prog, |s, p| {
-        if target.is_none() {
-            if let Stmt::TailCall(name, args) = s {
-                target = Some((p.clone(), name.clone(), args.clone()));
-            }
-        }
-    });
-    let (path, name, args) = target?;
-    let callee_ret = prog.func(&name)?.ret.clone();
-    let caller = prog.funcs.get(path.func)?;
-    let caller_ret = caller.ret.clone();
-    let first_param = caller.params.first().map(|(n, _)| n.clone());
-    if callee_ret == caller_ret {
-        rb_lang::visit::replace_stmt(prog, &path, Stmt::Return(Some(Expr::Call(name, args))))
-            .then_some(())
-    } else if callee_ret == Ty::Unit {
-        let ret_val = first_param.map_or(Expr::i32(0), Expr::var0);
-        let ok1 = rb_lang::visit::replace_stmt(prog, &path, Stmt::Expr(Expr::Call(name, args)));
-        let ok2 = rb_lang::visit::insert_after(prog, &path, Stmt::Return(Some(ret_val)));
-        (ok1 && ok2).then_some(())
-    } else {
-        None
+fn tailcall_to_return(
+    prog: &mut Program,
+    (at, name, args, returns_call): (StmtPath, String, Vec<Expr>, bool),
+) {
+    let call = Expr::Call(name, args);
+    if returns_call {
+        *faulting_stmt_mut(prog, &at) = Stmt::Return(Some(call));
+        return;
     }
+    let first_param = prog.funcs[at.func].params.first();
+    let value = first_param.map_or(Expr::i32(0), |(n, _)| Expr::Var(n.clone()));
+    *faulting_stmt_mut(prog, &at) = Stmt::Expr(call);
+    assert!(
+        rb_lang::visit::insert_after(prog, &at, Stmt::Return(Some(value))),
+        "{MATCHED}"
+    );
 }
 
-trait VarExt {
-    fn var0(name: String) -> Expr;
-}
-impl VarExt for Expr {
-    fn var0(name: String) -> Expr {
-        Expr::Var(name)
-    }
+/// `let i = <lit>` (an index variable) at the top level of a function,
+/// with the literal out of bounds for an array of `len`.
+fn is_oob_index_let(s: &Stmt, len: usize) -> bool {
+    matches!(s, Stmt::Let { name, init: Expr::Lit(Lit::Int(v, _)), .. }
+        if name.contains('i') && *v >= len as i128)
 }
 
-/// Fix an out-of-bounds index literal to `len - 1`.
-fn fix_literal_index(prog: &mut Program, err: &MiriError) -> Option<()> {
+/// For an index panic: the array length, when an index variable is
+/// initialised out of its bounds.
+fn oob_index_literal(prog: &Program, err: &MiriError) -> Option<usize> {
     if err.kind != UbKind::PanicIndex {
         return None;
     }
-    // Array length from any `let arr: [T; N]`.
-    let mut len = 0usize;
-    for_each_stmt(prog, |s, _| {
-        if let Stmt::Let {
-            ty: Ty::Array(_, n),
-            ..
-        } = s
-        {
-            len = *n;
-        }
-    });
-    if len == 0 {
-        return None;
-    }
-    // Fix the literal in the index-variable definition.
-    let mut changed = false;
+    let len = array_len(prog);
+    let found = len != 0
+        && prog
+            .funcs
+            .iter()
+            .any(|f| f.body.stmts.iter().any(|s| is_oob_index_let(s, len)));
+    found.then_some(len)
+}
+
+/// Fix an out-of-bounds index literal to `len - 1`.
+fn fix_literal_index(prog: &mut Program, len: usize) {
     for f in &mut prog.funcs {
         for s in &mut f.body.stmts {
-            if let Stmt::Let {
-                name,
-                init: Expr::Lit(Lit::Int(v, t)),
-                ..
-            } = s
-            {
-                if (name.contains("idx") || name.contains("i")) && *v >= len as i128 {
-                    *s = Stmt::Let {
-                        name: name.clone(),
-                        ty: Ty::Int(*t),
-                        init: int_lit(len as i64 - 1, *t),
-                    };
-                    changed = true;
+            if is_oob_index_let(s, len) {
+                if let Stmt::Let {
+                    ty,
+                    init: Expr::Lit(Lit::Int(v, t)),
+                    ..
+                } = s
+                {
+                    *ty = Ty::Int(*t);
+                    *v = i128::from(len as i64 - 1);
                 }
             }
         }
     }
-    changed.then_some(())
+}
+
+/// `copy_nonoverlapping(src, ptr_offset(p, <lit>), <count>)` with the
+/// offset below the count: the count and the offset literal's type.
+fn overlap_fix(e: &Expr) -> Option<(i64, IntTy)> {
+    let Expr::Builtin(BuiltinKind::CopyNonoverlapping, _, args) = e else {
+        return None;
+    };
+    let Expr::Lit(Lit::Int(n, _)) = &args[2] else {
+        return None;
+    };
+    let count = *n as i64;
+    match &args[1] {
+        Expr::Builtin(BuiltinKind::PtrOffset, _, off_args) => match &off_args[1] {
+            Expr::Lit(Lit::Int(v, t)) if (*v as i64) < count => Some((count, *t)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+fn overlapping_copy(prog: &Program) -> bool {
+    prog_contains(prog, |e| overlap_fix(e).is_some())
 }
 
 /// Push the `copy_nonoverlapping` destination past the source range.
-fn copy_without_overlap(prog: &mut Program) -> Option<()> {
-    let mut changed = false;
-    rb_lang::visit::map_exprs(prog, &mut |e| {
-        if let Expr::Builtin(BuiltinKind::CopyNonoverlapping, _, args) = e {
-            let count = match &args[2] {
-                Expr::Lit(Lit::Int(n, _)) => *n as i64,
-                _ => return,
-            };
-            if let Expr::Builtin(BuiltinKind::PtrOffset, _, off_args) = &mut args[1] {
-                if let Expr::Lit(Lit::Int(v, t)) = &off_args[1] {
-                    if (*v as i64) < count {
-                        off_args[1] = int_lit(count, *t);
-                        changed = true;
-                    }
+fn copy_without_overlap(prog: &mut Program) {
+    map_exprs(prog, &mut |e| {
+        if let Some((count, t)) = overlap_fix(e) {
+            if let Expr::Builtin(_, _, args) = e {
+                if let Expr::Builtin(_, _, off_args) = &mut args[1] {
+                    off_args[1] = int_lit(count, t);
                 }
             }
         }
     });
-    changed.then_some(())
 }
 
 // ---- hallucination -------------------------------------------------------------
 
-fn delete_statement(prog: &mut Program, err: &MiriError) -> Option<()> {
-    let path = err_path(err)?.clone();
-    rb_lang::visit::remove_stmt(prog, &path).map(|_| ())
+fn delete_statement(prog: &mut Program, path: &StmtPath) {
+    rb_lang::visit::remove_stmt(prog, path).expect(MATCHED);
 }
 
-fn duplicate_statement(prog: &mut Program, err: &MiriError) -> Option<()> {
-    let path = err_path(err)?.clone();
-    let stmt = get_stmt(prog, &path).cloned()?;
-    rb_lang::visit::insert_after(prog, &path, stmt).then_some(())
+fn duplicate_statement(prog: &mut Program, (path, stmt): (&StmtPath, Stmt)) {
+    assert!(rb_lang::visit::insert_after(prog, path, stmt), "{MATCHED}");
 }
 
-fn perturb_literal(prog: &mut Program, err: &MiriError) -> Option<()> {
-    let path = err_path(err)?.clone();
+/// The faulting statement, when it holds an integer literal.
+fn literal_site<'e>(prog: &Program, err: &'e MiriError) -> Option<&'e StmtPath> {
+    let (path, stmt) = faulting_stmt(prog, err)?;
+    stmt_contains(stmt, |e| matches!(e, Expr::Lit(Lit::Int(..)))).then_some(path)
+}
+
+fn perturb_literal(prog: &mut Program, path: &StmtPath) {
     let mut done = false;
-    rewrite_stmt_at(prog, &path, &mut |e| {
+    rewrite_stmt_at(prog, path, &mut |e| {
         if done {
             return;
         }
@@ -1602,73 +1736,67 @@ fn perturb_literal(prog: &mut Program, err: &MiriError) -> Option<()> {
             done = true;
         }
     });
-    done.then_some(())
+}
+
+/// The first `unsafe` block of `main`, when it is not empty.
+fn unsafe_block(prog: &Program) -> Option<usize> {
+    let stmts = main_stmts(prog);
+    let idx = stmts.iter().position(|s| matches!(s, Stmt::Unsafe(_)))?;
+    (!matches!(&stmts[idx], Stmt::Unsafe(b) if b.stmts.is_empty())).then_some(idx)
 }
 
 /// Unwrap the first `unsafe` block in `main`, exposing unsafe operations
 /// in a safe context — the classic non-compiling LLM patch.
-fn strip_unsafe(prog: &mut Program) -> Option<()> {
-    let main = main_body(prog)?;
-    let idx = main
-        .stmts
+fn strip_unsafe(prog: &mut Program, idx: usize) {
+    let main = main_body(prog);
+    if let Stmt::Unsafe(body) = main.stmts.remove(idx) {
+        main.stmts.splice(idx..idx, body.stmts);
+    }
+}
+
+/// The first `let` of `main`.
+fn first_let(prog: &Program) -> Option<usize> {
+    main_stmts(prog)
         .iter()
-        .position(|s| matches!(s, Stmt::Unsafe(_)))?;
-    // Refuse before removing anything: a failed rule leaves the program as is.
-    if matches!(&main.stmts[idx], Stmt::Unsafe(b) if b.stmts.is_empty()) {
-        return None;
-    }
-    let Stmt::Unsafe(body) = main.stmts.remove(idx) else {
-        return None;
-    };
-    for (k, inner) in body.stmts.into_iter().enumerate() {
-        main.stmts.insert(idx + k, inner);
-    }
-    Some(())
+        .position(|s| matches!(s, Stmt::Let { .. }))
 }
 
 /// Rename the first let binding in `main` at its definition only, leaving
 /// its uses dangling.
-fn break_binding(prog: &mut Program) -> Option<()> {
-    let main = main_body(prog)?;
-    for s in &mut main.stmts {
-        if let Stmt::Let { name, .. } = s {
-            name.push_str("_renamed");
-            return Some(());
-        }
+fn break_binding(prog: &mut Program, i: usize) {
+    if let Stmt::Let { name, .. } = &mut main_body(prog).stmts[i] {
+        name.push_str("_renamed");
     }
-    None
+}
+
+/// The first `let` of `main` declared `i32`.
+fn first_i32_let(prog: &Program) -> Option<usize> {
+    main_stmts(prog).iter().position(|s| {
+        matches!(
+            s,
+            Stmt::Let {
+                ty: Ty::Int(IntTy::I32),
+                ..
+            }
+        )
+    })
 }
 
 /// Flip the declared type of the first integer let in `main`.
-fn break_types(prog: &mut Program) -> Option<()> {
-    let main = main_body(prog)?;
-    for s in &mut main.stmts {
-        if let Stmt::Let { ty, .. } = s {
-            if matches!(ty, Ty::Int(IntTy::I32)) {
-                *ty = Ty::Bool;
-                return Some(());
-            }
-        }
+fn break_types(prog: &mut Program, i: usize) {
+    if let Stmt::Let { ty, .. } = &mut main_body(prog).stmts[i] {
+        *ty = Ty::Bool;
     }
-    None
 }
 
-fn disable_statement(prog: &mut Program, err: &MiriError) -> Option<()> {
-    let path = err_path(err)?.clone();
-    let stmt = get_stmt(prog, &path).cloned()?;
-    let disabled = Stmt::If {
+fn disable_statement(prog: &mut Program, path: &StmtPath) {
+    let slot = faulting_stmt_mut(prog, path);
+    let stmt = std::mem::replace(slot, Stmt::Nop);
+    *slot = Stmt::If {
         cond: Expr::Lit(Lit::Bool(false)),
         then_blk: Block::new(vec![stmt]),
         else_blk: None,
     };
-    rb_lang::visit::replace_stmt(prog, &path, disabled).then_some(())
-}
-
-// Small helper used by several rules above; kept at the bottom to avoid
-// cluttering the rule bodies.
-#[allow(dead_code)]
-fn err_ref(err: &MiriError) -> &MiriError {
-    err
 }
 
 #[cfg(test)]

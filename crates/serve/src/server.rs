@@ -27,7 +27,7 @@
 //! store's atomic swap-in, so a crash mid-compaction leaves the old
 //! generation intact.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -216,15 +216,51 @@ impl Server {
     }
 }
 
+/// The longest request line the daemon reads, in bytes (newline
+/// excluded). A peer that sends more without a newline gets an error
+/// response and is disconnected, so no peer can grow the daemon's memory
+/// without limit.
+pub const MAX_REQUEST_LINE: u64 = 1 << 20;
+
+/// What one read from a connection produced.
+enum Incoming {
+    /// A request line, without its line ending.
+    Line(String),
+    /// More than [`MAX_REQUEST_LINE`] bytes arrived without a newline.
+    TooLong,
+    /// The peer hung up, the read failed, or the line was not UTF-8.
+    Closed,
+}
+
+fn read_request_line(reader: &mut impl BufRead) -> Incoming {
+    let mut buf = Vec::new();
+    match reader
+        .take(MAX_REQUEST_LINE + 1)
+        .read_until(b'\n', &mut buf)
+    {
+        Ok(0) | Err(_) => return Incoming::Closed,
+        Ok(_) => {}
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() as u64 > MAX_REQUEST_LINE {
+        return Incoming::TooLong;
+    }
+    String::from_utf8(buf).map_or(Incoming::Closed, Incoming::Line)
+}
+
 /// Serves one connection: request lines in, response lines out, until
-/// the peer hangs up or the daemon shuts down.
+/// the peer hangs up, sends an over-long line, or the daemon shuts down.
 fn handle_connection(state: &Arc<ServeState>, stream: TcpStream) {
     // Bind this handler thread to the daemon's trace sink: every span
     // opened while serving this connection (repair pipeline included)
     // lands in the shared JSONL file. A no-op when tracing is off.
     let _trace_scope = state.tracer.as_ref().map(rb_obs::trace::scope);
     let _ = stream.set_nodelay(true);
-    let reader = match stream.try_clone() {
+    let mut reader = match stream.try_clone() {
         Ok(read_half) => BufReader::new(read_half),
         Err(e) => {
             eprintln!("serve: cannot clone connection: {e}");
@@ -232,8 +268,21 @@ fn handle_connection(state: &Arc<ServeState>, stream: TcpStream) {
         }
     };
     let mut writer = BufWriter::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    loop {
+        let line = match read_request_line(&mut reader) {
+            Incoming::Line(line) => line,
+            Incoming::TooLong => {
+                let started = Instant::now();
+                let message = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+                let _ =
+                    writeln!(writer, "{}", error_response(&message)).and_then(|()| writer.flush());
+                state
+                    .stats
+                    .record_request(Verb::Error, started.elapsed().as_secs_f64() * 1e3);
+                break;
+            }
+            Incoming::Closed => break,
+        };
         if line.trim().is_empty() {
             continue;
         }

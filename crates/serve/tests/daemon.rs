@@ -362,3 +362,53 @@ fn traced_daemon_reports_span_counts_through_stats() {
         "stats reported {spans} spans but the file holds {on_disk}"
     );
 }
+
+#[test]
+fn over_long_request_line_is_refused_and_the_connection_closed() {
+    use std::io::{Read, Write};
+
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        jobs: 1,
+        handlers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    let daemon = std::thread::spawn(move || server.run());
+
+    // One byte past the bound, and no newline ever.
+    let mut peer = std::net::TcpStream::connect(&addr).unwrap();
+    // A daemon that waits for the newline fails here instead of hanging.
+    peer.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let line = vec![b'x'; rb_serve::server::MAX_REQUEST_LINE as usize + 1];
+    peer.write_all(&line).unwrap();
+    let mut reply = String::new();
+    peer.read_to_string(&mut reply).unwrap();
+    let v = parse(reply.trim_end()).unwrap();
+    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false), "{reply}");
+    assert!(
+        v.get("error")
+            .and_then(Value::as_str)
+            .is_some_and(|e| e.contains("exceeds")),
+        "{reply}"
+    );
+    assert_eq!(
+        reply.lines().count(),
+        1,
+        "one error line, then EOF: {reply}"
+    );
+
+    // The daemon still serves a fresh connection, and counted the error.
+    let mut client = Client::connect(&addr).unwrap();
+    let response = client.call(&stats_request()).unwrap();
+    let errors = parse(&response)
+        .unwrap()
+        .get("serve")
+        .and_then(|s| s.get("errors"))
+        .and_then(Value::as_u64);
+    assert_eq!(errors, Some(1), "{response}");
+    client.call(&shutdown_request()).unwrap();
+    daemon.join().unwrap();
+}
