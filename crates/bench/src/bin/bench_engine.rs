@@ -1,6 +1,6 @@
 //! Engine throughput benchmark: times a full-corpus RustBrain sweep at 1
 //! worker and at N workers on a *pre-warmed* shared oracle cache (so the
-//! series isolates scheduling from caching), checks the two result
+//! series isolates parallelism from caching), checks the two result
 //! streams are byte-identical, and writes the numbers to
 //! `BENCH_engine.json` — the engine's perf trajectory across PRs. Since
 //! PR 3 the file also carries per-UbClass throughput and the
@@ -15,47 +15,31 @@
 //!
 //! Since PR 7 the file flags `speedup_degraded` when the requested
 //! worker count exceeds the machine's cores (the speedup number is then
-//! a fact about the host, not the scheduler — CI skips its speedup gate
+//! a fact about the host, not the engine — CI skips its speedup gate
 //! on that flag), and `--trace-out` writes a structured JSONL span
 //! trace of the timed parallel sweep.
 //!
-//! Since PR 8 the bench compares the engine's scheduling policies (FIFO
-//! baseline, cost-ordered LPT, work-stealing) on the same warm cache:
-//! the `sched.policies` rows carry each policy's measured wall speedup
-//! *and* a `modeled_speedup` — a deterministic virtual-clock replay of
-//! the policy's dispatch over the serial sweep's measured per-job wall
-//! times, which is the honest scheduler comparison when the host lacks a
-//! core per worker. `sched.cost_model` reports predicted vs observed
-//! per-class milliseconds, `--repeat N` amplifies the corpus (N clones
-//! of the 42 templates with varied case ids/sizes) so the signal beats
-//! wall-clock noise, and `--cost-table PATH` seeds the cost model from a
-//! persisted table and rewrites it from this run's observations.
+//! `--repeat N` amplifies the corpus (N clones of the 42 templates with
+//! varied case ids/sizes) so the signal beats wall-clock noise.
 //!
 //! Since PR 9 a traced run re-reads its own flushed trace through
 //! `rb_obs::analyze` and writes a `critical_path` section: the
-//! per-worker lane bound on achievable speedup, printed and gated next
-//! to `model_schedule`'s modeled stealing speedup (the two independent
-//! estimates must agree within 10% when the host has a core per
-//! worker). Every run also appends one compact row — date, corpus
-//! size, policy, speedup, hit rate — to `BENCH_history.jsonl` beside
-//! the output file, so the perf trajectory accumulates across PRs
-//! without diffing full BENCH files.
+//! per-worker lane bound on achievable speedup. Every run also appends
+//! one compact row — date, corpus size, speedup, hit rate — to
+//! `BENCH_history.jsonl` beside the output file, so the perf trajectory
+//! accumulates across PRs without diffing full BENCH files.
 //!
 //! ```text
 //! USAGE: bench_engine [--jobs N] [--per-class N] [--repeat N]
 //!                     [--out PATH] [--trace-out PATH]
-//!                     [--cost-table PATH]
 //! ```
 
 use rb_bench::overall_rates;
 use rb_dataset::Corpus;
-use rb_engine::{
-    model_schedule, BatchOutcome, CostModel, Engine, OracleCache, SchedPolicy, SystemSpec,
-};
+use rb_engine::{BatchOutcome, Engine, OracleCache, SystemSpec};
 use rb_llm::ModelId;
 use rb_miri::UbClass;
 use rustbrain::{KnowledgeBase, MergePolicy, RustBrainConfig};
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -65,7 +49,6 @@ struct Args {
     repeat: usize,
     out: String,
     trace_out: Option<String>,
-    cost_table: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -75,7 +58,6 @@ fn parse_args() -> Result<Args, String> {
         repeat: 1,
         out: "BENCH_engine.json".to_owned(),
         trace_out: None,
-        cost_table: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -94,7 +76,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--out" => args.out = value("--out")?,
             "--trace-out" => args.trace_out = Some(value("--trace-out")?),
-            "--cost-table" => args.cost_table = Some(value("--cost-table")?),
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -106,16 +87,12 @@ fn parse_args() -> Result<Args, String> {
 
 fn sweep(
     workers: usize,
-    policy: SchedPolicy,
-    model: &CostModel,
     cache: &Arc<OracleCache>,
     spec: &SystemSpec,
     corpus: &Corpus,
     tracer: Option<&rb_obs::Tracer>,
 ) -> BatchOutcome {
-    let mut engine = Engine::with_cache(workers, Arc::clone(cache))
-        .with_policy(policy)
-        .with_cost_model(model.clone());
+    let mut engine = Engine::with_cache(workers, Arc::clone(cache));
     if let Some(tracer) = tracer {
         engine = engine.with_tracer(tracer.clone());
     }
@@ -179,14 +156,13 @@ fn class_rows_json(outcome: &BatchOutcome) -> String {
     format!("[{}]", rows.join(",\n  "))
 }
 
-/// The preflight on-vs-off comparison: rerun the stealing sweep with the
+/// The preflight on-vs-off comparison: rerun the parallel sweep with the
 /// static repair preflight disabled, on the same warm cache, and
 /// quantify what the `rb_lint` veto saves the oracle. The contract half
 /// of the section: the two result documents must be byte-identical —
 /// the veto only relabels judgements, it never changes a trajectory.
 fn preflight_json(
     jobs: usize,
-    model: &CostModel,
     cache: &Arc<OracleCache>,
     corpus: &Corpus,
     on: &BatchOutcome,
@@ -194,15 +170,7 @@ fn preflight_json(
     let mut config = RustBrainConfig::for_model(ModelId::Gpt4, 0);
     config.preflight = false;
     let off_spec = SystemSpec::brain(config);
-    let off = sweep(
-        jobs,
-        SchedPolicy::Stealing,
-        model,
-        cache,
-        &off_spec,
-        corpus,
-        None,
-    );
+    let off = sweep(jobs, cache, &off_spec, corpus, None);
     let identical = off.results == on.results;
     let json = format!(
         concat!(
@@ -325,18 +293,12 @@ fn utc_date() -> String {
     format!("{y:04}-{m:02}-{d:02}")
 }
 
-/// The trace-side critical path of the stealing sweep: re-reads the
+/// The trace-side critical path of the parallel sweep: re-reads the
 /// flushed trace through the analysis layer and bounds the achievable
-/// speedup from the per-worker lanes. The consistency comparison is
-/// apples-to-apples with `rustbrain trace critical-path`: the modeled
-/// side replays the trace's own *simulated* per-job charges (which are
-/// deterministic) through the virtual clock, so the only noise in the
-/// divergence is the live dispatcher's placement, not host wall-time
-/// jitter. Returns the JSON section, a console line, the sim-side
-/// speedup bound, and whether the bound agrees with the modeled speedup
-/// within 10% (the CI consistency gate when the host isn't
-/// oversubscribed).
-fn critical_path_json(trace_path: &str) -> Result<(String, String, f64, bool), String> {
+/// speedup from the per-worker lanes, as `rustbrain trace critical-path`
+/// does. Returns the JSON section, a console line and the sim-side
+/// speedup bound.
+fn critical_path_json(trace_path: &str) -> Result<(String, String, f64), String> {
     let spans = rb_obs::analyze::read_file(std::path::Path::new(trace_path))
         .map_err(|e| format!("trace {trace_path}: {e}"))?;
     let tree =
@@ -345,136 +307,27 @@ fn critical_path_json(trace_path: &str) -> Result<(String, String, f64, bool), S
     if cp.lanes.is_empty() {
         return Err(format!("trace {trace_path}: no engine.job spans"));
     }
-    let sims: Vec<f64> = tree
-        .spans()
-        .iter()
-        .filter(|s| s.name == "engine.job")
-        .map(|s| s.sim_ms)
-        .collect();
-    let modeled_speedup =
-        model_schedule(SchedPolicy::Stealing, &sims, &sims, cp.lanes.len()).speedup();
     let bound = cp.speedup_bound_sim();
-    let divergence = if modeled_speedup > 0.0 {
-        (bound - modeled_speedup).abs() / modeled_speedup
-    } else {
-        0.0
-    };
-    let within = divergence <= 0.10;
     let json = format!(
         concat!(
-            "{{\"lanes\":{},\"jobs\":{},\"stolen\":{},",
+            "{{\"lanes\":{},\"jobs\":{},",
             "\"total_sim_ms\":{:.4},\"busiest_lane_sim_ms\":{:.4},",
-            "\"speedup_bound_sim\":{:.4},\"speedup_bound_wall\":{:.4},",
-            "\"modeled_speedup\":{:.4},\"divergence\":{:.4},",
-            "\"bound_matches_model\":{}}}"
+            "\"speedup_bound_sim\":{:.4},\"speedup_bound_wall\":{:.4}}}"
         ),
         cp.lanes.len(),
         cp.jobs,
-        cp.stolen,
         cp.total_sim_ms,
         cp.critical_sim_ms,
         bound,
         cp.speedup_bound_wall(),
-        modeled_speedup,
-        divergence,
-        within,
     );
     let line = format!(
-        "critical path: {} lanes | bound {:.2}x (sim) {:.2}x (wall) | modeled {:.2}x | {}",
+        "critical path: {} lanes | bound {:.2}x (sim) {:.2}x (wall)",
         cp.lanes.len(),
         bound,
         cp.speedup_bound_wall(),
-        modeled_speedup,
-        if within {
-            "agrees within 10%".to_owned()
-        } else {
-            format!("diverges {:.0}%", divergence * 100.0)
-        },
     );
-    Ok((json, line, bound, within))
-}
-
-/// Per-class mean *measured* wall milliseconds of a sweep's jobs.
-fn observed_class_ms(outcome: &BatchOutcome) -> BTreeMap<UbClass, f64> {
-    let mut sums: BTreeMap<UbClass, (f64, usize)> = BTreeMap::new();
-    for j in &outcome.jobs {
-        let entry = sums.entry(j.result.class).or_insert((0.0, 0));
-        entry.0 += j.wall_ms;
-        entry.1 += 1;
-    }
-    sums.into_iter()
-        .map(|(class, (sum, n))| (class, sum / n as f64))
-        .collect()
-}
-
-/// One measured policy run plus its virtual-clock replay.
-struct PolicyRun {
-    policy: SchedPolicy,
-    outcome: BatchOutcome,
-    modeled_speedup: f64,
-    modeled_steals: u64,
-}
-
-/// The `sched.policies` rows: measured wall speedup vs the serial sweep
-/// alongside the modeled (virtual-clock) speedup, per policy.
-fn policy_rows_json(runs: &[PolicyRun], serial_wall_ms: f64) -> String {
-    let rows: Vec<String> = runs
-        .iter()
-        .map(|run| {
-            let s = &run.outcome.stats;
-            let wall_speedup = if s.wall_ms > 0.0 {
-                serial_wall_ms / s.wall_ms
-            } else {
-                0.0
-            };
-            format!(
-                concat!(
-                    "{{\"policy\":\"{}\",\"wall_ms\":{:.4},\"speedup\":{:.4},",
-                    "\"modeled_speedup\":{:.4},\"modeled_steals\":{},",
-                    "\"steals\":{},\"max_queue_depth\":{},\"imbalance\":{}}}"
-                ),
-                run.policy.label(),
-                s.wall_ms,
-                wall_speedup,
-                run.modeled_speedup,
-                run.modeled_steals,
-                s.sched.steals,
-                s.sched.max_queue_depth,
-                s.imbalance
-                    .map_or_else(|| "null".to_owned(), |r| format!("{r:.4}")),
-            )
-        })
-        .collect();
-    format!("[{}]", rows.join(",\n  "))
-}
-
-/// The `sched.cost_model` rows: what the dispatch predicted per class vs
-/// what the serial sweep measured (scheduling-independent ground truth).
-fn cost_model_rows_json(
-    predicted: &BTreeMap<UbClass, f64>,
-    observed: &BTreeMap<UbClass, f64>,
-) -> String {
-    let rows: Vec<String> = observed
-        .iter()
-        .map(|(class, &obs_ms)| {
-            let pred_ms = predicted
-                .get(class)
-                .copied()
-                .unwrap_or(rb_engine::sched::DEFAULT_COST_MS);
-            let ratio = if obs_ms > 0.0 { pred_ms / obs_ms } else { 0.0 };
-            format!(
-                concat!(
-                    "{{\"class\":\"{}\",\"predicted_ms\":{:.4},",
-                    "\"observed_ms\":{:.4},\"ratio\":{:.4}}}"
-                ),
-                class.label(),
-                pred_ms,
-                obs_ms,
-                ratio,
-            )
-        })
-        .collect();
-    format!("[{}]", rows.join(",\n  "))
+    Ok((json, line, bound))
 }
 
 fn main() -> ExitCode {
@@ -493,21 +346,6 @@ fn main() -> ExitCode {
     let spec = SystemSpec::brain(RustBrainConfig::for_model(ModelId::Gpt4, 0));
     let cache = Arc::new(OracleCache::new());
 
-    // The cost model: persisted table if given and present, static
-    // defaults otherwise; either way the warmup sweep below fills the
-    // wall-time histograms the live refinement reads.
-    let table_path = args.cost_table.as_ref().map(std::path::PathBuf::from);
-    let mut cost_model = match &table_path {
-        Some(path) if path.exists() => match CostModel::load(path) {
-            Ok(model) => model,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        _ => CostModel::defaults(),
-    };
-
     let tracer = match &args.trace_out {
         Some(path) => match rb_obs::Tracer::to_file(std::path::Path::new(path)) {
             Ok(tracer) => Some(tracer),
@@ -520,85 +358,19 @@ fn main() -> ExitCode {
     };
 
     // Warm-up sweep (untimed): populates the oracle cache so all timed
-    // sweeps run under identical, fully-warm cache conditions — and
-    // fills the per-class wall-time histograms the cost model's live
-    // refinement learns from.
-    let warmup = sweep(
-        args.jobs,
-        SchedPolicy::Stealing,
-        &cost_model,
-        &cache,
-        &spec,
-        &corpus,
-        None,
-    );
-
-    // The serial reference is FIFO by construction (one worker drains
-    // in submission order); it doubles as the ground truth for per-job
-    // durations and per-class observed costs.
-    let serial = sweep(
-        1,
-        SchedPolicy::Fifo,
-        &cost_model,
-        &cache,
-        &spec,
-        &corpus,
-        None,
-    );
-
-    // One timed parallel sweep per policy, all on the same warm cache.
-    // Only the stealing sweep (the headline) is traced — spans on the
-    // others would skew exactly the comparison the bench exists for.
-    let predicted_table = cost_model.effective();
-    let durations: Vec<f64> = serial.jobs.iter().map(|j| j.wall_ms).collect();
-    let predicted_per_job: Vec<f64> = serial
-        .jobs
-        .iter()
-        .map(|j| {
-            predicted_table
-                .get(&j.result.class)
-                .copied()
-                .unwrap_or(rb_engine::sched::DEFAULT_COST_MS)
-        })
-        .collect();
-    let mut runs: Vec<PolicyRun> = Vec::new();
-    let mut identical = warmup.results == serial.results;
-    for policy in SchedPolicy::ALL {
-        let traced = if policy == SchedPolicy::Stealing {
-            tracer.as_ref()
-        } else {
-            None
-        };
-        let outcome = sweep(
-            args.jobs,
-            policy,
-            &cost_model,
-            &cache,
-            &spec,
-            &corpus,
-            traced,
-        );
-        identical = identical && outcome.results == serial.results;
-        let modeled = model_schedule(policy, &predicted_per_job, &durations, args.jobs);
-        runs.push(PolicyRun {
-            policy,
-            outcome,
-            modeled_speedup: modeled.speedup(),
-            modeled_steals: modeled.steals,
-        });
-    }
+    // sweeps run under identical, fully-warm cache conditions.
+    let warmup = sweep(args.jobs, &cache, &spec, &corpus, None);
+    let serial = sweep(1, &cache, &spec, &corpus, None);
+    // Only the parallel sweep is traced: it is the one the critical path
+    // reads back.
+    let parallel = sweep(args.jobs, &cache, &spec, &corpus, tracer.as_ref());
     if let Some(tracer) = &tracer {
         tracer.flush();
     }
-    let parallel = &runs
-        .iter()
-        .find(|r| r.policy == SchedPolicy::Stealing)
-        .expect("stealing run present")
-        .outcome;
+    let identical = warmup.results == serial.results && parallel.results == serial.results;
 
     // An honest speedup needs a core per worker: oversubscribed runs
-    // time-slice, and the ratio stops measuring the scheduler (the
-    // modeled_speedup rows carry the virtual-clock comparison instead).
+    // time-slice, and the ratio stops measuring the engine.
     let speedup_degraded = args.jobs > cores;
 
     let speedup = if parallel.stats.wall_ms > 0.0 {
@@ -606,13 +378,8 @@ fn main() -> ExitCode {
     } else {
         0.0
     };
-    let modeled_speedup = runs
-        .iter()
-        .find(|r| r.policy == SchedPolicy::Stealing)
-        .map_or(0.0, |r| r.modeled_speedup);
-    // The trace-side view of the same stealing sweep: lanes read back
-    // from the flushed spans must bound speedup consistently with the
-    // virtual-clock model fed the same batch.
+    // The trace-side view of the same sweep: the per-worker lanes read
+    // back from the flushed spans bound the achievable speedup.
     let critical_path = match args.trace_out.as_deref() {
         Some(path) => match critical_path_json(path) {
             Ok(cp) => Some(cp),
@@ -623,23 +390,11 @@ fn main() -> ExitCode {
         },
         None => None,
     };
-    let observed = observed_class_ms(&serial);
-    // Persist what this run learned: blend the serial sweep's per-class
-    // means into the table and rewrite it for the next run.
-    if let Some(path) = &table_path {
-        for (&class, &ms) in &observed {
-            cost_model.observe(class, ms);
-        }
-        if let Err(e) = cost_model.save(path) {
-            eprintln!("error: cannot write cost table {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
     let cache_stats = cache.stats();
     let (pass, exec) = overall_rates(&parallel.results);
-    let (warm_json, warm_summary) = warm_start_json(args.jobs, &cache, &spec, &corpus, parallel);
+    let (warm_json, warm_summary) = warm_start_json(args.jobs, &cache, &spec, &corpus, &parallel);
     let (preflight_json, preflight_line, preflight_identical) =
-        preflight_json(args.jobs, &cost_model, &cache, &corpus, parallel);
+        preflight_json(args.jobs, &cache, &corpus, &parallel);
 
     let json = format!(
         concat!(
@@ -649,11 +404,8 @@ fn main() -> ExitCode {
             " \"pass_rate\":{:.4},\"exec_rate\":{:.4},\n",
             " \"serial\":{},\n",
             " \"parallel\":{},\n",
-            " \"speedup\":{:.4},\"speedup_degraded\":{},",
-            "\"modeled_speedup\":{:.4},\n",
+            " \"speedup\":{:.4},\"speedup_degraded\":{},\n",
             " \"critical_path\":{},\n",
-            " \"sched\":{{\"policies\":{},\n",
-            "  \"cost_model\":{}}},\n",
             " \"per_class\":{},\n",
             " \"preflight\":{},\n",
             " \"warm_start\":{},\n",
@@ -671,13 +423,10 @@ fn main() -> ExitCode {
         parallel.stats.to_json(),
         speedup,
         speedup_degraded,
-        modeled_speedup,
         critical_path
             .as_ref()
             .map_or_else(|| "null".to_owned(), |(json, ..)| json.clone()),
-        policy_rows_json(&runs, serial.stats.wall_ms),
-        cost_model_rows_json(&predicted_table, &observed),
-        class_rows_json(parallel),
+        class_rows_json(&parallel),
         preflight_json,
         warm_json,
         cache_stats.hits,
@@ -703,34 +452,14 @@ fn main() -> ExitCode {
         parallel.stats.wall_ms,
         parallel.stats.cases_per_sec,
     );
-    for run in &runs {
-        let s = &run.outcome.stats;
-        println!(
-            "  sched {:>12}: wall {:>7.1} ms | speedup {:.2}x (modeled {:.2}x) | steals {} | imbalance {}",
-            run.policy.label(),
-            s.wall_ms,
-            if s.wall_ms > 0.0 {
-                serial.stats.wall_ms / s.wall_ms
-            } else {
-                0.0
-            },
-            run.modeled_speedup,
-            s.sched.steals,
-            s.imbalance
-                .map_or_else(|| "n/a".to_owned(), |r| format!("{r:.2}")),
-        );
-    }
     if let Some((_, line, ..)) = &critical_path {
         println!("{line}");
     }
     if speedup_degraded {
         println!(
-            "note: {} workers on {cores} core(s) — wall speedup is degraded by oversubscription and not gated; modeled_speedup carries the scheduler comparison",
+            "note: {} workers on {cores} core(s) — wall speedup is degraded by oversubscription and not gated",
             args.jobs,
         );
-    }
-    if let Some(path) = &table_path {
-        println!("cost table written to {}", path.display());
     }
     println!(
         "oracle cache: {} hits / {} misses ({:.1}% hit rate) | parallel sweep: {} executed / {} cached / {} prevetoed | results identical: {identical} | wrote {}",
@@ -752,7 +481,7 @@ fn main() -> ExitCode {
     let history_row = format!(
         concat!(
             "{{\"date\":\"{}\",\"cases\":{},\"jobs\":{},\"repeat\":{},",
-            "\"policy\":\"{}\",\"speedup\":{:.4},\"modeled_speedup\":{:.4},",
+            "\"speedup\":{:.4},",
             "\"speedup_bound_sim\":{},\"cache_hit_rate\":{:.4},",
             "\"exec_rate\":{:.4},\"speedup_degraded\":{}}}\n"
         ),
@@ -760,13 +489,10 @@ fn main() -> ExitCode {
         corpus.len(),
         args.jobs,
         args.repeat,
-        SchedPolicy::Stealing.label(),
         speedup,
-        modeled_speedup,
-        critical_path.as_ref().map_or_else(
-            || "null".to_owned(),
-            |(_, _, bound, _)| format!("{bound:.4}")
-        ),
+        critical_path
+            .as_ref()
+            .map_or_else(|| "null".to_owned(), |(_, _, bound)| format!("{bound:.4}")),
         cache_stats.hit_rate(),
         exec.value(),
         speedup_degraded,

@@ -1,5 +1,6 @@
 //! The batch executor: a fixed-size worker pool over `std::thread` and
-//! `mpsc` channels, injecting one shared [`CachedOracle`] into every
+//! `mpsc` channels, claiming jobs in submission order from one shared
+//! counter, injecting one shared [`CachedOracle`] into every
 //! system it builds, recovering cross-case learning through shared
 //! knowledge-base snapshots, and merging results deterministically.
 //!
@@ -17,13 +18,13 @@
 
 use crate::cache::{CachedOracle, OracleCache};
 use crate::job::{JobResult, JobSpec};
-use crate::sched::{CostModel, Dispatcher, SchedPolicy, SchedStats};
-use crate::stats::{EngineStats, KbMergeStats};
+use crate::stats::{EngineStats, KbMergeStats, SchedStats};
 use crate::system::{CaseResult, System, SystemSpec};
 use rb_dataset::UbCase;
 use rb_miri::{DirectOracle, Oracle, OracleUse};
 use rustbrain::{KbDelta, KnowledgeBase, MergePolicy, StoreError};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
@@ -60,12 +61,6 @@ pub struct Engine {
     /// from all workers interleave into one trace stream. Purely
     /// observational: results are byte-identical with or without it.
     tracer: Option<rb_obs::Tracer>,
-    /// How a batch's jobs reach the workers (see [`crate::sched`]).
-    /// Scheduling only reorders execution — the determinism contract
-    /// pins results for every policy.
-    policy: SchedPolicy,
-    /// Predicts per-class job cost for the cost-aware policies.
-    cost_model: CostModel,
 }
 
 impl Engine {
@@ -86,8 +81,6 @@ impl Engine {
             use_cache: true,
             merge_policy: MergePolicy::default(),
             tracer: None,
-            policy: SchedPolicy::default(),
-            cost_model: CostModel::defaults(),
         }
     }
 
@@ -108,8 +101,6 @@ impl Engine {
             use_cache: false,
             merge_policy: MergePolicy::default(),
             tracer: None,
-            policy: SchedPolicy::default(),
-            cost_model: CostModel::defaults(),
         }
     }
 
@@ -137,36 +128,7 @@ impl Engine {
         self
     }
 
-    /// Replaces the scheduling policy (builder-style). The default is
-    /// [`SchedPolicy::Stealing`]; [`SchedPolicy::Fifo`] reproduces the
-    /// pre-scheduler shared-counter dispatch as a baseline.
-    #[must_use]
-    pub fn with_policy(mut self, policy: SchedPolicy) -> Engine {
-        self.policy = policy;
-        self
-    }
-
-    /// Replaces the cost model the cost-aware policies order by
-    /// (builder-style) — e.g. one loaded from a persisted cost table.
-    #[must_use]
-    pub fn with_cost_model(mut self, model: CostModel) -> Engine {
-        self.cost_model = model;
-        self
-    }
-
-    /// The scheduling policy batches dispatch under.
-    #[must_use]
-    pub fn policy(&self) -> SchedPolicy {
-        self.policy
-    }
-
-    /// The cost model the cost-aware policies order by.
-    #[must_use]
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost_model
-    }
-
-    /// Worker threads this engine schedules onto.
+    /// Worker threads this engine runs batches on.
     #[must_use]
     pub fn workers(&self) -> usize {
         self.workers
@@ -239,21 +201,11 @@ impl Engine {
         snapshot: &KnowledgeBase,
     ) -> BatchOutcome {
         let started = Instant::now();
-        // Predicted per-job costs (submission order) drive the cost-
-        // aware policies. Predictions only reorder execution: seeds
-        // derive from case ids and merges restore submission order, so
-        // a wrong prediction costs balance, never correctness.
-        let cost_table = self.cost_model.effective();
-        let costs: Vec<f64> = jobs
-            .iter()
-            .map(|j| {
-                cost_table
-                    .get(&j.case.class)
-                    .copied()
-                    .unwrap_or(crate::sched::DEFAULT_COST_MS)
-            })
-            .collect();
-        let dispatcher = Dispatcher::build(self.policy, &costs, self.workers);
+        // Dispatch: workers claim jobs in submission order, one
+        // `fetch_add` per job. Execution order never reaches a result —
+        // seeds derive from case ids and the merge restores submission
+        // order.
+        let next = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<JobResult>();
         let oracle = self.shared_oracle();
 
@@ -261,7 +213,7 @@ impl Engine {
         std::thread::scope(|scope| {
             for worker in 0..self.workers {
                 let tx = tx.clone();
-                let dispatcher = &dispatcher;
+                let next = &next;
                 let oracle = &oracle;
                 let tracer = self.tracer.clone();
                 scope.spawn(move || {
@@ -269,14 +221,11 @@ impl Engine {
                     // whole lifetime; every span the jobs open lands in
                     // the shared sink.
                     let _trace_scope = tracer.as_ref().map(rb_obs::trace::scope);
-                    for assignment in dispatcher.lane(worker) {
-                        let index = assignment.index;
-                        let job = &jobs[index];
+                    while let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
                         let job_started = Instant::now();
                         let mut job_span = rb_obs::span("engine.job");
                         job_span.tag("case", job.case.id.clone());
                         job_span.tag("worker", worker.to_string());
-                        job_span.tag("stolen", assignment.stolen.to_string());
                         let (result, oracle_use, cache_hit, kb_delta) =
                             Engine::execute(job, oracle, snapshot);
                         let wall_s = job_started.elapsed().as_secs_f64();
@@ -312,7 +261,7 @@ impl Engine {
         });
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
-        // Deterministic merge: scheduling decided arrival order, the
+        // Deterministic merge: thread timing decided arrival order, the
         // submission index restores it.
         executed.sort_by_key(|j| j.index);
         let results: Vec<CaseResult> = executed.iter().map(|j| j.result.clone()).collect();
@@ -385,27 +334,16 @@ impl Engine {
             oracle_prevetoed: batch_use.prevetoed as u64,
             kb,
             cache,
-            sched: SchedStats {
-                policy: self.policy.label().to_owned(),
-                steals: dispatcher.steals(),
-                max_queue_depth: dispatcher.max_queue_depth(),
-            },
+            sched: SchedStats::default(),
         };
-        // Batch-level gauges for the scheduler cost model: the latest
-        // imbalance ratio and pool size (the per-class latency
-        // histograms were filled at the repair call sites), plus the
-        // dispatch telemetry the serve `metrics` verb exposes.
+        // Batch-level gauges: the latest imbalance ratio and pool size
+        // (the per-class latency histograms were filled at the repair
+        // call sites).
         let m = rb_obs::metrics();
         if let Some(ratio) = stats.imbalance {
             m.gauge_set("rustbrain_engine_imbalance", None, ratio);
         }
         m.gauge_set("rustbrain_engine_workers", None, self.workers as f64);
-        m.counter_add("rustbrain_sched_steals_total", None, stats.sched.steals);
-        m.gauge_set(
-            "rustbrain_sched_queue_depth",
-            None,
-            stats.sched.max_queue_depth as f64,
-        );
         BatchOutcome {
             results,
             jobs: executed,

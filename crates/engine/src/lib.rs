@@ -19,7 +19,7 @@
 //! Four guarantees shape the design:
 //!
 //! 1. **Determinism** — a batch's merged [`CaseResult`] stream is
-//!    byte-identical for any worker count and any scheduling: each job
+//!    byte-identical for any worker count and any thread timing: each job
 //!    builds a fresh system whose RNG seed derives only from the batch
 //!    seed and the case id ([`job::derive_case_seed`]), and results are
 //!    merged back into submission order.
@@ -64,13 +64,11 @@
 pub mod cache;
 pub mod engine;
 pub mod job;
-pub mod sched;
 pub mod stats;
 pub mod system;
 
 pub use cache::{program_key, CacheStats, CachedOracle, OracleCache};
 pub use engine::{run_serial_reference, BatchOutcome, Engine};
 pub use job::{derive_case_seed, JobResult, JobSpec};
-pub use sched::{model_schedule, Assignment, CostModel, ModeledSchedule, SchedPolicy, SchedStats};
-pub use stats::{results_to_json, EngineStats, KbMergeStats};
+pub use stats::{results_to_json, EngineStats, KbMergeStats, SchedStats};
 pub use system::{CaseResult, System, SystemSpec};

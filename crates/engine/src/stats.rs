@@ -7,7 +7,6 @@
 //! strictly valid JSON (finite numbers only, no trailing commas).
 
 use crate::cache::CacheStats;
-use crate::sched::SchedStats;
 use crate::system::CaseResult;
 
 /// Knowledge-base accounting of one batch: how the shared snapshot grew
@@ -34,6 +33,16 @@ pub struct KbMergeStats {
     /// Store segments whose content was unchanged and were skipped by the
     /// sharded save (always zero for single-file stores).
     pub shards_skipped: usize,
+}
+
+/// Dispatch telemetry of one batch. Workers claim jobs from one shared
+/// counter and never steal, so `steals` is always 0 and is left out of
+/// [`EngineStats::to_json`]; the field stays because the benchmark
+/// driver reads it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SchedStats {
+    /// Jobs taken from another worker's queue: always 0.
+    pub steals: u64,
 }
 
 /// Aggregate telemetry of one engine batch.
@@ -83,8 +92,7 @@ pub struct EngineStats {
     /// while `entries`/`evictions`/`capacity` are the cache's absolute
     /// state when the batch finished.
     pub cache: CacheStats,
-    /// Dispatch telemetry: the policy the batch ran under, jobs stolen
-    /// across workers, and the deepest queue at seeding time.
+    /// Dispatch telemetry (see [`SchedStats`]).
     pub sched: SchedStats,
 }
 
@@ -176,9 +184,7 @@ impl EngineStats {
                 "\"contributing_jobs\":{},\"coalesced\":{},\"final_entries\":{},",
                 "\"shards_written\":{},\"shards_skipped\":{}}},",
                 "\"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},",
-                "\"evictions\":{},\"capacity\":{},\"hit_rate\":{}}},",
-                "\"sched\":{{\"policy\":{},\"steals\":{},",
-                "\"max_queue_depth\":{}}}}}"
+                "\"evictions\":{},\"capacity\":{},\"hit_rate\":{}}}}}"
             ),
             self.workers,
             self.cases,
@@ -205,9 +211,6 @@ impl EngineStats {
             self.cache.evictions,
             self.cache.capacity,
             json_num(self.cache.hit_rate()),
-            json_str(&self.sched.policy),
-            self.sched.steals,
-            self.sched.max_queue_depth,
         )
     }
 }
@@ -273,18 +276,11 @@ mod tests {
                 evictions: 4,
                 capacity: 64,
             },
-            sched: SchedStats {
-                policy: "stealing".to_owned(),
-                steals: 5,
-                max_queue_depth: 2,
-            },
+            sched: SchedStats::default(),
         };
         let json = stats.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"workers\":2"));
-        assert!(
-            json.contains("\"sched\":{\"policy\":\"stealing\",\"steals\":5,\"max_queue_depth\":2}")
-        );
         assert!(json.contains("\"worker_utilization\":[0.9000,0.8000]"));
         assert!(json.contains("\"imbalance\":2.0000"));
         assert!(json.contains("\"oracle\":{\"executed\":7,\"cached\":21,\"prevetoed\":4}"));

@@ -23,7 +23,9 @@
 //! writes the replacement under a new name, atomically renames the new
 //! manifest into place, and only then deletes segments referenced by
 //! neither its own manifest nor the one currently on disk. A crash at
-//! any step leaves the previous manifest pointing at intact files.
+//! any step leaves the previous manifest pointing at intact files, and
+//! because every file is synced before its rename and its directory
+//! after it, this holds across power loss as well.
 //! Concurrent in-process saves are serialized whole (segment writes →
 //! manifest rename → cleanup) under a process-global lock and resolve
 //! last-writer-wins, like the single-file layout's atomic rename;

@@ -1,16 +1,17 @@
 //! Atomic `.rbkb` file persistence, and the layout dispatch between the
 //! single-file format and the sharded [`crate::shard`] directory layout.
 //!
-//! [`save`] writes to a temporary sibling file and renames it into place,
-//! so a crash mid-write can never leave a half-written store where a
-//! readable one used to be — the reader sees either the old file or the
-//! new one. Temp names carry the process id *and* a process-global
-//! counter: two threads saving the same store concurrently each write
-//! their own temp file and the last rename wins whole, instead of racing
-//! on one shared temp path and renaming each other's half-written bytes
-//! into place. [`load`] surfaces I/O problems and corruption (via the
-//! codec's checksum and structural validation) as typed [`StoreError`]s;
-//! it never panics on hostile bytes.
+//! [`save`] writes to a temporary sibling file, syncs it to disk, renames
+//! it into place and then syncs the directory, so neither a crash nor a
+//! power loss mid-write can leave a half-written store where a readable
+//! one used to be — the reader sees either the old file or the new one.
+//! Temp names carry the process id *and* a process-global counter: two
+//! threads saving the same store concurrently each write their own temp
+//! file and the last rename wins whole, instead of racing on one shared
+//! temp path and renaming each other's half-written bytes into place.
+//! [`load`] surfaces I/O problems and corruption (via the codec's
+//! checksum and structural validation) as typed [`StoreError`]s; it
+//! never panics on hostile bytes.
 //!
 //! [`load_any`] and [`save_any`] accept either layout — a `.rbkb` file or
 //! a `.rbkb.d/` shard directory — resolved by [`detect_layout`], so every
@@ -20,6 +21,8 @@
 use crate::codec::{decode_entries, encode_entries, CodecError};
 use crate::KbEntry;
 use std::fmt;
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -77,10 +80,12 @@ pub(crate) fn io_err(path: &Path, source: std::io::Error) -> StoreError {
 /// and rename a torn file into place.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// Writes `bytes` to `path` atomically: a uniquely named temp sibling in
-/// the same directory (so the rename cannot cross filesystems), then a
-/// rename over the destination. Shared by the single-file store and the
-/// shard layer's segment and manifest writes.
+/// Writes `bytes` to `path` atomically and durably: a uniquely named temp
+/// sibling in the same directory (so the rename cannot cross
+/// filesystems), synced to disk before it is renamed over the
+/// destination, then a sync of the directory so the rename itself
+/// survives power loss. Shared by the single-file store and the shard
+/// layer's segment and manifest writes.
 pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(
@@ -89,12 +94,38 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> 
         TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
     ));
     let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, bytes).map_err(|e| io_err(&tmp, e))?;
-    std::fs::rename(&tmp, path).map_err(|e| {
-        // Leave no droppings behind a failed rename.
+    let renamed = File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()
+        })
+        .map_err(|e| io_err(&tmp, e))
+        .and_then(|()| std::fs::rename(&tmp, path).map_err(|e| io_err(path, e)));
+    if renamed.is_err() {
+        // Leave no droppings behind a failed write or rename.
         let _ = std::fs::remove_file(&tmp);
-        io_err(path, e)
-    })
+    }
+    renamed?;
+    sync_parent_dir(path)
+}
+
+/// Syncs the directory holding `path`, making a rename into it durable.
+#[cfg(unix)]
+fn sync_parent_dir(path: &Path) -> Result<(), StoreError> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err(dir, e))
+}
+
+/// Directories cannot be opened for syncing off Unix; the rename is as
+/// durable as the platform makes it.
+#[cfg(not(unix))]
+fn sync_parent_dir(_path: &Path) -> Result<(), StoreError> {
+    Ok(())
 }
 
 /// Saves entries to `path` atomically (temp file + rename in the same

@@ -18,9 +18,8 @@
 //!    rolled up by span-name path and by class tag, renderable as sorted
 //!    text or collapsed-stack format), [`critical_path`] (per-worker
 //!    `engine.job` lanes and the max-theoretical-speedup bound they
-//!    imply, comparable against `model_schedule`'s modeled speedup), and
-//!    [`diff`] (per-path deltas between two runs, sorted by regression
-//!    magnitude).
+//!    imply), and [`diff`] (per-path deltas between two runs, sorted by
+//!    regression magnitude).
 //!
 //! The crate stays dependency-free, so the JSON decoding here is a
 //! small hand-rolled parser scoped to one object per line. Parsing is
@@ -1069,8 +1068,6 @@ pub struct LaneStat {
     pub worker: String,
     /// Jobs the lane executed.
     pub jobs: u64,
-    /// Jobs the lane stole (per the `stolen` tag).
-    pub stolen: u64,
     /// Total simulated milliseconds across the lane's jobs.
     pub sim_ms: f64,
     /// Total wall microseconds across the lane's jobs.
@@ -1089,8 +1086,6 @@ pub struct CriticalPath {
     pub lanes: Vec<LaneStat>,
     /// Total jobs.
     pub jobs: u64,
-    /// Total stolen jobs.
-    pub stolen: u64,
     /// Sum of job sim-ms across lanes.
     pub total_sim_ms: f64,
     /// Sum of job wall-us across lanes.
@@ -1138,15 +1133,14 @@ impl CriticalPath {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "critical path over {} engine.job spans ({} stolen, {} lanes)\n",
+            "critical path over {} engine.job spans ({} lanes)\n",
             self.jobs,
-            self.stolen,
             self.lanes.len()
         ));
         for lane in &self.lanes {
             out.push_str(&format!(
-                "  worker {:>3}: {:>6} jobs ({:>5} stolen) {:>16.2} sim-ms {:>14} wall-us\n",
-                lane.worker, lane.jobs, lane.stolen, lane.sim_ms, lane.wall_us
+                "  worker {:>3}: {:>6} jobs {:>16.2} sim-ms {:>14} wall-us\n",
+                lane.worker, lane.jobs, lane.sim_ms, lane.wall_us
             ));
         }
         out.push_str(&format!(
@@ -1173,7 +1167,6 @@ pub fn critical_path(tree: &SpanTree) -> CriticalPath {
     let mut longest_sim = 0.0f64;
     let mut longest_wall = 0u64;
     let mut jobs = 0u64;
-    let mut stolen_total = 0u64;
     for s in tree.spans().iter().filter(|s| s.name == "engine.job") {
         let worker = s.tag("worker").unwrap_or("?").to_owned();
         // Numeric-first sort key so worker 10 follows worker 9.
@@ -1181,21 +1174,15 @@ pub fn critical_path(tree: &SpanTree) -> CriticalPath {
             worker.parse::<usize>().unwrap_or(usize::MAX),
             worker.clone(),
         );
-        let stolen = s.tag("stolen") == Some("true");
         let lane = lanes.entry(key).or_insert_with(|| LaneStat {
             worker,
             jobs: 0,
-            stolen: 0,
             sim_ms: 0.0,
             wall_us: 0,
         });
         lane.jobs += 1;
         lane.sim_ms += s.sim_ms;
         lane.wall_us += s.wall_us;
-        if stolen {
-            lane.stolen += 1;
-            stolen_total += 1;
-        }
         jobs += 1;
         total_sim += s.sim_ms;
         total_wall += s.wall_us;
@@ -1208,7 +1195,6 @@ pub fn critical_path(tree: &SpanTree) -> CriticalPath {
     CriticalPath {
         lanes,
         jobs,
-        stolen: stolen_total,
         total_sim_ms: total_sim,
         total_wall_us: total_wall,
         longest_sim_ms: longest_sim,
@@ -1372,10 +1358,9 @@ mod tests {
         }
     }
 
-    fn job(id: u64, worker: &str, stolen: bool, sim: f64, wall: u64) -> TraceSpan {
+    fn job(id: u64, worker: &str, sim: f64, wall: u64) -> TraceSpan {
         let mut s = span(id, None, "engine.job", sim, wall);
         s.tags.push(("worker".to_owned(), worker.to_owned()));
-        s.tags.push(("stolen".to_owned(), stolen.to_string()));
         s
     }
 
@@ -1516,26 +1501,25 @@ mod tests {
 
     #[test]
     fn critical_path_bounds_match_hand_math() {
-        // 4 lanes, balanced: 4 jobs of 10 each per lane, one stolen.
+        // 4 lanes, balanced: 4 jobs of 10 each per lane.
         let mut spans = Vec::new();
         let mut id = 0;
         for w in 0..4u64 {
-            for j in 0..4u64 {
+            for _ in 0..4u64 {
                 id += 1;
-                spans.push(job(id, &w.to_string(), w == 3 && j == 3, 10.0, 10_000));
+                spans.push(job(id, &w.to_string(), 10.0, 10_000));
             }
         }
         let tree = SpanTree::build(spans).unwrap();
         let cp = critical_path(&tree);
         assert_eq!(cp.jobs, 16);
-        assert_eq!(cp.stolen, 1);
         assert_eq!(cp.lanes.len(), 4);
         assert!((cp.speedup_bound_sim() - 4.0).abs() < 1e-12);
         assert!((cp.speedup_bound_wall() - 4.0).abs() < 1e-12);
         assert!((cp.ideal_speedup_sim() - 16.0).abs() < 1e-12);
         // Imbalance drops the bound: pile one more job on lane 0.
         let mut spans: Vec<TraceSpan> = tree.spans().to_vec();
-        spans.push(job(99, "0", false, 40.0, 40_000));
+        spans.push(job(99, "0", 40.0, 40_000));
         let cp = critical_path(&SpanTree::build(spans).unwrap());
         assert!((cp.speedup_bound_sim() - 200.0 / 80.0).abs() < 1e-12);
     }

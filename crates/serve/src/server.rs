@@ -17,7 +17,9 @@
 //! run on the snapshot, and learned deltas merge back afterwards. The
 //! merge is the same submission-order multiset merge the batch engine
 //! uses, so a daemon's knowledge evolution matches the equivalent CLI
-//! run byte for byte.
+//! run byte for byte. A `shutdown` request closes every open connection,
+//! idle ones included, so `run` returns and saves without waiting for
+//! peers to hang up.
 //!
 //! Compaction runs in three ways: on the explicit `compact` verb, when
 //! the resident base grows past `compact_entries`, or when
@@ -27,10 +29,11 @@
 //! store's atomic swap-in, so a crash mid-compaction leaves the old
 //! generation intact.
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
@@ -69,10 +72,6 @@ pub struct ServeConfig {
     /// Write a structured JSONL trace of every request (and the repair
     /// spans nested under it) to this file. `None` disables tracing.
     pub trace_out: Option<PathBuf>,
-    /// Scheduling policy the resident engine dispatches batch requests
-    /// under (defaults to work-stealing; results are byte-identical
-    /// under every policy).
-    pub sched: rb_engine::SchedPolicy,
 }
 
 impl Default for ServeConfig {
@@ -85,7 +84,6 @@ impl Default for ServeConfig {
             compact_entries: 0,
             compact_secs: 0,
             trace_out: None,
-            sched: rb_engine::SchedPolicy::default(),
         }
     }
 }
@@ -102,6 +100,11 @@ struct ServeState {
     /// when tracing is off — spans are inert and cost one branch).
     tracer: Option<rb_obs::Tracer>,
     shutdown: AtomicBool,
+    /// A second handle on every connection a handler is serving, keyed
+    /// by a per-connection id, so a shutdown can close peers that sit
+    /// idle in a blocking read.
+    peers: Mutex<HashMap<u64, TcpStream>>,
+    next_peer: AtomicU64,
     /// Serializes compactions so a size trigger firing on two handler
     /// threads at once runs the work exactly once.
     compacting: AtomicBool,
@@ -112,6 +115,10 @@ struct ServeState {
 impl ServeState {
     fn lock_kb(&self) -> std::sync::MutexGuard<'_, KnowledgeBase> {
         self.kb.lock().expect("knowledge base lock poisoned")
+    }
+
+    fn lock_peers(&self) -> std::sync::MutexGuard<'_, HashMap<u64, TcpStream>> {
+        self.peers.lock().expect("peer table lock poisoned")
     }
 }
 
@@ -142,7 +149,7 @@ impl Server {
             ),
             None => None,
         };
-        let mut engine = Engine::with_global_cache(config.jobs).with_policy(config.sched);
+        let mut engine = Engine::with_global_cache(config.jobs);
         if let Some(tracer) = &tracer {
             engine = engine.with_tracer(tracer.clone());
         }
@@ -152,6 +159,8 @@ impl Server {
             stats: StatsRecorder::new(),
             tracer,
             shutdown: AtomicBool::new(false),
+            peers: Mutex::new(HashMap::new()),
+            next_peer: AtomicU64::new(0),
             compacting: AtomicBool::new(false),
             last_compact: Mutex::new(Instant::now()),
             local_addr,
@@ -252,9 +261,41 @@ fn read_request_line(reader: &mut impl BufRead) -> Incoming {
     String::from_utf8(buf).map_or(Incoming::Closed, Incoming::Line)
 }
 
+/// Records a second handle on `stream` so [`initiate_shutdown`] can
+/// close it. Returns `None`, and the caller drops the connection unread,
+/// when the daemon is already shutting down. The flag is read under the
+/// peer lock that `initiate_shutdown` takes after setting it, so no
+/// connection can register after the shutdown closed the others.
+fn register_peer(state: &ServeState, stream: &TcpStream) -> Option<u64> {
+    let handle = match stream.try_clone() {
+        Ok(handle) => handle,
+        Err(e) => {
+            eprintln!("serve: cannot clone connection: {e}");
+            return None;
+        }
+    };
+    let mut peers = state.lock_peers();
+    if state.shutdown.load(Ordering::SeqCst) {
+        return None;
+    }
+    let id = state.next_peer.fetch_add(1, Ordering::Relaxed);
+    peers.insert(id, handle);
+    Some(id)
+}
+
+/// Serves one connection until it ends, holding it in the peer table
+/// meanwhile.
+fn handle_connection(state: &Arc<ServeState>, stream: TcpStream) {
+    let Some(peer) = register_peer(state, &stream) else {
+        return;
+    };
+    serve_connection(state, stream);
+    state.lock_peers().remove(&peer);
+}
+
 /// Serves one connection: request lines in, response lines out, until
 /// the peer hangs up, sends an over-long line, or the daemon shuts down.
-fn handle_connection(state: &Arc<ServeState>, stream: TcpStream) {
+fn serve_connection(state: &Arc<ServeState>, stream: TcpStream) {
     // Bind this handler thread to the daemon's trace sink: every span
     // opened while serving this connection (repair pipeline included)
     // lands in the shared JSONL file. A no-op when tracing is off.
@@ -500,10 +541,6 @@ fn handle_batch(
         outcome.stats.oracle_cached,
         outcome.stats.oracle_prevetoed,
     );
-    state.stats.record_sched(
-        outcome.stats.sched.steals,
-        outcome.stats.sched.max_queue_depth as u64,
-    );
     maybe_compact(state);
     let (pass_rate, exec_rate) = rates(&outcome.results);
     let cases = outcome.results.len() as u64;
@@ -545,7 +582,6 @@ fn rates(results: &[rb_engine::CaseResult]) -> (f64, f64) {
 /// `--trace-out` is active.
 fn serve_stats(state: &Arc<ServeState>) -> ServeStats {
     let mut stats = state.stats.snapshot();
-    stats.sched_policy = state.config.sched.label().to_owned();
     if let Some(tracer) = &state.tracer {
         stats.trace_active = true;
         stats.trace_spans = tracer.spans_emitted();
@@ -589,10 +625,15 @@ fn shutdown_response(state: &Arc<ServeState>) -> String {
     )
 }
 
-/// Flips the shutdown flag and pokes the accept loop awake with a
-/// throwaway self-connection, so `run` returns promptly.
+/// Flips the shutdown flag, shuts down every registered connection (a
+/// handler blocked reading from an idle peer then sees end of stream),
+/// and pokes the accept loop awake with a throwaway self-connection, so
+/// `run` returns promptly.
 fn initiate_shutdown(state: &Arc<ServeState>) {
     state.shutdown.store(true, Ordering::SeqCst);
+    for peer in state.lock_peers().values() {
+        let _ = peer.shutdown(Shutdown::Both);
+    }
     let _ = TcpStream::connect(state.local_addr);
 }
 

@@ -3,8 +3,7 @@
 //! The daemon keeps one [`StatsRecorder`] for its whole life; every
 //! handled request records its verb, outcome and real wall-clock
 //! latency, and the `stats` verb (plus the shutdown dump) snapshots it
-//! into a [`ServeStats`] — the numbers later scheduler work learns
-//! from. Latency percentiles come from a bounded [`LatencyRing`] of the
+//! into a [`ServeStats`]. Latency percentiles come from a bounded [`LatencyRing`] of the
 //! most recent samples, so a long-lived daemon's memory stays flat.
 //!
 //! Since PR 7 the scalar counters live in a per-recorder
@@ -33,8 +32,6 @@ const MERGED_INSERTS: &str = "rustbrain_serve_kb_merged_inserts_total";
 const CACHE_LOOKUPS: &str = "rustbrain_serve_cache_lookups_total";
 const ORACLE_JUDGEMENTS: &str = "rustbrain_serve_oracle_judgements_total";
 const REQUEST_LATENCY_US: &str = "rustbrain_serve_request_us";
-const SCHED_STEALS: &str = "rustbrain_serve_sched_steals_total";
-const SCHED_QUEUE_DEPTH: &str = "rustbrain_serve_sched_queue_depth";
 
 /// A point-in-time snapshot of the daemon's counters.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -84,14 +81,6 @@ pub struct ServeStats {
     /// Oracle judgements the repair preflight resolved statically
     /// (`rb_lint`) without running or caching the interpreter.
     pub oracle_prevetoed: u64,
-    /// Scheduling policy the daemon's batch engine dispatches under
-    /// (the server fills this from its config; a bare recorder snapshot
-    /// leaves it empty).
-    pub sched_policy: String,
-    /// Jobs stolen across workers, summed over all batch requests.
-    pub sched_steals: u64,
-    /// Deepest per-worker queue the most recent batch seeded.
-    pub sched_queue_depth: u64,
     /// Whether the daemon runs with a resident tracer (`--trace-out`).
     /// The server fills this from its config; a bare recorder snapshot
     /// leaves it false.
@@ -130,8 +119,6 @@ impl ServeStats {
                 "\"oracle\":{{\"cache_hits\":{},\"cache_misses\":{},",
                 "\"cache_hit_rate\":{},\"executed\":{},\"cached\":{},",
                 "\"prevetoed\":{}}},",
-                "\"scheduler\":{{\"policy\":{},\"steals\":{},",
-                "\"queue_depth\":{}}},",
                 "\"trace\":{{\"active\":{},\"spans\":{}}}}}"
             ),
             fmt_num(self.uptime_ms),
@@ -157,9 +144,6 @@ impl ServeStats {
             self.oracle_executed,
             self.oracle_cached,
             self.oracle_prevetoed,
-            crate::json::fmt_str(&self.sched_policy),
-            self.sched_steals,
-            self.sched_queue_depth,
             self.trace_active,
             self.trace_spans,
         )
@@ -345,15 +329,6 @@ impl StatsRecorder {
         self.registry.counter_add(MERGED_INSERTS, None, inserts);
     }
 
-    /// Records a batch's dispatch telemetry: steals accumulate (the
-    /// daemon's lifetime total), queue depth is a gauge (the most recent
-    /// batch's deepest seed).
-    pub fn record_sched(&self, steals: u64, queue_depth: u64) {
-        self.registry.counter_add(SCHED_STEALS, None, steals);
-        self.registry
-            .gauge_set(SCHED_QUEUE_DEPTH, None, queue_depth as f64);
-    }
-
     /// Records a request's oracle traffic: gold-reference cache
     /// hits/misses and the executed/cached/prevetoed judgement split.
     pub fn record_oracle(
@@ -409,9 +384,6 @@ impl StatsRecorder {
             oracle_executed: reg.counter(ORACLE_JUDGEMENTS, Some(("result", "executed"))),
             oracle_cached: reg.counter(ORACLE_JUDGEMENTS, Some(("result", "cached"))),
             oracle_prevetoed: reg.counter(ORACLE_JUDGEMENTS, Some(("result", "prevetoed"))),
-            sched_policy: String::new(),
-            sched_steals: reg.counter(SCHED_STEALS, None),
-            sched_queue_depth: reg.gauge(SCHED_QUEUE_DEPTH, None).unwrap_or(0.0) as u64,
             trace_active: false,
             trace_spans: 0,
         }
@@ -476,35 +448,6 @@ mod tests {
         assert!(
             text.contains("rustbrain_serve_request_us_count{verb=\"batch\"} 1"),
             "{text}"
-        );
-    }
-
-    #[test]
-    fn sched_telemetry_accumulates_steals_and_tracks_last_depth() {
-        let rec = StatsRecorder::new();
-        rec.record_sched(3, 9);
-        rec.record_sched(2, 4);
-        let mut s = rec.snapshot();
-        // Steals are a lifetime counter; depth is the latest batch's.
-        assert_eq!(s.sched_steals, 5);
-        assert_eq!(s.sched_queue_depth, 4);
-        assert_eq!(s.sched_policy, "", "a bare recorder knows no policy");
-        s.sched_policy = "stealing".to_owned();
-        let v = crate::json::parse(&s.to_json()).unwrap();
-        let sched = v.get("scheduler").expect("scheduler section");
-        assert_eq!(
-            sched.get("policy").and_then(crate::json::Value::as_str),
-            Some("stealing")
-        );
-        assert_eq!(
-            sched.get("steals").and_then(crate::json::Value::as_u64),
-            Some(5)
-        );
-        assert_eq!(
-            sched
-                .get("queue_depth")
-                .and_then(crate::json::Value::as_u64),
-            Some(4)
         );
     }
 

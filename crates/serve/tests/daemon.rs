@@ -144,31 +144,6 @@ fn daemon_faults_in_only_the_shards_traffic_touches() {
     assert_eq!(kb_gauge(&response, "resident_shards"), 2);
     assert_eq!(kb_gauge(&response, "shard_loads"), 2);
 
-    // After a batch the stats snapshot carries the scheduler gauges: the
-    // configured policy (the default, work-stealing) plus the lifetime
-    // steal counter and last-batch queue depth the engine reported.
-    let v = parse(&response).unwrap();
-    let scheduler = v
-        .get("serve")
-        .and_then(|s| s.get("scheduler"))
-        .unwrap_or_else(|| panic!("no serve.scheduler in {response}"));
-    assert_eq!(
-        scheduler.get("policy").and_then(Value::as_str),
-        Some("stealing"),
-        "{response}"
-    );
-    assert!(
-        scheduler.get("steals").and_then(Value::as_u64).is_some(),
-        "{response}"
-    );
-    assert!(
-        scheduler
-            .get("queue_depth")
-            .and_then(Value::as_u64)
-            .is_some(),
-        "{response}"
-    );
-
     // The metrics verb answers with a Prometheus-style exposition that
     // carries a repair-latency histogram for every class this daemon's
     // traffic touched, plus the daemon's own request counters.
@@ -195,17 +170,6 @@ fn daemon_faults_in_only_the_shards_traffic_touches() {
     }
     assert!(
         exposition.contains("rustbrain_serve_requests_total{verb=\"repair\"} 2"),
-        "{exposition}"
-    );
-    // The scheduler series exist even when the tiny batch stole nothing:
-    // recording a zero-delta still registers the counter, and the depth
-    // gauge is set on every batch.
-    assert!(
-        exposition.contains("rustbrain_serve_sched_steals_total"),
-        "{exposition}"
-    );
-    assert!(
-        exposition.contains("rustbrain_serve_sched_queue_depth"),
         "{exposition}"
     );
     assert!(
@@ -411,4 +375,59 @@ fn over_long_request_line_is_refused_and_the_connection_closed() {
     assert_eq!(errors, Some(1), "{response}");
     client.call(&shutdown_request()).unwrap();
     daemon.join().unwrap();
+}
+
+#[test]
+fn shutdown_closes_idle_peers_and_saves_the_store() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let store = scratch("kb.rbkb.d");
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        jobs: 1,
+        handlers: 2,
+        kb_path: Some(store.clone()),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    let (done_tx, done_rx) = mpsc::channel();
+    let daemon = std::thread::spawn(move || {
+        let _ = done_tx.send(server.run());
+    });
+
+    // The idle peer teaches the resident base something only the final
+    // save persists (no compaction trigger is set), then goes quiet: its
+    // handler blocks reading a next line that never comes.
+    let mut idle = Client::connect(&addr).unwrap();
+    let response = idle
+        .call(&batch_request(SEED, PER_CLASS, Some(&[UbClass::Panic])))
+        .unwrap();
+    let learned = parse(&response)
+        .unwrap()
+        .get("kb_entries")
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("no kb_entries in {response}"));
+    assert!(learned > 0, "the batch learned nothing: {response}");
+
+    let mut closer = Client::connect(&addr).unwrap();
+    let response = closer.call(&shutdown_request()).unwrap();
+    assert_eq!(
+        parse(&response).unwrap().get("ok").and_then(Value::as_bool),
+        Some(true),
+        "{response}"
+    );
+    let finals = done_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("run() did not return while an idle peer stayed connected");
+    daemon.join().unwrap();
+    assert_eq!(finals.requests, 2);
+    assert_eq!(
+        KnowledgeBase::load(&store).unwrap().len() as u64,
+        learned,
+        "shutdown did not save what the batch learned"
+    );
+    // The idle peer was closed, not left hanging.
+    assert!(idle.call(&stats_request()).is_err());
 }

@@ -57,11 +57,6 @@
 //!   --trace-out <file>                          batch/serve: write a
 //!                                               structured JSONL span trace
 //!                                               (observational only)
-//!   --sched <fifo|cost-ordered|stealing>        batch/serve: scheduling
-//!                                               policy [stealing]
-//!   --cost-table <file>                         batch: seed the scheduler
-//!                                               cost model from this table
-//!                                               and rewrite it afterwards
 //!   --no-cache                                  judge through the direct
 //!                                               oracle, bypassing the cache
 //!   --cache-cap <N>                             bound the oracle cache to N
@@ -86,9 +81,7 @@
 //! with `--no-cache` the direct interpreter — the results are
 //! byte-identical either way (CI diffs the two `--results-out` files).
 
-use rb_engine::{
-    results_to_json, CachedOracle, CostModel, Engine, OracleCache, SchedPolicy, SystemSpec,
-};
+use rb_engine::{results_to_json, CachedOracle, Engine, OracleCache, SystemSpec};
 use rb_lang::parser::parse_program;
 use rb_lang::printer::print_program;
 use rb_llm::ModelId;
@@ -134,14 +127,6 @@ struct Cli {
     classes: Option<Vec<rb_miri::UbClass>>,
     /// `batch`/`serve`: write a structured JSONL span trace here.
     trace_out: Option<String>,
-    /// `batch`/`serve`: scheduling policy for batch dispatch. `Some`
-    /// only when `--sched` was passed explicitly (so the flag still
-    /// errors on subcommands that never dispatch a batch); the engine
-    /// default is work-stealing.
-    sched: Option<SchedPolicy>,
-    /// `batch`: persisted cost-table path — loaded (when present) to
-    /// seed the scheduler's cost model, rewritten at batch end.
-    cost_table: Option<String>,
     /// `trace flamegraph`: emit collapsed-stack lines instead of the
     /// text table.
     collapsed: bool,
@@ -263,7 +248,7 @@ enum TraceVerb {
     Summarize(String),
     /// Inclusive/self cost by span path and class.
     Flamegraph(String),
-    /// Per-worker lanes and the speedup bound, next to the modeled one.
+    /// Per-worker lanes and the speedup bound they imply.
     CriticalPath(String),
     /// Per-path deltas between two traces (baseline, candidate).
     Diff(String, String),
@@ -334,8 +319,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         compact_secs: 0,
         classes: None,
         trace_out: None,
-        sched: None,
-        cost_table: None,
         collapsed: false,
         top: None,
         coverage: None,
@@ -515,16 +498,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                 let v = it.next().ok_or("--trace-out needs a value")?;
                 cli.trace_out = Some(v.clone());
             }
-            "--sched" => {
-                let v = it.next().ok_or("--sched needs a value")?;
-                cli.sched = Some(SchedPolicy::parse(v).ok_or_else(|| {
-                    format!("unknown --sched policy `{v}` (fifo|cost-ordered|stealing)")
-                })?);
-            }
-            "--cost-table" => {
-                let v = it.next().ok_or("--cost-table needs a value")?;
-                cli.cost_table = Some(v.clone());
-            }
             "--collapsed" => cli.collapsed = true,
             "--top" => {
                 let v = it.next().ok_or("--top needs a value")?;
@@ -663,12 +636,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
     if cli.trace_out.is_some() && !matches!(cli.command, Command::Batch | Command::Serve) {
         return Err("--trace-out only applies to `batch` and `serve`".into());
     }
-    if cli.sched.is_some() && !matches!(cli.command, Command::Batch | Command::Serve) {
-        return Err("--sched only applies to `batch` and `serve`".into());
-    }
-    if cli.cost_table.is_some() && cli.command != Command::Batch {
-        return Err("--cost-table only applies to `batch`".into());
-    }
     if (cli.coverage.is_some() || cli.require.is_some())
         && !matches!(cli.command, Command::Trace(TraceVerb::Check(_)))
     {
@@ -736,8 +703,7 @@ USAGE:
   rustbrain trace flamegraph <t.jsonl>      inclusive/self sim-ms and wall-us
                                             by span path and by class
   rustbrain trace critical-path <t.jsonl>   per-worker engine.job lanes and
-                                            the max-speedup bound, next to
-                                            the modeled stealing speedup
+                                            the max-speedup bound
   rustbrain trace diff <a.jsonl> <b.jsonl>  per-path cost deltas, sorted by
                                             regression magnitude
 
@@ -758,15 +724,6 @@ OPTIONS:
                                              per span; observational only —
                                              results are byte-identical with
                                              or without it)
-  --sched <fifo|cost-ordered|stealing>       batch/serve: how batch jobs
-                                             reach the workers [stealing];
-                                             results are byte-identical
-                                             under every policy
-  --cost-table <file>                        batch: load the scheduler's
-                                             per-class cost table from this
-                                             file when it exists, and write
-                                             the blended observations back
-                                             at batch end
   --json                                     analyze: emit the report as one
                                              JSON document instead of text
   --preflight / --no-preflight               repair/demo/batch: toggle the
@@ -1007,38 +964,6 @@ fn trace_cmd(cli: &Cli, verb: &TraceVerb) -> ExitCode {
                 return ExitCode::FAILURE;
             }
             print!("{}", cp.render());
-            // The modeled counterpart: replay the same simulated
-            // durations through PR 8's virtual clock on the same worker
-            // count. The trace bound and the model should agree within
-            // tolerance — divergence means placement went wrong.
-            let sims: Vec<f64> = tree
-                .spans()
-                .iter()
-                .filter(|s| s.name == "engine.job")
-                .map(|s| s.sim_ms)
-                .collect();
-            let workers = cp.lanes.len();
-            let modeled = rb_engine::model_schedule(SchedPolicy::Stealing, &sims, &sims, workers);
-            let bound = cp.speedup_bound_sim();
-            let modeled_speedup = modeled.speedup();
-            let divergence = if modeled_speedup > 0.0 {
-                (bound - modeled_speedup).abs() / modeled_speedup
-            } else {
-                0.0
-            };
-            if divergence <= 0.10 {
-                println!(
-                    "  modeled stealing speedup ({workers} workers): {modeled_speedup:.2}x — trace bound agrees within 10%"
-                );
-            } else {
-                println!(
-                    "  modeled stealing speedup ({workers} workers): {modeled_speedup:.2}x — trace bound DIVERGES beyond 10%"
-                );
-                println!(
-                    "    bound {bound:.2}x vs modeled {modeled_speedup:.2}x ({:.0}% apart)",
-                    divergence * 100.0
-                );
-            }
             ExitCode::SUCCESS
         }
         TraceVerb::Diff(a, b) => {
@@ -1077,26 +1002,7 @@ fn batch(cli: &Cli) -> ExitCode {
     // engine injects its oracle into every system it builds — the whole
     // repair stack, not just gold references, shares one cache.
     let mode = cli.cache_mode();
-    // The scheduler: the engine's default (work-stealing) unless --sched
-    // says otherwise, with the cost model seeded from --cost-table when
-    // the file exists (first runs start from the static defaults and
-    // write the table below). Dispatch order never changes results.
-    let policy = cli.sched.unwrap_or_default();
-    let table_path = cli.cost_table.as_ref().map(std::path::PathBuf::from);
-    let mut cost_model = match &table_path {
-        Some(path) if path.exists() => match CostModel::load(path) {
-            Ok(model) => model,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        _ => CostModel::defaults(),
-    };
-    let mut engine = mode
-        .engine(cli.jobs)
-        .with_policy(policy)
-        .with_cost_model(cost_model.clone());
+    let mut engine = mode.engine(cli.jobs);
     // Tracing observes only: the results documents below are
     // byte-identical whether or not a tracer is attached.
     let tracer = match &cli.trace_out {
@@ -1113,13 +1019,12 @@ fn batch(cli: &Cli) -> ExitCode {
         None => None,
     };
     println!(
-        "batch: {} cases ({} classes, {} per class) | system {} | {} worker(s) | sched {} | oracle {} | kb {}",
+        "batch: {} cases ({} classes, {} per class) | system {} | {} worker(s) | oracle {} | kb {}",
         corpus.len(),
         corpus.stats().len(),
         cli.per_class,
         spec.label(),
         cli.jobs,
-        policy.label(),
         mode.label(),
         match &cli.kb_in {
             Some(path) => format!("warm ({path})"),
@@ -1159,35 +1064,11 @@ fn batch(cli: &Cli) -> ExitCode {
         outcome.stats.kb.final_entries,
         outcome.stats.kb_query_ms,
     );
-    println!(
-        "scheduler: {} | steals: {} | max queue depth: {}",
-        outcome.stats.sched.policy, outcome.stats.sched.steals, outcome.stats.sched.max_queue_depth,
-    );
     if let Some(path) = &cli.kb_out {
         println!(
             "knowledge store written to {path} ({} segment(s) rewritten, {} already clean)",
             outcome.stats.kb.shards_written, outcome.stats.kb.shards_skipped,
         );
-    }
-    // Persist what this batch learned about per-class cost: blend the
-    // observed per-class mean wall times into the table so the next
-    // run's LPT seeding starts from measured reality.
-    if let Some(path) = &table_path {
-        let mut sums: std::collections::BTreeMap<rb_miri::UbClass, (f64, usize)> =
-            std::collections::BTreeMap::new();
-        for j in &outcome.jobs {
-            let entry = sums.entry(j.result.class).or_insert((0.0, 0));
-            entry.0 += j.wall_ms;
-            entry.1 += 1;
-        }
-        for (class, (sum, n)) in sums {
-            cost_model.observe(class, sum / n as f64);
-        }
-        if let Err(e) = cost_model.save(path) {
-            eprintln!("error: cannot write cost table {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("cost table written to {}", path.display());
     }
     if let Some(path) = &cli.results_out {
         if let Err(e) = std::fs::write(path, format!("{}\n", results_to_json(&outcome.results))) {
@@ -1388,9 +1269,7 @@ fn serve(cli: &Cli) -> ExitCode {
         compact_entries: cli.compact_entries,
         compact_secs: cli.compact_secs,
         trace_out: cli.trace_out.as_deref().map(std::path::PathBuf::from),
-        sched: cli.sched.unwrap_or_default(),
     };
-    let sched_label = config.sched.label();
     let kb_label = cli.kb.clone().unwrap_or_else(|| "in-memory".to_owned());
     let server = match rb_serve::Server::bind(config) {
         Ok(server) => server,
@@ -1402,7 +1281,7 @@ fn serve(cli: &Cli) -> ExitCode {
     // The smoke harness waits for this exact line before connecting, so
     // it goes out flushed and before any request is served.
     println!(
-        "serving on {} | {} worker(s) | sched {sched_label} | kb {kb_label}",
+        "serving on {} | {} worker(s) | kb {kb_label}",
         server.local_addr(),
         cli.jobs,
     );
@@ -1915,36 +1794,15 @@ mod tests {
     }
 
     #[test]
-    fn parses_scheduler_flags() {
-        // Every accepted spelling of every policy, on both batch and serve.
-        for (spelling, policy) in [
-            ("fifo", SchedPolicy::Fifo),
-            ("cost-ordered", SchedPolicy::CostOrdered),
-            ("cost", SchedPolicy::CostOrdered),
-            ("lpt", SchedPolicy::CostOrdered),
-            ("stealing", SchedPolicy::Stealing),
-            ("steal", SchedPolicy::Stealing),
-        ] {
-            let cli = parse_cli(&argv(&format!("batch --sched {spelling}"))).unwrap();
-            assert_eq!(cli.sched, Some(policy), "{spelling}");
-            let cli = parse_cli(&argv(&format!("serve --sched {spelling}"))).unwrap();
-            assert_eq!(cli.sched, Some(policy), "{spelling}");
+    fn removed_scheduler_flags_are_unknown() {
+        // Batch jobs reach the workers one way only, so the old
+        // scheduler flags are gone on every command that took them.
+        for flag in ["sched", "cost-table"] {
+            for command in ["batch", "serve"] {
+                let err = parse_cli(&argv(&format!("{command} --{flag} fifo"))).unwrap_err();
+                assert!(err.contains("unknown flag"), "{command} --{flag}: {err}");
+            }
         }
-        // Unset means the engine default (work-stealing) at dispatch.
-        assert_eq!(parse_cli(&argv("batch")).unwrap().sched, None);
-        assert!(parse_cli(&argv("batch --sched frobnicate")).is_err());
-        assert!(parse_cli(&argv("batch --sched")).is_err());
-        assert!(parse_cli(&argv("demo --sched fifo")).is_err());
-        assert!(parse_cli(&argv("client stats --sched fifo")).is_err());
-    }
-
-    #[test]
-    fn cost_table_is_scoped_to_batch() {
-        let cli = parse_cli(&argv("batch --cost-table costs.tbl")).unwrap();
-        assert_eq!(cli.cost_table.as_deref(), Some("costs.tbl"));
-        assert!(parse_cli(&argv("serve --cost-table costs.tbl")).is_err());
-        assert!(parse_cli(&argv("demo --cost-table costs.tbl")).is_err());
-        assert!(parse_cli(&argv("batch --cost-table")).is_err());
     }
 
     #[test]
@@ -2012,7 +1870,6 @@ mod tests {
         assert!(parse_cli(&argv("serve --top 5")).is_err());
         // And the trace family rejects flags from other commands.
         assert!(parse_cli(&argv("trace check t.jsonl --trace-out x.jsonl")).is_err());
-        assert!(parse_cli(&argv("trace check t.jsonl --sched fifo")).is_err());
     }
 
     #[test]
