@@ -1794,15 +1794,27 @@ mod tests {
     }
 
     #[test]
-    fn removed_scheduler_flags_are_unknown() {
-        // Batch jobs reach the workers one way only, so the old
-        // scheduler flags are gone on every command that took them.
-        for flag in ["sched", "cost-table"] {
+    fn parses_scheduler_flags() {
+        // Batch jobs reach the workers one way only, so `--sched` is
+        // gone on every command that took it, whatever its value.
+        for spelling in ["fifo", "cost-ordered", "lpt", "stealing"] {
             for command in ["batch", "serve"] {
-                let err = parse_cli(&argv(&format!("{command} --{flag} fifo"))).unwrap_err();
-                assert!(err.contains("unknown flag"), "{command} --{flag}: {err}");
+                let err = parse_cli(&argv(&format!("{command} --sched {spelling}"))).unwrap_err();
+                assert!(err.contains("unknown flag"), "{command} --sched: {err}");
             }
         }
+        assert!(parse_cli(&argv("batch --sched")).is_err());
+    }
+
+    #[test]
+    fn cost_table_is_scoped_to_batch() {
+        // With no cost model there is no cost table to load, so
+        // `--cost-table` is unknown on batch as on every other command.
+        for command in ["batch", "serve", "demo"] {
+            let err = parse_cli(&argv(&format!("{command} --cost-table costs.tbl"))).unwrap_err();
+            assert!(err.contains("unknown flag"), "{command} --cost-table: {err}");
+        }
+        assert!(parse_cli(&argv("batch --cost-table")).is_err());
     }
 
     #[test]
