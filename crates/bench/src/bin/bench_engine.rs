@@ -156,44 +156,6 @@ fn class_rows_json(outcome: &BatchOutcome) -> String {
     format!("[{}]", rows.join(",\n  "))
 }
 
-/// The preflight on-vs-off comparison: rerun the parallel sweep with the
-/// static repair preflight disabled, on the same warm cache, and
-/// quantify what the `rb_lint` veto saves the oracle. The contract half
-/// of the section: the two result documents must be byte-identical —
-/// the veto only relabels judgements, it never changes a trajectory.
-fn preflight_json(
-    jobs: usize,
-    cache: &Arc<OracleCache>,
-    corpus: &Corpus,
-    on: &BatchOutcome,
-) -> (String, String, bool) {
-    let mut config = RustBrainConfig::for_model(ModelId::Gpt4, 0);
-    config.preflight = false;
-    let off_spec = SystemSpec::brain(config);
-    let off = sweep(jobs, cache, &off_spec, corpus, None);
-    let identical = off.results == on.results;
-    let json = format!(
-        concat!(
-            "{{\"oracle_prevetoed\":{},\"identical_results\":{},\n",
-            "  \"with\":{{\"executed\":{},\"cached\":{}}},",
-            "\"without\":{{\"executed\":{},\"cached\":{}}}}}"
-        ),
-        on.stats.oracle_prevetoed,
-        identical,
-        on.stats.oracle_executed,
-        on.stats.oracle_cached,
-        off.stats.oracle_executed,
-        off.stats.oracle_cached,
-    );
-    let line = format!(
-        "preflight: {} judgements vetoed on static evidence ({} -> {} judged by the oracle) | results identical: {identical}",
-        on.stats.oracle_prevetoed,
-        off.stats.oracle_executed + off.stats.oracle_cached,
-        on.stats.oracle_executed + on.stats.oracle_cached,
-    );
-    (json, line, identical)
-}
-
 /// The warm-vs-cold knowledge comparison: saves the cold sweep's learned
 /// base through a real `.rbkb` file, reruns the sweep warm from the
 /// reloaded store, and runs the append-only alternative to quantify what
@@ -393,8 +355,6 @@ fn main() -> ExitCode {
     let cache_stats = cache.stats();
     let (pass, exec) = overall_rates(&parallel.results);
     let (warm_json, warm_summary) = warm_start_json(args.jobs, &cache, &spec, &corpus, &parallel);
-    let (preflight_json, preflight_line, preflight_identical) =
-        preflight_json(args.jobs, &cache, &corpus, &parallel);
 
     let json = format!(
         concat!(
@@ -407,7 +367,6 @@ fn main() -> ExitCode {
             " \"speedup\":{:.4},\"speedup_degraded\":{},\n",
             " \"critical_path\":{},\n",
             " \"per_class\":{},\n",
-            " \"preflight\":{},\n",
             " \"warm_start\":{},\n",
             " \"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},",
             "\"evictions\":{},\"capacity\":{},\"hit_rate\":{:.4}}}}}\n"
@@ -427,7 +386,6 @@ fn main() -> ExitCode {
             .as_ref()
             .map_or_else(|| "null".to_owned(), |(json, ..)| json.clone()),
         class_rows_json(&parallel),
-        preflight_json,
         warm_json,
         cache_stats.hits,
         cache_stats.misses,
@@ -462,16 +420,14 @@ fn main() -> ExitCode {
         );
     }
     println!(
-        "oracle cache: {} hits / {} misses ({:.1}% hit rate) | parallel sweep: {} executed / {} cached / {} prevetoed | results identical: {identical} | wrote {}",
+        "oracle cache: {} hits / {} misses ({:.1}% hit rate) | parallel sweep: {} executed / {} cached | results identical: {identical} | wrote {}",
         cache_stats.hits,
         cache_stats.misses,
         cache_stats.hit_rate() * 100.0,
         parallel.stats.oracle_executed,
         parallel.stats.oracle_cached,
-        parallel.stats.oracle_prevetoed,
         args.out,
     );
-    println!("{preflight_line}");
     println!("{warm_summary}");
 
     // The running history: one compact JSONL row per invocation, beside
@@ -507,10 +463,6 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     println!("history row appended to {}", history_path.display());
-    if !preflight_identical {
-        eprintln!("error: disabling the preflight changed batch results");
-        return ExitCode::FAILURE;
-    }
     if identical {
         ExitCode::SUCCESS
     } else {

@@ -132,9 +132,10 @@ pub fn run(seed: u64) -> Fig7Result {
     );
 
     let solutions = brain.generate_solutions(&case.buggy, &report);
+    let buggy = Arc::new(case.buggy.clone());
     let mut rows = Vec::new();
     for (i, solution) in solutions.iter().enumerate() {
-        let outcome = brain.execute_one(&case.buggy, &report, solution, &reference, 6);
+        let outcome = brain.execute_one(&buggy, &report, solution, &reference, 6);
         rows.push(SolutionRow {
             group: i + 1,
             agents: solution.steps.clone(),

@@ -33,11 +33,6 @@ pub struct RustBrainConfig {
     pub use_feedback: bool,
     /// Rollback policy of the slow-thinking executor.
     pub rollback: RollbackPolicy,
-    /// Whether the slow-thinking executor runs the static preflight: a
-    /// candidate that `rb_lint` soundly proves to be a strict regression is
-    /// vetoed without consulting the oracle (the verdict it would have
-    /// received is derivable, so repair trajectories are unchanged).
-    pub preflight: bool,
     /// How many candidate solutions fast thinking generates per problem.
     pub max_solutions: usize,
     /// Maximum repair steps per solution.
@@ -57,7 +52,6 @@ impl Default for RustBrainConfig {
             use_knowledge: true,
             use_feedback: true,
             rollback: RollbackPolicy::Adaptive,
-            preflight: true,
             max_solutions: 10,
             max_steps_per_solution: 3,
             max_iterations: 12,

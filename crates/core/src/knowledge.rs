@@ -268,8 +268,8 @@ impl KnowledgeBase {
             self.index = KbIndex::build(&self.entries);
         }
         self.debug_assert_index_fresh();
-        span.tag("submitted", submitted.to_string());
-        span.tag("entries_after", self.entries.len().to_string());
+        span.tag("submitted", submitted);
+        span.tag("entries_after", self.entries.len());
         rb_obs::metrics().counter_add("rustbrain_kb_merges_total", None, 1);
         submitted
     }
@@ -281,7 +281,7 @@ impl KnowledgeBase {
         let before = self.entries.len();
         self.merge_all([], policy);
         let removed = before - self.entries.len();
-        span.tag("removed", removed.to_string());
+        span.tag("removed", removed);
         rb_obs::metrics().counter_add("rustbrain_kb_compactions_total", None, 1);
         removed
     }
@@ -345,7 +345,7 @@ impl KnowledgeBase {
                 similarity: sim.min(1.0),
             })
             .collect();
-        span.tag("shots", shots.len().to_string());
+        span.tag("shots", shots.len());
         shots
     }
 
@@ -503,7 +503,7 @@ impl KnowledgeBase {
         let entries = lazy.lock().load_class(class)?;
         lazy.resident |= bit;
         let read = !entries.is_empty();
-        span.tag("entries", entries.len().to_string());
+        span.tag("entries", entries.len());
         if read {
             rb_obs::metrics().counter_add("rustbrain_kb_fault_ins_total", None, 1);
         }

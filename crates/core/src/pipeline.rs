@@ -3,7 +3,7 @@
 //! evaluation triplet → feedback into priors and knowledge base.
 
 use crate::config::RustBrainConfig;
-use crate::evaluate::{evaluate_with_report, EvalTriplet};
+use crate::evaluate::evaluate_with_report;
 use crate::fast::FastThinking;
 use crate::features::{embed_pruned, extract_features, CodeFeatures};
 use crate::feedback::Priors;
@@ -31,23 +31,21 @@ pub struct RepairOutcome {
     pub oracle_runs: usize,
     /// Oracle judgements that executed the interpreter fresh.
     ///
-    /// Together with `oracle_cached` and `oracle_prevetoed` this covers
-    /// *every* judgement the repair made — the initial detection, each
-    /// verification counted in `oracle_runs`, and rollback
-    /// re-verifications — so `oracle_executed + oracle_cached +
-    /// oracle_prevetoed >= oracle_runs`, with the total itself identical
-    /// across oracles and preflight settings. The three-way split is pure
-    /// telemetry and is the *only* part of the outcome allowed to differ
-    /// between a caching oracle and [`DirectOracle`], or between preflight
-    /// on and off (everything else is bit-identical — property-tested in
-    /// `rb_engine`'s oracle-equivalence and preflight-equivalence suites).
+    /// Together with `oracle_cached` this covers *every* judgement the
+    /// repair made — the initial detection, each verification counted in
+    /// `oracle_runs`, and rollback re-verifications — so
+    /// `oracle_executed + oracle_cached >= oracle_runs`, with the total
+    /// itself identical across oracles. The split is pure telemetry and
+    /// is the *only* part of the outcome allowed to differ between a
+    /// caching oracle and [`DirectOracle`] (everything else is
+    /// bit-identical — property-tested in `rb_engine`'s
+    /// oracle-equivalence suite).
     pub oracle_executed: usize,
     /// Oracle judgements served from a cache (always 0 under
     /// [`DirectOracle`]).
     pub oracle_cached: usize,
-    /// Judgements the static preflight resolved without the oracle:
-    /// `rb_lint` proved the candidate's exact verdict, so the interpreter
-    /// (and any cache) was never consulted.
+    /// Judgements resolved without the oracle. Always 0: every candidate
+    /// is judged. Kept so the telemetry layout readers parse is stable.
     pub oracle_prevetoed: usize,
     /// Solutions attempted before stopping.
     pub solutions_tried: usize,
@@ -203,7 +201,7 @@ impl RustBrain {
     /// Executes one solution — exposed for the RQ1 flexibility experiment.
     pub fn execute_one(
         &mut self,
-        program: &Program,
+        program: &Arc<Program>,
         report: &Arc<MiriReport>,
         solution: &Solution,
         reference: &[String],
@@ -215,7 +213,6 @@ impl RustBrain {
             &mut self.model,
             kb,
             self.config.rollback,
-            self.config.preflight,
             program,
             report,
             solution,
@@ -255,7 +252,7 @@ impl RustBrain {
         } else {
             lint.agrees_with(&report)
         };
-        repair_span.tag("lint_agrees", lint_agrees.to_string());
+        repair_span.tag("lint_agrees", lint_agrees);
         rb_obs::metrics().counter_add(
             "rustbrain_triage_total",
             Some(("agrees", if lint_agrees { "true" } else { "false" })),
@@ -291,7 +288,7 @@ impl RustBrain {
         // extraction and solution generation); when static triage already
         // produced a sound agreeing diagnosis the class prediction is free
         // and only the generation call's latency is charged.
-        let profile = self.model.profile().clone();
+        let profile = self.model.profile();
         let fast_tokens = rb_llm::tokens::count_tokens(&rb_lang::printer::print_program(program));
         let fast_calls = if lint_agrees { 1.0 } else { 2.0 };
         let fast_cost = fast_calls
@@ -304,7 +301,7 @@ impl RustBrain {
             // the knowledge-base key stored on success below.
             let features = extract_features(program, &report);
             let solutions = self.solutions_for(&features);
-            fast_span.tag("solutions", solutions.len().to_string());
+            fast_span.tag("solutions", solutions.len());
             (features, solutions)
         };
         let mut best: Option<SolutionOutcome> = None;
@@ -342,8 +339,11 @@ impl RustBrain {
         // restart-from-initial always re-derives from scratch, and
         // no-rollback continues from wherever the last solution *ended* —
         // letting hallucinated damage compound across the whole process
-        // (the paper's Fig. 5a).
-        let mut start_state: Option<(Program, Arc<MiriReport>)> = None;
+        // (the paper's Fig. 5a). Every state is a shared handle: the input
+        // is copied once here, and each later start state is a reference
+        // bump on a state some solution already produced.
+        let input = Arc::new(program.clone());
+        let mut start_state: Option<(Arc<Program>, Arc<MiriReport>)> = None;
         let calls_at_start = self.model.stats().calls;
         for (i, solution) in solutions.iter().enumerate() {
             if total_runs >= self.config.max_iterations
@@ -356,18 +356,16 @@ impl RustBrain {
             let budget = ((self.config.max_iterations - total_runs) / remaining_solutions)
                 .max(self.config.max_steps_per_solution);
             let (start_prog, start_report) = match (&self.config.rollback, &start_state) {
-                (crate::config::RollbackPolicy::ToInitial, _) | (_, None) => {
-                    (program.clone(), Arc::clone(&report))
-                }
-                (_, Some((p, r))) => (p.clone(), Arc::clone(r)),
+                (crate::config::RollbackPolicy::ToInitial, _) | (_, None) => (&input, &report),
+                (_, Some((p, r))) => (p, r),
             };
             let outcome = {
                 let mut solution_span = rb_obs::span("solution");
-                solution_span.tag("index", i.to_string());
+                solution_span.tag("index", i);
                 let outcome =
-                    self.execute_one(&start_prog, &start_report, solution, reference, budget);
+                    self.execute_one(start_prog, start_report, solution, reference, budget);
                 solution_span.add_sim_ms(outcome.overhead_ms);
-                solution_span.tag("accuracy", outcome.eval.accuracy.to_string());
+                solution_span.tag("accuracy", outcome.eval.accuracy);
                 outcome
             };
             start_state = Some(match self.config.rollback {
@@ -377,18 +375,21 @@ impl RustBrain {
                     // foothold for refinement, so seek a fresh path from
                     // the original program instead.
                     if outcome.eval.accuracy {
-                        (program.clone(), Arc::clone(&report))
+                        (Arc::clone(&input), Arc::clone(&report))
                     } else {
                         let reverified = self
                             .oracle
                             .judge_recording(&outcome.final_program, &mut oracle_use);
-                        (outcome.final_program.clone(), reverified)
+                        (Arc::clone(&outcome.final_program), reverified)
                     }
                 }
-                crate::config::RollbackPolicy::None => {
-                    (outcome.end_program.clone(), outcome.end_report.clone())
+                crate::config::RollbackPolicy::None => (
+                    Arc::clone(&outcome.end_program),
+                    Arc::clone(&outcome.end_report),
+                ),
+                crate::config::RollbackPolicy::ToInitial => {
+                    (Arc::clone(&input), Arc::clone(&report))
                 }
-                crate::config::RollbackPolicy::ToInitial => (program.clone(), Arc::clone(&report)),
             });
             tried += 1;
             total_overhead += outcome.overhead_ms;
@@ -412,16 +413,26 @@ impl RustBrain {
             }
         }
 
-        let best = best.expect("at least one solution attempted");
-        if best.eval.accuracy && self.config.use_knowledge {
-            if let Some(rule) = best.fixing_rule {
+        let SolutionOutcome {
+            solution: best_solution,
+            final_program,
+            eval,
+            steps,
+            fixing_rule,
+            ..
+        } = best.expect("at least one solution attempted");
+        if eval.accuracy && self.config.use_knowledge {
+            if let Some(rule) = fixing_rule {
                 self.knowledge.insert(features.vector, class, rule);
             }
         }
-        let eval: &EvalTriplet = &best.eval;
+        // Every other handle on the best state is gone with its outcome,
+        // so the returned program moves out without a copy.
+        drop((input, start_state));
+        let final_program = Arc::try_unwrap(final_program).unwrap_or_else(|p| (*p).clone());
         repair_span.add_sim_ms(total_overhead);
-        repair_span.tag("passed", eval.accuracy.to_string());
-        repair_span.tag("solutions_tried", tried.to_string());
+        repair_span.tag("passed", eval.accuracy);
+        repair_span.tag("solutions_tried", tried);
         record_repair_metrics(class, total_overhead);
         RepairOutcome {
             passed: eval.accuracy,
@@ -434,11 +445,11 @@ impl RustBrain {
             solutions_tried: tried,
             kb_queries: kb_consults + (self.knowledge.queries() - kb_queries_before),
             kb_query_time_ms: kb_consult_ms + (self.knowledge.query_time_ms() - kb_time_before),
-            final_program: best.final_program.clone(),
+            final_program,
             error_history: history,
-            rules_applied: best.steps.iter().filter_map(|s| s.rule).collect(),
+            rules_applied: steps.iter().filter_map(|s| s.rule).collect(),
             rollbacks,
-            best_solution: eval.accuracy.then(|| best.solution.clone()),
+            best_solution: eval.accuracy.then_some(best_solution),
             class,
             lint_class,
             lint_agrees,
@@ -521,7 +532,7 @@ mod tests {
         // The split covers every judgement (initial detection, inner
         // verifications, rollback re-verifications) — at least the
         // budget-counted runs, plus the initial detection.
-        assert!(out.oracle_executed + out.oracle_cached + out.oracle_prevetoed > out.oracle_runs);
+        assert!(out.oracle_executed + out.oracle_cached > out.oracle_runs);
         // The default DirectOracle never serves from a cache.
         assert_eq!(out.oracle_cached, 0);
 
@@ -540,27 +551,18 @@ mod tests {
         // On the corpus-style double free the lint's diagnosis is sound
         // and matches the oracle's class.
         let mut rb = RustBrain::new(RustBrainConfig::for_model(ModelId::Gpt4, 42));
-        let on = rb.repair(&p, &gold);
-        assert!(on.lint_agrees, "lint class: {:?}", on.lint_class);
-        assert_eq!(on.lint_class, Some(UbClass::Alloc));
+        let out = rb.repair(&p, &gold);
+        assert!(out.lint_agrees, "lint class: {:?}", out.lint_class);
+        assert_eq!(out.lint_class, Some(UbClass::Alloc));
 
-        // Preflight off: identical repair results; only the three-way
-        // oracle split may shift (prevetoed judgements become executed).
-        let mut config = RustBrainConfig::for_model(ModelId::Gpt4, 42);
-        config.preflight = false;
-        let mut rb_off = RustBrain::new(config);
-        let off = rb_off.repair(&p, &gold);
-        assert_eq!(off.oracle_prevetoed, 0);
-        assert_eq!(on.passed, off.passed);
-        assert_eq!(on.acceptable, off.acceptable);
-        assert_eq!(on.overhead_ms, off.overhead_ms);
-        assert_eq!(on.oracle_runs, off.oracle_runs);
-        assert_eq!(on.error_history, off.error_history);
-        assert_eq!(on.final_program, off.final_program);
-        assert_eq!(
-            on.oracle_executed + on.oracle_cached + on.oracle_prevetoed,
-            off.oracle_executed + off.oracle_cached
-        );
+        // Triage only sets the fast-thinking cost; there is no preflight,
+        // so the oracle judges every candidate and nothing is prevetoed.
+        assert_eq!(out.oracle_prevetoed, 0);
+        assert!(out.oracle_executed + out.oracle_cached > out.oracle_runs);
+        let again = RustBrain::new(RustBrainConfig::for_model(ModelId::Gpt4, 42)).repair(&p, &gold);
+        assert_eq!(out.overhead_ms, again.overhead_ms);
+        assert_eq!(out.error_history, again.error_history);
+        assert_eq!(out.final_program, again.final_program);
     }
 
     #[test]

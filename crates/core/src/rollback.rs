@@ -38,14 +38,18 @@ pub struct ThoughtTrace {
 /// observes was produced by the executor's injected [`rb_miri::Oracle`],
 /// so rollback re-verification shares whatever verdict cache the caller
 /// injected and stays bit-identical to an uncached run.
+///
+/// States are shared, never copied: the initial, best and current
+/// programs are [`Arc`] handles, so adopting a candidate, recording a new
+/// best and rolling back are all reference-count bumps.
 #[derive(Clone, Debug)]
 pub struct RollbackTracker {
     policy: RollbackPolicy,
-    initial: Program,
+    initial: Arc<Program>,
     initial_report: Arc<MiriReport>,
-    best: Program,
+    best: Arc<Program>,
     best_report: Arc<MiriReport>,
-    current: Program,
+    current: Arc<Program>,
     current_report: Arc<MiriReport>,
     /// Thoughts accumulated since the last rollback anchor.
     since_anchor: usize,
@@ -55,11 +59,11 @@ pub struct RollbackTracker {
 
 impl RollbackTracker {
     /// Starts tracking from the input program and its oracle report
-    /// (shared — a cache-served verdict is adopted without a deep copy).
+    /// (both shared — neither is deep-copied).
     #[must_use]
     pub fn new(
         policy: RollbackPolicy,
-        program: Program,
+        program: Arc<Program>,
         report: Arc<MiriReport>,
     ) -> RollbackTracker {
         let trace = ThoughtTrace {
@@ -68,10 +72,10 @@ impl RollbackTracker {
         };
         RollbackTracker {
             policy,
-            initial: program.clone(),
-            initial_report: report.clone(),
-            best: program.clone(),
-            best_report: report.clone(),
+            initial: Arc::clone(&program),
+            initial_report: Arc::clone(&report),
+            best: Arc::clone(&program),
+            best_report: Arc::clone(&report),
             current: program,
             current_report: report,
             since_anchor: 0,
@@ -85,12 +89,12 @@ impl RollbackTracker {
         (&self.current, &self.current_report)
     }
 
-    /// Like [`current`], but exposing the shared report handle so callers
-    /// can keep the verdict as an [`Arc`] without a deep copy.
+    /// Like [`current`], but exposing the shared handles so callers can
+    /// keep the state without a deep copy.
     ///
     /// [`current`]: RollbackTracker::current
     #[must_use]
-    pub fn current_shared(&self) -> (&Program, &Arc<MiriReport>) {
+    pub fn current_shared(&self) -> (&Arc<Program>, &Arc<MiriReport>) {
         (&self.current, &self.current_report)
     }
 
@@ -100,21 +104,29 @@ impl RollbackTracker {
         (&self.best, &self.best_report)
     }
 
+    /// Like [`best`], but exposing the shared handles.
+    ///
+    /// [`best`]: RollbackTracker::best
+    #[must_use]
+    pub fn best_shared(&self) -> (&Arc<Program>, &Arc<MiriReport>) {
+        (&self.best, &self.best_report)
+    }
+
     /// Observes a new thought (candidate program + its report), applies the
     /// rollback policy, and returns whether a rollback occurred.
     ///
-    /// Takes the report as an [`Arc`] so a cache-served verdict is shared,
-    /// not deep-copied, on this hot path (the slow-thinking executor calls
-    /// this once per verified edit).
-    pub fn observe(&mut self, candidate: Program, report: Arc<MiriReport>) -> bool {
+    /// Takes both as [`Arc`]s so a cache-served verdict and the candidate
+    /// are shared, not deep-copied, on this hot path (the slow-thinking
+    /// executor calls this once per verified edit).
+    pub fn observe(&mut self, candidate: Arc<Program>, report: Arc<MiriReport>) -> bool {
         let n_new = report.error_count();
         let n_cur = self.current_report.error_count();
         self.trace.error_counts.push(n_new);
         self.since_anchor += 1;
 
         if n_new < self.best_report.error_count() {
-            self.best = candidate.clone();
-            self.best_report = report.clone();
+            self.best = Arc::clone(&candidate);
+            self.best_report = Arc::clone(&report);
         }
 
         let regressed = n_new > n_cur;
@@ -129,8 +141,8 @@ impl RollbackTracker {
                     self.trace.rollbacks += 1;
                     self.trace.discarded_thoughts += self.since_anchor;
                     self.since_anchor = 0;
-                    self.current = self.initial.clone();
-                    self.current_report = self.initial_report.clone();
+                    self.current = Arc::clone(&self.initial);
+                    self.current_report = Arc::clone(&self.initial_report);
                     true
                 } else {
                     self.current = candidate;
@@ -144,8 +156,8 @@ impl RollbackTracker {
                     // Only the thoughts after the best anchor are wasted.
                     self.trace.discarded_thoughts += 1;
                     self.since_anchor = 0;
-                    self.current = self.best.clone();
-                    self.current_report = self.best_report.clone();
+                    self.current = Arc::clone(&self.best);
+                    self.current_report = Arc::clone(&self.best_report);
                     true
                 } else {
                     self.current = candidate;
@@ -158,65 +170,14 @@ impl RollbackTracker {
             rb_obs::event(
                 "rollback",
                 &[
-                    ("policy", &format!("{:?}", self.policy)),
-                    ("errors_new", &n_new.to_string()),
-                    ("errors_current", &n_cur.to_string()),
+                    ("policy", &format_args!("{:?}", self.policy)),
+                    ("errors_new", &n_new),
+                    ("errors_current", &n_cur),
                 ],
             );
             rb_obs::metrics().counter_add("rustbrain_rollbacks_total", None, 1);
         }
         rolled
-    }
-
-    /// Observes a candidate that the static preflight vetoed: `rb_lint`
-    /// proved the candidate's oracle verdict would carry exactly `n_new`
-    /// errors — a strict regression — so the oracle was never consulted.
-    ///
-    /// Performs the *same* state transition [`observe`] would have made
-    /// with the real report. Callers must only veto strict regressions
-    /// under a rollback policy other than [`RollbackPolicy::None`]: a
-    /// regression makes both remaining policies roll back to an anchor
-    /// state (initial or best) the tracker already holds a report for, so
-    /// no synthetic report is ever needed and trajectories stay
-    /// bit-identical to an unvetoed run.
-    ///
-    /// [`observe`]: RollbackTracker::observe
-    pub fn observe_vetoed(&mut self, n_new: usize) -> bool {
-        let n_cur = self.current_report.error_count();
-        debug_assert!(
-            n_new > n_cur && self.policy != RollbackPolicy::None,
-            "preflight veto requires a strict regression under a rollback policy"
-        );
-        self.trace.error_counts.push(n_new);
-        self.since_anchor += 1;
-        // `n_new > n_cur >= best` — the best-state update can never fire.
-        match self.policy {
-            RollbackPolicy::None => return false,
-            RollbackPolicy::ToInitial => {
-                self.trace.rollbacks += 1;
-                self.trace.discarded_thoughts += self.since_anchor;
-                self.since_anchor = 0;
-                self.current = self.initial.clone();
-                self.current_report = self.initial_report.clone();
-            }
-            RollbackPolicy::Adaptive => {
-                self.trace.rollbacks += 1;
-                self.trace.discarded_thoughts += 1;
-                self.since_anchor = 0;
-                self.current = self.best.clone();
-                self.current_report = self.best_report.clone();
-            }
-        }
-        rb_obs::event(
-            "rollback",
-            &[
-                ("policy", &format!("{:?}", self.policy)),
-                ("errors_new", &n_new.to_string()),
-                ("errors_current", &n_cur.to_string()),
-            ],
-        );
-        rb_obs::metrics().counter_add("rustbrain_rollbacks_total", None, 1);
-        true
     }
 }
 
@@ -228,6 +189,10 @@ mod tests {
 
     fn prog(n: i32) -> Program {
         parse_program(&format!("fn main() {{ print({n}); }}")).unwrap()
+    }
+
+    fn p(n: i32) -> Arc<Program> {
+        Arc::new(prog(n))
     }
 
     fn fake_report(errors: usize) -> Arc<MiriReport> {
@@ -245,9 +210,9 @@ mod tests {
 
     #[test]
     fn adaptive_returns_to_best() {
-        let mut t = RollbackTracker::new(RollbackPolicy::Adaptive, prog(0), fake_report(3));
-        t.observe(prog(1), fake_report(1)); // improvement: best = prog(1)
-        let rolled = t.observe(prog(2), fake_report(5)); // regression
+        let mut t = RollbackTracker::new(RollbackPolicy::Adaptive, p(0), fake_report(3));
+        t.observe(p(1), fake_report(1)); // improvement: best = p(1)
+        let rolled = t.observe(p(2), fake_report(5)); // regression
         assert!(rolled);
         assert_eq!(t.current().1.error_count(), 1); // back at best, not initial
         assert_eq!(t.trace.rollbacks, 1);
@@ -255,9 +220,9 @@ mod tests {
 
     #[test]
     fn to_initial_discards_progress() {
-        let mut t = RollbackTracker::new(RollbackPolicy::ToInitial, prog(0), fake_report(3));
-        t.observe(prog(1), fake_report(1));
-        let rolled = t.observe(prog(2), fake_report(5));
+        let mut t = RollbackTracker::new(RollbackPolicy::ToInitial, p(0), fake_report(3));
+        t.observe(p(1), fake_report(1));
+        let rolled = t.observe(p(2), fake_report(5));
         assert!(rolled);
         assert_eq!(t.current().1.error_count(), 3); // back at the start
         assert!(t.trace.discarded_thoughts >= 2);
@@ -265,9 +230,9 @@ mod tests {
 
     #[test]
     fn none_lets_errors_compound() {
-        let mut t = RollbackTracker::new(RollbackPolicy::None, prog(0), fake_report(1));
-        t.observe(prog(1), fake_report(3));
-        t.observe(prog(2), fake_report(6));
+        let mut t = RollbackTracker::new(RollbackPolicy::None, p(0), fake_report(1));
+        t.observe(p(1), fake_report(3));
+        t.observe(p(2), fake_report(6));
         assert_eq!(t.current().1.error_count(), 6);
         assert_eq!(t.trace.rollbacks, 0);
         assert_eq!(t.trace.error_counts, vec![1, 3, 6]);
@@ -276,39 +241,42 @@ mod tests {
     #[test]
     fn fluctuating_decline_converges_without_thrash() {
         // The paper's N2 = {3, 1, 5, 2, 0}: adaptive rollback should end at 0.
-        let mut t = RollbackTracker::new(RollbackPolicy::Adaptive, prog(0), fake_report(3));
-        t.observe(prog(1), fake_report(1));
-        t.observe(prog(2), fake_report(5)); // rollback to 1-error state
-        t.observe(prog(3), fake_report(2)); // worse than best(1) but better than 5? current is best(1) -> regression
-        t.observe(prog(4), fake_report(0));
+        let mut t = RollbackTracker::new(RollbackPolicy::Adaptive, p(0), fake_report(3));
+        t.observe(p(1), fake_report(1));
+        t.observe(p(2), fake_report(5)); // rollback to 1-error state
+        t.observe(p(3), fake_report(2)); // worse than best(1) but better than 5? current is best(1) -> regression
+        t.observe(p(4), fake_report(0));
         assert_eq!(t.best().1.error_count(), 0);
     }
 
     #[test]
-    fn vetoed_observation_mirrors_real_observation() {
-        for policy in [RollbackPolicy::Adaptive, RollbackPolicy::ToInitial] {
-            let mut real = RollbackTracker::new(policy, prog(0), fake_report(3));
-            let mut veto = RollbackTracker::new(policy, prog(0), fake_report(3));
-            real.observe(prog(1), fake_report(1));
-            veto.observe(prog(1), fake_report(1));
-            let rolled = real.observe(prog(2), fake_report(5));
-            let vetoed = veto.observe_vetoed(5);
-            assert_eq!(rolled, vetoed);
-            assert_eq!(real.current().0, veto.current().0, "{policy:?}");
-            assert_eq!(
-                real.current().1.error_count(),
-                veto.current().1.error_count()
-            );
-            assert_eq!(real.trace, veto.trace, "{policy:?}");
-        }
+    fn adaptive_rollback_shares_the_best_state() {
+        let mut t = RollbackTracker::new(RollbackPolicy::Adaptive, p(0), fake_report(3));
+        t.observe(p(1), fake_report(1));
+        assert!(t.observe(p(2), fake_report(5)));
+        assert!(Arc::ptr_eq(t.current_shared().0, t.best_shared().0));
+        assert!(Arc::ptr_eq(t.current_shared().1, t.best_shared().1));
+    }
+
+    #[test]
+    fn to_initial_rollback_shares_the_initial_state() {
+        let initial = p(0);
+        let mut t = RollbackTracker::new(
+            RollbackPolicy::ToInitial,
+            Arc::clone(&initial),
+            fake_report(3),
+        );
+        t.observe(p(1), fake_report(1));
+        assert!(t.observe(p(2), fake_report(5)));
+        assert!(Arc::ptr_eq(t.current_shared().0, &initial));
     }
 
     #[test]
     fn best_tracks_real_oracle_reports() {
         let good = parse_program("fn main() { print(1i32); }").unwrap();
         let report = run_program(&good);
-        let mut t = RollbackTracker::new(RollbackPolicy::Adaptive, prog(9), fake_report(2));
-        t.observe(good.clone(), Arc::new(report));
+        let mut t = RollbackTracker::new(RollbackPolicy::Adaptive, p(9), fake_report(2));
+        t.observe(Arc::new(good.clone()), Arc::new(report));
         assert!(t.best().1.passes());
         assert_eq!(t.best().0, &good);
     }

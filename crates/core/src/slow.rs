@@ -45,8 +45,8 @@ pub struct StepRecord {
 pub struct SolutionOutcome {
     /// The executed solution.
     pub solution: Solution,
-    /// Best program state reached.
-    pub final_program: Program,
+    /// Best program state reached (shared with the tracker that found it).
+    pub final_program: Arc<Program>,
     /// Evaluation triplet of the best state.
     pub eval: EvalTriplet,
     /// Per-step records.
@@ -64,7 +64,7 @@ pub struct SolutionOutcome {
     pub fixing_rule: Option<RepairRule>,
     /// The state the slow-thinking process *ended* in (not necessarily the
     /// best one) — the continuation point under the no-rollback policy.
-    pub end_program: Program,
+    pub end_program: Arc<Program>,
     /// Oracle report of the end state (shared, possibly cache-served).
     pub end_report: Arc<MiriReport>,
 }
@@ -75,28 +75,22 @@ pub struct SolutionOutcome {
 /// Steps run in order; the solution is cycled (up to three passes) while it
 /// keeps making progress — the paper's "fine-tune solution" refinement.
 ///
-/// With `preflight` on, each candidate first goes through `rb_lint`: when
-/// the static analysis is *complete* (every finding sound and exhaustive)
-/// and proves the candidate a strict regression whose findings include the
-/// diagnosed class, the oracle call is skipped and the judgement is booked
-/// as `prevetoed`. The veto replays exactly the state transition the real
-/// verdict would have caused (see [`RollbackTracker::observe_vetoed`]), so
-/// repair results are bit-identical with the flag on or off — only the
-/// executed/cached/prevetoed split of the oracle accounting moves.
+/// Program states are shared, not copied: the input, every rollback
+/// anchor and both returned states are handles on the same [`Arc`]s, so
+/// the only deep copy per step is the edit [`RepairRule::apply`] makes.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_solution(
     oracle: &dyn Oracle,
     model: &mut dyn LanguageModel,
     mut kb: Option<&mut KnowledgeBase>,
     policy: RollbackPolicy,
-    preflight: bool,
-    program: &Program,
+    program: &Arc<Program>,
     report: &Arc<MiriReport>,
     solution: &Solution,
     reference: &[String],
     max_oracle_runs: usize,
 ) -> SolutionOutcome {
-    let mut tracker = RollbackTracker::new(policy, program.clone(), Arc::clone(report));
+    let mut tracker = RollbackTracker::new(policy, Arc::clone(program), Arc::clone(report));
     let mut steps: Vec<StepRecord> = Vec::new();
     let mut overhead = 0.0f64;
     let mut oracle_runs = 0usize;
@@ -111,7 +105,7 @@ pub fn execute_solution(
             }
             let (cur_prog, cur_report) = {
                 let (p, r) = tracker.current_shared();
-                (p.clone(), Arc::clone(r))
+                (Arc::clone(p), Arc::clone(r))
             };
             let Some(primary) = cur_report.primary().cloned() else {
                 break 'passes;
@@ -121,7 +115,7 @@ pub fn execute_solution(
             // oracle run), so a step tree reconciles with the solution's
             // overhead. The KB consult charges inside its own child span.
             let mut step_span = rb_obs::span("step");
-            step_span.tag("agent", format!("{agent:?}"));
+            step_span.tag("agent", format_args!("{agent:?}"));
             // Abstract reasoning: retrieve similar solved cases.
             let mut shots = Vec::new();
             if agent == AgentKind::AbstractReasoning {
@@ -158,9 +152,7 @@ pub fn execute_solution(
             for proposal in &resp.proposals {
                 if let Some(mut candidate) = proposal.rule.apply(&cur_prog, &primary) {
                     if resp.drift {
-                        if let Some(drifted) = rb_llm::rules::apply_semantic_drift(&candidate) {
-                            candidate = drifted;
-                        }
+                        rb_llm::rules::drift_in_place(&mut candidate);
                     }
                     applied = Some((proposal.rule, candidate));
                     break;
@@ -168,53 +160,21 @@ pub fn execute_solution(
             }
             match applied {
                 Some((rule, candidate)) => {
-                    // Static preflight: veto only when the lint *proves*
-                    // the exact verdict — a complete analysis (all
-                    // findings sound and exhaustive) showing a strict
-                    // regression that still carries the diagnosed class.
-                    // Both remaining policies then roll back to an
-                    // already-judged anchor, so the skipped report is
-                    // never needed.
-                    let vetoed_errors = if preflight && policy != RollbackPolicy::None {
-                        let a = rb_lint::analyze(&candidate);
-                        (a.complete
-                            && a.findings.len() > cur_report.error_count()
-                            && a.findings.iter().any(|f| f.class == primary.class()))
-                        .then_some(a.findings.len())
-                    } else {
-                        None
-                    };
                     oracle_runs += 1;
-                    // Simulated cost is charged per *judgement*, vetoed,
-                    // cached or not — preflight and the cache dodge real
-                    // interpreter work, never the modelled Miri latency
-                    // (determinism depends on it).
+                    // Simulated cost is charged per *judgement*, cached or
+                    // not — the cache dodges real interpreter work, never
+                    // the modelled Miri latency (determinism depends on
+                    // it).
                     overhead += ORACLE_RUN_MS;
                     step_span.add_sim_ms(ORACLE_RUN_MS);
-                    let errors_after = match vetoed_errors {
-                        Some(errors_after) => {
-                            oracle_use.prevetoed += 1;
-                            rb_obs::metrics().counter_add(
-                                "rustbrain_oracle_judgements_total",
-                                Some(("result", "prevetoed")),
-                                1,
-                            );
-                            step_span.tag("prevetoed", "true");
-                            tracker.observe_vetoed(errors_after);
-                            errors_after
-                        }
-                        None => {
-                            let creport = oracle.judge_recording(&candidate, &mut oracle_use);
-                            let errors_after = creport.error_count();
-                            if errors_after == 0 {
-                                fixing_rule = Some(rule);
-                            }
-                            tracker.observe(candidate, creport);
-                            errors_after
-                        }
-                    };
-                    step_span.tag("rule", format!("{rule:?}"));
-                    step_span.tag("errors_after", errors_after.to_string());
+                    let creport = oracle.judge_recording(&candidate, &mut oracle_use);
+                    let errors_after = creport.error_count();
+                    if errors_after == 0 {
+                        fixing_rule = Some(rule);
+                    }
+                    tracker.observe(Arc::new(candidate), creport);
+                    step_span.tag("rule", format_args!("{rule:?}"));
+                    step_span.tag("errors_after", errors_after);
                     steps.push(StepRecord {
                         agent,
                         rule: Some(rule),
@@ -240,23 +200,24 @@ pub fn execute_solution(
         }
     }
 
-    let (end_prog, end_report) = {
+    let (end_program, end_report) = {
         let (p, r) = tracker.current_shared();
-        (p.clone(), Arc::clone(r))
+        (Arc::clone(p), Arc::clone(r))
     };
-    let (best_prog, best_report) = tracker.best();
+    let (best_prog, best_report) = tracker.best_shared();
+    let final_program = Arc::clone(best_prog);
     let eval = evaluate_with_report(best_report, reference, overhead);
     SolutionOutcome {
         solution: solution.clone(),
-        final_program: best_prog.clone(),
+        final_program,
         eval,
         steps,
-        trace: tracker.trace.clone(),
+        trace: tracker.trace,
         oracle_runs,
         oracle_use,
         overhead_ms: overhead,
         fixing_rule,
-        end_program: end_prog,
+        end_program,
         end_report,
     }
 }
@@ -264,10 +225,11 @@ pub fn execute_solution(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rb_llm::{ModelId, SimulatedModel};
+    use rb_llm::model::ModelResponse;
+    use rb_llm::{ModelCallStats, ModelId, Proposal, SimulatedModel};
     use rb_miri::DirectOracle;
 
-    fn fixture() -> (Program, Arc<MiriReport>) {
+    fn fixture() -> (Arc<Program>, Arc<MiriReport>) {
         let p = rb_lang::parser::parse_program(
             "fn main() { let p: *mut u8 = 0 as *mut u8; \
              unsafe { p = alloc(4usize, 4usize); ptr_write::<i32>(p as *mut i32, 3i32); } \
@@ -277,7 +239,7 @@ mod tests {
         )
         .unwrap();
         let r = DirectOracle.judge(&p);
-        (p, r)
+        (Arc::new(p), r)
     }
 
     #[test]
@@ -290,7 +252,6 @@ mod tests {
             &mut model,
             None,
             RollbackPolicy::Adaptive,
-            true,
             &p,
             &r,
             &sol,
@@ -320,7 +281,6 @@ mod tests {
             &mut model,
             None,
             RollbackPolicy::Adaptive,
-            true,
             &p,
             &r,
             &sol,
@@ -328,6 +288,71 @@ mod tests {
             2,
         );
         assert!(out.oracle_runs <= 2);
+    }
+
+    /// Judges every program as a regression: a fixed report with more
+    /// errors than the fixture's.
+    struct RegressingOracle(Arc<MiriReport>);
+
+    impl Oracle for RegressingOracle {
+        fn judge(&self, _: &Program) -> Arc<MiriReport> {
+            Arc::clone(&self.0)
+        }
+    }
+
+    /// Always proposes the double-free fix, which applies to the fixture.
+    struct ScriptedModel(ModelCallStats);
+
+    impl LanguageModel for ScriptedModel {
+        fn id(&self) -> ModelId {
+            ModelId::Gpt4
+        }
+        fn temperature(&self) -> f64 {
+            0.0
+        }
+        fn propose(&mut self, _: &RepairContext<'_>) -> ModelResponse {
+            self.0.calls += 1;
+            ModelResponse {
+                proposals: vec![Proposal {
+                    rule: RepairRule::RemoveDoubleFree,
+                    score: 1.0,
+                }],
+                truncated: false,
+                latency_ms: 1.0,
+                tokens: 0,
+                drift: false,
+            }
+        }
+        fn stats(&self) -> &ModelCallStats {
+            &self.0
+        }
+    }
+
+    #[test]
+    fn all_regressing_steps_return_the_input_state() {
+        let (p, r) = fixture();
+        let mut worse = (*r).clone();
+        worse
+            .errors
+            .extend(r.errors.iter().cloned().cycle().take(4));
+        let oracle = RegressingOracle(Arc::new(worse));
+        let mut model = ScriptedModel(ModelCallStats::default());
+        let sol = Solution::new(vec![AgentKind::Modify, AgentKind::Modify]);
+        let out = execute_solution(
+            &oracle,
+            &mut model,
+            None,
+            RollbackPolicy::Adaptive,
+            &p,
+            &r,
+            &sol,
+            &["3".to_owned()],
+            8,
+        );
+        assert_eq!(out.trace.rollbacks, 2, "trace: {:?}", out.trace);
+        assert!(Arc::ptr_eq(&out.final_program, &p));
+        assert!(Arc::ptr_eq(&out.end_program, &p));
+        assert!(Arc::ptr_eq(&out.end_report, &r));
     }
 
     #[test]
@@ -340,7 +365,6 @@ mod tests {
             &mut model,
             None,
             RollbackPolicy::Adaptive,
-            true,
             &p,
             &r,
             &sol,

@@ -160,7 +160,7 @@ impl Engine {
     /// job's knowledge delta. The flag is whether the gold-reference
     /// lookup was a cache hit.
     fn execute(
-        job: &JobSpec,
+        job: &JobSpec<'_>,
         oracle: &Arc<dyn Oracle>,
         snapshot: &KnowledgeBase,
     ) -> (CaseResult, OracleUse, bool, Option<KbDelta>) {
@@ -177,7 +177,7 @@ impl Engine {
             (reference, gold_hit)
         };
         let (result, mut oracle_use) =
-            system.repair_case_instrumented(&job.case, &reference.outputs);
+            system.repair_case_instrumented(job.case, &reference.outputs);
         oracle_use.record(gold_hit);
         let kb_delta = system.kb_delta(snapshot.len());
         (result, oracle_use, gold_hit, kb_delta)
@@ -187,7 +187,7 @@ impl Engine {
     /// from an empty knowledge base) and merges the results back into
     /// submission order.
     #[must_use]
-    pub fn run_jobs(&self, jobs: &[JobSpec]) -> BatchOutcome {
+    pub fn run_jobs(&self, jobs: &[JobSpec<'_>]) -> BatchOutcome {
         self.run_jobs_with_knowledge(jobs, &KnowledgeBase::new())
     }
 
@@ -197,7 +197,7 @@ impl Engine {
     #[must_use]
     pub fn run_jobs_with_knowledge(
         &self,
-        jobs: &[JobSpec],
+        jobs: &[JobSpec<'_>],
         snapshot: &KnowledgeBase,
     ) -> BatchOutcome {
         let started = Instant::now();
@@ -224,14 +224,14 @@ impl Engine {
                     while let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
                         let job_started = Instant::now();
                         let mut job_span = rb_obs::span("engine.job");
-                        job_span.tag("case", job.case.id.clone());
-                        job_span.tag("worker", worker.to_string());
+                        job_span.tag("case", &job.case.id);
+                        job_span.tag("worker", worker);
                         let (result, oracle_use, cache_hit, kb_delta) =
                             Engine::execute(job, oracle, snapshot);
                         let wall_s = job_started.elapsed().as_secs_f64();
                         job_span.add_sim_ms(result.overhead_ms);
                         job_span.tag("class", result.class.label());
-                        job_span.tag("passed", result.passed.to_string());
+                        job_span.tag("passed", result.passed);
                         drop(job_span);
                         let m = rb_obs::metrics();
                         m.counter_add("rustbrain_engine_jobs_total", None, 1);
@@ -376,7 +376,7 @@ impl Engine {
         let jobs: Vec<JobSpec> = cases
             .iter()
             .enumerate()
-            .map(|(i, case)| JobSpec::new(i, case.clone(), system.clone(), base_seed))
+            .map(|(i, case)| JobSpec::new(i, case, system, base_seed))
             .collect();
         self.run_jobs_with_knowledge(&jobs, snapshot)
     }

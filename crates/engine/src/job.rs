@@ -32,23 +32,30 @@ pub fn derive_case_seed(base_seed: u64, case_id: &str) -> u64 {
 }
 
 /// One unit of engine work: repair one case with a freshly built system.
-#[derive(Clone, Debug)]
-pub struct JobSpec {
+/// Borrows its case and system recipe, so building a batch's job list
+/// copies neither.
+#[derive(Clone, Copy, Debug)]
+pub struct JobSpec<'a> {
     /// Position in the submitted batch (merge key).
     pub index: usize,
     /// The corpus case to repair.
-    pub case: UbCase,
+    pub case: &'a UbCase,
     /// Recipe for the system instance that repairs it.
-    pub system: SystemSpec,
+    pub system: &'a SystemSpec,
     /// Derived RNG seed (see [`derive_case_seed`]).
     pub seed: u64,
 }
 
-impl JobSpec {
+impl<'a> JobSpec<'a> {
     /// Builds the job for `case` at `index` of a batch, deriving its seed
     /// from `base_seed` and the case id.
     #[must_use]
-    pub fn new(index: usize, case: UbCase, system: SystemSpec, base_seed: u64) -> JobSpec {
+    pub fn new(
+        index: usize,
+        case: &'a UbCase,
+        system: &'a SystemSpec,
+        base_seed: u64,
+    ) -> JobSpec<'a> {
         let seed = derive_case_seed(base_seed, &case.id);
         JobSpec {
             index,

@@ -81,8 +81,8 @@ pub struct EngineStats {
     pub oracle_executed: u64,
     /// Oracle judgements served from the verdict cache.
     pub oracle_cached: u64,
-    /// Oracle judgements the static preflight (`rb_lint`) resolved without
-    /// running or caching the interpreter at all.
+    /// Oracle judgements resolved without the oracle. Always 0 (every
+    /// candidate is judged); kept so the stats JSON layout is stable.
     pub oracle_prevetoed: u64,
     /// Knowledge-base snapshot/delta merge accounting.
     pub kb: KbMergeStats,

@@ -11,8 +11,8 @@
 //! detection and rollback re-verifications that `oracle_runs` excludes,
 //! with the total itself oracle-independent — and then normalizes the
 //! executed/cached halves away. `oracle_prevetoed` is NOT normalized:
-//! the static preflight veto decides on `rb_lint` evidence alone, so it
-//! must land on exactly the same judgements under either oracle.
+//! it must match under either oracle (nothing vetoes a judgement, so it
+//! is 0 in both).
 
 use proptest::prelude::*;
 use rb_dataset::Corpus;

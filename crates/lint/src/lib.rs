@@ -20,9 +20,8 @@
 //!    (thread-frame address layout) or over budget degrades confidence
 //!    instead of guessing.
 //!
-//! The stack consumes the result at three seams: fast-thinking *triage*
-//! (class prediction sharpening), pipeline *preflight* (rejecting doomed
-//! repair candidates without an oracle call), and the `rb_llm` *rule audit*
+//! The stack consumes the result at two seams: fast-thinking *triage*
+//! (class prediction sharpening) and the `rb_llm` *rule audit*
 //! ([`rulecheck`]).
 
 pub mod flow;

@@ -5,8 +5,8 @@
 //!
 //! 1. **Zero sound false positives.** Every `Sound` finding's class appears
 //!    in the oracle's error list, on buggy *and* gold programs. Soundness is
-//!    the contract the preflight seam relies on, so any violation here is a
-//!    release blocker, not a statistic.
+//!    the contract triage relies on, so any violation here is a release
+//!    blocker, not a statistic.
 //! 2. **Exactness when complete.** When the analysis claims `complete`, its
 //!    sound class multiset equals the oracle's error-class multiset exactly.
 //! 3. **Coverage.** The corpus exercises ≥ 10 of the 14 UB classes, and the
@@ -107,8 +107,8 @@ fn corpus_precision_and_agreement() {
     );
 }
 
-/// The preflight seam analyses *rule-edited candidates*, so soundness must
-/// hold on that distribution too: every library rule (good and
+/// Repairs produce *rule-edited candidates*, so soundness must hold on
+/// that distribution too: every library rule (good and
 /// hallucinated) applied to every case it addresses, checked against the
 /// oracle across several corpus seeds.
 #[test]

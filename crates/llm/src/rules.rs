@@ -471,6 +471,12 @@ impl RepairRule {
 #[must_use]
 pub fn apply_semantic_drift(prog: &Program) -> Option<Program> {
     let mut out = prog.clone();
+    drift_in_place(&mut out).then_some(out)
+}
+
+/// [`apply_semantic_drift`] on `prog` itself: returns whether a value was
+/// perturbed. On `false` the program is untouched.
+pub fn drift_in_place(out: &mut Program) -> bool {
     let done = std::cell::Cell::new(false);
     let bump = |e: &mut Expr| {
         if done.get() {
@@ -487,7 +493,7 @@ pub fn apply_semantic_drift(prog: &Program) -> Option<Program> {
     // written values, union initialisers, atomic stores, plain-value lets.
     // Layout arguments (sizes, alignments, offsets) are left alone — models
     // drift on domain values, not on the mechanics they just repaired.
-    map_exprs(&mut out, &mut |e| match e {
+    map_exprs(out, &mut |e| match e {
         Expr::Builtin(BuiltinKind::PtrWrite | BuiltinKind::AtomicStore, _, args) => {
             if let Some(v) = args.get_mut(1) {
                 bump(v);
@@ -515,7 +521,7 @@ pub fn apply_semantic_drift(prog: &Program) -> Option<Program> {
             }
         }
     }
-    done.get().then_some(out)
+    done.get()
 }
 
 // ---- shared helpers ---------------------------------------------------------

@@ -107,8 +107,9 @@ pub struct OracleUse {
     pub executed: usize,
     /// Judgements served from a cache.
     pub cached: usize,
-    /// Judgements that never reached the oracle: the repair preflight
-    /// vetoed the candidate on static evidence alone (`rb_lint`).
+    /// Judgements resolved without the oracle. Nothing in the stack
+    /// resolves one any more, so this stays 0; it is kept so telemetry
+    /// layouts built on the three-way split stay stable.
     pub prevetoed: usize,
 }
 
@@ -123,7 +124,7 @@ impl OracleUse {
         }
     }
 
-    /// Total judgements recorded, including statically prevetoed ones.
+    /// Total judgements recorded.
     #[must_use]
     pub fn total(&self) -> usize {
         self.executed + self.cached + self.prevetoed

@@ -13,6 +13,7 @@
 //! observations never reach an exposition — they are dropped and tallied
 //! under the `obs_nonfinite_samples_total` counter instead.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -42,14 +43,78 @@ pub const REAL_US_BUCKETS: &[f64] = &[
     1_000_000.0,
 ];
 
-/// Name + optional single label pair — the registry key.
-type Key = (String, Option<(String, String)>);
+/// A series's optional single label pair, as stored.
+type Label = Option<(String, String)>;
 
-fn key(name: &str, label: Option<(&str, &str)>) -> Key {
-    (
-        name.to_owned(),
-        label.map(|(k, v)| (k.to_owned(), v.to_owned())),
-    )
+/// Orders a stored label against a borrowed one exactly as `Label`'s own
+/// `Ord` would order the owned copy (`None` first, then by key, value).
+fn cmp_label(stored: &Label, wanted: Option<(&str, &str)>) -> Ordering {
+    match (stored, wanted) {
+        (None, None) => Ordering::Equal,
+        (None, Some(_)) => Ordering::Less,
+        (Some(_), None) => Ordering::Greater,
+        (Some((k, v)), Some(w)) => (k.as_str(), v.as_str()).cmp(&w),
+    }
+}
+
+/// The series of one metric kind, keyed by name and then label. Finding
+/// an existing series borrows the caller's name and label, so the hot
+/// path allocates nothing; only a series's first touch stores owned
+/// copies. Labels stay sorted, so iteration runs in (name, label) order.
+struct Series<V> {
+    by_name: BTreeMap<String, Vec<(Label, V)>>,
+}
+
+impl<V> Default for Series<V> {
+    fn default() -> Series<V> {
+        Series {
+            by_name: BTreeMap::new(),
+        }
+    }
+}
+
+impl<V> Series<V> {
+    fn get(&self, name: &str, label: Option<(&str, &str)>) -> Option<&V> {
+        let labels = self.by_name.get(name)?;
+        let i = labels.binary_search_by(|(l, _)| cmp_label(l, label)).ok()?;
+        Some(&labels[i].1)
+    }
+
+    /// The series `name`/`label`, created with `init` on first touch.
+    fn entry(
+        &mut self,
+        name: &str,
+        label: Option<(&str, &str)>,
+        init: impl FnOnce() -> V,
+    ) -> &mut V {
+        if !self.by_name.contains_key(name) {
+            self.by_name.insert(name.to_owned(), Vec::new());
+        }
+        let labels = self.by_name.get_mut(name).expect("inserted above");
+        let i = match labels.binary_search_by(|(l, _)| cmp_label(l, label)) {
+            Ok(i) => i,
+            Err(i) => {
+                let owned = label.map(|(k, v)| (k.to_owned(), v.to_owned()));
+                labels.insert(i, (owned, init()));
+                i
+            }
+        };
+        &mut labels[i].1
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&str, &Label, &V)> {
+        self.by_name
+            .iter()
+            .flat_map(|(name, labels)| labels.iter().map(move |(l, v)| (name.as_str(), l, v)))
+    }
+
+    fn labels_of(&self, name: &str) -> impl Iterator<Item = &Label> {
+        self.by_name.get(name).into_iter().flatten().map(|(l, _)| l)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.by_name.is_empty()
+    }
 }
 
 /// One fixed-bucket histogram: per-bucket counts (non-cumulative), total
@@ -77,9 +142,9 @@ struct Histo {
 
 #[derive(Default)]
 struct Inner {
-    counters: BTreeMap<Key, u64>,
-    gauges: BTreeMap<Key, f64>,
-    histograms: BTreeMap<Key, Histo>,
+    counters: Series<u64>,
+    gauges: Series<f64>,
+    histograms: Series<Histo>,
 }
 
 /// A registry of counters, gauges and histograms. Thread-safe; cheap to
@@ -112,7 +177,7 @@ fn fmt_bound(b: f64) -> String {
     }
 }
 
-fn series_name(name: &str, label: &Option<(String, String)>) -> String {
+fn series_name(name: &str, label: &Label) -> String {
     match label {
         None => name.to_owned(),
         Some((k, v)) => format!("{name}{{{k}=\"{v}\"}}"),
@@ -150,17 +215,13 @@ impl MetricsRegistry {
 
     /// Adds `delta` to a counter (created at zero on first touch).
     pub fn counter_add(&self, name: &str, label: Option<(&str, &str)>, delta: u64) {
-        *self.lock().counters.entry(key(name, label)).or_insert(0) += delta;
+        *self.lock().counters.entry(name, label, || 0) += delta;
     }
 
     /// Reads a counter (zero if never touched).
     #[must_use]
     pub fn counter(&self, name: &str, label: Option<(&str, &str)>) -> u64 {
-        self.lock()
-            .counters
-            .get(&key(name, label))
-            .copied()
-            .unwrap_or(0)
+        self.lock().counters.get(name, label).copied().unwrap_or(0)
     }
 
     /// Sets a gauge to `value` (non-finite values are dropped).
@@ -169,13 +230,13 @@ impl MetricsRegistry {
             self.counter_add("obs_nonfinite_samples_total", None, 1);
             return;
         }
-        self.lock().gauges.insert(key(name, label), value);
+        *self.lock().gauges.entry(name, label, || value) = value;
     }
 
     /// Reads a gauge, if it was ever set.
     #[must_use]
     pub fn gauge(&self, name: &str, label: Option<(&str, &str)>) -> Option<f64> {
-        self.lock().gauges.get(&key(name, label)).copied()
+        self.lock().gauges.get(name, label).copied()
     }
 
     /// Observes `value` into a fixed-bucket histogram. The first
@@ -188,15 +249,12 @@ impl MetricsRegistry {
             return;
         }
         let mut inner = self.lock();
-        let h = inner
-            .histograms
-            .entry(key(name, label))
-            .or_insert_with(|| Histo {
-                bounds: bounds.to_vec(),
-                counts: vec![0; bounds.len() + 1],
-                sum: 0.0,
-                count: 0,
-            });
+        let h = inner.histograms.entry(name, label, || Histo {
+            bounds: bounds.to_vec(),
+            counts: vec![0; bounds.len() + 1],
+            sum: 0.0,
+            count: 0,
+        });
         let idx = h
             .bounds
             .iter()
@@ -212,7 +270,7 @@ impl MetricsRegistry {
     pub fn histogram(&self, name: &str, label: Option<(&str, &str)>) -> Option<HistogramSnapshot> {
         self.lock()
             .histograms
-            .get(&key(name, label))
+            .get(name, label)
             .map(|h| HistogramSnapshot {
                 bounds: h.bounds.clone(),
                 counts: h.counts.clone(),
@@ -228,11 +286,10 @@ impl MetricsRegistry {
         let inner = self.lock();
         let mut out: Vec<String> = inner
             .counters
-            .keys()
-            .chain(inner.gauges.keys())
-            .chain(inner.histograms.keys())
-            .filter(|(n, _)| n == name)
-            .filter_map(|(_, l)| l.as_ref().map(|(_, v)| v.clone()))
+            .labels_of(name)
+            .chain(inner.gauges.labels_of(name))
+            .chain(inner.histograms.labels_of(name))
+            .filter_map(|l| l.as_ref().map(|(_, v)| v.clone()))
             .collect();
         out.sort();
         out.dedup();
@@ -247,13 +304,13 @@ impl MetricsRegistry {
     pub fn prometheus(&self) -> String {
         let inner = self.lock();
         let mut out = String::new();
-        for ((name, label), v) in &inner.counters {
+        for (name, label, v) in inner.counters.iter() {
             out.push_str(&format!("{} {v}\n", series_name(name, label)));
         }
-        for ((name, label), v) in &inner.gauges {
+        for (name, label, v) in inner.gauges.iter() {
             out.push_str(&format!("{} {}\n", series_name(name, label), fmt_value(*v)));
         }
-        for ((name, label), h) in &inner.histograms {
+        for (name, label, h) in inner.histograms.iter() {
             let mut cumulative = 0u64;
             for (i, bound) in h.bounds.iter().enumerate() {
                 cumulative += h.counts[i];
@@ -292,7 +349,7 @@ impl MetricsRegistry {
     pub fn to_json(&self) -> String {
         let inner = self.lock();
         let mut out = String::from("{\"counters\":{");
-        for (i, ((name, label), v)) in inner.counters.iter().enumerate() {
+        for (i, (name, label, v)) in inner.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -301,7 +358,7 @@ impl MetricsRegistry {
             out.push_str(&v.to_string());
         }
         out.push_str("},\"gauges\":{");
-        for (i, ((name, label), v)) in inner.gauges.iter().enumerate() {
+        for (i, (name, label, v)) in inner.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -310,7 +367,7 @@ impl MetricsRegistry {
             out.push_str(&fmt_value(*v));
         }
         out.push_str("},\"histograms\":{");
-        for (i, ((name, label), h)) in inner.histograms.iter().enumerate() {
+        for (i, (name, label, h)) in inner.histograms.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -389,6 +446,24 @@ mod tests {
         assert!(text.contains("hits 5\n"), "{text}");
         assert!(text.contains("hits{class=\"panic\"} 1\n"), "{text}");
         assert!(text.contains("depth 3.5000\n"), "{text}");
+
+        // Two labels of one name accumulate separately, whatever order
+        // they are first touched in, and the exposition keeps its
+        // (name, label) order: the unlabelled series first, then labels
+        // sorted by key and value.
+        reg.counter_add("hits", Some(("class", "alloc")), 4);
+        reg.counter_add("hits", Some(("class", "panic")), 6);
+        reg.counter_add("hits", Some(("class", "alloc")), 1);
+        reg.counter_add("a_total", None, 1);
+        assert_eq!(reg.counter("hits", Some(("class", "alloc"))), 5);
+        assert_eq!(reg.counter("hits", Some(("class", "panic"))), 7);
+        assert_eq!(reg.counter("hits", Some(("kind", "alloc"))), 0);
+        assert_eq!(reg.counter("hits", None), 5);
+        assert_eq!(
+            reg.prometheus(),
+            "a_total 1\nhits 5\nhits{class=\"alloc\"} 5\nhits{class=\"panic\"} 7\ndepth 3.5000\n"
+        );
+        assert_eq!(reg.label_values("hits"), vec!["alloc", "panic"]);
     }
 
     #[test]

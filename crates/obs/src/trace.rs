@@ -24,7 +24,12 @@
 //!   a span tree's `sim_ms` totals reconcile with `RepairOutcome`
 //!   overhead exactly.
 //! - `tags`: free-form string key/values ([`Span::tag`]).
+//!
+//! Nothing is formatted for an inert span: [`Span::tag`] and [`event`]
+//! take [`Display`] values and render them only when a tracer will emit
+//! the record, so untraced call sites pass values, not strings.
 
+use std::fmt::Display;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -247,10 +252,11 @@ pub fn span(name: &'static str) -> Span {
 
 /// Emits a zero-duration event record (a span opened and closed in
 /// place) — used for point-in-time occurrences like a rollback decision.
-pub fn event(name: &'static str, tags: &[(&'static str, &str)]) {
+/// Tag values are formatted only when a tracer is installed.
+pub fn event(name: &'static str, tags: &[(&'static str, &dyn Display)]) {
     let mut s = span(name);
     for (k, v) in tags {
-        s.tag(k, (*v).to_owned());
+        s.tag(k, v);
     }
     drop(s);
 }
@@ -263,10 +269,11 @@ impl Span {
         self.inner.is_some()
     }
 
-    /// Attaches a string tag; later values for the same key win.
-    pub fn tag(&mut self, key: &'static str, value: impl Into<String>) {
+    /// Attaches a tag, its value rendered through [`Display`]; later
+    /// values for the same key win. An inert span formats nothing.
+    pub fn tag(&mut self, key: &'static str, value: impl Display) {
         if let Some(inner) = &mut self.inner {
-            let value = value.into();
+            let value = value.to_string();
             if let Some(slot) = inner.tags.iter_mut().find(|(k, _)| *k == key) {
                 slot.1 = value;
             } else {
@@ -423,7 +430,7 @@ mod tests {
     fn events_and_escaping() {
         let tracer = Tracer::in_memory();
         let _g = scope(&tracer);
-        event("rollback", &[("note", "say \"hi\"\n")]);
+        event("rollback", &[("note", &"say \"hi\"\n")]);
         let lines = tracer.lines();
         assert_eq!(lines.len(), 1);
         assert!(

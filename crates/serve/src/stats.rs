@@ -78,8 +78,9 @@ pub struct ServeStats {
     pub oracle_executed: u64,
     /// Oracle judgements served from the verdict cache.
     pub oracle_cached: u64,
-    /// Oracle judgements the repair preflight resolved statically
-    /// (`rb_lint`) without running or caching the interpreter.
+    /// Oracle judgements resolved without the oracle. Always 0 (every
+    /// candidate is judged); kept so the `oracle.prevetoed` stat stays
+    /// in the reply.
     pub oracle_prevetoed: u64,
     /// Whether the daemon runs with a resident tracer (`--trace-out`).
     /// The server fills this from its config; a bare recorder snapshot

@@ -142,10 +142,6 @@ struct Cli {
     measure: Option<rb_obs::analyze::Measure>,
     /// `analyze`: emit JSON instead of the text report.
     json: bool,
-    /// `repair`/`demo`/`batch`: the static repair preflight. `Some` only
-    /// when `--preflight`/`--no-preflight` was passed explicitly; the
-    /// pipeline default is on.
-    preflight: Option<bool>,
 }
 
 /// Where `serve` listens and `client` connects unless `--addr` says
@@ -325,7 +321,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         require: None,
         measure: None,
         json: false,
-        preflight: None,
     };
     let mut it = args.iter().peekable();
     match it.next().map(String::as_str) {
@@ -533,8 +528,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                 );
             }
             "--json" => cli.json = true,
-            "--preflight" => cli.preflight = Some(true),
-            "--no-preflight" => cli.preflight = Some(false),
             "--no-cache" => cli.use_cache = false,
             "--cache-cap" => {
                 let v = it.next().ok_or("--cache-cap needs a value")?;
@@ -607,14 +600,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
     }
     if cli.json && !matches!(cli.command, Command::Analyze(_)) {
         return Err("--json only applies to `analyze`".into());
-    }
-    if cli.preflight.is_some()
-        && !matches!(
-            cli.command,
-            Command::Repair(_) | Command::Demo | Command::Batch
-        )
-    {
-        return Err("--preflight/--no-preflight only apply to `repair`, `demo` and `batch`".into());
     }
     if (cli.kb_in.is_some() || cli.kb_out.is_some()) && cli.command != Command::Batch {
         return Err("--kb-in/--kb-out only apply to `batch`".into());
@@ -726,12 +711,6 @@ OPTIONS:
                                              or without it)
   --json                                     analyze: emit the report as one
                                              JSON document instead of text
-  --preflight / --no-preflight               repair/demo/batch: toggle the
-                                             static repair preflight (veto
-                                             provably regressive candidates
-                                             before the oracle) [on]; repair
-                                             trajectories are byte-identical
-                                             either way
   --no-cache                                 bypass the oracle verdict cache
   --cache-cap <N>                            bound the cache to N entries
                                              (rounded up; minimum 16)
@@ -985,7 +964,6 @@ fn batch(cli: &Cli) -> ExitCode {
             let mut config = RustBrainConfig::for_model(cli.model, cli.seed);
             config.temperature = cli.temperature;
             config.use_knowledge = cli.use_knowledge;
-            config.preflight = cli.preflight.unwrap_or(true);
             SystemSpec::brain(config)
         }
         BatchSystem::LlmOnly => SystemSpec::Llm {
@@ -1054,10 +1032,9 @@ fn batch(cli: &Cli) -> ExitCode {
         outcome.stats.cache.hit_rate() * 100.0,
     );
     println!(
-        "oracle judgements: {} executed / {} cached / {} prevetoed | knowledge: {} seeded + {} learned - {} coalesced = {} entries | kb query time: {:.0} ms",
+        "oracle judgements: {} executed / {} cached | knowledge: {} seeded + {} learned - {} coalesced = {} entries | kb query time: {:.0} ms",
         outcome.stats.oracle_executed,
         outcome.stats.oracle_cached,
-        outcome.stats.oracle_prevetoed,
         outcome.stats.kb.seeded_entries,
         outcome.stats.kb.merged_inserts,
         outcome.stats.kb.coalesced,
@@ -1551,7 +1528,6 @@ fn repair(src: &str, cli: &Cli) -> ExitCode {
     let mut config = RustBrainConfig::for_model(cli.model, cli.seed);
     config.temperature = cli.temperature;
     config.use_knowledge = cli.use_knowledge;
-    config.preflight = cli.preflight.unwrap_or(true);
     let mut brain = RustBrain::with_oracle(config, oracle);
     let outcome = brain.repair(&program, &cli.reference);
     if let Some(class) = outcome.lint_class {
@@ -1582,12 +1558,6 @@ fn repair(src: &str, cli: &Cli) -> ExitCode {
         outcome.solutions_tried,
         outcome.oracle_runs
     );
-    if outcome.oracle_prevetoed > 0 {
-        println!(
-            "preflight vetoed {} candidate(s) before the oracle",
-            outcome.oracle_prevetoed
-        );
-    }
     if outcome.passed {
         ExitCode::SUCCESS
     } else {
@@ -1812,7 +1782,10 @@ mod tests {
         // `--cost-table` is unknown on batch as on every other command.
         for command in ["batch", "serve", "demo"] {
             let err = parse_cli(&argv(&format!("{command} --cost-table costs.tbl"))).unwrap_err();
-            assert!(err.contains("unknown flag"), "{command} --cost-table: {err}");
+            assert!(
+                err.contains("unknown flag"),
+                "{command} --cost-table: {err}"
+            );
         }
         assert!(parse_cli(&argv("batch --cost-table")).is_err());
     }
@@ -1921,15 +1894,14 @@ mod tests {
 
     #[test]
     fn parses_preflight_flags() {
-        // Unset means the pipeline default (on) at dispatch.
-        assert_eq!(parse_cli(&argv("batch")).unwrap().preflight, None);
+        // Every candidate goes to the oracle, so `--preflight` and
+        // `--no-preflight` are gone on every command that took them.
         for cmd in ["repair a.mrs", "demo", "batch"] {
-            let cli = parse_cli(&argv(&format!("{cmd} --no-preflight"))).unwrap();
-            assert_eq!(cli.preflight, Some(false), "{cmd}");
-            let cli = parse_cli(&argv(&format!("{cmd} --preflight"))).unwrap();
-            assert_eq!(cli.preflight, Some(true), "{cmd}");
+            for flag in ["--preflight", "--no-preflight"] {
+                let err = parse_cli(&argv(&format!("{cmd} {flag}"))).unwrap_err();
+                assert!(err.contains("unknown flag"), "{cmd} {flag}: {err}");
+            }
         }
-        // Scoped to the commands that run the repair pipeline locally.
         assert!(parse_cli(&argv("check a.mrs --no-preflight")).is_err());
         assert!(parse_cli(&argv("analyze a.mrs --preflight")).is_err());
         assert!(parse_cli(&argv("serve --no-preflight")).is_err());
