@@ -51,7 +51,7 @@ impl LlmOnly {
     /// Attempts to repair `program`; `reference` is the gold output used
     /// for the acceptability judgement.
     pub fn repair(&mut self, program: &Program, reference: &[String]) -> BaselineOutcome {
-        let mut current = program.clone();
+        let mut current = Arc::new(program.clone());
         let mut oracle_use = OracleUse::default();
         let mut report = self.oracle.judge_recording(&current, &mut oracle_use);
         let mut overhead = 0.0f64;
@@ -73,7 +73,7 @@ impl LlmOnly {
                         }
                     }
                     // No rollback: the model's output replaces the program.
-                    current = candidate;
+                    current = Arc::new(candidate);
                     applied = true;
                     break;
                 }
@@ -91,7 +91,7 @@ impl LlmOnly {
             overhead_ms: overhead,
             iterations,
             oracle_use,
-            final_program: current,
+            final_program: Arc::try_unwrap(current).unwrap_or_else(|p| (*p).clone()),
         }
     }
 }

@@ -59,10 +59,12 @@ impl RustAssistant {
 
     /// Attempts to repair `program` against the `reference` gold outputs.
     pub fn repair(&mut self, program: &Program, reference: &[String]) -> BaselineOutcome {
-        let initial = program.clone();
+        // States are shared handles: the rollback to the initial state and
+        // an unchanged "next" state are reference bumps, not copies.
+        let initial = Arc::new(program.clone());
         let mut oracle_use = OracleUse::default();
         let initial_report = self.oracle.judge_recording(&initial, &mut oracle_use);
-        let mut current = initial.clone();
+        let mut current = Arc::clone(&initial);
         let mut errors = initial_report.error_count();
         let mut report = initial_report;
         let mut overhead = 0.0f64;
@@ -75,7 +77,7 @@ impl RustAssistant {
             let ctx = RepairContext::new(&current, &primary, Self::strategy_for(iterations));
             let resp = self.model.propose(&ctx);
             overhead += resp.latency_ms + GENERIC_STEP_MS;
-            let mut next = current.clone();
+            let mut next = Arc::clone(&current);
             for proposal in &resp.proposals {
                 if let Some(mut candidate) = proposal.rule.apply(&current, &primary) {
                     if resp.drift {
@@ -83,7 +85,7 @@ impl RustAssistant {
                             candidate = drifted;
                         }
                     }
-                    next = candidate;
+                    next = Arc::new(candidate);
                     break;
                 }
             }
@@ -93,7 +95,7 @@ impl RustAssistant {
             if next_report.error_count() > errors {
                 // Fixed pipelines roll back to the *initial* state,
                 // discarding all partial progress (cost c·Tₙ).
-                current = initial.clone();
+                current = Arc::clone(&initial);
                 report = self.oracle.judge_recording(&current, &mut oracle_use);
                 errors = report.error_count();
             } else {
@@ -108,7 +110,7 @@ impl RustAssistant {
             overhead_ms: overhead,
             iterations,
             oracle_use,
-            final_program: current,
+            final_program: Arc::try_unwrap(current).unwrap_or_else(|p| (*p).clone()),
         }
     }
 }

@@ -235,10 +235,14 @@ impl RustBrain {
     pub fn repair(&mut self, program: &Program, reference: &[String]) -> RepairOutcome {
         let mut repair_span = rb_obs::span("repair");
         let mut oracle_use = OracleUse::default();
+        // The input is copied once, into a handle every later use shares:
+        // the judgement (a memoising oracle keeps the handle), the start
+        // states and the rollback anchors.
+        let input = Arc::new(program.clone());
         // Held as an Arc end to end: a cache-served verdict is shared,
         // never deep-copied (execute_one and the rollback tracker only
         // ever borrow it).
-        let report: Arc<MiriReport> = self.oracle.judge_recording(program, &mut oracle_use);
+        let report: Arc<MiriReport> = self.oracle.judge_recording(&input, &mut oracle_use);
         let class = report.primary().map_or(UbClass::Compile, |e| e.class());
         repair_span.tag("class", class.label());
         // Static triage: consult the lint on the input program before any
@@ -273,7 +277,7 @@ impl RustBrain {
                 solutions_tried: 0,
                 kb_queries: 0,
                 kb_query_time_ms: 0.0,
-                final_program: program.clone(),
+                final_program: Arc::try_unwrap(input).unwrap_or_else(|p| (*p).clone()),
                 error_history: vec![0],
                 rules_applied: Vec::new(),
                 rollbacks: 0,
@@ -340,9 +344,8 @@ impl RustBrain {
         // no-rollback continues from wherever the last solution *ended* —
         // letting hallucinated damage compound across the whole process
         // (the paper's Fig. 5a). Every state is a shared handle: the input
-        // is copied once here, and each later start state is a reference
+        // was copied once above, and each later start state is a reference
         // bump on a state some solution already produced.
-        let input = Arc::new(program.clone());
         let mut start_state: Option<(Arc<Program>, Arc<MiriReport>)> = None;
         let calls_at_start = self.model.stats().calls;
         for (i, solution) in solutions.iter().enumerate() {

@@ -76,8 +76,9 @@ pub struct SolutionOutcome {
 /// keeps making progress — the paper's "fine-tune solution" refinement.
 ///
 /// Program states are shared, not copied: the input, every rollback
-/// anchor and both returned states are handles on the same [`Arc`]s, so
-/// the only deep copy per step is the edit [`RepairRule::apply`] makes.
+/// anchor, both returned states and a memoising oracle's entries are
+/// handles on the same [`Arc`]s, so the only deep copy per step is the
+/// edit [`RepairRule::apply`] makes.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_solution(
     oracle: &dyn Oracle,
@@ -167,12 +168,15 @@ pub fn execute_solution(
                     // it).
                     overhead += ORACLE_RUN_MS;
                     step_span.add_sim_ms(ORACLE_RUN_MS);
+                    // Shared before judging, so a memoising oracle keeps
+                    // this handle and the tracker takes the same one.
+                    let candidate = Arc::new(candidate);
                     let creport = oracle.judge_recording(&candidate, &mut oracle_use);
                     let errors_after = creport.error_count();
                     if errors_after == 0 {
                         fixing_rule = Some(rule);
                     }
-                    tracker.observe(Arc::new(candidate), creport);
+                    tracker.observe(candidate, creport);
                     step_span.tag("rule", format_args!("{rule:?}"));
                     step_span.tag("errors_after", errors_after);
                     steps.push(StepRecord {

@@ -5,15 +5,22 @@
 //! verdict depends only on its AST. The cache therefore keys verdicts by
 //! *hashed program structure* — not source text — so two jobs that reach
 //! the same program through different whitespace, comments or printing
-//! round-trips share one oracle execution. Entries live behind
-//! [`RwLock`]-protected shards so concurrent workers contend only when
-//! their keys land in the same shard; hit/miss counters are lock-free
-//! atomics.
+//! round-trips share one oracle execution. The key is one pass of an
+//! Fx-style multiply-rotate hash over the AST ([`program_key`]). Entries
+//! live behind [`RwLock`]-protected shards so concurrent workers contend
+//! only when their keys land in the same shard; hit/miss counters are
+//! lock-free atomics.
 //!
 //! A key collision (two structurally different programs hashing alike) is
-//! handled, not assumed away: each bucket stores the full program next to
-//! its verdict and a hit requires structural equality, so a collision
+//! handled, not assumed away: each bucket stores the program next to its
+//! verdict and a hit requires structural equality, so a collision
 //! degrades to an extra oracle run, never to a wrong verdict.
+//!
+//! Entries share the judged program rather than copy it: a miss through
+//! [`OracleCache::lookup_shared`] (the path [`CachedOracle`] serves
+//! [`Oracle::judge_shared`] from) stores the caller's [`Arc`], and a hit
+//! on that same handle is a pointer compare before any structural one.
+//! Only the borrowing [`OracleCache::lookup`] copies the program in.
 //!
 //! ## Memory ceiling
 //!
@@ -29,7 +36,6 @@
 
 use rb_lang::Program;
 use rb_miri::{run_program, MiriReport, Oracle};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,9 +53,56 @@ const SHARD_COUNT: usize = 16;
 /// against).
 #[must_use]
 pub fn program_key(program: &Program) -> u64 {
-    let mut hasher = DefaultHasher::new();
+    let mut hasher = KeyHasher::default();
     program.hash(&mut hasher);
     hasher.finish()
+}
+
+/// The Fx-style multiply-rotate hasher behind [`program_key`]: one
+/// rotate, xor and multiply per word. It resists no crafted collisions,
+/// and neither did an unkeyed `DefaultHasher`: a collision costs a
+/// structural compare and an extra oracle run, never a wrong verdict.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    /// The odd multiplier of rustc's `FxHasher`.
+    const MUL: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::MUL);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// One cached verdict: the program is stored alongside the report so hits
@@ -57,10 +110,20 @@ pub fn program_key(program: &Program) -> u64 {
 struct CacheEntry {
     /// Shard-unique id linking the entry to its clock-queue slot.
     id: u64,
-    program: Program,
+    /// The judged program, shared with whoever judged it first.
+    program: Arc<Program>,
     report: Arc<MiriReport>,
     /// Second-chance bit: set on every hit, cleared by the clock hand.
     referenced: AtomicBool,
+}
+
+impl CacheEntry {
+    /// Whether this entry holds `program`: the very same allocation (a
+    /// pointer compare) or, failing that, an equal structure — the
+    /// collision guard.
+    fn holds(&self, program: &Program) -> bool {
+        std::ptr::eq(Arc::as_ptr(&self.program), program) || *self.program == *program
+    }
 }
 
 /// Mutable interior of one shard: the verdict map plus the clock queue
@@ -178,13 +241,32 @@ impl OracleCache {
     /// the cache, so callers can attribute the hit/miss to their own
     /// accounting (the engine's per-batch telemetry needs this — the
     /// cache-wide counters are shared by every concurrent batch).
+    ///
+    /// A miss stores a deep copy of `program`; callers that hold the
+    /// program behind an [`Arc`] use [`OracleCache::lookup_shared`].
     pub fn lookup(&self, program: &Program) -> (Arc<MiriReport>, bool) {
+        self.lookup_or_store(program, || Arc::new(program.clone()))
+    }
+
+    /// [`OracleCache::lookup`] for a shared program: a miss stores the
+    /// caller's handle, so publishing an entry copies no AST.
+    pub fn lookup_shared(&self, program: &Arc<Program>) -> (Arc<MiriReport>, bool) {
+        self.lookup_or_store(program, || Arc::clone(program))
+    }
+
+    /// The lookup both entry points share; `handle` yields the program an
+    /// entry keeps and runs only when a miss publishes one.
+    fn lookup_or_store(
+        &self,
+        program: &Program,
+        handle: impl FnOnce() -> Arc<Program>,
+    ) -> (Arc<MiriReport>, bool) {
         let key = program_key(program);
         let shard = self.shard(key);
         {
             let read = shard.read().expect("oracle cache shard poisoned");
             if let Some(entries) = read.map.get(&key) {
-                if let Some(e) = entries.iter().find(|e| &e.program == program) {
+                if let Some(e) = entries.iter().find(|e| e.holds(program)) {
                     e.referenced.store(true, Ordering::Relaxed);
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return (Arc::clone(&e.report), true);
@@ -198,7 +280,7 @@ impl OracleCache {
         if let Some(e) = write
             .map
             .get(&key)
-            .and_then(|entries| entries.iter().find(|e| &e.program == program))
+            .and_then(|entries| entries.iter().find(|e| e.holds(program)))
         {
             // A racing worker published the same program first; keep one
             // copy (the verdicts are identical — the oracle is pure).
@@ -208,7 +290,7 @@ impl OracleCache {
         write.next_id += 1;
         write.map.entry(key).or_default().push(CacheEntry {
             id,
-            program: program.clone(),
+            program: handle(),
             report: Arc::clone(&report),
             referenced: AtomicBool::new(false),
         });
@@ -320,6 +402,10 @@ impl Oracle for CachedOracle {
     fn judge_counted(&self, program: &Program) -> (Arc<MiriReport>, bool) {
         self.cache.lookup(program)
     }
+
+    fn judge_shared(&self, program: &Arc<Program>) -> (Arc<MiriReport>, bool) {
+        self.cache.lookup_shared(program)
+    }
 }
 
 #[cfg(test)]
@@ -366,6 +452,72 @@ mod tests {
         assert!(!hit1 && hit2);
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(*oracle.judge(&p), run_program(&p));
+    }
+
+    /// The program the entry for `program` holds, if one does.
+    fn stored(cache: &OracleCache, program: &Program) -> Option<Arc<Program>> {
+        let key = program_key(program);
+        let shard = cache.shard(key).read().unwrap();
+        let entry = shard.map.get(&key)?.iter().find(|e| e.holds(program))?;
+        Some(Arc::clone(&entry.program))
+    }
+
+    #[test]
+    fn shared_miss_keeps_the_callers_handle() {
+        let p = Arc::new(parse_program("fn main() { print(3i32); }").unwrap());
+        let cache = OracleCache::new();
+        let (first, hit1) = cache.lookup_shared(&p);
+        let (second, hit2) = cache.lookup_shared(&p);
+        assert!(!hit1 && hit2, "the second lookup of one handle must hit");
+        assert!(Arc::ptr_eq(&first, &second));
+        let entry = stored(&cache, &p).expect("a miss publishes an entry");
+        assert!(Arc::ptr_eq(&entry, &p), "the entry copied the program");
+        assert_eq!(*first, run_program(&p));
+    }
+
+    #[test]
+    fn separately_built_equal_program_still_hits() {
+        let src = "fn main() { let x: i32 = 4; print(x); }";
+        let original = Arc::new(parse_program(src).unwrap());
+        let rebuilt = Arc::new(parse_program(src).unwrap());
+        assert!(!Arc::ptr_eq(&original, &rebuilt));
+        let cache = OracleCache::new();
+        let (first, _) = cache.lookup_shared(&original);
+        let (second, hit) = cache.lookup_shared(&rebuilt);
+        assert!(hit, "structural equality must still serve the verdict");
+        assert!(Arc::ptr_eq(&first, &second));
+        // The entry keeps the handle of the first sighting.
+        assert!(Arc::ptr_eq(&stored(&cache, &rebuilt).unwrap(), &original));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+    }
+
+    #[test]
+    fn borrowed_lookup_stores_a_copy_and_hits() {
+        let p = parse_program("fn main() { print(5i32); }").unwrap();
+        let cache = OracleCache::new();
+        let (first, hit1) = cache.lookup(&p);
+        let (second, hit2) = cache.lookup(&p);
+        assert!(!hit1 && hit2);
+        assert!(Arc::ptr_eq(&first, &second));
+        let entry = stored(&cache, &p).expect("a miss publishes an entry");
+        assert_eq!(*entry, p);
+        assert!(!std::ptr::eq(Arc::as_ptr(&entry), &p));
+        // Both entry points address the same entry.
+        let (third, hit3) = cache.lookup_shared(&Arc::new(p));
+        assert!(hit3 && Arc::ptr_eq(&first, &third));
+    }
+
+    #[test]
+    fn cached_oracle_judges_shared_handles_through_the_memo() {
+        let p = Arc::new(parse_program("fn main() { print(6i32); }").unwrap());
+        let oracle = CachedOracle::new(Arc::new(OracleCache::new()));
+        let mut used = rb_miri::OracleUse::default();
+        let first = oracle.judge_recording(&p, &mut used);
+        let second = oracle.judge_recording(&p, &mut used);
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!((used.executed, used.cached), (1, 1));
+        assert!(Arc::ptr_eq(&stored(oracle.cache(), &p).unwrap(), &p));
     }
 
     fn distinct_programs(n: usize) -> Vec<Program> {

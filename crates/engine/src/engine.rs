@@ -1,8 +1,10 @@
-//! The batch executor: a fixed-size worker pool over `std::thread` and
-//! `mpsc` channels, claiming jobs in submission order from one shared
-//! counter, injecting one shared [`CachedOracle`] into every
-//! system it builds, recovering cross-case learning through shared
-//! knowledge-base snapshots, and merging results deterministically.
+//! The batch executor: a fixed-size pool of scoped `std::thread` workers
+//! claiming jobs in submission order from one shared counter, injecting
+//! one shared [`CachedOracle`] into every system it builds, recovering
+//! cross-case learning through shared knowledge-base snapshots, and
+//! merging results deterministically. Each worker keeps its results in a
+//! local `Vec` and hands them back when it is joined, so no thread wakes
+//! per job to collect them.
 //!
 //! Determinism contract: the merged [`CaseResult`] stream of
 //! [`Engine::run_batch`] is byte-identical for every worker count,
@@ -25,7 +27,7 @@ use rb_miri::{DirectOracle, Oracle, OracleUse};
 use rustbrain::{KbDelta, KnowledgeBase, MergePolicy, StoreError};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Outcome of one batch: the deterministic result stream plus telemetry.
@@ -206,63 +208,67 @@ impl Engine {
         // seeds derive from case ids and the merge restores submission
         // order.
         let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<JobResult>();
         let oracle = self.shared_oracle();
 
         let mut executed: Vec<JobResult> = Vec::with_capacity(jobs.len());
         std::thread::scope(|scope| {
-            for worker in 0..self.workers {
-                let tx = tx.clone();
-                let next = &next;
-                let oracle = &oracle;
-                let tracer = self.tracer.clone();
-                scope.spawn(move || {
-                    // Install the batch tracer on this worker for its
-                    // whole lifetime; every span the jobs open lands in
-                    // the shared sink.
-                    let _trace_scope = tracer.as_ref().map(rb_obs::trace::scope);
-                    while let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        let job_started = Instant::now();
-                        let mut job_span = rb_obs::span("engine.job");
-                        job_span.tag("case", &job.case.id);
-                        job_span.tag("worker", worker);
-                        let (result, oracle_use, cache_hit, kb_delta) =
-                            Engine::execute(job, oracle, snapshot);
-                        let wall_s = job_started.elapsed().as_secs_f64();
-                        job_span.add_sim_ms(result.overhead_ms);
-                        job_span.tag("class", result.class.label());
-                        job_span.tag("passed", result.passed);
-                        drop(job_span);
-                        let m = rb_obs::metrics();
-                        m.counter_add("rustbrain_engine_jobs_total", None, 1);
-                        m.observe(
-                            "rustbrain_engine_job_wall_us",
-                            Some(("class", result.class.label())),
-                            wall_s * 1e6,
-                            rb_obs::REAL_US_BUCKETS,
-                        );
-                        let sent = tx.send(JobResult {
-                            index: job.index,
-                            worker,
-                            wall_ms: wall_s * 1e3,
-                            cache_hit,
-                            oracle_use,
-                            kb_delta,
-                            result,
-                        });
-                        if sent.is_err() {
-                            break; // receiver gone: the batch was abandoned
+            let handles: Vec<_> = (0..self.workers)
+                .map(|worker| {
+                    let next = &next;
+                    let oracle = &oracle;
+                    let tracer = self.tracer.clone();
+                    scope.spawn(move || {
+                        // Install the batch tracer on this worker for its
+                        // whole lifetime; every span the jobs open lands
+                        // in the shared sink.
+                        let _trace_scope = tracer.as_ref().map(rb_obs::trace::scope);
+                        let mut done = Vec::new();
+                        while let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            let job_started = Instant::now();
+                            let mut job_span = rb_obs::span("engine.job");
+                            job_span.tag("case", &job.case.id);
+                            job_span.tag("worker", worker);
+                            let (result, oracle_use, cache_hit, kb_delta) =
+                                Engine::execute(job, oracle, snapshot);
+                            let wall_s = job_started.elapsed().as_secs_f64();
+                            job_span.add_sim_ms(result.overhead_ms);
+                            job_span.tag("class", result.class.label());
+                            job_span.tag("passed", result.passed);
+                            drop(job_span);
+                            let m = rb_obs::metrics();
+                            m.counter_add("rustbrain_engine_jobs_total", None, 1);
+                            m.observe(
+                                "rustbrain_engine_job_wall_us",
+                                Some(("class", result.class.label())),
+                                wall_s * 1e6,
+                                rb_obs::REAL_US_BUCKETS,
+                            );
+                            done.push(JobResult {
+                                index: job.index,
+                                worker,
+                                wall_ms: wall_s * 1e3,
+                                cache_hit,
+                                oracle_use,
+                                kb_delta,
+                                result,
+                            });
                         }
-                    }
-                });
+                        done
+                    })
+                })
+                .collect();
+            for handle in handles {
+                executed.extend(
+                    handle
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                );
             }
-            drop(tx); // workers hold the remaining senders
-            executed.extend(rx.iter());
         });
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
-        // Deterministic merge: thread timing decided arrival order, the
-        // submission index restores it.
+        // Deterministic merge: thread timing decided which worker ran
+        // which job, the submission index restores the order.
         executed.sort_by_key(|j| j.index);
         let results: Vec<CaseResult> = executed.iter().map(|j| j.result.clone()).collect();
 

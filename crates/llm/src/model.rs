@@ -12,18 +12,36 @@ use crate::latency::sample_latency_ms;
 use crate::profile::{ModelId, ModelProfile};
 use crate::prompt::RepairContext;
 use crate::rules::RepairRule;
-use crate::tokens::count_tokens;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::hash::{Hash, Hasher};
+use std::fmt::{self, Write as _};
+use std::hash::Hasher;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// Deterministic hash of a string into `[0, 1)`. Uses an FNV-1a style fold
-/// so the mapping is stable across platforms and compilations.
+/// so the mapping is stable across platforms and compilations. The model
+/// computes the same value without the string, through [`TextDigest`].
+#[cfg(test)]
 fn hash01(text: &str) -> f64 {
+    use std::hash::Hash;
     let mut h = Fnv1a::default();
     text.hash(&mut h);
-    (h.finish() % 1_000_000) as f64 / 1_000_000.0
+    unit_of(h.finish())
+}
+
+fn unit_of(hash: u64) -> f64 {
+    (hash % 1_000_000) as f64 / 1_000_000.0
+}
+
+fn fnv_fold(mut state: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
+        state ^= u64::from(*b);
+        state = state.wrapping_mul(FNV_PRIME);
+    }
+    state
 }
 
 #[derive(Default)]
@@ -34,16 +52,80 @@ impl Hasher for Fnv1a {
         self.0
     }
     fn write(&mut self, bytes: &[u8]) {
-        let mut state = if self.0 == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.0
-        };
-        for b in bytes {
-            state ^= u64::from(*b);
-            state = state.wrapping_mul(0x0000_0100_0000_01B3);
+        let state = if self.0 == 0 { FNV_OFFSET } else { self.0 };
+        self.0 = fnv_fold(state, bytes);
+    }
+}
+
+/// A [`fmt::Write`] sink that keeps only what the model reads off a text:
+/// its char count and its FNV-1a fold. Writing a text into it in any
+/// number of pieces yields the token count [`crate::tokens::count_tokens`]
+/// and the draw `hash01` would compute from the whole string.
+#[derive(Clone, Copy)]
+struct TextDigest {
+    chars: usize,
+    fnv: u64,
+}
+
+impl TextDigest {
+    fn new() -> TextDigest {
+        TextDigest {
+            chars: 0,
+            fnv: FNV_OFFSET,
         }
-        self.0 = state;
+    }
+
+    fn tokens(self) -> usize {
+        crate::tokens::tokens_for_chars(self.chars)
+    }
+
+    /// The text's hash in `[0, 1)`: a `str` hashes as its bytes plus a
+    /// `0xff` terminator, folded here as the hasher would fold it.
+    fn unit(self) -> f64 {
+        let mut h = Fnv1a(self.fnv);
+        h.write_u8(0xff);
+        unit_of(h.finish())
+    }
+}
+
+impl fmt::Write for TextDigest {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.chars += s.chars().count();
+        self.fnv = fnv_fold(self.fnv, s.as_bytes());
+        Ok(())
+    }
+}
+
+/// What one proposal reads off its prompt: the prompt's token count and
+/// three stable draws — the problem gate keyed by the source, the prompt
+/// gate keyed by the whole prompt, and the drift roll keyed by the source.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct PromptDraws {
+    tokens: usize,
+    u_problem: f64,
+    u_prompt: f64,
+    u_drift: f64,
+}
+
+impl PromptDraws {
+    /// Streams the prompt and the two `"{src}|{id:?}|…"` keys into
+    /// digests; no prompt string is built.
+    fn of(ctx: &RepairContext<'_>, src: &str, id: ModelId) -> PromptDraws {
+        const SINK: &str = "a digest sink cannot fail";
+        let mut prompt = TextDigest::new();
+        ctx.render_to(src, &mut prompt).expect(SINK);
+        let mut key = TextDigest::new();
+        write!(key, "{src}|{id:?}|").expect(SINK);
+        let mut problem = key;
+        problem.write_str("problem").expect(SINK);
+        let mut drift = key;
+        drift.write_str("drift").expect(SINK);
+        PromptDraws {
+            tokens: prompt.tokens(),
+            u_problem: problem.unit(),
+            u_prompt: prompt.unit(),
+            u_drift: drift.unit(),
+        }
     }
 }
 
@@ -145,8 +227,8 @@ impl LanguageModel for SimulatedModel {
 
     fn propose(&mut self, ctx: &RepairContext<'_>) -> ModelResponse {
         let src = rb_lang::printer::print_program(ctx.program);
-        let prompt = ctx.render(&src);
-        let tokens = count_tokens(&prompt);
+        let draws = PromptDraws::of(ctx, &src, self.profile.id);
+        let tokens = draws.tokens;
         let latency = sample_latency_ms(
             &mut self.rng,
             self.profile.latency_base_ms,
@@ -184,14 +266,14 @@ impl LanguageModel for SimulatedModel {
         // This is the premise behind RustBrain's design: diverse solutions
         // and the knowledge base attack exactly these two gates.
         let problem_skill = ((class_skill * 1.25).min(0.97) + 0.35 * best_shot).min(0.985);
-        let u_problem = hash01(&format!("{src}|{:?}|problem", self.profile.id));
+        let u_problem = draws.u_problem;
         let targeted_bonus = if ctx.strategy.target_kind().is_some() {
             0.10
         } else {
             0.0
         };
         let prompt_skill = 0.75 + targeted_bonus + (self.rng.gen::<f64>() - 0.5) * 0.12;
-        let u_prompt = hash01(&prompt);
+        let u_prompt = draws.u_prompt;
         let understands = u_problem <= problem_skill && u_prompt <= prompt_skill;
         let candidates = RepairRule::candidates(ctx.program, ctx.error);
 
@@ -285,7 +367,7 @@ impl LanguageModel for SimulatedModel {
         let weakness = (1.0 / self.profile.class_multiplier(class)).clamp(1.0, 3.0);
         let drift_p =
             (1.0 - self.profile.semantic_skill) * 0.6 * weakness / (1.0 + ctx.shots.len() as f64);
-        let drift = hash01(&format!("{src}|{:?}|drift", self.profile.id)) < drift_p;
+        let drift = draws.u_drift < drift_p;
         ModelResponse {
             proposals,
             truncated,
@@ -304,6 +386,7 @@ impl LanguageModel for SimulatedModel {
 mod tests {
     use super::*;
     use crate::prompt::{FewShot, PromptStrategy};
+    use crate::tokens::count_tokens;
     use rb_lang::parser::parse_program;
     use rb_miri::run_program;
 
@@ -318,6 +401,90 @@ mod tests {
         .unwrap();
         let err = run_program(&p).errors.first().cloned().unwrap();
         (p, err)
+    }
+
+    /// The failing programs a small repair run judges: each buggy program
+    /// of a corpus covering every class, plus each candidate edit of it
+    /// that still fails, with its primary error.
+    fn judged_failing_programs() -> Vec<(rb_lang::Program, rb_miri::MiriError)> {
+        let corpus = rb_dataset::Corpus::generate_full(5, 1);
+        let mut judged = Vec::new();
+        for case in &corpus.cases {
+            let Some(err) = run_program(&case.buggy).primary().cloned() else {
+                continue;
+            };
+            for rule in RepairRule::candidates(&case.buggy, &err) {
+                let Some(edit) = rule.apply(&case.buggy, &err) else {
+                    continue;
+                };
+                if let Some(edit_err) = run_program(&edit).primary().cloned() {
+                    judged.push((edit, edit_err));
+                }
+            }
+            judged.push((case.buggy.clone(), err));
+        }
+        judged
+    }
+
+    #[test]
+    fn streamed_prompt_matches_the_rendered_string() {
+        let judged = judged_failing_programs();
+        assert!(judged.len() > 14, "only {} failing programs", judged.len());
+        let shots = [
+            FewShot {
+                rule: RepairRule::RemoveDoubleFree,
+                similarity: 0.93,
+            },
+            FewShot {
+                rule: RepairRule::GuardDivision,
+                similarity: 0.456,
+            },
+        ];
+        let strategies = [
+            PromptStrategy::SafeReplace,
+            PromptStrategy::Assert,
+            PromptStrategy::Modify,
+            PromptStrategy::Freeform,
+        ];
+        for (program, err) in &judged {
+            let src = rb_lang::printer::print_program(program);
+            for strategy in strategies {
+                for n in [0, 2] {
+                    let mut ctx = RepairContext::new(program, err, strategy);
+                    ctx.shots = shots[..n].to_vec();
+                    let rendered = ctx.render(&src);
+                    for id in ModelId::ALL {
+                        let expected = PromptDraws {
+                            tokens: count_tokens(&rendered),
+                            u_problem: hash01(&format!("{src}|{id:?}|problem")),
+                            u_prompt: hash01(&rendered),
+                            u_drift: hash01(&format!("{src}|{id:?}|drift")),
+                        };
+                        assert_eq!(
+                            PromptDraws::of(&ctx, &src, id),
+                            expected,
+                            "{strategy:?} with {n} shots diverged on\n{rendered}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn digest_handles_empty_and_multibyte_text() {
+        for text in ["", "é", "a|b", "→ ∀x. 𝔽(x)"] {
+            let mut whole = TextDigest::new();
+            whole.write_str(text).unwrap();
+            let mut pieces = TextDigest::new();
+            for c in text.chars() {
+                pieces.write_char(c).unwrap();
+            }
+            for d in [whole, pieces] {
+                assert_eq!(d.tokens(), count_tokens(text), "{text:?}");
+                assert_eq!(d.unit(), hash01(text), "{text:?}");
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@ use crate::rules::{RepairRule, RuleKind};
 use rb_lang::Program;
 use rb_miri::MiriError;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// The prompt strategy an agent uses (paper Fig. 4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -90,23 +91,30 @@ impl<'p> RepairContext<'p> {
     #[must_use]
     pub fn render(&self, src: &str) -> String {
         let mut out = String::new();
-        out.push_str("You are repairing undefined behaviour in Rust code.\n");
-        out.push_str("Root cause: ");
-        out.push_str(&self.error.to_string());
-        out.push('\n');
-        out.push_str(self.strategy.instruction());
-        out.push('\n');
+        self.render_to(src, &mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// Streams the prompt [`RepairContext::render`] returns into `out`,
+    /// piece by piece, so a sink that only measures the text (the
+    /// simulated model counts and hashes it) never holds it whole.
+    pub fn render_to(&self, src: &str, out: &mut impl fmt::Write) -> fmt::Result {
+        out.write_str("You are repairing undefined behaviour in Rust code.\nRoot cause: ")?;
+        writeln!(out, "{}", self.error)?;
+        out.write_str(self.strategy.instruction())?;
+        out.write_char('\n')?;
         for shot in &self.shots {
-            out.push_str(&format!(
-                "Similar case (sim {:.2}) was fixed by `{}`.\n",
+            writeln!(
+                out,
+                "Similar case (sim {:.2}) was fixed by `{}`.",
                 shot.similarity,
                 shot.rule.name()
-            ));
+            )?;
         }
-        out.push_str("```rust\n");
-        out.push_str(src);
-        out.push_str("```\n");
-        out
+        out.write_str("```rust\n")?;
+        out.write_str(src)?;
+        out.write_str("```\n")
     }
 }
 

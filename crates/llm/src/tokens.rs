@@ -5,7 +5,13 @@
 /// up — the usual BPE rule of thumb for code).
 #[must_use]
 pub fn count_tokens(text: &str) -> usize {
-    text.chars().count().div_ceil(4)
+    tokens_for_chars(text.chars().count())
+}
+
+/// The token count of a text of `chars` characters, for callers that
+/// count a text without holding it whole.
+pub(crate) fn tokens_for_chars(chars: usize) -> usize {
+    chars.div_ceil(4)
 }
 
 /// Whether a prompt fits a model's context window.

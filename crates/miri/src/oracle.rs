@@ -51,8 +51,21 @@ pub trait Oracle: Send + Sync {
         (self.judge(program), false)
     }
 
-    /// [`judge_counted`] with the attribution folded straight into a
-    /// counter — the one-liner every repair loop wants.
+    /// [`judge_counted`] for a program the caller already holds behind an
+    /// [`Arc`], so a memoising implementation can keep the handle instead
+    /// of deep-copying the program into its entry.
+    ///
+    /// The default forwards to [`judge_counted`]; only implementations
+    /// that store programs have anything to gain by overriding it.
+    ///
+    /// [`judge_counted`]: Oracle::judge_counted
+    fn judge_shared(&self, program: &Arc<Program>) -> (Arc<MiriReport>, bool) {
+        self.judge_counted(program)
+    }
+
+    /// [`judge_shared`] with the attribution folded straight into a
+    /// counter — the one-liner every repair loop wants. Repair loops hold
+    /// their program states as shared handles, so this takes one too.
     ///
     /// This default is also the observability seam: every judgement that
     /// flows through it opens an `oracle.judge` span (cached/executed
@@ -62,11 +75,11 @@ pub trait Oracle: Send + Sync {
     /// all covered through dynamic dispatch. Purely observational: the
     /// verdict and the `used` accounting are untouched.
     ///
-    /// [`judge_counted`]: Oracle::judge_counted
-    fn judge_recording(&self, program: &Program, used: &mut OracleUse) -> Arc<MiriReport> {
+    /// [`judge_shared`]: Oracle::judge_shared
+    fn judge_recording(&self, program: &Arc<Program>, used: &mut OracleUse) -> Arc<MiriReport> {
         let mut span = rb_obs::span("oracle.judge");
         let start = std::time::Instant::now();
-        let (report, cached) = self.judge_counted(program);
+        let (report, cached) = self.judge_shared(program);
         used.record(cached);
         let verdict = report.primary().map_or("pass", |e| e.class().label());
         let result = if cached { "cached" } else { "executed" };
@@ -152,7 +165,15 @@ mod tests {
         assert_eq!(*report, *via_trait);
         assert!(!cached, "the direct oracle never serves from a cache");
         let mut used = OracleUse::default();
-        assert_eq!(*DirectOracle.judge_recording(&p, &mut used), *via_trait);
+        let shared = Arc::new(p);
+        assert_eq!(
+            DirectOracle.judge_shared(&shared),
+            (Arc::clone(&via_trait), false)
+        );
+        assert_eq!(
+            *DirectOracle.judge_recording(&shared, &mut used),
+            *via_trait
+        );
         assert_eq!(
             used,
             OracleUse {

@@ -67,6 +67,15 @@ pub enum AnalyzeError {
         /// What the parser choked on.
         reason: String,
     },
+    /// A line nests arrays and objects deeper than [`MAX_JSON_DEPTH`].
+    /// The parser stops at the bound instead of recursing on, so a
+    /// hostile line cannot overflow the reader's stack.
+    TooDeep {
+        /// 1-based line number.
+        line: usize,
+        /// The nesting bound the line exceeded.
+        limit: usize,
+    },
     /// The JSON parsed but a span field is missing or mistyped.
     Field {
         /// 1-based line number.
@@ -97,6 +106,12 @@ impl std::fmt::Display for AnalyzeError {
             AnalyzeError::Json { line, reason } => {
                 write!(f, "trace line {line}: not a JSON object: {reason}")
             }
+            AnalyzeError::TooDeep { line, limit } => {
+                write!(
+                    f,
+                    "trace line {line}: JSON nests deeper than {limit} levels"
+                )
+            }
             AnalyzeError::Field {
                 line,
                 field,
@@ -112,6 +127,30 @@ impl std::error::Error for AnalyzeError {}
 // ---------------------------------------------------------------------------
 // A minimal JSON parser (one value), kept private to this module
 // ---------------------------------------------------------------------------
+
+/// Deepest nesting a trace line may use: the span object is level 0,
+/// its field values level 1, and no value may sit below level 64. The
+/// daemon's wire parser (`rb_serve::json`) uses the same bound.
+pub const MAX_JSON_DEPTH: usize = 64;
+
+/// Why one line failed to parse: malformed JSON, or nesting past
+/// [`MAX_JSON_DEPTH`].
+enum JsonError {
+    Syntax(String),
+    TooDeep,
+}
+
+impl From<String> for JsonError {
+    fn from(reason: String) -> JsonError {
+        JsonError::Syntax(reason)
+    }
+}
+
+impl From<&str> for JsonError {
+    fn from(reason: &str) -> JsonError {
+        JsonError::Syntax(reason.to_owned())
+    }
+}
 
 // Bool/Arr payloads are parsed for completeness but no span field is
 // ever one of them, so nothing reads the values back out.
@@ -131,6 +170,8 @@ enum JsonVal {
 struct JsonParser<'a> {
     bytes: &'a [u8],
     at: usize,
+    /// Containers open around the value being parsed (its level).
+    depth: usize,
 }
 
 impl<'a> JsonParser<'a> {
@@ -138,6 +179,7 @@ impl<'a> JsonParser<'a> {
         JsonParser {
             bytes: text.as_bytes(),
             at: 0,
+            depth: 0,
         }
     }
 
@@ -164,35 +206,45 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<JsonVal, String> {
+    fn parse_value(&mut self) -> Result<JsonVal, JsonError> {
+        if self.depth > MAX_JSON_DEPTH {
+            return Err(JsonError::TooDeep);
+        }
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(JsonVal::Str(self.parse_string()?)),
             Some(b't') => self.parse_literal("true", JsonVal::Bool(true)),
             Some(b'f') => self.parse_literal("false", JsonVal::Bool(false)),
             Some(b'n') => self.parse_literal("null", JsonVal::Null),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            Some(c) => Err(format!(
-                "unexpected byte {:?} at {}",
-                char::from(c),
-                self.at
-            )),
-            None => Err("unexpected end of input".to_owned()),
+            Some(c) => Err(format!("unexpected byte {:?} at {}", char::from(c), self.at).into()),
+            None => Err("unexpected end of input".into()),
         }
     }
 
-    fn parse_literal(&mut self, word: &str, value: JsonVal) -> Result<JsonVal, String> {
+    /// Parses one container, its members one level deeper.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonVal, JsonError>,
+    ) -> Result<JsonVal, JsonError> {
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
+    }
+
+    fn parse_literal(&mut self, word: &str, value: JsonVal) -> Result<JsonVal, JsonError> {
         if self.bytes[self.at..].starts_with(word.as_bytes()) {
             self.at += word.len();
             Ok(value)
         } else {
-            Err(format!("bad literal at byte {}", self.at))
+            Err(format!("bad literal at byte {}", self.at).into())
         }
     }
 
-    fn parse_number(&mut self) -> Result<JsonVal, String> {
+    fn parse_number(&mut self) -> Result<JsonVal, JsonError> {
         let start = self.at;
         if self.peek() == Some(b'-') {
             self.at += 1;
@@ -211,7 +263,7 @@ impl<'a> JsonParser<'a> {
         token
             .parse::<f64>()
             .map(JsonVal::Num)
-            .map_err(|_| format!("bad number {token:?}"))
+            .map_err(|_| format!("bad number {token:?}").into())
     }
 
     fn parse_string(&mut self) -> Result<String, String> {
@@ -288,7 +340,7 @@ impl<'a> JsonParser<'a> {
         Ok(v)
     }
 
-    fn parse_array(&mut self) -> Result<JsonVal, String> {
+    fn parse_array(&mut self) -> Result<JsonVal, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -305,12 +357,12 @@ impl<'a> JsonParser<'a> {
                     self.at += 1;
                     return Ok(JsonVal::Arr(items));
                 }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.at)),
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.at).into()),
             }
         }
     }
 
-    fn parse_object(&mut self) -> Result<JsonVal, String> {
+    fn parse_object(&mut self) -> Result<JsonVal, JsonError> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -332,22 +384,22 @@ impl<'a> JsonParser<'a> {
                     self.at += 1;
                     return Ok(JsonVal::Obj(fields));
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.at)),
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.at).into()),
             }
         }
     }
 }
 
-fn parse_json_object(text: &str) -> Result<Vec<(String, JsonVal)>, String> {
+fn parse_json_object(text: &str) -> Result<Vec<(String, JsonVal)>, JsonError> {
     let mut p = JsonParser::new(text);
     let value = p.parse_value()?;
     p.skip_ws();
     if p.at != p.bytes.len() {
-        return Err(format!("trailing bytes after value at byte {}", p.at));
+        return Err(format!("trailing bytes after value at byte {}", p.at).into());
     }
     match value {
         JsonVal::Obj(fields) => Ok(fields),
-        _ => Err("line is not a JSON object".to_owned()),
+        _ => Err("line is not a JSON object".into()),
     }
 }
 
@@ -438,9 +490,15 @@ fn take_u64(val: &JsonVal, line: usize, field: &'static str) -> Result<u64, Anal
 /// compatibility); missing or mistyped required fields are
 /// [`AnalyzeError::Field`].
 pub fn parse_line(text: &str, line_no: usize) -> Result<TraceSpan, AnalyzeError> {
-    let fields = parse_json_object(text).map_err(|reason| AnalyzeError::Json {
-        line: line_no,
-        reason,
+    let fields = parse_json_object(text).map_err(|e| match e {
+        JsonError::Syntax(reason) => AnalyzeError::Json {
+            line: line_no,
+            reason,
+        },
+        JsonError::TooDeep => AnalyzeError::TooDeep {
+            line: line_no,
+            limit: MAX_JSON_DEPTH,
+        },
     })?;
     let mut id = None;
     let mut parent = None;
@@ -1400,6 +1458,62 @@ mod tests {
                 other => panic!("unexpected error kind for {text:?}: {other}"),
             }
         }
+    }
+
+    /// A valid span line carrying an extra field nested `levels` arrays
+    /// deep (the span object is level 0, the field's array level 1).
+    fn span_nesting(levels: usize) -> String {
+        format!(
+            r#"{{"id":1,"parent":null,"name":"a","t_us":0,"wall_us":5,"sim_ms":1.0,"tags":{{}},"deep":{}{}}}"#,
+            "[".repeat(levels),
+            "]".repeat(levels)
+        )
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_the_wire_limit() {
+        let at_limit = parse_line(&span_nesting(MAX_JSON_DEPTH), 4).expect("64 levels parse");
+        assert_eq!(at_limit.name, "a");
+        let over = parse_line(&span_nesting(MAX_JSON_DEPTH + 1), 4);
+        assert_eq!(
+            over,
+            Err(AnalyzeError::TooDeep {
+                line: 4,
+                limit: MAX_JSON_DEPTH
+            })
+        );
+        // A scalar counts as a level too, exactly as in the wire parser.
+        let scalar = span_nesting(MAX_JSON_DEPTH).replacen("]", "0]", 1);
+        assert!(matches!(
+            parse_line(&scalar, 1),
+            Err(AnalyzeError::TooDeep { .. })
+        ));
+        // Objects nest the same way arrays do.
+        let objects = format!(
+            r#"{{"id":1,"parent":null,"name":"a","t_us":0,"wall_us":5,"sim_ms":1.0,"tags":{{}},"deep":{}{}}}"#,
+            r#"{"k":"#.repeat(MAX_JSON_DEPTH + 1),
+            "}".repeat(MAX_JSON_DEPTH + 1)
+        );
+        assert!(matches!(
+            parse_line(&objects, 1),
+            Err(AnalyzeError::TooDeep { .. })
+        ));
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_an_abort() {
+        // Deep enough to overflow any thread's stack without the bound.
+        let line = span_nesting(200_000);
+        let spans: Vec<_> = SpanReader::new(line.as_bytes()).collect();
+        assert_eq!(
+            spans,
+            vec![Err(AnalyzeError::TooDeep {
+                line: 1,
+                limit: MAX_JSON_DEPTH
+            })]
+        );
+        let message = read_str(&line).unwrap_err().to_string();
+        assert!(message.contains("deeper than 64"), "{message}");
     }
 
     #[test]

@@ -73,6 +73,7 @@ fn drain(bytes: &[u8]) -> (usize, usize) {
                 AnalyzeError::Io { .. }
                 | AnalyzeError::Utf8 { .. }
                 | AnalyzeError::Json { .. }
+                | AnalyzeError::TooDeep { .. }
                 | AnalyzeError::Field { .. }
                 | AnalyzeError::Tree { .. },
             ) => err += 1,
