@@ -23,6 +23,7 @@ pub use rust_assistant::RustAssistant;
 use rb_lang::Program;
 use rb_miri::OracleUse;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Result shape shared by all repair systems.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -39,6 +40,7 @@ pub struct BaselineOutcome {
     /// (telemetry only — identical repairs under a caching and a direct
     /// oracle differ in nothing but this field).
     pub oracle_use: OracleUse,
-    /// The final program state.
-    pub final_program: Program,
+    /// The final program state (shared with the input when no edit was
+    /// kept).
+    pub final_program: Arc<Program>,
 }

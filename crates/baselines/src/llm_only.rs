@@ -51,7 +51,19 @@ impl LlmOnly {
     /// Attempts to repair `program`; `reference` is the gold output used
     /// for the acceptability judgement.
     pub fn repair(&mut self, program: &Program, reference: &[String]) -> BaselineOutcome {
-        let mut current = Arc::new(program.clone());
+        self.repair_shared(&Arc::new(program.clone()), reference)
+    }
+
+    /// [`repair`] for a program already behind an [`Arc`]; nothing is
+    /// copied, and an unrepaired input comes back as the same handle.
+    ///
+    /// [`repair`]: LlmOnly::repair
+    pub fn repair_shared(
+        &mut self,
+        program: &Arc<Program>,
+        reference: &[String],
+    ) -> BaselineOutcome {
+        let mut current = Arc::clone(program);
         let mut oracle_use = OracleUse::default();
         let mut report = self.oracle.judge_recording(&current, &mut oracle_use);
         let mut overhead = 0.0f64;
@@ -61,7 +73,7 @@ impl LlmOnly {
             let Some(primary) = report.primary().cloned() else {
                 break;
             };
-            let ctx = RepairContext::new(&current, &primary, PromptStrategy::Freeform);
+            let ctx = RepairContext::shared(&current, &primary, PromptStrategy::Freeform);
             let resp = self.model.propose(&ctx);
             overhead += resp.latency_ms;
             let mut applied = false;
@@ -91,7 +103,7 @@ impl LlmOnly {
             overhead_ms: overhead,
             iterations,
             oracle_use,
-            final_program: Arc::try_unwrap(current).unwrap_or_else(|p| (*p).clone()),
+            final_program: current,
         }
     }
 }

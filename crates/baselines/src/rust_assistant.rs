@@ -59,9 +59,21 @@ impl RustAssistant {
 
     /// Attempts to repair `program` against the `reference` gold outputs.
     pub fn repair(&mut self, program: &Program, reference: &[String]) -> BaselineOutcome {
+        self.repair_shared(&Arc::new(program.clone()), reference)
+    }
+
+    /// [`repair`] for a program already behind an [`Arc`]; nothing is
+    /// copied.
+    ///
+    /// [`repair`]: RustAssistant::repair
+    pub fn repair_shared(
+        &mut self,
+        program: &Arc<Program>,
+        reference: &[String],
+    ) -> BaselineOutcome {
         // States are shared handles: the rollback to the initial state and
         // an unchanged "next" state are reference bumps, not copies.
-        let initial = Arc::new(program.clone());
+        let initial = Arc::clone(program);
         let mut oracle_use = OracleUse::default();
         let initial_report = self.oracle.judge_recording(&initial, &mut oracle_use);
         let mut current = Arc::clone(&initial);
@@ -74,7 +86,7 @@ impl RustAssistant {
             let Some(primary) = report.primary().cloned() else {
                 break;
             };
-            let ctx = RepairContext::new(&current, &primary, Self::strategy_for(iterations));
+            let ctx = RepairContext::shared(&current, &primary, Self::strategy_for(iterations));
             let resp = self.model.propose(&ctx);
             overhead += resp.latency_ms + GENERIC_STEP_MS;
             let mut next = Arc::clone(&current);
@@ -110,7 +122,7 @@ impl RustAssistant {
             overhead_ms: overhead,
             iterations,
             oracle_use,
-            final_program: Arc::try_unwrap(current).unwrap_or_else(|p| (*p).clone()),
+            final_program: current,
         }
     }
 }

@@ -8,15 +8,31 @@ use crate::evaluate::EvalTriplet;
 use crate::solution::AgentKind;
 use rb_miri::UbClass;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
-/// Learned priors over (UB class, leading agent) pairs.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// Number of UB classes, `Compile` included (it is the last variant).
+const CLASSES: usize = UbClass::Compile as usize + 1;
+
+/// Number of agents.
+const AGENTS: usize = AgentKind::ALL.len();
+
+/// Learned priors over (UB class, leading agent) pairs, held densely and
+/// indexed by `class as usize` and `agent as usize`.
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Priors {
-    weights: HashMap<(UbClass, AgentKind), f64>,
+    weights: [[f64; AGENTS]; CLASSES],
     /// Remembered best full solutions per class (for instant replay).
-    best: HashMap<UbClass, Vec<AgentKind>>,
+    best: [Option<Vec<AgentKind>>; CLASSES],
     updates: u64,
+}
+
+impl Default for Priors {
+    fn default() -> Priors {
+        Priors {
+            weights: [[1.0; AGENTS]; CLASSES],
+            best: Default::default(),
+            updates: 0,
+        }
+    }
 }
 
 /// Exponential-moving-average rate.
@@ -33,13 +49,13 @@ impl Priors {
     /// (default 1.0).
     #[must_use]
     pub fn weight(&self, class: UbClass, agent: AgentKind) -> f64 {
-        *self.weights.get(&(class, agent)).unwrap_or(&1.0)
+        self.weights[class as usize][agent as usize]
     }
 
     /// The remembered best solution for a class, when one exists.
     #[must_use]
     pub fn best_solution(&self, class: UbClass) -> Option<&[AgentKind]> {
-        self.best.get(&class).map(Vec::as_slice)
+        self.best[class as usize].as_deref()
     }
 
     /// Number of feedback updates applied.
@@ -55,11 +71,11 @@ impl Priors {
         for (i, &agent) in steps.iter().enumerate() {
             // Earlier steps carry more responsibility for the outcome.
             let credit = reward * (1.0 / (1.0 + i as f64));
-            let w = self.weights.entry((class, agent)).or_insert(1.0);
+            let w = &mut self.weights[class as usize][agent as usize];
             *w = (1.0 - EMA) * *w + EMA * (0.25 + 2.0 * credit);
         }
         if eval.accuracy && eval.acceptability {
-            self.best.insert(class, steps.to_vec());
+            self.best[class as usize] = Some(steps.to_vec());
         }
     }
 }
@@ -118,6 +134,17 @@ mod tests {
         }
         assert!(p.weight(UbClass::DataRace, AgentKind::SafeReplace) > 1.5);
         assert_eq!(p.updates(), 10);
+    }
+
+    #[test]
+    fn every_pair_defaults_to_one() {
+        let p = Priors::new();
+        for class in UbClass::ALL.into_iter().chain([UbClass::Compile]) {
+            for agent in AgentKind::ALL {
+                assert_eq!(p.weight(class, agent), 1.0, "{class:?}/{agent:?}");
+            }
+            assert!(p.best_solution(class).is_none());
+        }
     }
 
     #[test]

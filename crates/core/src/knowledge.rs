@@ -32,6 +32,7 @@ use rb_lang::vectorize::AstVector;
 use rb_llm::{FewShot, RepairRule};
 use rb_miri::UbClass;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -298,6 +299,20 @@ impl KnowledgeBase {
     /// bucket-bounded scan cost (a repair rule learned for another UB
     /// class is rarely the right few-shot anyway).
     pub fn query(&mut self, vector: &AstVector, class: UbClass, k: usize) -> Vec<FewShot> {
+        self.query_with(class, k, || vector)
+    }
+
+    /// [`KnowledgeBase::query`] with the query vector built on demand:
+    /// `embed` runs only when the `class` bucket has entries to score, so
+    /// a retrieval against an empty bucket never pays for it. Cost,
+    /// counters, metrics and span tags are charged exactly as `query`
+    /// charges them.
+    pub fn query_with<V: Borrow<AstVector>>(
+        &mut self,
+        class: UbClass,
+        k: usize,
+        embed: impl FnOnce() -> V,
+    ) -> Vec<FewShot> {
         let mut span = rb_obs::span("kb.query");
         span.tag("class", class.label());
         // A lazy base faults the class's shard in before the cost is
@@ -319,9 +334,14 @@ impl KnowledgeBase {
         self.queries += 1;
         self.query_time_ms += cost;
         self.last_query_cost_ms = cost;
-        let mut scored: Vec<(f64, &KbEntry)> = self
-            .index
-            .bucket(class)
+        let bucket = self.index.bucket(class);
+        if bucket.is_empty() {
+            span.tag("shots", 0);
+            return Vec::new();
+        }
+        let vector = embed();
+        let vector: &AstVector = vector.borrow();
+        let mut scored: Vec<(f64, &KbEntry)> = bucket
             .iter()
             .map(|&i| &self.entries[i as usize])
             .map(|e| {
@@ -744,6 +764,35 @@ mod tests {
         assert_eq!(kb.last_query_cost_ms(), predicted);
         assert_eq!(kb.query_time_ms(), predicted);
         assert_eq!(kb.queries(), 1);
+    }
+
+    #[test]
+    fn query_with_embeds_only_for_a_non_empty_bucket() {
+        let v = vec_of("fn main() { let z: i32 = 0; print(5 / z); }");
+        let mut kb = KnowledgeBase::new();
+        kb.insert(v.clone(), UbClass::Alloc, RepairRule::RemoveDoubleFree);
+        kb.insert(v.clone(), UbClass::Panic, RepairRule::GuardDivision);
+        let mut lazy = kb.clone();
+        // Empty bucket: the closure never runs, and the accounting moves
+        // exactly as a plain query moves it.
+        let shots = lazy.query_with(UbClass::DataRace, 2, || -> AstVector {
+            panic!("embedded for an empty bucket")
+        });
+        assert!(shots.is_empty());
+        assert!(kb.query(&v, UbClass::DataRace, 2).is_empty());
+        let counters =
+            |kb: &KnowledgeBase| (kb.queries(), kb.query_time_ms(), kb.last_query_cost_ms());
+        assert_eq!(counters(&lazy), counters(&kb));
+        // Non-empty bucket: the same shots and the same accounting.
+        let mut ran = false;
+        let lazy_shots = lazy.query_with(UbClass::Panic, 2, || {
+            ran = true;
+            v.clone()
+        });
+        assert!(ran);
+        assert_eq!(lazy_shots, kb.query(&v, UbClass::Panic, 2));
+        assert_eq!(lazy_shots.len(), 1);
+        assert_eq!(counters(&lazy), counters(&kb));
     }
 
     #[test]

@@ -57,8 +57,9 @@ pub struct RepairOutcome {
     /// scan cost, covering *all* KB time charged into `overhead_ms`
     /// (consult included), so subtracting it isolates non-KB overhead.
     pub kb_query_time_ms: f64,
-    /// The best program produced.
-    pub final_program: Program,
+    /// The best program produced (shared with the input or with the
+    /// oracle memo that judged it; never a copy).
+    pub final_program: Arc<Program>,
     /// Concatenated oracle error counts across all attempts.
     pub error_history: Vec<usize>,
     /// Rules applied along the winning path.
@@ -233,16 +234,24 @@ impl RustBrain {
     /// `rb_obs::metrics()` are purely observational; results are
     /// byte-identical with or without them.
     pub fn repair(&mut self, program: &Program, reference: &[String]) -> RepairOutcome {
+        self.repair_shared(&Arc::new(program.clone()), reference)
+    }
+
+    /// [`repair`] for a program the caller already holds behind an
+    /// [`Arc`]: nothing is copied. Every later use shares the handle —
+    /// the judgement (a memoising oracle keeps it), the start states, the
+    /// rollback anchors and, when no edit beats it, the returned
+    /// `final_program`.
+    ///
+    /// [`repair`]: RustBrain::repair
+    pub fn repair_shared(&mut self, input: &Arc<Program>, reference: &[String]) -> RepairOutcome {
         let mut repair_span = rb_obs::span("repair");
         let mut oracle_use = OracleUse::default();
-        // The input is copied once, into a handle every later use shares:
-        // the judgement (a memoising oracle keeps the handle), the start
-        // states and the rollback anchors.
-        let input = Arc::new(program.clone());
+        let program: &Program = input;
         // Held as an Arc end to end: a cache-served verdict is shared,
         // never deep-copied (execute_one and the rollback tracker only
         // ever borrow it).
-        let report: Arc<MiriReport> = self.oracle.judge_recording(&input, &mut oracle_use);
+        let report: Arc<MiriReport> = self.oracle.judge_recording(input, &mut oracle_use);
         let class = report.primary().map_or(UbClass::Compile, |e| e.class());
         repair_span.tag("class", class.label());
         // Static triage: consult the lint on the input program before any
@@ -277,7 +286,7 @@ impl RustBrain {
                 solutions_tried: 0,
                 kb_queries: 0,
                 kb_query_time_ms: 0.0,
-                final_program: Arc::try_unwrap(input).unwrap_or_else(|p| (*p).clone()),
+                final_program: Arc::clone(input),
                 error_history: vec![0],
                 rules_applied: Vec::new(),
                 rollbacks: 0,
@@ -343,9 +352,9 @@ impl RustBrain {
         // restart-from-initial always re-derives from scratch, and
         // no-rollback continues from wherever the last solution *ended* —
         // letting hallucinated damage compound across the whole process
-        // (the paper's Fig. 5a). Every state is a shared handle: the input
-        // was copied once above, and each later start state is a reference
-        // bump on a state some solution already produced.
+        // (the paper's Fig. 5a). Every state is a shared handle: the
+        // input's, or a reference bump on a state some solution already
+        // produced.
         let mut start_state: Option<(Arc<Program>, Arc<MiriReport>)> = None;
         let calls_at_start = self.model.stats().calls;
         for (i, solution) in solutions.iter().enumerate() {
@@ -359,7 +368,7 @@ impl RustBrain {
             let budget = ((self.config.max_iterations - total_runs) / remaining_solutions)
                 .max(self.config.max_steps_per_solution);
             let (start_prog, start_report) = match (&self.config.rollback, &start_state) {
-                (crate::config::RollbackPolicy::ToInitial, _) | (_, None) => (&input, &report),
+                (crate::config::RollbackPolicy::ToInitial, _) | (_, None) => (input, &report),
                 (_, Some((p, r))) => (p, r),
             };
             let outcome = {
@@ -378,7 +387,7 @@ impl RustBrain {
                     // foothold for refinement, so seek a fresh path from
                     // the original program instead.
                     if outcome.eval.accuracy {
-                        (Arc::clone(&input), Arc::clone(&report))
+                        (Arc::clone(input), Arc::clone(&report))
                     } else {
                         let reverified = self
                             .oracle
@@ -391,7 +400,7 @@ impl RustBrain {
                     Arc::clone(&outcome.end_report),
                 ),
                 crate::config::RollbackPolicy::ToInitial => {
-                    (Arc::clone(&input), Arc::clone(&report))
+                    (Arc::clone(input), Arc::clone(&report))
                 }
             });
             tried += 1;
@@ -429,10 +438,6 @@ impl RustBrain {
                 self.knowledge.insert(features.vector, class, rule);
             }
         }
-        // Every other handle on the best state is gone with its outcome,
-        // so the returned program moves out without a copy.
-        drop((input, start_state));
-        let final_program = Arc::try_unwrap(final_program).unwrap_or_else(|p| (*p).clone());
         repair_span.add_sim_ms(total_overhead);
         repair_span.tag("passed", eval.accuracy);
         repair_span.tag("solutions_tried", tried);
@@ -512,6 +517,15 @@ mod tests {
         assert!(out.passed && out.acceptable);
         assert_eq!(out.solutions_tried, 0);
         assert_eq!(out.overhead_ms, 0.0);
+    }
+
+    #[test]
+    fn repair_shared_returns_a_passing_input_without_copying() {
+        let p = Arc::new(rb_lang::parser::parse_program("fn main() { print(5i32); }").unwrap());
+        let mut rb = RustBrain::new(RustBrainConfig::default());
+        let out = rb.repair_shared(&p, &["5".to_owned()]);
+        assert!(out.passed && out.acceptable);
+        assert!(Arc::ptr_eq(&out.final_program, &p));
     }
 
     #[test]

@@ -121,12 +121,6 @@ pub fn execute_solution(
             let mut shots = Vec::new();
             if agent == AgentKind::AbstractReasoning {
                 if let Some(kb) = kb.as_deref_mut() {
-                    let (pruned, _) = prune_program(&cur_prog);
-                    let vector = if pruned.stmt_count() == 0 {
-                        AstVector::embed(&cur_prog)
-                    } else {
-                        AstVector::embed(&pruned)
-                    };
                     // The current report's class can differ from the
                     // case's initial class mid-repair (e.g. a bad patch
                     // turning UB into a compile error), so the consult
@@ -139,10 +133,19 @@ pub fn execute_solution(
                     cspan.add_sim_ms(consult_ms);
                     overhead += consult_ms;
                     step_span.add_sim_ms(consult_ms);
-                    shots = kb.query(&vector, primary.class(), 2);
+                    // The pruned-AST embedding is built only when the
+                    // bucket has entries to score it against.
+                    shots = kb.query_with(primary.class(), 2, || {
+                        let (pruned, _) = prune_program(&cur_prog);
+                        if pruned.stmt_count() == 0 {
+                            AstVector::embed(&cur_prog)
+                        } else {
+                            AstVector::embed(&pruned)
+                        }
+                    });
                 }
             }
-            let mut ctx = RepairContext::new(&cur_prog, &primary, agent.strategy());
+            let mut ctx = RepairContext::shared(&cur_prog, &primary, agent.strategy());
             ctx.shots = shots;
             let shot_count = ctx.shots.len();
             let resp = model.propose(&ctx);

@@ -5,11 +5,15 @@ use rb_lang::printer::print_program;
 use rb_lang::Program;
 use rb_miri::{run_program, MiriReport, UbClass};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One benchmark case: a program exhibiting UB of a known class, plus the
 /// developer-repaired gold version used as the semantic-acceptability
 /// reference (paper §II-A: "test benchmarks composed of developer-repaired
 /// code").
+///
+/// Both programs are shared handles: a repair starts from `buggy` and a
+/// memoising oracle keeps `gold` without copying either.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct UbCase {
     /// Stable identifier, e.g. `alloc/double_free/3`.
@@ -19,9 +23,9 @@ pub struct UbCase {
     /// Template family name.
     pub template: String,
     /// The buggy program.
-    pub buggy: Program,
+    pub buggy: Arc<Program>,
     /// The developer gold repair.
-    pub gold: Program,
+    pub gold: Arc<Program>,
     /// Short description of the defect.
     pub description: String,
 }
@@ -46,8 +50,8 @@ impl UbCase {
             id,
             class,
             template: template.to_owned(),
-            buggy,
-            gold,
+            buggy: Arc::new(buggy),
+            gold: Arc::new(gold),
             description: description.to_owned(),
         }
     }

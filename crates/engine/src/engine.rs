@@ -169,12 +169,13 @@ impl Engine {
         let mut system = job
             .system
             .build_with(job.seed, Arc::clone(oracle), snapshot);
-        // The gold-reference lookup goes through judge_counted directly
+        // The gold-reference lookup goes through judge_shared directly
         // (no OracleUse to record into yet), so it needs its own
-        // call-site span — the judge_recording seam never sees it.
+        // call-site span — the judge_recording seam never sees it. On a
+        // miss the memo keeps the case's own gold handle, no copy.
         let (reference, gold_hit) = {
             let mut gold_span = rb_obs::span("oracle.gold");
-            let (reference, gold_hit) = oracle.judge_counted(&job.case.gold);
+            let (reference, gold_hit) = oracle.judge_shared(&job.case.gold);
             gold_span.tag("cached", if gold_hit { "cached" } else { "executed" });
             (reference, gold_hit)
         };

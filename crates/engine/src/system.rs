@@ -86,15 +86,15 @@ impl System {
     ) -> (CaseResult, OracleUse) {
         let (passed, acceptable, overhead_ms, oracle_use, kb_queries, kb_query_ms) = match self {
             System::Llm(s) => {
-                let o = s.repair(&case.buggy, reference);
+                let o = s.repair_shared(&case.buggy, reference);
                 (o.passed, o.acceptable, o.overhead_ms, o.oracle_use, 0, 0.0)
             }
             System::RustAssistant(s) => {
-                let o = s.repair(&case.buggy, reference);
+                let o = s.repair_shared(&case.buggy, reference);
                 (o.passed, o.acceptable, o.overhead_ms, o.oracle_use, 0, 0.0)
             }
             System::Brain(s) => {
-                let o = s.repair(&case.buggy, reference);
+                let o = s.repair_shared(&case.buggy, reference);
                 let used = OracleUse {
                     executed: o.oracle_executed,
                     cached: o.oracle_cached,

@@ -38,7 +38,7 @@ fn printer_round_trip_preserves_the_key() {
         for p in [&case.buggy, &case.gold] {
             let reparsed = parse_program(&print_program(p)).unwrap();
             assert_eq!(
-                &reparsed, p,
+                &reparsed, &**p,
                 "{}: printer round trip changed the AST",
                 case.id
             );
@@ -113,4 +113,33 @@ fn cache_hits_preserve_overhead_ms_semantics() {
         );
     }
     assert_eq!(cold.results, warm.results);
+}
+
+#[test]
+fn a_cold_batch_keeps_each_case_gold_handle() {
+    let corpus = Corpus::generate(4, 1, &UbClass::ALL);
+    let mut golds = std::collections::HashSet::new();
+    assert!(
+        corpus
+            .cases
+            .iter()
+            .all(|c| golds.insert(program_key(&c.gold))),
+        "the corpus repeats a gold program"
+    );
+    let engine = Engine::new(2);
+    let spec = SystemSpec::brain(rustbrain::RustBrainConfig::for_model(
+        rb_llm::ModelId::Gpt4,
+        4,
+    ));
+    let outcome = engine.run_batch(&spec, &corpus.cases, 4);
+    assert_eq!(outcome.results.len(), corpus.cases.len());
+    // A gold miss stores the case's own handle: the case and the cache
+    // entry are its only owners, and no copy was made.
+    for case in &corpus.cases {
+        assert_eq!(Arc::strong_count(&case.gold), 2, "{}", case.id);
+    }
+    drop(engine);
+    for case in &corpus.cases {
+        assert_eq!(Arc::strong_count(&case.gold), 1, "{}", case.id);
+    }
 }

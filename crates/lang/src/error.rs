@@ -23,6 +23,14 @@ pub enum LangError {
         /// Human-readable description.
         message: String,
     },
+    /// The program nests deeper than the parser accepts
+    /// ([`crate::parser::MAX_NESTING`]).
+    TooDeep {
+        /// Byte offset of the construct that crossed the limit.
+        offset: usize,
+        /// The nesting limit.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for LangError {
@@ -33,6 +41,12 @@ impl fmt::Display for LangError {
             }
             LangError::Parse { offset, message } => {
                 write!(f, "parse error at byte {offset}: {message}")
+            }
+            LangError::TooDeep { offset, limit } => {
+                write!(
+                    f,
+                    "parse error at byte {offset}: nesting exceeds {limit} levels"
+                )
             }
         }
     }
@@ -56,5 +70,13 @@ mod tests {
             message: "worse".into(),
         };
         assert_eq!(e.to_string(), "parse error at byte 9: worse");
+        let e = LangError::TooDeep {
+            offset: 4,
+            limit: 100,
+        };
+        assert_eq!(
+            e.to_string(),
+            "parse error at byte 4: nesting exceeds 100 levels"
+        );
     }
 }

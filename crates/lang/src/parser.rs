@@ -29,7 +29,7 @@ use crate::token::{Token, TokenKind};
 /// ```
 pub fn parse_program(src: &str) -> LangResult<Program> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser::new(toks);
     let mut prog = Program::default();
     while !p.at_eof() {
         if p.peek_ident("union") {
@@ -53,18 +53,60 @@ pub fn parse_program(src: &str) -> LangResult<Program> {
 /// Returns [`LangError`] on lexical or syntactic problems.
 pub fn parse_expr(src: &str) -> LangResult<Expr> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser::new(toks);
     let e = p.parse_expr_outer()?;
     p.expect(&TokenKind::Eof)?;
     Ok(e)
 }
 
+/// The deepest nesting the parser accepts; deeper input is a
+/// [`LangError::TooDeep`].
+///
+/// Depth is counted on the tree as the parser builds it: a block, a type
+/// and an expression operand each sit one level below the node that holds
+/// them, and every link of an operator chain (`a + b + c`, `x.0.1`,
+/// `e as T as U`) pushes the chain's left operand one level further down,
+/// as the nested node it builds does. Every recursive pass over an
+/// accepted program — checker, printer, lint, interpreter, repair rules —
+/// fits a 2 MiB thread stack at this depth.
+pub const MAX_NESTING: usize = 64;
+
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
+    /// Nesting level of the node being parsed (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
+    fn new(toks: Vec<Token>) -> Parser {
+        Parser {
+            toks,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Opens one nesting level, refusing to pass [`MAX_NESTING`].
+    fn descend(&mut self) -> LangResult<()> {
+        if self.depth >= MAX_NESTING {
+            return Err(LangError::TooDeep {
+                offset: self.offset(),
+                limit: MAX_NESTING,
+            });
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `parse` one nesting level down.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Parser) -> LangResult<T>) -> LangResult<T> {
+        self.descend()?;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
     fn peek(&self) -> &TokenKind {
         &self.toks[self.pos].kind
     }
@@ -208,6 +250,10 @@ impl Parser {
     // ---- types -----------------------------------------------------------
 
     fn parse_ty(&mut self) -> LangResult<Ty> {
+        self.nested(Parser::parse_ty_here)
+    }
+
+    fn parse_ty_here(&mut self) -> LangResult<Ty> {
         match self.peek().clone() {
             TokenKind::LParen => {
                 self.bump();
@@ -363,6 +409,10 @@ impl Parser {
     // ---- statements ------------------------------------------------------
 
     fn parse_block(&mut self) -> LangResult<Block> {
+        self.nested(Parser::parse_block_here)
+    }
+
+    fn parse_block_here(&mut self) -> LangResult<Block> {
         self.expect(&TokenKind::LBrace)?;
         let mut stmts = Vec::new();
         while !matches!(self.peek(), TokenKind::RBrace) {
@@ -520,10 +570,20 @@ impl Parser {
     /// Pratt / precedence-climbing parser. `allow_struct` disables union
     /// literals in `if`/`while` conditions (mirroring Rust's restriction).
     fn parse_expr_bp(&mut self, min_bp: u8, allow_struct: bool) -> LangResult<Expr> {
+        let entry_depth = self.depth;
+        let lhs = self.parse_expr_chain(min_bp, allow_struct);
+        self.depth = entry_depth;
+        lhs
+    }
+
+    /// [`Parser::parse_expr_bp`]'s loop. Each cast or binary link opens
+    /// a level its caller closes.
+    fn parse_expr_chain(&mut self, min_bp: u8, allow_struct: bool) -> LangResult<Expr> {
         let mut lhs = self.parse_unary(allow_struct)?;
         // `as` casts bind tighter than any binary operator but looser than
         // unary operators, matching Rust (`&x as *const i32` is `(&x) as _`).
         while self.peek_ident("as") {
+            self.descend()?;
             self.bump();
             let ty = self.parse_ty()?;
             lhs = Expr::Cast(Box::new(lhs), ty);
@@ -532,6 +592,7 @@ impl Parser {
             if l_bp < min_bp {
                 break;
             }
+            self.descend()?;
             self.bump_binop(op);
             let rhs = self.parse_expr_bp(r_bp, allow_struct)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
@@ -593,6 +654,10 @@ impl Parser {
     }
 
     fn parse_unary(&mut self, allow_struct: bool) -> LangResult<Expr> {
+        self.nested(|p| p.parse_unary_here(allow_struct))
+    }
+
+    fn parse_unary_here(&mut self, allow_struct: bool) -> LangResult<Expr> {
         match self.peek().clone() {
             TokenKind::Minus => {
                 self.bump();
@@ -642,8 +707,23 @@ impl Parser {
     }
 
     fn parse_postfix(&mut self, allow_struct: bool) -> LangResult<Expr> {
+        let entry_depth = self.depth;
+        let e = self.parse_postfix_chain(allow_struct);
+        self.depth = entry_depth;
+        e
+    }
+
+    /// [`Parser::parse_postfix`]'s loop. Each link opens a level its
+    /// caller closes.
+    fn parse_postfix_chain(&mut self, allow_struct: bool) -> LangResult<Expr> {
         let mut e = self.parse_primary(allow_struct)?;
         loop {
+            if matches!(
+                self.peek(),
+                TokenKind::LBracket | TokenKind::Dot | TokenKind::LParen
+            ) {
+                self.descend()?;
+            }
             match self.peek().clone() {
                 TokenKind::LBracket => {
                     self.bump();

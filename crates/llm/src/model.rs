@@ -14,9 +14,12 @@ use crate::prompt::RepairContext;
 use crate::rules::RepairRule;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use rb_lang::Program;
+use rb_miri::MiriError;
 use serde::{Deserialize, Serialize};
 use std::fmt::{self, Write as _};
 use std::hash::Hasher;
+use std::sync::Arc;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -61,7 +64,7 @@ impl Hasher for Fnv1a {
 /// its char count and its FNV-1a fold. Writing a text into it in any
 /// number of pieces yields the token count [`crate::tokens::count_tokens`]
 /// and the draw `hash01` would compute from the whole string.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 struct TextDigest {
     chars: usize,
     fnv: u64,
@@ -110,21 +113,76 @@ struct PromptDraws {
 impl PromptDraws {
     /// Streams the prompt and the two `"{src}|{id:?}|…"` keys into
     /// digests; no prompt string is built.
+    #[cfg(test)]
     fn of(ctx: &RepairContext<'_>, src: &str, id: ModelId) -> PromptDraws {
-        const SINK: &str = "a digest sink cannot fail";
+        let (u_problem, u_drift) = source_draws(src, id);
+        PromptDraws::keyed(ctx, src, u_problem, u_drift)
+    }
+
+    /// The draws of `ctx`'s prompt, given its source's two draws: only
+    /// the prompt (strategy, shots, error, source) is streamed.
+    fn keyed(ctx: &RepairContext<'_>, src: &str, u_problem: f64, u_drift: f64) -> PromptDraws {
         let mut prompt = TextDigest::new();
-        ctx.render_to(src, &mut prompt).expect(SINK);
-        let mut key = TextDigest::new();
-        write!(key, "{src}|{id:?}|").expect(SINK);
-        let mut problem = key;
-        problem.write_str("problem").expect(SINK);
-        let mut drift = key;
-        drift.write_str("drift").expect(SINK);
+        ctx.render_to(src, &mut prompt).expect(DIGEST_SINK);
         PromptDraws {
             tokens: prompt.tokens(),
-            u_problem: problem.unit(),
+            u_problem,
             u_prompt: prompt.unit(),
-            u_drift: drift.unit(),
+            u_drift,
+        }
+    }
+}
+
+const DIGEST_SINK: &str = "a digest sink cannot fail";
+
+/// The problem and drift draws of a source: the hashes of
+/// `"{src}|{id:?}|problem"` and `"{src}|{id:?}|drift"`, folded from one
+/// shared prefix digest.
+fn source_draws(src: &str, id: ModelId) -> (f64, f64) {
+    let mut key = TextDigest::new();
+    write!(key, "{src}|{id:?}|").expect(DIGEST_SINK);
+    let mut problem = key;
+    problem.write_str("problem").expect(DIGEST_SINK);
+    let mut drift = key;
+    drift.write_str("drift").expect(DIGEST_SINK);
+    (problem.unit(), drift.unit())
+}
+
+/// What a proposal reads off `(program, error)` alone: the printed
+/// source, its two draws and the matching repair rules. None of it
+/// depends on the strategy, the shots or the RNG.
+#[derive(Clone, Debug)]
+struct StateFacts {
+    /// The shared state these facts were derived from. Holding the handle
+    /// keeps its address from being reused by another program.
+    state: Option<Arc<Program>>,
+    error: MiriError,
+    src: String,
+    u_problem: f64,
+    u_drift: f64,
+    candidates: Vec<RepairRule>,
+}
+
+impl StateFacts {
+    fn of(ctx: &RepairContext<'_>, id: ModelId) -> StateFacts {
+        let src = rb_lang::printer::print_program(ctx.program);
+        let (u_problem, u_drift) = source_draws(&src, id);
+        StateFacts {
+            state: ctx.state.cloned(),
+            error: ctx.error.clone(),
+            src,
+            u_problem,
+            u_drift,
+            candidates: RepairRule::candidates(ctx.program, ctx.error),
+        }
+    }
+
+    /// Whether these facts were derived from `ctx`'s shared state and
+    /// error. A context without a shared state never matches.
+    fn fit(&self, ctx: &RepairContext<'_>) -> bool {
+        match (&self.state, ctx.state) {
+            (Some(held), Some(state)) => Arc::ptr_eq(held, state) && self.error == *ctx.error,
+            _ => false,
         }
     }
 }
@@ -182,12 +240,18 @@ pub trait LanguageModel {
 }
 
 /// The deterministic simulated model.
+///
+/// It remembers the [`StateFacts`] of the last shared state it was asked
+/// about, so consecutive proposals on one `(state, error)` — a step that
+/// changed nothing, a rollback, the next solution starting from the
+/// input — print and match the program once.
 #[derive(Clone, Debug)]
 pub struct SimulatedModel {
     profile: ModelProfile,
     temperature: f64,
     rng: ChaCha8Rng,
     stats: ModelCallStats,
+    facts: Option<StateFacts>,
 }
 
 impl SimulatedModel {
@@ -199,6 +263,7 @@ impl SimulatedModel {
             temperature,
             rng: ChaCha8Rng::seed_from_u64(seed ^ (id as u64).wrapping_mul(0x9E37_79B9)),
             stats: ModelCallStats::default(),
+            facts: None,
         }
     }
 
@@ -226,8 +291,11 @@ impl LanguageModel for SimulatedModel {
     }
 
     fn propose(&mut self, ctx: &RepairContext<'_>) -> ModelResponse {
-        let src = rb_lang::printer::print_program(ctx.program);
-        let draws = PromptDraws::of(ctx, &src, self.profile.id);
+        let facts = match self.facts.take() {
+            Some(facts) if facts.fit(ctx) => facts,
+            _ => StateFacts::of(ctx, self.profile.id),
+        };
+        let draws = PromptDraws::keyed(ctx, &facts.src, facts.u_problem, facts.u_drift);
         let tokens = draws.tokens;
         let latency = sample_latency_ms(
             &mut self.rng,
@@ -275,11 +343,11 @@ impl LanguageModel for SimulatedModel {
         let prompt_skill = 0.75 + targeted_bonus + (self.rng.gen::<f64>() - 0.5) * 0.12;
         let u_prompt = draws.u_prompt;
         let understands = u_problem <= problem_skill && u_prompt <= prompt_skill;
-        let candidates = RepairRule::candidates(ctx.program, ctx.error);
 
-        let mut proposals: Vec<Proposal> = candidates
-            .into_iter()
-            .map(|rule| {
+        let mut proposals: Vec<Proposal> = facts
+            .candidates
+            .iter()
+            .map(|&rule| {
                 let mut score = class_skill * self.profile.kind_preference(rule.kind());
                 // A skilled model recognises the rule whose home turf is
                 // exactly this diagnostic.
@@ -368,6 +436,9 @@ impl LanguageModel for SimulatedModel {
         let drift_p =
             (1.0 - self.profile.semantic_skill) * 0.6 * weakness / (1.0 + ctx.shots.len() as f64);
         let drift = draws.u_drift < drift_p;
+        if facts.state.is_some() {
+            self.facts = Some(facts);
+        }
         ModelResponse {
             proposals,
             truncated,
@@ -421,7 +492,7 @@ mod tests {
                     judged.push((edit, edit_err));
                 }
             }
-            judged.push((case.buggy.clone(), err));
+            judged.push(((*case.buggy).clone(), err));
         }
         judged
     }
@@ -469,6 +540,70 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn shared_contexts_reuse_state_facts_and_answer_like_new() {
+        let judged = judged_failing_programs();
+        let (a, a_err) = &judged[0];
+        let (b, b_err) = judged
+            .iter()
+            .find(|(p, _)| p != a)
+            .expect("two distinct failing programs");
+        let a = Arc::new(a.clone());
+        let b = Arc::new(b.clone());
+        // The same state twice, the same state with another error, a new
+        // state, and a return to the first state.
+        let script: [(&Arc<Program>, &MiriError); 5] = [
+            (&a, a_err),
+            (&a, a_err),
+            (&a, b_err),
+            (&b, b_err),
+            (&a, a_err),
+        ];
+        let shots = [
+            FewShot {
+                rule: RepairRule::RemoveDoubleFree,
+                similarity: 0.93,
+            },
+            FewShot {
+                rule: RepairRule::GuardDivision,
+                similarity: 0.456,
+            },
+        ];
+        let mut memoised = SimulatedModel::new(ModelId::Gpt4, 0.5, 21);
+        let mut fresh = SimulatedModel::new(ModelId::Gpt4, 0.5, 21);
+        let mut previous: Option<(&Arc<Program>, &MiriError)> = None;
+        for strategy in [
+            PromptStrategy::SafeReplace,
+            PromptStrategy::Assert,
+            PromptStrategy::Modify,
+            PromptStrategy::Freeform,
+        ] {
+            for n in [0, 2] {
+                for (state, err) in script {
+                    let mut shared = RepairContext::shared(state, err, strategy);
+                    shared.shots = shots[..n].to_vec();
+                    let mut plain = RepairContext::new(state, err, strategy);
+                    plain.shots = shots[..n].to_vec();
+                    let memo_src = memoised.facts.as_ref().map(|f| f.src.as_ptr());
+                    assert_eq!(
+                        memoised.propose(&shared),
+                        fresh.propose(&plain),
+                        "{strategy:?} with {n} shots diverged"
+                    );
+                    // A repeated (state, error) neither re-prints nor
+                    // re-matches: the memo is the one already held.
+                    let repeat = previous.is_some_and(|(s, e)| Arc::ptr_eq(s, state) && e == err);
+                    let now_src = memoised.facts.as_ref().map(|f| f.src.as_ptr());
+                    assert_eq!(repeat, memo_src == now_src, "{strategy:?}, {n} shots");
+                    previous = Some((state, err));
+                }
+            }
+        }
+        assert_eq!(memoised.stats(), fresh.stats());
+        // A plain context never leaves a memo behind.
+        assert!(fresh.facts.is_none());
     }
 
     #[test]

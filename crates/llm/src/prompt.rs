@@ -7,6 +7,7 @@ use rb_lang::Program;
 use rb_miri::MiriError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// The prompt strategy an agent uses (paper Fig. 4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -65,6 +66,10 @@ pub struct FewShot {
 pub struct RepairContext<'p> {
     /// The current program.
     pub program: &'p Program,
+    /// The shared handle `program` borrows from, when the caller holds
+    /// one ([`RepairContext::shared`]). A model may key work that depends
+    /// only on the program and the error to this handle's identity.
+    pub state: Option<&'p Arc<Program>>,
     /// The primary diagnostic being repaired.
     pub error: &'p MiriError,
     /// Agent prompt strategy.
@@ -79,9 +84,22 @@ impl<'p> RepairContext<'p> {
     pub fn new(program: &'p Program, error: &'p MiriError, strategy: PromptStrategy) -> Self {
         RepairContext {
             program,
+            state: None,
             error,
             strategy,
             shots: Vec::new(),
+        }
+    }
+
+    /// Builds a context with no shots over a shared program state, so a
+    /// model can reuse what it derived from the same `(state, error)` on
+    /// an earlier call. The response is the one [`RepairContext::new`]
+    /// on the same program would get.
+    #[must_use]
+    pub fn shared(state: &'p Arc<Program>, error: &'p MiriError, strategy: PromptStrategy) -> Self {
+        RepairContext {
+            state: Some(state),
+            ..RepairContext::new(state, error, strategy)
         }
     }
 

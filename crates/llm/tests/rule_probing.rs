@@ -66,7 +66,7 @@ fn probe_set(seed: u64, depth: usize) -> Vec<(Program, MiriError)> {
     let mut frontier: Vec<(Program, MiriError)> = Corpus::generate_full(seed, 8)
         .cases
         .into_iter()
-        .filter_map(|case| failing(case.buggy))
+        .filter_map(|case| failing((*case.buggy).clone()))
         .collect();
     for step in 0..=depth {
         let mut next = Vec::new();

@@ -112,7 +112,29 @@ struct Local {
     ty: Ty,
 }
 
-type Scope = HashMap<String, Local>;
+/// One lexical scope's locals in declaration order. Re-declaring a name
+/// in the same scope replaces its entry in place, so iteration order —
+/// and with it the addresses a spawned thread's copies get — never
+/// depends on a hash seed.
+#[derive(Default)]
+struct Scope(Vec<(String, Local)>);
+
+impl Scope {
+    fn get(&self, name: &str) -> Option<&Local> {
+        self.0.iter().find(|(n, _)| n == name).map(|(_, l)| l)
+    }
+
+    fn insert(&mut self, name: &str, local: Local) {
+        match self.0.iter_mut().find(|(n, _)| n == name) {
+            Some(slot) => slot.1 = local,
+            None => self.0.push((name.to_owned(), local)),
+        }
+    }
+
+    fn locals(&self) -> impl Iterator<Item = &Local> {
+        self.0.iter().map(|(_, l)| l)
+    }
+}
 
 struct Frame {
     scopes: Vec<Scope>,
@@ -127,9 +149,9 @@ struct PlaceRef {
     ty: Ty,
 }
 
-struct PendingThread {
+struct PendingThread<'p> {
     env: Vec<(String, Ty, Value)>,
-    body: Block,
+    body: &'p Block,
     spawn_path: StmtPath,
 }
 
@@ -143,7 +165,7 @@ struct Machine<'p> {
     steps: u64,
     frames: Vec<Frame>,
     statics: HashMap<String, (AllocId, BorTag, Ty)>,
-    pending: Vec<PendingThread>,
+    pending: Vec<PendingThread<'p>>,
     locks_held: BTreeSet<u32>,
     thread: usize,
     next_thread: usize,
@@ -293,12 +315,12 @@ impl<'p> Machine<'p> {
     }
 
     fn push_scope(&mut self) {
-        self.frame().scopes.push(Scope::new());
+        self.frame().scopes.push(Scope::default());
     }
 
     fn pop_scope(&mut self) {
         if let Some(scope) = self.frame().scopes.pop() {
-            for local in scope.values() {
+            for local in scope.locals() {
                 self.mem.kill_stack_slot(local.alloc);
             }
         }
@@ -318,7 +340,7 @@ impl<'p> Machine<'p> {
             .scopes
             .last_mut()
             .expect("scope present")
-            .insert(name.to_owned(), Local { alloc, tag, ty });
+            .insert(name, Local { alloc, tag, ty });
         Ok(())
     }
 
@@ -390,7 +412,13 @@ impl<'p> Machine<'p> {
         if !matches!(a.kind, AllocKind::Heap | AllocKind::Static) {
             return;
         }
+        // Only concurrent accesses can take part in a race (see
+        // `Access::conflicts`), so main's accesses outside a fork-join
+        // window are never logged.
         let concurrent = self.thread != 0 || self.main_concurrent;
+        if !concurrent {
+            return;
+        }
         self.log.record(Access {
             alloc,
             offset: offset.max(0) as usize,
@@ -943,6 +971,8 @@ impl<'p> Machine<'p> {
                 "call depth exceeded".into(),
             ));
         }
+        // Borrowed from the program, not from `self`: the body outlives
+        // every mutation the call makes.
         let f = &self.prog.funcs[idx];
         if f.params.len() != args.len() {
             return Err(Exc::Ub(
@@ -951,20 +981,18 @@ impl<'p> Machine<'p> {
             ));
         }
         self.frames.push(Frame {
-            scopes: vec![Scope::new()],
+            scopes: vec![Scope::default()],
             fn_idx: idx,
         });
-        let params: Vec<(String, Ty)> = f.params.clone();
-        let body = f.body.clone();
         let mut result = Ok(Value::Unit);
-        for ((name, ty), v) in params.into_iter().zip(args) {
-            if let Err(e) = self.declare_local(&name, ty, v) {
+        for ((name, ty), v) in f.params.iter().zip(args) {
+            if let Err(e) = self.declare_local(name, ty.clone(), v) {
                 result = Err(e);
                 break;
             }
         }
         if result.is_ok() {
-            result = match self.exec_fn_body(&body, idx) {
+            result = match self.exec_fn_body(&f.body, idx) {
                 Ok(Flow::Return(v)) => Ok(v),
                 Ok(Flow::Normal) => Ok(Value::Unit),
                 Err(e) => Err(e),
@@ -973,7 +1001,7 @@ impl<'p> Machine<'p> {
         // Kill the frame's stack slots.
         if let Some(frame) = self.frames.pop() {
             for scope in frame.scopes {
-                for local in scope.values() {
+                for local in scope.locals() {
                     self.mem.kill_stack_slot(local.alloc);
                 }
             }
@@ -982,7 +1010,7 @@ impl<'p> Machine<'p> {
     }
 
     /// Executes a function body with top-level UB recovery.
-    fn exec_fn_body(&mut self, body: &Block, fn_idx: usize) -> ExecResult {
+    fn exec_fn_body(&mut self, body: &'p Block, fn_idx: usize) -> ExecResult {
         for (i, s) in body.stmts.iter().enumerate() {
             self.err_cap_check()?;
             self.current_path = StmtPath::top(fn_idx, i);
@@ -1003,7 +1031,7 @@ impl<'p> Machine<'p> {
         Ok(Flow::Normal)
     }
 
-    fn exec_block(&mut self, b: &Block) -> ExecResult {
+    fn exec_block(&mut self, b: &'p Block) -> ExecResult {
         for s in &b.stmts {
             match self.exec_stmt(s)? {
                 Flow::Normal => {}
@@ -1014,7 +1042,7 @@ impl<'p> Machine<'p> {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn exec_stmt(&mut self, s: &Stmt) -> ExecResult {
+    fn exec_stmt(&mut self, s: &'p Stmt) -> ExecResult {
         self.step()?;
         match s {
             Stmt::Let { name, ty, init } => {
@@ -1109,14 +1137,15 @@ impl<'p> Machine<'p> {
                 Ok(Flow::Return(v))
             }
             Stmt::Spawn(b) => {
-                // Snapshot visible locals by value.
+                // Snapshot visible locals by value, outer scope to inner,
+                // each in declaration order.
                 let names: Vec<(String, Ty)> = self
                     .frames
                     .last()
                     .map(|f| {
                         f.scopes
                             .iter()
-                            .flat_map(|s| s.iter().map(|(n, l)| (n.clone(), l.ty.clone())))
+                            .flat_map(|s| s.0.iter().map(|(n, l)| (n.clone(), l.ty.clone())))
                             .collect()
                     })
                     .unwrap_or_default();
@@ -1128,7 +1157,7 @@ impl<'p> Machine<'p> {
                 }
                 self.pending.push(PendingThread {
                     env,
-                    body: b.clone(),
+                    body: b,
                     spawn_path: self.current_path.clone(),
                 });
                 self.main_concurrent = true;
@@ -1200,7 +1229,7 @@ impl<'p> Machine<'p> {
             let saved_locks = std::mem::take(&mut self.locks_held);
             self.thread = id;
             self.frames.push(Frame {
-                scopes: vec![Scope::new()],
+                scopes: vec![Scope::default()],
                 fn_idx: 0,
             });
             self.current_path = t.spawn_path.clone();
@@ -1216,8 +1245,7 @@ impl<'p> Machine<'p> {
             }
             if !failed {
                 // Thread bodies get UB recovery at their top level too.
-                let body = t.body;
-                for s in &body.stmts {
+                for s in &t.body.stmts {
                     match self.exec_stmt(s) {
                         Ok(Flow::Normal) => {}
                         Ok(Flow::Return(_)) => break,
@@ -1229,7 +1257,7 @@ impl<'p> Machine<'p> {
                             // Restore context before propagating.
                             if let Some(frame) = self.frames.pop() {
                                 for scope in frame.scopes {
-                                    for local in scope.values() {
+                                    for local in scope.locals() {
                                         self.mem.kill_stack_slot(local.alloc);
                                     }
                                 }
@@ -1243,7 +1271,7 @@ impl<'p> Machine<'p> {
             }
             if let Some(frame) = self.frames.pop() {
                 for scope in frame.scopes {
-                    for local in scope.values() {
+                    for local in scope.locals() {
                         self.mem.kill_stack_slot(local.alloc);
                     }
                 }
@@ -1604,5 +1632,66 @@ impl<'p> Machine<'p> {
                 format!("expected pointer, got {}", other.render()),
             )),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rb_lang::parser::parse_program;
+
+    #[test]
+    fn race_log_holds_only_concurrent_accesses() {
+        // G is touched by main before the spawns and after the join (never
+        // concurrent), by main between them, and by both threads.
+        let p = parse_program(
+            "static mut G: i32 = 0; fn main() { \
+             unsafe { G = 1; } \
+             spawn { unsafe { G = 2; } } \
+             spawn { unsafe { print(G); } } \
+             unsafe { G = 5; } \
+             join; \
+             unsafe { print(G); } }",
+        )
+        .unwrap();
+        let mut m = Machine::new(&p, MiriConfig::default());
+        m.run();
+        let logged: Vec<(usize, bool)> = m
+            .log
+            .accesses()
+            .iter()
+            .map(|a| {
+                assert!(a.concurrent, "non-concurrent access logged: {a:?}");
+                (a.thread, a.write)
+            })
+            .collect();
+        // main's write inside the window, then the threads in join order
+        // (the last spawned runs first, as thread 1).
+        assert_eq!(logged, vec![(0, true), (1, false), (2, true)]);
+        let report = m.finish();
+        let races: Vec<String> = report
+            .errors
+            .iter()
+            .map(|e| format!("{:?} {} {:?} {}", e.kind, e.message, e.path, e.thread))
+            .collect();
+        let at = |i: usize| Some(StmtPath::top(0, i));
+        assert_eq!(
+            races,
+            vec![
+                format!(
+                    "RaceOnStatic data race: read-write conflict between thread 0 and thread 1 {:?} 1",
+                    at(3)
+                ),
+                format!(
+                    "RaceOnStatic data race: write-write conflict between thread 0 and thread 2 {:?} 2",
+                    at(3)
+                ),
+                format!(
+                    "RaceOnStatic data race: read-write conflict between thread 1 and thread 2 {:?} 2",
+                    at(2)
+                ),
+            ]
+        );
+        assert_eq!(report.outputs, vec!["5", "2"]);
     }
 }

@@ -75,6 +75,12 @@ impl AccessLog {
         self.accesses.push(a);
     }
 
+    /// The recorded accesses, in order.
+    #[must_use]
+    pub fn accesses(&self) -> &[Access] {
+        &self.accesses
+    }
+
     /// Number of recorded accesses.
     #[must_use]
     pub fn len(&self) -> usize {

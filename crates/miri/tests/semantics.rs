@@ -339,3 +339,15 @@ fn pointer_comparison_by_address() {
         vec!["true"]
     );
 }
+
+#[test]
+fn spawned_threads_copy_locals_in_declaration_order() {
+    // The thread's copies of a..d are declared in the order the locals
+    // were, so their addresses — printed here — are fixed, run after run.
+    let src = "fn main() { let a: i32 = 1; let b: i32 = 2; let c: i32 = 3; let d: i32 = 4; \
+               spawn { let pa: *const i32 = &raw const a; let pd: *const i32 = &raw const d; \
+               print(pa as usize); print(pd as usize); } join; }";
+    for _ in 0..20 {
+        assert_eq!(outputs(src), vec!["4240", "4348"]);
+    }
+}

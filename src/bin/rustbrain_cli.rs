@@ -1415,7 +1415,7 @@ fn analyze_corpus(cli: &Cli) -> ExitCode {
     let audit_cases: Vec<(String, rb_lang::Program)> = corpus
         .cases
         .iter()
-        .map(|c| (c.id.clone(), c.buggy.clone()))
+        .map(|c| (c.id.clone(), (*c.buggy).clone()))
         .collect();
     let audits = rb_lint::rulecheck::audit_rules(&audit_cases);
     let flagged: Vec<&rb_lint::rulecheck::RuleAudit> =
