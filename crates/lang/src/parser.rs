@@ -99,12 +99,13 @@ impl Parser {
         Ok(())
     }
 
-    /// Runs `parse` one nesting level down.
+    /// Runs `parse` one nesting level down. A parse error ends the whole
+    /// parse, so depths are restored on success only.
     fn nested<T>(&mut self, parse: impl FnOnce(&mut Parser) -> LangResult<T>) -> LangResult<T> {
         self.descend()?;
-        let parsed = parse(self);
+        let parsed = parse(self)?;
         self.depth -= 1;
-        parsed
+        Ok(parsed)
     }
 
     fn peek(&self) -> &TokenKind {
@@ -569,16 +570,9 @@ impl Parser {
 
     /// Pratt / precedence-climbing parser. `allow_struct` disables union
     /// literals in `if`/`while` conditions (mirroring Rust's restriction).
+    /// Each cast or binary link nests the chain one level deeper.
     fn parse_expr_bp(&mut self, min_bp: u8, allow_struct: bool) -> LangResult<Expr> {
-        let entry_depth = self.depth;
-        let lhs = self.parse_expr_chain(min_bp, allow_struct);
-        self.depth = entry_depth;
-        lhs
-    }
-
-    /// [`Parser::parse_expr_bp`]'s loop. Each cast or binary link opens
-    /// a level its caller closes.
-    fn parse_expr_chain(&mut self, min_bp: u8, allow_struct: bool) -> LangResult<Expr> {
+        let depth = self.depth;
         let mut lhs = self.parse_unary(allow_struct)?;
         // `as` casts bind tighter than any binary operator but looser than
         // unary operators, matching Rust (`&x as *const i32` is `(&x) as _`).
@@ -597,6 +591,7 @@ impl Parser {
             let rhs = self.parse_expr_bp(r_bp, allow_struct)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
@@ -706,32 +701,21 @@ impl Parser {
         }
     }
 
+    /// Each postfix link nests the chain one level deeper.
     fn parse_postfix(&mut self, allow_struct: bool) -> LangResult<Expr> {
-        let entry_depth = self.depth;
-        let e = self.parse_postfix_chain(allow_struct);
-        self.depth = entry_depth;
-        e
-    }
-
-    /// [`Parser::parse_postfix`]'s loop. Each link opens a level its
-    /// caller closes.
-    fn parse_postfix_chain(&mut self, allow_struct: bool) -> LangResult<Expr> {
+        let depth = self.depth;
         let mut e = self.parse_primary(allow_struct)?;
         loop {
-            if matches!(
-                self.peek(),
-                TokenKind::LBracket | TokenKind::Dot | TokenKind::LParen
-            ) {
-                self.descend()?;
-            }
             match self.peek().clone() {
                 TokenKind::LBracket => {
+                    self.descend()?;
                     self.bump();
                     let idx = self.parse_expr_outer()?;
                     self.expect(&TokenKind::RBracket)?;
                     e = Expr::Index(Box::new(e), Box::new(idx));
                 }
                 TokenKind::Dot => {
+                    self.descend()?;
                     self.bump();
                     match self.bump() {
                         TokenKind::Int(n, None) => e = Expr::Field(Box::new(e), n as usize),
@@ -746,6 +730,7 @@ impl Parser {
                     // calls `f(args)` are consumed in `parse_primary`, so a
                     // `(` here always means a call through a value, e.g.
                     // `(f)(3)` on a function-pointer variable.
+                    self.descend()?;
                     self.bump();
                     let args = self.parse_args()?;
                     e = Expr::CallPtr(Box::new(e), args);
@@ -753,6 +738,7 @@ impl Parser {
                 _ => break,
             }
         }
+        self.depth = depth;
         Ok(e)
     }
 

@@ -64,7 +64,7 @@ impl Hasher for Fnv1a {
 /// its char count and its FNV-1a fold. Writing a text into it in any
 /// number of pieces yields the token count [`crate::tokens::count_tokens`]
 /// and the draw `hash01` would compute from the whole string.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy)]
 struct TextDigest {
     chars: usize,
     fnv: u64,

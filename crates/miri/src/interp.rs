@@ -406,17 +406,16 @@ impl<'p> Machine<'p> {
         write: bool,
         atomic: bool,
     ) {
+        // Only concurrent accesses can take part in a race (see
+        // `Access::conflicts`), so main's accesses outside a fork-join
+        // window are never logged.
+        if self.thread == 0 && !self.main_concurrent {
+            return;
+        }
         let Some(a) = self.mem.alloc(alloc) else {
             return;
         };
         if !matches!(a.kind, AllocKind::Heap | AllocKind::Static) {
-            return;
-        }
-        // Only concurrent accesses can take part in a race (see
-        // `Access::conflicts`), so main's accesses outside a fork-join
-        // window are never logged.
-        let concurrent = self.thread != 0 || self.main_concurrent;
-        if !concurrent {
             return;
         }
         self.log.record(Access {
@@ -427,7 +426,7 @@ impl<'p> Machine<'p> {
             write,
             atomic,
             locks: self.locks_held.clone(),
-            concurrent,
+            concurrent: true,
             path: Some(self.current_path.clone()),
         });
     }
