@@ -224,6 +224,8 @@ impl RustBrain {
 
     /// Repairs a failing program. `reference` is the gold observable output
     /// used for the acceptability dimension of the evaluation triplet.
+    /// `program` is copied once into a shared handle; a caller that
+    /// already holds one calls [`RustBrain::repair_shared`] instead.
     ///
     /// When a tracer is installed (see `rb_obs::trace::scope`) the repair
     /// emits a `repair` span whose direct children — the `fast` phase,

@@ -126,7 +126,9 @@ fn a_cold_batch_keeps_each_case_gold_handle() {
             .all(|c| golds.insert(program_key(&c.gold))),
         "the corpus repeats a gold program"
     );
-    let engine = Engine::new(2);
+    // One worker keeps the job order, and so which handle a miss stores,
+    // fixed.
+    let engine = Engine::new(1);
     let spec = SystemSpec::brain(rustbrain::RustBrainConfig::for_model(
         rb_llm::ModelId::Gpt4,
         4,
