@@ -3,8 +3,10 @@
 //! merge accounting, serializable to JSON.
 //!
 //! The vendored `serde` is a marker stub (see `vendor/README.md`), so the
-//! JSON encoding here is hand-rolled; [`EngineStats::to_json`] emits
-//! strictly valid JSON (finite numbers only, no trailing commas).
+//! JSON is written with `rb_obs::json`'s writers; [`EngineStats::to_json`]
+//! emits strictly valid JSON (finite numbers only, no trailing commas).
+
+use rb_obs::json::{fmt_num, fmt_str};
 
 use crate::cache::CacheStats;
 use crate::system::CaseResult;
@@ -96,35 +98,9 @@ pub struct EngineStats {
     pub sched: SchedStats,
 }
 
-/// Formats a float as a finite JSON number (non-finite values collapse to
-/// 0, which cannot occur in practice but keeps the output parseable).
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.4}")
-    } else {
-        "0".to_owned()
-    }
-}
-
 fn json_array<T, F: Fn(&T) -> String>(items: &[T], f: F) -> String {
     let body: Vec<String> = items.iter().map(f).collect();
     format!("[{}]", body.join(","))
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 impl EngineStats {
@@ -188,13 +164,13 @@ impl EngineStats {
             ),
             self.workers,
             self.cases,
-            json_num(self.wall_ms),
-            json_num(self.cases_per_sec),
-            json_array(&self.worker_utilization, |u| json_num(*u)),
+            fmt_num(self.wall_ms),
+            fmt_num(self.cases_per_sec),
+            json_array(&self.worker_utilization, |u| fmt_num(*u)),
             json_array(&self.worker_cases, |c| c.to_string()),
-            self.imbalance.map_or_else(|| "null".to_owned(), json_num),
-            json_num(self.simulated_overhead_ms),
-            json_num(self.kb_query_ms),
+            self.imbalance.map_or_else(|| "null".to_owned(), fmt_num),
+            fmt_num(self.simulated_overhead_ms),
+            fmt_num(self.kb_query_ms),
             self.oracle_executed,
             self.oracle_cached,
             self.oracle_prevetoed,
@@ -210,7 +186,7 @@ impl EngineStats {
             self.cache.entries,
             self.cache.evictions,
             self.cache.capacity,
-            json_num(self.cache.hit_rate()),
+            fmt_num(self.cache.hit_rate()),
         )
     }
 }
@@ -229,13 +205,13 @@ pub fn results_to_json(results: &[CaseResult]) -> String {
                 "\"acceptable\":{},\"overhead_ms\":{},",
                 "\"kb_queries\":{},\"kb_query_ms\":{}}}"
             ),
-            json_str(&r.case_id),
-            json_str(r.class.label()),
+            fmt_str(&r.case_id),
+            fmt_str(r.class.label()),
             r.passed,
             r.acceptable,
-            json_num(r.overhead_ms),
+            fmt_num(r.overhead_ms),
             r.kb_queries,
-            json_num(r.kb_query_ms),
+            fmt_num(r.kb_query_ms),
         )
     });
     format!("{{\"results\":{rows}}}")
@@ -297,9 +273,9 @@ mod tests {
 
     #[test]
     fn non_finite_numbers_never_leak() {
-        assert_eq!(json_num(f64::NAN), "0");
-        assert_eq!(json_num(f64::INFINITY), "0");
-        assert_eq!(json_num(1.0 / 3.0), "0.3333");
+        assert_eq!(fmt_num(f64::NAN), "0.0000");
+        assert_eq!(fmt_num(f64::INFINITY), "0.0000");
+        assert_eq!(fmt_num(1.0 / 3.0), "0.3333");
     }
 
     #[test]
@@ -377,7 +353,7 @@ mod tests {
 
     #[test]
     fn json_strings_are_escaped() {
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_str("n\nl"), "\"n\\u000al\"");
+        assert_eq!(fmt_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        assert_eq!(fmt_str("n\nl"), "\"n\\nl\"");
     }
 }

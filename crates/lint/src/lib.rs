@@ -25,7 +25,6 @@
 //! ([`rulecheck`]).
 
 pub mod flow;
-pub mod json;
 pub mod rulecheck;
 pub mod rules;
 

@@ -7,7 +7,7 @@
 //! ROADMAP's rule miner, which needs exactly this signal to prune a learned
 //! rule set. The audit is purely static: no oracle runs.
 
-use crate::{analyze, json::escape, Confidence};
+use crate::{analyze, Confidence};
 use rb_lang::Program;
 use rb_llm::rules::RepairRule;
 use rb_miri::{MiriError, UbClass};
@@ -33,26 +33,6 @@ impl RuleAudit {
     #[must_use]
     pub fn flagged(&self) -> bool {
         self.edits_produced > 0 && self.still_trips == self.edits_produced
-    }
-
-    /// JSON object for reports.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let cases: Vec<String> = self
-            .tripped_cases
-            .iter()
-            .map(|c| format!("\"{}\"", escape(c)))
-            .collect();
-        format!(
-            "{{\"rule\":\"{}\",\"cases_tried\":{},\"edits_produced\":{},\"still_trips\":{},\
-             \"flagged\":{},\"tripped_cases\":[{}]}}",
-            escape(self.rule),
-            self.cases_tried,
-            self.edits_produced,
-            self.still_trips,
-            self.flagged(),
-            cases.join(",")
-        )
     }
 }
 
@@ -114,13 +94,6 @@ pub fn audit_rules(cases: &[(String, Program)]) -> Vec<RuleAudit> {
             audit
         })
         .collect()
-}
-
-/// Renders a full audit as a JSON array.
-#[must_use]
-pub fn audits_json(audits: &[RuleAudit]) -> String {
-    let rows: Vec<String> = audits.iter().map(RuleAudit::to_json).collect();
-    format!("[{}]", rows.join(","))
 }
 
 #[cfg(test)]

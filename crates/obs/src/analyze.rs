@@ -21,16 +21,17 @@
 //!    imply), and [`diff`] (per-path deltas between two runs, sorted by
 //!    regression magnitude).
 //!
-//! The crate stays dependency-free, so the JSON decoding here is a
-//! small hand-rolled parser scoped to one object per line. Parsing is
-//! exact enough that [`TraceSpan::to_json_line`] reproduces a
-//! tracer-emitted line byte-for-byte — pinned by property tests.
+//! Lines are decoded by [`crate::json`], the stack's one JSON codec. It
+//! keeps integers exact and object members in source order, so
+//! [`TraceSpan::to_json_line`] reproduces a tracer-emitted line
+//! byte-for-byte — pinned by property tests.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::BufRead;
 use std::path::Path;
 
-use crate::trace::{fmt_sim_ms, json_escape};
+use crate::json::{self, ParseError, Value};
+use crate::trace::span_line;
 
 /// Fraction of a `repair` span's `sim_ms` its direct children must
 /// cover for [`check`] to pass — the same 95% gate CI has enforced
@@ -124,284 +125,11 @@ impl std::fmt::Display for AnalyzeError {
 
 impl std::error::Error for AnalyzeError {}
 
-// ---------------------------------------------------------------------------
-// A minimal JSON parser (one value), kept private to this module
-// ---------------------------------------------------------------------------
-
 /// Deepest nesting a trace line may use: the span object is level 0,
-/// its field values level 1, and no value may sit below level 64. The
-/// daemon's wire parser (`rb_serve::json`) uses the same bound.
-pub const MAX_JSON_DEPTH: usize = 64;
-
-/// Why one line failed to parse: malformed JSON, or nesting past
-/// [`MAX_JSON_DEPTH`].
-enum JsonError {
-    Syntax(String),
-    TooDeep,
-}
-
-impl From<String> for JsonError {
-    fn from(reason: String) -> JsonError {
-        JsonError::Syntax(reason)
-    }
-}
-
-impl From<&str> for JsonError {
-    fn from(reason: &str) -> JsonError {
-        JsonError::Syntax(reason.to_owned())
-    }
-}
-
-// Bool/Arr payloads are parsed for completeness but no span field is
-// ever one of them, so nothing reads the values back out.
-#[allow(dead_code)]
-enum JsonVal {
-    Null,
-    Bool(bool),
-    /// A number that lexed as a plain unsigned integer — kept exact so
-    /// span ids survive beyond 2^53.
-    UInt(u64),
-    Num(f64),
-    Str(String),
-    Arr(Vec<JsonVal>),
-    Obj(Vec<(String, JsonVal)>),
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    at: usize,
-    /// Containers open around the value being parsed (its level).
-    depth: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(text: &'a str) -> JsonParser<'a> {
-        JsonParser {
-            bytes: text.as_bytes(),
-            at: 0,
-            depth: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.at), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.at += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.at).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}",
-                char::from(byte),
-                self.at
-            ))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<JsonVal, JsonError> {
-        if self.depth > MAX_JSON_DEPTH {
-            return Err(JsonError::TooDeep);
-        }
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.nested(Self::parse_object),
-            Some(b'[') => self.nested(Self::parse_array),
-            Some(b'"') => Ok(JsonVal::Str(self.parse_string()?)),
-            Some(b't') => self.parse_literal("true", JsonVal::Bool(true)),
-            Some(b'f') => self.parse_literal("false", JsonVal::Bool(false)),
-            Some(b'n') => self.parse_literal("null", JsonVal::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            Some(c) => Err(format!("unexpected byte {:?} at {}", char::from(c), self.at).into()),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    /// Parses one container, its members one level deeper.
-    fn nested(
-        &mut self,
-        container: fn(&mut Self) -> Result<JsonVal, JsonError>,
-    ) -> Result<JsonVal, JsonError> {
-        self.depth += 1;
-        let value = container(self);
-        self.depth -= 1;
-        value
-    }
-
-    fn parse_literal(&mut self, word: &str, value: JsonVal) -> Result<JsonVal, JsonError> {
-        if self.bytes[self.at..].starts_with(word.as_bytes()) {
-            self.at += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.at).into())
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<JsonVal, JsonError> {
-        let start = self.at;
-        if self.peek() == Some(b'-') {
-            self.at += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.at += 1;
-        }
-        let token = std::str::from_utf8(&self.bytes[start..self.at])
-            .map_err(|_| "non-UTF-8 number".to_owned())?;
-        if !token.contains(['.', 'e', 'E', '-', '+']) {
-            if let Ok(v) = token.parse::<u64>() {
-                return Ok(JsonVal::UInt(v));
-            }
-        }
-        token
-            .parse::<f64>()
-            .map(JsonVal::Num)
-            .map_err(|_| format!("bad number {token:?}").into())
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_owned()),
-                Some(b'"') => {
-                    self.at += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.at += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.at += 1;
-                            let first = self.parse_hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&first) {
-                                // High surrogate: a \uXXXX pair must follow.
-                                if self.bytes[self.at..].starts_with(b"\\u") {
-                                    self.at += 2;
-                                    let second = self.parse_hex4()?;
-                                    if !(0xDC00..0xE000).contains(&second) {
-                                        return Err("unpaired surrogate".to_owned());
-                                    }
-                                    let cp = 0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00);
-                                    char::from_u32(cp).ok_or("bad surrogate pair")?
-                                } else {
-                                    return Err("unpaired surrogate".to_owned());
-                                }
-                            } else {
-                                char::from_u32(first).ok_or("bad \\u escape")?
-                            };
-                            out.push(c);
-                            continue; // parse_hex4 already advanced
-                        }
-                        _ => return Err("bad escape".to_owned()),
-                    }
-                    self.at += 1;
-                }
-                Some(_) => {
-                    // Consume one whole UTF-8 scalar (input is a &str,
-                    // so boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.at..])
-                        .map_err(|_| "non-UTF-8 string body".to_owned())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    if (c as u32) < 0x20 {
-                        return Err("raw control character in string".to_owned());
-                    }
-                    out.push(c);
-                    self.at += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32, String> {
-        let hex = self
-            .bytes
-            .get(self.at..self.at + 4)
-            .and_then(|b| std::str::from_utf8(b).ok())
-            .ok_or("truncated \\u escape")?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape {hex:?}"))?;
-        self.at += 4;
-        Ok(v)
-    }
-
-    fn parse_array(&mut self) -> Result<JsonVal, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.at += 1;
-            return Ok(JsonVal::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b']') => {
-                    self.at += 1;
-                    return Ok(JsonVal::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.at).into()),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<JsonVal, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.at += 1;
-            return Ok(JsonVal::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b'}') => {
-                    self.at += 1;
-                    return Ok(JsonVal::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.at).into()),
-            }
-        }
-    }
-}
-
-fn parse_json_object(text: &str) -> Result<Vec<(String, JsonVal)>, JsonError> {
-    let mut p = JsonParser::new(text);
-    let value = p.parse_value()?;
-    p.skip_ws();
-    if p.at != p.bytes.len() {
-        return Err(format!("trailing bytes after value at byte {}", p.at).into());
-    }
-    match value {
-        JsonVal::Obj(fields) => Ok(fields),
-        _ => Err("line is not a JSON object".into()),
-    }
-}
+/// its field values level 1, and no value may sit below level 64 — the
+/// one bound [`crate::json`] enforces for every reader, the daemon's
+/// included.
+pub use crate::json::MAX_DEPTH as MAX_JSON_DEPTH;
 
 // ---------------------------------------------------------------------------
 // TraceSpan + streaming reader
@@ -444,44 +172,15 @@ impl TraceSpan {
     /// the tracer produced the bytes round-trip too.
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        let mut line = String::with_capacity(128);
-        line.push_str("{\"id\":");
-        line.push_str(&self.id.to_string());
-        line.push_str(",\"parent\":");
-        match self.parent {
-            Some(p) => line.push_str(&p.to_string()),
-            None => line.push_str("null"),
-        }
-        line.push_str(",\"name\":");
-        line.push_str(&json_escape(&self.name));
-        line.push_str(",\"t_us\":");
-        line.push_str(&self.t_us.to_string());
-        line.push_str(",\"wall_us\":");
-        line.push_str(&self.wall_us.to_string());
-        line.push_str(",\"sim_ms\":");
-        line.push_str(&fmt_sim_ms(self.sim_ms));
-        line.push_str(",\"tags\":{");
-        for (i, (k, v)) in self.tags.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            line.push_str(&json_escape(k));
-            line.push(':');
-            line.push_str(&json_escape(v));
-        }
-        line.push_str("}}");
-        line
-    }
-}
-
-fn take_u64(val: &JsonVal, line: usize, field: &'static str) -> Result<u64, AnalyzeError> {
-    match val {
-        JsonVal::UInt(v) => Ok(*v),
-        _ => Err(AnalyzeError::Field {
-            line,
-            field,
-            reason: "expected an unsigned integer".to_owned(),
-        }),
+        span_line(
+            self.id,
+            self.parent,
+            &self.name,
+            self.t_us,
+            self.wall_us,
+            self.sim_ms,
+            self.tags.iter().map(|(k, v)| (k.as_str(), v.as_str())),
+        )
     }
 }
 
@@ -490,16 +189,37 @@ fn take_u64(val: &JsonVal, line: usize, field: &'static str) -> Result<u64, Anal
 /// compatibility); missing or mistyped required fields are
 /// [`AnalyzeError::Field`].
 pub fn parse_line(text: &str, line_no: usize) -> Result<TraceSpan, AnalyzeError> {
-    let fields = parse_json_object(text).map_err(|e| match e {
-        JsonError::Syntax(reason) => AnalyzeError::Json {
-            line: line_no,
-            reason,
-        },
-        JsonError::TooDeep => AnalyzeError::TooDeep {
-            line: line_no,
-            limit: MAX_JSON_DEPTH,
-        },
-    })?;
+    let fields = match json::parse(text) {
+        Ok(Value::Obj(fields)) => fields,
+        Ok(_) => {
+            return Err(AnalyzeError::Json {
+                line: line_no,
+                reason: "line is not a JSON object".to_owned(),
+            })
+        }
+        Err(ParseError::Syntax(reason)) => {
+            return Err(AnalyzeError::Json {
+                line: line_no,
+                reason,
+            })
+        }
+        Err(ParseError::TooDeep) => {
+            return Err(AnalyzeError::TooDeep {
+                line: line_no,
+                limit: MAX_JSON_DEPTH,
+            })
+        }
+    };
+    let bad = |field: &'static str, reason: String| AnalyzeError::Field {
+        line: line_no,
+        field,
+        reason,
+    };
+    let take_u64 = |value: &Value, field: &'static str| {
+        value
+            .as_u64()
+            .ok_or_else(|| bad(field, "expected an unsigned integer".to_owned()))
+    };
     let mut id = None;
     let mut parent = None;
     let mut parent_seen = false;
@@ -510,72 +230,41 @@ pub fn parse_line(text: &str, line_no: usize) -> Result<TraceSpan, AnalyzeError>
     let mut tags = None;
     for (key, value) in fields {
         match key.as_str() {
-            "id" => id = Some(take_u64(&value, line_no, "id")?),
+            "id" => id = Some(take_u64(&value, "id")?),
             "parent" => {
                 parent_seen = true;
                 parent = match value {
-                    JsonVal::Null => None,
-                    other => Some(take_u64(&other, line_no, "parent")?),
+                    Value::Null => None,
+                    other => Some(take_u64(&other, "parent")?),
                 };
             }
             "name" => match value {
-                JsonVal::Str(s) => name = Some(s),
-                _ => {
-                    return Err(AnalyzeError::Field {
-                        line: line_no,
-                        field: "name",
-                        reason: "expected a string".to_owned(),
-                    })
-                }
+                Value::Str(s) => name = Some(s),
+                _ => return Err(bad("name", "expected a string".to_owned())),
             },
-            "t_us" => t_us = Some(take_u64(&value, line_no, "t_us")?),
-            "wall_us" => wall_us = Some(take_u64(&value, line_no, "wall_us")?),
+            "t_us" => t_us = Some(take_u64(&value, "t_us")?),
+            "wall_us" => wall_us = Some(take_u64(&value, "wall_us")?),
             "sim_ms" => {
-                sim_ms = Some(match value {
-                    JsonVal::Num(v) if v.is_finite() => v,
-                    JsonVal::UInt(v) => v as f64,
-                    _ => {
-                        return Err(AnalyzeError::Field {
-                            line: line_no,
-                            field: "sim_ms",
-                            reason: "expected a finite number".to_owned(),
-                        })
-                    }
-                });
+                let ms = value.as_f64();
+                sim_ms = Some(ms.ok_or_else(|| bad("sim_ms", "expected a number".to_owned()))?);
             }
             "tags" => match value {
-                JsonVal::Obj(pairs) => {
+                Value::Obj(pairs) => {
                     let mut out = Vec::with_capacity(pairs.len());
                     for (k, v) in pairs {
                         match v {
-                            JsonVal::Str(s) => out.push((k, s)),
-                            _ => {
-                                return Err(AnalyzeError::Field {
-                                    line: line_no,
-                                    field: "tags",
-                                    reason: format!("tag {k:?} is not a string"),
-                                })
-                            }
+                            Value::Str(s) => out.push((k, s)),
+                            _ => return Err(bad("tags", format!("tag {k:?} is not a string"))),
                         }
                     }
                     tags = Some(out);
                 }
-                _ => {
-                    return Err(AnalyzeError::Field {
-                        line: line_no,
-                        field: "tags",
-                        reason: "expected an object".to_owned(),
-                    })
-                }
+                _ => return Err(bad("tags", "expected an object".to_owned())),
             },
             _ => {} // unknown field: ignore
         }
     }
-    let missing = |field: &'static str| AnalyzeError::Field {
-        line: line_no,
-        field,
-        reason: "missing".to_owned(),
-    };
+    let missing = |field: &'static str| bad(field, "missing".to_owned());
     if !parent_seen {
         return Err(missing("parent"));
     }

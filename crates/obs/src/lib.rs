@@ -17,6 +17,13 @@
 //!   a private registry instead (the serve daemon does, to keep its
 //!   per-server counters hermetic).
 //!
+//! Both halves write their JSON through [`json`], the stack's one JSON
+//! codec: a [`json::Value`] tree with a depth-bounded, RFC 8259-strict
+//! [`json::parse`] (integers exact to `u64::MAX`, object members in
+//! source order) and the string and number writers. The daemon's wire
+//! protocol, the engine's results and stats documents and the CLI's JSON
+//! reports use the same module.
+//!
 //! On top of the emitting half sits [`analyze`]: a streaming JSONL trace
 //! reader with typed errors (never panics on truncated or corrupt
 //! input), a span-tree builder that re-validates the tracer's contract,
@@ -29,6 +36,7 @@
 //! stream byte-identical.
 
 pub mod analyze;
+pub mod json;
 pub mod metrics;
 pub mod trace;
 

@@ -17,6 +17,8 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
+use crate::json::{fmt_num, fmt_str};
+
 /// Bucket upper bounds (inclusive) for simulated-millisecond latencies.
 /// Spans the cost model's range: a fast-path consult is tens to hundreds
 /// of ms, one slow-thinking step is 3000+, multi-solution repairs reach
@@ -160,15 +162,6 @@ impl std::fmt::Debug for MetricsRegistry {
     }
 }
 
-fn fmt_value(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        // Non-finite values never reach an exposition.
-        "0.0000".to_owned()
-    }
-}
-
 fn fmt_bound(b: f64) -> String {
     if b == b.trunc() && b.abs() < 1e15 {
         format!("{b:.0}")
@@ -182,22 +175,6 @@ fn series_name(name: &str, label: &Label) -> String {
         None => name.to_owned(),
         Some((k, v)) => format!("{name}{{{k}=\"{v}\"}}"),
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 impl MetricsRegistry {
@@ -308,7 +285,7 @@ impl MetricsRegistry {
             out.push_str(&format!("{} {v}\n", series_name(name, label)));
         }
         for (name, label, v) in inner.gauges.iter() {
-            out.push_str(&format!("{} {}\n", series_name(name, label), fmt_value(*v)));
+            out.push_str(&format!("{} {}\n", series_name(name, label), fmt_num(*v)));
         }
         for (name, label, h) in inner.histograms.iter() {
             let mut cumulative = 0u64;
@@ -330,7 +307,7 @@ impl MetricsRegistry {
             out.push_str(&format!(
                 "{} {}\n",
                 series_name(&format!("{name}_sum"), label),
-                fmt_value(h.sum)
+                fmt_num(h.sum)
             ));
             out.push_str(&format!(
                 "{} {}\n",
@@ -353,7 +330,7 @@ impl MetricsRegistry {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&json_escape(&series_name(name, label)));
+            out.push_str(&fmt_str(&series_name(name, label)));
             out.push(':');
             out.push_str(&v.to_string());
         }
@@ -362,18 +339,18 @@ impl MetricsRegistry {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&json_escape(&series_name(name, label)));
+            out.push_str(&fmt_str(&series_name(name, label)));
             out.push(':');
-            out.push_str(&fmt_value(*v));
+            out.push_str(&fmt_num(*v));
         }
         out.push_str("},\"histograms\":{");
         for (i, (name, label, h)) in inner.histograms.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&json_escape(&series_name(name, label)));
+            out.push_str(&fmt_str(&series_name(name, label)));
             out.push_str(":{\"sum\":");
-            out.push_str(&fmt_value(h.sum));
+            out.push_str(&fmt_num(h.sum));
             out.push_str(",\"count\":");
             out.push_str(&h.count.to_string());
             out.push_str(",\"buckets\":[");
@@ -383,7 +360,7 @@ impl MetricsRegistry {
                 }
                 out.push_str(&format!(
                     "[{},{}]",
-                    json_escape(&fmt_bound(*bound)),
+                    fmt_str(&fmt_bound(*bound)),
                     h.counts[j]
                 ));
             }

@@ -37,34 +37,37 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-/// Escapes a string into a JSON string literal (with quotes).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+use crate::json::{fmt_num, fmt_str};
 
-/// Formats a simulated-milliseconds value for the wire: fixed four
-/// decimals, and non-finite inputs (which instrumented code should never
-/// produce) clamp to zero rather than emitting invalid JSON.
-pub(crate) fn fmt_sim_ms(ms: f64) -> String {
-    if ms.is_finite() {
-        format!("{ms:.4}")
-    } else {
-        "0.0000".to_owned()
+/// One span record as the tracer emits it: fixed field order, tags in
+/// insertion order, `sim_ms` at four decimals. [`Span`]'s drop and
+/// [`crate::analyze::TraceSpan::to_json_line`] both write through here,
+/// so a parsed trace line re-serializes byte for byte.
+pub(crate) fn span_line<'a>(
+    id: u64,
+    parent: Option<u64>,
+    name: &str,
+    t_us: u64,
+    wall_us: u64,
+    sim_ms: f64,
+    tags: impl Iterator<Item = (&'a str, &'a str)>,
+) -> String {
+    let parent = parent.map_or_else(|| "null".to_owned(), |p| p.to_string());
+    let mut line = format!(
+        "{{\"id\":{id},\"parent\":{parent},\"name\":{},\"t_us\":{t_us},\"wall_us\":{wall_us},\"sim_ms\":{},\"tags\":{{",
+        fmt_str(name),
+        fmt_num(sim_ms)
+    );
+    for (i, (k, v)) in tags.enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        line.push_str(&fmt_str(k));
+        line.push(':');
+        line.push_str(&fmt_str(v));
     }
+    line.push_str("}}");
+    line
 }
 
 enum Sink {
@@ -308,32 +311,15 @@ impl Drop for Span {
             }
         });
         let wall_us = u64::try_from(inner.start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let mut line = String::with_capacity(128);
-        line.push_str("{\"id\":");
-        line.push_str(&inner.id.to_string());
-        line.push_str(",\"parent\":");
-        match inner.parent {
-            Some(p) => line.push_str(&p.to_string()),
-            None => line.push_str("null"),
-        }
-        line.push_str(",\"name\":");
-        line.push_str(&json_escape(inner.name));
-        line.push_str(",\"t_us\":");
-        line.push_str(&inner.t_us.to_string());
-        line.push_str(",\"wall_us\":");
-        line.push_str(&wall_us.to_string());
-        line.push_str(",\"sim_ms\":");
-        line.push_str(&fmt_sim_ms(inner.sim_ms));
-        line.push_str(",\"tags\":{");
-        for (i, (k, v)) in inner.tags.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            line.push_str(&json_escape(k));
-            line.push(':');
-            line.push_str(&json_escape(v));
-        }
-        line.push_str("}}");
+        let line = span_line(
+            inner.id,
+            inner.parent,
+            inner.name,
+            inner.t_us,
+            wall_us,
+            inner.sim_ms,
+            inner.tags.iter().map(|(k, v)| (*k, v.as_str())),
+        );
         inner.tracer.emit(&line);
     }
 }

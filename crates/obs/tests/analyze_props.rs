@@ -2,9 +2,11 @@
 //! valid traces, traces torn at an arbitrary byte, traces with one byte
 //! flipped — it yields typed [`AnalyzeError`]s, never panics; and every
 //! line the tracer emits parses back and re-serializes byte-for-byte.
+//! The codec underneath round-trips arbitrary strings and `u64`s.
 
 use proptest::prelude::*;
 use rb_obs::analyze::{self, AnalyzeError, SpanTree};
+use rb_obs::json::{self, fmt_str};
 use rb_obs::trace::{scope, span, Tracer};
 
 /// Span names the generator draws from — the real vocabulary plus names
@@ -55,6 +57,22 @@ fn emit(ops: &[(u8, u8, u32)]) -> Vec<String> {
         }
     }
     tracer.lines()
+}
+
+/// Strings drawn to stress the codec: each char is a control character,
+/// one of `"`, `\\` or `/`, any scalar value, or an astral one.
+fn string_strategy() -> impl Strategy<Value = String> {
+    prop::collection::vec((0u8..4, 0u32..0x11_0000), 0..24).prop_map(|chars| {
+        chars
+            .into_iter()
+            .map(|(kind, n)| match kind {
+                0 => char::from_u32(n % 0x20).unwrap_or('?'),
+                1 => ['"', '\\', '/'][n as usize % 3],
+                2 => char::from_u32(n).unwrap_or('\u{fffd}'),
+                _ => char::from_u32(0x1_0000 + n % 0x10_0000).unwrap_or('\u{fffd}'),
+            })
+            .collect()
+    })
 }
 
 /// Consumes every reader item, panicking only if the reader itself
@@ -136,5 +154,15 @@ proptest! {
         // Never panics; errors (if any) are typed by construction of
         // the Result item — draining is the assertion.
         let _ = drain(&bytes);
+    }
+
+    #[test]
+    fn json_strings_and_integers_round_trip(
+        s in string_strategy(),
+        n in any::<u64>(),
+    ) {
+        let parsed = json::parse(&fmt_str(&s));
+        prop_assert_eq!(parsed.as_ref().ok().and_then(json::Value::as_str), Some(s.as_str()));
+        prop_assert_eq!(json::parse(&n.to_string()).ok().and_then(|v| v.as_u64()), Some(n));
     }
 }

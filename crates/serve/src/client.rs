@@ -8,8 +8,7 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 use rb_miri::UbClass;
-
-use crate::json::fmt_str;
+use rb_obs::json::fmt_str;
 
 /// One open connection to a daemon. Requests pipeline naturally: each
 /// [`Client::call`] writes a line and reads exactly one response line.

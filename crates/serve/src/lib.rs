@@ -10,10 +10,11 @@
 //!
 //! The pieces:
 //!
-//! - [`json`] — a dependency-free JSON parser/emitter for the wire
-//!   protocol (the vendored serde is a build-marker stub).
-//! - [`protocol`] — the six verbs (`repair`, `batch`, `stats`,
-//!   `metrics`, `compact`, `shutdown`) and their request shapes.
+//! - [`json`] — a re-export of `rb_obs::json`, the stack's one JSON
+//!   codec, which parses request lines and writes every response.
+//! - [`protocol`] — the seven verbs (`repair`, `batch`, `analyze`,
+//!   `stats`, `metrics`, `compact`, `shutdown`), their request shapes,
+//!   and the JSON rendering of `rb_lint` analyses.
 //! - [`server`] — the daemon: accept loop, handler pool, lazy shard
 //!   faulting, threshold-triggered compaction, optional request tracing.
 //! - [`stats`] — [`stats::ServeStats`] telemetry, registry-backed
@@ -26,10 +27,13 @@
 //! smoke job diffs exactly that.
 
 pub mod client;
-pub mod json;
 pub mod protocol;
 pub mod server;
 pub mod stats;
+
+/// Kept only because perfbench imports `rb_serve::json::{parse, Value}`;
+/// everything in this workspace uses `rb_obs::json` directly.
+pub use rb_obs::json;
 
 pub use client::Client;
 pub use protocol::{parse_request, Request};

@@ -16,12 +16,17 @@
 //! {"verb":"shutdown"}
 //! ```
 //!
+//! An `analyze` answer embeds the lint's findings as rendered by
+//! [`analysis_json`], the same document `rustbrain analyze --json`
+//! prints.
+//!
 //! `repair` and `batch` default `seed` to 42 and `per_class` to 3 — the
 //! same defaults as the one-shot CLI, so a daemon answer and a CLI run
 //! of the same request are comparable byte for byte.
 
-use crate::json::Value;
+use rb_lint::{Analysis, Finding};
 use rb_miri::UbClass;
+use rb_obs::json::{self, fmt_str, Value};
 
 /// Default RNG seed when a request omits `"seed"` (the CLI default).
 pub const DEFAULT_SEED: u64 = 42;
@@ -103,7 +108,7 @@ fn parse_classes(value: &Value) -> Result<Vec<UbClass>, String> {
 /// Parses one request line. Errors are client-facing strings — the
 /// server wraps them into an `{"ok":false,...}` response.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let value = crate::json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
+    let value = json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
     let verb = value
         .get("verb")
         .and_then(Value::as_str)
@@ -184,9 +189,34 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// The uniform error response line (no trailing newline).
 #[must_use]
 pub fn error_response(message: &str) -> String {
+    format!("{{\"ok\":false,\"error\":{}}}", fmt_str(message))
+}
+
+/// One lint finding as a JSON object.
+#[must_use]
+pub fn finding_json(f: &Finding) -> String {
     format!(
-        "{{\"ok\":false,\"error\":{}}}",
-        crate::json::fmt_str(message)
+        "{{\"class\":{},\"kind\":{},\"confidence\":{},\"rule\":{},\"path\":{},\"message\":{}}}",
+        fmt_str(f.class.label()),
+        fmt_str(&format!("{:?}", f.kind)),
+        fmt_str(f.confidence.label()),
+        fmt_str(f.rule),
+        f.path
+            .as_ref()
+            .map_or_else(|| "null".to_owned(), |p| fmt_str(&p.to_string())),
+        fmt_str(&f.message),
+    )
+}
+
+/// A whole lint analysis as a JSON object.
+#[must_use]
+pub fn analysis_json(a: &Analysis) -> String {
+    let findings: Vec<String> = a.findings.iter().map(finding_json).collect();
+    format!(
+        "{{\"complete\":{},\"sound_findings\":{},\"findings\":[{}]}}",
+        a.complete,
+        a.sound_count(),
+        findings.join(",")
     )
 }
 
@@ -262,6 +292,14 @@ mod tests {
         };
         assert!(reference.is_empty());
         assert_eq!(seed, 42);
+        // Seeds are exact across the whole u64 range, as on the CLI.
+        for seed in [9_007_199_254_740_993, u64::MAX] {
+            let r = parse_request(&format!(r#"{{"verb":"batch","seed":{seed}}}"#)).unwrap();
+            assert!(
+                matches!(r, Request::Batch { seed: s, .. } if s == seed),
+                "{seed}"
+            );
+        }
     }
 
     #[test]
@@ -288,16 +326,30 @@ mod tests {
             r#"{"verb":"batch","classes":[]}"#,
             r#"{"verb":"batch","classes":["nope"]}"#,
             r#"{"verb":"batch","seed":1.5}"#,
+            r#"{"verb":"batch","seed":-1}"#,
+            r#"{"verb":"batch","seed":18446744073709551616}"#,
         ] {
             assert!(parse_request(bad).is_err(), "accepted {bad}");
         }
         // And the error response shape is itself valid JSON.
         let line = error_response("bad \"thing\"");
-        let v = crate::json::parse(&line).unwrap();
+        let v = json::parse(&line).unwrap();
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));
         assert_eq!(
             v.get("error").and_then(Value::as_str),
             Some("bad \"thing\"")
+        );
+    }
+
+    #[test]
+    fn empty_analysis_renders() {
+        let a = Analysis {
+            findings: vec![],
+            complete: true,
+        };
+        assert_eq!(
+            analysis_json(&a),
+            "{\"complete\":true,\"sound_findings\":0,\"findings\":[]}"
         );
     }
 

@@ -44,10 +44,10 @@ use rb_lang::parser::parse_program;
 use rb_lang::printer::print_program;
 use rb_llm::ModelId;
 use rb_miri::UbClass;
+use rb_obs::json::{fmt_num, fmt_str};
 use rustbrain::{KnowledgeBase, RustBrain, RustBrainConfig};
 
-use crate::json::{fmt_num, fmt_str};
-use crate::protocol::{error_response, parse_request, Request};
+use crate::protocol::{analysis_json, error_response, parse_request, Request};
 use crate::stats::{ServeStats, StatsRecorder, Verb};
 
 /// How the daemon is wired up: where it listens, how it repairs, and
@@ -485,7 +485,7 @@ fn handle_analyze(source: &str) -> Result<String, String> {
     Ok(format!(
         "{{\"ok\":true,\"verb\":\"analyze\",\"top_class\":{},\"analysis\":{}}}",
         top_class,
-        rb_lint::json::analysis_json(&analysis),
+        analysis_json(&analysis),
     ))
 }
 

@@ -107,7 +107,7 @@ impl ServeStats {
     /// floats at four decimals, stable field order).
     #[must_use]
     pub fn to_json(&self) -> String {
-        use crate::json::fmt_num;
+        use rb_obs::json::fmt_num;
         format!(
             concat!(
                 "{{\"uptime_ms\":{},\"requests\":{},\"errors\":{},",
@@ -409,6 +409,7 @@ fn percentiles(samples: &[f64]) -> (f64, f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rb_obs::json::{parse, Value};
 
     #[test]
     fn counters_accumulate_per_verb() {
@@ -494,7 +495,7 @@ mod tests {
         assert_eq!((s.p50_ms, s.p99_ms, s.max_ms), (0.0, 0.0, 0.0));
         assert_eq!(s.cache_hit_rate(), 0.0, "0/0 must not be NaN");
         let json = s.to_json();
-        assert!(crate::json::parse(&json).is_ok(), "{json}");
+        assert!(parse(&json).is_ok(), "{json}");
         assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
     }
 
@@ -560,16 +561,10 @@ mod tests {
         assert_eq!(s.trace_spans, 0);
         s.trace_active = true;
         s.trace_spans = 123;
-        let v = crate::json::parse(&s.to_json()).unwrap();
+        let v = parse(&s.to_json()).unwrap();
         let trace = v.get("trace").expect("trace section");
-        assert_eq!(
-            trace.get("active").and_then(crate::json::Value::as_bool),
-            Some(true)
-        );
-        assert_eq!(
-            trace.get("spans").and_then(crate::json::Value::as_u64),
-            Some(123)
-        );
+        assert_eq!(trace.get("active").and_then(Value::as_bool), Some(true));
+        assert_eq!(trace.get("spans").and_then(Value::as_u64), Some(123));
     }
 
     #[test]
@@ -579,21 +574,18 @@ mod tests {
         let mut s = rec.snapshot();
         s.resident_shards = 2;
         s.kb_entries = 10;
-        let v = crate::json::parse(&s.to_json()).unwrap();
-        assert_eq!(
-            v.get("requests").and_then(crate::json::Value::as_u64),
-            Some(1)
-        );
+        let v = parse(&s.to_json()).unwrap();
+        assert_eq!(v.get("requests").and_then(Value::as_u64), Some(1));
         assert_eq!(
             v.get("kb")
                 .and_then(|kb| kb.get("resident_shards"))
-                .and_then(crate::json::Value::as_u64),
+                .and_then(Value::as_u64),
             Some(2)
         );
         assert_eq!(
             v.get("latency")
                 .and_then(|l| l.get("p50_ms"))
-                .and_then(crate::json::Value::as_f64),
+                .and_then(Value::as_f64),
             Some(12.5)
         );
     }

@@ -15,11 +15,11 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use rb_engine::{results_to_json, Engine, SystemSpec};
 use rb_llm::ModelId;
 use rb_miri::UbClass;
+use rb_obs::json::{parse, Value};
 use rb_serve::client::{
     batch_request, compact_request, metrics_request, repair_request, shutdown_request,
     stats_request,
 };
-use rb_serve::json::{parse, Value};
 use rb_serve::server::{corpus_requests, seed_store};
 use rb_serve::{Client, ServeConfig, Server};
 use rustbrain::{KnowledgeBase, RustBrainConfig};
@@ -374,6 +374,61 @@ fn over_long_request_line_is_refused_and_the_connection_closed() {
         .and_then(Value::as_u64);
     assert_eq!(errors, Some(1), "{response}");
     client.call(&shutdown_request()).unwrap();
+    daemon.join().unwrap();
+}
+
+#[test]
+fn request_nesting_is_bounded_at_the_wire_limit() {
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        jobs: 1,
+        handlers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    let daemon = std::thread::spawn(move || server.run());
+
+    // The request object is level 0; its `pad` field nests `levels`
+    // arrays below it, the innermost at level `levels`.
+    let nested = |levels: usize| {
+        format!(
+            r#"{{"verb":"stats","pad":{}{}}}"#,
+            "[".repeat(levels),
+            "]".repeat(levels)
+        )
+    };
+    let mut client = Client::connect(&addr).unwrap();
+    let response = client.call(&nested(64)).unwrap();
+    assert_eq!(
+        parse(&response).unwrap().get("ok").and_then(Value::as_bool),
+        Some(true),
+        "64 levels were refused: {response}"
+    );
+    let response = client.call(&nested(65)).unwrap();
+    let v = parse(&response).unwrap();
+    assert_eq!(
+        v.get("ok").and_then(Value::as_bool),
+        Some(false),
+        "{response}"
+    );
+    assert!(
+        v.get("error")
+            .and_then(Value::as_str)
+            .is_some_and(|e| e.contains("deeper than 64")),
+        "{response}"
+    );
+    drop(client);
+
+    // A fresh connection is still answered.
+    let mut fresh = Client::connect(&addr).unwrap();
+    let response = fresh.call(&stats_request()).unwrap();
+    assert_eq!(
+        parse(&response).unwrap().get("ok").and_then(Value::as_bool),
+        Some(true),
+        "{response}"
+    );
+    fresh.call(&shutdown_request()).unwrap();
     daemon.join().unwrap();
 }
 

@@ -12,7 +12,7 @@ use rb_dataset::Corpus;
 use rb_engine::{results_to_json, Engine, SystemSpec};
 use rb_llm::ModelId;
 use rb_miri::UbClass;
-use rb_serve::json::{parse, Value};
+use rb_obs::json::{parse, Value};
 use rustbrain::RustBrainConfig;
 use std::collections::HashMap;
 

@@ -86,6 +86,7 @@ use rb_lang::parser::parse_program;
 use rb_lang::printer::print_program;
 use rb_llm::ModelId;
 use rb_miri::{DirectOracle, Oracle};
+use rb_obs::json::{self, fmt_str};
 use rustbrain::{RustBrain, RustBrainConfig};
 use std::path::Path;
 use std::process::ExitCode;
@@ -1301,17 +1302,17 @@ fn client_call(cli: &Cli, build: impl FnOnce(&Cli) -> Result<String, String>) ->
         }
     };
     println!("{response}");
-    let parsed = rb_serve::json::parse(&response).ok();
+    let parsed = json::parse(&response).ok();
     let ok = parsed
         .as_ref()
         .and_then(|v| v.get("ok"))
-        .and_then(rb_serve::json::Value::as_bool)
+        .and_then(json::Value::as_bool)
         .unwrap_or(false);
     if let Some(path) = &cli.results_out {
         let results = parsed
             .as_ref()
             .and_then(|v| v.get("results_json"))
-            .and_then(rb_serve::json::Value::as_str);
+            .and_then(json::Value::as_str);
         match results {
             Some(results) => {
                 if let Err(e) = std::fs::write(path, format!("{results}\n")) {
@@ -1346,7 +1347,7 @@ fn analyze_file(file: &str, src: &str, cli: &Cli) -> ExitCode {
     };
     let analysis = rb_lint::analyze(&program);
     if cli.json {
-        println!("{}", rb_lint::json::analysis_json(&analysis));
+        println!("{}", rb_serve::protocol::analysis_json(&analysis));
     } else {
         let verdict = if analysis.proves_clean() {
             "proven clean".to_owned()
@@ -1380,6 +1381,27 @@ fn analyze_file(file: &str, src: &str, cli: &Cli) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
+}
+
+/// The repair-rule audit as a JSON array, one object per rule.
+fn audits_json(audits: &[rb_lint::rulecheck::RuleAudit]) -> String {
+    let rows: Vec<String> = audits
+        .iter()
+        .map(|a| {
+            let cases: Vec<String> = a.tripped_cases.iter().map(|c| fmt_str(c)).collect();
+            format!(
+                "{{\"rule\":{},\"cases_tried\":{},\"edits_produced\":{},\"still_trips\":{},\
+                 \"flagged\":{},\"tripped_cases\":[{}]}}",
+                fmt_str(a.rule),
+                a.cases_tried,
+                a.edits_produced,
+                a.still_trips,
+                a.flagged(),
+                cases.join(",")
+            )
+        })
+        .collect();
+    format!("[{}]", rows.join(","))
 }
 
 /// `rustbrain analyze --corpus`: the lint's precision harness. Sweeps the
@@ -1425,9 +1447,9 @@ fn analyze_corpus(cli: &Cli) -> ExitCode {
             .iter()
             .map(|(class, r)| {
                 format!(
-                    "{{\"class\":\"{}\",\"cases\":{},\"agree\":{},\"complete\":{},\
+                    "{{\"class\":{},\"cases\":{},\"agree\":{},\"complete\":{},\
                      \"gold_sound_findings\":{}}}",
-                    class.label(),
+                    fmt_str(class.label()),
                     r[0],
                     r[1],
                     r[2],
@@ -1445,7 +1467,7 @@ fn analyze_corpus(cli: &Cli) -> ExitCode {
             total[2],
             total[3],
             by_class.join(","),
-            rb_lint::rulecheck::audits_json(&audits),
+            audits_json(&audits),
         );
     } else {
         println!(
