@@ -8,7 +8,7 @@ use crate::ast::{
     BinOp, Block, BuiltinKind, Expr, Function, IntTy, Lit, Mutability, Program, Stmt, StmtPath, Ty,
     UnOp,
 };
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A static-check diagnostic.
@@ -106,20 +106,7 @@ pub fn check_program(prog: &Program) -> Vec<CheckError> {
         errors: Vec::new(),
         scopes: Vec::new(),
         in_unsafe: false,
-        fn_sigs: prog
-            .funcs
-            .iter()
-            .map(|f| {
-                (
-                    f.name.clone(),
-                    (
-                        f.params.iter().map(|(_, t)| t.clone()).collect::<Vec<_>>(),
-                        f.ret.clone(),
-                        f.is_unsafe,
-                    ),
-                )
-            })
-            .collect(),
+        path: StmtPath::default(),
     };
     if prog.func("main").is_none() {
         cx.errors.push(CheckError {
@@ -140,66 +127,92 @@ pub fn is_well_formed(prog: &Program) -> bool {
     check_program(prog).is_empty()
 }
 
-type FnSig = (Vec<Ty>, Ty, bool);
+/// A type the checker inferred: borrowed from the program where the AST
+/// spells it out, built only by the expressions that construct one.
+type Inferred<'p> = Cow<'p, Ty>;
+
+/// Narrows a type to one of its components (a pointee, an element, a
+/// field), borrowing when the type itself is borrowed and cloning only
+/// the component otherwise.
+pub fn project<'p>(t: &Cow<'p, Ty>, part: impl Fn(&Ty) -> Option<&Ty>) -> Option<Cow<'p, Ty>> {
+    match t {
+        Cow::Borrowed(t) => part(t).map(Cow::Borrowed),
+        Cow::Owned(t) => part(t).cloned().map(Cow::Owned),
+    }
+}
 
 struct Checker<'p> {
     prog: &'p Program,
     errors: Vec<CheckError>,
-    scopes: Vec<HashMap<String, Ty>>,
+    /// Bindings in scope, outermost first; a block truncates the stack
+    /// back to its entry length when it ends, and lookups search from the
+    /// innermost end, so a later binding shadows an earlier one.
+    scopes: Vec<(&'p str, &'p Ty)>,
     in_unsafe: bool,
-    fn_sigs: HashMap<String, FnSig>,
+    /// Path of the statement being checked, updated in place.
+    path: StmtPath,
 }
 
 impl<'p> Checker<'p> {
-    fn err(&mut self, kind: CheckErrorKind, path: &StmtPath, message: impl Into<String>) {
+    fn err(&mut self, kind: CheckErrorKind, message: impl Into<String>) {
         self.errors.push(CheckError {
             kind,
-            path: Some(path.clone()),
+            path: Some(self.path.clone()),
             message: message.into(),
         });
     }
 
-    fn lookup(&self, name: &str) -> Option<&Ty> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
+    fn lookup(&self, name: &str) -> Option<&'p Ty> {
+        self.scopes
+            .iter()
+            .rev()
+            .find_map(|&(n, t)| (n == name).then_some(t))
     }
 
-    fn check_fn(&mut self, f: &Function, fi: usize) {
+    /// The signature a call by name resolves to. With duplicate names the
+    /// last definition wins.
+    fn callee(&self, name: &str) -> Option<&'p Function> {
+        self.prog.funcs.iter().rev().find(|f| f.name == name)
+    }
+
+    fn check_fn(&mut self, f: &'p Function, fi: usize) {
         self.scopes.clear();
-        let mut top = HashMap::new();
-        for (n, t) in &f.params {
-            top.insert(n.clone(), t.clone());
-        }
-        self.scopes.push(top);
+        self.scopes
+            .extend(f.params.iter().map(|(n, t)| (n.as_str(), t)));
         self.in_unsafe = f.is_unsafe;
-        let base = StmtPath {
-            func: fi,
-            steps: Vec::new(),
-        };
-        self.check_block(&f.body, &base, false);
-        self.scopes.pop();
+        self.path.func = fi;
+        self.path.steps.clear();
+        self.check_block(&f.body);
     }
 
-    fn check_block(&mut self, b: &Block, base: &StmtPath, new_scope: bool) {
-        if new_scope {
-            self.scopes.push(HashMap::new());
-        }
+    /// Checks a block in its own scope. The statement path gains one step
+    /// for the block's statements and loses it again at the end.
+    fn check_block(&mut self, b: &'p Block) {
+        let mark = self.scopes.len();
+        self.path.steps.push((0, 0));
         for (i, s) in b.stmts.iter().enumerate() {
-            let here = base.child(i, 0);
-            self.check_stmt(s, &here);
+            *self.path.steps.last_mut().expect("step pushed") = (i, 0);
+            self.check_stmt(s);
         }
-        if new_scope {
-            self.scopes.pop();
+        self.path.steps.pop();
+        self.scopes.truncate(mark);
+    }
+
+    /// Marks the current statement's child block: 0 for a body or `then`
+    /// block, 1 for an `else` block.
+    fn set_branch(&mut self, branch: u8) {
+        if let Some(s) = self.path.steps.last_mut() {
+            s.1 = branch;
         }
     }
 
-    fn check_stmt(&mut self, s: &Stmt, path: &StmtPath) {
+    fn check_stmt(&mut self, s: &'p Stmt) {
         match s {
             Stmt::Let { name, ty, init } => {
-                if let Some(it) = self.check_expr(init, path) {
+                if let Some(it) = self.check_expr(init) {
                     if !compatible(ty, &it) {
                         self.err(
                             CheckErrorKind::TypeMismatch,
-                            path,
                             format!(
                                 "let `{name}`: declared {} but initialiser has {}",
                                 crate::printer::print_ty(ty),
@@ -208,27 +221,22 @@ impl<'p> Checker<'p> {
                         );
                     }
                 }
-                self.scopes
-                    .last_mut()
-                    .expect("scope stack non-empty")
-                    .insert(name.clone(), ty.clone());
+                self.scopes.push((name, ty));
             }
             Stmt::Assign { place, value } => {
                 if !place.is_place() {
                     self.err(
                         CheckErrorKind::NotAPlace,
-                        path,
                         "assignment target is not a place",
                     );
                 }
-                self.check_place_unsafety(place, path);
-                let pt = self.check_expr(place, path);
-                let vt = self.check_expr(value, path);
+                self.check_place_unsafety(place);
+                let pt = self.check_expr(place);
+                let vt = self.check_expr(value);
                 if let (Some(pt), Some(vt)) = (pt, vt) {
                     if !compatible(&pt, &vt) {
                         self.err(
                             CheckErrorKind::TypeMismatch,
-                            path,
                             format!(
                                 "assignment of {} to place of type {}",
                                 crate::printer::print_ty(&vt),
@@ -239,100 +247,73 @@ impl<'p> Checker<'p> {
                 }
             }
             Stmt::Expr(e) | Stmt::Print(e) => {
-                self.check_expr(e, path);
+                self.check_expr(e);
             }
             Stmt::Unsafe(b) => {
                 let saved = self.in_unsafe;
                 self.in_unsafe = true;
-                let mut inner = path.clone();
-                if let Some(s) = inner.steps.last_mut() {
-                    s.1 = 0;
-                }
-                self.check_block(b, &inner, true);
+                self.check_block(b);
                 self.in_unsafe = saved;
             }
-            Stmt::Scope(b) | Stmt::Spawn(b) | Stmt::Lock(_, b) => {
-                let mut inner = path.clone();
-                if let Some(s) = inner.steps.last_mut() {
-                    s.1 = 0;
-                }
-                self.check_block(b, &inner, true);
-            }
+            Stmt::Scope(b) | Stmt::Spawn(b) | Stmt::Lock(_, b) => self.check_block(b),
             Stmt::If {
                 cond,
                 then_blk,
                 else_blk,
             } => {
-                self.expect_bool(cond, path);
-                let mut t = path.clone();
-                if let Some(s) = t.steps.last_mut() {
-                    s.1 = 0;
-                }
-                self.check_block(then_blk, &t, true);
+                self.expect_bool(cond);
+                self.check_block(then_blk);
                 if let Some(e) = else_blk {
-                    let mut ep = path.clone();
-                    if let Some(s) = ep.steps.last_mut() {
-                        s.1 = 1;
-                    }
-                    self.check_block(e, &ep, true);
+                    self.set_branch(1);
+                    self.check_block(e);
+                    self.set_branch(0);
                 }
             }
             Stmt::While { cond, body } => {
-                self.expect_bool(cond, path);
-                let mut inner = path.clone();
-                if let Some(s) = inner.steps.last_mut() {
-                    s.1 = 0;
-                }
-                self.check_block(body, &inner, true);
+                self.expect_bool(cond);
+                self.check_block(body);
             }
             Stmt::Assert { cond, .. } => {
-                self.expect_bool(cond, path);
+                self.expect_bool(cond);
             }
             Stmt::Return(e) => {
                 if let Some(e) = e {
-                    self.check_expr(e, path);
+                    self.check_expr(e);
                 }
             }
             Stmt::TailCall(name, args) => {
-                match self.fn_sigs.get(name).cloned() {
-                    Some((params, _, is_unsafe)) => {
-                        if params.len() != args.len() {
+                match self.callee(name) {
+                    Some(f) => {
+                        if f.params.len() != args.len() {
                             self.err(
                                 CheckErrorKind::ArityMismatch,
-                                path,
-                                format!("tailcall `{name}` expects {} args", params.len()),
+                                format!("tailcall `{name}` expects {} args", f.params.len()),
                             );
                         }
-                        if is_unsafe && !self.in_unsafe {
+                        if f.is_unsafe && !self.in_unsafe {
                             self.err(
                                 CheckErrorKind::RequiresUnsafe,
-                                path,
                                 format!("tailcall to unsafe fn `{name}` requires unsafe"),
                             );
                         }
                     }
                     None => {
-                        self.err(
-                            CheckErrorKind::UnknownFunc,
-                            path,
-                            format!("unknown fn `{name}`"),
-                        );
+                        self.err(CheckErrorKind::UnknownFunc, format!("unknown fn `{name}`"));
                     }
                 }
                 for a in args {
-                    self.check_expr(a, path);
+                    self.check_expr(a);
                 }
             }
             Stmt::JoinAll | Stmt::Nop => {}
         }
     }
 
-    fn expect_bool(&mut self, e: &Expr, path: &StmtPath) {
-        if let Some(t) = self.check_expr(e, path) {
-            if t != Ty::Bool {
+    fn expect_bool(&mut self, e: &'p Expr) {
+        if let Some(t) = self.check_expr(e) {
+            if *t != Ty::Bool {
                 self.err(
                     CheckErrorKind::TypeMismatch,
-                    path,
                     format!("condition has type {}", crate::printer::print_ty(&t)),
                 );
             }
@@ -340,57 +321,53 @@ impl<'p> Checker<'p> {
     }
 
     /// Reports E0133 problems in a place expression used for writing.
-    fn check_place_unsafety(&mut self, place: &Expr, path: &StmtPath) {
+    fn check_place_unsafety(&mut self, place: &'p Expr) {
         if self.in_unsafe {
             return;
         }
-        crate::visit::walk_expr(place, &mut |e| {
+        crate::visit::find_expr(place, &mut |e| -> Option<()> {
             let needs = match e {
                 Expr::Deref(inner) => {
-                    matches!(self.infer_quiet(inner), Some(Ty::RawPtr(..)))
+                    matches!(self.infer_quiet(inner).as_deref(), Some(Ty::RawPtr(..)))
                 }
                 Expr::StaticRef(n) => self.prog.static_def(n).is_some_and(|s| s.mutable),
                 Expr::UnionField(..) => true,
                 _ => false,
             };
             if needs {
-                self.errors.push(CheckError {
-                    kind: CheckErrorKind::RequiresUnsafe,
-                    path: Some(path.clone()),
-                    message: "operation requires an unsafe block (E0133)".into(),
-                });
+                self.err(
+                    CheckErrorKind::RequiresUnsafe,
+                    "operation requires an unsafe block (E0133)",
+                );
             }
+            None
         });
     }
 
-    fn infer_quiet(&self, e: &Expr) -> Option<Ty> {
+    fn infer_quiet(&self, e: &'p Expr) -> Option<Inferred<'p>> {
         match e {
-            Expr::Var(n) => self.lookup(n).cloned(),
-            Expr::StaticRef(n) => self.prog.static_def(n).map(|s| s.ty.clone()),
-            Expr::Cast(_, t) => Some(t.clone()),
-            Expr::Deref(inner) => {
-                let t = self.infer_quiet(inner)?;
-                t.pointee().cloned()
-            }
-            Expr::Lit(l) => Some(l.ty()),
+            Expr::Var(n) => self.lookup(n).map(Cow::Borrowed),
+            Expr::StaticRef(n) => self.prog.static_def(n).map(|s| Cow::Borrowed(&s.ty)),
+            Expr::Cast(_, t) => Some(Cow::Borrowed(t)),
+            Expr::Deref(inner) => project(&self.infer_quiet(inner)?, Ty::pointee),
+            Expr::Lit(l) => Some(Cow::Owned(l.ty())),
             _ => None,
         }
     }
 
     /// Checks an expression, returning its inferred type when determinable.
     #[allow(clippy::too_many_lines)]
-    fn check_expr(&mut self, e: &Expr, path: &StmtPath) -> Option<Ty> {
+    fn check_expr(&mut self, e: &'p Expr) -> Option<Inferred<'p>> {
         match e {
-            Expr::Lit(l) => Some(l.ty()),
+            Expr::Lit(l) => Some(Cow::Owned(l.ty())),
             Expr::Var(n) => {
                 if let Some(t) = self.lookup(n) {
-                    Some(t.clone())
+                    Some(Cow::Borrowed(t))
                 } else if let Some(f) = self.prog.func(n) {
-                    Some(f.fn_ptr_ty())
+                    Some(Cow::Owned(f.fn_ptr_ty()))
                 } else {
                     self.err(
                         CheckErrorKind::UndefinedVar,
-                        path,
                         format!("undefined variable `{n}`"),
                     );
                     None
@@ -401,40 +378,29 @@ impl<'p> Checker<'p> {
                     if s.mutable && !self.in_unsafe {
                         self.err(
                             CheckErrorKind::RequiresUnsafe,
-                            path,
                             format!("access to `static mut {n}` requires unsafe (E0133)"),
                         );
                     }
-                    Some(s.ty.clone())
+                    Some(Cow::Borrowed(&s.ty))
                 }
                 None => {
                     self.err(
                         CheckErrorKind::UndefinedVar,
-                        path,
                         format!("unknown static `{n}`"),
                     );
                     None
                 }
             },
             Expr::Unary(op, a) => {
-                let t = self.check_expr(a, path)?;
-                match op {
-                    UnOp::Neg => {
-                        if !t.is_int() {
-                            self.err(
-                                CheckErrorKind::TypeMismatch,
-                                path,
-                                "negation of non-integer",
-                            );
-                        }
-                        Some(t)
-                    }
-                    UnOp::Not => Some(t),
+                let t = self.check_expr(a)?;
+                if *op == UnOp::Neg && !t.is_int() {
+                    self.err(CheckErrorKind::TypeMismatch, "negation of non-integer");
                 }
+                Some(t)
             }
             Expr::Binary(op, a, b) => {
-                let ta = self.check_expr(a, path);
-                let tb = self.check_expr(b, path);
+                let ta = self.check_expr(a);
+                let tb = self.check_expr(b);
                 if let (Some(ta), Some(tb)) = (&ta, &tb) {
                     let arith_ok = ta == tb
                         || matches!(op, BinOp::Shl | BinOp::Shr)
@@ -443,7 +409,6 @@ impl<'p> Checker<'p> {
                     if !arith_ok {
                         self.err(
                             CheckErrorKind::TypeMismatch,
-                            path,
                             format!(
                                 "operands {} and {}",
                                 crate::printer::print_ty(ta),
@@ -453,174 +418,160 @@ impl<'p> Checker<'p> {
                     }
                 }
                 if op.is_comparison() || matches!(op, BinOp::And | BinOp::Or) {
-                    Some(Ty::Bool)
+                    Some(Cow::Owned(Ty::Bool))
                 } else {
                     ta.or(tb)
                 }
             }
             Expr::Cast(a, to) => {
-                self.check_expr(a, path);
-                Some(to.clone())
+                self.check_expr(a);
+                Some(Cow::Borrowed(to))
             }
             Expr::AddrOf(m, a) => {
-                let t = self.check_expr(a, path)?;
-                Some(Ty::Ref(Box::new(t), *m))
+                let t = self.check_expr(a)?;
+                Some(Cow::Owned(Ty::Ref(Box::new(t.into_owned()), *m)))
             }
             Expr::RawAddrOf(m, a) => {
-                let t = self.check_expr(a, path)?;
-                Some(Ty::RawPtr(Box::new(t), *m))
+                let t = self.check_expr(a)?;
+                Some(Cow::Owned(Ty::RawPtr(Box::new(t.into_owned()), *m)))
             }
             Expr::Deref(a) => {
-                let t = self.check_expr(a, path)?;
-                match &t {
-                    Ty::RawPtr(inner, _) => {
+                let t = self.check_expr(a)?;
+                match &*t {
+                    Ty::RawPtr(..) => {
                         if !self.in_unsafe {
                             self.err(
                                 CheckErrorKind::RequiresUnsafe,
-                                path,
                                 "raw-pointer dereference requires unsafe (E0133)",
                             );
                         }
-                        Some((**inner).clone())
                     }
-                    Ty::Ref(inner, _) | Ty::Boxed(inner) => Some((**inner).clone()),
+                    Ty::Ref(..) | Ty::Boxed(..) => {}
                     other => {
                         self.err(
                             CheckErrorKind::TypeMismatch,
-                            path,
                             format!("cannot deref {}", crate::printer::print_ty(other)),
                         );
-                        None
+                        return None;
                     }
                 }
+                project(&t, Ty::pointee)
             }
             Expr::Index(a, i) => {
-                let it = self.check_expr(i, path);
+                let it = self.check_expr(i);
                 if let Some(it) = it {
                     if !it.is_int() {
-                        self.err(
-                            CheckErrorKind::TypeMismatch,
-                            path,
-                            "index is not an integer",
-                        );
+                        self.err(CheckErrorKind::TypeMismatch, "index is not an integer");
                     }
                 }
-                let t = self.check_expr(a, path)?;
-                match t {
-                    Ty::Array(inner, _) => Some(*inner),
-                    Ty::Ref(b, _) => match *b {
-                        Ty::Array(inner, _) => Some(*inner),
+                let t = self.check_expr(a)?;
+                project(&t, |t| match t {
+                    Ty::Array(inner, _) => Some(&**inner),
+                    Ty::Ref(b, _) => match &**b {
+                        Ty::Array(inner, _) => Some(&**inner),
                         _ => None,
                     },
                     _ => None,
-                }
+                })
             }
             Expr::Field(a, n) => {
-                let t = self.check_expr(a, path)?;
-                match t {
-                    Ty::Tuple(items) => items.get(*n).cloned(),
+                let t = self.check_expr(a)?;
+                project(&t, |t| match t {
+                    Ty::Tuple(items) => items.get(*n),
                     _ => None,
-                }
+                })
             }
             Expr::Tuple(xs) => {
                 let ts: Vec<Ty> = xs
                     .iter()
-                    .map(|x| self.check_expr(x, path).unwrap_or(Ty::Unit))
+                    .map(|x| self.check_expr(x).map_or(Ty::Unit, Cow::into_owned))
                     .collect();
-                Some(Ty::Tuple(ts))
+                Some(Cow::Owned(Ty::Tuple(ts)))
             }
             Expr::ArrayLit(xs) => {
                 let mut elem = None;
                 for x in xs {
-                    elem = self.check_expr(x, path).or(elem);
+                    elem = self.check_expr(x).or(elem);
                 }
-                elem.map(|t| Ty::Array(Box::new(t), xs.len()))
+                elem.map(|t| Cow::Owned(Ty::Array(Box::new(t.into_owned()), xs.len())))
             }
             Expr::ArrayRepeat(v, n) => {
-                let t = self.check_expr(v, path)?;
-                Some(Ty::Array(Box::new(t), *n))
+                let t = self.check_expr(v)?;
+                Some(Cow::Owned(Ty::Array(Box::new(t.into_owned()), *n)))
             }
             Expr::Call(name, args) => {
                 for a in args {
-                    self.check_expr(a, path);
+                    self.check_expr(a);
                 }
-                if let Some((params, ret, is_unsafe)) = self.fn_sigs.get(name).cloned() {
-                    if params.len() != args.len() {
+                if let Some(f) = self.callee(name) {
+                    if f.params.len() != args.len() {
                         self.err(
                             CheckErrorKind::ArityMismatch,
-                            path,
-                            format!("`{name}` expects {} args, got {}", params.len(), args.len()),
+                            format!(
+                                "`{name}` expects {} args, got {}",
+                                f.params.len(),
+                                args.len()
+                            ),
                         );
                     }
-                    if is_unsafe && !self.in_unsafe {
+                    if f.is_unsafe && !self.in_unsafe {
                         self.err(
                             CheckErrorKind::RequiresUnsafe,
-                            path,
                             format!("call to unsafe fn `{name}` requires unsafe (E0133)"),
                         );
                     }
-                    Some(ret)
-                } else if let Some(t) = self.lookup(name).cloned() {
+                    Some(Cow::Borrowed(&f.ret))
+                } else if let Some(t) = self.lookup(name) {
                     // Call through a variable holding a function pointer.
                     match t {
-                        Ty::FnPtr(_, ret) => Some(*ret),
+                        Ty::FnPtr(_, ret) => Some(Cow::Borrowed(ret)),
                         _ => {
                             self.err(
                                 CheckErrorKind::UnknownFunc,
-                                path,
                                 format!("`{name}` is not callable"),
                             );
                             None
                         }
                     }
                 } else {
-                    self.err(
-                        CheckErrorKind::UnknownFunc,
-                        path,
-                        format!("unknown fn `{name}`"),
-                    );
+                    self.err(CheckErrorKind::UnknownFunc, format!("unknown fn `{name}`"));
                     None
                 }
             }
             Expr::CallPtr(c, args) => {
-                let t = self.check_expr(c, path);
+                let t = self.check_expr(c);
                 for a in args {
-                    self.check_expr(a, path);
+                    self.check_expr(a);
                 }
-                match t {
-                    Some(Ty::FnPtr(_, ret)) => Some(*ret),
-                    Some(other) => {
-                        self.err(
-                            CheckErrorKind::TypeMismatch,
-                            path,
-                            format!(
-                                "cannot call value of type {}",
-                                crate::printer::print_ty(&other)
-                            ),
-                        );
-                        None
-                    }
-                    None => None,
+                let t = t?;
+                if !matches!(*t, Ty::FnPtr(..)) {
+                    self.err(
+                        CheckErrorKind::TypeMismatch,
+                        format!("cannot call value of type {}", crate::printer::print_ty(&t)),
+                    );
+                    return None;
                 }
+                project(&t, |t| match t {
+                    Ty::FnPtr(_, ret) => Some(&**ret),
+                    _ => None,
+                })
             }
-            Expr::Builtin(b, tys, args) => self.check_builtin(*b, tys, args, path),
+            Expr::Builtin(b, tys, args) => self.check_builtin(*b, tys, args),
             Expr::UnionLit(u, f, v) => {
-                self.check_expr(v, path);
+                self.check_expr(v);
                 match self.prog.union_def(u) {
                     Some(def) => {
                         if !def.fields.iter().any(|(n, _)| n == f) {
                             self.err(
                                 CheckErrorKind::UnknownUnionField,
-                                path,
                                 format!("union `{u}` has no field `{f}`"),
                             );
                         }
-                        Some(Ty::Union(u.clone()))
+                        Some(Cow::Owned(Ty::Union(u.clone())))
                     }
                     None => {
                         self.err(
                             CheckErrorKind::UnknownUnionField,
-                            path,
                             format!("unknown union `{u}`"),
                         );
                         None
@@ -631,27 +582,23 @@ impl<'p> Checker<'p> {
                 if !self.in_unsafe {
                     self.err(
                         CheckErrorKind::RequiresUnsafe,
-                        path,
                         "union field access requires unsafe (E0133)",
                     );
                 }
-                let t = self.check_expr(a, path)?;
-                match t {
-                    Ty::Union(u) => {
-                        let def = self.prog.union_def(&u)?;
-                        match def.fields.iter().find(|(n, _)| n == f) {
-                            Some((_, ft)) => Some(ft.clone()),
-                            None => {
-                                self.err(
-                                    CheckErrorKind::UnknownUnionField,
-                                    path,
-                                    format!("union `{u}` has no field `{f}`"),
-                                );
-                                None
-                            }
-                        }
+                let t = self.check_expr(a)?;
+                let Ty::Union(u) = &*t else {
+                    return None;
+                };
+                let def = self.prog.union_def(u)?;
+                match def.fields.iter().find(|(n, _)| n == f) {
+                    Some((_, ft)) => Some(Cow::Borrowed(ft)),
+                    None => {
+                        self.err(
+                            CheckErrorKind::UnknownUnionField,
+                            format!("union `{u}` has no field `{f}`"),
+                        );
+                        None
                     }
-                    _ => None,
                 }
             }
         }
@@ -660,10 +607,9 @@ impl<'p> Checker<'p> {
     fn check_builtin(
         &mut self,
         b: BuiltinKind,
-        tys: &[Ty],
-        args: &[Expr],
-        path: &StmtPath,
-    ) -> Option<Ty> {
+        tys: &'p [Ty],
+        args: &'p [Expr],
+    ) -> Option<Inferred<'p>> {
         // Atomic builtins model `AtomicI32`-style statics: touching the
         // static through them is safe, so the first argument (the static)
         // is exempt from the static-mut E0133 rule.
@@ -672,12 +618,11 @@ impl<'p> Checker<'p> {
             if skip_static_arg && i == 0 && matches!(a, Expr::StaticRef(_)) {
                 continue;
             }
-            self.check_expr(a, path);
+            self.check_expr(a);
         }
         if b.is_unsafe() && !self.in_unsafe {
             self.err(
                 CheckErrorKind::RequiresUnsafe,
-                path,
                 format!("builtin `{}` requires unsafe (E0133)", b.name()),
             );
         }
@@ -685,7 +630,6 @@ impl<'p> Checker<'p> {
             if args.len() != n {
                 cx.err(
                     CheckErrorKind::ArityMismatch,
-                    path,
                     format!(
                         "builtin `{}` expects {n} args, got {}",
                         b.name(),
@@ -694,15 +638,16 @@ impl<'p> Checker<'p> {
                 );
             }
         };
-        let ty0 = tys.first().cloned();
+        let ty0 = tys.first().map(Cow::Borrowed);
+        let built = |t: Ty| Some(Cow::Owned(t));
         match b {
             BuiltinKind::Alloc => {
                 expect_args(self, 2);
-                Some(Ty::raw_u8_mut())
+                built(Ty::raw_u8_mut())
             }
             BuiltinKind::Dealloc => {
                 expect_args(self, 3);
-                Some(Ty::Unit)
+                built(Ty::Unit)
             }
             BuiltinKind::PtrRead | BuiltinKind::AssumeInitRead => {
                 expect_args(self, 1);
@@ -710,39 +655,34 @@ impl<'p> Checker<'p> {
             }
             BuiltinKind::PtrWrite => {
                 expect_args(self, 2);
-                Some(Ty::Unit)
+                built(Ty::Unit)
             }
             BuiltinKind::PtrOffset => {
                 expect_args(self, 2);
-                ty0.map(|t| Ty::raw(t, Mutability::Mut))
+                ty0.map(|t| Cow::Owned(Ty::raw(t.into_owned(), Mutability::Mut)))
             }
             BuiltinKind::Transmute => {
                 expect_args(self, 1);
                 if tys.len() != 2 {
                     self.err(
                         CheckErrorKind::BadBuiltin,
-                        path,
                         "transmute needs two type arguments",
                     );
                     return None;
                 }
-                Some(tys[1].clone())
+                Some(Cow::Borrowed(&tys[1]))
             }
-            BuiltinKind::BoxNew => {
+            BuiltinKind::BoxNew | BuiltinKind::BoxFromRaw => {
                 expect_args(self, 1);
-                ty0.map(|t| Ty::Boxed(Box::new(t)))
+                ty0.map(|t| Cow::Owned(Ty::Boxed(Box::new(t.into_owned()))))
             }
             BuiltinKind::BoxIntoRaw => {
                 expect_args(self, 1);
-                ty0.map(|t| Ty::raw(t, Mutability::Mut))
-            }
-            BuiltinKind::BoxFromRaw => {
-                expect_args(self, 1);
-                ty0.map(|t| Ty::Boxed(Box::new(t)))
+                ty0.map(|t| Cow::Owned(Ty::raw(t.into_owned(), Mutability::Mut)))
             }
             BuiltinKind::DropBox => {
                 expect_args(self, 1);
-                Some(Ty::Unit)
+                built(Ty::Unit)
             }
             BuiltinKind::GetUnchecked => {
                 expect_args(self, 2);
@@ -760,13 +700,11 @@ impl<'p> Checker<'p> {
             BuiltinKind::AtomicLoad => {
                 expect_args(self, 1);
                 match args.first() {
-                    Some(Expr::StaticRef(n)) => self.prog.static_def(n).map(|s| s.ty.clone()),
+                    Some(Expr::StaticRef(n)) => {
+                        self.prog.static_def(n).map(|s| Cow::Borrowed(&s.ty))
+                    }
                     _ => {
-                        self.err(
-                            CheckErrorKind::BadBuiltin,
-                            path,
-                            "atomic_load takes a static",
-                        );
+                        self.err(CheckErrorKind::BadBuiltin, "atomic_load takes a static");
                         None
                     }
                 }
@@ -774,13 +712,9 @@ impl<'p> Checker<'p> {
             BuiltinKind::AtomicStore => {
                 expect_args(self, 2);
                 if !matches!(args.first(), Some(Expr::StaticRef(_))) {
-                    self.err(
-                        CheckErrorKind::BadBuiltin,
-                        path,
-                        "atomic_store takes a static",
-                    );
+                    self.err(CheckErrorKind::BadBuiltin, "atomic_store takes a static");
                 }
-                Some(Ty::Unit)
+                built(Ty::Unit)
             }
             BuiltinKind::FromLeBytes => {
                 expect_args(self, 1);
@@ -788,22 +722,22 @@ impl<'p> Checker<'p> {
             }
             BuiltinKind::ToLeBytes => {
                 expect_args(self, 1);
-                match ty0 {
-                    Some(Ty::Int(t)) => Some(Ty::Array(Box::new(Ty::Int(IntTy::U8)), t.size())),
+                match ty0.as_deref() {
+                    Some(Ty::Int(t)) => built(Ty::Array(Box::new(Ty::Int(IntTy::U8)), t.size())),
                     _ => None,
                 }
             }
             BuiltinKind::PtrAddr => {
                 expect_args(self, 1);
-                Some(Ty::Int(IntTy::Usize))
+                built(Ty::Int(IntTy::Usize))
             }
             BuiltinKind::CopyNonoverlapping => {
                 expect_args(self, 3);
-                Some(Ty::Unit)
+                built(Ty::Unit)
             }
             BuiltinKind::Abort => {
                 expect_args(self, 0);
-                Some(Ty::Unit)
+                built(Ty::Unit)
             }
         }
     }

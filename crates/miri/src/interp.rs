@@ -12,9 +12,12 @@ use crate::borrows::RetagKind;
 use crate::diagnostics::{MiriError, MiriReport, UbKind};
 use crate::memory::{AllocKind, Memory};
 use crate::race::{Access, AccessLog};
-use crate::value::{from_bytes, to_bytes, value_matches_ty, AllocId, BorTag, Pointer, Value};
+use crate::value::{
+    from_bytes, to_bytes, to_bytes_into, value_matches_ty, AbByte, AllocId, BorTag, Pointer, Value,
+};
 use rb_lang::ast::{BinOp, Block, BuiltinKind, Expr, Lit, Program, Stmt, StmtPath, Ty, UnOp};
-use rb_lang::check::{check_program, ty_align, ty_size};
+use rb_lang::check::{check_program, project, ty_align, ty_size};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 
 /// Configuration of an oracle run.
@@ -105,54 +108,51 @@ enum Exc {
 type EvalResult = Result<Value, Exc>;
 type ExecResult = Result<Flow, Exc>;
 
-#[derive(Clone, Debug)]
-struct Local {
+/// A local's stack slot; its type is the one the program declares.
+#[derive(Clone, Copy)]
+struct Local<'p> {
     alloc: AllocId,
     tag: BorTag,
-    ty: Ty,
+    ty: &'p Ty,
 }
 
-/// One lexical scope's locals in declaration order. Re-declaring a name
-/// in the same scope replaces its entry in place, so iteration order —
-/// and with it the addresses a spawned thread's copies get — never
-/// depends on a hash seed.
-#[derive(Default)]
-struct Scope(Vec<(String, Local)>);
-
-impl Scope {
-    fn get(&self, name: &str) -> Option<&Local> {
-        self.0.iter().find(|(n, _)| n == name).map(|(_, l)| l)
-    }
-
-    fn insert(&mut self, name: &str, local: Local) {
-        match self.0.iter_mut().find(|(n, _)| n == name) {
-            Some(slot) => slot.1 = local,
-            None => self.0.push((name.to_owned(), local)),
-        }
-    }
-
-    fn locals(&self) -> impl Iterator<Item = &Local> {
-        self.0.iter().map(|(_, l)| l)
-    }
-}
-
+/// A call frame (or a spawned thread's body): its function and the index
+/// of its outermost scope in [`Machine::scope_marks`].
 struct Frame {
-    scopes: Vec<Scope>,
     fn_idx: usize,
+    first_scope: usize,
 }
 
-#[derive(Clone, Debug)]
-struct PlaceRef {
+/// A typed memory location. Its type is borrowed from the program when
+/// the program spells it out, and owned when it came from a pointer value.
+struct PlaceRef<'p> {
     alloc: AllocId,
     offset: i64,
     tag: BorTag,
-    ty: Ty,
+    ty: Cow<'p, Ty>,
+}
+
+/// The top-level statement being executed: diagnostics are attributed at
+/// this granularity. `stmt` is `None` before a function's first statement.
+#[derive(Clone, Copy, Default)]
+struct At {
+    func: usize,
+    stmt: Option<usize>,
+}
+
+impl At {
+    fn path(self) -> StmtPath {
+        StmtPath {
+            func: self.func,
+            steps: self.stmt.map(|i| (i, 0)).into_iter().collect(),
+        }
+    }
 }
 
 struct PendingThread<'p> {
-    env: Vec<(String, Ty, Value)>,
+    env: Vec<(&'p str, &'p Ty, Value)>,
     body: &'p Block,
-    spawn_path: StmtPath,
+    spawn_at: At,
 }
 
 struct Machine<'p> {
@@ -164,13 +164,23 @@ struct Machine<'p> {
     outputs: Vec<String>,
     steps: u64,
     frames: Vec<Frame>,
-    statics: HashMap<String, (AllocId, BorTag, Ty)>,
+    /// Locals of every open scope of every frame, outermost first, each
+    /// scope's in declaration order. Re-declaring a name in the same scope
+    /// replaces its entry in place, so iteration order — and with it the
+    /// addresses a spawned thread's copies get — never depends on a hash
+    /// seed.
+    locals: Vec<(&'p str, Local<'p>)>,
+    /// Start index in `locals` of each open scope, outermost first.
+    scope_marks: Vec<usize>,
+    statics: HashMap<&'p str, (AllocId, BorTag, &'p Ty)>,
     pending: Vec<PendingThread<'p>>,
     locks_held: BTreeSet<u32>,
     thread: usize,
     next_thread: usize,
     main_concurrent: bool,
-    current_path: StmtPath,
+    at: At,
+    /// Reused serialisation buffer for writes.
+    write_buf: Vec<AbByte>,
     completed: bool,
 }
 
@@ -185,13 +195,16 @@ impl<'p> Machine<'p> {
             outputs: Vec::new(),
             steps: 0,
             frames: Vec::new(),
+            locals: Vec::new(),
+            scope_marks: Vec::new(),
             statics: HashMap::new(),
             pending: Vec::new(),
             locks_held: BTreeSet::new(),
             thread: 0,
             next_thread: 1,
             main_concurrent: false,
-            current_path: StmtPath::default(),
+            at: At::default(),
+            write_buf: Vec::new(),
             completed: false,
         }
     }
@@ -207,7 +220,8 @@ impl<'p> Machine<'p> {
 
     fn run(&mut self) {
         // Initialise statics.
-        for s in &self.prog.statics {
+        let prog = self.prog;
+        for s in &prog.statics {
             let size = ty_size(self.prog, &s.ty).unwrap_or(8);
             let align = ty_align(self.prog, &s.ty).unwrap_or(8);
             let (id, tag, _) = self.mem.allocate(AllocKind::Static, size, align);
@@ -219,7 +233,7 @@ impl<'p> Machine<'p> {
             if let Ok(bytes) = to_bytes(self.prog, &v, &s.ty) {
                 let _ = self.mem.write_bytes(id, tag, 0, &bytes, 1);
             }
-            self.statics.insert(s.name.clone(), (id, tag, s.ty.clone()));
+            self.statics.insert(&s.name, (id, tag, &s.ty));
         }
         let Some(main_idx) = self.prog.funcs.iter().position(|f| f.name == "main") else {
             self.record(UbKind::IllFormed, "no main function".into());
@@ -278,7 +292,7 @@ impl<'p> Machine<'p> {
             self.errors.push(MiriError {
                 kind,
                 message,
-                path: Some(self.current_path.clone()),
+                path: Some(self.at.path()),
                 thread: self.thread,
             });
         }
@@ -305,46 +319,102 @@ impl<'p> Machine<'p> {
 
     // ---- frames and locals ------------------------------------------------
 
-    fn frame(&mut self) -> &mut Frame {
-        self.frames.last_mut().expect("at least one frame")
+    /// Index in `locals` where the current frame's locals start.
+    fn frame_start(&self) -> usize {
+        self.frames
+            .last()
+            .map_or(self.locals.len(), |f| self.scope_marks[f.first_scope])
     }
 
-    fn lookup_local(&self, name: &str) -> Option<&Local> {
-        let f = self.frames.last()?;
-        f.scopes.iter().rev().find_map(|s| s.get(name))
+    fn lookup_local(&self, name: &str) -> Option<Local<'p>> {
+        self.locals[self.frame_start()..]
+            .iter()
+            .rev()
+            .find_map(|&(n, l)| (n == name).then_some(l))
     }
 
-    fn push_scope(&mut self) {
-        self.frame().scopes.push(Scope::default());
+    fn push_frame(&mut self, fn_idx: usize) {
+        self.frames.push(Frame {
+            fn_idx,
+            first_scope: self.scope_marks.len(),
+        });
+        self.push_scope();
     }
 
-    fn pop_scope(&mut self) {
-        if let Some(scope) = self.frame().scopes.pop() {
-            for local in scope.locals() {
-                self.mem.kill_stack_slot(local.alloc);
+    /// Pops the current frame, killing the stack slots of all its scopes.
+    fn pop_frame(&mut self) {
+        if let Some(frame) = self.frames.pop() {
+            while self.scope_marks.len() > frame.first_scope {
+                self.pop_scope();
             }
         }
     }
 
-    fn declare_local(&mut self, name: &str, ty: Ty, value: Value) -> Result<(), Exc> {
-        let size = ty_size(self.prog, &ty)
+    fn push_scope(&mut self) {
+        self.scope_marks.push(self.locals.len());
+    }
+
+    fn pop_scope(&mut self) {
+        let mark = self.scope_marks.pop().expect("scope open");
+        for (_, local) in &self.locals[mark..] {
+            self.mem.kill_stack_slot(local.alloc);
+        }
+        self.locals.truncate(mark);
+    }
+
+    fn declare_local(&mut self, name: &'p str, ty: &'p Ty, value: Value) -> Result<(), Exc> {
+        let size = ty_size(self.prog, ty)
             .ok_or_else(|| Exc::Ub(UbKind::IllFormed, format!("unsized type for `{name}`")))?;
-        let align = ty_align(self.prog, &ty).unwrap_or(1);
+        let align = ty_align(self.prog, ty).unwrap_or(1);
         let (alloc, tag, _) = self.mem.allocate(AllocKind::Stack, size.max(1), align);
-        let bytes = to_bytes(self.prog, &value, &ty)
-            .map_err(|k| self.ub(k, "initialiser does not fit declared type"))?;
-        self.mem
-            .write_bytes(alloc, tag, 0, &bytes, 1)
-            .map_err(|k| self.ub(k, "writing initial value"))?;
-        self.frame()
-            .scopes
-            .last_mut()
-            .expect("scope present")
-            .insert(name, Local { alloc, tag, ty });
+        let slot = PlaceRef {
+            alloc,
+            offset: 0,
+            tag,
+            ty: Cow::Borrowed(ty),
+        };
+        self.write_value(
+            &slot,
+            &value,
+            1,
+            [
+                "initialiser does not fit declared type",
+                "writing initial value",
+            ],
+        )?;
+        let local = Local { alloc, tag, ty };
+        let scope = *self.scope_marks.last().expect("scope present");
+        match self.locals[scope..].iter_mut().find(|(n, _)| *n == name) {
+            Some(slot) => slot.1 = local,
+            None => self.locals.push((name, local)),
+        }
         Ok(())
     }
 
-    fn ub(&self, kind: UbKind, what: &str) -> Exc {
+    /// Serialises `value` at the place's type through the reused write
+    /// buffer and writes it, returning the byte count. `what` labels an
+    /// encoding failure and a memory failure.
+    fn write_value(
+        &mut self,
+        place: &PlaceRef<'p>,
+        value: &Value,
+        align: usize,
+        what: [&str; 2],
+    ) -> Result<usize, Exc> {
+        let mut buf = std::mem::take(&mut self.write_buf);
+        let r = match to_bytes_into(self.prog, value, &place.ty, &mut buf) {
+            Err(k) => Err(Self::ub(k, what[0])),
+            Ok(()) => self
+                .mem
+                .write_bytes(place.alloc, place.tag, place.offset, &buf, align)
+                .map(|()| buf.len())
+                .map_err(|k| Self::ub(k, what[1])),
+        };
+        self.write_buf = buf;
+        r
+    }
+
+    fn ub(kind: UbKind, what: &str) -> Exc {
         let msg = match kind {
             UbKind::UseAfterFree => format!("{what}: pointer to freed allocation (use-after-free)"),
             UbKind::UseAfterScope => {
@@ -427,85 +497,109 @@ impl<'p> Machine<'p> {
             atomic,
             locks: self.locks_held.clone(),
             concurrent: true,
-            path: Some(self.current_path.clone()),
+            path: Some(self.at.path()),
         });
     }
 
-    fn typed_read(&mut self, place: &PlaceRef, atomic: bool) -> EvalResult {
+    /// Reads a value of the place's type, decoding it straight from the
+    /// allocation's bytes.
+    fn typed_read(&mut self, place: &PlaceRef<'p>, atomic: bool) -> EvalResult {
         let size = ty_size(self.prog, &place.ty)
-            .ok_or_else(|| self.ub(UbKind::IllFormed, "read of unsized type"))?;
+            .ok_or_else(|| Self::ub(UbKind::IllFormed, "read of unsized type"))?;
         let align = ty_align(self.prog, &place.ty).unwrap_or(1);
         let bytes = self
             .mem
-            .read_bytes(place.alloc, place.tag, place.offset, size, align)
-            .map_err(|k| self.ub(k, "memory read"))?;
+            .read_slice(place.alloc, place.tag, place.offset, size, align)
+            .map_err(|k| Self::ub(k, "memory read"))?;
+        let value = from_bytes(self.prog, bytes, &place.ty);
         self.record_access(place.alloc, place.offset, size.max(1), false, atomic);
-        from_bytes(self.prog, &bytes, &place.ty).map_err(|k| self.ub(k, "typed read"))
+        value.map_err(|k| Self::ub(k, "typed read"))
     }
 
-    fn typed_write(&mut self, place: &PlaceRef, value: &Value, atomic: bool) -> Result<(), Exc> {
-        let bytes = to_bytes(self.prog, value, &place.ty).map_err(|k| self.ub(k, "typed write"))?;
+    fn typed_write(
+        &mut self,
+        place: &PlaceRef<'p>,
+        value: &Value,
+        atomic: bool,
+    ) -> Result<(), Exc> {
         let align = ty_align(self.prog, &place.ty).unwrap_or(1);
-        self.mem
-            .write_bytes(place.alloc, place.tag, place.offset, &bytes, align)
-            .map_err(|k| self.ub(k, "memory write"))?;
-        self.record_access(place.alloc, place.offset, bytes.len().max(1), true, atomic);
+        let len = self.write_value(place, value, align, ["typed write", "memory write"])?;
+        self.record_access(place.alloc, place.offset, len.max(1), true, atomic);
         Ok(())
     }
 
-    fn place_from_pointer(&mut self, p: &Pointer, what: &str) -> Result<PlaceRef, Exc> {
-        let Some((alloc, tag)) = p.prov else {
-            return Err(self.ub(UbKind::NoProvenance, what));
+    /// The place a pointer addresses, typed `ty`.
+    fn place_at(
+        &self,
+        prov: Option<(AllocId, BorTag)>,
+        addr: u64,
+        ty: Cow<'p, Ty>,
+        what: &str,
+    ) -> Result<PlaceRef<'p>, Exc> {
+        let Some((alloc, tag)) = prov else {
+            return Err(Self::ub(UbKind::NoProvenance, what));
         };
         let a = self
             .mem
             .alloc(alloc)
-            .ok_or_else(|| self.ub(UbKind::UseAfterFree, what))?;
-        let offset = p.addr as i64 - a.base as i64;
+            .ok_or_else(|| Self::ub(UbKind::UseAfterFree, what))?;
+        let offset = addr as i64 - a.base as i64;
         Ok(PlaceRef {
             alloc,
             offset,
             tag,
-            ty: p.pointee.clone(),
+            ty,
         })
+    }
+
+    /// The place a pointer value addresses, typed by its pointee.
+    fn place_from_pointer(&self, p: Pointer, what: &str) -> Result<PlaceRef<'p>, Exc> {
+        self.place_at(p.prov, p.addr, Cow::Owned(p.pointee), what)
+    }
+
+    /// The place of a local variable: one interpreter step, like any
+    /// place expression.
+    fn var_place(&mut self, name: &str) -> Result<PlaceRef<'p>, Exc> {
+        self.step()?;
+        match self.lookup_local(name) {
+            Some(l) => Ok(PlaceRef {
+                alloc: l.alloc,
+                offset: 0,
+                tag: l.tag,
+                ty: Cow::Borrowed(l.ty),
+            }),
+            None => Err(Exc::Ub(
+                UbKind::IllFormed,
+                format!("unknown place `{name}`"),
+            )),
+        }
     }
 
     // ---- place evaluation ---------------------------------------------------
 
-    fn eval_place(&mut self, e: &Expr) -> Result<PlaceRef, Exc> {
+    fn eval_place(&mut self, e: &'p Expr) -> Result<PlaceRef<'p>, Exc> {
+        if let Expr::Var(name) = e {
+            return self.var_place(name);
+        }
         self.step()?;
         match e {
-            Expr::Var(name) => {
-                if let Some(l) = self.lookup_local(name) {
-                    Ok(PlaceRef {
-                        alloc: l.alloc,
-                        offset: 0,
-                        tag: l.tag,
-                        ty: l.ty.clone(),
-                    })
-                } else {
-                    Err(Exc::Ub(
-                        UbKind::IllFormed,
-                        format!("unknown place `{name}`"),
-                    ))
-                }
-            }
             Expr::StaticRef(name) => {
-                let (alloc, tag, ty) = self.statics.get(name).cloned().ok_or_else(|| {
-                    Exc::Ub(UbKind::IllFormed, format!("unknown static `{name}`"))
-                })?;
+                let (alloc, tag, ty) =
+                    self.statics.get(name.as_str()).copied().ok_or_else(|| {
+                        Exc::Ub(UbKind::IllFormed, format!("unknown static `{name}`"))
+                    })?;
                 Ok(PlaceRef {
                     alloc,
                     offset: 0,
                     tag,
-                    ty,
+                    ty: Cow::Borrowed(ty),
                 })
             }
             Expr::Deref(inner) => {
                 let v = self.eval(inner)?;
                 match v {
                     Value::Ptr(p) | Value::Ref(p) | Value::Boxed(p) => {
-                        self.place_from_pointer(&p, "dereference")
+                        self.place_from_pointer(p, "dereference")
                     }
                     other => Err(Exc::Ub(
                         UbKind::IllFormed,
@@ -516,17 +610,24 @@ impl<'p> Machine<'p> {
             Expr::Index(base, idx) => {
                 let mut place = self.eval_place(base)?;
                 // Auto-deref references to arrays.
-                while let Ty::Ref(inner, _) | Ty::Boxed(inner) = place.ty.clone() {
+                while let Some(inner) = project(&place.ty, |t| match t {
+                    Ty::Ref(inner, _) | Ty::Boxed(inner) => Some(&**inner),
+                    _ => None,
+                }) {
                     let v = self.typed_read(&place, false)?;
                     let p = v
                         .as_pointer()
-                        .cloned()
-                        .ok_or_else(|| self.ub(UbKind::InvalidRef, "auto-deref"))?;
-                    place = self.place_from_pointer(&p.retype((*inner).clone()), "auto-deref")?;
+                        .ok_or_else(|| Self::ub(UbKind::InvalidRef, "auto-deref"))?;
+                    place = self.place_at(p.prov, p.addr, inner, "auto-deref")?;
                 }
-                let Ty::Array(elem, n) = place.ty.clone() else {
+                let Ty::Array(_, n) = *place.ty else {
                     return Err(Exc::Ub(UbKind::IllFormed, "indexing a non-array".into()));
                 };
+                let elem = project(&place.ty, |t| match t {
+                    Ty::Array(elem, _) => Some(&**elem),
+                    _ => None,
+                })
+                .expect("array type");
                 let iv = self
                     .eval(idx)?
                     .as_int()
@@ -538,17 +639,17 @@ impl<'p> Machine<'p> {
                     ));
                 }
                 let es = ty_size(self.prog, &elem)
-                    .ok_or_else(|| self.ub(UbKind::IllFormed, "unsized element"))?;
+                    .ok_or_else(|| Self::ub(UbKind::IllFormed, "unsized element"))?;
                 Ok(PlaceRef {
                     alloc: place.alloc,
                     offset: place.offset + (iv as i64) * es as i64,
                     tag: place.tag,
-                    ty: (*elem).clone(),
+                    ty: elem,
                 })
             }
             Expr::Field(base, k) => {
                 let place = self.eval_place(base)?;
-                let Ty::Tuple(ts) = place.ty.clone() else {
+                let Ty::Tuple(ts) = &*place.ty else {
                     return Err(Exc::Ub(
                         UbKind::IllFormed,
                         "field access on non-tuple".into(),
@@ -564,24 +665,29 @@ impl<'p> Machine<'p> {
                 for t in ts.iter().take(*k) {
                     off += ty_size(self.prog, t).unwrap_or(0) as i64;
                 }
+                let ty = project(&place.ty, |t| match t {
+                    Ty::Tuple(ts) => ts.get(*k),
+                    _ => None,
+                })
+                .expect("tuple field in range");
                 Ok(PlaceRef {
                     alloc: place.alloc,
                     offset: place.offset + off,
                     tag: place.tag,
-                    ty: ts[*k].clone(),
+                    ty,
                 })
             }
             Expr::UnionField(base, fname) => {
                 let place = self.eval_place(base)?;
-                let Ty::Union(uname) = place.ty.clone() else {
+                let Ty::Union(uname) = &*place.ty else {
                     return Err(Exc::Ub(
                         UbKind::IllFormed,
                         "union field on non-union".into(),
                     ));
                 };
-                let def = self
-                    .prog
-                    .union_def(&uname)
+                let prog = self.prog;
+                let def = prog
+                    .union_def(uname)
                     .ok_or_else(|| Exc::Ub(UbKind::IllFormed, "unknown union".into()))?;
                 let (_, fty) = def
                     .fields
@@ -592,7 +698,7 @@ impl<'p> Machine<'p> {
                     alloc: place.alloc,
                     offset: place.offset,
                     tag: place.tag,
-                    ty: fty.clone(),
+                    ty: Cow::Borrowed(fty),
                 })
             }
             other => Err(Exc::Ub(
@@ -608,7 +714,7 @@ impl<'p> Machine<'p> {
     // ---- expression evaluation ----------------------------------------------
 
     #[allow(clippy::too_many_lines)]
-    fn eval(&mut self, e: &Expr) -> EvalResult {
+    fn eval(&mut self, e: &'p Expr) -> EvalResult {
         self.step()?;
         match e {
             Expr::Lit(Lit::Unit) => Ok(Value::Unit),
@@ -665,13 +771,13 @@ impl<'p> Machine<'p> {
                 let tag = self
                     .mem
                     .retag(place.alloc, place.tag, kind)
-                    .map_err(|k| self.ub(k, "reference retag"))?;
+                    .map_err(|k| Self::ub(k, "reference retag"))?;
                 let base = self.mem.alloc(place.alloc).expect("live").base;
                 Ok(Value::Ref(Pointer::with_prov(
                     place.alloc,
                     tag,
                     base.wrapping_add(place.offset as u64),
-                    place.ty,
+                    place.ty.into_owned(),
                 )))
             }
             Expr::RawAddrOf(_, place_e) => {
@@ -679,13 +785,13 @@ impl<'p> Machine<'p> {
                 let tag = self
                     .mem
                     .retag(place.alloc, place.tag, RetagKind::Raw)
-                    .map_err(|k| self.ub(k, "raw-pointer retag"))?;
+                    .map_err(|k| Self::ub(k, "raw-pointer retag"))?;
                 let base = self.mem.alloc(place.alloc).expect("live").base;
                 Ok(Value::Ptr(Pointer::with_prov(
                     place.alloc,
                     tag,
                     base.wrapping_add(place.offset as u64),
-                    place.ty,
+                    place.ty.into_owned(),
                 )))
             }
             Expr::Deref(_) | Expr::Index(..) | Expr::Field(..) | Expr::UnionField(..) => {
@@ -718,7 +824,11 @@ impl<'p> Machine<'p> {
                     }
                     self.call_function(idx, vals)
                 } else if self.lookup_local(name).is_some() {
-                    let callee = self.eval(&Expr::Var(name.clone()))?;
+                    // Evaluate the variable like any operand: one step for
+                    // the expression, one for its place.
+                    self.step()?;
+                    let place = self.var_place(name)?;
+                    let callee = self.typed_read(&place, false)?;
                     self.call_value(callee, args)
                 } else {
                     Err(Exc::Ub(
@@ -745,9 +855,9 @@ impl<'p> Machine<'p> {
                     .clone();
                 let val = self.eval(v)?;
                 let mut bytes =
-                    to_bytes(self.prog, &val, &fty).map_err(|k| self.ub(k, "union literal"))?;
+                    to_bytes(self.prog, &val, &fty).map_err(|k| Self::ub(k, "union literal"))?;
                 let (size, _) = rb_lang::check::union_layout(self.prog, uname)
-                    .ok_or_else(|| self.ub(UbKind::IllFormed, "union layout"))?;
+                    .ok_or_else(|| Self::ub(UbKind::IllFormed, "union layout"))?;
                 bytes.resize(size, crate::value::AbByte::Uninit);
                 Ok(Value::Union {
                     name: uname.clone(),
@@ -757,7 +867,7 @@ impl<'p> Machine<'p> {
         }
     }
 
-    fn eval_binary(&mut self, op: BinOp, a: &Expr, b: &Expr) -> EvalResult {
+    fn eval_binary(&mut self, op: BinOp, a: &'p Expr, b: &'p Expr) -> EvalResult {
         // Short-circuit logic first.
         if matches!(op, BinOp::And | BinOp::Or) {
             let av = self
@@ -904,7 +1014,7 @@ impl<'p> Machine<'p> {
                     let fresh = self
                         .mem
                         .retag(alloc, tag, RetagKind::Raw)
-                        .map_err(|k| self.ub(k, "ref-to-raw cast"))?;
+                        .map_err(|k| Self::ub(k, "ref-to-raw cast"))?;
                     Ok(Value::Ptr(Pointer::with_prov(
                         alloc,
                         fresh,
@@ -927,7 +1037,7 @@ impl<'p> Machine<'p> {
         }
     }
 
-    fn call_value(&mut self, callee: Value, args: &[Expr]) -> EvalResult {
+    fn call_value(&mut self, callee: Value, args: &'p [Expr]) -> EvalResult {
         let mut vals = Vec::with_capacity(args.len());
         for a in args {
             vals.push(self.eval(a)?);
@@ -979,13 +1089,10 @@ impl<'p> Machine<'p> {
                 format!("`{}` called with wrong arity", f.name),
             ));
         }
-        self.frames.push(Frame {
-            scopes: vec![Scope::default()],
-            fn_idx: idx,
-        });
+        self.push_frame(idx);
         let mut result = Ok(Value::Unit);
         for ((name, ty), v) in f.params.iter().zip(args) {
-            if let Err(e) = self.declare_local(name, ty.clone(), v) {
+            if let Err(e) = self.declare_local(name, ty, v) {
                 result = Err(e);
                 break;
             }
@@ -997,14 +1104,7 @@ impl<'p> Machine<'p> {
                 Err(e) => Err(e),
             };
         }
-        // Kill the frame's stack slots.
-        if let Some(frame) = self.frames.pop() {
-            for scope in frame.scopes {
-                for local in scope.locals() {
-                    self.mem.kill_stack_slot(local.alloc);
-                }
-            }
-        }
+        self.pop_frame();
         result
     }
 
@@ -1012,7 +1112,10 @@ impl<'p> Machine<'p> {
     fn exec_fn_body(&mut self, body: &'p Block, fn_idx: usize) -> ExecResult {
         for (i, s) in body.stmts.iter().enumerate() {
             self.err_cap_check()?;
-            self.current_path = StmtPath::top(fn_idx, i);
+            self.at = At {
+                func: fn_idx,
+                stmt: Some(i),
+            };
             match self.exec_stmt(s) {
                 Ok(Flow::Normal) => {}
                 Ok(Flow::Return(v)) => return Ok(Flow::Return(v)),
@@ -1046,7 +1149,7 @@ impl<'p> Machine<'p> {
         match s {
             Stmt::Let { name, ty, init } => {
                 let v = self.eval(init)?;
-                self.declare_local(name, ty.clone(), v)?;
+                self.declare_local(name, ty, v)?;
                 Ok(Flow::Normal)
             }
             Stmt::Assign { place, value } => {
@@ -1137,27 +1240,20 @@ impl<'p> Machine<'p> {
             }
             Stmt::Spawn(b) => {
                 // Snapshot visible locals by value, outer scope to inner,
-                // each in declaration order.
-                let names: Vec<(String, Ty)> = self
-                    .frames
-                    .last()
-                    .map(|f| {
-                        f.scopes
-                            .iter()
-                            .flat_map(|s| s.0.iter().map(|(n, l)| (n.clone(), l.ty.clone())))
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                let mut env = Vec::with_capacity(names.len());
-                for (n, t) in names {
-                    let place = self.eval_place(&Expr::Var(n.clone()))?;
+                // each in declaration order. Each is read through its name,
+                // so a shadowed entry copies the binding that shadows it.
+                let (start, end) = (self.frame_start(), self.locals.len());
+                let mut env = Vec::with_capacity(end - start);
+                for i in start..end {
+                    let (n, l) = self.locals[i];
+                    let place = self.var_place(n)?;
                     let v = self.typed_read(&place, false)?;
-                    env.push((n, t, v));
+                    env.push((n, l.ty, v));
                 }
                 self.pending.push(PendingThread {
                     env,
                     body: b,
-                    spawn_path: self.current_path.clone(),
+                    spawn_at: self.at,
                 });
                 self.main_concurrent = true;
                 Ok(Flow::Normal)
@@ -1191,15 +1287,13 @@ impl<'p> Machine<'p> {
                 let cur = self.frames.last().map_or(0, |f| f.fn_idx);
                 let cur_f = &self.prog.funcs[cur];
                 let tgt = &self.prog.funcs[idx];
-                let cur_sig: (Vec<Ty>, Ty) = (
-                    cur_f.params.iter().map(|(_, t)| t.clone()).collect(),
-                    cur_f.ret.clone(),
-                );
-                let tgt_sig: (Vec<Ty>, Ty) = (
-                    tgt.params.iter().map(|(_, t)| t.clone()).collect(),
-                    tgt.ret.clone(),
-                );
-                if cur_sig != tgt_sig {
+                let same_sig = cur_f.ret == tgt.ret
+                    && cur_f
+                        .params
+                        .iter()
+                        .map(|(_, t)| t)
+                        .eq(tgt.params.iter().map(|(_, t)| t));
+                if !same_sig {
                     return Err(Exc::Ub(
                         UbKind::TailCallMismatch,
                         format!(
@@ -1227,14 +1321,11 @@ impl<'p> Machine<'p> {
             let saved_thread = self.thread;
             let saved_locks = std::mem::take(&mut self.locks_held);
             self.thread = id;
-            self.frames.push(Frame {
-                scopes: vec![Scope::default()],
-                fn_idx: 0,
-            });
-            self.current_path = t.spawn_path.clone();
+            self.push_frame(0);
+            self.at = t.spawn_at;
             let mut failed = false;
             for (n, ty, v) in t.env {
-                if let Err(e) = self.declare_local(&n, ty, v) {
+                if let Err(e) = self.declare_local(n, ty, v) {
                     if let Exc::Ub(k, m) | Exc::Panic(k, m) = e {
                         self.record(k, m);
                     }
@@ -1254,13 +1345,7 @@ impl<'p> Machine<'p> {
                         }
                         Err(e @ (Exc::Stop(..) | Exc::Abort)) => {
                             // Restore context before propagating.
-                            if let Some(frame) = self.frames.pop() {
-                                for scope in frame.scopes {
-                                    for local in scope.locals() {
-                                        self.mem.kill_stack_slot(local.alloc);
-                                    }
-                                }
-                            }
+                            self.pop_frame();
                             self.thread = saved_thread;
                             self.locks_held = saved_locks;
                             return Err(e);
@@ -1268,13 +1353,7 @@ impl<'p> Machine<'p> {
                     }
                 }
             }
-            if let Some(frame) = self.frames.pop() {
-                for scope in frame.scopes {
-                    for local in scope.locals() {
-                        self.mem.kill_stack_slot(local.alloc);
-                    }
-                }
-            }
+            self.pop_frame();
             self.thread = saved_thread;
             self.locks_held = saved_locks;
         }
@@ -1284,8 +1363,12 @@ impl<'p> Machine<'p> {
     // ---- builtins -------------------------------------------------------------
 
     #[allow(clippy::too_many_lines)]
-    fn eval_builtin(&mut self, b: BuiltinKind, tys: &[Ty], args: &[Expr]) -> EvalResult {
-        let ty0 = tys.first();
+    fn eval_builtin(&mut self, b: BuiltinKind, tys: &'p [Ty], args: &'p [Expr]) -> EvalResult {
+        // The builtin's first type argument, or `default` when it has none.
+        let ty0 = |default: rb_lang::IntTy| {
+            tys.first()
+                .map_or(Cow::Owned(Ty::Int(default)), Cow::Borrowed)
+        };
         match b {
             BuiltinKind::Alloc => {
                 let size = self.eval_usize(&args[0])?;
@@ -1309,7 +1392,7 @@ impl<'p> Machine<'p> {
                 let size = self.eval_usize(&args[1])?;
                 let align = self.eval_usize(&args[2])?;
                 let Some((alloc, _tag)) = p.prov else {
-                    return Err(self.ub(UbKind::NoProvenance, "dealloc"));
+                    return Err(Self::ub(UbKind::NoProvenance, "dealloc"));
                 };
                 let base = self.mem.alloc(alloc).map_or(0, |a| a.base);
                 if p.addr != base {
@@ -1320,25 +1403,25 @@ impl<'p> Machine<'p> {
                 }
                 self.mem
                     .deallocate(alloc, size, align)
-                    .map_err(|k| self.ub(k, "dealloc"))?;
+                    .map_err(|k| Self::ub(k, "dealloc"))?;
                 Ok(Value::Unit)
             }
             BuiltinKind::PtrRead => {
-                let t = ty0.cloned().unwrap_or(Ty::Int(rb_lang::IntTy::U8));
+                let t = ty0(rb_lang::IntTy::U8);
                 let p = self.eval_ptr(&args[0])?;
-                let place = self.place_from_pointer(&p.retype(t), "ptr_read")?;
+                let place = self.place_at(p.prov, p.addr, t, "ptr_read")?;
                 self.typed_read(&place, false)
             }
             BuiltinKind::PtrWrite => {
-                let t = ty0.cloned().unwrap_or(Ty::Int(rb_lang::IntTy::U8));
+                let t = ty0(rb_lang::IntTy::U8);
                 let p = self.eval_ptr(&args[0])?;
                 let v = self.eval(&args[1])?;
-                let place = self.place_from_pointer(&p.retype(t), "ptr_write")?;
+                let place = self.place_at(p.prov, p.addr, t, "ptr_write")?;
                 self.typed_write(&place, &v, false)?;
                 Ok(Value::Unit)
             }
             BuiltinKind::PtrOffset => {
-                let t = ty0.cloned().unwrap_or(Ty::Int(rb_lang::IntTy::U8));
+                let t = ty0(rb_lang::IntTy::U8);
                 let p = self.eval_ptr(&args[0])?;
                 let n = self
                     .eval(&args[1])?
@@ -1350,24 +1433,24 @@ impl<'p> Machine<'p> {
                     let a = self
                         .mem
                         .alloc(alloc)
-                        .ok_or_else(|| self.ub(UbKind::UseAfterFree, "ptr_offset"))?;
+                        .ok_or_else(|| Self::ub(UbKind::UseAfterFree, "ptr_offset"))?;
                     let lo = a.base;
                     let hi = a.base + a.size as u64; // one-past-end allowed
                     if new_addr < lo || new_addr > hi {
                         return Err(if self.mem.alloc_at(new_addr).is_some() {
-                            self.ub(
+                            Self::ub(
                                 UbKind::CrossAllocation,
                                 "ptr_offset into another allocation",
                             )
                         } else {
-                            self.ub(UbKind::OutOfBounds, "ptr_offset")
+                            Self::ub(UbKind::OutOfBounds, "ptr_offset")
                         });
                     }
                 }
                 Ok(Value::Ptr(Pointer {
                     prov: p.prov,
                     addr: new_addr,
-                    pointee: t,
+                    pointee: t.into_owned(),
                 }))
             }
             BuiltinKind::Transmute => {
@@ -1391,14 +1474,14 @@ impl<'p> Machine<'p> {
                     ));
                 }
                 let v = self.eval(&args[0])?;
-                let bytes = to_bytes(self.prog, &v, from).map_err(|k| self.ub(k, "transmute"))?;
-                from_bytes(self.prog, &bytes, to).map_err(|k| self.ub(k, "transmute"))
+                let bytes = to_bytes(self.prog, &v, from).map_err(|k| Self::ub(k, "transmute"))?;
+                from_bytes(self.prog, &bytes, to).map_err(|k| Self::ub(k, "transmute"))
             }
             BuiltinKind::BoxNew => {
-                let t = ty0.cloned().unwrap_or(Ty::Int(rb_lang::IntTy::I32));
+                let t = ty0(rb_lang::IntTy::I32);
                 let v = self.eval(&args[0])?;
                 let size = ty_size(self.prog, &t)
-                    .ok_or_else(|| self.ub(UbKind::IllFormed, "box_new of unsized type"))?;
+                    .ok_or_else(|| Self::ub(UbKind::IllFormed, "box_new of unsized type"))?;
                 let align = ty_align(self.prog, &t).unwrap_or(1);
                 let (id, tag, base) = self.mem.allocate(AllocKind::Heap, size.max(1), align);
                 let place = PlaceRef {
@@ -1408,7 +1491,12 @@ impl<'p> Machine<'p> {
                     ty: t.clone(),
                 };
                 self.typed_write(&place, &v, false)?;
-                Ok(Value::Boxed(Pointer::with_prov(id, tag, base, t)))
+                Ok(Value::Boxed(Pointer::with_prov(
+                    id,
+                    tag,
+                    base,
+                    t.into_owned(),
+                )))
             }
             BuiltinKind::BoxIntoRaw => {
                 let v = self.eval(&args[0])?;
@@ -1423,12 +1511,12 @@ impl<'p> Machine<'p> {
             BuiltinKind::BoxFromRaw => {
                 let p = self.eval_ptr(&args[0])?;
                 let Some((alloc, _)) = p.prov else {
-                    return Err(self.ub(UbKind::NoProvenance, "box_from_raw"));
+                    return Err(Self::ub(UbKind::NoProvenance, "box_from_raw"));
                 };
                 let a = self
                     .mem
                     .alloc(alloc)
-                    .ok_or_else(|| self.ub(UbKind::UseAfterFree, "box_from_raw"))?;
+                    .ok_or_else(|| Self::ub(UbKind::UseAfterFree, "box_from_raw"))?;
                 if a.kind != AllocKind::Heap {
                     return Err(Exc::Ub(
                         UbKind::Precondition,
@@ -1436,7 +1524,7 @@ impl<'p> Machine<'p> {
                     ));
                 }
                 if !a.live {
-                    return Err(self.ub(UbKind::UseAfterFree, "box_from_raw"));
+                    return Err(Self::ub(UbKind::UseAfterFree, "box_from_raw"));
                 }
                 if p.addr != a.base {
                     return Err(Exc::Ub(
@@ -1451,16 +1539,16 @@ impl<'p> Machine<'p> {
                 match v {
                     Value::Boxed(p) => {
                         let Some((alloc, _)) = p.prov else {
-                            return Err(self.ub(UbKind::NoProvenance, "drop_box"));
+                            return Err(Self::ub(UbKind::NoProvenance, "drop_box"));
                         };
                         let (size, align) = self
                             .mem
                             .alloc(alloc)
                             .map(|a| (a.size, a.align))
-                            .ok_or_else(|| self.ub(UbKind::UseAfterFree, "drop_box"))?;
+                            .ok_or_else(|| Self::ub(UbKind::UseAfterFree, "drop_box"))?;
                         self.mem
                             .deallocate(alloc, size, align)
-                            .map_err(|k| self.ub(k, "drop_box"))?;
+                            .map_err(|k| Self::ub(k, "drop_box"))?;
                         Ok(Value::Unit)
                     }
                     other => Err(Exc::Ub(
@@ -1470,7 +1558,7 @@ impl<'p> Machine<'p> {
                 }
             }
             BuiltinKind::GetUnchecked => {
-                let t = ty0.cloned().unwrap_or(Ty::Int(rb_lang::IntTy::I32));
+                let t = ty0(rb_lang::IntTy::I32);
                 let base = self.eval(&args[0])?;
                 let idx = self
                     .eval(&args[1])?
@@ -1481,12 +1569,7 @@ impl<'p> Machine<'p> {
                 })?;
                 let es = ty_size(self.prog, &t).unwrap_or(1) as i128;
                 let addr = (p.addr as i128 + idx * es) as u64;
-                let q = Pointer {
-                    prov: p.prov,
-                    addr,
-                    pointee: t,
-                };
-                let place = self.place_from_pointer(&q, "get_unchecked")?;
+                let place = self.place_at(p.prov, addr, t, "get_unchecked")?;
                 self.typed_read(&place, false)
             }
             BuiltinKind::UncheckedAdd | BuiltinKind::UncheckedSub | BuiltinKind::UncheckedMul => {
@@ -1535,13 +1618,13 @@ impl<'p> Machine<'p> {
                 Ok(Value::Unit)
             }
             BuiltinKind::FromLeBytes => {
-                let t = ty0.cloned().unwrap_or(Ty::Int(rb_lang::IntTy::U32));
+                let t = ty0(rb_lang::IntTy::U32);
                 let v = self.eval(&args[0])?;
                 let n = ty_size(self.prog, &t).unwrap_or(4);
                 let src_ty = Ty::Array(Box::new(Ty::Int(rb_lang::IntTy::U8)), n);
                 let bytes =
-                    to_bytes(self.prog, &v, &src_ty).map_err(|k| self.ub(k, "from_le_bytes"))?;
-                from_bytes(self.prog, &bytes, &t).map_err(|k| self.ub(k, "from_le_bytes"))
+                    to_bytes(self.prog, &v, &src_ty).map_err(|k| Self::ub(k, "from_le_bytes"))?;
+                from_bytes(self.prog, &bytes, &t).map_err(|k| Self::ub(k, "from_le_bytes"))
             }
             BuiltinKind::ToLeBytes => {
                 let v = self.eval(&args[0])?;
@@ -1564,7 +1647,7 @@ impl<'p> Machine<'p> {
                 Ok(Value::Int(p.addr as i128, rb_lang::IntTy::Usize))
             }
             BuiltinKind::CopyNonoverlapping => {
-                let t = ty0.cloned().unwrap_or(Ty::Int(rb_lang::IntTy::U8));
+                let t = ty0(rb_lang::IntTy::U8);
                 let src = self.eval_ptr(&args[0])?;
                 let dst = self.eval_ptr(&args[1])?;
                 let n = self.eval_usize(&args[2])?;
@@ -1576,23 +1659,23 @@ impl<'p> Machine<'p> {
                         "copy_nonoverlapping with overlapping ranges".into(),
                     ));
                 }
-                let sp = self.place_from_pointer(&src, "copy src")?;
+                let sp = self.place_from_pointer(src, "copy src")?;
                 let bytes = self
                     .mem
                     .read_bytes(sp.alloc, sp.tag, sp.offset, len, 1)
-                    .map_err(|k| self.ub(k, "copy src"))?;
+                    .map_err(|k| Self::ub(k, "copy src"))?;
                 self.record_access(sp.alloc, sp.offset, len.max(1), false, false);
-                let dp = self.place_from_pointer(&dst, "copy dst")?;
+                let dp = self.place_from_pointer(dst, "copy dst")?;
                 self.mem
                     .write_bytes(dp.alloc, dp.tag, dp.offset, &bytes, 1)
-                    .map_err(|k| self.ub(k, "copy dst"))?;
+                    .map_err(|k| Self::ub(k, "copy dst"))?;
                 self.record_access(dp.alloc, dp.offset, len.max(1), true, false);
                 Ok(Value::Unit)
             }
             BuiltinKind::AssumeInitRead => {
-                let t = ty0.cloned().unwrap_or(Ty::Int(rb_lang::IntTy::U8));
+                let t = ty0(rb_lang::IntTy::U8);
                 let p = self.eval_ptr(&args[0])?;
-                let place = self.place_from_pointer(&p.retype(t), "assume_init_read")?;
+                let place = self.place_at(p.prov, p.addr, t, "assume_init_read")?;
                 match self.typed_read(&place, false) {
                     Err(Exc::Ub(UbKind::UninitRead, _)) => Err(Exc::Ub(
                         UbKind::Precondition,
@@ -1605,7 +1688,7 @@ impl<'p> Machine<'p> {
         }
     }
 
-    fn eval_usize(&mut self, e: &Expr) -> Result<usize, Exc> {
+    fn eval_usize(&mut self, e: &'p Expr) -> Result<usize, Exc> {
         let v = self
             .eval(e)?
             .as_int()
@@ -1613,7 +1696,7 @@ impl<'p> Machine<'p> {
         usize::try_from(v).map_err(|_| Exc::Ub(UbKind::IllFormed, "negative size".into()))
     }
 
-    fn eval_int(&mut self, e: &Expr) -> Result<(i128, rb_lang::IntTy), Exc> {
+    fn eval_int(&mut self, e: &'p Expr) -> Result<(i128, rb_lang::IntTy), Exc> {
         match self.eval(e)? {
             Value::Int(v, t) => Ok((v, t)),
             other => Err(Exc::Ub(
@@ -1623,7 +1706,7 @@ impl<'p> Machine<'p> {
         }
     }
 
-    fn eval_ptr(&mut self, e: &Expr) -> Result<Pointer, Exc> {
+    fn eval_ptr(&mut self, e: &'p Expr) -> Result<Pointer, Exc> {
         match self.eval(e)? {
             Value::Ptr(p) | Value::Ref(p) | Value::Boxed(p) => Ok(p),
             other => Err(Exc::Ub(

@@ -204,7 +204,26 @@ impl Memory {
         a.stack.access(tag, write, popped)
     }
 
-    /// Reads `len` raw bytes after validating the access.
+    /// Borrows `len` raw bytes in place after validating the access.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`Memory::check_access`] failures.
+    pub fn read_slice(
+        &mut self,
+        id: AllocId,
+        tag: BorTag,
+        offset: i64,
+        len: usize,
+        required_align: usize,
+    ) -> MemResult<&[AbByte]> {
+        self.check_access(id, tag, offset, len, required_align, false)?;
+        let a = self.alloc(id).expect("validated");
+        Ok(&a.bytes[offset as usize..offset as usize + len])
+    }
+
+    /// Copies `len` raw bytes out after validating the access, for callers
+    /// that write them back into memory that may alias the source.
     ///
     /// # Errors
     ///
@@ -217,9 +236,8 @@ impl Memory {
         len: usize,
         required_align: usize,
     ) -> MemResult<Vec<AbByte>> {
-        self.check_access(id, tag, offset, len, required_align, false)?;
-        let a = self.alloc(id).expect("validated");
-        Ok(a.bytes[offset as usize..offset as usize + len].to_vec())
+        self.read_slice(id, tag, offset, len, required_align)
+            .map(<[AbByte]>::to_vec)
     }
 
     /// Writes raw bytes after validating the access.

@@ -206,17 +206,30 @@ pub fn fn_ptr_addr(idx: usize) -> u64 {
 /// (e.g. wrong-arity tuples) — callers treat this as a transmute/layout
 /// failure.
 pub fn to_bytes(prog: &Program, v: &Value, ty: &Ty) -> Result<Vec<AbByte>, UbKind> {
-    let size = ty_size(prog, ty).ok_or(UbKind::TransmuteSize)?;
-    let mut out = Vec::with_capacity(size);
-    fill_bytes(v, ty, &mut out)?;
-    if out.len() != size {
-        // Pad unions / short values with uninit.
-        while out.len() < size {
-            out.push(AbByte::Uninit);
-        }
-        out.truncate(size);
-    }
+    let mut out = Vec::new();
+    to_bytes_into(prog, v, ty, &mut out)?;
     Ok(out)
+}
+
+/// [`to_bytes`] into a caller's buffer, which is cleared first, so a
+/// reused buffer serialises without allocating.
+///
+/// # Errors
+///
+/// As [`to_bytes`].
+pub fn to_bytes_into(
+    prog: &Program,
+    v: &Value,
+    ty: &Ty,
+    out: &mut Vec<AbByte>,
+) -> Result<(), UbKind> {
+    let size = ty_size(prog, ty).ok_or(UbKind::TransmuteSize)?;
+    out.clear();
+    out.reserve(size);
+    fill_bytes(v, ty, out)?;
+    // Pad unions / short values with uninit.
+    out.resize(size, AbByte::Uninit);
+    Ok(())
 }
 
 fn push_int(out: &mut Vec<AbByte>, v: i128, bytes: usize) {

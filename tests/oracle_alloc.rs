@@ -1,6 +1,10 @@
 //! Heap allocations per oracle run, counted by a global allocator over
 //! the shared oracle test set. The counter is thread-local, so tests
 //! running on other threads do not disturb it.
+//!
+//! The set averaged 57.25 allocations per run while the checker and the
+//! interpreter copied names and types out of the program, and 17.77 once
+//! they borrowed them. The budget sits just above the latter.
 
 mod common;
 
@@ -59,6 +63,9 @@ fn oracle_runs_stay_within_the_allocation_budget() {
         drop(report);
     }
     let per_run = total as f64 / programs.len() as f64;
-    println!("{per_run:.2} allocations per oracle run over {} programs", programs.len());
-    assert!(per_run <= 58.0, "{per_run:.2} allocations per oracle run");
+    println!(
+        "{per_run:.2} allocations per oracle run over {} programs",
+        programs.len()
+    );
+    assert!(per_run <= 18.0, "{per_run:.2} allocations per oracle run");
 }
