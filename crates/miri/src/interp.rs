@@ -1098,11 +1098,16 @@ impl<'p> Machine<'p> {
             }
         }
         if result.is_ok() {
-            result = match self.exec_fn_body(&f.body, idx) {
-                Ok(Flow::Return(v)) => Ok(v),
-                Ok(Flow::Normal) => Ok(Value::Unit),
-                Err(e) => Err(e),
-            };
+            let caller = self.at;
+            result = self.exec_fn_body(&f.body, idx).map(|flow| {
+                // What happens after the call belongs to the caller's
+                // statement.
+                self.at = caller;
+                match flow {
+                    Flow::Return(v) => v,
+                    Flow::Normal => Value::Unit,
+                }
+            });
         }
         self.pop_frame();
         result

@@ -4,7 +4,7 @@
 //! outputs are trustworthy.
 
 use rb_lang::parser::parse_program;
-use rb_miri::{run_program, MiriReport};
+use rb_miri::{run_program, MiriReport, UbKind};
 
 fn outputs(src: &str) -> Vec<String> {
     let r = run(src);
@@ -350,4 +350,25 @@ fn spawned_threads_copy_locals_in_declaration_order() {
     for _ in 0..20 {
         assert_eq!(outputs(src), vec!["4240", "4348"]);
     }
+}
+
+#[test]
+fn ub_after_a_call_returns_is_blamed_on_the_caller() {
+    // The dangling read is main's second statement, after `dangling()`
+    // has returned: the report points there, not at the callee's `return`.
+    let r = run("fn dangling() -> *const i32 { \
+                 let x: i32 = 5; let q: *const i32 = &raw const x; return q; } \
+                 fn main() { print(1i32); unsafe { print(*dangling()); } }");
+    let errors: Vec<(UbKind, String)> = r
+        .errors
+        .iter()
+        .map(|e| {
+            (
+                e.kind,
+                e.path.as_ref().map(ToString::to_string).unwrap_or_default(),
+            )
+        })
+        .collect();
+    assert_eq!(errors, vec![(UbKind::UseAfterScope, "fn#1.1".to_owned())]);
+    assert_eq!(r.outputs, vec!["1"]);
 }
