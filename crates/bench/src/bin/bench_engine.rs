@@ -46,6 +46,7 @@ use rb_dataset::Corpus;
 use rb_engine::{BatchOutcome, Engine, OracleCache, SystemSpec};
 use rb_llm::ModelId;
 use rb_miri::UbClass;
+use rb_obs::json::{fmt_num, fmt_str};
 use rustbrain::{KnowledgeBase, MergePolicy, RustBrainConfig};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -155,17 +156,17 @@ fn class_rows_json(outcome: &BatchOutcome) -> String {
             };
             format!(
                 concat!(
-                    "{{\"class\":\"{}\",\"cases\":{},\"passed\":{},",
-                    "\"acceptable\":{},\"wall_ms\":{:.4},",
-                    "\"cases_per_sec\":{:.4},",
+                    "{{\"class\":{},\"cases\":{},\"passed\":{},",
+                    "\"acceptable\":{},\"wall_ms\":{},",
+                    "\"cases_per_sec\":{},",
                     "\"oracle\":{{\"executed\":{},\"cached\":{}}}}}"
                 ),
-                class.label(),
+                fmt_str(class.label()),
                 cases,
                 passed,
                 acceptable,
-                wall_ms,
-                cases_per_sec,
+                fmt_num(wall_ms),
+                fmt_num(cases_per_sec),
                 executed,
                 cached,
             )
@@ -210,13 +211,13 @@ fn warm_start_json(
         let (pass, exec) = overall_rates(&o.results);
         format!(
             concat!(
-                "{{\"pass_rate\":{:.4},\"exec_rate\":{:.4},",
-                "\"simulated_overhead_ms\":{:.4},\"kb_query_ms\":{:.4}}}"
+                "{{\"pass_rate\":{},\"exec_rate\":{},",
+                "\"simulated_overhead_ms\":{},\"kb_query_ms\":{}}}"
             ),
-            pass.value(),
-            exec.value(),
-            o.stats.simulated_overhead_ms,
-            o.stats.kb_query_ms,
+            fmt_num(pass.value()),
+            fmt_num(exec.value()),
+            fmt_num(o.stats.simulated_overhead_ms),
+            fmt_num(o.stats.kb_query_ms),
         )
     };
     let (cold_pass, cold_exec) = overall_rates(&cold.results);
@@ -224,17 +225,17 @@ fn warm_start_json(
     let json = format!(
         concat!(
             "{{\"cold\":{},\n   \"warm\":{},\n   ",
-            "\"delta\":{{\"pass_rate\":{:.4},\"exec_rate\":{:.4},",
-            "\"simulated_overhead_ms\":{:.4},\"kb_query_ms\":{:.4}}},\n   ",
+            "\"delta\":{{\"pass_rate\":{},\"exec_rate\":{},",
+            "\"simulated_overhead_ms\":{},\"kb_query_ms\":{}}},\n   ",
             "\"kb_entries\":{{\"seeded\":{},\"before_coalescing\":{},",
             "\"after_coalescing\":{},\"append_only_final\":{},\"store_shards\":{}}}}}"
         ),
         run_json(cold),
         run_json(&warm),
-        warm_pass.value() - cold_pass.value(),
-        warm_exec.value() - cold_exec.value(),
-        warm.stats.simulated_overhead_ms - cold.stats.simulated_overhead_ms,
-        warm.stats.kb_query_ms - cold.stats.kb_query_ms,
+        fmt_num(warm_pass.value() - cold_pass.value()),
+        fmt_num(warm_exec.value() - cold_exec.value()),
+        fmt_num(warm.stats.simulated_overhead_ms - cold.stats.simulated_overhead_ms),
+        fmt_num(warm.stats.kb_query_ms - cold.stats.kb_query_ms),
         warm.stats.kb.seeded_entries,
         warm.stats.kb.seeded_entries + warm.stats.kb.merged_inserts,
         warm.stats.kb.final_entries,
@@ -291,15 +292,15 @@ fn critical_path_json(trace_path: &str) -> Result<(String, String, f64), String>
     let json = format!(
         concat!(
             "{{\"lanes\":{},\"jobs\":{},",
-            "\"total_sim_ms\":{:.4},\"busiest_lane_sim_ms\":{:.4},",
-            "\"speedup_bound_sim\":{:.4},\"speedup_bound_wall\":{:.4}}}"
+            "\"total_sim_ms\":{},\"busiest_lane_sim_ms\":{},",
+            "\"speedup_bound_sim\":{},\"speedup_bound_wall\":{}}}"
         ),
         cp.lanes.len(),
         cp.jobs,
-        cp.total_sim_ms,
-        cp.critical_sim_ms,
-        bound,
-        cp.speedup_bound_wall(),
+        fmt_num(cp.total_sim_ms),
+        fmt_num(cp.critical_sim_ms),
+        fmt_num(bound),
+        fmt_num(cp.speedup_bound_wall()),
     );
     let line = format!(
         "critical path: {} lanes | bound {:.2}x (sim) {:.2}x (wall)",
@@ -401,29 +402,29 @@ fn main() -> ExitCode {
             "{{\"bench\":\"engine\",\"cases\":{},\"available_cores\":{},",
             "\"requested_jobs\":{},\"repeat\":{},\n",
             " \"identical_results\":{},\n",
-            " \"pass_rate\":{:.4},\"exec_rate\":{:.4},\n",
+            " \"pass_rate\":{},\"exec_rate\":{},\n",
             " \"serial\":{},\n",
             " \"parallel\":{},\n",
-            " \"speedup\":{:.4},\"speedup_min\":{:.4},\"speedup_max\":{:.4},",
+            " \"speedup\":{},\"speedup_min\":{},\"speedup_max\":{},",
             "\"trials\":{},\"speedup_degraded\":{},\n",
             " \"critical_path\":{},\n",
             " \"per_class\":{},\n",
             " \"warm_start\":{},\n",
             " \"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},",
-            "\"evictions\":{},\"capacity\":{},\"hit_rate\":{:.4}}}}}\n"
+            "\"evictions\":{},\"capacity\":{},\"hit_rate\":{}}}}}\n"
         ),
         corpus.len(),
         cores,
         args.jobs,
         args.repeat,
         identical,
-        pass.value(),
-        exec.value(),
+        fmt_num(pass.value()),
+        fmt_num(exec.value()),
         serial.stats.to_json(),
         parallel.stats.to_json(),
-        speedup,
-        speedup_min,
-        speedup_max,
+        fmt_num(speedup),
+        fmt_num(speedup_min),
+        fmt_num(speedup_max),
         TRIALS,
         speedup_degraded,
         critical_path
@@ -436,7 +437,7 @@ fn main() -> ExitCode {
         cache_stats.entries,
         cache_stats.evictions,
         cache_stats.capacity,
-        cache_stats.hit_rate(),
+        fmt_num(cache_stats.hit_rate()),
     );
     if let Err(e) = std::fs::write(&args.out, &json) {
         eprintln!("error: cannot write {}: {e}", args.out);
@@ -480,23 +481,23 @@ fn main() -> ExitCode {
     let history_path = std::path::Path::new(&args.out).with_file_name("BENCH_history.jsonl");
     let history_row = format!(
         concat!(
-            "{{\"date\":\"{}\",\"cases\":{},\"jobs\":{},\"repeat\":{},",
-            "\"speedup\":{:.4},\"speedup_min\":{:.4},\"speedup_max\":{:.4},",
-            "\"speedup_bound_sim\":{},\"cache_hit_rate\":{:.4},",
-            "\"exec_rate\":{:.4},\"speedup_degraded\":{}}}\n"
+            "{{\"date\":{},\"cases\":{},\"jobs\":{},\"repeat\":{},",
+            "\"speedup\":{},\"speedup_min\":{},\"speedup_max\":{},",
+            "\"speedup_bound_sim\":{},\"cache_hit_rate\":{},",
+            "\"exec_rate\":{},\"speedup_degraded\":{}}}\n"
         ),
-        utc_date(),
+        fmt_str(&utc_date()),
         corpus.len(),
         args.jobs,
         args.repeat,
-        speedup,
-        speedup_min,
-        speedup_max,
+        fmt_num(speedup),
+        fmt_num(speedup_min),
+        fmt_num(speedup_max),
         critical_path
             .as_ref()
-            .map_or_else(|| "null".to_owned(), |(_, _, bound)| format!("{bound:.4}")),
-        cache_stats.hit_rate(),
-        exec.value(),
+            .map_or_else(|| "null".to_owned(), |(_, _, bound)| fmt_num(*bound)),
+        fmt_num(cache_stats.hit_rate()),
+        fmt_num(exec.value()),
         speedup_degraded,
     );
     let append = std::fs::OpenOptions::new()

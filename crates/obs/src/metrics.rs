@@ -13,6 +13,7 @@
 //! observations never reach an exposition — they are dropped and tallied
 //! under the `obs_nonfinite_samples_total` counter instead.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -170,10 +171,28 @@ fn fmt_bound(b: f64) -> String {
     }
 }
 
+/// A label value as the text exposition format quotes it: backslash,
+/// double quote and line feed become `\\`, `\"` and `\n`.
+fn escape_label(v: &str) -> Cow<'_, str> {
+    if !v.contains(['\\', '"', '\n']) {
+        return Cow::Borrowed(v);
+    }
+    let mut out = String::with_capacity(v.len() + 2);
+    for c in v.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+    Cow::Owned(out)
+}
+
 fn series_name(name: &str, label: &Label) -> String {
     match label {
         None => name.to_owned(),
-        Some((k, v)) => format!("{name}{{{k}=\"{v}\"}}"),
+        Some((k, v)) => format!("{name}{{{k}=\"{}\"}}", escape_label(v)),
     }
 }
 
@@ -288,22 +307,18 @@ impl MetricsRegistry {
             out.push_str(&format!("{} {}\n", series_name(name, label), fmt_num(*v)));
         }
         for (name, label, h) in inner.histograms.iter() {
+            let bucket = |le: &str| match label {
+                None => format!("{name}_bucket{{le=\"{le}\"}}"),
+                Some((k, v)) => {
+                    format!("{name}_bucket{{{k}=\"{}\",le=\"{le}\"}}", escape_label(v))
+                }
+            };
             let mut cumulative = 0u64;
             for (i, bound) in h.bounds.iter().enumerate() {
                 cumulative += h.counts[i];
-                let series = match label {
-                    None => format!("{name}_bucket{{le=\"{}\"}}", fmt_bound(*bound)),
-                    Some((k, v)) => {
-                        format!("{name}_bucket{{{k}=\"{v}\",le=\"{}\"}}", fmt_bound(*bound))
-                    }
-                };
-                out.push_str(&format!("{series} {cumulative}\n"));
+                out.push_str(&format!("{} {cumulative}\n", bucket(&fmt_bound(*bound))));
             }
-            let series = match label {
-                None => format!("{name}_bucket{{le=\"+Inf\"}}"),
-                Some((k, v)) => format!("{name}_bucket{{{k}=\"{v}\",le=\"+Inf\"}}"),
-            };
-            out.push_str(&format!("{series} {}\n", h.count));
+            out.push_str(&format!("{} {}\n", bucket("+Inf"), h.count));
             out.push_str(&format!(
                 "{} {}\n",
                 series_name(&format!("{name}_sum"), label),
@@ -441,6 +456,30 @@ mod tests {
             "a_total 1\nhits 5\nhits{class=\"alloc\"} 5\nhits{class=\"panic\"} 7\ndepth 3.5000\n"
         );
         assert_eq!(reg.label_values("hits"), vec!["alloc", "panic"]);
+    }
+
+    #[test]
+    fn label_values_are_escaped_in_the_exposition() {
+        let reg = MetricsRegistry::new();
+        let odd = "a\\b\"c\nd";
+        reg.counter_add("hits", Some(("class", odd)), 2);
+        reg.observe("lat", Some(("class", odd)), 5.0, &[10.0]);
+        let text = reg.prometheus();
+        let quoted = r#"class="a\\b\"c\nd""#;
+        for line in [
+            format!("hits{{{quoted}}} 2"),
+            format!("lat_bucket{{{quoted},le=\"10\"}} 1"),
+            format!("lat_bucket{{{quoted},le=\"+Inf\"}} 1"),
+            format!("lat_sum{{{quoted}}} 5.0000"),
+            format!("lat_count{{{quoted}}} 1"),
+        ] {
+            assert!(
+                text.lines().any(|l| l == line),
+                "missing {line:?} in\n{text}"
+            );
+        }
+        // Every sample stays on one line.
+        assert_eq!(text.lines().count(), 5, "{text}");
     }
 
     #[test]
