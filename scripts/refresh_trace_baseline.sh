@@ -8,7 +8,9 @@
 # repair trajectories changed. It also re-runs the results batches below
 # and diffs their outputs byte for byte against ci/results_baseline/, so
 # a change to `passed`/`acceptable`, to a baseline system, or to the
-# learned knowledge store fails even when no sim-ms moved. After an
+# learned knowledge store fails even when no sim-ms moved. A warm
+# rustbrain run that starts from the freshly written store pins retrieval
+# over a non-empty knowledge base the same way. After an
 # *intentional* trajectory or result change (new rules, new model
 # behaviour, pipeline reshaping), run this script and commit the
 # refreshed baselines alongside the change that caused it.
@@ -33,4 +35,8 @@ for system in rustbrain llm-only rust-assistant; do
         --system "$system" \
         --results-out "ci/results_baseline/results_$system.json" "$@" >/dev/null
 done
+./target/release/rustbrain batch --jobs 2 --per-class 2 --seed 7 \
+    --system rustbrain --kb-in ci/results_baseline/kb_rustbrain.rbkb \
+    --results-out ci/results_baseline/results_rustbrain_warm.json \
+    --kb-out ci/results_baseline/kb_rustbrain_warm.rbkb >/dev/null
 echo "wrote ci/results_baseline/"
