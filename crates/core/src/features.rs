@@ -3,7 +3,7 @@
 //! knowledge-base retrieval.
 
 use rb_lang::metrics::{collect_metrics, ProgramMetrics, UnsafeOpKind};
-use rb_lang::prune::prune_program;
+use rb_lang::prune::embed_pruned;
 use rb_lang::vectorize::AstVector;
 use rb_lang::Program;
 use rb_miri::{MiriReport, UbClass};
@@ -56,21 +56,6 @@ pub fn extract_features(program: &Program, report: &MiriReport) -> CodeFeatures 
         vector,
         pruned_stmts: removed,
     }
-}
-
-/// The knowledge-base key of a program: the embedding of its pruned AST
-/// (Algorithm 1), plus the number of statements pruning removed.
-#[must_use]
-pub fn embed_pruned(program: &Program) -> (AstVector, usize) {
-    let (pruned, removed) = prune_program(program);
-    // Safe-only programs (e.g. pure panic bugs) prune to nothing; retrieval
-    // then keys on the full AST instead of an empty skeleton.
-    let vector = if pruned.stmt_count() == 0 {
-        AstVector::embed(program)
-    } else {
-        AstVector::embed(&pruned)
-    };
-    (vector, removed)
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ use rb_lang::vectorize::AstVector;
 use rb_llm::{FewShot, RepairRule};
 use rb_miri::UbClass;
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -41,7 +41,18 @@ pub use rb_kb::{
     StoreLayout,
 };
 
-/// The knowledge base.
+/// The knowledge base: a shared read-only base plus this handle's own
+/// inserts.
+///
+/// The base (entries and their class index) sits behind an [`Arc`], so a
+/// clone — what every batch job and daemon request starts from — is a
+/// reference bump. [`KnowledgeBase::insert`] appends to the handle's
+/// overlay, never to the base: the overlay is the handle's
+/// [`KnowledgeBase::delta`]. A query scans the base's class bucket, then
+/// the overlay's entries of that class, both in insertion order, which is
+/// the order one entry vector holding both would give. A merge, a
+/// compaction and a lazy fault-in fold the overlay into a fresh base that
+/// only this handle holds; every other handle keeps its view.
 ///
 /// The query-accounting counters are private: shared/concurrent use (the
 /// batch engine hands bases to worker-built systems) must not be able to
@@ -50,13 +61,11 @@ pub use rb_kb::{
 /// the only writer is [`KnowledgeBase::query`] itself.
 #[derive(Clone, Debug)]
 pub struct KnowledgeBase {
-    /// Entries in insertion order between merges (a policy merge reorders
-    /// into canonical order; [`KnowledgeBase::insert`] appends — which is
-    /// what keeps [`KnowledgeBase::delta_since`] a cheap slice).
-    entries: Vec<KbEntry>,
-    /// Entry positions bucketed by UB class (rebuilt on merge, extended
-    /// on insert).
-    index: KbIndex,
+    /// The shared read-only part.
+    base: Arc<Base>,
+    /// Entries inserted on this handle since its base was last folded,
+    /// oldest first.
+    overlay: Vec<KbEntry>,
     /// The backing sharded store of a lazily loaded base (see
     /// [`KnowledgeBase::open_lazy`]); `None` for eager bases.
     lazy: Option<LazyShards>,
@@ -67,17 +76,31 @@ pub struct KnowledgeBase {
     last_query_cost_ms: f64,
 }
 
+/// The read-only part of a [`KnowledgeBase`]: entries in storage order and
+/// their class index, built together and never changed after.
+#[derive(Debug, Default)]
+struct Base {
+    entries: Vec<KbEntry>,
+    index: KbIndex,
+}
+
+impl Base {
+    fn new(entries: Vec<KbEntry>) -> Arc<Base> {
+        let index = KbIndex::build(&entries);
+        Arc::new(Base { entries, index })
+    }
+}
+
 /// The fault-in state of a lazily loaded base: a shared handle on the
 /// backing [`ShardedStore`] plus a bitmask of the classes already pulled
 /// into [`KnowledgeBase::entries`].
 ///
-/// The store handle is behind an `Arc`: clones of a lazy base (the batch
-/// engine clones the snapshot into every job) share one handle, so the
-/// store's per-shard load counters aggregate segment reads across the
-/// base *and* all its clones — which is exactly what the daemon's
-/// telemetry and the serve integration test want to observe. The
-/// residency mask, by contrast, is per-clone: a clone that faults a
-/// shard in mutates only its own entry vector.
+/// The store handle is behind an `Arc`: clones of a lazy base share one
+/// handle, so the store's per-shard load counters aggregate segment reads
+/// across the base *and* all its clones — which is exactly what the
+/// daemon's telemetry and the serve integration test want to observe.
+/// The residency mask, by contrast, is per-clone: a clone that faults a
+/// shard in folds it into a base only that clone holds.
 #[derive(Clone, Debug)]
 struct LazyShards {
     store: Arc<Mutex<ShardedStore>>,
@@ -99,8 +122,8 @@ fn class_bit(class: UbClass) -> u16 {
 impl Default for KnowledgeBase {
     fn default() -> KnowledgeBase {
         KnowledgeBase {
-            entries: Vec::new(),
-            index: KbIndex::new(),
+            base: Arc::default(),
+            overlay: Vec::new(),
             lazy: None,
             query_time_ms: 0.0,
             queries: 0,
@@ -150,70 +173,78 @@ impl KnowledgeBase {
     /// base from decoded storage).
     #[must_use]
     pub fn with_entries(entries: Vec<KbEntry>) -> KnowledgeBase {
-        let kb = KnowledgeBase {
-            index: KbIndex::build(&entries),
-            entries,
+        KnowledgeBase {
+            base: Base::new(entries),
             ..KnowledgeBase::default()
-        };
-        kb.debug_assert_index_fresh();
-        kb
-    }
-
-    /// The index-staleness invariant (debug builds only): every indexed
-    /// position must point at an entry of the bucket's class. A policy
-    /// merge reorders the entry vector, so any code path that normalizes
-    /// without rebuilding the index would silently retrieve wrong-class
-    /// entries — this turns that silence into a loud assertion at every
-    /// construction, merge and query boundary.
-    #[inline]
-    fn debug_assert_index_fresh(&self) {
-        debug_assert!(
-            self.index.is_consistent(&self.entries),
-            "KbIndex is stale: positions no longer match the entries they point at \
-             (was the entry vector reordered without KbIndex::build?)"
-        );
+        }
     }
 
     /// Number of stored entries (after merging, one entry can stand for
     /// many solved cases — see [`KnowledgeBase::total_weight`]).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.base.entries.len() + self.overlay.len()
     }
 
     /// Whether the base is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
-    /// The stored entries, in current storage order.
+    /// The stored entries in storage order: the base's, then this
+    /// handle's inserts. Borrowed while nothing was inserted since the
+    /// last fold; otherwise the two parts are copied into one vector.
     #[must_use]
-    pub fn entries(&self) -> &[KbEntry] {
-        &self.entries
+    pub fn entries(&self) -> Cow<'_, [KbEntry]> {
+        if self.overlay.is_empty() {
+            Cow::Borrowed(&self.base.entries)
+        } else {
+            Cow::Owned([&self.base.entries[..], &self.overlay].concat())
+        }
     }
 
     /// Total solved cases the base represents (the sum of entry weights —
     /// invariant under dedup and coalescing, unlike [`KnowledgeBase::len`]).
     #[must_use]
     pub fn total_weight(&self) -> u64 {
-        self.entries.iter().map(|e| u64::from(e.weight)).sum()
+        self.base
+            .entries
+            .iter()
+            .chain(&self.overlay)
+            .map(|e| u64::from(e.weight))
+            .sum()
     }
 
-    /// Stores a solved case (weight 1; appended, never merged — merging
-    /// is a batch operation under an explicit [`MergePolicy`]).
+    /// Stores a solved case in this handle's overlay (weight 1; appended,
+    /// never merged — merging is a batch operation under an explicit
+    /// [`MergePolicy`]).
     pub fn insert(&mut self, vector: AstVector, class: UbClass, rule: RepairRule) {
-        self.index.note_insert(self.entries.len(), class);
-        self.entries.push(KbEntry::new(vector, class, rule));
+        self.overlay.push(KbEntry::new(vector, class, rule));
     }
 
-    /// The inserts recorded since the base held `baseline` entries
-    /// (typically the size of the snapshot the base was cloned from).
+    /// The inserts recorded on this handle since its base was last folded
+    /// (by a merge, a compaction or a fault-in): its overlay. For a
+    /// handle taken with [`KnowledgeBase::resident_snapshot`], that is
+    /// exactly what it learned.
     #[must_use]
-    pub fn delta_since(&self, baseline: usize) -> KbDelta {
+    pub fn delta(&self) -> KbDelta {
         KbDelta {
-            entries: self.entries[baseline.min(self.entries.len())..].to_vec(),
+            entries: self.overlay.clone(),
         }
+    }
+
+    /// Replaces the base with one holding the base's entries, the
+    /// overlay's and then `extra`, and empties the overlay. The old base is
+    /// reused when no other handle shares it.
+    fn fold(&mut self, extra: impl IntoIterator<Item = KbEntry>, policy: &MergePolicy) {
+        let mut entries = match Arc::try_unwrap(std::mem::take(&mut self.base)) {
+            Ok(base) => base.entries,
+            Err(shared) => shared.entries.clone(),
+        };
+        entries.append(&mut self.overlay);
+        entries.extend(extra);
+        self.base = Base::new(policy.normalize(entries));
     }
 
     /// Merges one delta under `policy`; returns how many delta entries
@@ -242,6 +273,7 @@ impl KnowledgeBase {
     ) -> usize {
         let mut span = rb_obs::span("kb.merge");
         let mut submitted = 0usize;
+        let mut merged = Vec::new();
         for delta in deltas {
             for e in &delta.entries {
                 // Merging a class into a lazy base before its shard is
@@ -256,21 +288,15 @@ impl KnowledgeBase {
                      (ensure_class first)",
                     e.class
                 );
-                self.index.note_insert(self.entries.len(), e.class);
-                self.entries.push(e.clone());
+                merged.push(e.clone());
             }
             submitted += delta.len();
         }
-        if !policy.is_append_only() {
-            // Normalization reorders the entry vector, so the positions
-            // the index holds are stale from this line on: rebuilding is
-            // not an optimization but a correctness requirement.
-            self.entries = policy.normalize(std::mem::take(&mut self.entries));
-            self.index = KbIndex::build(&self.entries);
-        }
-        self.debug_assert_index_fresh();
+        // Normalization reorders the entries; the fresh base indexes them
+        // in their new positions.
+        self.fold(merged, policy);
         span.tag("submitted", submitted);
-        span.tag("entries_after", self.entries.len());
+        span.tag("entries_after", self.len());
         rb_obs::metrics().counter_add("rustbrain_kb_merges_total", None, 1);
         submitted
     }
@@ -279,9 +305,9 @@ impl KnowledgeBase {
     /// append-only store into a bounded one); returns entries removed.
     pub fn compact(&mut self, policy: &MergePolicy) -> usize {
         let mut span = rb_obs::span("kb.compact");
-        let before = self.entries.len();
+        let before = self.len();
         self.merge_all([], policy);
-        let removed = before - self.entries.len();
+        let removed = before - self.len();
         span.tag("removed", removed);
         rb_obs::metrics().counter_add("rustbrain_kb_compactions_total", None, 1);
         removed
@@ -320,7 +346,6 @@ impl KnowledgeBase {
         // store error degrades to the not-yet-resident bucket and leaves
         // the class non-resident, so the next touch retries.
         let _ = self.ensure_class(class);
-        self.debug_assert_index_fresh();
         let cost = self.query_cost_ms(class);
         span.add_sim_ms(cost);
         let m = rb_obs::metrics();
@@ -334,16 +359,19 @@ impl KnowledgeBase {
         self.queries += 1;
         self.query_time_ms += cost;
         self.last_query_cost_ms = cost;
-        let bucket = self.index.bucket(class);
-        if bucket.is_empty() {
+        if self.class_len(class) == 0 {
             span.tag("shots", 0);
             return Vec::new();
         }
         let vector = embed();
         let vector: &AstVector = vector.borrow();
-        let mut scored: Vec<(f64, &KbEntry)> = bucket
+        let base = &self.base;
+        let mut scored: Vec<(f64, &KbEntry)> = base
+            .index
+            .bucket(class)
             .iter()
-            .map(|&i| &self.entries[i as usize])
+            .map(|&i| &base.entries[i as usize])
+            .chain(self.overlay.iter().filter(|e| e.class == class))
             .map(|e| {
                 // The pre-index scorer gave same-class entries a +0.05
                 // bonus before the 0.6 floor; kept so the floor admits
@@ -375,7 +403,12 @@ impl KnowledgeBase {
     /// accrued overhead cannot drift apart.
     #[must_use]
     pub fn query_cost_ms(&self, class: UbClass) -> f64 {
-        bucket_cost_ms(self.index.bucket_len(class))
+        bucket_cost_ms(self.class_len(class))
+    }
+
+    /// Entries of `class`, in the base and the overlay.
+    fn class_len(&self, class: UbClass) -> usize {
+        self.base.index.bucket_len(class) + self.overlay.iter().filter(|e| e.class == class).count()
     }
 
     /// Actual cost of the most recent query in simulated milliseconds
@@ -401,7 +434,7 @@ impl KnowledgeBase {
     /// runtime state and are not persisted).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        rb_kb::encode_entries(&self.entries)
+        rb_kb::encode_entries(&self.entries())
     }
 
     /// Decodes a base from `.rbkb` bytes (fresh counters, rebuilt index).
@@ -435,7 +468,7 @@ impl KnowledgeBase {
                 )),
             });
         }
-        rb_kb::save_any(path, &self.entries)
+        rb_kb::save_any(path, &self.entries())
     }
 
     /// Loads a base from either store layout (fresh counters, rebuilt
@@ -493,15 +526,24 @@ impl KnowledgeBase {
         self.lazy.is_some()
     }
 
-    /// An eager copy of the currently resident entries. This is what a
-    /// dispatcher hands to repair jobs after faulting in the classes a
-    /// request needs: job-side queries can never reach the backing store
-    /// behind its back, so the positional [`KnowledgeBase::delta_since`]
-    /// contract the learning merge depends on stays exact.
+    /// A handle on the currently resident entries with an empty overlay
+    /// and no backing store: what a repair job starts from, so that its
+    /// [`KnowledgeBase::delta`] is exactly what it learned and its queries
+    /// never reach the store behind the dispatcher's back. A reference
+    /// bump when nothing was inserted on this handle since its last fold
+    /// (always so after a load, merge or compaction); otherwise the
+    /// overlay is folded into the snapshot's own base first.
     #[must_use]
     pub fn resident_snapshot(&self) -> KnowledgeBase {
-        let mut snapshot = self.clone();
-        snapshot.lazy = None;
+        let mut snapshot = KnowledgeBase {
+            base: Arc::clone(&self.base),
+            overlay: Vec::new(),
+            lazy: None,
+            ..*self
+        };
+        if !self.overlay.is_empty() {
+            snapshot.fold(self.overlay.iter().cloned(), &MergePolicy::append_only());
+        }
         snapshot
     }
 
@@ -526,12 +568,8 @@ impl KnowledgeBase {
         span.tag("entries", entries.len());
         if read {
             rb_obs::metrics().counter_add("rustbrain_kb_fault_ins_total", None, 1);
+            self.fold(entries, &MergePolicy::append_only());
         }
-        for e in entries {
-            self.index.note_insert(self.entries.len(), e.class);
-            self.entries.push(e);
-        }
-        self.debug_assert_index_fresh();
         Ok(read)
     }
 
@@ -584,7 +622,16 @@ impl KnowledgeBase {
     #[must_use]
     pub fn resident_shards(&self) -> usize {
         match &self.lazy {
-            None => self.index.histogram().len(),
+            None => {
+                let mut classes: u16 = 0;
+                for (class, _) in self.base.index.histogram() {
+                    classes |= class_bit(class);
+                }
+                for e in &self.overlay {
+                    classes |= class_bit(e.class);
+                }
+                classes.count_ones() as usize
+            }
             Some(lazy) => {
                 let store = lazy.lock();
                 store
@@ -696,24 +743,98 @@ mod tests {
         let v = vec_of("fn main() { print(1i32); }");
         let mut snapshot = KnowledgeBase::new();
         snapshot.insert(v.clone(), UbClass::Panic, RepairRule::GuardDivision);
-        let baseline = snapshot.len();
+        // A snapshot folds its source's inserts into its base.
+        let snapshot = snapshot.resident_snapshot();
+        assert!(snapshot.delta().is_empty());
 
-        // A job clones the snapshot and learns two more cases.
+        // A job starts from the snapshot and learns two more cases.
         let mut job_kb = snapshot.clone();
         job_kb.insert(v.clone(), UbClass::Alloc, RepairRule::RemoveDoubleFree);
         job_kb.insert(v.clone(), UbClass::DataRace, RepairRule::LockSpawnBodies);
-        let delta = job_kb.delta_since(baseline);
+        let delta = job_kb.delta();
         assert_eq!(delta.len(), 2);
         assert_eq!(delta.entries[0].class, UbClass::Alloc);
         assert_eq!(delta.entries[1].class, UbClass::DataRace);
 
         // Merging back grows the snapshot (distinct classes: no policy
-        // pass can collapse them).
+        // pass can collapse them), and leaves nothing pending.
         let mut merged = snapshot.clone();
         assert_eq!(merged.merge(&delta, &MergePolicy::default()), 2);
         assert_eq!(merged.len(), 3);
-        // An out-of-range baseline yields an empty delta, not a panic.
-        assert!(job_kb.delta_since(99).is_empty());
+        assert!(merged.delta().is_empty());
+        assert_eq!(snapshot.len(), 1, "the merge folded into a base of its own");
+    }
+
+    #[test]
+    fn a_clone_shares_its_base_and_copies_no_entry() {
+        let v = vec_of("fn main() { let z: i32 = 0; print(5 / z); }");
+        let kb = KnowledgeBase::with_entries(vec![
+            KbEntry::new(v.clone(), UbClass::Panic, RepairRule::GuardDivision),
+            KbEntry::new(v.clone(), UbClass::Alloc, RepairRule::RemoveDoubleFree),
+        ]);
+        let job = kb.clone();
+        assert!(Arc::ptr_eq(&kb.base, &job.base));
+        assert!(job.overlay.is_empty() && job.overlay.capacity() == 0);
+        let snapshot = kb.resident_snapshot();
+        assert!(Arc::ptr_eq(&kb.base, &snapshot.base));
+        assert!(matches!(kb.entries(), Cow::Borrowed(_)));
+    }
+
+    #[test]
+    fn queries_over_an_overlay_match_a_base_of_the_same_entries() {
+        let dangling = vec_of(
+            "fn main() { let q: *const i32 = 0 as *const i32; \
+             { let x: i32 = 5; q = &raw const x; } unsafe { print(*q); } }",
+        );
+        let near = vec_of(
+            "fn main() { let p: *const i32 = 0 as *const i32; \
+             { let val: i32 = 9; p = &raw const val; } unsafe { print(*p); } }",
+        );
+        let other = vec_of("fn main() { let z: i32 = 0; print(5 / z); }");
+        let seed = vec![
+            KbEntry::new(
+                dangling.clone(),
+                UbClass::DanglingPointer,
+                RepairRule::HoistLocalOut,
+            ),
+            KbEntry::new(other.clone(), UbClass::Panic, RepairRule::GuardDivision),
+        ];
+        // Equal vectors tie on similarity and weight: their order is the
+        // storage order, base first.
+        let learned = [
+            (
+                near.clone(),
+                UbClass::DanglingPointer,
+                RepairRule::UseDirectPointer,
+            ),
+            (
+                dangling.clone(),
+                UbClass::DanglingPointer,
+                RepairRule::BorrowLocalInstead,
+            ),
+            (other.clone(), UbClass::Panic, RepairRule::GuardDivision),
+        ];
+        let mut layered = KnowledgeBase::with_entries(seed.clone());
+        let mut all = seed;
+        for (v, class, rule) in &learned {
+            layered.insert(v.clone(), *class, *rule);
+            all.push(KbEntry::new(v.clone(), *class, *rule));
+        }
+        let mut flat = KnowledgeBase::with_entries(all);
+        assert_eq!(layered.entries(), flat.entries());
+        for class in [UbClass::DanglingPointer, UbClass::Panic, UbClass::DataRace] {
+            for query in [&dangling, &near, &other] {
+                assert_eq!(layered.query_cost_ms(class), flat.query_cost_ms(class));
+                assert_eq!(layered.query(query, class, 3), flat.query(query, class, 3));
+                assert_eq!(layered.last_query_cost_ms(), flat.last_query_cost_ms());
+            }
+        }
+        assert_eq!(layered.query_time_ms(), flat.query_time_ms());
+        assert_eq!(layered.resident_shards(), flat.resident_shards());
+        assert_eq!(layered.total_weight(), flat.total_weight());
+        // The overlay is the delta.
+        let delta = layered.delta();
+        assert_eq!(delta.entries[..], flat.entries()[2..]);
     }
 
     #[test]
@@ -909,6 +1030,40 @@ mod tests {
         got.sort_by_key(key);
         want.sort_by_key(key);
         assert_eq!(got, want);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_fault_in_leaves_other_handles_on_the_base_unchanged() {
+        let dir = std::env::temp_dir().join(format!("rb_core_lazy_cow_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = dir.join("cow.rbkb.d");
+        let v = vec_of("fn main() { let z: i32 = 0; print(5 / z); }");
+        let mut eager = KnowledgeBase::new();
+        eager.insert(v.clone(), UbClass::Panic, RepairRule::GuardDivision);
+        eager.insert(v.clone(), UbClass::Alloc, RepairRule::RemoveDoubleFree);
+        eager.save(&store).unwrap();
+
+        let mut lazy = KnowledgeBase::open_lazy(&store).unwrap();
+        lazy.ensure_class(UbClass::Panic).unwrap();
+        let other = lazy.clone();
+        let snapshot = lazy.resident_snapshot();
+        assert!(Arc::ptr_eq(&lazy.base, &other.base));
+        assert!(Arc::ptr_eq(&lazy.base, &snapshot.base));
+
+        // The fault-in folds into a base of the faulting handle's own.
+        assert!(lazy.ensure_class(UbClass::Alloc).unwrap());
+        assert_eq!(lazy.len(), 2);
+        assert!(!Arc::ptr_eq(&lazy.base, &other.base));
+        for view in [&other, &snapshot] {
+            assert_eq!(view.len(), 1);
+            assert_eq!(view.entries()[0].class, UbClass::Panic);
+            assert_eq!(view.query_cost_ms(UbClass::Alloc), bucket_cost_ms(0));
+        }
+        assert!(
+            !other.is_resident(UbClass::Alloc),
+            "residency stays per-handle"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -5,13 +5,14 @@
 use crate::config::RustBrainConfig;
 use crate::evaluate::evaluate_with_report;
 use crate::fast::FastThinking;
-use crate::features::{embed_pruned, extract_features, CodeFeatures};
+use crate::features::{extract_features, CodeFeatures};
 use crate::feedback::Priors;
 use crate::knowledge::KnowledgeBase;
 use crate::slow::{execute_solution, SolutionOutcome};
 use crate::solution::Solution;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use rb_lang::prune::embed_pruned;
 use rb_lang::Program;
 use rb_llm::{LanguageModel, ModelCallStats, RepairRule, SimulatedModel};
 use rb_miri::{DirectOracle, MiriReport, Oracle, OracleUse, UbClass};
@@ -137,9 +138,9 @@ impl RustBrain {
     }
 
     /// Replaces the knowledge base with `kb` (builder-style). Batch jobs
-    /// use this to start from a clone of the engine's shared pre-seeded
-    /// snapshot; their subsequent inserts are recovered with
-    /// [`KnowledgeBase::delta_since`] and merged after the batch.
+    /// use this to start from a [`KnowledgeBase::resident_snapshot`] of
+    /// the engine's shared pre-seeded base; their subsequent inserts are
+    /// recovered with [`KnowledgeBase::delta`] and merged after the batch.
     #[must_use]
     pub fn with_knowledge_base(mut self, kb: KnowledgeBase) -> RustBrain {
         self.knowledge = kb;
@@ -505,8 +506,8 @@ mod tests {
         assert!(out.passed);
         let mut seeded = RustBrain::new(RustBrainConfig::for_model(ModelId::Gpt4, 42));
         seeded.seed_knowledge(&p, UbClass::Alloc, RepairRule::RemoveDoubleFree);
-        let stored = &rb.knowledge().entries()[0];
-        let expected = &seeded.knowledge().entries()[0];
+        let stored = rb.knowledge().entries()[0].clone();
+        let expected = seeded.knowledge().entries()[0].clone();
         assert_eq!(stored.vector, expected.vector);
         assert_eq!(stored.class, out.class);
     }
@@ -589,13 +590,13 @@ mod tests {
         let (p, _) = double_free();
         let mut donor = RustBrain::new(RustBrainConfig::for_model(ModelId::Gpt4, 1));
         donor.seed_knowledge(&p, UbClass::Alloc, rb_llm::RepairRule::RemoveDoubleFree);
-        let snapshot = donor.knowledge().clone();
+        let snapshot = donor.knowledge().resident_snapshot();
 
         let rb = RustBrain::new(RustBrainConfig::for_model(ModelId::Gpt4, 2))
             .with_knowledge_base(snapshot.clone());
         assert_eq!(rb.knowledge().len(), snapshot.len());
         // The delta relative to the snapshot starts empty.
-        assert!(rb.knowledge().delta_since(snapshot.len()).is_empty());
+        assert!(rb.knowledge().delta().is_empty());
     }
 
     #[test]

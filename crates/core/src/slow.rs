@@ -10,8 +10,7 @@ use crate::evaluate::{evaluate_with_report, EvalTriplet};
 use crate::knowledge::KnowledgeBase;
 use crate::rollback::{RollbackTracker, ThoughtTrace};
 use crate::solution::{AgentKind, Solution};
-use rb_lang::prune::prune_program;
-use rb_lang::vectorize::AstVector;
+use rb_lang::prune::embed_pruned;
 use rb_lang::Program;
 use rb_llm::{LanguageModel, RepairContext, RepairRule};
 use rb_miri::{MiriReport, Oracle, OracleUse};
@@ -135,14 +134,7 @@ pub fn execute_solution(
                     step_span.add_sim_ms(consult_ms);
                     // The pruned-AST embedding is built only when the
                     // bucket has entries to score it against.
-                    shots = kb.query_with(primary.class(), 2, || {
-                        let (pruned, _) = prune_program(&cur_prog);
-                        if pruned.stmt_count() == 0 {
-                            AstVector::embed(&cur_prog)
-                        } else {
-                            AstVector::embed(&pruned)
-                        }
-                    });
+                    shots = kb.query_with(primary.class(), 2, || embed_pruned(&cur_prog).0);
                 }
             }
             let mut ctx = RepairContext::shared(&cur_prog, &primary, agent.strategy());

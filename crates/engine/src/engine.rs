@@ -182,7 +182,7 @@ impl Engine {
         let (result, mut oracle_use) =
             system.repair_case_instrumented(job.case, &reference.outputs);
         oracle_use.record(gold_hit);
-        let kb_delta = system.kb_delta(snapshot.len());
+        let kb_delta = system.kb_delta();
         (result, oracle_use, gold_hit, kb_delta)
     }
 
@@ -210,6 +210,9 @@ impl Engine {
         // order.
         let next = AtomicUsize::new(0);
         let oracle = self.shared_oracle();
+        // Every job's knowledge base is a handle on this one base; inserts
+        // still pending on `snapshot` are folded in once, here.
+        let job_base = snapshot.resident_snapshot();
 
         let mut executed: Vec<JobResult> = Vec::with_capacity(jobs.len());
         std::thread::scope(|scope| {
@@ -217,6 +220,7 @@ impl Engine {
                 .map(|worker| {
                     let next = &next;
                     let oracle = &oracle;
+                    let job_base = &job_base;
                     let tracer = self.tracer.clone();
                     scope.spawn(move || {
                         // Install the batch tracer on this worker for its
@@ -230,7 +234,7 @@ impl Engine {
                             job_span.tag("case", &job.case.id);
                             job_span.tag("worker", worker);
                             let (result, oracle_use, cache_hit, kb_delta) =
-                                Engine::execute(job, oracle, snapshot);
+                                Engine::execute(job, oracle, job_base);
                             let wall_s = job_started.elapsed().as_secs_f64();
                             job_span.add_sim_ms(result.overhead_ms);
                             job_span.tag("class", result.class.label());

@@ -29,9 +29,10 @@
 //!    degrades to an extra oracle run, not a wrong verdict; a bounded
 //!    cache ([`OracleCache::bounded`], clock eviction) only re-executes
 //!    evicted verdicts, it never changes them.
-//! 3. **Cross-case learning at scale** — every job starts from the same
-//!    read-only knowledge-base snapshot and records its inserts into a
-//!    [`rustbrain::KbDelta`]; the engine merges the deltas back in
+//! 3. **Cross-case learning at scale** — every job starts from a handle
+//!    on the same read-only knowledge-base snapshot (shared, not copied)
+//!    and records its inserts into a [`rustbrain::KbDelta`]; the engine
+//!    merges the deltas back in
 //!    submission order after the batch ([`Engine::run_batch_learned`]),
 //!    so the merged base is identical for any `--jobs N` and can seed
 //!    the next batch — the paper's self-learning, recovered in parallel.

@@ -124,13 +124,13 @@ impl System {
         )
     }
 
-    /// The knowledge-base inserts this system recorded beyond `baseline`
-    /// entries (the shared snapshot's size), or `None` for systems without
-    /// a knowledge base.
+    /// The knowledge-base inserts this system recorded on top of the
+    /// snapshot it was built from, or `None` for systems without a
+    /// knowledge base.
     #[must_use]
-    pub fn kb_delta(&self, baseline: usize) -> Option<KbDelta> {
+    pub fn kb_delta(&self) -> Option<KbDelta> {
         match self {
-            System::Brain(s) => Some(s.knowledge().delta_since(baseline)),
+            System::Brain(s) => Some(s.knowledge().delta()),
             System::Llm(_) | System::RustAssistant(_) => None,
         }
     }
@@ -223,8 +223,9 @@ impl SystemSpec {
 
     /// Instantiates the system with a per-job seed, an injected oracle
     /// (the engine passes its shared verdict cache here) and a pre-seeded
-    /// knowledge-base snapshot the instance starts from (cloned; ignored
-    /// by systems without a knowledge base).
+    /// knowledge-base snapshot the instance starts from (a
+    /// [`KnowledgeBase::resident_snapshot`] handle, which shares the
+    /// snapshot's entries; ignored by systems without a knowledge base).
     #[must_use]
     pub fn build_with(
         &self,
@@ -243,7 +244,8 @@ impl SystemSpec {
                 let mut config = config.clone();
                 config.seed = seed;
                 System::Brain(Box::new(
-                    RustBrain::with_oracle(config, oracle).with_knowledge_base(knowledge.clone()),
+                    RustBrain::with_oracle(config, oracle)
+                        .with_knowledge_base(knowledge.resident_snapshot()),
                 ))
             }
         }
@@ -301,9 +303,9 @@ mod tests {
         };
         assert_eq!(b.knowledge().len(), snapshot.len());
         // Nothing learned yet: the delta over the snapshot is empty.
-        assert!(sys.kb_delta(snapshot.len()).unwrap().is_empty());
+        assert!(sys.kb_delta().unwrap().is_empty());
         // Knowledge-free systems have no delta at all.
-        assert!(SystemSpec::rust_assistant().build(1).kb_delta(0).is_none());
+        assert!(SystemSpec::rust_assistant().build(1).kb_delta().is_none());
     }
 
     #[test]

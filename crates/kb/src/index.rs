@@ -29,11 +29,9 @@ pub fn query_cost_ms(scanned: usize) -> f64 {
 
 /// Positions of a knowledge base's entries, bucketed by UB class.
 ///
-/// The index stores positions into the owner's entry vector (not copies),
-/// so it must be rebuilt when the entry vector is reordered (e.g. by a
-/// policy merge) and extended via [`KbIndex::note_insert`] on appends.
-/// Owners can (and in debug builds should) check that contract with
-/// [`KbIndex::is_consistent`].
+/// The index stores positions into the entry slice it was built from (not
+/// copies), so it describes that slice only: an owner that reorders or
+/// extends its entries builds a new index over them.
 ///
 /// Positions are `u64` on the wire-facing side: a store past `u32::MAX`
 /// entries keeps indexing correctly instead of aborting mid-batch (the
@@ -62,11 +60,11 @@ impl KbIndex {
         index
     }
 
-    /// Records that an entry of `class` was appended at `position`.
+    /// Records that an entry of `class` sits at `position`.
     ///
     /// Positions widen losslessly into `u64`: a base that outgrows
     /// `u32::MAX` entries degrades into more memory, not a panic.
-    pub fn note_insert(&mut self, position: usize, class: UbClass) {
+    fn note_insert(&mut self, position: usize, class: UbClass) {
         if self.buckets.is_empty() {
             self.buckets = vec![Vec::new(); NUM_CLASS_CODES];
         }
@@ -79,30 +77,6 @@ impl KbIndex {
         self.buckets
             .get(usize::from(class_code(class)))
             .map_or(&[], Vec::as_slice)
-    }
-
-    /// Whether this index faithfully describes `entries`: every position
-    /// is in range, points at an entry of the bucket's class, and every
-    /// entry is indexed exactly once. This is the staleness invariant a
-    /// reorder (e.g. a policy merge) breaks unless the owner rebuilds —
-    /// owners `debug_assert!` it at their read and merge boundaries.
-    #[must_use]
-    pub fn is_consistent(&self, entries: &[KbEntry]) -> bool {
-        if self.len() != entries.len() {
-            return false;
-        }
-        // With bucket sizes summing to entries.len(), "each entry indexed
-        // exactly once" reduces to "no position indexed twice".
-        let mut seen = vec![false; entries.len()];
-        self.buckets.iter().enumerate().all(|(code, bucket)| {
-            bucket.iter().all(|&p| {
-                let Some(e) = usize::try_from(p).ok().and_then(|p| entries.get(p)) else {
-                    return false;
-                };
-                let fresh = !std::mem::replace(&mut seen[p as usize], true);
-                fresh && u8::try_from(code).is_ok_and(|code| class_code(e.class) == code)
-            })
-        })
     }
 
     /// Number of entries a query for `class` will scan.
@@ -190,32 +164,6 @@ mod tests {
         index.note_insert(huge, UbClass::Alloc);
         assert_eq!(index.bucket(UbClass::Alloc), &[huge as u64]);
         assert_eq!(index.len(), 1);
-    }
-
-    #[test]
-    fn consistency_detects_stale_positions() {
-        let entries = vec![
-            entry(UbClass::Panic),
-            entry(UbClass::Alloc),
-            entry(UbClass::Panic),
-        ];
-        let index = KbIndex::build(&entries);
-        assert!(index.is_consistent(&entries));
-        // A reorder without a rebuild is exactly the staleness bug.
-        let mut reordered = entries.clone();
-        reordered.swap(0, 1);
-        assert!(!index.is_consistent(&reordered));
-        // So is an index that covers fewer entries than exist…
-        assert!(!index.is_consistent(&[entries[0].clone()]));
-        // …and a stale out-of-range position.
-        assert!(!KbIndex::build(&entries).is_consistent(&entries[..2]));
-        // A duplicated position hides an unindexed entry even though the
-        // totals match: "exactly once" must actually mean exactly once.
-        let mut duplicated = KbIndex::new();
-        duplicated.note_insert(0, UbClass::Panic);
-        duplicated.note_insert(0, UbClass::Panic);
-        duplicated.note_insert(1, UbClass::Alloc);
-        assert!(!duplicated.is_consistent(&entries));
     }
 
     #[test]

@@ -120,7 +120,8 @@ fn visit_block(b: &Block, depth: usize, in_unsafe: bool, prog: &Program, m: &mut
     }
 }
 
-fn count_expr(e: &Expr, prog: &Program, m: &mut ProgramMetrics) {
+/// Adds one expression node (not its children) to `m`.
+pub(crate) fn count_expr(e: &Expr, prog: &Program, m: &mut ProgramMetrics) {
     m.exprs += 1;
     match e {
         Expr::Deref(inner)
@@ -163,62 +164,71 @@ fn count_expr(e: &Expr, prog: &Program, m: &mut ProgramMetrics) {
 #[must_use]
 pub fn stmt_kind_histogram(prog: &Program) -> [usize; 16] {
     let mut h = [0usize; 16];
-    for_each_stmt(prog, |s, _| {
-        let idx = match s {
-            Stmt::Let { .. } => 0,
-            Stmt::Assign { .. } => 1,
-            Stmt::Expr(_) => 2,
-            Stmt::Unsafe(_) => 3,
-            Stmt::Scope(_) => 4,
-            Stmt::If { .. } => 5,
-            Stmt::While { .. } => 6,
-            Stmt::Assert { .. } => 7,
-            Stmt::Return(_) => 8,
-            Stmt::Spawn(_) => 9,
-            Stmt::JoinAll => 10,
-            Stmt::Lock(..) => 11,
-            Stmt::Print(_) => 12,
-            Stmt::TailCall(..) => 13,
-            Stmt::Nop => 14,
-        };
-        h[idx] += 1;
-    });
+    for_each_stmt(prog, |s, _| h[stmt_kind_index(s)] += 1);
     h
 }
 
+/// Bucket of a statement in [`stmt_kind_histogram`].
+pub(crate) fn stmt_kind_index(s: &Stmt) -> usize {
+    match s {
+        Stmt::Let { .. } => 0,
+        Stmt::Assign { .. } => 1,
+        Stmt::Expr(_) => 2,
+        Stmt::Unsafe(_) => 3,
+        Stmt::Scope(_) => 4,
+        Stmt::If { .. } => 5,
+        Stmt::While { .. } => 6,
+        Stmt::Assert { .. } => 7,
+        Stmt::Return(_) => 8,
+        Stmt::Spawn(_) => 9,
+        Stmt::JoinAll => 10,
+        Stmt::Lock(..) => 11,
+        Stmt::Print(_) => 12,
+        Stmt::TailCall(..) => 13,
+        Stmt::Nop => 14,
+    }
+}
+
 /// Counts occurrences of each expression discriminant.
+///
+/// A node is counted once per enclosing node of its statement-level
+/// expression, itself included (`depth + 1` times, the top expression at
+/// depth 0): every subexpression of a statement is walked again as a root.
+/// Stored knowledge-base vectors encode these counts, so they stay.
 #[must_use]
 pub fn expr_kind_histogram(prog: &Program) -> [usize; 20] {
     let mut h = [0usize; 20];
     for_each_stmt(prog, |s, _| {
         for_each_expr_in_stmt(s, |top| {
-            walk_expr(top, &mut |e| {
-                let idx = match e {
-                    Expr::Lit(_) => 0,
-                    Expr::Var(_) => 1,
-                    Expr::Unary(..) => 2,
-                    Expr::Binary(..) => 3,
-                    Expr::Cast(..) => 4,
-                    Expr::AddrOf(..) => 5,
-                    Expr::RawAddrOf(..) => 6,
-                    Expr::Deref(_) => 7,
-                    Expr::Index(..) => 8,
-                    Expr::Field(..) => 9,
-                    Expr::Tuple(_) => 10,
-                    Expr::ArrayLit(_) => 11,
-                    Expr::ArrayRepeat(..) => 12,
-                    Expr::Call(..) => 13,
-                    Expr::CallPtr(..) => 14,
-                    Expr::Builtin(..) => 15,
-                    Expr::UnionLit(..) => 16,
-                    Expr::UnionField(..) => 17,
-                    Expr::StaticRef(_) => 18,
-                };
-                h[idx] += 1;
-            });
+            walk_expr(top, &mut |e| h[expr_kind_index(e)] += 1);
         });
     });
     h
+}
+
+/// Bucket of an expression in [`expr_kind_histogram`].
+pub(crate) fn expr_kind_index(e: &Expr) -> usize {
+    match e {
+        Expr::Lit(_) => 0,
+        Expr::Var(_) => 1,
+        Expr::Unary(..) => 2,
+        Expr::Binary(..) => 3,
+        Expr::Cast(..) => 4,
+        Expr::AddrOf(..) => 5,
+        Expr::RawAddrOf(..) => 6,
+        Expr::Deref(_) => 7,
+        Expr::Index(..) => 8,
+        Expr::Field(..) => 9,
+        Expr::Tuple(_) => 10,
+        Expr::ArrayLit(_) => 11,
+        Expr::ArrayRepeat(..) => 12,
+        Expr::Call(..) => 13,
+        Expr::CallPtr(..) => 14,
+        Expr::Builtin(..) => 15,
+        Expr::UnionLit(..) => 16,
+        Expr::UnionField(..) => 17,
+        Expr::StaticRef(_) => 18,
+    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! cosine similarity.
 
 use crate::ast::Program;
-use crate::metrics::{collect_metrics, expr_kind_histogram, stmt_kind_histogram};
+use crate::metrics::{collect_metrics, expr_kind_histogram, stmt_kind_histogram, ProgramMetrics};
 use serde::{Deserialize, Serialize};
 
 /// Dimension of the embedding vector.
@@ -27,14 +27,25 @@ impl AstVector {
     /// so large programs do not dominate similarity.
     #[must_use]
     pub fn embed(prog: &Program) -> AstVector {
-        let m = collect_metrics(prog);
-        let sh = stmt_kind_histogram(prog);
-        let eh = expr_kind_histogram(prog);
+        AstVector::from_counts(
+            &collect_metrics(prog),
+            &stmt_kind_histogram(prog),
+            &expr_kind_histogram(prog),
+        )
+    }
+
+    /// Lays out the vector [`AstVector::embed`] describes from a
+    /// program's metrics and kind histograms.
+    pub(crate) fn from_counts(
+        m: &ProgramMetrics,
+        stmt_kinds: &[usize; 16],
+        expr_kinds: &[usize; 20],
+    ) -> AstVector {
         let mut c = Vec::with_capacity(VECTOR_DIM);
-        for v in sh {
+        for &v in stmt_kinds {
             c.push(damp(v));
         }
-        for v in eh {
+        for &v in expr_kinds {
             c.push(damp(v));
         }
         for v in m.unsafe_ops {

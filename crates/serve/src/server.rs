@@ -12,9 +12,10 @@
 //! feeds connections to a small pool of handler threads over a channel.
 //! Handlers serve whole connections (many request lines each). The
 //! resident base sits behind a mutex, but handlers hold it only long
-//! enough to fault shards in and clone a [resident
-//! snapshot](KnowledgeBase::resident_snapshot) — repairs and batches
-//! run on the snapshot, and learned deltas merge back afterwards. The
+//! enough to fault shards in and take a [resident
+//! snapshot](KnowledgeBase::resident_snapshot), a handle on the shared
+//! base that copies no entry — repairs and batches run on the snapshot,
+//! and learned deltas merge back afterwards. The
 //! merge is the same submission-order multiset merge the batch engine
 //! uses, so a daemon's knowledge evolution matches the equivalent CLI
 //! run byte for byte. A `shutdown` request closes every open connection,
@@ -431,15 +432,15 @@ fn handle_repair(
     // Fault in exactly the shard this class maps to, then hand the
     // repair an eager snapshot: mid-repair queries for other classes see
     // what the dispatcher made resident, never the disk.
-    let (snapshot, baseline) = {
+    let snapshot = {
         let mut kb = state.lock_kb();
         kb.ensure_class(class).map_err(|e| e.to_string())?;
-        (kb.resident_snapshot(), kb.len())
+        kb.resident_snapshot()
     };
     let mut brain =
         RustBrain::with_oracle(brain_config(seed), oracle).with_knowledge_base(snapshot);
     let outcome = brain.repair(&program, reference);
-    let delta = brain.knowledge().delta_since(baseline);
+    let delta = brain.knowledge().delta();
     if !delta.is_empty() {
         let mut kb = state.lock_kb();
         for entry in &delta.entries {

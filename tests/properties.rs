@@ -8,7 +8,7 @@ use rb_dataset::all_templates;
 use rb_lang::check::check_program;
 use rb_lang::parser::parse_program;
 use rb_lang::printer::print_program;
-use rb_lang::prune::prune_program;
+use rb_lang::prune::{embed_pruned, prune_program};
 use rb_lang::vectorize::AstVector;
 use rb_miri::run_program;
 
@@ -78,6 +78,27 @@ proptest! {
         let unsafe_before = rb_lang::metrics::collect_metrics(&p).unsafe_blocks;
         let unsafe_after = rb_lang::metrics::collect_metrics(&pruned).unsafe_blocks;
         prop_assert_eq!(unsafe_before, unsafe_after);
+    }
+
+    /// The one-pass `embed_pruned` equals its reference — pruning, then
+    /// embedding the pruned program (the whole one when nothing is kept) —
+    /// bit for bit, with the same removed count, on buggy and gold
+    /// programs alike.
+    #[test]
+    fn one_pass_embedding_matches_prune_then_embed((buggy, gold) in template_programs()) {
+        for src in [buggy, gold] {
+            let p = parse_program(&src).expect("parse");
+            let (pruned, removed) = prune_program(&p);
+            let want = if pruned.stmt_count() == 0 {
+                AstVector::embed(&p)
+            } else {
+                AstVector::embed(&pruned)
+            };
+            let (got, got_removed) = embed_pruned(&p);
+            let bits = |v: &AstVector| v.components.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want));
+            prop_assert_eq!(got_removed, removed);
+        }
     }
 
     /// AST vectors are well-behaved: self-similarity 1, symmetry, and
