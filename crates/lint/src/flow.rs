@@ -11,11 +11,12 @@
 //! each memory effect against [`rb_miri::memory::Memory`] and each value
 //! round-trip against [`rb_miri::value`] codecs.
 //!
-//! **Soundness discipline.** Everything is deterministic except one corner:
-//! the oracle snapshots spawn environments from a hash map, so the *address
-//! layout* of thread-frame locals (and every allocation made after them) is
-//! not reproducible. The pass keeps a per-allocation `deterministic-base`
-//! bit; the moment a non-reproducible address could be *observed*
+//! **Soundness discipline.** The oracle copies a spawned thread's locals in
+//! declaration order, but the pass visits them in name order, so it does
+//! not reproduce the *address layout* of thread-frame locals (or of any
+//! allocation made after them) once a thread copies two or more. The pass
+//! keeps a per-allocation `deterministic-base` bit; the moment an address
+//! it may have laid out differently could be *observed*
 //! numerically (pointer→int cast, `ptr_addr`, pointer comparison, an
 //! alignment check stricter than the allocation's own alignment, pointer
 //! arithmetic escaping its allocation after layout drift), the pass drops
@@ -992,11 +993,16 @@ impl<'p> FlowMachine<'p> {
             }
         }
         if result.is_ok() {
-            result = match self.exec_fn_body(&body, idx) {
-                Ok(Flow::Return(v)) => Ok(v),
-                Ok(Flow::Normal) => Ok(Value::Unit),
-                Err(e) => Err(e),
-            };
+            let caller = self.current_path.clone();
+            result = self.exec_fn_body(&body, idx).map(|flow| {
+                // What happens after the call belongs to the caller's
+                // statement, as in the oracle.
+                self.current_path = caller;
+                match flow {
+                    Flow::Return(v) => v,
+                    Flow::Normal => Value::Unit,
+                }
+            });
         }
         if let Some(frame) = self.frames.pop() {
             for scope in frame.scopes {
@@ -1128,10 +1134,10 @@ impl<'p> FlowMachine<'p> {
                 Ok(Flow::Return(v))
             }
             Stmt::Spawn(b) => {
-                // The oracle snapshots visible locals in hash-map order; the
-                // set is deterministic, the order is not. Collect per scope
-                // in sorted order (the names, types and values read are the
-                // same set either way).
+                // The oracle copies visible locals in declaration order;
+                // this pass's scopes are hash maps, so collect per scope in
+                // name order (the names, types and values read are the same
+                // set either way).
                 let mut names: Vec<(String, Ty)> = Vec::new();
                 if let Some(f) = self.frames.last() {
                     for s in &f.scopes {
@@ -1160,7 +1166,7 @@ impl<'p> FlowMachine<'p> {
                 }
                 if let Some(e) = first_err {
                     // Which failing local the oracle hits first depends on
-                    // hash order when several could fail.
+                    // declaration order when several could fail.
                     if err_count > 1 {
                         self.sound = false;
                     }
@@ -1231,6 +1237,10 @@ impl<'p> FlowMachine<'p> {
     }
 
     fn join_all(&mut self) -> Result<(), Exc> {
+        // Each joined thread runs at its spawn statement; the join's own
+        // statement resumes after it, as in the oracle. A stop or an abort
+        // keeps the innermost path.
+        let caller = self.current_path.clone();
         while let Some(t) = self.pending.pop() {
             self.err_cap_check()?;
             let id = self.next_thread;
@@ -1243,8 +1253,9 @@ impl<'p> FlowMachine<'p> {
                 fn_idx: 0,
             });
             self.current_path = t.spawn_path.clone();
-            // From here on, allocation bases depend on the oracle's
-            // hash-order declaration of the thread environment.
+            // From here on, allocation bases depend on the order the
+            // oracle declares the thread environment in, which this pass
+            // does not follow.
             if t.env.len() >= 2 {
                 self.base_drift = true;
             }
@@ -1292,6 +1303,7 @@ impl<'p> FlowMachine<'p> {
             }
             self.thread = saved_thread;
             self.locks_held = saved_locks;
+            self.current_path.clone_from(&caller);
         }
         Ok(())
     }

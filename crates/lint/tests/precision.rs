@@ -150,3 +150,39 @@ fn analysis_is_deterministic_on_corpus() {
         assert_eq!(a, b, "{}: analysis not deterministic", case.id);
     }
 }
+
+/// After a call returns or a join finishes, the lint blames the statement
+/// the oracle blames: the caller's, not the callee's or the spawn's.
+#[test]
+fn findings_after_a_call_or_a_join_anchor_where_the_oracle_does() {
+    let cases = [
+        (
+            "fn dangling() -> *const i32 { let x: i32 = 5; \
+             let q: *const i32 = &raw const x; return q; } \
+             fn main() { print(1i32); unsafe { print(*dangling()); } }",
+            "fn#1.1",
+        ),
+        (
+            "fn main() { let x: i32 = 1; spawn { print(x); } \
+             { join; let p: *const i32 = 0 as *const i32; unsafe { print(*p); } } }",
+            "fn#0.2",
+        ),
+    ];
+    for (src, want) in cases {
+        let program = rb_lang::parser::parse_program(src).expect("parses");
+        let report = rb_miri::run_program(&program);
+        let oracle: Vec<String> = report
+            .errors
+            .iter()
+            .map(|e| e.path.as_ref().map(ToString::to_string).unwrap_or_default())
+            .collect();
+        assert_eq!(oracle, vec![want.to_owned()], "oracle on {src}");
+        let lint: Vec<String> = analyze(&program)
+            .findings
+            .iter()
+            .filter(|f| f.confidence == Confidence::Sound)
+            .map(|f| f.path.as_ref().map(ToString::to_string).unwrap_or_default())
+            .collect();
+        assert_eq!(lint, oracle, "lint on {src}");
+    }
+}

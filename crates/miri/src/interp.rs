@@ -1319,6 +1319,10 @@ impl<'p> Machine<'p> {
     }
 
     fn join_all(&mut self) -> Result<(), Exc> {
+        // Each joined thread runs at its spawn statement; what follows the
+        // join belongs to the join's own statement. A stop or an abort
+        // keeps the innermost cursor.
+        let caller = self.at;
         while let Some(t) = self.pending.pop() {
             self.err_cap_check()?;
             let id = self.next_thread;
@@ -1361,6 +1365,7 @@ impl<'p> Machine<'p> {
             self.pop_frame();
             self.thread = saved_thread;
             self.locks_held = saved_locks;
+            self.at = caller;
         }
         Ok(())
     }

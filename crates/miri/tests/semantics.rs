@@ -372,3 +372,18 @@ fn ub_after_a_call_returns_is_blamed_on_the_caller() {
     assert_eq!(errors, vec![(UbKind::UseAfterScope, "fn#1.1".to_owned())]);
     assert_eq!(r.outputs, vec!["1"]);
 }
+
+#[test]
+fn ub_after_a_join_is_blamed_on_the_joining_statement() {
+    // The null read follows the join inside main's third statement: the
+    // report points there, not at the joined thread's `spawn`.
+    let r = run("fn main() { let x: i32 = 1; spawn { print(x); } \
+                 { join; let p: *const i32 = 0 as *const i32; unsafe { print(*p); } } }");
+    let paths: Vec<String> = r
+        .errors
+        .iter()
+        .map(|e| e.path.as_ref().map(ToString::to_string).unwrap_or_default())
+        .collect();
+    assert_eq!(paths, vec!["fn#0.2".to_owned()]);
+    assert_eq!(r.outputs, vec!["1"]);
+}
