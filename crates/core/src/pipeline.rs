@@ -71,10 +71,10 @@ pub struct RepairOutcome {
     pub best_solution: Option<Solution>,
     /// UB class of the problem (from the initial report).
     pub class: UbClass,
-    /// Class of the lint's top finding on the input program (static
-    /// triage), `None` when the lint found nothing.
+    /// Class of the lint's top finding on the input program (triage,
+    /// read off the input's oracle report), `None` when it found nothing.
     pub lint_class: Option<UbClass>,
-    /// Whether static triage agreed with the oracle on the input program:
+    /// Whether triage agreed with the oracle on the input program:
     /// a sound top finding whose class the report confirms, or a proven
     /// clean on a passing program.
     pub lint_agrees: bool,
@@ -257,17 +257,12 @@ impl RustBrain {
         let report: Arc<MiriReport> = self.oracle.judge_recording(input, &mut oracle_use);
         let class = report.primary().map_or(UbClass::Compile, |e| e.class());
         repair_span.tag("class", class.label());
-        // Static triage: consult the lint on the input program before any
-        // model call. A sound agreeing diagnosis means fast thinking gets
+        // Triage reads the lint's verdict off the report already in hand
+        // (cache hit or miss) before any model call: no second run, no
+        // second walk. A sound agreeing diagnosis means fast thinking gets
         // the defect class for free (one model call instead of two, below);
         // the agreement itself is recorded per case as precision telemetry.
-        let lint = rb_lint::analyze(program);
-        let lint_class = lint.top().map(|f| f.class);
-        let lint_agrees = if report.passes() {
-            lint.proves_clean()
-        } else {
-            lint.agrees_with(&report)
-        };
+        let (lint_class, lint_agrees) = rb_lint::triage(&report);
         repair_span.tag("lint_agrees", lint_agrees);
         rb_obs::metrics().counter_add(
             "rustbrain_triage_total",
@@ -301,7 +296,7 @@ impl RustBrain {
         }
 
         // Fast thinking is normally two model calls (feature/class
-        // extraction and solution generation); when static triage already
+        // extraction and solution generation); when triage already
         // produced a sound agreeing diagnosis the class prediction is free
         // and only the generation call's latency is charged.
         let profile = self.model.profile();

@@ -1,44 +1,36 @@
-//! `rb_lint` — static undefined-behaviour analysis over the `rb_lang` AST.
+//! `rb_lint` — undefined-behaviour findings ranked by confidence, derived
+//! from the oracle's report.
 //!
-//! Every verdict in the rest of the stack is *dynamic*: `rb_miri` interprets
-//! the program and the pipeline pays simulated oracle latency for it, even
-//! when the defect is decidable from the source alone. This crate is the
-//! static layer in front of that oracle. It combines two cooperating passes:
+//! The corpus language is closed (no inputs, no real clock, no real
+//! scheduler), so the `rb_miri` interpreter's verdict on a program is the
+//! verdict of every execution. A second concrete walk could only re-derive
+//! it, so this crate does not walk the program at all:
+//! [`Analysis::from_report`] turns each oracle error into a
+//! [`Confidence::Sound`] [`Finding`] attributed to a registered rule id
+//! ([`rules::rule_id_for_kind`]) and marks the analysis
+//! [`complete`](Analysis::complete). [`analyze`] is that conversion over a
+//! fresh [`run_program`]; a caller already holding a report (the repair
+//! pipeline's triage, cache hit or miss) reads it instead of paying for a
+//! second run.
 //!
-//! 1. **Walker rules** ([`rules::RULES`]): a data-driven table of
-//!    syntactic/dataflow lints in the rustor style — each rule is a
-//!    `match`-function over [`rb_lang::visit`] traversals, registered as
-//!    data, producing [`Confidence::Heuristic`] findings. They cost one AST
-//!    walk and survive on programs the flow pass cannot fully analyse.
-//! 2. **Flow pass** ([`flow`]): a constant-propagation dataflow analysis
-//!    that drives `rb_miri`'s *public* memory/value/borrow/race models over
-//!    the AST. The corpus language has no inputs, so on the fragment the
-//!    pass models completely its facts are exact: findings it emits are
-//!    [`Confidence::Sound`] (the defect definitely occurs), and when the
-//!    pass reports [`Analysis::complete`] the sound findings are the *whole*
-//!    error multiset the oracle would report. Anything nondeterministic
-//!    (thread-frame address layout) or over budget degrades confidence
-//!    instead of guessing.
-//!
-//! The stack consumes the result at two seams: fast-thinking *triage*
-//! (class prediction sharpening) and the `rb_llm` *rule audit*
-//! ([`rulecheck`]).
+//! The findings feed fast-thinking *triage* (class prediction sharpening),
+//! the `analyze` CLI command and daemon verb, and the `rb_llm` *rule
+//! audit* ([`rulecheck`]).
 
-pub mod flow;
 pub mod rulecheck;
 pub mod rules;
 
-use rb_lang::check::check_program;
 use rb_lang::{Program, StmtPath};
-use rb_miri::{MiriReport, UbClass, UbKind};
+use rb_miri::{run_program, MiriReport, UbClass, UbKind};
 use std::collections::BTreeMap;
 
 /// How much trust a finding deserves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Confidence {
-    /// Best-effort syntactic match; may be a false positive.
+    /// Best-effort match; may be a false positive. [`analyze`] never produces
+    /// these; the label stays part of the finding schema.
     Heuristic,
-    /// Proven by the flow pass: the defect occurs on every execution.
+    /// Reported by the oracle: the defect occurs on every execution.
     Sound,
 }
 
@@ -53,7 +45,7 @@ impl Confidence {
     }
 }
 
-/// One static finding.
+/// One finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
     /// Coarse UB class (the paper's buckets).
@@ -77,12 +69,36 @@ pub struct Analysis {
     pub findings: Vec<Finding>,
     /// When `true`, the sound findings are exactly the error multiset the
     /// miri oracle would report for this program (same classes, same
-    /// counts). When `false` the analysis bailed somewhere and the list is
-    /// a best-effort subset plus heuristics.
+    /// counts). An analysis derived from a report is always complete;
+    /// `false` marks a hand-built best-effort list.
     pub complete: bool,
 }
 
 impl Analysis {
+    /// The analysis an oracle report proves: one sound finding per
+    /// reported error, in report order, with the error's kind, path and
+    /// message, attributed through [`rules::rule_id_for_kind`]. Complete by
+    /// construction.
+    #[must_use]
+    pub fn from_report(report: &MiriReport) -> Analysis {
+        let findings = report
+            .errors
+            .iter()
+            .map(|e| Finding {
+                class: e.class(),
+                kind: e.kind,
+                path: e.path.clone(),
+                confidence: Confidence::Sound,
+                rule: rules::rule_id_for_kind(e.kind),
+                message: e.message.clone(),
+            })
+            .collect();
+        Analysis {
+            findings,
+            complete: true,
+        }
+    }
+
     /// The highest-confidence first finding, if any.
     #[must_use]
     pub fn top(&self) -> Option<&Finding> {
@@ -105,7 +121,7 @@ impl Analysis {
     }
 
     /// The exact class multiset the oracle would report, when the analysis
-    /// proved it (complete flow pass); `None` otherwise.
+    /// is complete; `None` otherwise.
     #[must_use]
     pub fn exact_classes(&self) -> Option<BTreeMap<UbClass, usize>> {
         if self.complete {
@@ -143,47 +159,23 @@ impl Analysis {
     }
 }
 
-/// Analyses a program: static checker first (ill-formed programs mirror the
-/// oracle's compile-stage rejection), then the flow pass, then walker rules
-/// to cover whatever the flow pass could not complete.
+/// What fast-thinking triage reads off a report: the class of
+/// [`Analysis::from_report`]'s top finding, and whether that analysis
+/// agrees with the report ([`Analysis::proves_clean`] on a passing report,
+/// [`Analysis::agrees_with`] otherwise). Computed from the report without
+/// building the analysis, so no message is copied. An analysis derived
+/// from a report always agrees with it.
+#[must_use]
+pub fn triage(report: &MiriReport) -> (Option<UbClass>, bool) {
+    (report.primary().map(rb_miri::MiriError::class), true)
+}
+
+/// Analyses a program: the oracle's report on it, as findings (see
+/// [`Analysis::from_report`]). Ill-formed programs get the oracle's
+/// compile-stage findings.
 #[must_use]
 pub fn analyze(prog: &Program) -> Analysis {
-    // The oracle gates execution on the static checker; mirror that here so
-    // ill-formed programs (e.g. broken repair candidates) get an exact
-    // Compile-class analysis. The oracle caps diagnostics at its error cap.
-    let errs = check_program(prog);
-    if !errs.is_empty() {
-        let findings = errs
-            .into_iter()
-            .take(flow::ERROR_CAP)
-            .map(|e| Finding {
-                class: UbClass::Compile,
-                kind: UbKind::IllFormed,
-                path: e.path.clone(),
-                confidence: Confidence::Sound,
-                rule: "ill-formed",
-                message: e.to_string(),
-            })
-            .collect();
-        return Analysis {
-            findings,
-            complete: true,
-        };
-    }
-    let (mut findings, complete) = flow::run(prog);
-    if !complete {
-        // Degraded mode: add heuristic walker findings the flow pass did
-        // not already prove, dropping (class, path) duplicates.
-        for w in rules::walk(prog) {
-            let dup = findings
-                .iter()
-                .any(|f| f.class == w.class && f.path == w.path);
-            if !dup {
-                findings.push(w);
-            }
-        }
-    }
-    Analysis { findings, complete }
+    Analysis::from_report(&run_program(prog))
 }
 
 #[cfg(test)]
@@ -214,6 +206,40 @@ mod tests {
         let top = a.top().unwrap();
         assert_eq!(top.class, UbClass::Panic);
         assert_eq!(top.confidence, Confidence::Sound);
+    }
+
+    #[test]
+    fn from_report_keeps_every_error_and_triage_reads_its_top() {
+        let corpus = rb_dataset::Corpus::generate_full(7, 2);
+        let sources = [
+            "fn main() { print(1i32); }",
+            "fn main() { x = 1i32; y = 2i32; }",
+            "fn main() { let a: i32 = 0i32; print(1i32 / a); print(2i32 / a); }",
+        ];
+        let mut programs: Vec<Program> =
+            sources.iter().map(|s| parse_program(s).unwrap()).collect();
+        for case in &corpus.cases {
+            programs.push((*case.buggy).clone());
+            programs.push((*case.gold).clone());
+        }
+        for p in &programs {
+            let report = run_program(p);
+            let a = Analysis::from_report(&report);
+            assert!(a.complete);
+            assert_eq!(a.findings.len(), report.errors.len());
+            for (f, e) in a.findings.iter().zip(&report.errors) {
+                assert_eq!((f.kind, &f.path, &f.message), (e.kind, &e.path, &e.message));
+                assert_eq!(f.class, e.class());
+                assert_eq!(f.confidence, Confidence::Sound);
+                assert_eq!(f.rule, rules::rule_id_for_kind(e.kind));
+            }
+            let agrees = if report.passes() {
+                a.proves_clean()
+            } else {
+                a.agrees_with(&report)
+            };
+            assert_eq!(triage(&report), (a.top().map(|f| f.class), agrees));
+        }
     }
 
     #[test]

@@ -1,69 +1,56 @@
-//! Static validation of the `rb_llm` repair-rule library.
+//! Validation of the `rb_llm` repair-rule library against the oracle.
 //!
 //! For each repair rule, apply its edit to every supplied program whose
-//! diagnosed defect the rule claims to address, then re-analyse the edited
-//! program. A rule whose edits *consistently* leave the same lint firing is
-//! ineffective against the defect class it advertises — groundwork for the
-//! ROADMAP's rule miner, which needs exactly this signal to prune a learned
-//! rule set. The audit is purely static: no oracle runs.
+//! diagnosed defect the rule claims to address, then re-judge the edited
+//! program. A rule whose edits *consistently* leave the same defect class
+//! reported is ineffective against the class it advertises — groundwork
+//! for the ROADMAP's rule miner, which needs exactly this signal to prune a
+//! learned rule set.
 
-use crate::{analyze, Confidence};
 use rb_lang::Program;
 use rb_llm::rules::RepairRule;
-use rb_miri::{MiriError, UbClass};
+use rb_miri::{run_program, MiriError, UbClass};
 
 /// Audit result for one repair rule.
 #[derive(Clone, Debug)]
 pub struct RuleAudit {
     /// The rule's stable name.
     pub rule: &'static str,
-    /// Programs whose top finding the rule claimed to address.
+    /// Programs whose primary error the rule claimed to address.
     pub cases_tried: usize,
     /// Edits the rule actually produced on those programs.
     pub edits_produced: usize,
-    /// Edits after which the *same class* of lint still fires.
+    /// Edits after which the *same class* of defect is still reported.
     pub still_trips: usize,
-    /// Labels of the cases where the edit still trips the lint.
+    /// Labels of the cases where the edit still trips the defect class.
     pub tripped_cases: Vec<String>,
 }
 
 impl RuleAudit {
     /// A rule is flagged when it produced edits and every one of them left
-    /// the lint it targets still firing.
+    /// the defect class it targets still reported.
     #[must_use]
     pub fn flagged(&self) -> bool {
         self.edits_produced > 0 && self.still_trips == self.edits_produced
     }
 }
 
-/// Whether an analysis of an edited program still shows the defect class.
-/// On a complete analysis only sound findings count (the edit provably
-/// failed); on an incomplete one any finding of the class counts.
+/// Whether the oracle still reports the defect class on an edited program.
 fn still_trips(prog: &Program, class: UbClass) -> bool {
-    let a = analyze(prog);
-    a.findings
-        .iter()
-        .any(|f| f.class == class && (!a.complete || f.confidence == Confidence::Sound))
+    run_program(prog).errors.iter().any(|e| e.class() == class)
 }
 
 /// Runs every library repair rule against every applicable program.
 ///
 /// `cases` pairs a label (template or case id) with a buggy program. The
-/// defect each rule is tested against is the program's own top static
-/// finding, converted to the `MiriError` shape rules consume.
+/// defect each rule is tested against is the program's primary oracle
+/// error.
 #[must_use]
 pub fn audit_rules(cases: &[(String, Program)]) -> Vec<RuleAudit> {
     let analysed: Vec<(&String, &Program, MiriError)> = cases
         .iter()
         .filter_map(|(label, prog)| {
-            let a = analyze(prog);
-            let top = a.top()?;
-            let err = MiriError {
-                kind: top.kind,
-                message: top.message.clone(),
-                path: top.path.clone(),
-                thread: 0,
-            };
+            let err = run_program(prog).errors.into_iter().next()?;
             Some((label, prog, err))
         })
         .collect();

@@ -152,7 +152,9 @@ fn analysis_is_deterministic_on_corpus() {
 }
 
 /// After a call returns or a join finishes, the lint blames the statement
-/// the oracle blames: the caller's, not the callee's or the spawn's.
+/// the oracle blames: the caller's, not the callee's or the spawn's. A
+/// thread that copies two locals and then observes one's address is
+/// analysed completely: the finding comes from the oracle's own layout.
 #[test]
 fn findings_after_a_call_or_a_join_anchor_where_the_oracle_does() {
     let cases = [
@@ -160,29 +162,47 @@ fn findings_after_a_call_or_a_join_anchor_where_the_oracle_does() {
             "fn dangling() -> *const i32 { let x: i32 = 5; \
              let q: *const i32 = &raw const x; return q; } \
              fn main() { print(1i32); unsafe { print(*dangling()); } }",
+            UbClass::DanglingPointer,
             "fn#1.1",
         ),
         (
             "fn main() { let x: i32 = 1; spawn { print(x); } \
              { join; let p: *const i32 = 0 as *const i32; unsafe { print(*p); } } }",
+            UbClass::Provenance,
+            "fn#0.2",
+        ),
+        (
+            "fn main() { let b: i32 = 2; let a: i32 = 1; spawn { \
+             let pa: *const i32 = &raw const a; print(pa as usize); \
+             let q: *const i32 = 0 as *const i32; unsafe { print(*q); } } join; }",
+            UbClass::Provenance,
             "fn#0.2",
         ),
     ];
-    for (src, want) in cases {
+    for (src, class, path) in cases {
         let program = rb_lang::parser::parse_program(src).expect("parses");
+        let want = vec![(class, path.to_owned())];
         let report = rb_miri::run_program(&program);
-        let oracle: Vec<String> = report
+        let oracle: Vec<(UbClass, String)> = report
             .errors
             .iter()
-            .map(|e| e.path.as_ref().map(ToString::to_string).unwrap_or_default())
+            .map(|e| {
+                let at = e.path.as_ref().map(ToString::to_string).unwrap_or_default();
+                (e.class(), at)
+            })
             .collect();
-        assert_eq!(oracle, vec![want.to_owned()], "oracle on {src}");
-        let lint: Vec<String> = analyze(&program)
+        assert_eq!(oracle, want, "oracle on {src}");
+        let a = analyze(&program);
+        assert!(a.complete, "lint incomplete on {src}");
+        let lint: Vec<(UbClass, String)> = a
             .findings
             .iter()
             .filter(|f| f.confidence == Confidence::Sound)
-            .map(|f| f.path.as_ref().map(ToString::to_string).unwrap_or_default())
+            .map(|f| {
+                let at = f.path.as_ref().map(ToString::to_string).unwrap_or_default();
+                (f.class, at)
+            })
             .collect();
-        assert_eq!(lint, oracle, "lint on {src}");
+        assert_eq!(lint, want, "lint on {src}");
     }
 }

@@ -77,7 +77,7 @@ pub fn batch_request(seed: u64, per_class: usize, classes: Option<&[UbClass]>) -
     }
 }
 
-/// Builds an `analyze` request line (static lint, no oracle).
+/// Builds an `analyze` request line (the lint; no repair).
 #[must_use]
 pub fn analyze_request(source: &str) -> String {
     format!("{{\"verb\":\"analyze\",\"source\":{}}}", fmt_str(source))

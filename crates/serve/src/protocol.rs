@@ -18,7 +18,9 @@
 //!
 //! An `analyze` answer embeds the lint's findings as rendered by
 //! [`analysis_json`], the same document `rustbrain analyze --json`
-//! prints.
+//! prints. The findings are derived from the oracle's report on the
+//! source (`rb_lint::Analysis::from_report`), so every one is `sound` and
+//! the analysis is `complete`.
 //!
 //! `repair` and `batch` default `seed` to 42 and `per_class` to 3 — the
 //! same defaults as the one-shot CLI, so a daemon answer and a CLI run
@@ -55,8 +57,8 @@ pub enum Request {
         /// Restrict the corpus to these classes (`None` = all classes).
         classes: Option<Vec<UbClass>>,
     },
-    /// Statically analyse one mini-Rust source string with `rb_lint`
-    /// (no oracle run, no repair).
+    /// Analyse one mini-Rust source string with `rb_lint`: the oracle's
+    /// findings on it, no repair.
     Analyze {
         /// The program's source text.
         source: String,

@@ -475,8 +475,9 @@ fn handle_repair(
 }
 
 /// The `analyze` verb: run `rb_lint` on the source and return the full
-/// analysis document — entirely static, so no engine or knowledge-base
-/// state is touched and no oracle judgement is recorded.
+/// analysis document. The lint runs the interpreter directly, so no
+/// engine or knowledge-base state is touched and no oracle judgement is
+/// recorded.
 fn handle_analyze(source: &str) -> Result<String, String> {
     let program = parse_program(source).map_err(|e| format!("parse error: {e}"))?;
     let analysis = rb_lint::analyze(&program);

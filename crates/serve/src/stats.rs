@@ -46,7 +46,7 @@ pub struct ServeStats {
     pub repairs: u64,
     /// `batch` requests handled.
     pub batches: u64,
-    /// `analyze` requests handled (static lint, no oracle).
+    /// `analyze` requests handled (the lint; no repair).
     pub analyzes: u64,
     /// Cases swept across all `batch` requests.
     pub batch_cases: u64,
@@ -158,7 +158,7 @@ pub enum Verb {
     Repair,
     /// A `batch` request; the payload is its case count.
     Batch(u64),
-    /// An `analyze` request (static lint).
+    /// An `analyze` request (the lint).
     Analyze,
     /// A `stats` request.
     Stats,

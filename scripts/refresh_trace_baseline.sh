@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Regenerates the committed CI baselines: the trace baseline
-# (ci/trace_baseline.jsonl) and the results baseline (ci/results_baseline/).
+# (ci/trace_baseline.jsonl), the results baseline (ci/results_baseline/)
+# and the lint baseline (ci/lint_baseline/analyze_corpus.json).
 #
 # The engine-smoke job traces a batch at these exact parameters and
 # diffs it against the committed file, gating on zero sim-ms drift:
@@ -10,7 +11,8 @@
 # a change to `passed`/`acceptable`, to a baseline system, or to the
 # learned knowledge store fails even when no sim-ms moved. A warm
 # rustbrain run that starts from the freshly written store pins retrieval
-# over a non-empty knowledge base the same way. After an
+# over a non-empty knowledge base the same way. The lint-smoke job
+# compares `analyze --corpus --json` with the lint baseline. After an
 # *intentional* trajectory or result change (new rules, new model
 # behaviour, pipeline reshaping), run this script and commit the
 # refreshed baselines alongside the change that caused it.
@@ -40,3 +42,7 @@ done
     --results-out ci/results_baseline/results_rustbrain_warm.json \
     --kb-out ci/results_baseline/kb_rustbrain_warm.rbkb >/dev/null
 echo "wrote ci/results_baseline/"
+mkdir -p ci/lint_baseline
+./target/release/rustbrain analyze --corpus --json --seed 7 --per-class 20 \
+    > ci/lint_baseline/analyze_corpus.json
+echo "wrote ci/lint_baseline/analyze_corpus.json"
