@@ -71,13 +71,6 @@ pub struct RepairOutcome {
     pub best_solution: Option<Solution>,
     /// UB class of the problem (from the initial report).
     pub class: UbClass,
-    /// Class of the lint's top finding on the input program (triage,
-    /// read off the input's oracle report), `None` when it found nothing.
-    pub lint_class: Option<UbClass>,
-    /// Whether triage agreed with the oracle on the input program:
-    /// a sound top finding whose class the report confirms, or a proven
-    /// clean on a passing program.
-    pub lint_agrees: bool,
 }
 
 /// Records one finished repair into the process-wide metrics registry:
@@ -257,18 +250,6 @@ impl RustBrain {
         let report: Arc<MiriReport> = self.oracle.judge_recording(input, &mut oracle_use);
         let class = report.primary().map_or(UbClass::Compile, |e| e.class());
         repair_span.tag("class", class.label());
-        // Triage reads the lint's verdict off the report already in hand
-        // (cache hit or miss) before any model call: no second run, no
-        // second walk. A sound agreeing diagnosis means fast thinking gets
-        // the defect class for free (one model call instead of two, below);
-        // the agreement itself is recorded per case as precision telemetry.
-        let (lint_class, lint_agrees) = rb_lint::triage(&report);
-        repair_span.tag("lint_agrees", lint_agrees);
-        rb_obs::metrics().counter_add(
-            "rustbrain_triage_total",
-            Some(("agrees", if lint_agrees { "true" } else { "false" })),
-            1,
-        );
         if report.passes() {
             repair_span.tag("outcome", "already-passing");
             record_repair_metrics(class, 0.0);
@@ -290,24 +271,17 @@ impl RustBrain {
                 rollbacks: 0,
                 best_solution: None,
                 class,
-                lint_class,
-                lint_agrees,
             };
         }
 
-        // Fast thinking is normally two model calls (feature/class
-        // extraction and solution generation); when triage already
-        // produced a sound agreeing diagnosis the class prediction is free
-        // and only the generation call's latency is charged.
+        // Fast thinking charges one model call (solution generation): the
+        // defect class comes from the oracle report already in hand.
         let profile = self.model.profile();
         let fast_tokens = rb_llm::tokens::count_tokens(&rb_lang::printer::print_program(program));
-        let fast_calls = if lint_agrees { 1.0 } else { 2.0 };
-        let fast_cost = fast_calls
-            * (profile.latency_base_ms + profile.latency_per_token_ms * fast_tokens as f64);
+        let fast_cost = profile.latency_base_ms + profile.latency_per_token_ms * fast_tokens as f64;
         let (features, solutions) = {
             let mut fast_span = rb_obs::span("fast");
             fast_span.add_sim_ms(fast_cost);
-            fast_span.tag("triage", if lint_agrees { "static" } else { "model" });
             // Extracted once: the features' pruned-AST embedding is also
             // the knowledge-base key stored on success below.
             let features = extract_features(program, &report);
@@ -457,8 +431,6 @@ impl RustBrain {
             rollbacks,
             best_solution: eval.accuracy.then_some(best_solution),
             class,
-            lint_class,
-            lint_agrees,
         }
     }
 }
@@ -563,15 +535,14 @@ mod tests {
     #[test]
     fn triage_is_recorded_and_preflight_preserves_results() {
         let (p, gold) = double_free();
-        // On the corpus-style double free the lint's diagnosis is sound
-        // and matches the oracle's class.
+        // Fast thinking reads the class off the oracle's report on the
+        // input.
         let mut rb = RustBrain::new(RustBrainConfig::for_model(ModelId::Gpt4, 42));
         let out = rb.repair(&p, &gold);
-        assert!(out.lint_agrees, "lint class: {:?}", out.lint_class);
-        assert_eq!(out.lint_class, Some(UbClass::Alloc));
+        assert_eq!(out.class, UbClass::Alloc);
 
-        // Triage only sets the fast-thinking cost; there is no preflight,
-        // so the oracle judges every candidate and nothing is prevetoed.
+        // There is no preflight, so the oracle judges every candidate and
+        // nothing is prevetoed.
         assert_eq!(out.oracle_prevetoed, 0);
         assert!(out.oracle_executed + out.oracle_cached > out.oracle_runs);
         let again = RustBrain::new(RustBrainConfig::for_model(ModelId::Gpt4, 42)).repair(&p, &gold);

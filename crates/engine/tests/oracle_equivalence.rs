@@ -44,7 +44,7 @@ fn normalized(out: &RepairOutcome) -> String {
     format!(
         "judgements={:?} prevetoed={:?} passed={:?} acceptable={:?} overhead_ms={:?} \
          oracle_runs={:?} solutions_tried={:?} final={:?} history={:?} rules={:?} \
-         rollbacks={:?} best={:?} class={:?} lint_class={:?} lint_agrees={:?}",
+         rollbacks={:?} best={:?} class={:?}",
         out.oracle_executed + out.oracle_cached + out.oracle_prevetoed,
         out.oracle_prevetoed,
         out.passed,
@@ -58,8 +58,6 @@ fn normalized(out: &RepairOutcome) -> String {
         out.rollbacks,
         out.best_solution,
         out.class,
-        out.lint_class,
-        out.lint_agrees,
     )
 }
 

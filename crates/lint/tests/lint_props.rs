@@ -1,9 +1,12 @@
 //! Property suite for the analyzer: on arbitrary template-generated
 //! programs — further perturbed by arbitrary repair-rule edits and semantic
 //! drift — `analyze` never panics, every finding's path resolves to a real
-//! statement, the result is deterministic, and sound findings never
-//! contradict the oracle.
+//! statement, the result is deterministic, and the findings are the
+//! oracle's report.
 
+mod common;
+
+use common::assert_findings_are_report;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -11,7 +14,7 @@ use rb_dataset::all_templates;
 use rb_lang::parser::parse_program;
 use rb_lang::visit::get_stmt;
 use rb_lang::Program;
-use rb_lint::{analyze, Confidence};
+use rb_lint::analyze;
 use rb_llm::rules::{apply_semantic_drift, RepairRule};
 use rb_miri::interp::run_program;
 
@@ -90,24 +93,6 @@ proptest! {
         muts in prop::collection::vec(any::<u8>(), 0..3),
     ) {
         let prog = build_program(template, seed, &muts);
-        let a = analyze(&prog);
-        let report = run_program(&prog);
-        for f in &a.findings {
-            if f.confidence == Confidence::Sound {
-                prop_assert!(
-                    report.errors.iter().any(|e| e.class() == f.class),
-                    "sound {:?} not in oracle {:?}",
-                    f.class,
-                    report.errors
-                );
-            }
-        }
-        if a.complete {
-            let mut want = std::collections::BTreeMap::new();
-            for e in &report.errors {
-                *want.entry(e.class()).or_insert(0usize) += 1;
-            }
-            prop_assert_eq!(a.sound_class_counts(), want);
-        }
+        assert_findings_are_report(&analyze(&prog), &run_program(&prog));
     }
 }

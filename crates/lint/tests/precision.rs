@@ -1,78 +1,42 @@
-//! Precision/recall harness: `rb_lint` vs the miri oracle over the 42-case
-//! seed corpus.
+//! The lint against the miri oracle over the 42-case seed corpus and the
+//! repair pipeline's rule-edited candidates.
 //!
 //! The invariants this pins down:
 //!
-//! 1. **Zero sound false positives.** Every `Sound` finding's class appears
-//!    in the oracle's error list, on buggy *and* gold programs. Soundness is
-//!    the contract triage relies on, so any violation here is a release
-//!    blocker, not a statistic.
-//! 2. **Exactness when complete.** When the analysis claims `complete`, its
-//!    sound class multiset equals the oracle's error-class multiset exactly.
-//! 3. **Coverage.** The corpus exercises ≥ 10 of the 14 UB classes, and the
-//!    lint's top finding agrees with the diagnosed class on every covered
-//!    bucket (printed as the per-class agreement table).
+//! 1. **The findings are the report.** On buggy *and* gold programs and on
+//!    candidates, the analysis is the oracle's error list, element by
+//!    element ([`common::assert_findings_are_report`]).
+//! 2. **Coverage.** The corpus exercises ≥ 10 of the 14 UB classes, and the
+//!    lint's top finding is the diagnosed class on every covered bucket
+//!    (printed as the per-class table).
 
+mod common;
+
+use common::assert_findings_are_report;
 use rb_dataset::Corpus;
-use rb_lint::{analyze, Analysis, Confidence};
-use rb_miri::{MiriReport, UbClass};
+use rb_lint::analyze;
+use rb_miri::UbClass;
 use std::collections::BTreeMap;
 
 const SEED: u64 = 42;
 const PER_CLASS: usize = 3;
-
-fn class_multiset(report: &MiriReport) -> BTreeMap<UbClass, usize> {
-    let mut out = BTreeMap::new();
-    for e in &report.errors {
-        *out.entry(e.class()).or_insert(0) += 1;
-    }
-    out
-}
-
-fn assert_no_sound_fp(id: &str, which: &str, a: &Analysis, report: &MiriReport) {
-    for f in &a.findings {
-        if f.confidence == Confidence::Sound {
-            assert!(
-                report.errors.iter().any(|e| e.class() == f.class),
-                "{id} ({which}): sound finding {:?} [{}] not in oracle report {:?}",
-                f.class,
-                f.message,
-                report.errors
-            );
-        }
-    }
-    if a.complete {
-        assert_eq!(
-            a.sound_class_counts(),
-            class_multiset(report),
-            "{id} ({which}): complete analysis disagrees with oracle multiset"
-        );
-    }
-}
 
 #[test]
 fn corpus_precision_and_agreement() {
     let corpus = Corpus::generate_full(SEED, PER_CLASS);
     assert_eq!(corpus.cases.len(), 42, "seed corpus must be 42 cases");
 
-    // per class: (cases, top-finding agreements, complete analyses)
-    let mut table: BTreeMap<UbClass, (usize, usize, usize)> = BTreeMap::new();
+    // per class: (cases, top finding is the case's class)
+    let mut table: BTreeMap<UbClass, (usize, usize)> = BTreeMap::new();
     let mut flagged_classes: BTreeMap<UbClass, usize> = BTreeMap::new();
 
     for case in &corpus.cases {
-        let buggy_report = case.run_buggy();
         let a = analyze(&case.buggy);
-        assert_no_sound_fp(&case.id, "buggy", &a, &buggy_report);
+        assert_findings_are_report(&a, &case.run_buggy());
+        assert_findings_are_report(&analyze(&case.gold), &case.run_gold());
 
-        let gold_report = case.run_gold();
-        let g = analyze(&case.gold);
-        assert_no_sound_fp(&case.id, "gold", &g, &gold_report);
-
-        let entry = table.entry(case.class).or_insert((0, 0, 0));
+        let entry = table.entry(case.class).or_insert((0, 0));
         entry.0 += 1;
-        if a.complete {
-            entry.2 += 1;
-        }
         let agrees = a.top().is_some_and(|f| f.class == case.class);
         if agrees {
             entry.1 += 1;
@@ -82,15 +46,12 @@ fn corpus_precision_and_agreement() {
         }
     }
 
-    println!("per-class agreement (class: cases agree complete):");
-    for (class, (cases, agree, complete)) in &table {
-        println!(
-            "  {:<16} {cases:>2} {agree:>2} {complete:>2}",
-            class.label()
-        );
+    println!("per-class top finding (class: cases agree):");
+    for (class, (cases, agree)) in &table {
+        println!("  {:<16} {cases:>2} {agree:>2}", class.label());
     }
 
-    // Tentpole acceptance: at least 10 of 14 buckets flagged by the lint.
+    // At least 10 of 14 buckets flagged by the lint.
     assert!(
         flagged_classes.len() >= 10,
         "lint flags only {} of 14 classes: {flagged_classes:?}",
@@ -100,17 +61,17 @@ fn corpus_precision_and_agreement() {
     // The top finding should agree with the diagnosed class on the vast
     // majority of cases; require agreement on at least 10 buckets for every
     // case in the bucket.
-    let fully_agreeing = table.iter().filter(|(_, (c, a, _))| a == c).count();
+    let fully_agreeing = table.iter().filter(|(_, (c, a))| a == c).count();
     assert!(
         fully_agreeing >= 10,
         "only {fully_agreeing} classes fully agree: {table:?}"
     );
 }
 
-/// Repairs produce *rule-edited candidates*, so soundness must hold on
-/// that distribution too: every library rule (good and
-/// hallucinated) applied to every case it addresses, checked against the
-/// oracle across several corpus seeds.
+/// Repairs produce *rule-edited candidates*, so the contract must hold on
+/// that distribution too: every library rule (good and hallucinated)
+/// applied to every case it addresses, checked against the oracle across
+/// several corpus seeds.
 #[test]
 fn sound_on_rule_edited_candidates() {
     use rb_llm::rules::RepairRule;
@@ -128,14 +89,8 @@ fn sound_on_rule_edited_candidates() {
                 let Some(candidate) = rule.apply(&case.buggy, primary) else {
                     continue;
                 };
-                let a = analyze(&candidate);
                 let oracle = rb_miri::interp::run_program(&candidate);
-                assert_no_sound_fp(
-                    &format!("{} + {}", case.id, rule.name()),
-                    "candidate",
-                    &a,
-                    &oracle,
-                );
+                assert_findings_are_report(&analyze(&candidate), &oracle);
             }
         }
     }
@@ -153,8 +108,8 @@ fn analysis_is_deterministic_on_corpus() {
 
 /// After a call returns or a join finishes, the lint blames the statement
 /// the oracle blames: the caller's, not the callee's or the spawn's. A
-/// thread that copies two locals and then observes one's address is
-/// analysed completely: the finding comes from the oracle's own layout.
+/// thread that copies two locals and then observes one's address gets the
+/// finding the oracle's own layout produces.
 #[test]
 fn findings_after_a_call_or_a_join_anchor_where_the_oracle_does() {
     let cases = [
@@ -192,17 +147,6 @@ fn findings_after_a_call_or_a_join_anchor_where_the_oracle_does() {
             })
             .collect();
         assert_eq!(oracle, want, "oracle on {src}");
-        let a = analyze(&program);
-        assert!(a.complete, "lint incomplete on {src}");
-        let lint: Vec<(UbClass, String)> = a
-            .findings
-            .iter()
-            .filter(|f| f.confidence == Confidence::Sound)
-            .map(|f| {
-                let at = f.path.as_ref().map(ToString::to_string).unwrap_or_default();
-                (f.class, at)
-            })
-            .collect();
-        assert_eq!(lint, want, "lint on {src}");
+        assert_findings_are_report(&analyze(&program), &report);
     }
 }

@@ -1070,12 +1070,11 @@ pub fn render_diff(rows: &[DiffRow], top: usize) -> String {
 // One-shot summary
 // ---------------------------------------------------------------------------
 
-/// A one-shot overview: the check report, the top flamegraph paths, and
-/// (when `engine.job` spans exist) the critical path — what
+/// A one-shot overview: the check report on the trace, the top flamegraph
+/// paths, and (when `engine.job` spans exist) the critical path — what
 /// `rustbrain trace summarize` prints.
 #[must_use]
-pub fn render_summary(spans: &[TraceSpan], tree: &SpanTree) -> String {
-    let report = check(spans, &CheckOptions::default());
+pub fn render_summary(report: &CheckReport, tree: &SpanTree) -> String {
     let aggs = flamegraph(tree);
     let classes = class_breakdown(tree);
     let mut out = report.render();
@@ -1382,8 +1381,9 @@ mod tests {
             span(2, Some(1), "repair", 100.0, 800),
             span(3, Some(2), "fast", 100.0, 300),
         ];
-        let tree = SpanTree::build(spans.clone()).unwrap();
-        let text = render_summary(&spans, &tree);
+        let report = check(&spans, &CheckOptions::default());
+        let tree = SpanTree::build(spans).unwrap();
+        let text = render_summary(&report, &tree);
         assert!(text.contains("spans: 3"));
         assert!(text.contains("flamegraph"));
     }

@@ -17,10 +17,9 @@
 //! ```
 //!
 //! An `analyze` answer embeds the lint's findings as rendered by
-//! [`analysis_json`], the same document `rustbrain analyze --json`
-//! prints. The findings are derived from the oracle's report on the
-//! source (`rb_lint::Analysis::from_report`), so every one is `sound` and
-//! the analysis is `complete`.
+//! [`analysis_json`], the same `{"findings":[...]}` document `rustbrain
+//! analyze --json` prints: the oracle's errors on the source
+//! (`rb_lint::Analysis::from_report`), one finding each.
 //!
 //! `repair` and `batch` default `seed` to 42 and `per_class` to 3 — the
 //! same defaults as the one-shot CLI, so a daemon answer and a CLI run
@@ -198,10 +197,9 @@ pub fn error_response(message: &str) -> String {
 #[must_use]
 pub fn finding_json(f: &Finding) -> String {
     format!(
-        "{{\"class\":{},\"kind\":{},\"confidence\":{},\"rule\":{},\"path\":{},\"message\":{}}}",
+        "{{\"class\":{},\"kind\":{},\"rule\":{},\"path\":{},\"message\":{}}}",
         fmt_str(f.class.label()),
         fmt_str(&format!("{:?}", f.kind)),
-        fmt_str(f.confidence.label()),
         fmt_str(f.rule),
         f.path
             .as_ref()
@@ -214,12 +212,7 @@ pub fn finding_json(f: &Finding) -> String {
 #[must_use]
 pub fn analysis_json(a: &Analysis) -> String {
     let findings: Vec<String> = a.findings.iter().map(finding_json).collect();
-    format!(
-        "{{\"complete\":{},\"sound_findings\":{},\"findings\":[{}]}}",
-        a.complete,
-        a.sound_count(),
-        findings.join(",")
-    )
+    format!("{{\"findings\":[{}]}}", findings.join(","))
 }
 
 #[cfg(test)]
@@ -345,14 +338,7 @@ mod tests {
 
     #[test]
     fn empty_analysis_renders() {
-        let a = Analysis {
-            findings: vec![],
-            complete: true,
-        };
-        assert_eq!(
-            analysis_json(&a),
-            "{\"complete\":true,\"sound_findings\":0,\"findings\":[]}"
-        );
+        assert_eq!(analysis_json(&Analysis::default()), "{\"findings\":[]}");
     }
 
     #[test]

@@ -411,7 +411,7 @@ fn handle_repair(
 ) -> Result<String, String> {
     let program = parse_program(source).map_err(|e| format!("parse error: {e}"))?;
     let oracle = state.engine.shared_oracle();
-    // Call-site span: this initial triage judgement goes through
+    // Call-site span: this initial judgement goes through
     // `Oracle::judge` directly, not the instrumented `judge_recording`
     // seam, so it must account for itself.
     let report = {
@@ -474,10 +474,10 @@ fn handle_repair(
     ))
 }
 
-/// The `analyze` verb: run `rb_lint` on the source and return the full
-/// analysis document. The lint runs the interpreter directly, so no
-/// engine or knowledge-base state is touched and no oracle judgement is
-/// recorded.
+/// The `analyze` verb: the oracle's findings on the source
+/// (`rb_lint::analyze`) and the first finding's class as `top_class`. The
+/// lint runs the interpreter directly, so no engine or knowledge-base
+/// state is touched and no oracle judgement is recorded.
 fn handle_analyze(source: &str) -> Result<String, String> {
     let program = parse_program(source).map_err(|e| format!("parse error: {e}"))?;
     let analysis = rb_lint::analyze(&program);

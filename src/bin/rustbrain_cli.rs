@@ -5,9 +5,9 @@
 //!   rustbrain check  <file.mrs>                 run the UB oracle only
 //!   rustbrain analyze <file.mrs|--corpus>       UB lint (`rb_lint`): the
 //!                                               oracle's findings with class,
-//!                                               rule and confidence;
-//!                                               `--corpus` sweeps the seed
-//!                                               corpus (agreement table +
+//!                                               rule and path; `--corpus`
+//!                                               sweeps the seed corpus (gold
+//!                                               findings per class +
 //!                                               repair-rule audit)
 //!   rustbrain repair <file.mrs> [options]       detect and repair
 //!   rustbrain demo                              repair a built-in example
@@ -656,11 +656,11 @@ USAGE:
   rustbrain check  <file.mrs>               run the UB oracle only
   rustbrain analyze <file.mrs|--corpus>     UB lint (rb_lint): the oracle's
                                             findings with class, rule and
-                                            confidence; --corpus sweeps the
-                                            seed corpus (per-class agreement
-                                            table, the zero-false-positive
-                                            gate over gold programs, and the
-                                            repair-rule audit)
+                                            path; --corpus sweeps the seed
+                                            corpus (per-class cases, the
+                                            zero-findings gate over gold
+                                            programs, and the repair-rule
+                                            audit)
   rustbrain repair <file.mrs> [options]     detect and repair
   rustbrain demo                            repair a built-in example
   rustbrain corpus <dir> [--seed N]         export the benchmark corpus
@@ -685,7 +685,8 @@ USAGE:
                                             invariants (nesting, unique ids,
                                             >=95% repair-overhead coverage)
   rustbrain trace summarize <t.jsonl>       check report + top paths +
-                                            critical path, one shot
+                                            critical path, one shot (exits
+                                            1 on a violation, like check)
   rustbrain trace flamegraph <t.jsonl>      inclusive/self sim-ms and wall-us
                                             by span path and by class
   rustbrain trace critical-path <t.jsonl>   per-worker engine.job lanes and
@@ -904,10 +905,15 @@ fn trace_cmd(cli: &Cli, verb: &TraceVerb) -> ExitCode {
                 Ok(s) => s,
                 Err(code) => return code,
             };
-            match rb_obs::SpanTree::build(spans.clone()) {
+            let report = analyze::check(&spans, &analyze::CheckOptions::default());
+            match rb_obs::SpanTree::build(spans) {
                 Ok(tree) => {
-                    print!("{}", analyze::render_summary(&spans, &tree));
-                    ExitCode::SUCCESS
+                    print!("{}", analyze::render_summary(&report, &tree));
+                    if report.ok() {
+                        ExitCode::SUCCESS
+                    } else {
+                        ExitCode::FAILURE
+                    }
                 }
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -1334,9 +1340,9 @@ fn client_call(cli: &Cli, build: impl FnOnce(&Cli) -> Result<String, String>) ->
     }
 }
 
-/// `rustbrain analyze <file.mrs>`: print the lint's findings on one
-/// program, derived from the oracle's report on it; no repair. Exit code
-/// mirrors `check`: success iff the lint raises nothing.
+/// `rustbrain analyze <file.mrs>`: print the oracle's findings on one
+/// program, each with its class, rule id and statement path; no repair.
+/// Exit code mirrors `check`: success iff there are no findings.
 fn analyze_file(file: &str, src: &str, cli: &Cli) -> ExitCode {
     let program = match parse_program(src) {
         Ok(p) => p,
@@ -1349,31 +1355,17 @@ fn analyze_file(file: &str, src: &str, cli: &Cli) -> ExitCode {
     if cli.json {
         println!("{}", rb_serve::protocol::analysis_json(&analysis));
     } else {
-        let verdict = if analysis.proves_clean() {
-            "proven clean".to_owned()
-        } else if analysis.complete {
-            format!("{} finding(s) — exact", analysis.findings.len())
+        if analysis.findings.is_empty() {
+            println!("{file}: proven clean");
         } else {
-            format!(
-                "{} finding(s) ({} sound) — best effort",
-                analysis.findings.len(),
-                analysis.sound_count()
-            )
-        };
-        println!("{file}: {verdict}");
+            println!("{file}: {} finding(s)", analysis.findings.len());
+        }
         for f in &analysis.findings {
             let at = f
                 .path
                 .as_ref()
                 .map_or(String::new(), |p| format!(" (at {p})"));
-            println!(
-                "  [{}] {}: {}{} <{}>",
-                f.confidence.label(),
-                f.class.label(),
-                f.message,
-                at,
-                f.rule,
-            );
+            println!("  {}: {}{} <{}>", f.class.label(), f.message, at, f.rule);
         }
     }
     if analysis.findings.is_empty() {
@@ -1404,37 +1396,24 @@ fn audits_json(audits: &[rb_lint::rulecheck::RuleAudit]) -> String {
     format!("[{}]", rows.join(","))
 }
 
-/// `rustbrain analyze --corpus`: the lint's precision harness. Sweeps the
-/// generated seed corpus, tabulating per class how often the lint's top
-/// sound finding agrees with the oracle's diagnosis and how often the
-/// analysis is complete (its sound findings are the oracle's full error
-/// multiset), then counts sound findings on gold programs (every one is a
-/// false positive by construction) and audits the repair-rule library.
-/// Exit code enforces the soundness contract: failure iff any gold program
-/// draws a sound finding.
+/// `rustbrain analyze --corpus`: sweeps the generated seed corpus,
+/// counting per class the cases and the findings on gold programs (every
+/// one is a false positive by construction), and audits the repair-rule
+/// library. Exit code enforces the gold contract: failure iff any gold
+/// program draws a finding.
 fn analyze_corpus(cli: &Cli) -> ExitCode {
     let corpus = rb_dataset::Corpus::generate_full(cli.seed, cli.per_class);
-    // Per class: [cases, agree, complete, gold sound findings].
-    let mut rows: std::collections::BTreeMap<rb_miri::UbClass, [usize; 4]> =
+    // Per class: [cases, gold findings].
+    let mut rows: std::collections::BTreeMap<rb_miri::UbClass, [usize; 2]> =
         std::collections::BTreeMap::new();
     for case in &corpus.cases {
-        let report = case.run_buggy();
-        let analysis = rb_lint::Analysis::from_report(&report);
-        let agree = if report.passes() {
-            analysis.proves_clean()
-        } else {
-            analysis.agrees_with(&report)
-        };
-        let gold_fp = rb_lint::analyze(&case.gold).sound_count();
-        let row = rows.entry(case.class).or_insert([0; 4]);
+        let row = rows.entry(case.class).or_insert([0; 2]);
         row[0] += 1;
-        row[1] += usize::from(agree);
-        row[2] += usize::from(analysis.complete);
-        row[3] += gold_fp;
+        row[1] += rb_lint::analyze(&case.gold).findings.len();
     }
-    let total = rows.values().fold([0usize; 4], |acc, r| {
-        [acc[0] + r[0], acc[1] + r[1], acc[2] + r[2], acc[3] + r[3]]
-    });
+    let total = rows
+        .values()
+        .fold([0usize; 2], |acc, r| [acc[0] + r[0], acc[1] + r[1]]);
     let audit_cases: Vec<(String, rb_lang::Program)> = corpus
         .cases
         .iter()
@@ -1448,25 +1427,20 @@ fn analyze_corpus(cli: &Cli) -> ExitCode {
             .iter()
             .map(|(class, r)| {
                 format!(
-                    "{{\"class\":{},\"cases\":{},\"agree\":{},\"complete\":{},\
-                     \"gold_sound_findings\":{}}}",
+                    "{{\"class\":{},\"cases\":{},\"gold_findings\":{}}}",
                     fmt_str(class.label()),
                     r[0],
                     r[1],
-                    r[2],
-                    r[3],
                 )
             })
             .collect();
         println!(
-            "{{\"seed\":{},\"per_class\":{},\"cases\":{},\"agree\":{},\"complete\":{},\
-             \"gold_sound_findings\":{},\"by_class\":[{}],\"rule_audit\":{}}}",
+            "{{\"seed\":{},\"per_class\":{},\"cases\":{},\"gold_findings\":{},\
+             \"by_class\":[{}],\"rule_audit\":{}}}",
             cli.seed,
             cli.per_class,
             total[0],
             total[1],
-            total[2],
-            total[3],
             by_class.join(","),
             audits_json(&audits),
         );
@@ -1478,20 +1452,13 @@ fn analyze_corpus(cli: &Cli) -> ExitCode {
             cli.per_class,
             cli.seed,
         );
-        println!("class            cases  agree  complete  gold-FPs");
+        println!("class            cases  gold-FPs");
         for (class, r) in &rows {
-            println!(
-                "{:<16} {:>5} {:>6} {:>9} {:>9}",
-                class.label(),
-                r[0],
-                r[1],
-                r[2],
-                r[3],
-            );
+            println!("{:<16} {:>5} {:>9}", class.label(), r[0], r[1]);
         }
         println!(
-            "\noverall: agree {}/{} | complete {}/{} | sound findings on gold programs: {}",
-            total[1], total[0], total[2], total[0], total[3],
+            "\noverall: {} cases | findings on gold programs: {}",
+            total[0], total[1],
         );
         println!(
             "rule audit: {} rules, {} produced edits that still trip their own lint",
@@ -1508,10 +1475,10 @@ fn analyze_corpus(cli: &Cli) -> ExitCode {
             );
         }
     }
-    if total[3] == 0 {
+    if total[1] == 0 {
         ExitCode::SUCCESS
     } else {
-        eprintln!("error: sound findings on gold programs — the lint broke its soundness contract");
+        eprintln!("error: findings on gold programs — a gold program is not clean");
         ExitCode::FAILURE
     }
 }
@@ -1553,17 +1520,6 @@ fn repair(src: &str, cli: &Cli) -> ExitCode {
     config.use_knowledge = cli.use_knowledge;
     let mut brain = RustBrain::with_oracle(config, oracle);
     let outcome = brain.repair(&program, &cli.reference);
-    if let Some(class) = outcome.lint_class {
-        println!(
-            "static triage: {} ({})",
-            class.label(),
-            if outcome.lint_agrees {
-                "agrees with the oracle"
-            } else {
-                "heuristic only"
-            },
-        );
-    }
     println!(
         "\n== repaired program ==\n{}",
         print_program(&outcome.final_program)
