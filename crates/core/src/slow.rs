@@ -76,8 +76,10 @@ pub struct SolutionOutcome {
 ///
 /// Program states are shared, not copied: the input, every rollback
 /// anchor, both returned states and a memoising oracle's entries are
-/// handles on the same [`Arc`]s, so the only deep copy per step is the
-/// edit [`RepairRule::apply`] makes.
+/// handles on the same [`Arc`]s. Each edit goes through
+/// [`Oracle::judge_edit`], so the only deep copy per step is the one
+/// [`RepairRule::apply`] makes — and a memoising oracle that has seen the
+/// edit before skips even that.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_solution(
     oracle: &dyn Oracle,
@@ -144,18 +146,31 @@ pub fn execute_solution(
             overhead += resp.latency_ms + STEP_DECOMPOSE_MS;
             step_span.add_sim_ms(resp.latency_ms + STEP_DECOMPOSE_MS);
 
-            let mut applied: Option<(RepairRule, Program)> = None;
+            // The first proposal whose rule applies is judged. The edit
+            // is named by its rule and the drift bit: `apply` reads only
+            // the program and its primary error, a function of the
+            // program, so a memoising oracle may serve a repeat of it
+            // without deriving the candidate again.
+            let mut applied = None;
             for proposal in &resp.proposals {
-                if let Some(mut candidate) = proposal.rule.apply(&cur_prog, &primary) {
+                let rule = proposal.rule;
+                let edit = rule as u64 * 2 + u64::from(resp.drift);
+                let mut derive = || {
+                    let mut candidate = rule.apply(&cur_prog, &primary)?;
                     if resp.drift {
                         rb_llm::rules::drift_in_place(&mut candidate);
                     }
-                    applied = Some((proposal.rule, candidate));
+                    Some(candidate)
+                };
+                if let Some(judged) =
+                    oracle.judge_edit(&cur_prog, edit, &mut derive, &mut oracle_use)
+                {
+                    applied = Some((rule, judged));
                     break;
                 }
             }
             match applied {
-                Some((rule, candidate)) => {
+                Some((rule, (candidate, creport))) => {
                     oracle_runs += 1;
                     // Simulated cost is charged per *judgement*, cached or
                     // not — the cache dodges real interpreter work, never
@@ -163,10 +178,6 @@ pub fn execute_solution(
                     // it).
                     overhead += ORACLE_RUN_MS;
                     step_span.add_sim_ms(ORACLE_RUN_MS);
-                    // Shared before judging, so a memoising oracle keeps
-                    // this handle and the tracker takes the same one.
-                    let candidate = Arc::new(candidate);
-                    let creport = oracle.judge_recording(&candidate, &mut oracle_use);
                     let errors_after = creport.error_count();
                     if errors_after == 0 {
                         fixing_rule = Some(rule);

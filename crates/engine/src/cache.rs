@@ -18,9 +18,38 @@
 //!
 //! Entries share the judged program rather than copy it: a miss through
 //! [`OracleCache::lookup_shared`] (the path [`CachedOracle`] serves
-//! [`Oracle::judge_shared`] from) stores the caller's [`Arc`], and a hit
-//! on that same handle is a pointer compare before any structural one.
-//! Only the borrowing [`OracleCache::lookup`] copies the program in.
+//! [`Oracle::judge_shared`] from) stores the caller's [`Arc`], and that
+//! handle becomes the program's *canonical* one. Only the borrowing
+//! [`OracleCache::lookup`] copies the program in.
+//!
+//! ## Identity before content
+//!
+//! Most lookups judge a handle the cache already holds: a case's gold and
+//! buggy programs on a resident cache, or a state a repair judged moments
+//! earlier. An **address index** maps the address of each entry's own
+//! program to its content key, and every lookup of a handle that may be
+//! resident consults it first, so a canonical handle is served without
+//! hashing or comparing the program. (A candidate just derived cannot be
+//! resident, so its lookup goes straight to the content key.)
+//! The match is exact: the entry pins its handle, so a live program at the
+//! same address is that very allocation. The index owns nothing, and an
+//! entry's address leaves it under the same shard lock that evicts the
+//! entry, before the entry's handle is released. Lookups of any other
+//! handle fall back to the content key and its collision guard.
+//!
+//! On top of it sits the **transition memo** behind
+//! [`CachedOracle`]'s [`Oracle::judge_edit`]. Each entry keeps a short
+//! list of **edges**: an edit made from its program, and a weak handle on
+//! the canonical program that edit produced (or a note that the edit did
+//! not apply). A repeated edit of a resident state is then served by
+//! following the edge and finding the successor by address: the rule is
+//! not re-applied, the result not re-hashed nor compared. A successor that
+//! is no longer resident falls back to a content lookup. Edges are keyed
+//! by the identity of a handle the cache pins, never by a hash alone, and
+//! they are evicted with their entry, so the memo never outlives the
+//! verdicts it leads to. A served edge is recorded exactly like the hit it
+//! replaces: the hit counter, the successor's referenced bit and the
+//! caller's telemetry all move as they would have.
 //!
 //! ## Memory ceiling
 //!
@@ -35,11 +64,11 @@
 //! unbounded ones.
 
 use rb_lang::Program;
-use rb_miri::{run_program, MiriReport, Oracle};
+use rb_miri::{run_program, JudgeRecord, MiriReport, Oracle, OracleUse};
 use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock, Weak};
 
 /// Number of independent shards. A power of two so the shard index is a
 /// cheap mask of the content key.
@@ -110,11 +139,16 @@ impl Hasher for KeyHasher {
 struct CacheEntry {
     /// Shard-unique id linking the entry to its clock-queue slot.
     id: u64,
-    /// The judged program, shared with whoever judged it first.
+    /// The judged program's canonical handle, shared with whoever judged
+    /// it first.
     program: Arc<Program>,
     report: Arc<MiriReport>,
     /// Second-chance bit: set on every hit, cleared by the clock hand.
     referenced: AtomicBool,
+    /// Edits judged from `program`: the edit id and a weak handle on the
+    /// successor's canonical program, or `None` where the edit did not
+    /// apply.
+    edges: Vec<(u64, Option<Weak<Program>>)>,
 }
 
 impl CacheEntry {
@@ -137,6 +171,48 @@ struct ShardState {
 }
 
 type Shard = RwLock<ShardState>;
+
+/// Hashes the address index's keys: an address, shifted past the
+/// alignment bits that are always zero, times the Fx multiplier.
+/// Addresses come from this process's allocator, never from outside
+/// input, so there is no collision flood to resist.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut folded = KeyHasher(self.0);
+        folded.write(bytes);
+        self.0 = folded.0;
+    }
+
+    fn write_usize(&mut self, addr: usize) {
+        self.0 = ((addr >> 4) as u64).wrapping_mul(KeyHasher::MUL);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One shard of the address index: the address of each resident entry's
+/// program handle, mapped to the entry's content key.
+type AddrShard = RwLock<HashMap<usize, u64, BuildHasherDefault<AddrHasher>>>;
+
+/// The address `program` lives at, the address index's key.
+fn addr_of(program: &Program) -> usize {
+    program as *const Program as usize
+}
+
+/// The resident entry under `key` whose own handle is the allocation at
+/// `program`.
+fn find_resident<'a>(state: &'a ShardState, key: u64, program: &Program) -> Option<&'a CacheEntry> {
+    state
+        .map
+        .get(&key)?
+        .iter()
+        .find(|e| std::ptr::eq(Arc::as_ptr(&e.program), program))
+}
 
 /// Point-in-time counters of a cache (see [`OracleCache::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -170,6 +246,10 @@ impl CacheStats {
 /// optionally bounded by an entry ceiling with clock eviction.
 pub struct OracleCache {
     shards: Vec<Shard>,
+    /// The address index, sharded by address. Lock order: a content
+    /// shard, then an address shard; an address shard is never held
+    /// while another lock is taken.
+    addrs: Vec<AddrShard>,
     /// Per-shard entry ceiling (`None` = unbounded).
     shard_capacity: Option<usize>,
     hits: AtomicU64,
@@ -208,6 +288,7 @@ impl OracleCache {
     fn with_shard_capacity(shard_capacity: Option<usize>) -> OracleCache {
         OracleCache {
             shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
+            addrs: (0..SHARD_COUNT).map(|_| AddrShard::default()).collect(),
             shard_capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -237,6 +318,22 @@ impl OracleCache {
         &self.shards[(key as usize) & (SHARD_COUNT - 1)]
     }
 
+    fn addr_shard(&self, addr: usize) -> &AddrShard {
+        // Allocations are 16-byte aligned; the bits above pick the shard.
+        &self.addrs[(addr >> 4) & (SHARD_COUNT - 1)]
+    }
+
+    /// The content key of the resident entry whose own handle is the
+    /// allocation at `program`, found without hashing the program.
+    fn resident_key(&self, program: &Program) -> Option<u64> {
+        let addr = addr_of(program);
+        self.addr_shard(addr)
+            .read()
+            .expect("oracle cache address index poisoned")
+            .get(&addr)
+            .copied()
+    }
+
     /// The oracle verdict for `program` plus whether it was served from
     /// the cache, so callers can attribute the hit/miss to their own
     /// accounting (the engine's per-batch telemetry needs this — the
@@ -245,31 +342,64 @@ impl OracleCache {
     /// A miss stores a deep copy of `program`; callers that hold the
     /// program behind an [`Arc`] use [`OracleCache::lookup_shared`].
     pub fn lookup(&self, program: &Program) -> (Arc<MiriReport>, bool) {
-        self.lookup_or_store(program, || Arc::new(program.clone()))
+        let (_, report, cached) = self.lookup_or_store(program, || Arc::new(program.clone()));
+        (report, cached)
     }
 
     /// [`OracleCache::lookup`] for a shared program: a miss stores the
     /// caller's handle, so publishing an entry copies no AST.
     pub fn lookup_shared(&self, program: &Arc<Program>) -> (Arc<MiriReport>, bool) {
+        let (_, report, cached) = self.lookup_canonical(program);
+        (report, cached)
+    }
+
+    /// [`OracleCache::lookup_shared`], also returning the entry's own
+    /// handle: `program` itself when it is the first of its content to be
+    /// judged, the earlier handle when it is not.
+    fn lookup_canonical(&self, program: &Arc<Program>) -> (Arc<Program>, Arc<MiriReport>, bool) {
         self.lookup_or_store(program, || Arc::clone(program))
     }
 
-    /// The lookup both entry points share; `handle` yields the program an
-    /// entry keeps and runs only when a miss publishes one.
+    /// Counts a hit on `e` and hands out its handle and verdict.
+    fn serve(&self, e: &CacheEntry) -> (Arc<Program>, Arc<MiriReport>, bool) {
+        e.referenced.store(true, Ordering::Relaxed);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        (Arc::clone(&e.program), Arc::clone(&e.report), true)
+    }
+
+    /// The lookup every entry point shares: by address, then by content.
+    /// `handle` yields the program an entry keeps and runs only when a
+    /// miss publishes one.
     fn lookup_or_store(
         &self,
         program: &Program,
         handle: impl FnOnce() -> Arc<Program>,
-    ) -> (Arc<MiriReport>, bool) {
+    ) -> (Arc<Program>, Arc<MiriReport>, bool) {
+        if let Some(key) = self.resident_key(program) {
+            let read = self.shard(key).read().expect("oracle cache shard poisoned");
+            if let Some(e) = find_resident(&read, key, program) {
+                return self.serve(e);
+            }
+        }
+        self.lookup_by_content(program, handle)
+    }
+
+    /// The content half of [`OracleCache::lookup_or_store`]: the key, the
+    /// collision guard, and on a miss an oracle run and a new entry. A
+    /// handle just allocated cannot be in the address index, so its
+    /// lookup starts here.
+    fn lookup_by_content(
+        &self,
+        program: &Program,
+        handle: impl FnOnce() -> Arc<Program>,
+    ) -> (Arc<Program>, Arc<MiriReport>, bool) {
         let key = program_key(program);
         let shard = self.shard(key);
         {
             let read = shard.read().expect("oracle cache shard poisoned");
             if let Some(entries) = read.map.get(&key) {
                 if let Some(e) = entries.iter().find(|e| e.holds(program)) {
-                    e.referenced.store(true, Ordering::Relaxed);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return (Arc::clone(&e.report), true);
+                    return self.serve(e);
                 }
             }
         }
@@ -284,21 +414,75 @@ impl OracleCache {
         {
             // A racing worker published the same program first; keep one
             // copy (the verdicts are identical — the oracle is pure).
-            return (Arc::clone(&e.report), false);
+            return (Arc::clone(&e.program), Arc::clone(&e.report), false);
         }
         let id = write.next_id;
         write.next_id += 1;
-        write.map.entry(key).or_default().push(CacheEntry {
+        let program = handle();
+        let addr = addr_of(&program);
+        self.addr_shard(addr)
+            .write()
+            .expect("oracle cache address index poisoned")
+            .insert(addr, key);
+        // Buckets and edge lists almost always hold one item; growing them
+        // one at a time keeps a resident cache from paying for four.
+        let bucket = write.map.entry(key).or_default();
+        bucket.reserve_exact(1);
+        bucket.push(CacheEntry {
             id,
-            program: handle(),
+            program: Arc::clone(&program),
             report: Arc::clone(&report),
             referenced: AtomicBool::new(false),
+            edges: Vec::new(),
         });
         write.clock.push_back((key, id));
         if let Some(cap) = self.shard_capacity {
             self.evict_overflow(&mut write, cap);
         }
-        (report, false)
+        (program, report, false)
+    }
+
+    /// The memoised successor of `edit` made from `from`, resident under
+    /// `key`: `Some(Some(successor))`, or `Some(None)` when the edit did
+    /// not apply. `None` when nothing is known: `from` has been evicted,
+    /// the edit was never judged from it, or the successor has since been
+    /// dropped everywhere.
+    fn edge(&self, key: u64, from: &Arc<Program>, edit: u64) -> Option<Option<Arc<Program>>> {
+        let read = self.shard(key).read().expect("oracle cache shard poisoned");
+        let (_, to) = find_resident(&read, key, from)?
+            .edges
+            .iter()
+            .find(|(e, _)| *e == edit)?;
+        match to {
+            None => Some(None),
+            Some(to) => to.upgrade().map(Some),
+        }
+    }
+
+    /// Records that `edit` made from `from`, resident under `key`,
+    /// produced the canonical handle `to` (`None`: the edit did not
+    /// apply). A no-op if `from` has been evicted since: edges live on
+    /// entries.
+    fn remember_edge(&self, key: u64, from: &Arc<Program>, edit: u64, to: Option<&Arc<Program>>) {
+        let mut write = self
+            .shard(key)
+            .write()
+            .expect("oracle cache shard poisoned");
+        let Some(entry) = write
+            .map
+            .get_mut(&key)
+            .and_then(|bucket| bucket.iter_mut().find(|e| Arc::ptr_eq(&e.program, from)))
+        else {
+            return;
+        };
+        let to = to.map(Arc::downgrade);
+        match entry.edges.iter_mut().find(|(e, _)| *e == edit) {
+            Some(slot) => slot.1 = to,
+            None => {
+                entry.edges.reserve_exact(1);
+                entry.edges.push((edit, to));
+            }
+        }
     }
 
     /// Sweeps the clock hand until the shard is back at its capacity:
@@ -319,10 +503,17 @@ impl OracleCache {
                 shard.clock.push_back((key, id));
                 continue;
             }
-            bucket.remove(pos);
+            let evicted = bucket.remove(pos);
             if bucket.is_empty() {
                 shard.map.remove(&key);
             }
+            // The address leaves the index while the entry still pins it,
+            // so the allocation cannot be reused under a stale mapping.
+            let addr = addr_of(&evicted.program);
+            self.addr_shard(addr)
+                .write()
+                .expect("oracle cache address index poisoned")
+                .remove(&addr);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -405,6 +596,49 @@ impl Oracle for CachedOracle {
 
     fn judge_shared(&self, program: &Arc<Program>) -> (Arc<MiriReport>, bool) {
         self.cache.lookup_shared(program)
+    }
+
+    /// Serves a repeated edit of a resident state from the transition
+    /// memo (see the module docs), and otherwise derives, judges and
+    /// remembers it. Either way the judgement is recorded as the lookup
+    /// of the successor it is, and the handle returned is canonical.
+    fn judge_edit(
+        &self,
+        from: &Arc<Program>,
+        edit: u64,
+        derive: &mut dyn FnMut() -> Option<Program>,
+        used: &mut OracleUse,
+    ) -> Option<(Arc<Program>, Arc<MiriReport>)> {
+        // Edges live on entries, so only a resident `from` has any.
+        let from_key = self.cache.resident_key(from);
+        let memo = from_key.and_then(|key| self.cache.edge(key, from, edit));
+        let (candidate, remembered) = match memo {
+            Some(None) => return None,
+            Some(Some(successor)) => (successor, true),
+            None => match derive() {
+                Some(derived) => (Arc::new(derived), false),
+                None => {
+                    if let Some(key) = from_key {
+                        self.cache.remember_edge(key, from, edit, None);
+                    }
+                    return None;
+                }
+            },
+        };
+        let record = JudgeRecord::open();
+        let (program, report, cached) = if remembered {
+            self.cache.lookup_canonical(&candidate)
+        } else {
+            self.cache
+                .lookup_by_content(&candidate, || Arc::clone(&candidate))
+        };
+        record.close(&report, cached, used);
+        if let Some(key) = from_key {
+            if !remembered || !Arc::ptr_eq(&program, &candidate) {
+                self.cache.remember_edge(key, from, edit, Some(&program));
+            }
+        }
+        Some((program, report))
     }
 }
 

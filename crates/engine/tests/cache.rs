@@ -1,13 +1,15 @@
 //! Coverage of the content-addressed oracle cache: key semantics
-//! (structure, not strings), hit behaviour, and the guarantee that
-//! caching never changes reported results — including `overhead_ms`.
+//! (structure, not strings), hit behaviour, the guarantee that caching
+//! never changes reported results — including `overhead_ms` — and the
+//! transition memo that serves repeated edits.
 
 use rb_dataset::Corpus;
-use rb_engine::{program_key, Engine, OracleCache, SystemSpec};
+use rb_engine::{program_key, CachedOracle, Engine, OracleCache, SystemSpec};
 use rb_lang::parser::parse_program;
 use rb_lang::printer::print_program;
 use rb_lang::Program;
-use rb_miri::UbClass;
+use rb_miri::{run_program, Oracle, OracleUse, UbClass};
+use std::cell::Cell;
 use std::sync::Arc;
 
 fn program(src: &str) -> Program {
@@ -144,4 +146,160 @@ fn a_cold_batch_keeps_each_case_gold_handle() {
     for case in &corpus.cases {
         assert_eq!(Arc::strong_count(&case.gold), 1, "{}", case.id);
     }
+}
+
+// ---------------------------------------------------------------------------
+// The transition memo behind `CachedOracle::judge_edit`
+// ---------------------------------------------------------------------------
+
+/// A `CachedOracle` over its own cache of `cache`'s shape, with `from`
+/// judged so the cache holds its handle.
+fn memo_oracle(cache: OracleCache, from: &Arc<Program>) -> (CachedOracle, Arc<OracleCache>) {
+    let cache = Arc::new(cache);
+    let oracle = CachedOracle::new(Arc::clone(&cache));
+    oracle.judge_recording(from, &mut OracleUse::default());
+    (oracle, cache)
+}
+
+/// A `derive` yielding `src` that counts its calls in `calls`.
+fn counting<'a>(calls: &'a Cell<usize>, src: &'a str) -> impl FnMut() -> Option<Program> + 'a {
+    move || {
+        calls.set(calls.get() + 1);
+        Some(program(src))
+    }
+}
+
+const FROM: &str = "fn main() { print(1i32); }";
+const EDITED: &str = "fn main() { print(2i32); }";
+
+#[test]
+fn an_edit_is_derived_once_per_handle() {
+    let from = Arc::new(program(FROM));
+    let (oracle, cache) = memo_oracle(OracleCache::new(), &from);
+    let calls = Cell::new(0);
+    let mut used = OracleUse::default();
+    let (first, first_report) = oracle
+        .judge_edit(&from, 4, &mut counting(&calls, EDITED), &mut used)
+        .expect("the edit applies");
+    let (second, second_report) = oracle
+        .judge_edit(&from, 4, &mut counting(&calls, EDITED), &mut used)
+        .expect("the edit applies");
+    assert_eq!(calls.get(), 1, "a remembered edit was derived again");
+    assert!(Arc::ptr_eq(&first, &second));
+    assert!(Arc::ptr_eq(&first_report, &second_report));
+    assert_eq!(*first, program(EDITED));
+    assert_eq!(*first_report, run_program(&first));
+    // The served judgement is recorded as the hit it replaces.
+    assert_eq!((used.executed, used.cached), (1, 1));
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 2));
+    // An equal program behind another handle is not the same state:
+    // the memo is keyed by identity, so it derives again.
+    let twin = Arc::new(program(FROM));
+    oracle.judge_edit(&twin, 4, &mut counting(&calls, EDITED), &mut used);
+    assert_eq!(calls.get(), 2);
+}
+
+#[test]
+fn a_refused_edit_is_remembered() {
+    let from = Arc::new(program(FROM));
+    let (oracle, cache) = memo_oracle(OracleCache::new(), &from);
+    let calls = Cell::new(0);
+    let mut refuse = || {
+        calls.set(calls.get() + 1);
+        None
+    };
+    let mut used = OracleUse::default();
+    for _ in 0..3 {
+        assert!(oracle
+            .judge_edit(&from, 6, &mut refuse, &mut used)
+            .is_none());
+    }
+    assert_eq!(calls.get(), 1);
+    // Nothing was judged, so nothing was recorded.
+    assert_eq!(used.total(), 0);
+    assert_eq!(cache.stats().hits, 0);
+}
+
+#[test]
+fn the_drift_bit_names_another_edit() {
+    let from = Arc::new(program(FROM));
+    let (oracle, _cache) = memo_oracle(OracleCache::new(), &from);
+    let (plain_calls, drift_calls) = (Cell::new(0), Cell::new(0));
+    let mut used = OracleUse::default();
+    let rule = 9u64;
+    for _ in 0..2 {
+        let (plain, _) = oracle
+            .judge_edit(
+                &from,
+                rule * 2,
+                &mut counting(&plain_calls, EDITED),
+                &mut used,
+            )
+            .unwrap();
+        let (drifted, _) = oracle
+            .judge_edit(
+                &from,
+                rule * 2 + 1,
+                &mut counting(&drift_calls, "fn main() { print(3i32); }"),
+                &mut used,
+            )
+            .unwrap();
+        assert_eq!(*plain, program(EDITED));
+        assert_eq!(*drifted, program("fn main() { print(3i32); }"));
+    }
+    assert_eq!((plain_calls.get(), drift_calls.get()), (1, 1));
+}
+
+#[test]
+fn an_equal_successor_is_served_by_content_with_the_canonical_handle() {
+    let from = Arc::new(program(FROM));
+    let (oracle, cache) = memo_oracle(OracleCache::new(), &from);
+    // The successor's content was judged before, behind another handle.
+    let earlier = Arc::new(program(EDITED));
+    let (earlier_report, hit) = oracle.judge_shared(&earlier);
+    assert!(!hit);
+    let mut used = OracleUse::default();
+    let calls = Cell::new(0);
+    let (served, report) = oracle
+        .judge_edit(&from, 2, &mut counting(&calls, EDITED), &mut used)
+        .unwrap();
+    assert!(Arc::ptr_eq(&served, &earlier), "not the canonical handle");
+    assert!(Arc::ptr_eq(&report, &earlier_report));
+    assert_eq!((used.executed, used.cached), (0, 1));
+    // Served again, now from the memo: still the canonical handle.
+    let (again, _) = oracle
+        .judge_edit(&from, 2, &mut counting(&calls, EDITED), &mut used)
+        .unwrap();
+    assert!(Arc::ptr_eq(&again, &earlier));
+    assert_eq!(calls.get(), 1);
+    assert_eq!((used.executed, used.cached), (0, 2));
+    assert_eq!(cache.stats().entries, 2);
+}
+
+#[test]
+fn an_evicted_source_derives_again_and_the_memo_stays_bounded() {
+    let from = Arc::new(program(FROM));
+    let (oracle, cache) = memo_oracle(OracleCache::bounded(16), &from);
+    let calls = Cell::new(0);
+    let mut used = OracleUse::default();
+    oracle.judge_edit(&from, 0, &mut counting(&calls, EDITED), &mut used);
+    assert_eq!(calls.get(), 1);
+    // One entry per shard: 200 cold programs evict every earlier entry.
+    for i in 0..200 {
+        oracle.judge(&program(&format!("fn main() {{ print({i}i64); }}")));
+    }
+    let stats = cache.stats();
+    assert!(stats.entries <= stats.capacity, "{stats:?}");
+    // The cache no longer owns `from`, and no index or edge kept it.
+    assert_eq!(Arc::strong_count(&from), 1);
+    oracle.judge_recording(&from, &mut used);
+    let (edited, report) = oracle
+        .judge_edit(&from, 0, &mut counting(&calls, EDITED), &mut used)
+        .unwrap();
+    assert_eq!(calls.get(), 2, "an evicted state's edge was served");
+    assert_eq!(*edited, program(EDITED));
+    assert_eq!(*report, run_program(&edited));
+    let stats = cache.stats();
+    assert!(stats.entries <= stats.capacity, "{stats:?}");
 }

@@ -13,13 +13,20 @@
 //! executed/cached halves away. `oracle_prevetoed` is NOT normalized:
 //! it must match under either oracle (nothing vetoes a judgement, so it
 //! is 0 in both).
+//!
+//! The same holds on the warm path, where repeated repair steps are served
+//! from the cache's transition memo without re-deriving the edit, and
+//! the split itself must not depend on whether a judgement came from the
+//! memo or from a plain lookup.
 
 use proptest::prelude::*;
 use rb_dataset::Corpus;
 use rb_engine::{CachedOracle, OracleCache};
+use rb_lang::Program;
 use rb_llm::ModelId;
-use rb_miri::{DirectOracle, Oracle, UbClass};
+use rb_miri::{DirectOracle, MiriReport, Oracle, OracleUse, UbClass};
 use rustbrain::{RepairOutcome, RustBrain, RustBrainConfig};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const CLASS_POOL: [UbClass; 6] = [
@@ -71,6 +78,101 @@ fn repair_with(oracle: Arc<dyn Oracle>, seed: u64, corpus: &Corpus) -> Vec<Repai
         .iter()
         .map(|case| brain.repair(&case.buggy, &case.gold_outputs()))
         .collect()
+}
+
+/// [`repair_with`] on each case's own buggy handle, as the batch engine
+/// repairs it: a second pass on a warm cache then starts every repair
+/// from a handle the cache holds.
+fn repair_shared_with(oracle: Arc<dyn Oracle>, seed: u64, corpus: &Corpus) -> Vec<RepairOutcome> {
+    let mut brain = RustBrain::with_oracle(RustBrainConfig::for_model(ModelId::Gpt4, seed), oracle);
+    corpus
+        .cases
+        .iter()
+        .map(|case| brain.repair_shared(&case.buggy, &case.gold_outputs()))
+        .collect()
+}
+
+/// A [`CachedOracle`] that counts how often an edit is derived rather
+/// than served from the memo.
+struct DeriveCounting {
+    inner: CachedOracle,
+    derived: AtomicUsize,
+}
+
+impl Oracle for DeriveCounting {
+    fn judge(&self, program: &Program) -> Arc<MiriReport> {
+        self.inner.judge(program)
+    }
+
+    fn judge_shared(&self, program: &Arc<Program>) -> (Arc<MiriReport>, bool) {
+        self.inner.judge_shared(program)
+    }
+
+    fn judge_edit(
+        &self,
+        from: &Arc<Program>,
+        edit: u64,
+        derive: &mut dyn FnMut() -> Option<Program>,
+        used: &mut OracleUse,
+    ) -> Option<(Arc<Program>, Arc<MiriReport>)> {
+        let mut counted = || {
+            self.derived.fetch_add(1, Ordering::Relaxed);
+            derive()
+        };
+        self.inner.judge_edit(from, edit, &mut counted, used)
+    }
+}
+
+/// The pre-memo behaviour over a cache: it implements only
+/// `judge_shared`, so every edit takes `Oracle::judge_edit`'s default
+/// path — derive, then a plain lookup.
+struct LookupOnly(Arc<OracleCache>);
+
+impl Oracle for LookupOnly {
+    fn judge(&self, program: &Program) -> Arc<MiriReport> {
+        self.0.report(program)
+    }
+
+    fn judge_shared(&self, program: &Arc<Program>) -> (Arc<MiriReport>, bool) {
+        self.0.lookup_shared(program)
+    }
+}
+
+/// Per-case executed/cached splits.
+fn splits(outcomes: &[RepairOutcome]) -> Vec<(usize, usize)> {
+    outcomes
+        .iter()
+        .map(|o| (o.oracle_executed, o.oracle_cached))
+        .collect()
+}
+
+/// Repairs `corpus` twice through a derive-counting oracle over `cache`,
+/// checking both passes against `direct` and the cache's hit counter.
+/// Returns the edits derived in each pass.
+fn two_passes_match_direct(
+    cache: &Arc<OracleCache>,
+    direct: &[RepairOutcome],
+    corpus: &Corpus,
+) -> Result<[usize; 2], TestCaseError> {
+    let oracle = Arc::new(DeriveCounting {
+        inner: CachedOracle::new(Arc::clone(cache)),
+        derived: AtomicUsize::new(0),
+    });
+    let mut derived = [0; 2];
+    for pass in &mut derived {
+        let hits_before = cache.stats().hits;
+        let derived_before = oracle.derived.load(Ordering::Relaxed);
+        let outcomes = repair_shared_with(Arc::clone(&oracle) as Arc<dyn Oracle>, 7, corpus);
+        prop_assert_eq!(outcomes.len(), direct.len());
+        let mut served = 0usize;
+        for (d, o) in direct.iter().zip(&outcomes) {
+            prop_assert_eq!(normalized(d), normalized(o));
+            served += o.oracle_cached;
+        }
+        prop_assert_eq!(served as u64, cache.stats().hits - hits_before);
+        *pass = oracle.derived.load(Ordering::Relaxed) - derived_before;
+    }
+    Ok(derived)
 }
 
 proptest! {
@@ -126,5 +228,54 @@ proptest! {
         let stats = tiny.stats();
         prop_assert!(stats.entries <= stats.capacity);
         prop_assert_eq!(stats.capacity, 16);
+    }
+
+    /// Two passes over one unbounded cache: the second is served entirely
+    /// from the transition memo (no edit is derived again), and both
+    /// match the direct oracle. Two passes over a thrashing `bounded(1)`
+    /// cache match it too.
+    #[test]
+    fn warm_memo_passes_match_direct(
+        corpus_seed in 0u64..500,
+        class_pick in 0usize..CLASS_POOL.len(),
+    ) {
+        let corpus = Corpus::generate(corpus_seed, 1, &[CLASS_POOL[class_pick]]);
+        let direct = repair_shared_with(Arc::new(DirectOracle), 7, &corpus);
+
+        let cache = Arc::new(OracleCache::new());
+        let [cold, warm] = two_passes_match_direct(&cache, &direct, &corpus)?;
+        prop_assert!(cold > 0, "the first pass derived no edit");
+        prop_assert_eq!(warm, 0, "the second pass derived an edit again");
+        prop_assert_eq!(cache.stats().misses, cache.stats().entries);
+
+        let tiny = Arc::new(OracleCache::bounded(1));
+        two_passes_match_direct(&tiny, &direct, &corpus)?;
+        let stats = tiny.stats();
+        prop_assert!(stats.entries <= stats.capacity);
+    }
+
+    /// The memo changes no attribution: per case, the executed/cached
+    /// split through `CachedOracle` equals the split through an oracle
+    /// that derives and looks up every edit — cold, on a second sweep of
+    /// the same cache, and on a thrashing bounded cache.
+    #[test]
+    fn memo_keeps_the_telemetry_split(
+        corpus_seed in 0u64..500,
+        class_pick in 0usize..CLASS_POOL.len(),
+    ) {
+        let classes = [CLASS_POOL[class_pick], CLASS_POOL[(class_pick + 1) % CLASS_POOL.len()]];
+        let corpus = Corpus::generate(corpus_seed, 1, &classes);
+        for bounded in [false, true] {
+            let fresh = || Arc::new(if bounded { OracleCache::bounded(1) } else { OracleCache::new() });
+            let (memo_cache, plain_cache) = (fresh(), fresh());
+            let memo = Arc::new(CachedOracle::new(Arc::clone(&memo_cache)));
+            let plain = Arc::new(LookupOnly(Arc::clone(&plain_cache)));
+            for sweep in ["cold", "second"] {
+                let m = repair_shared_with(Arc::clone(&memo) as Arc<dyn Oracle>, 3, &corpus);
+                let p = repair_shared_with(Arc::clone(&plain) as Arc<dyn Oracle>, 3, &corpus);
+                prop_assert_eq!(splits(&m), splits(&p), "{} sweep, bounded: {}", sweep, bounded);
+                prop_assert_eq!(memo_cache.stats(), plain_cache.stats());
+            }
+        }
     }
 }

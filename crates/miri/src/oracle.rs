@@ -68,18 +68,78 @@ pub trait Oracle: Send + Sync {
     /// their program states as shared handles, so this takes one too.
     ///
     /// This default is also the observability seam: every judgement that
-    /// flows through it opens an `oracle.judge` span (cached/executed
-    /// and verdict-class tags) and records wall-clock latency into the
-    /// process-wide registry. No implementation in the stack overrides
-    /// it, so the fast path, slow path and rollback reverification are
-    /// all covered through dynamic dispatch. Purely observational: the
-    /// verdict and the `used` accounting are untouched.
+    /// flows through it is recorded by a [`JudgeRecord`] (an
+    /// `oracle.judge` span with cached/executed and verdict-class tags,
+    /// plus wall-clock latency in the process-wide registry). No
+    /// implementation in the stack overrides it, and an override of
+    /// [`judge_edit`] records through the same [`JudgeRecord`], so the
+    /// fast path, slow path and rollback reverification are all covered.
+    /// Purely observational: the verdict and the `used` accounting are
+    /// untouched.
     ///
     /// [`judge_shared`]: Oracle::judge_shared
+    /// [`judge_edit`]: Oracle::judge_edit
     fn judge_recording(&self, program: &Arc<Program>, used: &mut OracleUse) -> Arc<MiriReport> {
-        let mut span = rb_obs::span("oracle.judge");
-        let start = std::time::Instant::now();
+        let record = JudgeRecord::open();
         let (report, cached) = self.judge_shared(program);
+        record.close(&report, cached, used);
+        report
+    }
+
+    /// Judges the program one edit away from `from`: `derive` builds it
+    /// (returning `None` when the edit does not apply, in which case
+    /// nothing is judged), and the verdict is recorded like
+    /// [`judge_recording`]. Returns the judged program and its verdict.
+    ///
+    /// `edit` names the edit among all edits of `from`, and `derive` must
+    /// be pure: its result may depend only on `from` and `edit`. That
+    /// contract is what lets a memoising implementation remember the
+    /// successor of `(from, edit)` and skip `derive` the next time — so
+    /// the returned handle may be one the oracle already held rather than
+    /// a fresh one, with equal content.
+    ///
+    /// The default always runs `derive` and judges the result through
+    /// [`judge_recording`].
+    ///
+    /// [`judge_recording`]: Oracle::judge_recording
+    fn judge_edit(
+        &self,
+        from: &Arc<Program>,
+        edit: u64,
+        derive: &mut dyn FnMut() -> Option<Program>,
+        used: &mut OracleUse,
+    ) -> Option<(Arc<Program>, Arc<MiriReport>)> {
+        let _ = (from, edit);
+        let program = Arc::new(derive()?);
+        let report = self.judge_recording(&program, used);
+        Some((program, report))
+    }
+}
+
+/// The telemetry of one recorded judgement: opened before the verdict is
+/// fetched, closed with it. Closing counts the judgement in an
+/// [`OracleUse`], tags the `oracle.judge` span it opened with the
+/// cached/executed split and the verdict class, and records the
+/// `rustbrain_oracle_judgements_total` counter and the
+/// `rustbrain_oracle_judge_us` latency histogram.
+pub struct JudgeRecord {
+    span: rb_obs::Span,
+    start: std::time::Instant,
+}
+
+impl JudgeRecord {
+    /// Opens the `oracle.judge` span and starts the latency clock.
+    #[must_use]
+    pub fn open() -> JudgeRecord {
+        JudgeRecord {
+            span: rb_obs::span("oracle.judge"),
+            start: std::time::Instant::now(),
+        }
+    }
+
+    /// Records `report`, served from a cache when `cached`, into `used`
+    /// and the process-wide telemetry, and closes the span.
+    pub fn close(mut self, report: &MiriReport, cached: bool, used: &mut OracleUse) {
         used.record(cached);
         let verdict = report.primary().map_or("pass", |e| e.class().label());
         let result = if cached { "cached" } else { "executed" };
@@ -92,12 +152,11 @@ pub trait Oracle: Send + Sync {
         m.observe(
             "rustbrain_oracle_judge_us",
             Some(("class", verdict)),
-            start.elapsed().as_secs_f64() * 1e6,
+            self.start.elapsed().as_secs_f64() * 1e6,
             rb_obs::REAL_US_BUCKETS,
         );
-        span.tag("cached", result);
-        span.tag("verdict", verdict);
-        report
+        self.span.tag("cached", result);
+        self.span.tag("verdict", verdict);
     }
 }
 
@@ -181,6 +240,28 @@ mod tests {
                 ..OracleUse::default()
             }
         );
+    }
+
+    #[test]
+    fn default_judge_edit_derives_and_records_every_time() {
+        let from = Arc::new(parse_program("fn main() { print(1i32); }").unwrap());
+        let mut used = OracleUse::default();
+        let mut derived = 0;
+        let mut derive = || {
+            derived += 1;
+            Some(parse_program("fn main() { print(2i32); }").unwrap())
+        };
+        for _ in 0..2 {
+            let (program, report) = DirectOracle
+                .judge_edit(&from, 0, &mut derive, &mut used)
+                .expect("the edit applies");
+            assert_eq!(*report, run_program(&program));
+        }
+        assert!(DirectOracle
+            .judge_edit(&from, 1, &mut || None, &mut used)
+            .is_none());
+        assert_eq!(derived, 2);
+        assert_eq!((used.executed, used.cached), (2, 0));
     }
 
     #[test]

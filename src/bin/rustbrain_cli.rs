@@ -92,6 +92,39 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+/// Writes `args` to standard output. A reader that closed the pipe early
+/// (`rustbrain demo | head -1`) ends the process quietly with status 0,
+/// as a filter's upstream should; any other write failure ends it with a
+/// message and status 1. Never a panic: every line the CLI prints goes
+/// through here, by way of `out!` and `outln!`.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through `write_stdout`.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through `write_stdout`.
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// Parsed command line.
 #[derive(Debug, PartialEq)]
 struct Cli {
@@ -762,7 +795,7 @@ fn main() -> ExitCode {
     };
     match cli.command {
         Command::Help => {
-            println!("{}", usage());
+            outln!("{}", usage());
             ExitCode::SUCCESS
         }
         Command::Check(ref file) => match std::fs::read_to_string(file) {
@@ -827,7 +860,7 @@ fn main() -> ExitCode {
             ClientVerb::Shutdown => client_call(&cli, |_| Ok(rb_serve::client::shutdown_request())),
         },
         Command::Demo => {
-            println!("repairing the built-in dangling-pointer demo:\n\n{DEMO}\n");
+            outln!("repairing the built-in dangling-pointer demo:\n\n{DEMO}\n");
             let mut demo_cli = cli;
             demo_cli.reference = vec!["5".to_owned()];
             repair(DEMO, &demo_cli)
@@ -855,7 +888,7 @@ fn export_corpus(dir: &str, seed: u64) -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    println!(
+    outln!(
         "wrote {written} files ({} cases across {} classes) to {dir}",
         corpus.len(),
         corpus.stats().len()
@@ -893,7 +926,7 @@ fn trace_cmd(cli: &Cli, verb: &TraceVerb) -> ExitCode {
                 ..analyze::CheckOptions::default()
             };
             let report = analyze::check(&spans, &opts);
-            print!("{}", report.render());
+            out!("{}", report.render());
             if report.ok() {
                 ExitCode::SUCCESS
             } else {
@@ -908,7 +941,7 @@ fn trace_cmd(cli: &Cli, verb: &TraceVerb) -> ExitCode {
             let report = analyze::check(&spans, &analyze::CheckOptions::default());
             match rb_obs::SpanTree::build(spans) {
                 Ok(tree) => {
-                    print!("{}", analyze::render_summary(&report, &tree));
+                    out!("{}", analyze::render_summary(&report, &tree));
                     if report.ok() {
                         ExitCode::SUCCESS
                     } else {
@@ -929,10 +962,10 @@ fn trace_cmd(cli: &Cli, verb: &TraceVerb) -> ExitCode {
             let aggs = analyze::flamegraph(&tree);
             if cli.collapsed {
                 let measure = cli.measure.unwrap_or(analyze::Measure::Sim);
-                print!("{}", analyze::render_collapsed(&aggs, measure));
+                out!("{}", analyze::render_collapsed(&aggs, measure));
             } else {
                 let classes = analyze::class_breakdown(&tree);
-                print!(
+                out!(
                     "{}",
                     analyze::render_flamegraph(&aggs, &classes, cli.top.unwrap_or(40))
                 );
@@ -949,7 +982,7 @@ fn trace_cmd(cli: &Cli, verb: &TraceVerb) -> ExitCode {
                 eprintln!("error: no engine.job spans in {path} — not a batch trace");
                 return ExitCode::FAILURE;
             }
-            print!("{}", cp.render());
+            out!("{}", cp.render());
             ExitCode::SUCCESS
         }
         TraceVerb::Diff(a, b) => {
@@ -958,7 +991,7 @@ fn trace_cmd(cli: &Cli, verb: &TraceVerb) -> ExitCode {
                 (Err(code), _) | (_, Err(code)) => return code,
             };
             let rows = analyze::diff(&analyze::flamegraph(&tree_a), &analyze::flamegraph(&tree_b));
-            print!("{}", analyze::render_diff(&rows, cli.top.unwrap_or(40)));
+            out!("{}", analyze::render_diff(&rows, cli.top.unwrap_or(40)));
             ExitCode::SUCCESS
         }
     }
@@ -1003,7 +1036,7 @@ fn batch(cli: &Cli) -> ExitCode {
         },
         None => None,
     };
-    println!(
+    outln!(
         "batch: {} cases ({} classes, {} per class) | system {} | {} worker(s) | oracle {} | kb {}",
         corpus.len(),
         corpus.stats().len(),
@@ -1030,7 +1063,7 @@ fn batch(cli: &Cli) -> ExitCode {
         }
     };
     let (pass, exec) = rb_bench::overall_rates(&outcome.results);
-    println!(
+    outln!(
         "pass rate: {:.1}% | exec rate: {:.1}% | wall: {:.0} ms | {:.1} cases/s | cache hit rate: {:.1}%",
         pass.percent(),
         exec.percent(),
@@ -1038,7 +1071,7 @@ fn batch(cli: &Cli) -> ExitCode {
         outcome.stats.cases_per_sec,
         outcome.stats.cache.hit_rate() * 100.0,
     );
-    println!(
+    outln!(
         "oracle judgements: {} executed / {} cached | knowledge: {} seeded + {} learned - {} coalesced = {} entries | kb query time: {:.0} ms",
         outcome.stats.oracle_executed,
         outcome.stats.oracle_cached,
@@ -1049,9 +1082,10 @@ fn batch(cli: &Cli) -> ExitCode {
         outcome.stats.kb_query_ms,
     );
     if let Some(path) = &cli.kb_out {
-        println!(
+        outln!(
             "knowledge store written to {path} ({} segment(s) rewritten, {} already clean)",
-            outcome.stats.kb.shards_written, outcome.stats.kb.shards_skipped,
+            outcome.stats.kb.shards_written,
+            outcome.stats.kb.shards_skipped,
         );
     }
     if let Some(path) = &cli.results_out {
@@ -1059,11 +1093,11 @@ fn batch(cli: &Cli) -> ExitCode {
             eprintln!("error: cannot write {path}: {e}");
             return ExitCode::from(2);
         }
-        println!("deterministic results written to {path}");
+        outln!("deterministic results written to {path}");
     }
     if let (Some(tracer), Some(path)) = (&tracer, &cli.trace_out) {
         tracer.flush();
-        println!("span trace written to {path}");
+        outln!("span trace written to {path}");
     }
     let stats_json = outcome.stats.to_json();
     match &cli.stats_out {
@@ -1072,9 +1106,9 @@ fn batch(cli: &Cli) -> ExitCode {
                 eprintln!("error: cannot write {path}: {e}");
                 return ExitCode::from(2);
             }
-            println!("engine stats written to {path}");
+            outln!("engine stats written to {path}");
         }
-        None => println!("{stats_json}"),
+        None => outln!("{stats_json}"),
     }
     ExitCode::SUCCESS
 }
@@ -1107,7 +1141,7 @@ fn kb_inspect(file: &str) -> ExitCode {
         }
     };
     let total_weight: u64 = entries.iter().map(|e| u64::from(e.weight)).sum();
-    println!(
+    outln!(
         "{file}: rbkb v{} ({layout}) | {} entries standing for {} solved cases",
         rb_kb::FORMAT_VERSION,
         entries.len(),
@@ -1116,9 +1150,9 @@ fn kb_inspect(file: &str) -> ExitCode {
     // A sharded store additionally reports its on-disk segmentation —
     // which classes occupy which segment files, and how big each is.
     if !shards.is_empty() {
-        println!("\nshard            entries   weight    bytes  file");
+        outln!("\nshard            entries   weight    bytes  file");
         for m in &shards {
-            println!(
+            outln!(
                 "{:<16} {:>7} {:>8} {:>8}  {}",
                 m.class.label(),
                 m.entries,
@@ -1135,14 +1169,14 @@ fn kb_inspect(file: &str) -> ExitCode {
     // Per-class histogram: entry slots and the solved-case weight behind
     // them (the difference is what the merge policy has folded away).
     let index = rb_kb::KbIndex::build(&entries);
-    println!("\nclass            entries   weight");
+    outln!("\nclass            entries   weight");
     for (class, count) in index.histogram() {
         let weight: u64 = index
             .bucket(class)
             .iter()
             .map(|&i| u64::from(entries[i as usize].weight))
             .sum();
-        println!("{:<16} {:>7} {:>8}", class.label(), count, weight);
+        outln!("{:<16} {:>7} {:>8}", class.label(), count, weight);
     }
 
     // Per-rule weights, heaviest first (what the base has actually
@@ -1158,9 +1192,9 @@ fn kb_inspect(file: &str) -> ExitCode {
         b.1.cmp(&a.1)
             .then_with(|| rb_kb::codec::rule_code(a.0).cmp(&rb_kb::codec::rule_code(b.0)))
     });
-    println!("\nrule                           weight");
+    outln!("\nrule                           weight");
     for (rule, weight) in rules {
-        println!("{:<30} {:>7}", format!("{rule:?}"), weight);
+        outln!("{:<30} {:>7}", format!("{rule:?}"), weight);
     }
     ExitCode::SUCCESS
 }
@@ -1178,7 +1212,7 @@ fn kb_migrate(src: &str, dst: &str) -> ExitCode {
     };
     match rb_kb::save_any(Path::new(dst), &entries) {
         Ok(report) => {
-            println!(
+            outln!(
                 "migrated {src} -> {dst}: {} entries in {} segment(s)",
                 entries.len(),
                 report.shards_written + report.shards_skipped,
@@ -1224,7 +1258,7 @@ fn kb_compact(file: &str, threshold: f64, jobs: usize) -> ExitCode {
     };
     match report {
         Ok(r) => {
-            println!(
+            outln!(
                 "compacted {file} @ cosine {threshold}: {} -> {} entries ({} folded) | weight {} -> {} | {} segment(s) rewritten",
                 r.entries_before,
                 r.entries_after,
@@ -1264,7 +1298,7 @@ fn serve(cli: &Cli) -> ExitCode {
     };
     // The smoke harness waits for this exact line before connecting, so
     // it goes out flushed and before any request is served.
-    println!(
+    outln!(
         "serving on {} | {} worker(s) | kb {kb_label}",
         server.local_addr(),
         cli.jobs,
@@ -1279,9 +1313,9 @@ fn serve(cli: &Cli) -> ExitCode {
                 eprintln!("error: cannot write {path}: {e}");
                 return ExitCode::from(2);
             }
-            println!("serve stats written to {path}");
+            outln!("serve stats written to {path}");
         }
-        None => println!("{stats_json}"),
+        None => outln!("{stats_json}"),
     }
     ExitCode::SUCCESS
 }
@@ -1307,7 +1341,7 @@ fn client_call(cli: &Cli, build: impl FnOnce(&Cli) -> Result<String, String>) ->
             return ExitCode::from(2);
         }
     };
-    println!("{response}");
+    outln!("{response}");
     let parsed = json::parse(&response).ok();
     let ok = parsed
         .as_ref()
@@ -1325,7 +1359,7 @@ fn client_call(cli: &Cli, build: impl FnOnce(&Cli) -> Result<String, String>) ->
                     eprintln!("error: cannot write {path}: {e}");
                     return ExitCode::from(2);
                 }
-                println!("deterministic results written to {path}");
+                outln!("deterministic results written to {path}");
             }
             None => {
                 eprintln!("error: response carries no results_json to write to {path}");
@@ -1353,19 +1387,19 @@ fn analyze_file(file: &str, src: &str, cli: &Cli) -> ExitCode {
     };
     let analysis = rb_lint::analyze(&program);
     if cli.json {
-        println!("{}", rb_serve::protocol::analysis_json(&analysis));
+        outln!("{}", rb_serve::protocol::analysis_json(&analysis));
     } else {
         if analysis.findings.is_empty() {
-            println!("{file}: proven clean");
+            outln!("{file}: proven clean");
         } else {
-            println!("{file}: {} finding(s)", analysis.findings.len());
+            outln!("{file}: {} finding(s)", analysis.findings.len());
         }
         for f in &analysis.findings {
             let at = f
                 .path
                 .as_ref()
                 .map_or(String::new(), |p| format!(" (at {p})"));
-            println!("  {}: {}{} <{}>", f.class.label(), f.message, at, f.rule);
+            outln!("  {}: {}{} <{}>", f.class.label(), f.message, at, f.rule);
         }
     }
     if analysis.findings.is_empty() {
@@ -1434,7 +1468,7 @@ fn analyze_corpus(cli: &Cli) -> ExitCode {
                 )
             })
             .collect();
-        println!(
+        outln!(
             "{{\"seed\":{},\"per_class\":{},\"cases\":{},\"gold_findings\":{},\
              \"by_class\":[{}],\"rule_audit\":{}}}",
             cli.seed,
@@ -1445,28 +1479,29 @@ fn analyze_corpus(cli: &Cli) -> ExitCode {
             audits_json(&audits),
         );
     } else {
-        println!(
+        outln!(
             "analyze: {} cases ({} classes, {} per class) | seed {}\n",
             total[0],
             rows.len(),
             cli.per_class,
             cli.seed,
         );
-        println!("class            cases  gold-FPs");
+        outln!("class            cases  gold-FPs");
         for (class, r) in &rows {
-            println!("{:<16} {:>5} {:>9}", class.label(), r[0], r[1]);
+            outln!("{:<16} {:>5} {:>9}", class.label(), r[0], r[1]);
         }
-        println!(
+        outln!(
             "\noverall: {} cases | findings on gold programs: {}",
-            total[0], total[1],
+            total[0],
+            total[1],
         );
-        println!(
+        outln!(
             "rule audit: {} rules, {} produced edits that still trip their own lint",
             audits.len(),
             flagged.len(),
         );
         for audit in &flagged {
-            println!(
+            outln!(
                 "  {:<30} edits {:>2}, still tripping {:>2} ({})",
                 audit.rule,
                 audit.edits_produced,
@@ -1492,7 +1527,7 @@ fn check(src: &str, cli: &Cli) -> ExitCode {
         }
     };
     let report = cli.oracle().judge(&program);
-    print!("{report}");
+    out!("{report}");
     if report.passes() {
         ExitCode::SUCCESS
     } else {
@@ -1511,20 +1546,20 @@ fn repair(src: &str, cli: &Cli) -> ExitCode {
     let oracle = cli.oracle();
     let report = oracle.judge(&program);
     if report.passes() {
-        println!("program already passes the oracle; nothing to repair");
+        outln!("program already passes the oracle; nothing to repair");
         return ExitCode::SUCCESS;
     }
-    print!("{report}");
+    out!("{report}");
     let mut config = RustBrainConfig::for_model(cli.model, cli.seed);
     config.temperature = cli.temperature;
     config.use_knowledge = cli.use_knowledge;
     let mut brain = RustBrain::with_oracle(config, oracle);
     let outcome = brain.repair(&program, &cli.reference);
-    println!(
+    outln!(
         "\n== repaired program ==\n{}",
         print_program(&outcome.final_program)
     );
-    println!(
+    outln!(
         "passed: {} | acceptable: {}{} | simulated time: {:.1}s | solutions: {} | oracle runs: {}",
         outcome.passed,
         outcome.acceptable,
