@@ -24,8 +24,7 @@ fn read_one_line_then_close(args: &[&str]) -> (String, Output) {
     (first, out)
 }
 
-fn assert_quiet_end(args: &[&str]) {
-    let (first, out) = read_one_line_then_close(args);
+fn check_quiet_end(args: &[&str], first: &str, out: &Output) {
     assert!(!first.is_empty(), "{args:?} printed nothing");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
@@ -34,7 +33,8 @@ fn assert_quiet_end(args: &[&str]) {
 
 #[test]
 fn demo_into_a_closed_pipe_ends_quietly() {
-    assert_quiet_end(&["demo"]);
+    let (first, out) = read_one_line_then_close(&["demo"]);
+    check_quiet_end(&["demo"], &first, &out);
 }
 
 /// Output far larger than a pipe buffer, printed in one write: the write
@@ -54,7 +54,8 @@ fn large_output_into_a_closed_pipe_ends_quietly() {
         })
         .collect();
     std::fs::write(&path, trace).unwrap();
-    let path_str = path.to_str().unwrap();
-    assert_quiet_end(&["trace", "flamegraph", path_str, "--collapsed"]);
+    let args = ["trace", "flamegraph", path.to_str().unwrap(), "--collapsed"];
+    let (first, out) = read_one_line_then_close(&args);
     let _ = std::fs::remove_dir_all(&dir);
+    check_quiet_end(&args, &first, &out);
 }
