@@ -15,31 +15,22 @@
 //! so the base — and the per-query scan cost — stays bounded as learning
 //! accumulates across batches and invocations.
 //!
-//! Since PR 6 a base can also be *lazily loaded*
-//! ([`KnowledgeBase::open_lazy`]): opened against a sharded `.rbkb.d/`
-//! store it starts empty and faults each class's segment in on first
-//! touch — [`KnowledgeBase::query`] and
-//! [`KnowledgeBase::consult_cost_ms`] fault in before any cost is
-//! computed, so a lazy base's retrieved shots *and* its simulated costs
-//! are byte-identical to an eagerly loaded one's. The daemon in
-//! `rb_serve` rides on this: only the shards traffic touches ever leave
-//! disk.
+//! A base is always loaded whole ([`KnowledgeBase::load`], either store
+//! layout): the learned base is tens of entries, and every workload that
+//! opens a store touches every class, so deferring reads would save
+//! nothing a run can see.
 
-use rb_kb::codec::class_code;
 use rb_kb::index::query_cost_ms as bucket_cost_ms;
-use rb_kb::{KbIndex, ShardedStore};
+use rb_kb::KbIndex;
 use rb_lang::vectorize::AstVector;
 use rb_llm::{FewShot, RepairRule};
 use rb_miri::UbClass;
 use serde::{Deserialize, Serialize};
 use std::borrow::{Borrow, Cow};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-pub use rb_kb::{
-    CodecError, CompactReport, ConflictResolution, KbEntry, MergePolicy, SaveReport, StoreError,
-    StoreLayout,
-};
+pub use rb_kb::{CodecError, ConflictResolution, KbEntry, MergePolicy, SaveReport, StoreError};
 
 /// The knowledge base: a shared read-only base plus this handle's own
 /// inserts.
@@ -50,9 +41,9 @@ pub use rb_kb::{
 /// overlay, never to the base: the overlay is the handle's
 /// [`KnowledgeBase::delta`]. A query scans the base's class bucket, then
 /// the overlay's entries of that class, both in insertion order, which is
-/// the order one entry vector holding both would give. A merge, a
-/// compaction and a lazy fault-in fold the overlay into a fresh base that
-/// only this handle holds; every other handle keeps its view.
+/// the order one entry vector holding both would give. A merge and a
+/// compaction fold the overlay into a fresh base that only this handle
+/// holds; every other handle keeps its view.
 ///
 /// The query-accounting counters are private: shared/concurrent use (the
 /// batch engine hands bases to worker-built systems) must not be able to
@@ -66,9 +57,6 @@ pub struct KnowledgeBase {
     /// Entries inserted on this handle since its base was last folded,
     /// oldest first.
     overlay: Vec<KbEntry>,
-    /// The backing sharded store of a lazily loaded base (see
-    /// [`KnowledgeBase::open_lazy`]); `None` for eager bases.
-    lazy: Option<LazyShards>,
     query_time_ms: f64,
     queries: u64,
     /// Actual simulated cost of the most recent query (initially the
@@ -91,40 +79,11 @@ impl Base {
     }
 }
 
-/// The fault-in state of a lazily loaded base: a shared handle on the
-/// backing [`ShardedStore`] plus a bitmask of the classes already pulled
-/// into [`KnowledgeBase::entries`].
-///
-/// The store handle is behind an `Arc`: clones of a lazy base share one
-/// handle, so the store's per-shard load counters aggregate segment reads
-/// across the base *and* all its clones — which is exactly what the
-/// daemon's telemetry and the serve integration test want to observe.
-/// The residency mask, by contrast, is per-clone: a clone that faults a
-/// shard in folds it into a base only that clone holds.
-#[derive(Clone, Debug)]
-struct LazyShards {
-    store: Arc<Mutex<ShardedStore>>,
-    /// One bit per class wire code ([`rb_kb::codec::NUM_CLASS_CODES`]
-    /// is 15, so `u16` covers every code).
-    resident: u16,
-}
-
-impl LazyShards {
-    fn lock(&self) -> std::sync::MutexGuard<'_, ShardedStore> {
-        self.store.lock().expect("lazy shard store lock poisoned")
-    }
-}
-
-fn class_bit(class: UbClass) -> u16 {
-    1 << class_code(class)
-}
-
 impl Default for KnowledgeBase {
     fn default() -> KnowledgeBase {
         KnowledgeBase {
             base: Arc::default(),
             overlay: Vec::new(),
-            lazy: None,
             query_time_ms: 0.0,
             queries: 0,
             last_query_cost_ms: bucket_cost_ms(0),
@@ -224,9 +183,8 @@ impl KnowledgeBase {
     }
 
     /// The inserts recorded on this handle since its base was last folded
-    /// (by a merge, a compaction or a fault-in): its overlay. For a
-    /// handle taken with [`KnowledgeBase::resident_snapshot`], that is
-    /// exactly what it learned.
+    /// (by a merge or a compaction): its overlay. For a handle taken with
+    /// [`KnowledgeBase::snapshot`], that is exactly what it learned.
     #[must_use]
     pub fn delta(&self) -> KbDelta {
         KbDelta {
@@ -275,21 +233,7 @@ impl KnowledgeBase {
         let mut submitted = 0usize;
         let mut merged = Vec::new();
         for delta in deltas {
-            for e in &delta.entries {
-                // Merging a class into a lazy base before its shard is
-                // resident would leave the on-disk entries shadowed: a
-                // later fault-in appends them raw on top of the merged
-                // (normalized) bucket, diverging from the eager path.
-                // Callers fault the class in first (learning deltas only
-                // carry classes the dispatch already ensured).
-                debug_assert!(
-                    self.is_resident(e.class),
-                    "merged class {:?} into a lazy base before its shard was faulted in \
-                     (ensure_class first)",
-                    e.class
-                );
-                merged.push(e.clone());
-            }
+            merged.extend(delta.entries.iter().cloned());
             submitted += delta.len();
         }
         // Normalization reorders the entries; the fresh base indexes them
@@ -341,11 +285,6 @@ impl KnowledgeBase {
     ) -> Vec<FewShot> {
         let mut span = rb_obs::span("kb.query");
         span.tag("class", class.label());
-        // A lazy base faults the class's shard in before the cost is
-        // computed, so the accrued cost equals the eager-loaded cost. A
-        // store error degrades to the not-yet-resident bucket and leaves
-        // the class non-resident, so the next touch retries.
-        let _ = self.ensure_class(class);
         let cost = self.query_cost_ms(class);
         span.add_sim_ms(cost);
         let m = rb_obs::metrics();
@@ -452,22 +391,7 @@ impl KnowledgeBase {
     /// [`KnowledgeBase::save`], reporting which segments the save wrote,
     /// skipped as already clean, or removed (the engine surfaces this in
     /// its batch telemetry; a single-file save is one written "segment").
-    ///
-    /// A *partially resident* lazy base refuses to save: a sharded save
-    /// removes segments for classes absent from the entries, so saving
-    /// before every shard is faulted in would silently destroy the
-    /// knowledge still on disk. Call [`KnowledgeBase::ensure_all`] first.
     pub fn save_reported(&self, path: &Path) -> Result<SaveReport, StoreError> {
-        if let Some(missing) = self.first_non_resident() {
-            return Err(StoreError::Io {
-                path: path.to_path_buf(),
-                source: std::io::Error::other(format!(
-                    "lazy base is only partially resident (shard {:?} still on disk); \
-                     call ensure_all() before saving",
-                    missing.label()
-                )),
-            });
-        }
         rb_kb::save_any(path, &self.entries())
     }
 
@@ -477,210 +401,23 @@ impl KnowledgeBase {
         Ok(KnowledgeBase::with_entries(rb_kb::load_any(path)?))
     }
 
-    /// Loads only `class`'s entries from a sharded store — the
-    /// single-class fast path: one segment file is read, every other
-    /// class's knowledge stays on disk. On a single-file store this
-    /// degrades honestly: the file is read whole and filtered.
-    pub fn load_class(path: &Path, class: UbClass) -> Result<KnowledgeBase, StoreError> {
-        let entries = match rb_kb::detect_layout(path) {
-            StoreLayout::Sharded => rb_kb::ShardedStore::open(path)?.load_class(class)?,
-            StoreLayout::SingleFile => {
-                let mut entries = rb_kb::load(path)?;
-                entries.retain(|e| e.class == class);
-                entries
-            }
-        };
-        Ok(KnowledgeBase::with_entries(entries))
-    }
-
-    /// Opens `path` as a *lazily loaded* base. On a sharded `.rbkb.d/`
-    /// store (created empty if missing) the base starts with no entries
-    /// and faults each class's segment in on first touch — via
-    /// [`KnowledgeBase::query`], [`KnowledgeBase::consult_cost_ms`], or
-    /// an explicit [`KnowledgeBase::ensure_class`]. On a single-file
-    /// store there is nothing to defer, so this degrades to an eager
-    /// [`KnowledgeBase::load`].
-    ///
-    /// A lazy base answers queries — shots *and* simulated costs —
-    /// byte-identically to an eagerly loaded one, because fault-in
-    /// happens before any bucket cost is computed and a faulted bucket
-    /// holds exactly the eager bucket's entries in segment order.
-    pub fn open_lazy(path: &Path) -> Result<KnowledgeBase, StoreError> {
-        match rb_kb::detect_layout(path) {
-            StoreLayout::Sharded => {
-                let store = ShardedStore::open_or_create(path)?;
-                let mut kb = KnowledgeBase::new();
-                kb.lazy = Some(LazyShards {
-                    store: Arc::new(Mutex::new(store)),
-                    resident: 0,
-                });
-                Ok(kb)
-            }
-            StoreLayout::SingleFile => KnowledgeBase::load(path),
-        }
-    }
-
-    /// Whether this base lazily faults shards in from a backing store.
+    /// A handle on this base with an empty overlay: what a repair job
+    /// starts from, so that its [`KnowledgeBase::delta`] is exactly what
+    /// it learned. A reference bump when nothing was inserted on this
+    /// handle since its last fold (always so after a load, merge or
+    /// compaction); otherwise the overlay is folded into the snapshot's
+    /// own base first.
     #[must_use]
-    pub fn is_lazy(&self) -> bool {
-        self.lazy.is_some()
-    }
-
-    /// A handle on the currently resident entries with an empty overlay
-    /// and no backing store: what a repair job starts from, so that its
-    /// [`KnowledgeBase::delta`] is exactly what it learned and its queries
-    /// never reach the store behind the dispatcher's back. A reference
-    /// bump when nothing was inserted on this handle since its last fold
-    /// (always so after a load, merge or compaction); otherwise the
-    /// overlay is folded into the snapshot's own base first.
-    #[must_use]
-    pub fn resident_snapshot(&self) -> KnowledgeBase {
+    pub fn snapshot(&self) -> KnowledgeBase {
         let mut snapshot = KnowledgeBase {
             base: Arc::clone(&self.base),
             overlay: Vec::new(),
-            lazy: None,
             ..*self
         };
         if !self.overlay.is_empty() {
             snapshot.fold(self.overlay.iter().cloned(), &MergePolicy::append_only());
         }
         snapshot
-    }
-
-    /// Faults `class`'s shard into the base if this base is lazy and the
-    /// shard is not yet resident. Returns whether a segment file was
-    /// actually read (an eager base, an already-resident class, and a
-    /// class with no segment all return `Ok(false)`). On error the class
-    /// stays non-resident, so a later touch retries.
-    pub fn ensure_class(&mut self, class: UbClass) -> Result<bool, StoreError> {
-        let Some(lazy) = self.lazy.as_mut() else {
-            return Ok(false);
-        };
-        let bit = class_bit(class);
-        if lazy.resident & bit != 0 {
-            return Ok(false);
-        }
-        let mut span = rb_obs::span("kb.fault_in");
-        span.tag("class", class.label());
-        let entries = lazy.lock().load_class(class)?;
-        lazy.resident |= bit;
-        let read = !entries.is_empty();
-        span.tag("entries", entries.len());
-        if read {
-            rb_obs::metrics().counter_add("rustbrain_kb_fault_ins_total", None, 1);
-            self.fold(entries, &MergePolicy::append_only());
-        }
-        Ok(read)
-    }
-
-    /// [`KnowledgeBase::ensure_class`] over a class list; returns how
-    /// many segment files were read.
-    pub fn ensure_classes(&mut self, classes: &[UbClass]) -> Result<usize, StoreError> {
-        let mut read = 0usize;
-        for &class in classes {
-            read += usize::from(self.ensure_class(class)?);
-        }
-        Ok(read)
-    }
-
-    /// Faults in every shard the backing store holds, making a lazy base
-    /// fully resident (a no-op on eager bases); returns how many segment
-    /// files were read. Required before [`KnowledgeBase::save`] on a
-    /// lazy base.
-    pub fn ensure_all(&mut self) -> Result<usize, StoreError> {
-        let Some(lazy) = self.lazy.as_ref() else {
-            return Ok(0);
-        };
-        let classes: Vec<UbClass> = lazy
-            .lock()
-            .manifest()
-            .shards
-            .iter()
-            .map(|m| m.class)
-            .collect();
-        self.ensure_classes(&classes)
-    }
-
-    /// Whether `class`'s knowledge is available in memory: always true
-    /// for eager bases; for lazy bases, true once the class was faulted
-    /// in — or when the backing store has no segment for it (nothing to
-    /// load means nothing is missing).
-    #[must_use]
-    pub fn is_resident(&self, class: UbClass) -> bool {
-        match &self.lazy {
-            None => true,
-            Some(lazy) => {
-                lazy.resident & class_bit(class) != 0
-                    || lazy.lock().manifest().shard(class).is_none()
-            }
-        }
-    }
-
-    /// Number of store shards resident in memory: for a lazy base, the
-    /// backing segments faulted in so far; for an eager base, the
-    /// distinct classes holding entries.
-    #[must_use]
-    pub fn resident_shards(&self) -> usize {
-        match &self.lazy {
-            None => {
-                let mut classes: u16 = 0;
-                for (class, _) in self.base.index.histogram() {
-                    classes |= class_bit(class);
-                }
-                for e in &self.overlay {
-                    classes |= class_bit(e.class);
-                }
-                classes.count_ones() as usize
-            }
-            Some(lazy) => {
-                let store = lazy.lock();
-                store
-                    .manifest()
-                    .shards
-                    .iter()
-                    .filter(|m| lazy.resident & class_bit(m.class) != 0)
-                    .count()
-            }
-        }
-    }
-
-    /// Segment reads for `class` through the backing store handle (0 for
-    /// eager bases). The handle is shared with every clone of this base,
-    /// so the count aggregates fault-ins across the base and its clones.
-    #[must_use]
-    pub fn shard_loads(&self, class: UbClass) -> u64 {
-        self.lazy.as_ref().map_or(0, |l| l.lock().loads(class))
-    }
-
-    /// Segment reads across all classes through the backing store handle
-    /// (0 for eager bases; shared with clones like
-    /// [`KnowledgeBase::shard_loads`]).
-    #[must_use]
-    pub fn total_shard_loads(&self) -> u64 {
-        self.lazy.as_ref().map_or(0, |l| l.lock().total_loads())
-    }
-
-    /// The first store shard not yet faulted in, if any — what makes a
-    /// save refusable before data silently goes missing.
-    fn first_non_resident(&self) -> Option<UbClass> {
-        let lazy = self.lazy.as_ref()?;
-        lazy.lock()
-            .manifest()
-            .shards
-            .iter()
-            .map(|m| m.class)
-            .find(|&c| lazy.resident & class_bit(c) == 0)
-    }
-
-    /// Prospective cost of a query for `class`, faulting the class's
-    /// shard in first on a lazy base. The fast/slow thinking paths
-    /// charge the consult cost *before* querying, so the fault-in must
-    /// happen at the charge site — otherwise a lazy base would charge
-    /// the empty-bucket cost and then accrue the full-bucket cost,
-    /// breaking the charged ≡ accrued invariant eager runs pin.
-    pub fn consult_cost_ms(&mut self, class: UbClass) -> f64 {
-        let _ = self.ensure_class(class);
-        self.query_cost_ms(class)
     }
 }
 
@@ -744,7 +481,7 @@ mod tests {
         let mut snapshot = KnowledgeBase::new();
         snapshot.insert(v.clone(), UbClass::Panic, RepairRule::GuardDivision);
         // A snapshot folds its source's inserts into its base.
-        let snapshot = snapshot.resident_snapshot();
+        let snapshot = snapshot.snapshot();
         assert!(snapshot.delta().is_empty());
 
         // A job starts from the snapshot and learns two more cases.
@@ -775,7 +512,7 @@ mod tests {
         let job = kb.clone();
         assert!(Arc::ptr_eq(&kb.base, &job.base));
         assert!(job.overlay.is_empty() && job.overlay.capacity() == 0);
-        let snapshot = kb.resident_snapshot();
+        let snapshot = kb.snapshot();
         assert!(Arc::ptr_eq(&kb.base, &snapshot.base));
         assert!(matches!(kb.entries(), Cow::Borrowed(_)));
     }
@@ -830,7 +567,6 @@ mod tests {
             }
         }
         assert_eq!(layered.query_time_ms(), flat.query_time_ms());
-        assert_eq!(layered.resident_shards(), flat.resident_shards());
         assert_eq!(layered.total_weight(), flat.total_weight());
         // The overlay is the delta.
         let delta = layered.delta();
@@ -893,27 +629,27 @@ mod tests {
         let mut kb = KnowledgeBase::new();
         kb.insert(v.clone(), UbClass::Alloc, RepairRule::RemoveDoubleFree);
         kb.insert(v.clone(), UbClass::Panic, RepairRule::GuardDivision);
-        let mut lazy = kb.clone();
+        let mut on_demand = kb.clone();
         // Empty bucket: the closure never runs, and the accounting moves
         // exactly as a plain query moves it.
-        let shots = lazy.query_with(UbClass::DataRace, 2, || -> AstVector {
+        let shots = on_demand.query_with(UbClass::DataRace, 2, || -> AstVector {
             panic!("embedded for an empty bucket")
         });
         assert!(shots.is_empty());
         assert!(kb.query(&v, UbClass::DataRace, 2).is_empty());
         let counters =
             |kb: &KnowledgeBase| (kb.queries(), kb.query_time_ms(), kb.last_query_cost_ms());
-        assert_eq!(counters(&lazy), counters(&kb));
+        assert_eq!(counters(&on_demand), counters(&kb));
         // Non-empty bucket: the same shots and the same accounting.
         let mut ran = false;
-        let lazy_shots = lazy.query_with(UbClass::Panic, 2, || {
+        let shots_on_demand = on_demand.query_with(UbClass::Panic, 2, || {
             ran = true;
             v.clone()
         });
         assert!(ran);
-        assert_eq!(lazy_shots, kb.query(&v, UbClass::Panic, 2));
-        assert_eq!(lazy_shots.len(), 1);
-        assert_eq!(counters(&lazy), counters(&kb));
+        assert_eq!(shots_on_demand, kb.query(&v, UbClass::Panic, 2));
+        assert_eq!(shots_on_demand.len(), 1);
+        assert_eq!(counters(&on_demand), counters(&kb));
     }
 
     #[test]
@@ -930,7 +666,7 @@ mod tests {
              spawn { unsafe { G = 1; } } spawn { unsafe { G = 2; } } join; }",
         );
         kb.insert(
-            dangling.clone(),
+            dangling,
             UbClass::DanglingPointer,
             RepairRule::HoistLocalOut,
         );
@@ -948,179 +684,6 @@ mod tests {
         let from_sharded = KnowledgeBase::load(&sharded).unwrap();
         assert_eq!(from_single.entries(), kb.entries());
         assert_eq!(from_sharded.entries(), kb.entries());
-
-        // The single-class fast path sees exactly one class's knowledge,
-        // and retrieval over it still works.
-        let mut one = KnowledgeBase::load_class(&sharded, UbClass::DanglingPointer).unwrap();
-        assert_eq!(one.len(), 1);
-        let shots = one.query(&dangling, UbClass::DanglingPointer, 1);
-        assert_eq!(
-            shots.first().map(|s| s.rule),
-            Some(RepairRule::HoistLocalOut)
-        );
-        // …and the same call against the single-file store filters.
-        let one = KnowledgeBase::load_class(&single, UbClass::DataRace).unwrap();
-        assert_eq!(one.len(), 1);
-        assert_eq!(one.entries()[0].rule, RepairRule::LockSpawnBodies);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn lazy_base_faults_in_only_touched_shards() {
-        let dir = std::env::temp_dir().join(format!("rb_core_lazy_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let store = dir.join("lazy.rbkb.d");
-        let dangling = vec_of(
-            "fn main() { let q: *const i32 = 0 as *const i32; \
-             { let x: i32 = 5; q = &raw const x; } unsafe { print(*q); } }",
-        );
-        let race = vec_of(
-            "static mut G: i32 = 0; fn main() { \
-             spawn { unsafe { G = 1; } } spawn { unsafe { G = 2; } } join; }",
-        );
-        let mut eager = KnowledgeBase::new();
-        eager.insert(
-            dangling.clone(),
-            UbClass::DanglingPointer,
-            RepairRule::HoistLocalOut,
-        );
-        eager.insert(race.clone(), UbClass::DataRace, RepairRule::LockSpawnBodies);
-        eager.save(&store).unwrap();
-
-        let mut lazy = KnowledgeBase::open_lazy(&store).unwrap();
-        assert!(lazy.is_lazy());
-        assert!(lazy.is_empty(), "a lazy base starts with nothing resident");
-        assert_eq!(lazy.resident_shards(), 0);
-        assert_eq!(lazy.total_shard_loads(), 0);
-        assert!(!lazy.is_resident(UbClass::DataRace));
-        // A class without a segment is trivially resident.
-        assert!(lazy.is_resident(UbClass::Panic));
-
-        // The first touch faults exactly one shard in; shots and costs
-        // match the eager base.
-        let mut eager_q = eager.clone();
-        let want_cost = eager_q.query_cost_ms(UbClass::DanglingPointer);
-        assert_eq!(lazy.consult_cost_ms(UbClass::DanglingPointer), want_cost);
-        let shots = lazy.query(&dangling, UbClass::DanglingPointer, 1);
-        assert_eq!(shots, eager_q.query(&dangling, UbClass::DanglingPointer, 1));
-        assert_eq!(lazy.last_query_cost_ms(), eager_q.last_query_cost_ms());
-        assert_eq!(lazy.resident_shards(), 1);
-        assert_eq!(lazy.shard_loads(UbClass::DanglingPointer), 1);
-        assert_eq!(lazy.shard_loads(UbClass::DataRace), 0);
-
-        // Repeated touches never reload a resident shard.
-        lazy.query(&dangling, UbClass::DanglingPointer, 1);
-        assert!(!lazy.ensure_class(UbClass::DanglingPointer).unwrap());
-        assert_eq!(lazy.total_shard_loads(), 1);
-
-        // Clones share the store handle: a clone's fault-in is counted
-        // on the same per-shard load counters.
-        let mut job = lazy.clone();
-        job.query(&race, UbClass::DataRace, 1);
-        assert_eq!(lazy.shard_loads(UbClass::DataRace), 1);
-        assert_eq!(lazy.resident_shards(), 1, "residency stays per-clone");
-
-        // ensure_all makes the base fully resident and equal to the
-        // eager base as a per-class multiset.
-        lazy.ensure_all().unwrap();
-        assert_eq!(lazy.resident_shards(), 2);
-        let mut got: Vec<_> = lazy.entries().to_vec();
-        let mut want: Vec<_> = eager.entries().to_vec();
-        let key = |e: &KbEntry| (class_code(e.class), rb_kb::codec::rule_code(e.rule));
-        got.sort_by_key(key);
-        want.sort_by_key(key);
-        assert_eq!(got, want);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_fault_in_leaves_other_handles_on_the_base_unchanged() {
-        let dir = std::env::temp_dir().join(format!("rb_core_lazy_cow_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let store = dir.join("cow.rbkb.d");
-        let v = vec_of("fn main() { let z: i32 = 0; print(5 / z); }");
-        let mut eager = KnowledgeBase::new();
-        eager.insert(v.clone(), UbClass::Panic, RepairRule::GuardDivision);
-        eager.insert(v.clone(), UbClass::Alloc, RepairRule::RemoveDoubleFree);
-        eager.save(&store).unwrap();
-
-        let mut lazy = KnowledgeBase::open_lazy(&store).unwrap();
-        lazy.ensure_class(UbClass::Panic).unwrap();
-        let other = lazy.clone();
-        let snapshot = lazy.resident_snapshot();
-        assert!(Arc::ptr_eq(&lazy.base, &other.base));
-        assert!(Arc::ptr_eq(&lazy.base, &snapshot.base));
-
-        // The fault-in folds into a base of the faulting handle's own.
-        assert!(lazy.ensure_class(UbClass::Alloc).unwrap());
-        assert_eq!(lazy.len(), 2);
-        assert!(!Arc::ptr_eq(&lazy.base, &other.base));
-        for view in [&other, &snapshot] {
-            assert_eq!(view.len(), 1);
-            assert_eq!(view.entries()[0].class, UbClass::Panic);
-            assert_eq!(view.query_cost_ms(UbClass::Alloc), bucket_cost_ms(0));
-        }
-        assert!(
-            !other.is_resident(UbClass::Alloc),
-            "residency stays per-handle"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn lazy_partial_save_is_refused_until_fully_resident() {
-        let dir = std::env::temp_dir().join(format!("rb_core_lazy_save_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let store = dir.join("guard.rbkb.d");
-        let v = vec_of("fn main() { print(1i32); }");
-        let mut kb = KnowledgeBase::new();
-        kb.insert(v.clone(), UbClass::Panic, RepairRule::GuardDivision);
-        kb.insert(v.clone(), UbClass::Alloc, RepairRule::RemoveDoubleFree);
-        kb.save(&store).unwrap();
-
-        let mut lazy = KnowledgeBase::open_lazy(&store).unwrap();
-        lazy.ensure_class(UbClass::Panic).unwrap();
-        // Saving now would delete the still-on-disk Alloc segment.
-        let err = lazy.save_reported(&store).unwrap_err();
-        assert!(matches!(err, StoreError::Io { .. }));
-        assert!(err.to_string().contains("partially resident"), "{err}");
-
-        lazy.ensure_all().unwrap();
-        lazy.save_reported(&store).unwrap();
-        // Nothing was lost: the store still revives both classes.
-        assert_eq!(KnowledgeBase::load(&store).unwrap().len(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn open_lazy_on_single_file_degrades_to_eager() {
-        let dir = std::env::temp_dir().join(format!("rb_core_lazy_single_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("eager.rbkb");
-        let v = vec_of("fn main() { print(1i32); }");
-        let mut kb = KnowledgeBase::new();
-        kb.insert(v.clone(), UbClass::Panic, RepairRule::GuardDivision);
-        kb.save(&file).unwrap();
-        let lazy = KnowledgeBase::open_lazy(&file).unwrap();
-        assert!(!lazy.is_lazy(), "a single file has nothing to defer");
-        assert_eq!(lazy.len(), 1);
-        assert!(lazy.is_resident(UbClass::Panic));
-        assert_eq!(lazy.resident_shards(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn open_lazy_creates_a_missing_sharded_store() {
-        let dir = std::env::temp_dir().join(format!("rb_core_lazy_fresh_{}", std::process::id()));
-        let store = dir.join("fresh.rbkb.d");
-        let mut lazy = KnowledgeBase::open_lazy(&store).unwrap();
-        assert!(lazy.is_lazy());
-        assert_eq!(lazy.ensure_all().unwrap(), 0);
-        // Fully resident by construction, so saving is allowed.
-        let v = vec_of("fn main() { print(1i32); }");
-        lazy.insert(v, UbClass::Panic, RepairRule::GuardDivision);
-        lazy.save(&store).unwrap();
-        assert_eq!(KnowledgeBase::load(&store).unwrap().len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -131,7 +131,7 @@ impl RustBrain {
     }
 
     /// Replaces the knowledge base with `kb` (builder-style). Batch jobs
-    /// use this to start from a [`KnowledgeBase::resident_snapshot`] of
+    /// use this to start from a [`KnowledgeBase::snapshot`] of
     /// the engine's shared pre-seeded base; their subsequent inserts are
     /// recovered with [`KnowledgeBase::delta`] and merged after the batch.
     #[must_use]
@@ -309,11 +309,7 @@ impl RustBrain {
             kb_consults = 1;
             let mut consult_span = rb_obs::span("kb.consult");
             consult_span.tag("class", class.label());
-            // consult_cost_ms (not query_cost_ms) so a lazily loaded
-            // base faults the class's shard in before the charge: the
-            // charged cost must be the same full-bucket number an eager
-            // base charges here.
-            kb_consult_ms = self.knowledge.consult_cost_ms(class);
+            kb_consult_ms = self.knowledge.query_cost_ms(class);
             consult_span.add_sim_ms(kb_consult_ms);
             total_overhead += kb_consult_ms;
         }
@@ -556,7 +552,7 @@ mod tests {
         let (p, _) = double_free();
         let mut donor = RustBrain::new(RustBrainConfig::for_model(ModelId::Gpt4, 1));
         donor.seed_knowledge(&p, UbClass::Alloc, rb_llm::RepairRule::RemoveDoubleFree);
-        let snapshot = donor.knowledge().resident_snapshot();
+        let snapshot = donor.knowledge().snapshot();
 
         let rb = RustBrain::new(RustBrainConfig::for_model(ModelId::Gpt4, 2))
             .with_knowledge_base(snapshot.clone());

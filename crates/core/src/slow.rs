@@ -122,15 +122,13 @@ pub fn execute_solution(
             let mut shots = Vec::new();
             if agent == AgentKind::AbstractReasoning {
                 if let Some(kb) = kb.as_deref_mut() {
-                    // The current report's class can differ from the
-                    // case's initial class mid-repair (e.g. a bad patch
-                    // turning UB into a compile error), so the consult
-                    // must fault that class's shard in itself — charging
-                    // before fault-in would book the empty-bucket cost
-                    // on a lazily loaded base.
+                    // The consult is charged for the current report's
+                    // class, which can differ from the case's initial
+                    // class mid-repair (e.g. a bad patch turning UB into
+                    // a compile error).
                     let mut cspan = rb_obs::span("kb.consult");
                     cspan.tag("class", primary.class().label());
-                    let consult_ms = kb.consult_cost_ms(primary.class());
+                    let consult_ms = kb.query_cost_ms(primary.class());
                     cspan.add_sim_ms(consult_ms);
                     overhead += consult_ms;
                     step_span.add_sim_ms(consult_ms);

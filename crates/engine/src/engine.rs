@@ -212,7 +212,7 @@ impl Engine {
         let oracle = self.shared_oracle();
         // Every job's knowledge base is a handle on this one base; inserts
         // still pending on `snapshot` are folded in once, here.
-        let job_base = snapshot.resident_snapshot();
+        let job_base = snapshot.snapshot();
 
         let mut executed: Vec<JobResult> = Vec::with_capacity(jobs.len());
         std::thread::scope(|scope| {

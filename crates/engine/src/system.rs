@@ -224,7 +224,7 @@ impl SystemSpec {
     /// Instantiates the system with a per-job seed, an injected oracle
     /// (the engine passes its shared verdict cache here) and a pre-seeded
     /// knowledge-base snapshot the instance starts from (a
-    /// [`KnowledgeBase::resident_snapshot`] handle, which shares the
+    /// [`KnowledgeBase::snapshot`] handle, which shares the
     /// snapshot's entries; ignored by systems without a knowledge base).
     #[must_use]
     pub fn build_with(
@@ -245,7 +245,7 @@ impl SystemSpec {
                 config.seed = seed;
                 System::Brain(Box::new(
                     RustBrain::with_oracle(config, oracle)
-                        .with_knowledge_base(knowledge.resident_snapshot()),
+                        .with_knowledge_base(knowledge.snapshot()),
                 ))
             }
         }

@@ -19,9 +19,13 @@
 //! - [`store`] — atomic load/save of `.rbkb` files (temp file + rename)
 //!   with corruption surfaced as typed errors, never panics — plus the
 //!   layout dispatch between the single file and the sharded directory.
-//! - [`shard`] — the production-scale `.rbkb.d/` layout: one segment per
-//!   [`UbClass`] (mirroring the index), a checksummed manifest,
-//!   dirty-shard-only saves, and compaction with atomic swap-in.
+//! - [`shard`] — the `.rbkb.d/` layout: one segment per [`UbClass`]
+//!   (mirroring the index), a checksummed manifest and dirty-shard-only
+//!   saves.
+//!
+//! Stores are always loaded whole. Compaction is one path for both
+//! layouts: [`load_any`], [`MergePolicy::normalize`] under
+//! [`MergePolicy::compaction`], [`save_any`].
 
 #![warn(missing_docs)]
 
@@ -72,7 +76,7 @@ pub use codec::{
 };
 pub use index::{query_cost_ms, KbIndex, QUERY_BASE_MS, QUERY_PER_ENTRY_MS};
 pub use policy::{ConflictResolution, MergePolicy, COMPACTION_COALESCE_THRESHOLD};
-pub use shard::{load_sharded, save_sharded, CompactReport, Manifest, ShardMeta, ShardedStore};
+pub use shard::{Manifest, ShardMeta, ShardedStore};
 pub use store::{
     detect_layout, load, load_any, save, save_any, SaveReport, StoreError, StoreLayout,
 };

@@ -1,12 +1,9 @@
 //! The sharded `.rbkb.d/` store layout: one segment file per
-//! [`UbClass`], a checksummed manifest, and background-friendly
-//! compaction with atomic swap-in.
+//! [`UbClass`], a checksummed manifest, and saves that rewrite only the
+//! segments whose content changed.
 //!
-//! The single-file `.rbkb` store loads every entry to answer any
-//! question. At production scale (the roadmap's millions of entries) that
-//! is the wrong shape: retrieval is class-scoped — the [`crate::index`]
-//! buckets by [`UbClass`] for exactly that reason — so the durable layout
-//! should mirror it. A sharded store is a directory:
+//! The layout mirrors the class-bucketed [`crate::index`]. A sharded
+//! store is a directory:
 //!
 //! ```text
 //! store.rbkb.d/
@@ -47,22 +44,20 @@
 //! checksum         8 bytes   FNV-1a 64 over every preceding byte
 //! ```
 //!
-//! Loads are incremental twice over: a query for one class opens only
-//! that class's segment ([`ShardedStore::load_class`], counted per shard
-//! so tests can assert nothing else was touched), and each segment
+//! A load reads every segment ([`ShardedStore::load_all`]); each one
 //! decodes through the streaming [`crate::codec::decode_entries_iter`]
-//! rather than materializing before validating.
+//! rather than materializing before validating. Compaction is not a
+//! store operation: load, [`crate::MergePolicy::normalize`], save — the
+//! dirty-shard save then rewrites only the segments that folded.
 
 use crate::codec::{
     class_code, class_from_code, decode_entries_iter, encode_entries_refs, fnv1a64, CodecError,
     NUM_CLASS_CODES,
 };
-use crate::policy::MergePolicy;
 use crate::store::{io_err, write_atomic, SaveReport, StoreError};
 use crate::KbEntry;
 use rb_miri::UbClass;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Serializes whole sharded-save critical sections (segment writes →
@@ -128,18 +123,6 @@ impl Manifest {
     #[must_use]
     pub fn shard(&self, class: UbClass) -> Option<&ShardMeta> {
         self.shards.iter().find(|m| m.class == class)
-    }
-
-    /// Total entries across all segments.
-    #[must_use]
-    pub fn total_entries(&self) -> u64 {
-        self.shards.iter().map(|m| m.entries).sum()
-    }
-
-    /// Total solved-case weight across all segments.
-    #[must_use]
-    pub fn total_weight(&self) -> u64 {
-        self.shards.iter().map(|m| m.weight).sum()
     }
 
     /// Encodes the manifest to its wire format. The count byte and the
@@ -220,36 +203,17 @@ impl Manifest {
     }
 }
 
-/// What a [`ShardedStore::compact`] pass did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CompactReport {
-    /// Segments whose content changed and were rewritten.
-    pub shards_compacted: usize,
-    /// Entries across the store before compaction.
-    pub entries_before: u64,
-    /// Entries after compaction (≤ before; the policy only folds).
-    pub entries_after: u64,
-    /// Total solved-case weight before compaction.
-    pub weight_before: u64,
-    /// Total solved-case weight after (equal to before under a
-    /// weight-preserving policy like [`MergePolicy::compaction`]).
-    pub weight_after: u64,
-}
-
-/// A handle on a `.rbkb.d/` sharded store: the verified manifest plus
-/// per-shard load counters, so callers — and the acceptance tests — can
-/// prove a single-class query touched exactly one segment file.
+/// A handle on a `.rbkb.d/` sharded store: its directory and verified
+/// manifest.
 #[derive(Debug)]
 pub struct ShardedStore {
     dir: PathBuf,
     manifest: Manifest,
-    /// Segment reads per class wire code since this handle was opened.
-    loads: [u64; NUM_CLASS_CODES],
 }
 
 impl ShardedStore {
     /// Opens an existing sharded store, reading and verifying the
-    /// manifest (segments are verified lazily, when loaded).
+    /// manifest (segments are verified when loaded).
     pub fn open(dir: &Path) -> Result<ShardedStore, StoreError> {
         let manifest_path = dir.join(MANIFEST_NAME);
         let bytes = std::fs::read(&manifest_path).map_err(|e| io_err(&manifest_path, e))?;
@@ -260,7 +224,6 @@ impl ShardedStore {
         Ok(ShardedStore {
             dir: dir.to_path_buf(),
             manifest,
-            loads: [0; NUM_CLASS_CODES],
         })
     }
 
@@ -270,7 +233,6 @@ impl ShardedStore {
         let store = ShardedStore {
             dir: dir.to_path_buf(),
             manifest: Manifest::default(),
-            loads: [0; NUM_CLASS_CODES],
         };
         write_atomic(&dir.join(MANIFEST_NAME), &store.manifest.encode())?;
         Ok(store)
@@ -298,37 +260,13 @@ impl ShardedStore {
         &self.manifest
     }
 
-    /// Segment reads performed for `class` through this handle.
-    #[must_use]
-    pub fn loads(&self, class: UbClass) -> u64 {
-        self.loads[usize::from(class_code(class))]
-    }
-
-    /// Segment reads across all classes through this handle.
-    #[must_use]
-    pub fn total_loads(&self) -> u64 {
-        self.loads.iter().sum()
-    }
-
-    /// Loads one class's entries, touching only that class's segment
-    /// file (no segment: empty vec, no read counted). This is the
-    /// sharding contract: a single-class query costs one shard.
-    pub fn load_class(&mut self, class: UbClass) -> Result<Vec<KbEntry>, StoreError> {
-        let Some(meta) = self.manifest.shard(class).copied() else {
-            return Ok(Vec::new());
-        };
-        self.loads[usize::from(class_code(class))] += 1;
-        read_segment(&self.dir, &meta)
-    }
-
     /// Loads every entry, one segment at a time in manifest (class-code)
     /// order. Entries arrive grouped by class — the canonical order any
-    /// reducing [`MergePolicy`] normalizes to.
-    pub fn load_all(&mut self) -> Result<Vec<KbEntry>, StoreError> {
+    /// reducing [`crate::MergePolicy`] normalizes to.
+    pub fn load_all(&self) -> Result<Vec<KbEntry>, StoreError> {
         let mut out = Vec::new();
-        for meta in self.manifest.shards.clone() {
-            self.loads[usize::from(class_code(meta.class))] += 1;
-            out.extend(read_segment(&self.dir, &meta)?);
+        for meta in &self.manifest.shards {
+            out.extend(read_segment(&self.dir, meta)?);
         }
         Ok(out)
     }
@@ -380,68 +318,6 @@ impl ShardedStore {
         self.manifest = manifest;
         report.shards_removed = self.remove_unreferenced_segments();
         Ok(report)
-    }
-
-    /// Re-normalizes every segment under `policy` — typically
-    /// [`MergePolicy::compaction`] with a tightened coalescing threshold
-    /// — and swaps the results in atomically. Segments are independent,
-    /// so the pass fans out over background threads (one slot per shard,
-    /// capped at `workers`); the store stays readable throughout because
-    /// live segments are never modified, only superseded.
-    pub fn compact(
-        &mut self,
-        policy: &MergePolicy,
-        workers: usize,
-    ) -> Result<CompactReport, StoreError> {
-        let shards = self.manifest.shards.clone();
-        let workers = workers.max(1).min(shards.len().max(1));
-        let next = AtomicUsize::new(0);
-        let compacted: Mutex<Vec<(usize, Vec<KbEntry>)>> = Mutex::new(Vec::new());
-        let failure: Mutex<Option<StoreError>> = Mutex::new(None);
-        let failed = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    // One corrupt segment dooms the whole pass: stop
-                    // claiming shards instead of normalizing work that
-                    // will be discarded.
-                    if failed.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(meta) = shards.get(i) else { break };
-                    match read_segment(&self.dir, meta) {
-                        Ok(entries) => {
-                            let normalized = policy.normalize(entries);
-                            compacted.lock().expect("poisoned").push((i, normalized));
-                        }
-                        Err(e) => {
-                            failed.store(true, Ordering::Relaxed);
-                            *failure.lock().expect("poisoned") = Some(e);
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-        if let Some(e) = failure.into_inner().expect("poisoned") {
-            return Err(e);
-        }
-        for meta in &shards {
-            self.loads[usize::from(class_code(meta.class))] += 1;
-        }
-        let mut by_index = compacted.into_inner().expect("poisoned");
-        by_index.sort_by_key(|(i, _)| *i);
-        let entries: Vec<KbEntry> = by_index.into_iter().flat_map(|(_, e)| e).collect();
-        let before = (self.manifest.total_entries(), self.manifest.total_weight());
-        let save = self.save(&entries)?;
-        Ok(CompactReport {
-            shards_compacted: save.shards_written,
-            entries_before: before.0,
-            entries_after: self.manifest.total_entries(),
-            weight_before: before.1,
-            weight_after: self.manifest.total_weight(),
-        })
     }
 
     /// Deletes `shard-*.rbkb` files that neither this handle's manifest
@@ -514,23 +390,14 @@ fn read_segment(dir: &Path, meta: &ShardMeta) -> Result<Vec<KbEntry>, StoreError
     Ok(entries)
 }
 
-/// Saves `entries` to the sharded layout at `dir` (creating it if
-/// needed); see [`ShardedStore::save`].
-pub fn save_sharded(dir: &Path, entries: &[KbEntry]) -> Result<SaveReport, StoreError> {
-    ShardedStore::open_or_create(dir)?.save(entries)
-}
-
-/// Loads every entry of the sharded store at `dir`.
-pub fn load_sharded(dir: &Path) -> Result<Vec<KbEntry>, StoreError> {
-    ShardedStore::open(dir)?.load_all()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{load_any, save_any};
+    use crate::MergePolicy;
     use rb_lang::vectorize::AstVector;
     use rb_llm::RepairRule;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn scratch(name: &str) -> PathBuf {
         static UNIQUE: AtomicU32 = AtomicU32::new(0);
@@ -552,6 +419,19 @@ mod tests {
             rule,
             weight,
         }
+    }
+
+    /// Every file of a store directory, by name.
+    fn store_bytes(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|f| {
+                let f = f.unwrap();
+                (f.file_name(), std::fs::read(f.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
     }
 
     fn mixed_entries() -> Vec<KbEntry> {
@@ -599,9 +479,9 @@ mod tests {
     fn sharded_round_trip_groups_by_class() {
         let dir = scratch("round.rbkb.d");
         let entries = mixed_entries();
-        let report = save_sharded(&dir, &entries).unwrap();
+        let report = save_any(&dir, &entries).unwrap();
         assert_eq!(report.shards_written, 3, "three classes, three segments");
-        let loaded = load_sharded(&dir).unwrap();
+        let loaded = load_any(&dir).unwrap();
         // Same multiset, grouped by ascending class code with the
         // original relative order preserved inside each class.
         assert_eq!(loaded.len(), entries.len());
@@ -613,28 +493,10 @@ mod tests {
     }
 
     #[test]
-    fn single_class_load_touches_only_that_shard() {
-        let dir = scratch("counters.rbkb.d");
-        save_sharded(&dir, &mixed_entries()).unwrap();
-        let mut store = ShardedStore::open(&dir).unwrap();
-        let panic_entries = store.load_class(UbClass::Panic).unwrap();
-        assert_eq!(panic_entries.len(), 2);
-        // The acceptance contract: exactly one segment read, and it is
-        // the queried class's.
-        assert_eq!(store.loads(UbClass::Panic), 1);
-        assert_eq!(store.total_loads(), 1);
-        assert_eq!(store.loads(UbClass::Alloc), 0);
-        // A class with no segment costs zero reads.
-        assert!(store.load_class(UbClass::Uninit).unwrap().is_empty());
-        assert_eq!(store.total_loads(), 1);
-        let _ = std::fs::remove_dir_all(dir.parent().unwrap());
-    }
-
-    #[test]
     fn resave_skips_clean_shards_and_rewrites_dirty_ones() {
         let dir = scratch("dirty.rbkb.d");
         let mut entries = mixed_entries();
-        save_sharded(&dir, &entries).unwrap();
+        save_any(&dir, &entries).unwrap();
         // Identical content: nothing is rewritten.
         let mut store = ShardedStore::open(&dir).unwrap();
         let report = store.save(&entries).unwrap();
@@ -654,14 +516,14 @@ mod tests {
         let report = store.save(&no_race).unwrap();
         assert_eq!(report.shards_removed, 1);
         assert!(store.manifest().shard(UbClass::DataRace).is_none());
-        assert_eq!(load_sharded(&dir).unwrap().len(), 3);
+        assert_eq!(load_any(&dir).unwrap().len(), 3);
         let _ = std::fs::remove_dir_all(dir.parent().unwrap());
     }
 
     #[test]
     fn corrupt_segment_and_manifest_are_typed_errors() {
         let dir = scratch("corrupt.rbkb.d");
-        save_sharded(&dir, &mixed_entries()).unwrap();
+        save_any(&dir, &mixed_entries()).unwrap();
         // Flip a byte inside a segment: the manifest checksum refuses it.
         let store = ShardedStore::open(&dir).unwrap();
         let seg = dir.join(store.manifest().shards[0].file_name());
@@ -717,7 +579,7 @@ mod tests {
                 });
             }
         });
-        let survivor = load_sharded(&dir).unwrap();
+        let survivor = load_any(&dir).unwrap();
         let grouped = |entries: &[KbEntry]| {
             let mut g = entries.to_vec();
             g.sort_by_key(|e| class_code(e.class));
@@ -741,18 +603,22 @@ mod tests {
             entry(&[1.0, 0.141], UbClass::Panic, RepairRule::GuardDivision, 3),
             entry(&[0.0, 1.0], UbClass::Alloc, RepairRule::AddDealloc, 1),
         ];
-        save_sharded(&dir, &entries).unwrap();
+        save_any(&dir, &entries).unwrap();
         let mut store = ShardedStore::open(&dir).unwrap();
-        let report = store.compact(&MergePolicy::compaction(0.98), 4).unwrap();
-        assert_eq!(report.entries_before, 3);
-        assert_eq!(report.entries_after, 2, "near-duplicates must fold");
-        assert_eq!(report.weight_before, 6);
-        assert_eq!(report.weight_after, 6, "compaction must preserve weight");
-        assert_eq!(report.shards_compacted, 1, "only the Panic shard changed");
-        // Compaction is a fixpoint: a second pass changes nothing.
-        let again = store.compact(&MergePolicy::compaction(0.98), 4).unwrap();
-        assert_eq!(again.shards_compacted, 0);
-        assert_eq!(again.entries_after, 2);
+        let weight = |entries: &[KbEntry]| entries.iter().map(|e| u64::from(e.weight)).sum::<u64>();
+        let policy = MergePolicy::compaction(0.98);
+        let compacted = policy.normalize(store.load_all().unwrap());
+        assert_eq!(compacted.len(), 2, "near-duplicates must fold");
+        assert_eq!(weight(&compacted), 6, "compaction must preserve weight");
+        let report = store.save(&compacted).unwrap();
+        assert_eq!(report.shards_written, 1, "only the Panic shard changed");
+        let bytes = store_bytes(&dir);
+        // Compaction is a fixpoint: a second pass writes nothing.
+        let again = policy.normalize(store.load_all().unwrap());
+        assert_eq!(again, compacted);
+        let report = store.save(&again).unwrap();
+        assert_eq!((report.shards_written, report.shards_skipped), (0, 2));
+        assert_eq!(store_bytes(&dir), bytes);
         let _ = std::fs::remove_dir_all(dir.parent().unwrap());
     }
 }

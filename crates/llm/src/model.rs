@@ -241,7 +241,7 @@ pub trait LanguageModel {
 
 /// The deterministic simulated model.
 ///
-/// It remembers the [`StateFacts`] of the last shared state it was asked
+/// It remembers the `StateFacts` of the last shared state it was asked
 /// about, so consecutive proposals on one `(state, error)` — a step that
 /// changed nothing, a rollback, the next solution starting from the
 /// input — print and match the program once.

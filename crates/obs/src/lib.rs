@@ -11,7 +11,7 @@
 //!   simulated-millisecond durations, free-form tags. When no tracer is
 //!   installed, spans are inert no-ops, so instrumented code pays only a
 //!   thread-local read on the untraced path.
-//! - [`metrics`]: a process-wide registry of counters, gauges and
+//! - [`metrics`](mod@metrics): a process-wide registry of counters, gauges and
 //!   fixed-bucket histograms ([`metrics::metrics`]), with Prometheus-style
 //!   text exposition and a JSON dump. Call sites are free to record into
 //!   a private registry instead (the serve daemon does, to keep its

@@ -4,8 +4,8 @@
 //! knowledge-store load, oracle cache from cold — on every invocation.
 //! This crate keeps that state resident: a [`server::Server`] accepts
 //! line-delimited JSON requests over TCP and serves them from one
-//! process-wide engine (shared verdict cache) and one lazily-loaded
-//! knowledge base, so the Nth request costs what the Nth request needs
+//! process-wide engine (shared verdict cache) and one knowledge base
+//! loaded whole at bind, so the Nth request costs what the Nth request needs
 //! and nothing more.
 //!
 //! The pieces:
@@ -15,8 +15,8 @@
 //! - [`protocol`] — the seven verbs (`repair`, `batch`, `analyze`,
 //!   `stats`, `metrics`, `compact`, `shutdown`), their request shapes,
 //!   and the JSON rendering of `rb_lint` analyses.
-//! - [`server`] — the daemon: accept loop, handler pool, lazy shard
-//!   faulting, threshold-triggered compaction, optional request tracing.
+//! - [`server`] — the daemon: accept loop, handler pool, time-triggered
+//!   compaction, optional request tracing.
 //! - [`stats`] — [`stats::ServeStats`] telemetry, registry-backed
 //!   counters, and the latency ring.
 //! - [`client`] — a blocking line client for scripts, the CLI and CI.

@@ -3,32 +3,29 @@
 //! One process keeps one [`Engine`] (and therefore one shared oracle
 //! verdict cache) and one [`KnowledgeBase`] alive across requests, so
 //! repeated traffic amortizes exactly the state the one-shot CLI
-//! rebuilds per invocation. The knowledge base is opened lazily
-//! ([`KnowledgeBase::open_lazy`]): a request faults in only the shards
-//! its UB classes map to, and the `stats` verb reports how many
-//! segments were actually read.
+//! rebuilds per invocation. The knowledge store is loaded whole when the
+//! daemon binds ([`KnowledgeBase::load`]); a store path that does not
+//! exist yet starts an empty base, and a store that does not decode
+//! refuses to bind.
 //!
 //! Concurrency model: the accept loop runs on the caller's thread and
 //! feeds connections to a small pool of handler threads over a channel.
 //! Handlers serve whole connections (many request lines each). The
 //! resident base sits behind a mutex, but handlers hold it only long
-//! enough to fault shards in and take a [resident
-//! snapshot](KnowledgeBase::resident_snapshot), a handle on the shared
-//! base that copies no entry — repairs and batches run on the snapshot,
-//! and learned deltas merge back afterwards. The
-//! merge is the same submission-order multiset merge the batch engine
-//! uses, so a daemon's knowledge evolution matches the equivalent CLI
-//! run byte for byte. A `shutdown` request closes every open connection,
-//! idle ones included, so `run` returns and saves without waiting for
-//! peers to hang up.
+//! enough to take a [snapshot](KnowledgeBase::snapshot), a handle on the
+//! shared base that copies no entry — repairs and batches run on the
+//! snapshot, and learned deltas merge back afterwards. The merge is the
+//! same submission-order multiset merge the batch engine uses, so a
+//! daemon's knowledge evolution matches the equivalent CLI run byte for
+//! byte. A `shutdown` request closes every open connection, idle ones
+//! included, so `run` returns and saves without waiting for peers to
+//! hang up.
 //!
-//! Compaction runs in three ways: on the explicit `compact` verb, when
-//! the resident base grows past `compact_entries`, or when
-//! `compact_secs` of wall-clock pass since the last one. All three
-//! paths fault every shard in first (a partial-residency save would
-//! drop shards — the base itself refuses it) and persist through the
-//! store's atomic swap-in, so a crash mid-compaction leaves the old
-//! generation intact.
+//! Compaction runs on the explicit `compact` verb, or when
+//! `compact_secs` of wall-clock pass since the last one. Both paths
+//! re-normalize the resident base under the compaction policy and
+//! persist through the store's atomic swap-in, so a crash mid-compaction
+//! leaves the old generation intact.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -61,12 +58,9 @@ pub struct ServeConfig {
     pub jobs: usize,
     /// Connection handler threads.
     pub handlers: usize,
-    /// Knowledge store to open lazily and persist back to (`None` runs
+    /// Knowledge store to load at bind and persist back to (`None` runs
     /// a fresh in-memory base that dies with the daemon).
     pub kb_path: Option<PathBuf>,
-    /// Compact when the resident base reaches this many entries
-    /// (0 disables the size trigger).
-    pub compact_entries: usize,
     /// Compact when this many seconds pass since the last compaction
     /// (0 disables the time trigger).
     pub compact_secs: u64,
@@ -82,7 +76,6 @@ impl Default for ServeConfig {
             jobs: 4,
             handlers: 2,
             kb_path: None,
-            compact_entries: 0,
             compact_secs: 0,
             trace_out: None,
         }
@@ -94,7 +87,7 @@ struct ServeState {
     config: ServeConfig,
     /// Resident engine: its oracle cache is the daemon's verdict memory.
     engine: Engine,
-    /// The resident knowledge base (lazy when backed by a store).
+    /// The resident knowledge base.
     kb: Mutex<KnowledgeBase>,
     stats: StatsRecorder,
     /// Structured-trace sink shared by every handler thread (`None`
@@ -106,7 +99,7 @@ struct ServeState {
     /// idle in a blocking read.
     peers: Mutex<HashMap<u64, TcpStream>>,
     next_peer: AtomicU64,
-    /// Serializes compactions so a size trigger firing on two handler
+    /// Serializes compactions so a time trigger firing on two handler
     /// threads at once runs the work exactly once.
     compacting: AtomicBool,
     last_compact: Mutex<Instant>,
@@ -130,8 +123,10 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listen socket and opens (or creates) the knowledge
-    /// store lazily — no shard is read until traffic touches its class.
+    /// Binds the listen socket and loads the knowledge store whole. A
+    /// store path that does not exist starts an empty base (the first
+    /// save creates it); a store that exists but does not decode is an
+    /// error.
     pub fn bind(config: ServeConfig) -> Result<Server, String> {
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
@@ -139,9 +134,9 @@ impl Server {
             .local_addr()
             .map_err(|e| format!("cannot resolve local addr: {e}"))?;
         let kb = match &config.kb_path {
-            Some(path) => KnowledgeBase::open_lazy(path)
+            Some(path) if path.exists() => KnowledgeBase::load(path)
                 .map_err(|e| format!("cannot open knowledge store: {e}"))?,
-            None => KnowledgeBase::new(),
+            _ => KnowledgeBase::new(),
         };
         let tracer = match &config.trace_out {
             Some(path) => Some(
@@ -210,12 +205,9 @@ impl Server {
             }
             drop(tx);
         });
-        // Final persistence: a store-backed base goes back to disk fully
-        // resident (the save itself refuses anything less).
+        // Final persistence of a store-backed base.
         if let Some(path) = &state.config.kb_path {
-            let mut kb = state.lock_kb();
-            let saved = kb.ensure_all().and_then(|_| kb.save_reported(path));
-            if let Err(e) = saved {
+            if let Err(e) = state.lock_kb().save(path) {
                 eprintln!("serve: final knowledge save failed: {e}");
             }
         }
@@ -429,24 +421,13 @@ fn handle_repair(
         );
     }
     let class = report.primary().map_or(UbClass::Compile, |e| e.class());
-    // Fault in exactly the shard this class maps to, then hand the
-    // repair an eager snapshot: mid-repair queries for other classes see
-    // what the dispatcher made resident, never the disk.
-    let snapshot = {
-        let mut kb = state.lock_kb();
-        kb.ensure_class(class).map_err(|e| e.to_string())?;
-        kb.resident_snapshot()
-    };
+    let snapshot = state.lock_kb().snapshot();
     let mut brain =
         RustBrain::with_oracle(brain_config(seed), oracle).with_knowledge_base(snapshot);
     let outcome = brain.repair(&program, reference);
     let delta = brain.knowledge().delta();
     if !delta.is_empty() {
-        let mut kb = state.lock_kb();
-        for entry in &delta.entries {
-            kb.ensure_class(entry.class).map_err(|e| e.to_string())?;
-        }
-        let merged = kb.merge(&delta, state.engine.merge_policy());
+        let merged = state.lock_kb().merge(&delta, state.engine.merge_policy());
         state.stats.record_merged_inserts(merged as u64);
     }
     state.stats.record_oracle(
@@ -502,14 +483,7 @@ fn handle_batch(
         None => Corpus::generate_full(seed, per_class),
     };
     let spec = SystemSpec::brain(brain_config(seed));
-    let snapshot = {
-        let mut kb = state.lock_kb();
-        let mut wanted: Vec<UbClass> = corpus.cases.iter().map(|c| c.class).collect();
-        wanted.sort_by_key(|c| c.label());
-        wanted.dedup();
-        kb.ensure_classes(&wanted).map_err(|e| e.to_string())?;
-        kb.resident_snapshot()
-    };
+    let snapshot = state.lock_kb().snapshot();
     let outcome = state
         .engine
         .run_batch_learned(&spec, &corpus.cases, seed, &snapshot);
@@ -526,11 +500,6 @@ fn handle_batch(
     let kb_entries = {
         let mut kb = state.lock_kb();
         if !deltas.is_empty() {
-            for delta in &deltas {
-                for entry in &delta.entries {
-                    kb.ensure_class(entry.class).map_err(|e| e.to_string())?;
-                }
-            }
             let merged = kb.merge_all(deltas.iter().copied(), state.engine.merge_policy());
             state.stats.record_merged_inserts(merged as u64);
         }
@@ -589,8 +558,6 @@ fn serve_stats(state: &Arc<ServeState>) -> ServeStats {
         stats.trace_spans = tracer.spans_emitted();
     }
     let kb = state.lock_kb();
-    stats.resident_shards = kb.resident_shards();
-    stats.shard_loads = kb.total_shard_loads();
     stats.kb_entries = kb.len();
     stats.kb_weight = kb.total_weight();
     stats
@@ -639,24 +606,20 @@ fn initiate_shutdown(state: &Arc<ServeState>) {
     let _ = TcpStream::connect(state.local_addr);
 }
 
-/// Runs the compaction thresholds; at most one compaction is in flight,
-/// paid for by the handler thread whose request tripped it (other
-/// handler threads keep serving).
+/// Runs the time trigger; at most one compaction is in flight, paid for
+/// by the handler thread whose request tripped it (other handler threads
+/// keep serving).
 fn maybe_compact(state: &Arc<ServeState>) {
-    let config = &state.config;
-    if config.compact_entries == 0 && config.compact_secs == 0 {
-        return;
-    }
-    let due_size = config.compact_entries > 0 && state.lock_kb().len() >= config.compact_entries;
-    let due_time = config.compact_secs > 0
+    let secs = state.config.compact_secs;
+    let due = secs > 0
         && state
             .last_compact
             .lock()
             .expect("compaction clock lock poisoned")
             .elapsed()
             .as_secs()
-            >= config.compact_secs;
-    if !(due_size || due_time) {
+            >= secs;
+    if !due {
         return;
     }
     if state.compacting.swap(true, Ordering::SeqCst) {
@@ -669,12 +632,11 @@ fn maybe_compact(state: &Arc<ServeState>) {
     }
 }
 
-/// Faults every shard in, re-normalizes under the compaction policy,
-/// and persists (atomic swap-in) when the base is store-backed.
+/// Re-normalizes the resident base under the compaction policy, and
+/// persists it (atomic swap-in) when the base is store-backed.
 fn compact_now(state: &Arc<ServeState>, triggered: bool) -> Result<String, String> {
     let policy = MergePolicy::compaction(COMPACTION_COALESCE_THRESHOLD);
     let mut kb = state.lock_kb();
-    kb.ensure_all().map_err(|e| e.to_string())?;
     let entries_before = kb.len();
     let weight_before = kb.total_weight();
     let coalesced = kb.compact(&policy);
@@ -716,8 +678,8 @@ fn final_stats(state: &Arc<ServeState>) -> ServeStats {
 }
 
 /// Seeds a corpus batch through a plain engine — a convenience for
-/// tests and the smoke harness to produce a sharded store the daemon
-/// can then open lazily.
+/// tests and the smoke harness to produce a store the daemon can then
+/// load.
 pub fn seed_store(
     path: &std::path::Path,
     seed: u64,

@@ -50,9 +50,9 @@ pub struct ServeStats {
     pub analyzes: u64,
     /// Cases swept across all `batch` requests.
     pub batch_cases: u64,
-    /// Compactions run — the `compact` verb plus threshold-triggered.
+    /// Compactions run — the `compact` verb plus time-triggered.
     pub compactions: u64,
-    /// The subset of `compactions` fired by the size/time thresholds.
+    /// The subset of `compactions` fired by the time trigger.
     pub triggered_compactions: u64,
     /// Median request latency over the recent ring, real ms.
     pub p50_ms: f64,
@@ -60,10 +60,6 @@ pub struct ServeStats {
     pub p99_ms: f64,
     /// Slowest request in the recent ring, real ms.
     pub max_ms: f64,
-    /// Knowledge shards faulted into the resident base.
-    pub resident_shards: usize,
-    /// Segment files read from the backing store since startup.
-    pub shard_loads: u64,
     /// Entries in the resident knowledge base.
     pub kb_entries: usize,
     /// Solved-case weight the resident base stands for.
@@ -115,8 +111,7 @@ impl ServeStats {
                 "\"batch_cases\":{},",
                 "\"compactions\":{},\"triggered_compactions\":{},",
                 "\"latency\":{{\"p50_ms\":{},\"p99_ms\":{},\"max_ms\":{}}},",
-                "\"kb\":{{\"resident_shards\":{},\"shard_loads\":{},",
-                "\"entries\":{},\"weight\":{},\"merged_inserts\":{}}},",
+                "\"kb\":{{\"entries\":{},\"weight\":{},\"merged_inserts\":{}}},",
                 "\"oracle\":{{\"cache_hits\":{},\"cache_misses\":{},",
                 "\"cache_hit_rate\":{},\"executed\":{},\"cached\":{},",
                 "\"prevetoed\":{}}},",
@@ -134,8 +129,6 @@ impl ServeStats {
             fmt_num(self.p50_ms),
             fmt_num(self.p99_ms),
             fmt_num(self.max_ms),
-            self.resident_shards,
-            self.shard_loads,
             self.kb_entries,
             self.kb_weight,
             self.kb_merged_inserts,
@@ -316,7 +309,7 @@ impl StatsRecorder {
         self.ring().push(latency_ms);
     }
 
-    /// Records a compaction run (`triggered` when fired by a threshold
+    /// Records a compaction run (`triggered` when fired by the timer
     /// rather than the `compact` verb).
     pub fn record_compaction(&self, triggered: bool) {
         self.registry.counter_add(COMPACTIONS, None, 1);
@@ -375,8 +368,6 @@ impl StatsRecorder {
             p50_ms: p50,
             p99_ms: p99,
             max_ms: max,
-            resident_shards: 0,
-            shard_loads: 0,
             kb_entries: 0,
             kb_weight: 0,
             kb_merged_inserts: reg.counter(MERGED_INSERTS, None),
@@ -572,15 +563,14 @@ mod tests {
         let rec = StatsRecorder::new();
         rec.record_request(Verb::Batch(6), 12.5);
         let mut s = rec.snapshot();
-        s.resident_shards = 2;
         s.kb_entries = 10;
         let v = parse(&s.to_json()).unwrap();
         assert_eq!(v.get("requests").and_then(Value::as_u64), Some(1));
         assert_eq!(
             v.get("kb")
-                .and_then(|kb| kb.get("resident_shards"))
+                .and_then(|kb| kb.get("entries"))
                 .and_then(Value::as_u64),
-            Some(2)
+            Some(10)
         );
         assert_eq!(
             v.get("latency")

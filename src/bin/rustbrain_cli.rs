@@ -26,8 +26,8 @@
 //!                                               threshold, atomic swap-in
 //!   rustbrain serve [options]                   run the resident repair
 //!                                               daemon (line-delimited JSON
-//!                                               over TCP, lazy KB shards,
-//!                                               triggered compaction)
+//!                                               over TCP, KB loaded at
+//!                                               start, timed compaction)
 //!   rustbrain client <verb> [options]           send one request to a
 //!                                               daemon: repair <file.mrs>,
 //!                                               batch, analyze <file.mrs>,
@@ -149,11 +149,8 @@ struct Cli {
     /// `Some` only when `--addr` was passed explicitly (serve/client
     /// only; both default to [`DEFAULT_ADDR`]).
     addr: Option<String>,
-    /// `serve`: knowledge store to open lazily and persist back to.
+    /// `serve`: knowledge store to load at start and persist back to.
     kb: Option<String>,
-    /// `serve`: compact when the resident base reaches this many
-    /// entries (0 = size trigger off).
-    compact_entries: usize,
     /// `serve`: compact after this many seconds since the last
     /// compaction (0 = time trigger off).
     compact_secs: u64,
@@ -345,7 +342,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         threshold: None,
         addr: None,
         kb: None,
-        compact_entries: 0,
         compact_secs: 0,
         classes: None,
         trace_out: None,
@@ -599,12 +595,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                 let v = it.next().ok_or("--kb needs a value")?;
                 cli.kb = Some(v.clone());
             }
-            "--compact-entries" => {
-                let v = it.next().ok_or("--compact-entries needs a value")?;
-                cli.compact_entries = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad --compact-entries `{v}`"))?;
-            }
             "--compact-secs" => {
                 let v = it.next().ok_or("--compact-secs needs a value")?;
                 cli.compact_secs = v
@@ -644,10 +634,8 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
     if cli.addr.is_some() && !matches!(cli.command, Command::Serve | Command::Client(_)) {
         return Err("--addr only applies to `serve` and `client`".into());
     }
-    if (cli.kb.is_some() || cli.compact_entries > 0 || cli.compact_secs > 0)
-        && cli.command != Command::Serve
-    {
-        return Err("--kb/--compact-entries/--compact-secs only apply to `serve`".into());
+    if (cli.kb.is_some() || cli.compact_secs > 0) && cli.command != Command::Serve {
+        return Err("--kb/--compact-secs only apply to `serve`".into());
     }
     if cli.classes.is_some() && !matches!(cli.command, Command::Client(ClientVerb::Batch)) {
         return Err("--classes only applies to `client batch`".into());
@@ -705,11 +693,11 @@ USAGE:
   rustbrain kb migrate <src> <dst>          copy a store between layouts
                                             (x.rbkb file <-> x.rbkb.d/ shards)
   rustbrain kb compact <store> [--threshold T]
-                                            re-normalize shards under a
-                                            tightened coalescing threshold
+                                            re-normalize a store (either
+                                            layout) under a tightened
+                                            coalescing threshold
   rustbrain serve [options]                 run the resident repair daemon
-                                            (line-delimited JSON over TCP;
-                                            lazy knowledge shards)
+                                            (line-delimited JSON over TCP)
   rustbrain client <verb> [options]         send one request to a daemon:
                                             repair <file.mrs> | batch |
                                             analyze <file.mrs> | stats |
@@ -759,11 +747,8 @@ OPTIONS:
                                              threshold [0.98]
   --addr <host:port>                         serve/client: listen/connect
                                              address [127.0.0.1:4650]
-  --kb <store>                               serve: knowledge store, opened
-                                             lazily (shards fault in per
-                                             class) and saved on shutdown
-  --compact-entries <N>                      serve: compact when the resident
-                                             base reaches N entries [off]
+  --kb <store>                               serve: knowledge store, loaded
+                                             at start and saved on shutdown
   --compact-secs <N>                         serve: compact every N seconds
                                              of wall clock [off]
   --classes <c1,c2,...>                      client batch: restrict the sweep
@@ -828,7 +813,6 @@ fn main() -> ExitCode {
             file,
             cli.threshold
                 .unwrap_or(rb_kb::COMPACTION_COALESCE_THRESHOLD),
-            cli.jobs,
         ),
         Command::Serve => serve(&cli),
         Command::Trace(ref verb) => trace_cmd(&cli, verb),
@@ -1127,7 +1111,7 @@ fn kb_inspect(file: &str) -> ExitCode {
             }
         },
         rb_kb::StoreLayout::Sharded => {
-            let loaded = rb_kb::ShardedStore::open(path).and_then(|mut store| {
+            let loaded = rb_kb::ShardedStore::open(path).and_then(|store| {
                 let entries = store.load_all()?;
                 Ok((entries, store.manifest().shards.clone()))
             });
@@ -1226,46 +1210,34 @@ fn kb_migrate(src: &str, dst: &str) -> ExitCode {
     }
 }
 
-/// Re-normalizes a store under the (tightened) compaction policy. For a
-/// sharded store each segment compacts independently on background
-/// threads and swaps in atomically; a single-file store is rewritten
-/// whole. Compaction only folds near-duplicate weight together — total
-/// solved-case weight is preserved, entry count can only shrink.
-fn kb_compact(file: &str, threshold: f64, jobs: usize) -> ExitCode {
+/// Re-normalizes a store under the (tightened) compaction policy: load,
+/// normalize, save, for either layout — the pass the daemon's `compact`
+/// runs on its resident base. A sharded save rewrites only the segments
+/// that changed and swaps the manifest in atomically; a single-file
+/// store is rewritten whole. Compaction only folds near-duplicate weight
+/// together — total solved-case weight is preserved, entry count can
+/// only shrink.
+fn kb_compact(file: &str, threshold: f64) -> ExitCode {
     let path = Path::new(file);
     let policy = rustbrain::MergePolicy::compaction(threshold);
-    let report = match rb_kb::detect_layout(path) {
-        rb_kb::StoreLayout::Sharded => match rb_kb::ShardedStore::open(path) {
-            Ok(mut store) => store.compact(&policy, jobs),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        rb_kb::StoreLayout::SingleFile => rb_kb::load(path).and_then(|entries| {
-            let before = entries.len() as u64;
-            let weight: u64 = entries.iter().map(|e| u64::from(e.weight)).sum();
-            let compacted = policy.normalize(entries);
-            rb_kb::save(path, &compacted)?;
-            Ok(rb_kb::CompactReport {
-                shards_compacted: 1,
-                entries_before: before,
-                entries_after: compacted.len() as u64,
-                weight_before: weight,
-                weight_after: compacted.iter().map(|e| u64::from(e.weight)).sum(),
-            })
-        }),
-    };
-    match report {
-        Ok(r) => {
+    let weight =
+        |entries: &[rb_kb::KbEntry]| -> u64 { entries.iter().map(|e| u64::from(e.weight)).sum() };
+    let compacted = rb_kb::load_any(path).and_then(|entries| {
+        let before = (entries.len(), weight(&entries));
+        let compacted = policy.normalize(entries);
+        let report = rb_kb::save_any(path, &compacted)?;
+        Ok((before, compacted, report))
+    });
+    match compacted {
+        Ok(((entries_before, weight_before), compacted, report)) => {
             outln!(
                 "compacted {file} @ cosine {threshold}: {} -> {} entries ({} folded) | weight {} -> {} | {} segment(s) rewritten",
-                r.entries_before,
-                r.entries_after,
-                r.entries_before - r.entries_after,
-                r.weight_before,
-                r.weight_after,
-                r.shards_compacted,
+                entries_before,
+                compacted.len(),
+                entries_before - compacted.len(),
+                weight_before,
+                weight(&compacted),
+                report.shards_written,
             );
             ExitCode::SUCCESS
         }
@@ -1284,7 +1256,6 @@ fn serve(cli: &Cli) -> ExitCode {
         jobs: cli.jobs,
         handlers: 2,
         kb_path: cli.kb.as_deref().map(std::path::PathBuf::from),
-        compact_entries: cli.compact_entries,
         compact_secs: cli.compact_secs,
         trace_out: cli.trace_out.as_deref().map(std::path::PathBuf::from),
     };
@@ -1707,20 +1678,19 @@ mod tests {
     #[test]
     fn parses_serve_command() {
         let cli = parse_cli(&argv(
-            "serve --addr 127.0.0.1:4700 --kb store.rbkb.d --compact-entries 500 --compact-secs 60 --jobs 2",
+            "serve --addr 127.0.0.1:4700 --kb store.rbkb.d --compact-secs 60 --jobs 2",
         ))
         .unwrap();
         assert_eq!(cli.command, Command::Serve);
         assert_eq!(cli.addr.as_deref(), Some("127.0.0.1:4700"));
         assert_eq!(cli.kb.as_deref(), Some("store.rbkb.d"));
-        assert_eq!(cli.compact_entries, 500);
         assert_eq!(cli.compact_secs, 60);
         assert_eq!(cli.jobs, 2);
         // Defaults: ephemeral flags off, address falls back at dispatch.
         let cli = parse_cli(&argv("serve")).unwrap();
         assert!(cli.addr.is_none());
         assert!(cli.kb.is_none());
-        assert_eq!((cli.compact_entries, cli.compact_secs), (0, 0));
+        assert_eq!(cli.compact_secs, 0);
     }
 
     #[test]
@@ -1757,7 +1727,6 @@ mod tests {
     fn serve_flags_are_scoped_to_their_commands() {
         assert!(parse_cli(&argv("batch --addr 127.0.0.1:4700")).is_err());
         assert!(parse_cli(&argv("batch --kb store.rbkb.d")).is_err());
-        assert!(parse_cli(&argv("demo --compact-entries 10")).is_err());
         assert!(parse_cli(&argv("demo --compact-secs 10")).is_err());
         assert!(parse_cli(&argv("client stats --classes alloc")).is_err());
         assert!(parse_cli(&argv("serve --classes alloc")).is_err());
