@@ -73,7 +73,9 @@ impl LlmOnly {
             let Some(primary) = report.primary().cloned() else {
                 break;
             };
-            let ctx = RepairContext::shared(&current, &primary, PromptStrategy::Freeform);
+            let memo = self.oracle.state_memo(&current);
+            let mut ctx = RepairContext::shared(&current, &primary, PromptStrategy::Freeform);
+            ctx.memo = memo.as_deref();
             let resp = self.model.propose(&ctx);
             overhead += resp.latency_ms;
             let mut applied = false;

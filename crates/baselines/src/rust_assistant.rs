@@ -86,7 +86,9 @@ impl RustAssistant {
             let Some(primary) = report.primary().cloned() else {
                 break;
             };
-            let ctx = RepairContext::shared(&current, &primary, Self::strategy_for(iterations));
+            let memo = self.oracle.state_memo(&current);
+            let mut ctx = RepairContext::shared(&current, &primary, Self::strategy_for(iterations));
+            ctx.memo = memo.as_deref();
             let resp = self.model.propose(&ctx);
             overhead += resp.latency_ms + GENERIC_STEP_MS;
             let mut next = Arc::clone(&current);

@@ -14,7 +14,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rb_lang::prune::embed_pruned;
 use rb_lang::Program;
-use rb_llm::{LanguageModel, ModelCallStats, RepairRule, SimulatedModel};
+use rb_llm::{
+    LanguageModel, ModelCallStats, PromptStrategy, RepairContext, RepairRule, SimulatedModel,
+};
 use rb_miri::{DirectOracle, MiriReport, Oracle, OracleUse, UbClass};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -170,6 +172,12 @@ impl RustBrain {
         self.model.stats()
     }
 
+    /// The backing model.
+    #[must_use]
+    pub fn model(&self) -> &SimulatedModel {
+        &self.model
+    }
+
     /// Pre-seeds the knowledge base with a solved case (used to model a
     /// pre-built knowledge base).
     pub fn seed_knowledge(&mut self, buggy: &Program, class: UbClass, rule: RepairRule) {
@@ -250,7 +258,7 @@ impl RustBrain {
         let report: Arc<MiriReport> = self.oracle.judge_recording(input, &mut oracle_use);
         let class = report.primary().map_or(UbClass::Compile, |e| e.class());
         repair_span.tag("class", class.label());
-        if report.passes() {
+        let Some(primary) = report.primary() else {
             repair_span.tag("outcome", "already-passing");
             record_repair_metrics(class, 0.0);
             let eval = evaluate_with_report(&report, reference, 0.0);
@@ -272,12 +280,22 @@ impl RustBrain {
                 best_solution: None,
                 class,
             };
-        }
+        };
 
         // Fast thinking charges one model call (solution generation): the
-        // defect class comes from the oracle report already in hand.
+        // defect class comes from the oracle report already in hand. The
+        // call is priced by the input's printed length, read off the
+        // model's facts for the input state: they are derived here once
+        // (or found in the oracle's slot for the state) and serve the
+        // first slow-thinking proposal too, so the input is printed at
+        // most once per repair.
+        let fast_tokens = {
+            let memo = self.oracle.state_memo(input);
+            let mut ctx = RepairContext::shared(input, primary, PromptStrategy::Freeform);
+            ctx.memo = memo.as_deref();
+            self.model.source_tokens(&ctx)
+        };
         let profile = self.model.profile();
-        let fast_tokens = rb_llm::tokens::count_tokens(&rb_lang::printer::print_program(program));
         let fast_cost = profile.latency_base_ms + profile.latency_per_token_ms * fast_tokens as f64;
         let (features, solutions) = {
             let mut fast_span = rb_obs::span("fast");

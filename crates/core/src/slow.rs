@@ -137,7 +137,12 @@ pub fn execute_solution(
                     shots = kb.query_with(primary.class(), 2, || embed_pruned(&cur_prog).0);
                 }
             }
+            // The oracle's slot for the state carries what a proposal
+            // reads off it (its print, rules and prompt digests) from
+            // whichever job proposed on it first.
+            let memo = oracle.state_memo(&cur_prog);
             let mut ctx = RepairContext::shared(&cur_prog, &primary, agent.strategy());
+            ctx.memo = memo.as_deref();
             ctx.shots = shots;
             let shot_count = ctx.shots.len();
             let resp = model.propose(&ctx);

@@ -51,6 +51,22 @@
 //! replaces: the hit counter, the successor's referenced bit and the
 //! caller's telemetry all move as they would have.
 //!
+//! ## Per-state facts
+//!
+//! A repair proposes on the states it judges, and a proposal reads a few
+//! facts off a state that depend on the program (and its primary error)
+//! alone: the printed source, its digest, the matching repair rules and
+//! the digest of each prompt already rendered over it. Each entry keeps a
+//! [`StateMemo`] for them, a write-once slot [`CachedOracle`] hands out
+//! through [`Oracle::state_memo`], found like a lookup: by address, then
+//! by content. The cache never reads the slot; `rb_llm`'s model fills it
+//! on its first derivation, and every later job, sweep or daemon request
+//! proposing on an equal state reads it instead of printing and matching
+//! the program again. Asking for a slot never judges nor inserts a
+//! program and moves no counter or referenced bit, and the slot is
+//! dropped with its entry, so a bounded cache bounds the facts too.
+//! Answers do not depend on where the facts came from.
+//!
 //! ## Memory ceiling
 //!
 //! An unbounded verdict cache grows with every structurally distinct
@@ -64,7 +80,7 @@
 //! unbounded ones.
 
 use rb_lang::Program;
-use rb_miri::{run_program, JudgeRecord, MiriReport, Oracle, OracleUse};
+use rb_miri::{run_program, JudgeRecord, MiriReport, Oracle, OracleUse, StateMemo};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -149,6 +165,9 @@ struct CacheEntry {
     /// successor's canonical program, or `None` where the edit did not
     /// apply.
     edges: Vec<(u64, Option<Weak<Program>>)>,
+    /// The per-state slot handed out by [`OracleCache::state_memo`],
+    /// allocated the first time one is asked for.
+    memo: OnceLock<Arc<StateMemo>>,
 }
 
 impl CacheEntry {
@@ -434,12 +453,35 @@ impl OracleCache {
             report: Arc::clone(&report),
             referenced: AtomicBool::new(false),
             edges: Vec::new(),
+            memo: OnceLock::new(),
         });
         write.clock.push_back((key, id));
         if let Some(cap) = self.shard_capacity {
             self.evict_overflow(&mut write, cap);
         }
         (program, report, false)
+    }
+
+    /// The [`StateMemo`] of the entry holding `program`, found like a
+    /// lookup (by address, then by content), or `None` when no entry
+    /// holds it. It never judges nor inserts, and touches no counter and
+    /// no referenced bit, so asking changes neither the verdicts nor the
+    /// eviction order. The slot lives and dies with its entry.
+    pub(crate) fn state_memo(&self, program: &Program) -> Option<Arc<StateMemo>> {
+        let slot = |e: &CacheEntry| Arc::clone(e.memo.get_or_init(Arc::default));
+        if let Some(key) = self.resident_key(program) {
+            let read = self.shard(key).read().expect("oracle cache shard poisoned");
+            if let Some(e) = find_resident(&read, key, program) {
+                return Some(slot(e));
+            }
+        }
+        let key = program_key(program);
+        let read = self.shard(key).read().expect("oracle cache shard poisoned");
+        read.map
+            .get(&key)?
+            .iter()
+            .find(|e| e.holds(program))
+            .map(slot)
     }
 
     /// The memoised successor of `edit` made from `from`, resident under
@@ -598,6 +640,10 @@ impl Oracle for CachedOracle {
         self.cache.lookup_shared(program)
     }
 
+    fn state_memo(&self, state: &Arc<Program>) -> Option<Arc<StateMemo>> {
+        self.cache.state_memo(state)
+    }
+
     /// Serves a repeated edit of a resident state from the transition
     /// memo (see the module docs), and otherwise derives, judges and
     /// remembers it. Either way the judgement is recorded as the lookup
@@ -752,6 +798,45 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!((used.executed, used.cached), (1, 1));
         assert!(Arc::ptr_eq(&stored(oracle.cache(), &p).unwrap(), &p));
+    }
+
+    #[test]
+    fn state_memo_is_found_by_address_and_content_and_never_inserts() {
+        let p = Arc::new(parse_program("fn main() { print(4i32); }").unwrap());
+        let equal = Arc::new(parse_program("fn main() { print(4i32); }").unwrap());
+        let oracle = CachedOracle::new(Arc::new(OracleCache::new()));
+        assert!(oracle.state_memo(&p).is_none(), "no entry, no slot");
+        assert_eq!(oracle.cache().stats(), CacheStats::default());
+        oracle.judge_shared(&p);
+        let stats = oracle.cache().stats();
+        let by_addr = oracle.state_memo(&p).expect("a resident state has a slot");
+        let by_content = oracle.state_memo(&equal).expect("an equal state shares it");
+        assert!(Arc::ptr_eq(&by_addr, &by_content));
+        assert_eq!(oracle.cache().stats(), stats, "asking moved a counter");
+        by_addr.get_or_init(|| Box::new(1u8));
+        let again = oracle.state_memo(&p).unwrap();
+        assert_eq!(again.get().and_then(|v| v.downcast_ref::<u8>()), Some(&1));
+    }
+
+    #[test]
+    fn bounded_cache_releases_an_evicted_entrys_slot() {
+        let cache = OracleCache::bounded(16);
+        let p = Arc::new(parse_program("fn main() { print(8888i32); }").unwrap());
+        cache.lookup_shared(&p);
+        let slot = cache.state_memo(&p).expect("a resident state has a slot");
+        slot.get_or_init(|| Box::new(String::from("facts")));
+        let weak = Arc::downgrade(&slot);
+        drop(slot);
+        assert!(weak.upgrade().is_some(), "the entry keeps its slot");
+        // `p` is never hit again, so its shard's next insertion evicts it.
+        for q in distinct_programs(200) {
+            cache.report(&q);
+        }
+        assert!(cache.state_memo(&p).is_none(), "{:?}", cache.stats());
+        assert!(
+            weak.upgrade().is_none(),
+            "the evicted entry's slot lives on"
+        );
     }
 
     fn distinct_programs(n: usize) -> Vec<Program> {

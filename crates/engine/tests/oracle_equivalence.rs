@@ -24,7 +24,7 @@ use rb_dataset::Corpus;
 use rb_engine::{CachedOracle, OracleCache};
 use rb_lang::Program;
 use rb_llm::ModelId;
-use rb_miri::{DirectOracle, MiriReport, Oracle, OracleUse, UbClass};
+use rb_miri::{DirectOracle, MiriReport, Oracle, OracleUse, StateMemo, UbClass};
 use rustbrain::{RepairOutcome, RustBrain, RustBrainConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -84,19 +84,44 @@ fn repair_with(oracle: Arc<dyn Oracle>, seed: u64, corpus: &Corpus) -> Vec<Repai
 /// repairs it: a second pass on a warm cache then starts every repair
 /// from a handle the cache holds.
 fn repair_shared_with(oracle: Arc<dyn Oracle>, seed: u64, corpus: &Corpus) -> Vec<RepairOutcome> {
+    repair_counting_facts(oracle, seed, corpus).0
+}
+
+/// [`repair_shared_with`] that also returns how many times the brain's
+/// model derived a state's facts itself.
+fn repair_counting_facts(
+    oracle: Arc<dyn Oracle>,
+    seed: u64,
+    corpus: &Corpus,
+) -> (Vec<RepairOutcome>, u64) {
     let mut brain = RustBrain::with_oracle(RustBrainConfig::for_model(ModelId::Gpt4, seed), oracle);
-    corpus
+    let outcomes = corpus
         .cases
         .iter()
         .map(|case| brain.repair_shared(&case.buggy, &case.gold_outputs()))
-        .collect()
+        .collect();
+    (outcomes, brain.model().facts_derived())
 }
 
 /// A [`CachedOracle`] that counts how often an edit is derived rather
-/// than served from the memo.
+/// than served from the memo, and how many state slots it hands out
+/// (`slots`) and how many of those were still empty (`empty_slots`).
 struct DeriveCounting {
     inner: CachedOracle,
     derived: AtomicUsize,
+    slots: AtomicUsize,
+    empty_slots: AtomicUsize,
+}
+
+impl DeriveCounting {
+    fn new(cache: &Arc<OracleCache>) -> DeriveCounting {
+        DeriveCounting {
+            inner: CachedOracle::new(Arc::clone(cache)),
+            derived: AtomicUsize::new(0),
+            slots: AtomicUsize::new(0),
+            empty_slots: AtomicUsize::new(0),
+        }
+    }
 }
 
 impl Oracle for DeriveCounting {
@@ -120,6 +145,15 @@ impl Oracle for DeriveCounting {
             derive()
         };
         self.inner.judge_edit(from, edit, &mut counted, used)
+    }
+
+    fn state_memo(&self, state: &Arc<Program>) -> Option<Arc<StateMemo>> {
+        let memo = self.inner.state_memo(state)?;
+        self.slots.fetch_add(1, Ordering::Relaxed);
+        if memo.get().is_none() {
+            self.empty_slots.fetch_add(1, Ordering::Relaxed);
+        }
+        Some(memo)
     }
 }
 
@@ -154,10 +188,7 @@ fn two_passes_match_direct(
     direct: &[RepairOutcome],
     corpus: &Corpus,
 ) -> Result<[usize; 2], TestCaseError> {
-    let oracle = Arc::new(DeriveCounting {
-        inner: CachedOracle::new(Arc::clone(cache)),
-        derived: AtomicUsize::new(0),
-    });
+    let oracle = Arc::new(DeriveCounting::new(cache));
     let mut derived = [0; 2];
     for pass in &mut derived {
         let hits_before = cache.stats().hits;
@@ -252,6 +283,45 @@ proptest! {
         two_passes_match_direct(&tiny, &direct, &corpus)?;
         let stats = tiny.stats();
         prop_assert!(stats.entries <= stats.capacity);
+    }
+
+    /// Two passes over one unbounded cache, each with a new brain: the
+    /// first fills the state slots, the second finds every state's facts
+    /// in them — it fills no new slot and derives no facts — and both
+    /// match the direct oracle bit for bit.
+    #[test]
+    fn warm_state_facts_passes_match_direct(
+        corpus_seed in 0u64..500,
+        class_pick in 0usize..CLASS_POOL.len(),
+    ) {
+        let classes = [CLASS_POOL[class_pick], CLASS_POOL[(class_pick + 2) % CLASS_POOL.len()]];
+        let corpus = Corpus::generate(corpus_seed, 1, &classes);
+        let direct = repair_shared_with(Arc::new(DirectOracle), 7, &corpus);
+
+        let cache = Arc::new(OracleCache::new());
+        let oracle = Arc::new(DeriveCounting::new(&cache));
+        let mut passes = Vec::new();
+        for _ in 0..2 {
+            let (slots, empty) = (
+                oracle.slots.load(Ordering::Relaxed),
+                oracle.empty_slots.load(Ordering::Relaxed),
+            );
+            let (outcomes, derived) =
+                repair_counting_facts(Arc::clone(&oracle) as Arc<dyn Oracle>, 7, &corpus);
+            prop_assert_eq!(outcomes.len(), direct.len());
+            for (d, o) in direct.iter().zip(&outcomes) {
+                prop_assert_eq!(normalized(d), normalized(o));
+            }
+            passes.push((
+                oracle.slots.load(Ordering::Relaxed) - slots,
+                oracle.empty_slots.load(Ordering::Relaxed) - empty,
+                derived,
+            ));
+        }
+        let (cold, warm) = (passes[0], passes[1]);
+        prop_assert!(cold.1 > 0 && cold.2 > 0, "the first pass filled nothing: {:?}", cold);
+        prop_assert!(warm.0 > 0, "the second pass asked for no slot");
+        prop_assert_eq!((warm.1, warm.2), (0, 0), "the second pass filled or derived");
     }
 
     /// The memo changes no attribution: per case, the executed/cached

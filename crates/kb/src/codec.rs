@@ -38,10 +38,14 @@ pub const FORMAT_VERSION: u8 = 1;
 /// decoder never panics and never returns a partially decoded base.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CodecError {
-    /// The stream does not start with [`MAGIC`].
+    /// The stream does not start with the magic of its format:
+    /// [`MAGIC`] for an `.rbkb` stream, the manifest magic for a sharded
+    /// store's manifest.
     BadMagic {
         /// The first bytes actually found (possibly fewer than 4).
         found: Vec<u8>,
+        /// The magic the format starts with.
+        want: [u8; 4],
     },
     /// The format-version byte is newer (or older) than this decoder.
     UnsupportedVersion(u8),
@@ -73,12 +77,11 @@ pub enum CodecError {
 impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CodecError::BadMagic { found } => {
-                write!(
-                    f,
-                    "not an .rbkb file (magic {found:02x?}, want {MAGIC:02x?})"
-                )
-            }
+            CodecError::BadMagic { found, want } => write!(
+                f,
+                "bad magic {found:02x?}, want {want:02x?} ({:?})",
+                String::from_utf8_lossy(want)
+            ),
             CodecError::UnsupportedVersion(v) => {
                 write!(
                     f,
@@ -429,10 +432,12 @@ pub fn decode_entries_iter(bytes: &[u8]) -> Result<EntriesIter<'_>, CodecError> 
     let mut r = Reader { bytes, pos: 0 };
     let magic = r.take(4).map_err(|_| CodecError::BadMagic {
         found: bytes.to_vec(),
+        want: MAGIC,
     })?;
     if magic != MAGIC {
         return Err(CodecError::BadMagic {
             found: magic.to_vec(),
+            want: MAGIC,
         });
     }
     let version = r.u8()?;
@@ -532,10 +537,18 @@ mod tests {
 
     #[test]
     fn rejects_foreign_magic_and_versions() {
-        assert!(matches!(
-            decode_entries(b"JSON{}"),
-            Err(CodecError::BadMagic { .. })
-        ));
+        let err = decode_entries(b"JSON{}").unwrap_err();
+        assert_eq!(
+            err,
+            CodecError::BadMagic {
+                found: b"JSON".to_vec(),
+                want: MAGIC,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "bad magic [4a, 53, 4f, 4e], want [52, 42, 4b, 42] (\"RBKB\")"
+        );
         let mut bytes = encode_entries(&[]);
         bytes[4] = 99;
         assert!(matches!(

@@ -166,6 +166,7 @@ impl Manifest {
         if bytes[..4] != MANIFEST_MAGIC {
             return Err(CodecError::BadMagic {
                 found: bytes[..4].to_vec(),
+                want: MANIFEST_MAGIC,
             });
         }
         if bytes[4] != MANIFEST_VERSION {
@@ -473,6 +474,15 @@ mod tests {
         for len in 0..bytes.len() {
             assert!(Manifest::decode(&bytes[..len]).is_err());
         }
+        let mut foreign = bytes.clone();
+        foreign[..4].copy_from_slice(b"RBKB");
+        assert_eq!(
+            Manifest::decode(&foreign),
+            Err(CodecError::BadMagic {
+                found: b"RBKB".to_vec(),
+                want: MANIFEST_MAGIC,
+            })
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::latency::sample_latency_ms;
 use crate::profile::{ModelId, ModelProfile};
-use crate::prompt::RepairContext;
+use crate::prompt::{FewShot, PromptStrategy, RepairContext};
 use crate::rules::RepairRule;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -19,7 +19,7 @@ use rb_miri::MiriError;
 use serde::{Deserialize, Serialize};
 use std::fmt::{self, Write as _};
 use std::hash::Hasher;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -64,7 +64,7 @@ impl Hasher for Fnv1a {
 /// its char count and its FNV-1a fold. Writing a text into it in any
 /// number of pieces yields the token count [`crate::tokens::count_tokens`]
 /// and the draw `hash01` would compute from the whole string.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 struct TextDigest {
     chars: usize,
     fnv: u64,
@@ -99,90 +99,122 @@ impl fmt::Write for TextDigest {
     }
 }
 
-/// What one proposal reads off its prompt: the prompt's token count and
-/// three stable draws — the problem gate keyed by the source, the prompt
-/// gate keyed by the whole prompt, and the drift roll keyed by the source.
+/// What a proposal reads off one prompt over a state: the prompt's token
+/// count and the prompt gate's draw, keyed by the whole prompt.
 #[derive(Clone, Copy, Debug, PartialEq)]
-struct PromptDraws {
+struct PromptDigest {
     tokens: usize,
-    u_problem: f64,
     u_prompt: f64,
-    u_drift: f64,
 }
 
-impl PromptDraws {
-    /// Streams the prompt and the two `"{src}|{id:?}|…"` keys into
-    /// digests; no prompt string is built.
-    #[cfg(test)]
-    fn of(ctx: &RepairContext<'_>, src: &str, id: ModelId) -> PromptDraws {
-        let (u_problem, u_drift) = source_draws(src, id);
-        PromptDraws::keyed(ctx, src, u_problem, u_drift)
-    }
-
-    /// The draws of `ctx`'s prompt, given its source's two draws: only
-    /// the prompt (strategy, shots, error, source) is streamed.
-    fn keyed(ctx: &RepairContext<'_>, src: &str, u_problem: f64, u_drift: f64) -> PromptDraws {
+impl PromptDigest {
+    /// Streams `ctx`'s prompt over `src` into a digest; no prompt string
+    /// is built.
+    fn of(ctx: &RepairContext<'_>, src: &str) -> PromptDigest {
         let mut prompt = TextDigest::new();
         ctx.render_to(src, &mut prompt).expect(DIGEST_SINK);
-        PromptDraws {
+        PromptDigest {
             tokens: prompt.tokens(),
-            u_problem,
             u_prompt: prompt.unit(),
-            u_drift,
         }
     }
 }
 
 const DIGEST_SINK: &str = "a digest sink cannot fail";
 
-/// The problem and drift draws of a source: the hashes of
-/// `"{src}|{id:?}|problem"` and `"{src}|{id:?}|drift"`, folded from one
-/// shared prefix digest.
-fn source_draws(src: &str, id: ModelId) -> (f64, f64) {
-    let mut key = TextDigest::new();
-    write!(key, "{src}|{id:?}|").expect(DIGEST_SINK);
-    let mut problem = key;
-    problem.write_str("problem").expect(DIGEST_SINK);
-    let mut drift = key;
-    drift.write_str("drift").expect(DIGEST_SINK);
-    (problem.unit(), drift.unit())
+/// What a prompt over a known `(program, error)` is rendered from besides
+/// them: the strategy and the shots.
+#[derive(Debug)]
+struct PromptKey {
+    strategy: PromptStrategy,
+    shots: Vec<FewShot>,
 }
 
-/// What a proposal reads off `(program, error)` alone: the printed
-/// source, its two draws and the matching repair rules. None of it
-/// depends on the strategy, the shots or the RNG.
-#[derive(Clone, Debug)]
+impl PromptKey {
+    /// Whether `ctx` renders from this key. Similarities compare by their
+    /// bits, so two keys that could print differently never match.
+    fn is(&self, ctx: &RepairContext<'_>) -> bool {
+        self.strategy == ctx.strategy
+            && self.shots.len() == ctx.shots.len()
+            && self
+                .shots
+                .iter()
+                .zip(&ctx.shots)
+                .all(|(a, b)| a.rule == b.rule && a.similarity.to_bits() == b.similarity.to_bits())
+    }
+}
+
+/// What a proposal reads off `(program, error)` alone, whatever the model:
+/// the printed source, its digest, the matching repair rules, and the
+/// digest of each prompt already rendered over the state. None of it
+/// depends on the model or the RNG, so one derivation can serve every
+/// model proposing on the state (see [`SimulatedModel`]).
+#[derive(Debug)]
 struct StateFacts {
-    /// The shared state these facts were derived from. Holding the handle
-    /// keeps its address from being reused by another program.
-    state: Option<Arc<Program>>,
     error: MiriError,
     src: String,
-    u_problem: f64,
-    u_drift: f64,
+    src_digest: TextDigest,
     candidates: Vec<RepairRule>,
+    prompts: Mutex<Vec<(PromptKey, PromptDigest)>>,
 }
 
 impl StateFacts {
-    fn of(ctx: &RepairContext<'_>, id: ModelId) -> StateFacts {
-        let src = rb_lang::printer::print_program(ctx.program);
-        let (u_problem, u_drift) = source_draws(&src, id);
+    fn of(program: &Program, error: &MiriError) -> StateFacts {
+        let src = rb_lang::printer::print_program(program);
+        let mut src_digest = TextDigest::new();
+        src_digest.write_str(&src).expect(DIGEST_SINK);
         StateFacts {
-            state: ctx.state.cloned(),
-            error: ctx.error.clone(),
+            error: error.clone(),
             src,
-            u_problem,
-            u_drift,
-            candidates: RepairRule::candidates(ctx.program, ctx.error),
+            src_digest,
+            candidates: RepairRule::candidates(program, error),
+            prompts: Mutex::default(),
         }
     }
 
-    /// Whether these facts were derived from `ctx`'s shared state and
-    /// error. A context without a shared state never matches.
-    fn fit(&self, ctx: &RepairContext<'_>) -> bool {
-        match (&self.state, ctx.state) {
-            (Some(held), Some(state)) => Arc::ptr_eq(held, state) && self.error == *ctx.error,
-            _ => false,
+    /// The digest of `ctx`'s prompt, streamed the first time its strategy
+    /// and shots are asked for and remembered after.
+    fn prompt(&self, ctx: &RepairContext<'_>) -> PromptDigest {
+        let mut prompts = self.prompts.lock().expect("prompt digests poisoned");
+        if let Some((_, digest)) = prompts.iter().find(|(key, _)| key.is(ctx)) {
+            return *digest;
+        }
+        let digest = PromptDigest::of(ctx, &self.src);
+        let key = PromptKey {
+            strategy: ctx.strategy,
+            shots: ctx.shots.clone(),
+        };
+        // Most states are prompted under one key or two; growing the list
+        // one at a time keeps a resident cache from paying for four.
+        prompts.reserve_exact(1);
+        prompts.push((key, digest));
+        digest
+    }
+}
+
+/// A state's facts as one model reads them: the shared [`StateFacts`]
+/// plus the model's two draws keyed by the source, the hashes of
+/// `"{src}|{id:?}|problem"` and `"{src}|{id:?}|drift"`, folded on from the
+/// source's digest.
+#[derive(Clone, Debug)]
+struct ModelFacts {
+    facts: Arc<StateFacts>,
+    u_problem: f64,
+    u_drift: f64,
+}
+
+impl ModelFacts {
+    fn new(facts: Arc<StateFacts>, id: ModelId) -> ModelFacts {
+        let mut key = facts.src_digest;
+        write!(key, "|{id:?}|").expect(DIGEST_SINK);
+        let mut problem = key;
+        problem.write_str("problem").expect(DIGEST_SINK);
+        let mut drift = key;
+        drift.write_str("drift").expect(DIGEST_SINK);
+        ModelFacts {
+            facts,
+            u_problem: problem.unit(),
+            u_drift: drift.unit(),
         }
     }
 }
@@ -241,17 +273,31 @@ pub trait LanguageModel {
 
 /// The deterministic simulated model.
 ///
-/// It remembers the `StateFacts` of the last shared state it was asked
-/// about, so consecutive proposals on one `(state, error)` — a step that
-/// changed nothing, a rollback, the next solution starting from the
-/// input — print and match the program once.
+/// A proposal reads a few facts off its `(program, error)` alone: the
+/// printed source and its digest, the matching repair rules and the
+/// digest of each prompt over it. The model finds them in three places,
+/// in order:
+///
+/// 1. the facts of the last shared state it proposed on, when the
+///    context's [`RepairContext::state`] is that very handle with the
+///    same error — a step that changed nothing, a rollback, the next
+///    solution starting from the input;
+/// 2. the context's [`RepairContext::memo`], the slot an oracle keeps
+///    for the state ([`rb_miri::Oracle::state_memo`]), when it holds
+///    facts for the same error — filled by whichever model, job or
+///    request proposed on an equal state first;
+/// 3. a fresh derivation, which fills the slot when it is empty.
+///
+/// Only the facts are shared; the model folds its own draws from them.
+/// The response is the same wherever the facts were found.
 #[derive(Clone, Debug)]
 pub struct SimulatedModel {
     profile: ModelProfile,
     temperature: f64,
     rng: ChaCha8Rng,
     stats: ModelCallStats,
-    facts: Option<StateFacts>,
+    last: Option<(Arc<Program>, ModelFacts)>,
+    derived: u64,
 }
 
 impl SimulatedModel {
@@ -263,7 +309,8 @@ impl SimulatedModel {
             temperature,
             rng: ChaCha8Rng::seed_from_u64(seed ^ (id as u64).wrapping_mul(0x9E37_79B9)),
             stats: ModelCallStats::default(),
-            facts: None,
+            last: None,
+            derived: 0,
         }
     }
 
@@ -271,6 +318,48 @@ impl SimulatedModel {
     #[must_use]
     pub fn profile(&self) -> &ModelProfile {
         &self.profile
+    }
+
+    /// How many times this model derived a state's facts itself, finding
+    /// them neither in its last state nor in a context's slot.
+    #[must_use]
+    pub fn facts_derived(&self) -> u64 {
+        self.derived
+    }
+
+    /// The token count of `ctx`'s program as printed, read off the same
+    /// facts a proposal on `ctx` reads, so a proposal after it finds them
+    /// without printing the program again. The strategy and shots are
+    /// not read.
+    pub fn source_tokens(&mut self, ctx: &RepairContext<'_>) -> usize {
+        self.facts_for(ctx).facts.src_digest.tokens()
+    }
+
+    /// The facts of `ctx`'s `(program, error)`, looked up in the order the
+    /// type's docs give. A shared state's facts become the last state's.
+    fn facts_for(&mut self, ctx: &RepairContext<'_>) -> ModelFacts {
+        if let (Some((held, facts)), Some(state)) = (&self.last, ctx.state) {
+            if Arc::ptr_eq(held, state) && facts.facts.error == *ctx.error {
+                return facts.clone();
+            }
+        }
+        let mut derived = 0;
+        let mut derive = || {
+            derived += 1;
+            Arc::new(StateFacts::of(ctx.program, ctx.error))
+        };
+        let slotted = ctx.memo.and_then(|memo| {
+            memo.get_or_init(|| Box::new(derive()))
+                .downcast_ref::<Arc<StateFacts>>()
+                .filter(|facts| facts.error == *ctx.error)
+                .cloned()
+        });
+        let facts = ModelFacts::new(slotted.unwrap_or_else(derive), self.profile.id);
+        self.derived += derived;
+        if let Some(state) = ctx.state {
+            self.last = Some((Arc::clone(state), facts.clone()));
+        }
+        facts
     }
 
     /// Gaussian-ish noise via the sum of three uniforms (Irwin–Hall),
@@ -291,12 +380,13 @@ impl LanguageModel for SimulatedModel {
     }
 
     fn propose(&mut self, ctx: &RepairContext<'_>) -> ModelResponse {
-        let facts = match self.facts.take() {
-            Some(facts) if facts.fit(ctx) => facts,
-            _ => StateFacts::of(ctx, self.profile.id),
-        };
-        let draws = PromptDraws::keyed(ctx, &facts.src, facts.u_problem, facts.u_drift);
-        let tokens = draws.tokens;
+        let ModelFacts {
+            facts,
+            u_problem,
+            u_drift,
+        } = self.facts_for(ctx);
+        let prompt = facts.prompt(ctx);
+        let tokens = prompt.tokens;
         let latency = sample_latency_ms(
             &mut self.rng,
             self.profile.latency_base_ms,
@@ -334,14 +424,13 @@ impl LanguageModel for SimulatedModel {
         // This is the premise behind RustBrain's design: diverse solutions
         // and the knowledge base attack exactly these two gates.
         let problem_skill = ((class_skill * 1.25).min(0.97) + 0.35 * best_shot).min(0.985);
-        let u_problem = draws.u_problem;
         let targeted_bonus = if ctx.strategy.target_kind().is_some() {
             0.10
         } else {
             0.0
         };
         let prompt_skill = 0.75 + targeted_bonus + (self.rng.gen::<f64>() - 0.5) * 0.12;
-        let u_prompt = draws.u_prompt;
+        let u_prompt = prompt.u_prompt;
         let understands = u_problem <= problem_skill && u_prompt <= prompt_skill;
 
         let mut proposals: Vec<Proposal> = facts
@@ -435,10 +524,7 @@ impl LanguageModel for SimulatedModel {
         let weakness = (1.0 / self.profile.class_multiplier(class)).clamp(1.0, 3.0);
         let drift_p =
             (1.0 - self.profile.semantic_skill) * 0.6 * weakness / (1.0 + ctx.shots.len() as f64);
-        let drift = draws.u_drift < drift_p;
-        if facts.state.is_some() {
-            self.facts = Some(facts);
-        }
+        let drift = u_drift < drift_p;
         ModelResponse {
             proposals,
             truncated,
@@ -456,10 +542,29 @@ impl LanguageModel for SimulatedModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prompt::{FewShot, PromptStrategy};
     use crate::tokens::count_tokens;
     use rb_lang::parser::parse_program;
-    use rb_miri::run_program;
+    use rb_miri::{run_program, StateMemo};
+
+    const STRATEGIES: [PromptStrategy; 4] = [
+        PromptStrategy::SafeReplace,
+        PromptStrategy::Assert,
+        PromptStrategy::Modify,
+        PromptStrategy::Freeform,
+    ];
+
+    fn two_shots() -> [FewShot; 2] {
+        [
+            FewShot {
+                rule: RepairRule::RemoveDoubleFree,
+                similarity: 0.93,
+            },
+            FewShot {
+                rule: RepairRule::GuardDivision,
+                similarity: 0.456,
+            },
+        ]
+    }
 
     fn double_free_fixture() -> (rb_lang::Program, rb_miri::MiriError) {
         let p = parse_program(
@@ -501,44 +606,42 @@ mod tests {
     fn streamed_prompt_matches_the_rendered_string() {
         let judged = judged_failing_programs();
         assert!(judged.len() > 14, "only {} failing programs", judged.len());
-        let shots = [
-            FewShot {
-                rule: RepairRule::RemoveDoubleFree,
-                similarity: 0.93,
-            },
-            FewShot {
-                rule: RepairRule::GuardDivision,
-                similarity: 0.456,
-            },
-        ];
-        let strategies = [
-            PromptStrategy::SafeReplace,
-            PromptStrategy::Assert,
-            PromptStrategy::Modify,
-            PromptStrategy::Freeform,
-        ];
+        let shots = two_shots();
         for (program, err) in &judged {
             let src = rb_lang::printer::print_program(program);
-            for strategy in strategies {
+            let facts = Arc::new(StateFacts::of(program, err));
+            assert_eq!(facts.src, src);
+            for strategy in STRATEGIES {
                 for n in [0, 2] {
                     let mut ctx = RepairContext::new(program, err, strategy);
                     ctx.shots = shots[..n].to_vec();
                     let rendered = ctx.render(&src);
-                    for id in ModelId::ALL {
-                        let expected = PromptDraws {
-                            tokens: count_tokens(&rendered),
-                            u_problem: hash01(&format!("{src}|{id:?}|problem")),
-                            u_prompt: hash01(&rendered),
-                            u_drift: hash01(&format!("{src}|{id:?}|drift")),
-                        };
+                    let expected = PromptDigest {
+                        tokens: count_tokens(&rendered),
+                        u_prompt: hash01(&rendered),
+                    };
+                    // Streamed, then remembered: both answers match.
+                    for _ in 0..2 {
                         assert_eq!(
-                            PromptDraws::of(&ctx, &src, id),
+                            facts.prompt(&ctx),
                             expected,
                             "{strategy:?} with {n} shots diverged on\n{rendered}"
                         );
                     }
                 }
             }
+            for id in ModelId::ALL {
+                let drawn = ModelFacts::new(Arc::clone(&facts), id);
+                assert_eq!(
+                    (drawn.u_problem, drawn.u_drift),
+                    (
+                        hash01(&format!("{src}|{id:?}|problem")),
+                        hash01(&format!("{src}|{id:?}|drift"))
+                    ),
+                    "{id:?}"
+                );
+            }
+            assert_eq!(facts.src_digest.tokens(), count_tokens(&src));
         }
     }
 
@@ -561,49 +664,96 @@ mod tests {
             (&b, b_err),
             (&a, a_err),
         ];
-        let shots = [
-            FewShot {
-                rule: RepairRule::RemoveDoubleFree,
-                similarity: 0.93,
-            },
-            FewShot {
-                rule: RepairRule::GuardDivision,
-                similarity: 0.456,
-            },
-        ];
+        let shots = two_shots();
         let mut memoised = SimulatedModel::new(ModelId::Gpt4, 0.5, 21);
         let mut fresh = SimulatedModel::new(ModelId::Gpt4, 0.5, 21);
         let mut previous: Option<(&Arc<Program>, &MiriError)> = None;
-        for strategy in [
-            PromptStrategy::SafeReplace,
-            PromptStrategy::Assert,
-            PromptStrategy::Modify,
-            PromptStrategy::Freeform,
-        ] {
+        let held_src = |model: &SimulatedModel| {
+            model
+                .last
+                .as_ref()
+                .map(|(_, facts)| facts.facts.src.as_ptr())
+        };
+        for strategy in STRATEGIES {
             for n in [0, 2] {
                 for (state, err) in script {
                     let mut shared = RepairContext::shared(state, err, strategy);
                     shared.shots = shots[..n].to_vec();
                     let mut plain = RepairContext::new(state, err, strategy);
                     plain.shots = shots[..n].to_vec();
-                    let memo_src = memoised.facts.as_ref().map(|f| f.src.as_ptr());
+                    let memo_src = held_src(&memoised);
+                    let derived = memoised.facts_derived();
                     assert_eq!(
                         memoised.propose(&shared),
                         fresh.propose(&plain),
                         "{strategy:?} with {n} shots diverged"
                     );
                     // A repeated (state, error) neither re-prints nor
-                    // re-matches: the memo is the one already held.
+                    // re-matches: the facts are the ones already held.
                     let repeat = previous.is_some_and(|(s, e)| Arc::ptr_eq(s, state) && e == err);
-                    let now_src = memoised.facts.as_ref().map(|f| f.src.as_ptr());
-                    assert_eq!(repeat, memo_src == now_src, "{strategy:?}, {n} shots");
+                    assert_eq!(repeat, memo_src == held_src(&memoised), "{strategy:?}");
+                    assert_eq!(memoised.facts_derived() - derived, u64::from(!repeat));
                     previous = Some((state, err));
                 }
             }
         }
         assert_eq!(memoised.stats(), fresh.stats());
-        // A plain context never leaves a memo behind.
-        assert!(fresh.facts.is_none());
+        // A plain context never leaves facts behind.
+        assert!(fresh.last.is_none());
+        assert_eq!(fresh.facts_derived(), fresh.stats().calls);
+    }
+
+    #[test]
+    fn a_slot_filled_by_one_model_answers_another_like_a_fresh_derivation() {
+        let judged = judged_failing_programs();
+        let shots = two_shots();
+        let (_, foreign_err) = judged.last().expect("failing programs");
+        for (program, err) in judged.iter().take(12) {
+            let state = Arc::new(program.clone());
+            let memo = StateMemo::default();
+            let mut filler = SimulatedModel::new(ModelId::Gpt35, 0.7, 3);
+            let mut reader = SimulatedModel::new(ModelId::Claude35, 0.5, 11);
+            let mut fresh = SimulatedModel::new(ModelId::Claude35, 0.5, 11);
+            for strategy in STRATEGIES {
+                for n in [0, 2] {
+                    let mut filling = RepairContext::shared(&state, err, strategy);
+                    filling.memo = Some(&memo);
+                    filling.shots = shots[..n].to_vec();
+                    filler.propose(&filling);
+                    // A reader with no last state to fall back on: every
+                    // answer comes out of the slot.
+                    let mut slotted = RepairContext::new(&state, err, strategy);
+                    slotted.memo = Some(&memo);
+                    slotted.shots = shots[..n].to_vec();
+                    let mut plain = RepairContext::new(&state, err, strategy);
+                    plain.shots = shots[..n].to_vec();
+                    assert_eq!(
+                        reader.propose(&slotted),
+                        fresh.propose(&plain),
+                        "{strategy:?} with {n} shots diverged"
+                    );
+                }
+            }
+            assert_eq!(filler.facts_derived(), 1, "the filler derives once");
+            assert_eq!(reader.facts_derived(), 0, "the reader derived facts");
+            assert_eq!(reader.stats(), fresh.stats());
+
+            // The slot holds `err`'s facts: a context with another error
+            // must derive its own and leave the slot as it was.
+            if foreign_err == err {
+                continue;
+            }
+            let mut other = RepairContext::shared(&state, foreign_err, PromptStrategy::Modify);
+            other.memo = Some(&memo);
+            let plain = RepairContext::new(&state, foreign_err, PromptStrategy::Modify);
+            assert_eq!(reader.propose(&other), fresh.propose(&plain));
+            assert_eq!(reader.facts_derived(), 1);
+            let held = memo
+                .get()
+                .and_then(|value| value.downcast_ref::<Arc<StateFacts>>())
+                .expect("the slot holds facts");
+            assert_eq!(held.error, *err);
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::rules::{RepairRule, RuleKind};
 use rb_lang::Program;
-use rb_miri::MiriError;
+use rb_miri::{MiriError, StateMemo};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -70,6 +70,10 @@ pub struct RepairContext<'p> {
     /// one ([`RepairContext::shared`]). A model may key work that depends
     /// only on the program and the error to this handle's identity.
     pub state: Option<&'p Arc<Program>>,
+    /// The slot the caller's oracle keeps for `program`
+    /// ([`rb_miri::Oracle::state_memo`]), where a model may find, or
+    /// leave, what it derives from the program and the error alone.
+    pub memo: Option<&'p StateMemo>,
     /// The primary diagnostic being repaired.
     pub error: &'p MiriError,
     /// Agent prompt strategy.
@@ -85,6 +89,7 @@ impl<'p> RepairContext<'p> {
         RepairContext {
             program,
             state: None,
+            memo: None,
             error,
             strategy,
             shots: Vec::new(),

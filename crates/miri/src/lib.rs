@@ -51,5 +51,5 @@ pub mod value;
 
 pub use diagnostics::{MiriError, MiriReport, UbClass, UbKind};
 pub use interp::{run_program, run_with_config, MiriConfig};
-pub use oracle::{DirectOracle, JudgeRecord, Oracle, OracleUse};
+pub use oracle::{DirectOracle, JudgeRecord, Oracle, OracleUse, StateMemo};
 pub use value::{AllocId, Pointer, Value};

@@ -17,11 +17,18 @@
 //!    determinism guarantees.
 //! 2. **Thread safety** — oracles are shared across worker threads
 //!    (`Send + Sync`), so all interior state must be synchronised.
+//!
+//! An oracle that keeps the programs it judged may also keep a
+//! [`StateMemo`] per program ([`Oracle::state_memo`]): a slot where the
+//! repair layers park what they derive from a state alone, so it is
+//! derived once per state rather than once per job.
 
 use crate::diagnostics::MiriReport;
 use crate::interp::run_program;
 use rb_lang::Program;
-use std::sync::Arc;
+use std::any::Any;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// An object-safe judge of programs: the seam every repair layer runs its
 /// oracle calls through.
@@ -113,6 +120,52 @@ pub trait Oracle: Send + Sync {
         let program = Arc::new(derive()?);
         let report = self.judge_recording(&program, used);
         Some((program, report))
+    }
+
+    /// The [`StateMemo`] this oracle keeps for `state`, if it keeps one:
+    /// a slot where callers park what they derive from the program alone,
+    /// so the next caller proposing on an equal state reads it instead of
+    /// deriving it again.
+    ///
+    /// Asking never judges `state` nor stores it: an oracle answers only
+    /// for a state it already holds. The default keeps nothing and
+    /// returns `None`.
+    fn state_memo(&self, state: &Arc<Program>) -> Option<Arc<StateMemo>> {
+        let _ = state;
+        None
+    }
+}
+
+/// A write-once slot an [`Oracle`] keeps next to one program state (see
+/// [`Oracle::state_memo`]). The oracle neither reads nor names what the
+/// slot holds; its user downcasts the value it put there, and must store
+/// only what is a function of the program's content, since every caller
+/// holding an equal program is handed the same slot.
+#[derive(Default)]
+pub struct StateMemo(OnceLock<Box<dyn Any + Send + Sync>>);
+
+impl StateMemo {
+    /// The value in the slot, if it has been filled.
+    #[must_use]
+    pub fn get(&self) -> Option<&(dyn Any + Send + Sync)> {
+        self.0.get().map(|value| &**value)
+    }
+
+    /// The value in the slot, filling it with `init()` first if it is
+    /// empty. `init` runs at most once per slot, racing callers included.
+    pub fn get_or_init(
+        &self,
+        init: impl FnOnce() -> Box<dyn Any + Send + Sync>,
+    ) -> &(dyn Any + Send + Sync) {
+        &**self.0.get_or_init(init)
+    }
+}
+
+impl fmt::Debug for StateMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StateMemo")
+            .field("filled", &self.0.get().is_some())
+            .finish()
     }
 }
 
@@ -262,6 +315,20 @@ mod tests {
             .is_none());
         assert_eq!(derived, 2);
         assert_eq!((used.executed, used.cached), (2, 0));
+        assert!(DirectOracle.state_memo(&from).is_none());
+    }
+
+    #[test]
+    fn state_memo_fills_once() {
+        let memo = StateMemo::default();
+        assert!(memo.get().is_none());
+        assert_eq!(format!("{memo:?}"), "StateMemo { filled: false }");
+        let first = memo.get_or_init(|| Box::new(7u32));
+        assert_eq!(first.downcast_ref::<u32>(), Some(&7));
+        let second = memo.get_or_init(|| unreachable!("a filled slot is never refilled"));
+        assert_eq!(second.downcast_ref::<u32>(), Some(&7));
+        assert_eq!(memo.get().and_then(|v| v.downcast_ref::<u32>()), Some(&7));
+        assert_eq!(format!("{memo:?}"), "StateMemo { filled: true }");
     }
 
     #[test]

@@ -401,14 +401,16 @@ fn handle_repair(
     reference: &[String],
     seed: u64,
 ) -> Result<String, String> {
-    let program = parse_program(source).map_err(|e| format!("parse error: {e}"))?;
+    // Parsed once into a shared handle: the judgement below and the
+    // repair share it, and neither copies the program.
+    let program = Arc::new(parse_program(source).map_err(|e| format!("parse error: {e}"))?);
     let oracle = state.engine.shared_oracle();
     // Call-site span: this initial judgement goes through
-    // `Oracle::judge` directly, not the instrumented `judge_recording`
-    // seam, so it must account for itself.
+    // `Oracle::judge_shared` directly, not the instrumented
+    // `judge_recording` seam, so it must account for itself.
     let report = {
         let mut span = rb_obs::span("oracle.judge");
-        let report = oracle.judge(&program);
+        let (report, _) = oracle.judge_shared(&program);
         span.tag(
             "verdict",
             report.primary().map_or("pass", |e| e.class().label()),
@@ -424,7 +426,7 @@ fn handle_repair(
     let snapshot = state.lock_kb().snapshot();
     let mut brain =
         RustBrain::with_oracle(brain_config(seed), oracle).with_knowledge_base(snapshot);
-    let outcome = brain.repair(&program, reference);
+    let outcome = brain.repair_shared(&program, reference);
     let delta = brain.knowledge().delta();
     if !delta.is_empty() {
         let merged = state.lock_kb().merge(&delta, state.engine.merge_policy());

@@ -198,6 +198,11 @@ fn a_store_that_does_not_decode_refuses_to_bind() {
         .err()
         .expect("a corrupt store must not start an empty base");
     assert!(err.contains("cannot open knowledge store"), "{err}");
+    // The refusal names the manifest's own magic, "RBKM", not a segment's.
+    assert!(
+        err.contains("bad magic [53, 42, 4b, 4d], want [52, 42, 4b, 4d] (\"RBKM\")"),
+        "{err}"
+    );
 }
 
 #[test]
