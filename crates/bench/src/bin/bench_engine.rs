@@ -16,8 +16,7 @@
 //! Since PR 7 the file flags `speedup_degraded` when the requested
 //! worker count exceeds the machine's cores (the speedup number is then
 //! a fact about the host, not the engine — CI skips its speedup gate
-//! on that flag), and `--trace-out` writes a structured JSONL span
-//! trace of the timed parallel sweep.
+//! on that flag).
 //!
 //! `--repeat N` amplifies the corpus (N clones of the 42 templates with
 //! varied case ids/sizes) so the signal beats wall-clock noise.
@@ -28,17 +27,9 @@
 //! on a shared 2-vCPU host. The serial/parallel stats and per-class rows
 //! come from the median pair.
 //!
-//! Since PR 9 a traced run re-reads its own flushed trace through
-//! `rb_obs::analyze` and writes a `critical_path` section: the
-//! per-worker lane bound on achievable speedup. The traced sweep is an
-//! extra, untimed parallel sweep, so tracing never skews a trial. Every run also appends
-//! one compact row — date, corpus size, speedup, hit rate — to
-//! `BENCH_history.jsonl` beside the output file, so the perf trajectory
-//! accumulates across PRs without diffing full BENCH files.
-//!
 //! ```text
 //! USAGE: bench_engine [--jobs N] [--per-class N] [--repeat N]
-//!                     [--out PATH] [--trace-out PATH]
+//!                     [--out PATH]
 //! ```
 
 use rb_bench::overall_rates;
@@ -67,7 +58,6 @@ struct Args {
     per_class: usize,
     repeat: usize,
     out: String,
-    trace_out: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -76,7 +66,6 @@ fn parse_args() -> Result<Args, String> {
         per_class: 3,
         repeat: 1,
         out: "BENCH_engine.json".to_owned(),
-        trace_out: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -94,7 +83,6 @@ fn parse_args() -> Result<Args, String> {
                 args.repeat = value("--repeat")?.parse().map_err(|_| "bad --repeat")?;
             }
             "--out" => args.out = value("--out")?,
-            "--trace-out" => args.trace_out = Some(value("--trace-out")?),
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -109,13 +97,8 @@ fn sweep(
     cache: &Arc<OracleCache>,
     spec: &SystemSpec,
     corpus: &Corpus,
-    tracer: Option<&rb_obs::Tracer>,
 ) -> BatchOutcome {
-    let mut engine = Engine::with_cache(workers, Arc::clone(cache));
-    if let Some(tracer) = tracer {
-        engine = engine.with_tracer(tracer.clone());
-    }
-    engine.run_batch(spec, &corpus.cases, corpus.seed)
+    Engine::with_cache(workers, Arc::clone(cache)).run_batch(spec, &corpus.cases, corpus.seed)
 }
 
 /// Per-UbClass rows of the parallel sweep: case count, pass/exec rates,
@@ -255,62 +238,6 @@ fn warm_start_json(
     (json, summary)
 }
 
-/// Today's UTC civil date as `YYYY-MM-DD`, from the epoch second count
-/// alone (no date dependency in the tree). Days-to-civil conversion per
-/// Howard Hinnant's `civil_from_days`.
-fn utc_date() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let z = (secs / 86_400) as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = yoe + era * 400 + i64::from(m <= 2);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// The trace-side critical path of the parallel sweep: re-reads the
-/// flushed trace through the analysis layer and bounds the achievable
-/// speedup from the per-worker lanes, as `rustbrain trace critical-path`
-/// does. Returns the JSON section, a console line and the sim-side
-/// speedup bound.
-fn critical_path_json(trace_path: &str) -> Result<(String, String, f64), String> {
-    let spans = rb_obs::analyze::read_file(std::path::Path::new(trace_path))
-        .map_err(|e| format!("trace {trace_path}: {e}"))?;
-    let tree =
-        rb_obs::analyze::SpanTree::build(spans).map_err(|e| format!("trace {trace_path}: {e}"))?;
-    let cp = rb_obs::analyze::critical_path(&tree);
-    if cp.lanes.is_empty() {
-        return Err(format!("trace {trace_path}: no engine.job spans"));
-    }
-    let bound = cp.speedup_bound_sim();
-    let json = format!(
-        concat!(
-            "{{\"lanes\":{},\"jobs\":{},",
-            "\"total_sim_ms\":{},\"busiest_lane_sim_ms\":{},",
-            "\"speedup_bound_sim\":{},\"speedup_bound_wall\":{}}}"
-        ),
-        cp.lanes.len(),
-        cp.jobs,
-        fmt_num(cp.total_sim_ms),
-        fmt_num(cp.critical_sim_ms),
-        fmt_num(bound),
-        fmt_num(cp.speedup_bound_wall()),
-    );
-    let line = format!(
-        "critical path: {} lanes | bound {:.2}x (sim) {:.2}x (wall)",
-        cp.lanes.len(),
-        bound,
-        cp.speedup_bound_wall(),
-    );
-    Ok((json, line, bound))
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -327,26 +254,15 @@ fn main() -> ExitCode {
     let spec = SystemSpec::brain(RustBrainConfig::for_model(ModelId::Gpt4, 0));
     let cache = Arc::new(OracleCache::new());
 
-    let tracer = match &args.trace_out {
-        Some(path) => match rb_obs::Tracer::to_file(std::path::Path::new(path)) {
-            Ok(tracer) => Some(tracer),
-            Err(e) => {
-                eprintln!("error: cannot open trace file {path}: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-
     // Warm-up sweep (untimed): populates the oracle cache so all timed
     // sweeps run under identical, fully-warm cache conditions.
-    let warmup = sweep(args.jobs, &cache, &spec, &corpus, None);
+    let warmup = sweep(args.jobs, &cache, &spec, &corpus);
     // Serial and parallel sweeps alternate, so a slow phase of a shared
     // host lands on both sides of a pair instead of on one series.
     let mut trials: Vec<Trial> = (0..TRIALS)
         .map(|_| {
-            let serial = sweep(1, &cache, &spec, &corpus, None);
-            let parallel = sweep(args.jobs, &cache, &spec, &corpus, None);
+            let serial = sweep(1, &cache, &spec, &corpus);
+            let parallel = sweep(args.jobs, &cache, &spec, &corpus);
             let speedup = if parallel.stats.wall_ms > 0.0 {
                 serial.stats.wall_ms / parallel.stats.wall_ms
             } else {
@@ -359,7 +275,7 @@ fn main() -> ExitCode {
             }
         })
         .collect();
-    let mut identical = trials
+    let identical = trials
         .iter()
         .all(|t| t.serial.results == warmup.results && t.parallel.results == warmup.results);
     trials.sort_by(|a, b| a.speedup.total_cmp(&b.speedup));
@@ -371,28 +287,10 @@ fn main() -> ExitCode {
         speedup,
     } = trials.swap_remove(TRIALS / 2);
     drop(trials);
-    // The traced sweep is the one the critical path reads back.
-    if let Some(tracer) = &tracer {
-        let traced = sweep(args.jobs, &cache, &spec, &corpus, Some(tracer));
-        tracer.flush();
-        identical &= traced.results == warmup.results;
-    }
 
     // An honest speedup needs a core per worker: oversubscribed runs
     // time-slice, and the ratio stops measuring the engine.
     let speedup_degraded = args.jobs > cores;
-    // The trace-side view of the same sweep: the per-worker lanes read
-    // back from the flushed spans bound the achievable speedup.
-    let critical_path = match args.trace_out.as_deref() {
-        Some(path) => match critical_path_json(path) {
-            Ok(cp) => Some(cp),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
     let cache_stats = cache.stats();
     let (pass, exec) = overall_rates(&parallel.results);
     let (warm_json, warm_summary) = warm_start_json(args.jobs, &cache, &spec, &corpus, &parallel);
@@ -407,7 +305,6 @@ fn main() -> ExitCode {
             " \"parallel\":{},\n",
             " \"speedup\":{},\"speedup_min\":{},\"speedup_max\":{},",
             "\"trials\":{},\"speedup_degraded\":{},\n",
-            " \"critical_path\":{},\n",
             " \"per_class\":{},\n",
             " \"warm_start\":{},\n",
             " \"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},",
@@ -427,9 +324,6 @@ fn main() -> ExitCode {
         fmt_num(speedup_max),
         TRIALS,
         speedup_degraded,
-        critical_path
-            .as_ref()
-            .map_or_else(|| "null".to_owned(), |(json, ..)| json.clone()),
         class_rows_json(&parallel),
         warm_json,
         cache_stats.hits,
@@ -455,9 +349,6 @@ fn main() -> ExitCode {
         parallel.stats.wall_ms,
         parallel.stats.cases_per_sec,
     );
-    if let Some((_, line, ..)) = &critical_path {
-        println!("{line}");
-    }
     if speedup_degraded {
         println!(
             "note: {} workers on {cores} core(s) — wall speedup is degraded by oversubscription and not gated",
@@ -475,41 +366,6 @@ fn main() -> ExitCode {
     );
     println!("{warm_summary}");
 
-    // The running history: one compact JSONL row per invocation, beside
-    // the full output file, so the speedup/hit-rate trajectory across
-    // PRs reads off one file without diffing BENCH snapshots.
-    let history_path = std::path::Path::new(&args.out).with_file_name("BENCH_history.jsonl");
-    let history_row = format!(
-        concat!(
-            "{{\"date\":{},\"cases\":{},\"jobs\":{},\"repeat\":{},",
-            "\"speedup\":{},\"speedup_min\":{},\"speedup_max\":{},",
-            "\"speedup_bound_sim\":{},\"cache_hit_rate\":{},",
-            "\"exec_rate\":{},\"speedup_degraded\":{}}}\n"
-        ),
-        fmt_str(&utc_date()),
-        corpus.len(),
-        args.jobs,
-        args.repeat,
-        fmt_num(speedup),
-        fmt_num(speedup_min),
-        fmt_num(speedup_max),
-        critical_path
-            .as_ref()
-            .map_or_else(|| "null".to_owned(), |(_, _, bound)| fmt_num(*bound)),
-        fmt_num(cache_stats.hit_rate()),
-        fmt_num(exec.value()),
-        speedup_degraded,
-    );
-    let append = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&history_path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, history_row.as_bytes()));
-    if let Err(e) = append {
-        eprintln!("error: cannot append to {}: {e}", history_path.display());
-        return ExitCode::from(2);
-    }
-    println!("history row appended to {}", history_path.display());
     if identical {
         ExitCode::SUCCESS
     } else {

@@ -186,14 +186,6 @@ impl Engine {
         (result, oracle_use, gold_hit, kb_delta)
     }
 
-    /// Runs a prepared job list on the worker pool (every job starting
-    /// from an empty knowledge base) and merges the results back into
-    /// submission order.
-    #[must_use]
-    pub fn run_jobs(&self, jobs: &[JobSpec<'_>]) -> BatchOutcome {
-        self.run_jobs_with_knowledge(jobs, &KnowledgeBase::new())
-    }
-
     /// Runs a prepared job list on the worker pool, every job starting
     /// from the read-only `snapshot`, and merges results and knowledge
     /// deltas back into submission order.

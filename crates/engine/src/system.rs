@@ -6,7 +6,6 @@
 //! for any system without a dependency cycle. `rb_bench::runner`
 //! re-exports both, so existing imports keep compiling.
 
-use crate::cache::OracleCache;
 use crate::engine::Engine;
 use rb_baselines::{LlmOnly, RustAssistant};
 use rb_dataset::UbCase;
@@ -133,13 +132,6 @@ impl System {
             System::Brain(s) => Some(s.knowledge().delta()),
             System::Llm(_) | System::RustAssistant(_) => None,
         }
-    }
-
-    /// Repairs one corpus case, resolving the gold reference through the
-    /// process-wide oracle cache.
-    pub fn repair_case(&mut self, case: &UbCase) -> CaseResult {
-        let reference = OracleCache::global().outputs(&case.gold);
-        self.repair_case_with(case, &reference)
     }
 
     /// Repairs every case of a corpus in order (order matters: stateful

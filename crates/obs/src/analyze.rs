@@ -16,10 +16,8 @@
 //!    children-sum-to-`overhead_ms` invariant CI has gated since PR 7).
 //! 3. **Analyses** — [`flamegraph`] (inclusive/self sim-ms and wall-us
 //!    rolled up by span-name path and by class tag, renderable as sorted
-//!    text or collapsed-stack format), [`critical_path`] (per-worker
-//!    `engine.job` lanes and the max-theoretical-speedup bound they
-//!    imply), and [`diff`] (per-path deltas between two runs, sorted by
-//!    regression magnitude).
+//!    text or collapsed-stack format) and [`diff`] (per-path deltas
+//!    between two runs, sorted by regression magnitude).
 //!
 //! Lines are decoded by [`crate::json`], the stack's one JSON codec. It
 //! keeps integers exact and object members in source order, so
@@ -805,154 +803,7 @@ pub fn render_collapsed(aggs: &[PathAgg], measure: Measure) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Analysis 2: critical path
-// ---------------------------------------------------------------------------
-
-/// One worker's lane of `engine.job` spans.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LaneStat {
-    /// The `worker` tag value (`"?"` for untagged jobs).
-    pub worker: String,
-    /// Jobs the lane executed.
-    pub jobs: u64,
-    /// Total simulated milliseconds across the lane's jobs.
-    pub sim_ms: f64,
-    /// Total wall microseconds across the lane's jobs.
-    pub wall_us: u64,
-}
-
-/// Per-lane totals of a batch's `engine.job` spans plus the speedup
-/// bounds they imply. A batch's jobs are independent, so its critical
-/// path is the busiest worker lane: no schedule that makes the same
-/// placement can finish faster than the busiest lane, hence
-/// `total / busiest` bounds the achievable speedup of *this* placement
-/// and `total / longest job` bounds *any* placement.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CriticalPath {
-    /// Lanes sorted by worker id.
-    pub lanes: Vec<LaneStat>,
-    /// Total jobs.
-    pub jobs: u64,
-    /// Sum of job sim-ms across lanes.
-    pub total_sim_ms: f64,
-    /// Sum of job wall-us across lanes.
-    pub total_wall_us: u64,
-    /// The single longest job by sim-ms.
-    pub longest_sim_ms: f64,
-    /// The single longest job by wall-us.
-    pub longest_wall_us: u64,
-    /// The busiest lane by sim-ms.
-    pub critical_sim_ms: f64,
-    /// The busiest lane by wall-us.
-    pub critical_wall_us: u64,
-}
-
-impl CriticalPath {
-    fn ratio(total: f64, bottleneck: f64) -> f64 {
-        if bottleneck > 0.0 {
-            total / bottleneck
-        } else {
-            0.0
-        }
-    }
-
-    /// Max speedup this placement allows, by simulated time.
-    #[must_use]
-    pub fn speedup_bound_sim(&self) -> f64 {
-        Self::ratio(self.total_sim_ms, self.critical_sim_ms)
-    }
-
-    /// Max speedup this placement allows, by wall time.
-    #[must_use]
-    pub fn speedup_bound_wall(&self) -> f64 {
-        Self::ratio(self.total_wall_us as f64, self.critical_wall_us as f64)
-    }
-
-    /// Max speedup *any* placement allows (total over the longest
-    /// single job), by simulated time.
-    #[must_use]
-    pub fn ideal_speedup_sim(&self) -> f64 {
-        Self::ratio(self.total_sim_ms, self.longest_sim_ms)
-    }
-
-    /// Multi-line human-readable rendering.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "critical path over {} engine.job spans ({} lanes)\n",
-            self.jobs,
-            self.lanes.len()
-        ));
-        for lane in &self.lanes {
-            out.push_str(&format!(
-                "  worker {:>3}: {:>6} jobs {:>16.2} sim-ms {:>14} wall-us\n",
-                lane.worker, lane.jobs, lane.sim_ms, lane.wall_us
-            ));
-        }
-        out.push_str(&format!(
-            "  total {:.2} sim-ms / {} wall-us; busiest lane {:.2} sim-ms / {} wall-us\n",
-            self.total_sim_ms, self.total_wall_us, self.critical_sim_ms, self.critical_wall_us
-        ));
-        out.push_str(&format!(
-            "  max speedup bound: {:.2}x (sim) {:.2}x (wall); ideal any-placement {:.2}x (sim)\n",
-            self.speedup_bound_sim(),
-            self.speedup_bound_wall(),
-            self.ideal_speedup_sim()
-        ));
-        out
-    }
-}
-
-/// Extracts the per-worker-lane critical path from a trace's
-/// `engine.job` spans (empty lanes list when the trace has none).
-#[must_use]
-pub fn critical_path(tree: &SpanTree) -> CriticalPath {
-    let mut lanes: BTreeMap<(usize, String), LaneStat> = BTreeMap::new();
-    let mut total_sim = 0.0f64;
-    let mut total_wall = 0u64;
-    let mut longest_sim = 0.0f64;
-    let mut longest_wall = 0u64;
-    let mut jobs = 0u64;
-    for s in tree.spans().iter().filter(|s| s.name == "engine.job") {
-        let worker = s.tag("worker").unwrap_or("?").to_owned();
-        // Numeric-first sort key so worker 10 follows worker 9.
-        let key = (
-            worker.parse::<usize>().unwrap_or(usize::MAX),
-            worker.clone(),
-        );
-        let lane = lanes.entry(key).or_insert_with(|| LaneStat {
-            worker,
-            jobs: 0,
-            sim_ms: 0.0,
-            wall_us: 0,
-        });
-        lane.jobs += 1;
-        lane.sim_ms += s.sim_ms;
-        lane.wall_us += s.wall_us;
-        jobs += 1;
-        total_sim += s.sim_ms;
-        total_wall += s.wall_us;
-        longest_sim = longest_sim.max(s.sim_ms);
-        longest_wall = longest_wall.max(s.wall_us);
-    }
-    let lanes: Vec<LaneStat> = lanes.into_values().collect();
-    let critical_sim = lanes.iter().map(|l| l.sim_ms).fold(0.0f64, f64::max);
-    let critical_wall = lanes.iter().map(|l| l.wall_us).max().unwrap_or(0);
-    CriticalPath {
-        lanes,
-        jobs,
-        total_sim_ms: total_sim,
-        total_wall_us: total_wall,
-        longest_sim_ms: longest_sim,
-        longest_wall_us: longest_wall,
-        critical_sim_ms: critical_sim,
-        critical_wall_us: critical_wall,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Analysis 3: trace diff
+// Analysis 2: trace diff
 // ---------------------------------------------------------------------------
 
 /// Per-path delta between two traces (A = baseline, B = candidate).
@@ -1070,9 +921,8 @@ pub fn render_diff(rows: &[DiffRow], top: usize) -> String {
 // One-shot summary
 // ---------------------------------------------------------------------------
 
-/// A one-shot overview: the check report on the trace, the top flamegraph
-/// paths, and (when `engine.job` spans exist) the critical path — what
-/// `rustbrain trace summarize` prints.
+/// A one-shot overview: the check report on the trace and the top
+/// flamegraph paths — what `rustbrain trace summarize` prints.
 #[must_use]
 pub fn render_summary(report: &CheckReport, tree: &SpanTree) -> String {
     let aggs = flamegraph(tree);
@@ -1080,11 +930,6 @@ pub fn render_summary(report: &CheckReport, tree: &SpanTree) -> String {
     let mut out = report.render();
     out.push('\n');
     out.push_str(&render_flamegraph(&aggs, &classes, 10));
-    let cp = critical_path(tree);
-    if !cp.lanes.is_empty() {
-        out.push('\n');
-        out.push_str(&cp.render());
-    }
     out
 }
 
@@ -1102,12 +947,6 @@ mod tests {
             sim_ms: sim,
             tags: Vec::new(),
         }
-    }
-
-    fn job(id: u64, worker: &str, sim: f64, wall: u64) -> TraceSpan {
-        let mut s = span(id, None, "engine.job", sim, wall);
-        s.tags.push(("worker".to_owned(), worker.to_owned()));
-        s
     }
 
     #[test]
@@ -1299,31 +1138,6 @@ mod tests {
         let collapsed = render_collapsed(&aggs, Measure::Sim);
         assert!(collapsed.contains("engine.job;repair;fast 60000"));
         assert!(!collapsed.contains("engine.job;repair 100000"));
-    }
-
-    #[test]
-    fn critical_path_bounds_match_hand_math() {
-        // 4 lanes, balanced: 4 jobs of 10 each per lane.
-        let mut spans = Vec::new();
-        let mut id = 0;
-        for w in 0..4u64 {
-            for _ in 0..4u64 {
-                id += 1;
-                spans.push(job(id, &w.to_string(), 10.0, 10_000));
-            }
-        }
-        let tree = SpanTree::build(spans).unwrap();
-        let cp = critical_path(&tree);
-        assert_eq!(cp.jobs, 16);
-        assert_eq!(cp.lanes.len(), 4);
-        assert!((cp.speedup_bound_sim() - 4.0).abs() < 1e-12);
-        assert!((cp.speedup_bound_wall() - 4.0).abs() < 1e-12);
-        assert!((cp.ideal_speedup_sim() - 16.0).abs() < 1e-12);
-        // Imbalance drops the bound: pile one more job on lane 0.
-        let mut spans: Vec<TraceSpan> = tree.spans().to_vec();
-        spans.push(job(99, "0", 40.0, 40_000));
-        let cp = critical_path(&SpanTree::build(spans).unwrap());
-        assert!((cp.speedup_bound_sim() - 200.0 / 80.0).abs() < 1e-12);
     }
 
     #[test]

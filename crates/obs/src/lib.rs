@@ -27,7 +27,7 @@
 //! On top of the emitting half sits [`analyze`]: a streaming JSONL trace
 //! reader with typed errors (never panics on truncated or corrupt
 //! input), a span-tree builder that re-validates the tracer's contract,
-//! and flamegraph / critical-path / trace-diff analyses — the read side
+//! and flamegraph and trace-diff analyses — the read side
 //! that `rustbrain trace` exposes on the command line.
 //!
 //! The cardinal rule of both halves: **observe, never perturb**. Nothing

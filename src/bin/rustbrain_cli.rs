@@ -37,7 +37,6 @@
 //!                                               check <t> (re-validate the
 //!                                               tracer's invariants),
 //!                                               summarize <t>, flamegraph <t>,
-//!                                               critical-path <t>,
 //!                                               diff <a> <b>
 //!
 //! OPTIONS:
@@ -271,12 +270,10 @@ enum AnalyzeTarget {
 enum TraceVerb {
     /// Re-validate the tracer's structural invariants (the CI gate).
     Check(String),
-    /// Check report + top flamegraph paths + critical path.
+    /// Check report + top flamegraph paths.
     Summarize(String),
     /// Inclusive/self cost by span path and class.
     Flamegraph(String),
-    /// Per-worker lanes and the speedup bound they imply.
-    CriticalPath(String),
     /// Per-path deltas between two traces (baseline, candidate).
     Diff(String, String),
 }
@@ -414,12 +411,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                     let t = it.next().ok_or("`trace flamegraph` needs a trace file")?;
                     TraceVerb::Flamegraph(t.clone())
                 }
-                Some("critical-path") => {
-                    let t = it
-                        .next()
-                        .ok_or("`trace critical-path` needs a trace file")?;
-                    TraceVerb::CriticalPath(t.clone())
-                }
                 Some("diff") => {
                     let a = it
                         .next()
@@ -430,12 +421,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                     TraceVerb::Diff(a.clone(), b.clone())
                 }
                 Some(other) => return Err(format!("unknown trace verb `{other}`")),
-                None => {
-                    return Err(
-                        "`trace` needs a verb (check|summarize|flamegraph|critical-path|diff)"
-                            .into(),
-                    )
-                }
+                None => return Err("`trace` needs a verb (check|summarize|flamegraph|diff)".into()),
             };
             cli.command = Command::Trace(verb);
         }
@@ -705,13 +691,11 @@ USAGE:
   rustbrain trace check <t.jsonl>           re-validate a span trace's
                                             invariants (nesting, unique ids,
                                             >=95% repair-overhead coverage)
-  rustbrain trace summarize <t.jsonl>       check report + top paths +
-                                            critical path, one shot (exits
-                                            1 on a violation, like check)
+  rustbrain trace summarize <t.jsonl>       check report + top paths, one
+                                            shot (exits 1 on a violation,
+                                            like check)
   rustbrain trace flamegraph <t.jsonl>      inclusive/self sim-ms and wall-us
                                             by span path and by class
-  rustbrain trace critical-path <t.jsonl>   per-worker engine.job lanes and
-                                            the max-speedup bound
   rustbrain trace diff <a.jsonl> <b.jsonl>  per-path cost deltas, sorted by
                                             regression magnitude
 
@@ -954,19 +938,6 @@ fn trace_cmd(cli: &Cli, verb: &TraceVerb) -> ExitCode {
                     analyze::render_flamegraph(&aggs, &classes, cli.top.unwrap_or(40))
                 );
             }
-            ExitCode::SUCCESS
-        }
-        TraceVerb::CriticalPath(path) => {
-            let tree = match load_tree(path) {
-                Ok(t) => t,
-                Err(code) => return code,
-            };
-            let cp = analyze::critical_path(&tree);
-            if cp.lanes.is_empty() {
-                eprintln!("error: no engine.job spans in {path} — not a batch trace");
-                return ExitCode::FAILURE;
-            }
-            out!("{}", cp.render());
             ExitCode::SUCCESS
         }
         TraceVerb::Diff(a, b) => {
@@ -1800,12 +1771,6 @@ mod tests {
         assert!(cli.collapsed);
         assert_eq!(cli.measure, Some(rb_obs::analyze::Measure::Wall));
         assert_eq!(cli.top, Some(5));
-
-        let cli = parse_cli(&argv("trace critical-path t.jsonl")).unwrap();
-        assert_eq!(
-            cli.command,
-            Command::Trace(TraceVerb::CriticalPath("t.jsonl".into()))
-        );
 
         let cli = parse_cli(&argv("trace diff a.jsonl b.jsonl --top 0")).unwrap();
         assert_eq!(
