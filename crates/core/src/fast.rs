@@ -30,6 +30,9 @@ impl FastThinking {
     /// produce near-duplicates — the paper's "limited flexibility" at 0.1).
     /// When feedback is enabled and a remembered best solution exists for
     /// the class, it is emitted first (the self-learning replay path).
+    ///
+    /// Each draw is sampled into a stack array; only a draw distinct from
+    /// those kept becomes a [`Solution`].
     pub fn generate(
         &mut self,
         features: &CodeFeatures,
@@ -38,24 +41,28 @@ impl FastThinking {
         temperature: f64,
         use_feedback: bool,
     ) -> Vec<Solution> {
-        let mut out: Vec<Solution> = Vec::new();
+        let mut out: Vec<Solution> = Vec::with_capacity(k);
         if use_feedback {
             if let Some(best) = priors.best_solution(features.class) {
                 out.push(Solution::new(best.to_vec()));
             }
         }
+        let sampler = Sampler {
+            prior: priors.row(features.class),
+            unsafe_surface: features.program.metrics.total_unsafe_ops() > 0,
+            temperature,
+        };
         let mut attempts = 0;
         while out.len() < k && attempts < k * 6 {
             attempts += 1;
             let len = 1 + self.rng.gen_range(0..3); // 1..=3 steps
-            let mut steps = Vec::with_capacity(len);
+            let mut steps = [AgentKind::Modify; 3];
             for position in 0..len {
-                let agent = self.sample_agent(features, priors, temperature, &steps, position);
-                steps.push(agent);
+                steps[position] = sampler.agent(&mut self.rng, &steps[..position]);
             }
-            let sol = Solution::new(steps);
-            if !out.contains(&sol) {
-                out.push(sol);
+            let steps = &steps[..len];
+            if !out.iter().any(|sol| sol.steps == steps) {
+                out.push(Solution::new(steps.to_vec()));
             }
         }
         // Low temperature yields duplicates; pad deterministically so the
@@ -71,39 +78,42 @@ impl FastThinking {
         out.truncate(k);
         out
     }
+}
 
-    fn sample_agent(
-        &mut self,
-        features: &CodeFeatures,
-        priors: &Priors,
-        temperature: f64,
-        chosen: &[AgentKind],
-        position: usize,
-    ) -> AgentKind {
-        let mut weights: Vec<(AgentKind, f64)> = AgentKind::ALL
-            .iter()
-            .map(|&a| {
-                let mut w = priors.weight(features.class, a);
-                // Mild structural intuition: heavy unsafe surface favours
-                // replacement/modification; repeated agents are discouraged.
-                if features.metrics.total_unsafe_ops() > 0 && a == AgentKind::Assert {
-                    w *= 0.85;
-                }
-                if chosen.contains(&a) {
-                    w *= 0.3;
-                }
-                // Abstract reasoning is a follow-up agent, not an opener.
-                if position == 0 && a == AgentKind::AbstractReasoning {
-                    w *= 0.5;
-                }
-                // Temperature-scaled multiplicative noise.
-                let noise = 1.0 + (self.rng.gen::<f64>() - 0.5) * 2.0 * temperature;
-                (a, (w * noise).max(1e-3))
-            })
-            .collect();
-        let total: f64 = weights.iter().map(|(_, w)| w).sum();
-        let mut pick = self.rng.gen::<f64>() * total;
-        for (a, w) in weights.drain(..) {
+/// What one `generate` call samples agents from: the class's prior row,
+/// read once, and the two knobs the weights depend on.
+struct Sampler<'p> {
+    prior: &'p [f64; AgentKind::ALL.len()],
+    unsafe_surface: bool,
+    temperature: f64,
+}
+
+impl Sampler<'_> {
+    /// Draws the agent for the step after `chosen`: one noise draw per
+    /// agent in [`AgentKind::ALL`] order, then one pick.
+    fn agent(&self, rng: &mut ChaCha8Rng, chosen: &[AgentKind]) -> AgentKind {
+        let mut weights = [0.0; AgentKind::ALL.len()];
+        for (&a, weight) in AgentKind::ALL.iter().zip(&mut weights) {
+            let mut w = self.prior[a as usize];
+            // Mild structural intuition: heavy unsafe surface favours
+            // replacement/modification; repeated agents are discouraged.
+            if self.unsafe_surface && a == AgentKind::Assert {
+                w *= 0.85;
+            }
+            if chosen.contains(&a) {
+                w *= 0.3;
+            }
+            // Abstract reasoning is a follow-up agent, not an opener.
+            if chosen.is_empty() && a == AgentKind::AbstractReasoning {
+                w *= 0.5;
+            }
+            // Temperature-scaled multiplicative noise.
+            let noise = 1.0 + (rng.gen::<f64>() - 0.5) * 2.0 * self.temperature;
+            *weight = (w * noise).max(1e-3);
+        }
+        let total: f64 = weights.iter().sum();
+        let mut pick = rng.gen::<f64>() * total;
+        for (&a, &w) in AgentKind::ALL.iter().zip(&weights) {
             if pick <= w {
                 return a;
             }
@@ -118,7 +128,7 @@ mod tests {
     use super::*;
     use crate::evaluate::EvalTriplet;
     use crate::features::extract_features;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rb_lang::parser::parse_program;
     use rb_miri::run_program;
 
@@ -191,6 +201,102 @@ mod tests {
         };
         assert!(count_leading(&priors) > count_leading(&Priors::new()));
     }
+
+    /// One word per solution, one letter per agent, so a golden list
+    /// reads at a glance.
+    fn letters(solutions: &[Solution]) -> String {
+        let codes: Vec<String> = solutions
+            .iter()
+            .map(|s| {
+                s.steps
+                    .iter()
+                    .map(|a| match a {
+                        AgentKind::SafeReplace => 'S',
+                        AgentKind::Assert => 'A',
+                        AgentKind::Modify => 'M',
+                        AgentKind::AbstractReasoning => 'R',
+                    })
+                    .collect()
+            })
+            .collect();
+        codes.join(" ")
+    }
+
+    /// Pins `generate`'s output and the RNG position it leaves behind, so
+    /// a rewrite must make the same draws in the same order: the
+    /// sequential lane carries one generator across repairs. The program
+    /// has an unsafe surface, and the priors hold skewed weights and a
+    /// best solution for its class; the `k = 90` row pads duplicates.
+    #[test]
+    fn generate_matches_golden_draws() {
+        let p = parse_program(
+            "fn main() { let p: *mut u8 = 0 as *mut u8; \
+             unsafe { p = alloc(4usize, 4usize); ptr_write::<i32>(p as *mut i32, 3i32); } \
+             unsafe { print(ptr_read::<i32>(p as *const i32)); } \
+             unsafe { dealloc(p, 4usize, 4usize); } \
+             unsafe { dealloc(p, 4usize, 4usize); } }",
+        )
+        .unwrap();
+        let features = extract_features(&p, &run_program(&p));
+        let mut priors = Priors::new();
+        let outcome = |accepted: bool, overhead_ms: f64| EvalTriplet {
+            accuracy: accepted,
+            acceptability: accepted,
+            overhead_ms,
+        };
+        let class = features.class;
+        let steps = [AgentKind::SafeReplace, AgentKind::AbstractReasoning];
+        priors.update(class, &steps, &outcome(false, 9000.0));
+        priors.update(
+            class,
+            &[AgentKind::Modify, AgentKind::Assert],
+            &outcome(true, 1000.0),
+        );
+        for row in GOLDEN.lines() {
+            let (args, solutions) = row.split_once(" | ").expect("a golden row");
+            let args: Vec<&str> = args.split_whitespace().collect();
+            let [seed, k, temperature, feedback, next] = args[..] else {
+                panic!("a golden row has five arguments: {row}");
+            };
+            let mut ft = FastThinking::new(ChaCha8Rng::seed_from_u64(seed.parse().unwrap()));
+            let out = ft.generate(
+                &features,
+                &priors,
+                k.parse().unwrap(),
+                temperature.parse().unwrap(),
+                feedback == "on",
+            );
+            assert_eq!(letters(&out), solutions, "{row}");
+            let next = u64::from_str_radix(next, 16).unwrap();
+            assert_eq!(ft.rng.next_u64(), next, "{row}: the RNG moved differently");
+        }
+    }
+
+    /// `seed k temperature feedback next-u64 | solutions`, recorded from
+    /// the allocating sampler this one replaced.
+    const GOLDEN: &str = "\
+1 10 0.1 off 52903267ed35be4b | MA RA AS SM SR MSM A M MSR AMS
+1 10 0.1 on 52903267ed35be4b | MA RA AS SM SR MSM A M MSR AMS
+1 10 0.5 off 0921332d4c080cb2 | MM RA AS SM SR MSM A S M ASR
+1 10 0.5 on f54f301132bbe40a | MA MM RA AS SM SR MSM A S M
+1 10 0.9 off fbf79a6d6805d422 | MM RA MA SM SR MSM S M SAR A
+1 10 0.9 on fbf79a6d6805d422 | MA MM RA SM SR MSM S M SAR A
+7 10 0.1 off a45c2fbfe2ff094e | A SS S MAS MR MRS ARM RA MS AR
+7 10 0.1 on 81abd627cec663f3 | MA A SS S MAS MR MRS ARM RA MS
+7 10 0.5 off a45c2fbfe2ff094e | A SS S AMS MR MRS ARM RA MS AR
+7 10 0.5 on 81abd627cec663f3 | MA A SS S AMS MR MRS ARM RA MS
+7 10 0.9 off b397ab808c37c0d9 | A SS AAA MR MRA AMM MA MS AR MMR
+7 10 0.9 on b397ab808c37c0d9 | MA A SS AAA MR MRA AMM MS AR MMR
+20261016 10 0.1 off 488d59457b221ea8 | MAR S M RM AMA RAM MR R AM MRA
+20261016 10 0.1 on b65dc72b08fb6f22 | MA MAR S M RM AMA RAM MR R AM
+20261016 10 0.5 off 488d59457b221ea8 | MAR S M RM AMA RAM MR R AM MRS
+20261016 10 0.5 on b65dc72b08fb6f22 | MA MAR S M RM AMA RAM MR R AM
+20261016 10 0.9 off b65dc72b08fb6f22 | MAR S M RM AMS MAM RAM MR R AM
+20261016 10 0.9 on 943c9e2d2ffe06c8 | MA MAR S M RM AMS MAM RAM MR R
+3 90 0.1 on d8426074fb44821c | MA MR AMM ARM M MS MAA SMR SM MSR MSA AR MSM AM AMS MRS S RMA SAR A R \
+MAR SRS SMA MM AA ARS RS MMM SA MAS SAM RSA RM RSM SR AS RR SSA MMS RAM MRA SRM MRM ASM RA AMR \
+MAM MMR RMM AAM ARR MMA SAA AMA MRR ARA SMM RSR SSR RAA SRA AAR ASA AAA ASR MSS RMS SS RSS SRR \
+MA MA MA MA MA MA MA MA MA MA MA MA MA MA MA MA MA MA MA";
 
     #[test]
     fn deterministic_per_seed() {

@@ -52,6 +52,13 @@ impl Priors {
         self.weights[class as usize][agent as usize]
     }
 
+    /// Every agent's weight for starting a `class` repair, indexed by
+    /// `agent as usize`.
+    #[must_use]
+    pub fn row(&self, class: UbClass) -> &[f64; AGENTS] {
+        &self.weights[class as usize]
+    }
+
     /// The remembered best solution for a class, when one exists.
     #[must_use]
     pub fn best_solution(&self, class: UbClass) -> Option<&[AgentKind]> {

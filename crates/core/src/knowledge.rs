@@ -193,16 +193,21 @@ impl KnowledgeBase {
     }
 
     /// Replaces the base with one holding the base's entries, the
-    /// overlay's and then `extra`, and empties the overlay. The old base is
-    /// reused when no other handle shares it.
-    fn fold(&mut self, extra: impl IntoIterator<Item = KbEntry>, policy: &MergePolicy) {
+    /// overlay's and then `extra`, normalized under `policy`, and empties
+    /// the overlay. The old base is reused when no other handle shares it.
+    /// `extra` is borrowed: only its entries that survive normalization
+    /// are cloned.
+    fn fold<'a>(&mut self, extra: impl IntoIterator<Item = &'a KbEntry>, policy: &MergePolicy) {
         let mut entries = match Arc::try_unwrap(std::mem::take(&mut self.base)) {
             Ok(base) => base.entries,
             Err(shared) => shared.entries.clone(),
         };
         entries.append(&mut self.overlay);
-        entries.extend(extra);
-        self.base = Base::new(policy.normalize(entries));
+        let entries = entries
+            .into_iter()
+            .map(Cow::Owned)
+            .chain(extra.into_iter().map(Cow::Borrowed));
+        self.base = Base::new(policy.normalize_from(entries));
     }
 
     /// Merges one delta under `policy`; returns how many delta entries
@@ -230,15 +235,11 @@ impl KnowledgeBase {
         policy: &MergePolicy,
     ) -> usize {
         let mut span = rb_obs::span("kb.merge");
-        let mut submitted = 0usize;
-        let mut merged = Vec::new();
-        for delta in deltas {
-            merged.extend(delta.entries.iter().cloned());
-            submitted += delta.len();
-        }
+        let deltas: Vec<&KbDelta> = deltas.into_iter().collect();
+        let submitted = deltas.iter().map(|delta| delta.len()).sum();
         // Normalization reorders the entries; the fresh base indexes them
         // in their new positions.
-        self.fold(merged, policy);
+        self.fold(deltas.iter().flat_map(|delta| &delta.entries), policy);
         span.tag("submitted", submitted);
         span.tag("entries_after", self.len());
         rb_obs::metrics().counter_add("rustbrain_kb_merges_total", None, 1);
@@ -415,7 +416,7 @@ impl KnowledgeBase {
             ..*self
         };
         if !self.overlay.is_empty() {
-            snapshot.fold(self.overlay.iter().cloned(), &MergePolicy::append_only());
+            snapshot.fold(&self.overlay, &MergePolicy::append_only());
         }
         snapshot
     }

@@ -57,7 +57,7 @@ pub mod solution;
 
 pub use config::{RollbackPolicy, RustBrainConfig};
 pub use evaluate::EvalTriplet;
-pub use features::CodeFeatures;
+pub use features::{CodeFeatures, ProgramFeatures};
 pub use feedback::Priors;
 pub use knowledge::{ConflictResolution, KbDelta, KbEntry, KnowledgeBase, MergePolicy, StoreError};
 pub use pipeline::{RepairOutcome, RustBrain};

@@ -5,7 +5,7 @@
 use crate::config::RustBrainConfig;
 use crate::evaluate::evaluate_with_report;
 use crate::fast::FastThinking;
-use crate::features::{extract_features, CodeFeatures};
+use crate::features::{extract_features, CodeFeatures, ProgramFeatures};
 use crate::feedback::Priors;
 use crate::knowledge::KnowledgeBase;
 use crate::slow::{execute_solution, SolutionOutcome};
@@ -100,6 +100,7 @@ pub struct RustBrain {
     knowledge: KnowledgeBase,
     priors: Priors,
     fast: FastThinking,
+    features_derived: u64,
 }
 
 impl RustBrain {
@@ -129,6 +130,7 @@ impl RustBrain {
             knowledge: KnowledgeBase::new(),
             priors: Priors::new(),
             fast,
+            features_derived: 0,
         }
     }
 
@@ -178,6 +180,14 @@ impl RustBrain {
         &self.model
     }
 
+    /// How many times this instance derived a program's features itself
+    /// (for a repair's input or a knowledge-base query), finding them in
+    /// no slot its oracle keeps for the state.
+    #[must_use]
+    pub fn features_derived(&self) -> u64 {
+        self.features_derived
+    }
+
     /// Pre-seeds the knowledge base with a solved case (used to model a
     /// pre-built knowledge base).
     pub fn seed_knowledge(&mut self, buggy: &Program, class: UbClass, rule: RepairRule) {
@@ -211,7 +221,7 @@ impl RustBrain {
         budget: usize,
     ) -> SolutionOutcome {
         let kb = self.config.use_knowledge.then_some(&mut self.knowledge);
-        execute_solution(
+        let outcome = execute_solution(
             self.oracle.as_ref(),
             &mut self.model,
             kb,
@@ -221,7 +231,9 @@ impl RustBrain {
             solution,
             reference,
             budget,
-        )
+        );
+        self.features_derived += outcome.features_derived;
+        outcome
     }
 
     /// Repairs a failing program. `reference` is the gold observable output
@@ -251,7 +263,6 @@ impl RustBrain {
     pub fn repair_shared(&mut self, input: &Arc<Program>, reference: &[String]) -> RepairOutcome {
         let mut repair_span = rb_obs::span("repair");
         let mut oracle_use = OracleUse::default();
-        let program: &Program = input;
         // Held as an Arc end to end: a cache-served verdict is shared,
         // never deep-copied (execute_one and the rollback tracker only
         // ever borrow it).
@@ -288,9 +299,9 @@ impl RustBrain {
         // model's facts for the input state: they are derived here once
         // (or found in the oracle's slot for the state) and serve the
         // first slow-thinking proposal too, so the input is printed at
-        // most once per repair.
+        // most once per repair. The same slot holds the input's features.
+        let memo = self.oracle.state_memo(input);
         let fast_tokens = {
-            let memo = self.oracle.state_memo(input);
             let mut ctx = RepairContext::shared(input, primary, PromptStrategy::Freeform);
             ctx.memo = memo.as_deref();
             self.model.source_tokens(&ctx)
@@ -300,9 +311,12 @@ impl RustBrain {
         let (features, solutions) = {
             let mut fast_span = rb_obs::span("fast");
             fast_span.add_sim_ms(fast_cost);
-            // Extracted once: the features' pruned-AST embedding is also
-            // the knowledge-base key stored on success below.
-            let features = extract_features(program, &report);
+            // Read from the input's slot, or derived once: the features'
+            // pruned-AST embedding is also the knowledge-base key stored
+            // on success below.
+            let program =
+                ProgramFeatures::shared(memo.as_deref(), input, &mut self.features_derived);
+            let features = CodeFeatures::new(&report, program);
             let solutions = self.solutions_for(&features);
             fast_span.tag("solutions", solutions.len());
             (features, solutions)
@@ -421,7 +435,8 @@ impl RustBrain {
         } = best.expect("at least one solution attempted");
         if eval.accuracy && self.config.use_knowledge {
             if let Some(rule) = fixing_rule {
-                self.knowledge.insert(features.vector, class, rule);
+                let vector = features.program.vector.clone();
+                self.knowledge.insert(vector, class, rule);
             }
         }
         repair_span.add_sim_ms(total_overhead);

@@ -7,10 +7,10 @@
 
 use crate::config::RollbackPolicy;
 use crate::evaluate::{evaluate_with_report, EvalTriplet};
+use crate::features::ProgramFeatures;
 use crate::knowledge::KnowledgeBase;
 use crate::rollback::{RollbackTracker, ThoughtTrace};
 use crate::solution::{AgentKind, Solution};
-use rb_lang::prune::embed_pruned;
 use rb_lang::Program;
 use rb_llm::{LanguageModel, RepairContext, RepairRule};
 use rb_miri::{MiriReport, Oracle, OracleUse};
@@ -66,6 +66,9 @@ pub struct SolutionOutcome {
     pub end_program: Arc<Program>,
     /// Oracle report of the end state (shared, possibly cache-served).
     pub end_report: Arc<MiriReport>,
+    /// Program features this solution derived for its knowledge-base
+    /// queries, finding them in no slot the oracle keeps for the state.
+    pub features_derived: u64,
 }
 
 /// Executes one solution against a failing program, verifying every edit
@@ -98,6 +101,7 @@ pub fn execute_solution(
     let mut oracle_runs = 0usize;
     let mut oracle_use = OracleUse::default();
     let mut fixing_rule = None;
+    let mut features_derived = 0u64;
 
     'passes: for _pass in 0..3 {
         let errors_at_pass_start = tracker.current().1.error_count();
@@ -118,6 +122,11 @@ pub fn execute_solution(
             // overhead. The KB consult charges inside its own child span.
             let mut step_span = rb_obs::span("step");
             step_span.tag("agent", format_args!("{agent:?}"));
+            // The oracle's slot for the state carries what a proposal
+            // reads off it (its print, rules and prompt digests) and its
+            // features, from whichever job proposed on or featured it
+            // first. Asking moves no counter, so it comes first.
+            let memo = oracle.state_memo(&cur_prog);
             // Abstract reasoning: retrieve similar solved cases.
             let mut shots = Vec::new();
             if agent == AgentKind::AbstractReasoning {
@@ -132,15 +141,19 @@ pub fn execute_solution(
                     cspan.add_sim_ms(consult_ms);
                     overhead += consult_ms;
                     step_span.add_sim_ms(consult_ms);
-                    // The pruned-AST embedding is built only when the
-                    // bucket has entries to score it against.
-                    shots = kb.query_with(primary.class(), 2, || embed_pruned(&cur_prog).0);
+                    // The pruned-AST embedding is read (or built) only
+                    // when the bucket has entries to score it against.
+                    let mut features = None;
+                    shots = kb.query_with(primary.class(), 2, || {
+                        let shared = ProgramFeatures::shared(
+                            memo.as_deref(),
+                            &cur_prog,
+                            &mut features_derived,
+                        );
+                        &features.insert(shared).vector
+                    });
                 }
             }
-            // The oracle's slot for the state carries what a proposal
-            // reads off it (its print, rules and prompt digests) from
-            // whichever job proposed on it first.
-            let memo = oracle.state_memo(&cur_prog);
             let mut ctx = RepairContext::shared(&cur_prog, &primary, agent.strategy());
             ctx.memo = memo.as_deref();
             ctx.shots = shots;
@@ -232,6 +245,7 @@ pub fn execute_solution(
         fixing_rule,
         end_program,
         end_report,
+        features_derived,
     }
 }
 
@@ -240,7 +254,7 @@ mod tests {
     use super::*;
     use rb_llm::model::ModelResponse;
     use rb_llm::{ModelCallStats, ModelId, Proposal, SimulatedModel};
-    use rb_miri::DirectOracle;
+    use rb_miri::{DirectOracle, StateMemo, UbClass};
 
     fn fixture() -> (Arc<Program>, Arc<MiriReport>) {
         let p = rb_lang::parser::parse_program(
@@ -366,6 +380,67 @@ mod tests {
         assert!(Arc::ptr_eq(&out.final_program, &p));
         assert!(Arc::ptr_eq(&out.end_program, &p));
         assert!(Arc::ptr_eq(&out.end_report, &r));
+    }
+
+    /// The direct oracle plus one [`StateMemo`] per distinct program,
+    /// made on first request.
+    #[derive(Default)]
+    struct SlotOracle(std::sync::Mutex<Vec<(Program, Arc<StateMemo>)>>);
+
+    impl Oracle for SlotOracle {
+        fn judge(&self, program: &Program) -> Arc<MiriReport> {
+            DirectOracle.judge(program)
+        }
+
+        fn state_memo(&self, state: &Arc<Program>) -> Option<Arc<StateMemo>> {
+            let mut slots = self.0.lock().unwrap();
+            if let Some((_, memo)) = slots.iter().find(|(p, _)| p == &**state) {
+                return Some(Arc::clone(memo));
+            }
+            let memo = Arc::new(StateMemo::default());
+            slots.push(((**state).clone(), Arc::clone(&memo)));
+            Some(memo)
+        }
+    }
+
+    #[test]
+    fn knowledge_queries_read_the_embedding_from_the_slot() {
+        let (p, r) = fixture();
+        let mut kb = KnowledgeBase::new();
+        let (vector, _) = rb_lang::prune::embed_pruned(&p);
+        kb.insert(vector, UbClass::Alloc, RepairRule::RemoveDoubleFree);
+        let sol = Solution::new(vec![AgentKind::AbstractReasoning]);
+        let run = |oracle: &dyn Oracle, kb: &mut KnowledgeBase| {
+            let mut model = SimulatedModel::new(ModelId::Gpt4, 0.5, 3);
+            let out = execute_solution(
+                oracle,
+                &mut model,
+                Some(kb),
+                RollbackPolicy::Adaptive,
+                &p,
+                &r,
+                &sol,
+                &["3".to_owned()],
+                8,
+            );
+            let shots: Vec<usize> = out.steps.iter().map(|s| s.shots).collect();
+            (shots, out.features_derived)
+        };
+        let (direct_shots, direct_derived) = run(&DirectOracle, &mut kb);
+        assert!(
+            direct_shots[0] > 0,
+            "the query found no shot: {direct_shots:?}"
+        );
+        assert_eq!(direct_derived, direct_shots.len() as u64);
+        let slotted = SlotOracle::default();
+        let (cold, derived) = run(&slotted, &mut kb);
+        assert_eq!((cold, derived), (direct_shots.clone(), 1));
+        let (warm, derived) = run(&slotted, &mut kb);
+        assert_eq!(
+            (warm, derived),
+            (direct_shots, 0),
+            "the warm query embedded again"
+        );
     }
 
     #[test]

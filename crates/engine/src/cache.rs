@@ -53,19 +53,23 @@
 //!
 //! ## Per-state facts
 //!
-//! A repair proposes on the states it judges, and a proposal reads a few
-//! facts off a state that depend on the program (and its primary error)
-//! alone: the printed source, its digest, the matching repair rules and
-//! the digest of each prompt already rendered over it. Each entry keeps a
-//! [`StateMemo`] for them, a write-once slot [`CachedOracle`] hands out
+//! A repair reads a few things off the states it judges that depend on
+//! the program (and, for a proposal, its primary error) alone: the model's
+//! facts (the printed source, its digest, the matching repair rules and
+//! the digest of each prompt already rendered over it) and the pipeline's
+//! program features (metrics, dominant unsafe op, pruned-AST embedding
+//! and pruned-statement count). Each entry keeps a [`StateMemo`] for
+//! them, a slot of typed write-once cells [`CachedOracle`] hands out
 //! through [`Oracle::state_memo`], found like a lookup: by address, then
-//! by content. The cache never reads the slot; `rb_llm`'s model fills it
-//! on its first derivation, and every later job, sweep or daemon request
-//! proposing on an equal state reads it instead of printing and matching
-//! the program again. Asking for a slot never judges nor inserts a
-//! program and moves no counter or referenced bit, and the slot is
-//! dropped with its entry, so a bounded cache bounds the facts too.
-//! Answers do not depend on where the facts came from.
+//! by content. The cache never reads the slot. `rb_llm`'s model fills the
+//! facts cell on its first derivation; the pipeline fills the features
+//! cell when it features a repair's input or embeds a knowledge-base
+//! query. Every later job, sweep or daemon request on an equal state
+//! reads them instead of printing, matching, measuring and embedding the
+//! program again. Asking for a slot never judges nor inserts a program
+//! and moves no counter or referenced bit, and the slot is dropped with
+//! its entry, so a bounded cache bounds both values too. Answers do not
+//! depend on where the values came from.
 //!
 //! ## Memory ceiling
 //!
@@ -813,9 +817,102 @@ mod tests {
         let by_content = oracle.state_memo(&equal).expect("an equal state shares it");
         assert!(Arc::ptr_eq(&by_addr, &by_content));
         assert_eq!(oracle.cache().stats(), stats, "asking moved a counter");
-        by_addr.get_or_init(|| Box::new(1u8));
+        by_addr.get_or_init(|| 1u8);
         let again = oracle.state_memo(&p).unwrap();
-        assert_eq!(again.get().and_then(|v| v.downcast_ref::<u8>()), Some(&1));
+        assert_eq!(again.get::<u8>().as_deref(), Some(&1));
+    }
+
+    /// The double free every repair test below starts from, and its
+    /// reference output.
+    fn double_free() -> (Arc<Program>, Vec<String>) {
+        let p = parse_program(
+            "fn main() { let p: *mut u8 = 0 as *mut u8; \
+             unsafe { p = alloc(4usize, 4usize); ptr_write::<i32>(p as *mut i32, 3i32); } \
+             unsafe { print(ptr_read::<i32>(p as *const i32)); } \
+             unsafe { dealloc(p, 4usize, 4usize); } \
+             unsafe { dealloc(p, 4usize, 4usize); } }",
+        )
+        .unwrap();
+        (Arc::new(p), vec!["3".to_owned()])
+    }
+
+    /// A new brain's repair of `input` through `oracle`, with how many
+    /// times it derived its model's facts and program features.
+    fn repair(
+        oracle: &Arc<CachedOracle>,
+        input: &Arc<Program>,
+        gold: &[String],
+    ) -> (String, u64, u64) {
+        let config = rustbrain::RustBrainConfig::for_model(rb_llm::ModelId::Gpt4, 7);
+        let mut brain = rustbrain::RustBrain::with_oracle(config, Arc::clone(oracle) as _);
+        let out = brain.repair_shared(input, gold);
+        let shown = format!(
+            "{} {} {:?} {:?} {:?}",
+            out.passed, out.acceptable, out.overhead_ms, out.error_history, out.final_program
+        );
+        (
+            shown,
+            brain.model().facts_derived(),
+            brain.features_derived(),
+        )
+    }
+
+    #[test]
+    fn a_repair_leaves_facts_and_features_in_one_slot() {
+        let (input, gold) = double_free();
+        let oracle = Arc::new(CachedOracle::new(Arc::new(OracleCache::new())));
+        let (cold, facts, features) = repair(&oracle, &input, &gold);
+        assert!(facts > 0 && features > 0, "the cold repair derived nothing");
+        let equal = Arc::new((*input).clone());
+        let slot = oracle.state_memo(&equal).expect("the input is resident");
+        assert_eq!(slot.filled(), 2, "{slot:?}");
+        assert!(slot.get::<rustbrain::ProgramFeatures>().is_some());
+        // A second brain reads both from the slot and answers alike.
+        assert_eq!(repair(&oracle, &equal, &gold), (cold, 0, 0));
+    }
+
+    #[test]
+    fn bounded_eviction_drops_every_value_in_a_slot() {
+        let cache = OracleCache::bounded(16);
+        let p = Arc::new(parse_program("fn main() { print(8889i32); }").unwrap());
+        cache.lookup_shared(&p);
+        let slot = cache.state_memo(&p).expect("a resident state has a slot");
+        let facts = Arc::downgrade(&slot.get_or_init(|| String::from("facts")).unwrap());
+        let features = Arc::downgrade(&slot.get_or_init(|| vec![1.0f64; 8]).unwrap());
+        drop(slot);
+        assert!(facts.upgrade().is_some() && features.upgrade().is_some());
+        for q in distinct_programs(200) {
+            cache.report(&q);
+        }
+        assert!(cache.state_memo(&p).is_none(), "{:?}", cache.stats());
+        assert!(
+            facts.upgrade().is_none(),
+            "the evicted slot's facts live on"
+        );
+        assert!(
+            features.upgrade().is_none(),
+            "the evicted slot's features live on"
+        );
+    }
+
+    #[test]
+    fn a_full_slot_leaves_the_repair_to_derive() {
+        let (input, gold) = double_free();
+        let roomy = Arc::new(CachedOracle::new(Arc::new(OracleCache::new())));
+        let (free, _, _) = repair(&roomy, &input, &gold);
+        let oracle = Arc::new(CachedOracle::new(Arc::new(OracleCache::new())));
+        oracle.judge_shared(&input);
+        let slot = oracle.state_memo(&input).expect("the input is resident");
+        slot.get_or_init(|| 1u8);
+        slot.get_or_init(|| 2u16);
+        for _ in 0..2 {
+            let (shown, facts, features) = repair(&oracle, &input, &gold);
+            assert_eq!(shown, free);
+            assert!(facts > 0, "the model found facts in a full slot");
+            assert!(features > 0, "the brain found features in a full slot");
+        }
+        assert_eq!(slot.filled(), 2);
+        assert!(slot.get::<rustbrain::ProgramFeatures>().is_none());
     }
 
     #[test]
@@ -824,7 +921,7 @@ mod tests {
         let p = Arc::new(parse_program("fn main() { print(8888i32); }").unwrap());
         cache.lookup_shared(&p);
         let slot = cache.state_memo(&p).expect("a resident state has a slot");
-        slot.get_or_init(|| Box::new(String::from("facts")));
+        slot.get_or_init(|| String::from("facts"));
         let weak = Arc::downgrade(&slot);
         drop(slot);
         assert!(weak.upgrade().is_some(), "the entry keeps its slot");

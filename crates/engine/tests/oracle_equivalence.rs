@@ -25,7 +25,7 @@ use rb_engine::{CachedOracle, OracleCache};
 use rb_lang::Program;
 use rb_llm::ModelId;
 use rb_miri::{DirectOracle, MiriReport, Oracle, OracleUse, StateMemo, UbClass};
-use rustbrain::{RepairOutcome, RustBrain, RustBrainConfig};
+use rustbrain::{KnowledgeBase, RepairOutcome, RustBrain, RustBrainConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -84,23 +84,31 @@ fn repair_with(oracle: Arc<dyn Oracle>, seed: u64, corpus: &Corpus) -> Vec<Repai
 /// repairs it: a second pass on a warm cache then starts every repair
 /// from a handle the cache holds.
 fn repair_shared_with(oracle: Arc<dyn Oracle>, seed: u64, corpus: &Corpus) -> Vec<RepairOutcome> {
-    repair_counting_facts(oracle, seed, corpus).0
+    repair_counting(oracle, seed, corpus, KnowledgeBase::new()).0
 }
 
-/// [`repair_shared_with`] that also returns how many times the brain's
-/// model derived a state's facts itself.
-fn repair_counting_facts(
+/// [`repair_shared_with`] from a brain that starts with `knowledge`,
+/// also returning how many times the brain derived what the state slots
+/// keep: its model's facts, and program features (the inputs' and the
+/// knowledge-base queries').
+fn repair_counting(
     oracle: Arc<dyn Oracle>,
     seed: u64,
     corpus: &Corpus,
-) -> (Vec<RepairOutcome>, u64) {
-    let mut brain = RustBrain::with_oracle(RustBrainConfig::for_model(ModelId::Gpt4, seed), oracle);
+    knowledge: KnowledgeBase,
+) -> (Vec<RepairOutcome>, u64, u64) {
+    let mut brain = RustBrain::with_oracle(RustBrainConfig::for_model(ModelId::Gpt4, seed), oracle)
+        .with_knowledge_base(knowledge);
     let outcomes = corpus
         .cases
         .iter()
         .map(|case| brain.repair_shared(&case.buggy, &case.gold_outputs()))
         .collect();
-    (outcomes, brain.model().facts_derived())
+    (
+        outcomes,
+        brain.model().facts_derived(),
+        brain.features_derived(),
+    )
 }
 
 /// A [`CachedOracle`] that counts how often an edit is derived rather
@@ -150,7 +158,7 @@ impl Oracle for DeriveCounting {
     fn state_memo(&self, state: &Arc<Program>) -> Option<Arc<StateMemo>> {
         let memo = self.inner.state_memo(state)?;
         self.slots.fetch_add(1, Ordering::Relaxed);
-        if memo.get().is_none() {
+        if memo.filled() == 0 {
             self.empty_slots.fetch_add(1, Ordering::Relaxed);
         }
         Some(memo)
@@ -285,10 +293,12 @@ proptest! {
         prop_assert!(stats.entries <= stats.capacity);
     }
 
-    /// Two passes over one unbounded cache, each with a new brain: the
-    /// first fills the state slots, the second finds every state's facts
-    /// in them — it fills no new slot and derives no facts — and both
-    /// match the direct oracle bit for bit.
+    /// Two passes over one unbounded cache, each with a new brain that
+    /// starts from a knowledge base learned on the corpus, so abstract
+    /// reasoning queries it: the first pass fills the state slots, the
+    /// second finds every state's facts and features in them — it fills
+    /// no new slot and derives no facts, no input features and no query
+    /// embedding — and both match the direct oracle bit for bit.
     #[test]
     fn warm_state_facts_passes_match_direct(
         corpus_seed in 0u64..500,
@@ -296,7 +306,13 @@ proptest! {
     ) {
         let classes = [CLASS_POOL[class_pick], CLASS_POOL[(class_pick + 2) % CLASS_POOL.len()]];
         let corpus = Corpus::generate(corpus_seed, 1, &classes);
-        let direct = repair_shared_with(Arc::new(DirectOracle), 7, &corpus);
+        let mut learner = RustBrain::new(RustBrainConfig::for_model(ModelId::Gpt4, 3));
+        for case in &corpus.cases {
+            learner.repair_shared(&case.buggy, &case.gold_outputs());
+        }
+        let learned = learner.knowledge();
+        let direct =
+            repair_counting(Arc::new(DirectOracle), 7, &corpus, learned.snapshot()).0;
 
         let cache = Arc::new(OracleCache::new());
         let oracle = Arc::new(DeriveCounting::new(&cache));
@@ -306,8 +322,12 @@ proptest! {
                 oracle.slots.load(Ordering::Relaxed),
                 oracle.empty_slots.load(Ordering::Relaxed),
             );
-            let (outcomes, derived) =
-                repair_counting_facts(Arc::clone(&oracle) as Arc<dyn Oracle>, 7, &corpus);
+            let (outcomes, facts, features) = repair_counting(
+                Arc::clone(&oracle) as Arc<dyn Oracle>,
+                7,
+                &corpus,
+                learned.snapshot(),
+            );
             prop_assert_eq!(outcomes.len(), direct.len());
             for (d, o) in direct.iter().zip(&outcomes) {
                 prop_assert_eq!(normalized(d), normalized(o));
@@ -315,13 +335,15 @@ proptest! {
             passes.push((
                 oracle.slots.load(Ordering::Relaxed) - slots,
                 oracle.empty_slots.load(Ordering::Relaxed) - empty,
-                derived,
+                facts,
+                features,
             ));
         }
         let (cold, warm) = (passes[0], passes[1]);
         prop_assert!(cold.1 > 0 && cold.2 > 0, "the first pass filled nothing: {:?}", cold);
+        prop_assert!(cold.3 >= corpus.cases.len() as u64, "inputs not featured: {:?}", cold);
         prop_assert!(warm.0 > 0, "the second pass asked for no slot");
-        prop_assert_eq!((warm.1, warm.2), (0, 0), "the second pass filled or derived");
+        prop_assert_eq!((warm.1, warm.2, warm.3), (0, 0, 0), "the second pass filled or derived");
     }
 
     /// The memo changes no attribution: per case, the executed/cached

@@ -27,6 +27,8 @@
 
 use crate::codec::{class_code, rule_code};
 use crate::KbEntry;
+use std::borrow::Cow;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// How same-`(vector, class)` entries with *different* rules resolve.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -139,38 +141,51 @@ impl MergePolicy {
     /// order preserved).
     #[must_use]
     pub fn normalize(&self, entries: Vec<KbEntry>) -> Vec<KbEntry> {
+        self.normalize_from(entries.into_iter().map(Cow::Owned))
+    }
+
+    /// [`MergePolicy::normalize`] over entries it may borrow: a borrowed
+    /// entry is cloned only if it survives, so a merge of many deltas
+    /// copies the few entries it keeps rather than every submission.
+    #[must_use]
+    pub fn normalize_from<'a>(
+        &self,
+        entries: impl IntoIterator<Item = Cow<'a, KbEntry>>,
+    ) -> Vec<KbEntry> {
         if self.is_append_only() {
-            return entries;
+            return entries.into_iter().map(Cow::into_owned).collect();
         }
         // Decorate with bit patterns so f64 ordering is total and NaN-safe.
-        let mut decorated: Vec<(Vec<u64>, KbEntry)> = entries
-            .into_iter()
-            .map(|e| {
-                let bits = e.vector.components.iter().map(|c| c.to_bits()).collect();
-                (bits, e)
-            })
-            .collect();
+        let bits_of =
+            |e: &KbEntry| -> Vec<u64> { e.vector.components.iter().map(|c| c.to_bits()).collect() };
 
-        // Pass 1 — exact dedup over (class, rule, vector bits).
-        decorated.sort_by(|(ab, a), (bb, b)| {
-            (class_code(a.class), rule_code(a.rule))
-                .cmp(&(class_code(b.class), rule_code(b.rule)))
-                .then_with(|| ab.cmp(bb))
-        });
-        if self.dedup_exact {
-            let mut deduped: Vec<(Vec<u64>, KbEntry)> = Vec::with_capacity(decorated.len());
-            for (bits, e) in decorated {
-                match deduped.last_mut() {
-                    Some((lb, last))
-                        if last.class == e.class && last.rule == e.rule && *lb == bits =>
-                    {
+        // Pass 1 — exact dedup over (class, rule, vector bits), by hash
+        // and before any sort: a merge submits each learned shape many
+        // times over, and the passes below sort only the distinct ones.
+        // Exact duplicates differ in weight alone, and a saturating sum
+        // of weights does not depend on their order.
+        let mut decorated: Vec<(Vec<u64>, Cow<'a, KbEntry>)> = if self.dedup_exact {
+            let mut seen: HashMap<(u8, u8, Vec<u64>), usize> = HashMap::new();
+            let mut kept: Vec<(Vec<u64>, Cow<'a, KbEntry>)> = Vec::new();
+            for e in entries {
+                match seen.entry((class_code(e.class), rule_code(e.rule), bits_of(&e))) {
+                    Entry::Occupied(at) => {
+                        let last = kept[*at.get()].1.to_mut();
                         last.weight = last.weight.saturating_add(e.weight);
                     }
-                    _ => deduped.push((bits, e)),
+                    Entry::Vacant(at) => {
+                        at.insert(kept.len());
+                        kept.push((Vec::new(), e));
+                    }
                 }
             }
-            decorated = deduped;
-        }
+            for ((_, _, bits), at) in seen {
+                kept[at].0 = bits;
+            }
+            kept
+        } else {
+            entries.into_iter().map(|e| (bits_of(&e), e)).collect()
+        };
 
         // Pass 2 — conflict resolution over (class, vector bits).
         if self.conflict == ConflictResolution::HighestWeight {
@@ -180,7 +195,8 @@ impl MergePolicy {
                     .then_with(|| ab.cmp(bb))
                     .then_with(|| rule_code(a.rule).cmp(&rule_code(b.rule)))
             });
-            let mut resolved: Vec<(Vec<u64>, KbEntry)> = Vec::with_capacity(decorated.len());
+            let mut resolved: Vec<(Vec<u64>, Cow<'a, KbEntry>)> =
+                Vec::with_capacity(decorated.len());
             for (bits, e) in decorated {
                 match resolved.last_mut() {
                     Some((lb, last)) if last.class == e.class && *lb == bits => {
@@ -200,13 +216,15 @@ impl MergePolicy {
 
         // Pass 3 — near-duplicate coalescing within (class, rule), greedy
         // in canonical order: each entry folds into the first kept entry
-        // of its group within the threshold, else is kept itself.
+        // of its group within the threshold, else is kept itself. The
+        // sorts are stable, so entries equal under a sort's key (exact
+        // duplicates, when dedup is off) keep their submission order.
         decorated.sort_by(|(ab, a), (bb, b)| {
             (class_code(a.class), rule_code(a.rule))
                 .cmp(&(class_code(b.class), rule_code(b.rule)))
                 .then_with(|| ab.cmp(bb))
         });
-        let mut out: Vec<KbEntry> = Vec::with_capacity(decorated.len());
+        let mut out: Vec<Cow<'a, KbEntry>> = Vec::with_capacity(decorated.len());
         if let Some(threshold) = self.coalesce_threshold {
             let mut group_start = 0usize; // first kept entry of the current (class, rule) group
             for (_, e) in decorated {
@@ -220,14 +238,17 @@ impl MergePolicy {
                     .iter_mut()
                     .find(|k| k.vector.cosine(&e.vector) >= threshold);
                 match absorbed {
-                    Some(k) => k.weight = k.weight.saturating_add(e.weight),
+                    Some(k) => {
+                        let k = k.to_mut();
+                        k.weight = k.weight.saturating_add(e.weight);
+                    }
                     None => out.push(e),
                 }
             }
         } else {
             out.extend(decorated.into_iter().map(|(_, e)| e));
         }
-        out
+        out.into_iter().map(Cow::into_owned).collect()
     }
 }
 

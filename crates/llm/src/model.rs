@@ -286,7 +286,8 @@ pub trait LanguageModel {
 ///    for the state ([`rb_miri::Oracle::state_memo`]), when it holds
 ///    facts for the same error — filled by whichever model, job or
 ///    request proposed on an equal state first;
-/// 3. a fresh derivation, which fills the slot when it is empty.
+/// 3. a fresh derivation, which the slot keeps when it has no facts yet
+///    and a cell free for them.
 ///
 /// Only the facts are shared; the model folds its own draws from them.
 /// The response is the same wherever the facts were found.
@@ -346,15 +347,14 @@ impl SimulatedModel {
         let mut derived = 0;
         let mut derive = || {
             derived += 1;
-            Arc::new(StateFacts::of(ctx.program, ctx.error))
+            StateFacts::of(ctx.program, ctx.error)
         };
-        let slotted = ctx.memo.and_then(|memo| {
-            memo.get_or_init(|| Box::new(derive()))
-                .downcast_ref::<Arc<StateFacts>>()
-                .filter(|facts| facts.error == *ctx.error)
-                .cloned()
-        });
-        let facts = ModelFacts::new(slotted.unwrap_or_else(derive), self.profile.id);
+        let slotted = ctx
+            .memo
+            .and_then(|memo| memo.get_or_init(&mut derive))
+            .filter(|facts| facts.error == *ctx.error);
+        let facts = slotted.unwrap_or_else(|| Arc::new(derive()));
+        let facts = ModelFacts::new(facts, self.profile.id);
         self.derived += derived;
         if let Some(state) = ctx.state {
             self.last = Some((Arc::clone(state), facts.clone()));
@@ -748,10 +748,7 @@ mod tests {
             let plain = RepairContext::new(&state, foreign_err, PromptStrategy::Modify);
             assert_eq!(reader.propose(&other), fresh.propose(&plain));
             assert_eq!(reader.facts_derived(), 1);
-            let held = memo
-                .get()
-                .and_then(|value| value.downcast_ref::<Arc<StateFacts>>())
-                .expect("the slot holds facts");
+            let held = memo.get::<StateFacts>().expect("the slot holds facts");
             assert_eq!(held.error, *err);
         }
     }

@@ -136,35 +136,67 @@ pub trait Oracle: Send + Sync {
     }
 }
 
-/// A write-once slot an [`Oracle`] keeps next to one program state (see
-/// [`Oracle::state_memo`]). The oracle neither reads nor names what the
-/// slot holds; its user downcasts the value it put there, and must store
-/// only what is a function of the program's content, since every caller
-/// holding an equal program is handed the same slot.
+/// A slot an [`Oracle`] keeps next to one program state (see
+/// [`Oracle::state_memo`]): a fixed few write-once cells, each holding a
+/// value of one type and found by that type. The oracle neither reads nor
+/// names what the cells hold. A user must store only what is a function
+/// of the program's content, since every caller holding an equal program
+/// is handed the same slot.
+///
+/// A type takes the first free cell the first time it is asked for, and
+/// keeps it. When every cell holds another type, the slot has no room for
+/// it: [`StateMemo::get_or_init`] answers `None` and the caller derives
+/// the value itself.
 #[derive(Default)]
-pub struct StateMemo(OnceLock<Box<dyn Any + Send + Sync>>);
+pub struct StateMemo([OnceLock<Arc<dyn Any + Send + Sync>>; StateMemo::CELLS]);
 
 impl StateMemo {
-    /// The value in the slot, if it has been filled.
+    /// Cells per slot: one for each kind of value the repair layers keep
+    /// per state today (`rb_llm`'s proposal facts and the pipeline's
+    /// program features).
+    pub const CELLS: usize = 2;
+
+    /// How many cells hold a value.
     #[must_use]
-    pub fn get(&self) -> Option<&(dyn Any + Send + Sync)> {
-        self.0.get().map(|value| &**value)
+    pub fn filled(&self) -> usize {
+        self.0.iter().map_while(OnceLock::get).count()
     }
 
-    /// The value in the slot, filling it with `init()` first if it is
-    /// empty. `init` runs at most once per slot, racing callers included.
-    pub fn get_or_init(
-        &self,
-        init: impl FnOnce() -> Box<dyn Any + Send + Sync>,
-    ) -> &(dyn Any + Send + Sync) {
-        &**self.0.get_or_init(init)
+    /// The value of type `T` in the slot, if one has been stored.
+    #[must_use]
+    pub fn get<T: Any + Send + Sync>(&self) -> Option<Arc<T>> {
+        let value = self
+            .0
+            .iter()
+            .map_while(OnceLock::get)
+            .find(|v| v.is::<T>())?;
+        Arc::clone(value).downcast().ok()
+    }
+
+    /// The value of type `T` in the slot, storing `init()` first if there
+    /// is none, or `None` when every cell holds another type. `init` runs
+    /// at most once per slot and type, racing callers included; it does
+    /// not run when the slot has no room.
+    pub fn get_or_init<T: Any + Send + Sync>(&self, init: impl FnOnce() -> T) -> Option<Arc<T>> {
+        let mut init = Some(init);
+        let value = self
+            .0
+            .iter()
+            .map(|cell| {
+                cell.get_or_init(|| {
+                    let init = init.take().expect("a type fills one cell");
+                    Arc::new(init())
+                })
+            })
+            .find(|v| v.is::<T>())?;
+        Arc::clone(value).downcast().ok()
     }
 }
 
 impl fmt::Debug for StateMemo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StateMemo")
-            .field("filled", &self.0.get().is_some())
+            .field("filled", &self.filled())
             .finish()
     }
 }
@@ -321,14 +353,30 @@ mod tests {
     #[test]
     fn state_memo_fills_once() {
         let memo = StateMemo::default();
-        assert!(memo.get().is_none());
-        assert_eq!(format!("{memo:?}"), "StateMemo { filled: false }");
-        let first = memo.get_or_init(|| Box::new(7u32));
-        assert_eq!(first.downcast_ref::<u32>(), Some(&7));
-        let second = memo.get_or_init(|| unreachable!("a filled slot is never refilled"));
-        assert_eq!(second.downcast_ref::<u32>(), Some(&7));
-        assert_eq!(memo.get().and_then(|v| v.downcast_ref::<u32>()), Some(&7));
-        assert_eq!(format!("{memo:?}"), "StateMemo { filled: true }");
+        assert!(memo.get::<u32>().is_none());
+        assert_eq!(format!("{memo:?}"), "StateMemo { filled: 0 }");
+        assert_eq!(memo.get_or_init(|| 7u32).as_deref(), Some(&7));
+        let again = memo.get_or_init(|| -> u32 { unreachable!("a filled cell is never refilled") });
+        assert_eq!(again.as_deref(), Some(&7));
+        assert_eq!(memo.get::<u32>().as_deref(), Some(&7));
+        assert_eq!(format!("{memo:?}"), "StateMemo { filled: 1 }");
+    }
+
+    #[test]
+    fn state_memo_keys_its_cells_by_type_and_runs_out() {
+        let memo = StateMemo::default();
+        assert_eq!(StateMemo::CELLS, 2);
+        assert_eq!(memo.get_or_init(|| 1u8).as_deref(), Some(&1));
+        assert!(
+            memo.get::<u16>().is_none(),
+            "a type finds only its own cell"
+        );
+        assert_eq!(memo.get_or_init(|| 2u16).as_deref(), Some(&2));
+        assert_eq!(memo.get::<u8>().as_deref(), Some(&1));
+        let full = memo.get_or_init(|| -> u32 { unreachable!("a full slot derives nothing") });
+        assert!(full.is_none(), "every cell holds another type");
+        assert!(memo.get::<u32>().is_none());
+        assert_eq!(format!("{memo:?}"), "StateMemo { filled: 2 }");
     }
 
     #[test]

@@ -58,9 +58,11 @@
 //!                                               (observational only)
 //!   --no-cache                                  judge through the direct
 //!                                               oracle, bypassing the cache
+//!                                               (not `serve`)
 //!   --cache-cap <N>                             bound the oracle cache to N
 //!                                               entries, rounded up to one
-//!                                               per shard (clock eviction)
+//!                                               per shard (clock eviction;
+//!                                               not `serve`)
 //!   --kb-in <store>                             batch: start from a saved
 //!                                               knowledge store (warm start;
 //!                                               either layout)
@@ -623,6 +625,10 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
     if (cli.kb.is_some() || cli.compact_secs > 0) && cli.command != Command::Serve {
         return Err("--kb/--compact-secs only apply to `serve`".into());
     }
+    // The daemon always judges through the process-wide cache.
+    if (!cli.use_cache || cli.cache_cap.is_some()) && cli.command == Command::Serve {
+        return Err("--no-cache/--cache-cap do not apply to `serve`".into());
+    }
     if cli.classes.is_some() && !matches!(cli.command, Command::Client(ClientVerb::Batch)) {
         return Err("--classes only applies to `client batch`".into());
     }
@@ -719,8 +725,10 @@ OPTIONS:
   --json                                     analyze: emit the report as one
                                              JSON document instead of text
   --no-cache                                 bypass the oracle verdict cache
+                                             (not serve)
   --cache-cap <N>                            bound the cache to N entries
-                                             (rounded up; minimum 16)
+                                             (rounded up; minimum 16; not
+                                             serve)
   --kb-in <store>                            batch: warm-start from a saved
                                              knowledge store (either layout)
   --kb-out <store>                           batch: save the merged knowledge
@@ -1701,6 +1709,11 @@ mod tests {
         assert!(parse_cli(&argv("demo --compact-secs 10")).is_err());
         assert!(parse_cli(&argv("client stats --classes alloc")).is_err());
         assert!(parse_cli(&argv("serve --classes alloc")).is_err());
+        // The daemon has one cache mode, the unbounded process-wide cache.
+        for flag in ["--no-cache", "--cache-cap 16"] {
+            let err = parse_cli(&argv(&format!("serve {flag}"))).unwrap_err();
+            assert!(err.contains("do not apply to `serve`"), "{flag}: {err}");
+        }
         // But --addr works on both sides of the socket.
         assert!(parse_cli(&argv("client stats --addr 127.0.0.1:4700")).is_ok());
     }
