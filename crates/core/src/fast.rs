@@ -3,6 +3,13 @@
 //! by learned priors from the feedback loop. Fast thinking never judges
 //! programs — the features it consumes come from a report the pipeline
 //! obtained through its injected [`rb_miri::Oracle`].
+//!
+//! A repair tries its solutions in order and stops at the first
+//! acceptable one, so the pipeline asks for solution `i` only when it is
+//! about to try it ([`FastThinking::begin`], [`FastThinking::solution`]).
+//! The draws a repair never asks for are made when the next generation
+//! begins, so the generator's RNG moves exactly as if every generation
+//! had been drawn whole — unless the generator is dropped first.
 
 use crate::features::CodeFeatures;
 use crate::feedback::Priors;
@@ -14,25 +21,29 @@ use rand_chacha::ChaCha8Rng;
 #[derive(Debug)]
 pub struct FastThinking {
     rng: ChaCha8Rng,
+    pending: Generation,
 }
 
 impl FastThinking {
     /// Creates a generator from a seeded RNG.
     #[must_use]
     pub fn new(rng: ChaCha8Rng) -> FastThinking {
-        FastThinking { rng }
+        FastThinking {
+            rng,
+            pending: Generation::default(),
+        }
     }
 
-    /// Generates up to `k` distinct solutions for the featured problem.
+    /// Generates `k` solutions for the featured problem, drawing them all
+    /// now.
     ///
     /// Sampling is weighted by the feedback priors for the error class;
     /// `temperature` widens the sampling distribution (low temperatures
     /// produce near-duplicates — the paper's "limited flexibility" at 0.1).
     /// When feedback is enabled and a remembered best solution exists for
     /// the class, it is emitted first (the self-learning replay path).
-    ///
-    /// Each draw is sampled into a stack array; only a draw distinct from
-    /// those kept becomes a [`Solution`].
+    /// Distinct solutions are kept; when `6 k` draws leave fewer than `k`,
+    /// the list is padded with copies of the first.
     pub fn generate(
         &mut self,
         features: &CodeFeatures,
@@ -41,54 +52,114 @@ impl FastThinking {
         temperature: f64,
         use_feedback: bool,
     ) -> Vec<Solution> {
-        let mut out: Vec<Solution> = Vec::with_capacity(k);
-        if use_feedback {
-            if let Some(best) = priors.best_solution(features.class) {
-                out.push(Solution::new(best.to_vec()));
-            }
+        self.begin(features, priors, k, temperature, use_feedback);
+        if k > 0 {
+            self.solution(k - 1);
         }
-        let sampler = Sampler {
-            prior: priors.row(features.class),
-            unsafe_surface: features.program.metrics.total_unsafe_ops() > 0,
-            temperature,
-        };
-        let mut attempts = 0;
-        while out.len() < k && attempts < k * 6 {
-            attempts += 1;
-            let len = 1 + self.rng.gen_range(0..3); // 1..=3 steps
-            let mut steps = [AgentKind::Modify; 3];
-            for position in 0..len {
-                steps[position] = sampler.agent(&mut self.rng, &steps[..position]);
-            }
-            let steps = &steps[..len];
-            if !out.iter().any(|sol| sol.steps == steps) {
-                out.push(Solution::new(steps.to_vec()));
-            }
-        }
-        // Low temperature yields duplicates; pad deterministically so the
-        // caller still receives k entries (duplicates model wasted samples).
-        while out.len() < k {
-            let idx = out.len() % out.len().max(1);
-            let clone = out
-                .get(idx)
-                .cloned()
-                .unwrap_or_else(|| Solution::new(vec![AgentKind::Modify]));
-            out.push(clone);
-        }
+        // Taken whole: the default generation left behind has no draws to
+        // make.
+        let mut out = std::mem::take(&mut self.pending).kept;
         out.truncate(k);
         out
     }
+
+    /// Begins a generation of `k` solutions like [`generate`], drawing
+    /// none yet: [`solution`] draws up to the one asked for. The priors
+    /// are read now, so later feedback does not reach this generation.
+    /// The previous generation's remaining draws are made first.
+    ///
+    /// [`generate`]: FastThinking::generate
+    /// [`solution`]: FastThinking::solution
+    pub fn begin(
+        &mut self,
+        features: &CodeFeatures,
+        priors: &Priors,
+        k: usize,
+        temperature: f64,
+        use_feedback: bool,
+    ) {
+        self.pending.finish(&mut self.rng);
+        let mut kept = std::mem::take(&mut self.pending.kept);
+        kept.clear();
+        if use_feedback {
+            if let Some(best) = priors.best_solution(features.class) {
+                kept.push(Solution::new(best.to_vec()));
+            }
+        }
+        self.pending = Generation {
+            prior: *priors.row(features.class),
+            unsafe_surface: features.program.metrics.total_unsafe_ops() > 0,
+            temperature,
+            k,
+            attempts: 0,
+            kept,
+        };
+    }
+
+    /// Solution `i` (below `k`) of the generation begun last, drawn now
+    /// if it has not been: the `i`-th entry [`generate`] would return.
+    ///
+    /// [`generate`]: FastThinking::generate
+    pub fn solution(&mut self, i: usize) -> &Solution {
+        let generation = &mut self.pending;
+        while generation.kept.len() <= i && !generation.exhausted() {
+            generation.draw(&mut self.rng);
+        }
+        // Low temperature yields duplicates; pad deterministically so the
+        // caller still receives k entries (duplicates model wasted samples).
+        while generation.kept.len() <= i {
+            let pad = generation
+                .kept
+                .first()
+                .cloned()
+                .unwrap_or_else(|| Solution::new(vec![AgentKind::Modify]));
+            generation.kept.push(pad);
+        }
+        &generation.kept[i]
+    }
 }
 
-/// What one `generate` call samples agents from: the class's prior row,
-/// read once, and the two knobs the weights depend on.
-struct Sampler<'p> {
-    prior: &'p [f64; AgentKind::ALL.len()],
+/// One generation: what its draws depend on, read when it began, and the
+/// distinct solutions kept so far.
+#[derive(Debug, Default)]
+struct Generation {
+    prior: [f64; AgentKind::ALL.len()],
     unsafe_surface: bool,
     temperature: f64,
+    k: usize,
+    attempts: usize,
+    kept: Vec<Solution>,
 }
 
-impl Sampler<'_> {
+impl Generation {
+    /// Whether the generation has made every draw it will: it holds `k`
+    /// distinct solutions or has spent its `6 k` attempts.
+    fn exhausted(&self) -> bool {
+        self.kept.len() >= self.k || self.attempts >= self.k * 6
+    }
+
+    /// Makes the remaining draws.
+    fn finish(&mut self, rng: &mut ChaCha8Rng) {
+        while !self.exhausted() {
+            self.draw(rng);
+        }
+    }
+
+    /// One attempt: a 1–3 step solution sampled into a stack array, kept
+    /// only when distinct from those kept.
+    fn draw(&mut self, rng: &mut ChaCha8Rng) {
+        self.attempts += 1;
+        let len = 1 + rng.gen_range(0..3); // 1..=3 steps
+        let mut steps = [AgentKind::Modify; 3];
+        for position in 0..len {
+            steps[position] = self.agent(rng, &steps[..position]);
+        }
+        let steps = &steps[..len];
+        if !self.kept.iter().any(|sol| sol.steps == steps) {
+            self.kept.push(Solution::new(steps.to_vec()));
+        }
+    }
+
     /// Draws the agent for the step after `chosen`: one noise draw per
     /// agent in [`AgentKind::ALL`] order, then one pick.
     fn agent(&self, rng: &mut ChaCha8Rng, chosen: &[AgentKind]) -> AgentKind {
@@ -269,6 +340,88 @@ mod tests {
             assert_eq!(letters(&out), solutions, "{row}");
             let next = u64::from_str_radix(next, 16).unwrap();
             assert_eq!(ft.rng.next_u64(), next, "{row}: the RNG moved differently");
+        }
+    }
+
+    /// The inputs of `generate_matches_golden_draws`: a program with an
+    /// unsafe surface, and priors holding skewed weights and a best
+    /// solution for its class.
+    fn golden_inputs() -> (CodeFeatures, Priors) {
+        let p = parse_program(
+            "fn main() { let p: *mut u8 = 0 as *mut u8; \
+             unsafe { p = alloc(4usize, 4usize); ptr_write::<i32>(p as *mut i32, 3i32); } \
+             unsafe { print(ptr_read::<i32>(p as *const i32)); } \
+             unsafe { dealloc(p, 4usize, 4usize); } \
+             unsafe { dealloc(p, 4usize, 4usize); } }",
+        )
+        .unwrap();
+        let features = extract_features(&p, &run_program(&p));
+        let mut priors = Priors::new();
+        let outcome = |accepted: bool, overhead_ms: f64| EvalTriplet {
+            accuracy: accepted,
+            acceptability: accepted,
+            overhead_ms,
+        };
+        let class = features.class;
+        let steps = [AgentKind::SafeReplace, AgentKind::AbstractReasoning];
+        priors.update(class, &steps, &outcome(false, 9000.0));
+        priors.update(
+            class,
+            &[AgentKind::Modify, AgentKind::Assert],
+            &outcome(true, 1000.0),
+        );
+        (features, priors)
+    }
+
+    /// One golden row: `(seed, k, temperature, feedback, next-u64,
+    /// solutions)`.
+    fn golden_rows() -> impl Iterator<Item = (u64, usize, f64, bool, u64, &'static str)> {
+        GOLDEN.lines().map(|row| {
+            let (args, solutions) = row.split_once(" | ").expect("a golden row");
+            let args: Vec<&str> = args.split_whitespace().collect();
+            let [seed, k, temperature, feedback, next] = args[..] else {
+                panic!("a golden row has five arguments: {row}");
+            };
+            (
+                seed.parse().unwrap(),
+                k.parse().unwrap(),
+                temperature.parse().unwrap(),
+                feedback == "on",
+                u64::from_str_radix(next, 16).unwrap(),
+                solutions,
+            )
+        })
+    }
+
+    /// Drawing on demand changes no draw: on every golden row, a
+    /// generation asked for only its first `n` solutions (every `n` from
+    /// 0 to `k`) and then followed by another leaves the same solutions
+    /// and the same RNG position as two eager generations.
+    #[test]
+    fn on_demand_prefixes_match_eager_generation() {
+        let (features, priors) = golden_inputs();
+        for (seed, k, temperature, feedback, _, _) in golden_rows() {
+            let rng = || ChaCha8Rng::seed_from_u64(seed);
+            let mut eager = FastThinking::new(rng());
+            let first = eager.generate(&features, &priors, k, temperature, feedback);
+            let second = eager.generate(&features, &priors, k, temperature, feedback);
+            let next = eager.rng.next_u64();
+            for n in 0..=k {
+                let row = format!("{seed} {k} {temperature} {feedback}, first {n}");
+                let mut lazy = FastThinking::new(rng());
+                lazy.begin(&features, &priors, k, temperature, feedback);
+                let prefix: Vec<Solution> = (0..n).map(|i| lazy.solution(i).clone()).collect();
+                assert_eq!(prefix, first[..n], "{row}");
+                lazy.begin(&features, &priors, k, temperature, feedback);
+                let drawn: Vec<Solution> = (0..k).map(|i| lazy.solution(i).clone()).collect();
+                assert_eq!(drawn, second, "{row}");
+                assert_eq!(lazy.generate(&features, &priors, 0, 0.5, false), []);
+                assert_eq!(
+                    lazy.rng.next_u64(),
+                    next,
+                    "{row}: the RNG moved differently"
+                );
+            }
         }
     }
 

@@ -198,12 +198,8 @@ impl RustBrain {
     /// Generates (without executing) fast-thinking solutions for a failing
     /// program — exposed for the RQ1 flexibility experiment.
     pub fn generate_solutions(&mut self, program: &Program, report: &MiriReport) -> Vec<Solution> {
-        self.solutions_for(&extract_features(program, report))
-    }
-
-    fn solutions_for(&mut self, features: &CodeFeatures) -> Vec<Solution> {
         self.fast.generate(
-            features,
+            &extract_features(program, report),
             &self.priors,
             self.config.max_solutions,
             self.config.temperature,
@@ -254,8 +250,10 @@ impl RustBrain {
     }
 
     /// [`repair`] for a program the caller already holds behind an
-    /// [`Arc`]: nothing is copied. Every later use shares the handle —
-    /// the judgement (a memoising oracle keeps it), the start states, the
+    /// [`Arc`]: nothing is copied. The repair continues from the handle
+    /// the oracle keeps for the input ([`Oracle::judge_canonical`]: the
+    /// caller's own, unless a memoising oracle already held an equal
+    /// program), and every later use shares it — the start states, the
     /// rollback anchors and, when no edit beats it, the returned
     /// `final_program`.
     ///
@@ -264,9 +262,11 @@ impl RustBrain {
         let mut repair_span = rb_obs::span("repair");
         let mut oracle_use = OracleUse::default();
         // Held as an Arc end to end: a cache-served verdict is shared,
-        // never deep-copied (execute_one and the rollback tracker only
-        // ever borrow it).
-        let report: Arc<MiriReport> = self.oracle.judge_recording(input, &mut oracle_use);
+        // never deep-copied (execute_solution and the rollback tracker
+        // only ever borrow it). A cached input continues from the entry's
+        // handle, whose edits and slot the cache finds by address.
+        let (input, report) = self.oracle.judge_canonical(input, &mut oracle_use);
+        let input = &input;
         let class = report.primary().map_or(UbClass::Compile, |e| e.class());
         repair_span.tag("class", class.label());
         let Some(primary) = report.primary() else {
@@ -308,7 +308,10 @@ impl RustBrain {
         };
         let profile = self.model.profile();
         let fast_cost = profile.latency_base_ms + profile.latency_per_token_ms * fast_tokens as f64;
-        let (features, solutions) = {
+        // The generation's `k` solutions are drawn as the loop below asks
+        // for them; it stops at the first acceptable one.
+        let k = self.config.max_solutions;
+        let features = {
             let mut fast_span = rb_obs::span("fast");
             fast_span.add_sim_ms(fast_cost);
             // Read from the input's slot, or derived once: the features'
@@ -317,9 +320,15 @@ impl RustBrain {
             let program =
                 ProgramFeatures::shared(memo.as_deref(), input, &mut self.features_derived);
             let features = CodeFeatures::new(&report, program);
-            let solutions = self.solutions_for(&features);
-            fast_span.tag("solutions", solutions.len());
-            (features, solutions)
+            self.fast.begin(
+                &features,
+                &self.priors,
+                k,
+                self.config.temperature,
+                self.config.use_feedback,
+            );
+            fast_span.tag("solutions", k);
+            features
         };
         let mut best: Option<SolutionOutcome> = None;
         let mut total_overhead = fast_cost;
@@ -357,14 +366,14 @@ impl RustBrain {
         // produced.
         let mut start_state: Option<(Arc<Program>, Arc<MiriReport>)> = None;
         let calls_at_start = self.model.stats().calls;
-        for (i, solution) in solutions.iter().enumerate() {
+        for i in 0..k {
             if total_runs >= self.config.max_iterations
                 || (self.model.stats().calls - calls_at_start) as usize
                     >= self.config.max_model_calls
             {
                 break;
             }
-            let remaining_solutions = (solutions.len() - i).max(1);
+            let remaining_solutions = (k - i).max(1);
             let budget = ((self.config.max_iterations - total_runs) / remaining_solutions)
                 .max(self.config.max_steps_per_solution);
             let (start_prog, start_report) = match (&self.config.rollback, &start_state) {
@@ -374,8 +383,22 @@ impl RustBrain {
             let outcome = {
                 let mut solution_span = rb_obs::span("solution");
                 solution_span.tag("index", i);
-                let outcome =
-                    self.execute_one(start_prog, start_report, solution, reference, budget);
+                // `execute_one` with the solution borrowed from the
+                // generator, a field it does not touch.
+                let solution = self.fast.solution(i);
+                let kb = self.config.use_knowledge.then_some(&mut self.knowledge);
+                let outcome = execute_solution(
+                    self.oracle.as_ref(),
+                    &mut self.model,
+                    kb,
+                    self.config.rollback,
+                    start_prog,
+                    start_report,
+                    solution,
+                    reference,
+                    budget,
+                );
+                self.features_derived += outcome.features_derived;
                 solution_span.add_sim_ms(outcome.overhead_ms);
                 solution_span.tag("accuracy", outcome.eval.accuracy);
                 outcome
@@ -411,7 +434,8 @@ impl RustBrain {
             rollbacks += outcome.trace.rollbacks;
 
             if self.config.use_feedback {
-                self.priors.update(class, &solution.steps, &outcome.eval);
+                self.priors
+                    .update(class, &outcome.solution.steps, &outcome.eval);
             }
             let better = match &best {
                 None => true,
@@ -592,6 +616,79 @@ mod tests {
         assert_eq!(rb.knowledge().len(), snapshot.len());
         // The delta relative to the snapshot starts empty.
         assert!(rb.knowledge().delta().is_empty());
+    }
+
+    /// Consecutive repairs on one brain: each repair's generation draws
+    /// only what it tries, the next one finishes those draws first, and
+    /// feedback between tried solutions reaches only the next repair. The
+    /// outcomes were recorded from the eager generator; seeds 6, 9 and 11
+    /// try more than one solution per repair.
+    #[test]
+    fn consecutive_repairs_keep_the_eager_generators_outcomes() {
+        let (double_free, _) = double_free();
+        let parse = |src: &str| rb_lang::parser::parse_program(src).unwrap();
+        let dangling = parse(
+            "fn main() { let q: *const i32 = 0 as *const i32; \
+             { let x: i32 = 5; q = &raw const x; } \
+             unsafe { print(*q); } }",
+        );
+        let division = parse("fn main() { let z: i32 = 0; print(5 / z); }");
+        let describe = |o: &RepairOutcome| {
+            format!(
+                "{} {} {} {:.1} {:?} {:?} {} {}",
+                o.passed,
+                o.acceptable,
+                o.solutions_tried,
+                o.overhead_ms,
+                o.error_history,
+                o.rules_applied,
+                o.best_solution
+                    .as_ref()
+                    .map_or("-".to_owned(), Solution::describe),
+                o.rollbacks
+            )
+        };
+        let pinned = [
+            (
+                6,
+                [
+                    "true true 2 31383.2 [1, 1, 0] [HoistLocalOut] [modify → safe-replace] 0",
+                    "true true 2 51050.5 [1, 1, 2, 0] [DuplicateStatement, RemoveDoubleFree] \
+                     [assert → abstract-reasoning → safe-replace] 1",
+                    "true true 1 21050.7 [1, 0] [WidenArithmetic] \
+                     [safe-replace → abstract-reasoning → modify] 0",
+                ],
+            ),
+            (
+                9,
+                [
+                    "true true 3 37472.7 [1, 2, 0, 0] [HoistLocalOut] \
+                     [assert → abstract-reasoning] 1",
+                    "true true 1 23787.1 [1, 0] [RemoveDoubleFree] \
+                     [safe-replace → abstract-reasoning] 0",
+                    "true true 1 22381.5 [1, 0] [GuardDivision] \
+                     [modify → safe-replace → assert] 0",
+                ],
+            ),
+            (
+                11,
+                [
+                    "true true 1 30676.9 [1, 0] [HoistLocalOut] \
+                     [abstract-reasoning → safe-replace → modify] 0",
+                    "true true 2 30959.8 [1, 1, 0] [RemoveDoubleFree] \
+                     [modify → safe-replace → safe-replace] 0",
+                    "true true 1 20669.1 [1, 0] [GuardDivision] [assert] 0",
+                ],
+            ),
+        ];
+        for (seed, expected) in pinned {
+            let mut rb = RustBrain::new(RustBrainConfig::for_model(ModelId::Gpt4, seed));
+            let cases = [(&dangling, "5"), (&double_free, "3"), (&division, "5")];
+            for ((program, gold), expected) in cases.into_iter().zip(expected) {
+                let outcome = rb.repair(program, &[gold.to_owned()]);
+                assert_eq!(describe(&outcome), expected, "seed {seed}");
+            }
+        }
     }
 
     #[test]

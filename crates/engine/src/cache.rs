@@ -648,6 +648,21 @@ impl Oracle for CachedOracle {
         self.cache.state_memo(state)
     }
 
+    /// Judges `program` like `judge_recording` and hands out the entry's
+    /// own handle: an equal program judged earlier under another
+    /// allocation (a repeated corpus input, a daemon request) continues
+    /// from the resident state.
+    fn judge_canonical(
+        &self,
+        program: &Arc<Program>,
+        used: &mut OracleUse,
+    ) -> (Arc<Program>, Arc<MiriReport>) {
+        let record = JudgeRecord::open();
+        let (canonical, report, cached) = self.cache.lookup_canonical(program);
+        record.close(&report, cached, used);
+        (canonical, report)
+    }
+
     /// Serves a repeated edit of a resident state from the transition
     /// memo (see the module docs), and otherwise derives, judges and
     /// remembers it. Either way the judgement is recorded as the lookup

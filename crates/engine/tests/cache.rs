@@ -1,15 +1,19 @@
 //! Coverage of the content-addressed oracle cache: key semantics
 //! (structure, not strings), hit behaviour, the guarantee that caching
-//! never changes reported results — including `overhead_ms` — and the
-//! transition memo that serves repeated edits.
+//! never changes reported results — including `overhead_ms` — the
+//! transition memo that serves repeated edits, and repairs that continue
+//! from the cache's own handle for their input.
 
 use rb_dataset::Corpus;
 use rb_engine::{program_key, CachedOracle, Engine, OracleCache, SystemSpec};
 use rb_lang::parser::parse_program;
 use rb_lang::printer::print_program;
 use rb_lang::Program;
-use rb_miri::{run_program, Oracle, OracleUse, UbClass};
+use rb_llm::ModelId;
+use rb_miri::{run_program, MiriReport, Oracle, OracleUse, StateMemo, UbClass};
+use rustbrain::{RustBrain, RustBrainConfig};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn program(src: &str) -> Program {
@@ -302,4 +306,92 @@ fn an_evicted_source_derives_again_and_the_memo_stays_bounded() {
     assert_eq!(*report, run_program(&edited));
     let stats = cache.stats();
     assert!(stats.entries <= stats.capacity, "{stats:?}");
+}
+
+// ---------------------------------------------------------------------------
+// Repairs continue from the cache's canonical handle
+// ---------------------------------------------------------------------------
+
+/// A `CachedOracle` that counts the `derive` calls its edits make.
+struct DeriveCounting {
+    inner: CachedOracle,
+    derives: AtomicUsize,
+}
+
+impl Oracle for DeriveCounting {
+    fn judge(&self, program: &Program) -> Arc<MiriReport> {
+        self.inner.judge(program)
+    }
+
+    fn judge_counted(&self, program: &Program) -> (Arc<MiriReport>, bool) {
+        self.inner.judge_counted(program)
+    }
+
+    fn judge_shared(&self, program: &Arc<Program>) -> (Arc<MiriReport>, bool) {
+        self.inner.judge_shared(program)
+    }
+
+    fn judge_canonical(
+        &self,
+        program: &Arc<Program>,
+        used: &mut OracleUse,
+    ) -> (Arc<Program>, Arc<MiriReport>) {
+        self.inner.judge_canonical(program, used)
+    }
+
+    fn judge_edit(
+        &self,
+        from: &Arc<Program>,
+        edit: u64,
+        derive: &mut dyn FnMut() -> Option<Program>,
+        used: &mut OracleUse,
+    ) -> Option<(Arc<Program>, Arc<MiriReport>)> {
+        let mut counted = || {
+            self.derives.fetch_add(1, Ordering::Relaxed);
+            derive()
+        };
+        self.inner.judge_edit(from, edit, &mut counted, used)
+    }
+
+    fn state_memo(&self, state: &Arc<Program>) -> Option<Arc<StateMemo>> {
+        self.inner.state_memo(state)
+    }
+}
+
+#[test]
+fn a_repeated_input_is_repaired_from_the_cached_handle() {
+    let oracle = Arc::new(DeriveCounting {
+        inner: CachedOracle::new(Arc::new(OracleCache::new())),
+        derives: AtomicUsize::new(0),
+    });
+    let dangling = "fn main() { let q: *const i32 = 0 as *const i32; \
+         { let x: i32 = 5; q = &raw const x; } \
+         unsafe { print(*q); } }";
+    let gold = ["5".to_owned()];
+    // At seed 6 the first solution fails and the second repairs it.
+    let repair = |input: &Arc<Program>| {
+        let config = RustBrainConfig::for_model(ModelId::Gpt4, 6);
+        let shared: Arc<dyn Oracle> = oracle.clone();
+        RustBrain::with_oracle(config, shared).repair_shared(input, &gold)
+    };
+    let first = repair(&Arc::new(program(dangling)));
+    let derived = oracle.derives.load(Ordering::Relaxed);
+    assert!(derived > 1, "the first repair derived {derived} edits");
+    assert_eq!(first.solutions_tried, 2);
+    // An equal input in its own allocation, as a repeated corpus program
+    // or a daemon request arrives: every edit is served from the memo.
+    let input = Arc::new(program(dangling));
+    let second = repair(&input);
+    assert_eq!(oracle.derives.load(Ordering::Relaxed), derived);
+    assert_eq!(
+        (first.passed, first.overhead_ms, &first.error_history),
+        (second.passed, second.overhead_ms, &second.error_history)
+    );
+    assert_eq!(first.final_program, second.final_program);
+    assert!(Arc::ptr_eq(&first.final_program, &second.final_program));
+    assert_eq!(
+        Arc::strong_count(&input),
+        1,
+        "the repair kept the caller's handle"
+    );
 }

@@ -79,18 +79,37 @@ pub trait Oracle: Send + Sync {
     /// `oracle.judge` span with cached/executed and verdict-class tags,
     /// plus wall-clock latency in the process-wide registry). No
     /// implementation in the stack overrides it, and an override of
-    /// [`judge_edit`] records through the same [`JudgeRecord`], so the
-    /// fast path, slow path and rollback reverification are all covered.
-    /// Purely observational: the verdict and the `used` accounting are
-    /// untouched.
+    /// [`judge_canonical`] or [`judge_edit`] records through the same
+    /// [`JudgeRecord`], so the fast path, slow path and rollback
+    /// reverification are all covered. Purely observational: the verdict
+    /// and the `used` accounting are untouched.
     ///
     /// [`judge_shared`]: Oracle::judge_shared
+    /// [`judge_canonical`]: Oracle::judge_canonical
     /// [`judge_edit`]: Oracle::judge_edit
     fn judge_recording(&self, program: &Arc<Program>, used: &mut OracleUse) -> Arc<MiriReport> {
         let record = JudgeRecord::open();
         let (report, cached) = self.judge_shared(program);
         record.close(&report, cached, used);
         report
+    }
+
+    /// [`judge_recording`] that also returns the handle the oracle keeps
+    /// for `program`'s content, so a caller can continue from it: a
+    /// memoising oracle finds its edits and its [`StateMemo`] by address.
+    /// The handle is `program` itself unless the oracle already held an
+    /// equal program under another one.
+    ///
+    /// The default keeps nothing: it judges through [`judge_recording`]
+    /// and returns the caller's handle.
+    ///
+    /// [`judge_recording`]: Oracle::judge_recording
+    fn judge_canonical(
+        &self,
+        program: &Arc<Program>,
+        used: &mut OracleUse,
+    ) -> (Arc<Program>, Arc<MiriReport>) {
+        (Arc::clone(program), self.judge_recording(program, used))
     }
 
     /// Judges the program one edit away from `from`: `derive` builds it

@@ -15,7 +15,10 @@
 //!   fixed-bucket histograms ([`metrics::metrics`]), with Prometheus-style
 //!   text exposition and a JSON dump. Call sites are free to record into
 //!   a private registry instead (the serve daemon does, to keep its
-//!   per-server counters hermetic).
+//!   per-server counters hermetic). Each thread records counters and
+//!   histograms into its own shard of a registry, every read folds the
+//!   shards, and a thread's shard is folded into the registry's retired
+//!   totals when the thread exits.
 //!
 //! Both halves write their JSON through [`json`], the stack's one JSON
 //! codec: a [`json::Value`] tree with a depth-bounded, RFC 8259-strict

@@ -7,6 +7,14 @@
 //! through [`metrics`]; components that need hermetic counts (the serve
 //! daemon's per-server stats) construct their own [`MetricsRegistry`].
 //!
+//! Recording never contends: each thread records counters and histograms
+//! into its own shard of the registry, found through a thread-local, and
+//! every read folds the shards into one view. A thread's shard is folded
+//! into the registry's retired totals when the thread exits, so a registry
+//! holds at most one live shard per live thread that recorded into it. Gauges are
+//! rare and stay last-write-wins under the registry's lock. Every registry,
+//! the global one and the daemon's own, works this way.
+//!
 //! Histograms use fixed, caller-supplied bucket bounds so merging and
 //! exposition never resample: [`SIM_MS_BUCKETS`] for simulated repair
 //! latencies, [`REAL_US_BUCKETS`] for wall-clock microseconds. Non-finite
@@ -14,9 +22,10 @@
 //! under the `obs_nonfinite_samples_total` counter instead.
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 use crate::json::{fmt_num, fmt_str};
 
@@ -64,6 +73,7 @@ fn cmp_label(stored: &Label, wanted: Option<(&str, &str)>) -> Ordering {
 /// an existing series borrows the caller's name and label, so the hot
 /// path allocates nothing; only a series's first touch stores owned
 /// copies. Labels stay sorted, so iteration runs in (name, label) order.
+#[derive(Clone)]
 struct Series<V> {
     by_name: BTreeMap<String, Vec<(Label, V)>>,
 }
@@ -81,6 +91,12 @@ impl<V> Series<V> {
         let labels = self.by_name.get(name)?;
         let i = labels.binary_search_by(|(l, _)| cmp_label(l, label)).ok()?;
         Some(&labels[i].1)
+    }
+
+    fn get_mut(&mut self, name: &str, label: Option<(&str, &str)>) -> Option<&mut V> {
+        let labels = self.by_name.get_mut(name)?;
+        let i = labels.binary_search_by(|(l, _)| cmp_label(l, label)).ok()?;
+        Some(&mut labels[i].1)
     }
 
     /// The series `name`/`label`, created with `init` on first touch.
@@ -137,24 +153,169 @@ pub struct HistogramSnapshot {
 
 #[derive(Clone, Debug)]
 struct Histo {
-    bounds: Vec<f64>,
+    bounds: Arc<[f64]>,
     counts: Vec<u64>,
     sum: f64,
     count: u64,
 }
 
-#[derive(Default)]
-struct Inner {
+impl Histo {
+    fn new(bounds: Arc<[f64]>) -> Histo {
+        Histo {
+            counts: vec![0; bounds.len() + 1],
+            bounds,
+            sum: 0.0,
+            count: 0,
+        }
+    }
+
+    fn add(&mut self, value: f64) {
+        let idx = self
+            .bounds
+            .iter()
+            .position(|&b| value <= b)
+            .unwrap_or(self.bounds.len());
+        self.counts[idx] += 1;
+        self.sum += value;
+        self.count += 1;
+    }
+
+    /// Adds `other`'s samples. Both carry their series's registry-wide
+    /// bounds, so the buckets line up.
+    fn absorb(&mut self, other: &Histo) {
+        for (count, more) in self.counts.iter_mut().zip(&other.counts) {
+            *count += more;
+        }
+        self.sum += other.sum;
+        self.count += other.count;
+    }
+}
+
+/// Counters and histograms: what one thread recorded into its shard, the
+/// retired threads' totals, or a read's fold of both.
+#[derive(Clone, Default)]
+struct Tally {
     counters: Series<u64>,
-    gauges: Series<f64>,
     histograms: Series<Histo>,
+}
+
+fn borrowed(label: &Label) -> Option<(&str, &str)> {
+    label.as_ref().map(|(k, v)| (k.as_str(), v.as_str()))
+}
+
+impl Tally {
+    fn absorb(&mut self, other: &Tally) {
+        for (name, label, v) in other.counters.iter() {
+            *self.counters.entry(name, borrowed(label), || 0) += v;
+        }
+        for (name, label, h) in other.histograms.iter() {
+            self.histograms
+                .entry(name, borrowed(label), || Histo::new(Arc::clone(&h.bounds)))
+                .absorb(h);
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.counters.is_empty() && self.histograms.is_empty()
+    }
+}
+
+/// One thread's tally in one registry. Only that thread records into it;
+/// reads and the thread's retirement lock it briefly.
+type Shard = Mutex<Tally>;
+
+/// A lock that keeps counting after a panic elsewhere: observability must
+/// not take the process down.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What a registry's threads share, under one lock.
+#[derive(Default)]
+struct Shared {
+    gauges: Series<f64>,
+    /// Each histogram series's bucket bounds, fixed by its first
+    /// observation in any thread.
+    bounds: Series<Arc<[f64]>>,
+    /// The tallies of threads that have exited.
+    retired: Tally,
+    /// The shards of threads that have recorded and not yet exited.
+    live: Vec<Arc<Shard>>,
+}
+
+/// A registry's shared state; thread-locals hold it weakly.
+type Core = Mutex<Shared>;
+
+/// Folds an exiting thread's shard into the retired totals and drops it
+/// from the live list, in one step under the registry's lock, so a read
+/// counts it exactly once.
+fn retire(core: &Core, shard: &Arc<Shard>) {
+    let mut shared = lock(core);
+    if let Some(i) = shared.live.iter().position(|s| Arc::ptr_eq(s, shard)) {
+        shared.live.swap_remove(i);
+    }
+    shared.retired.absorb(&lock(shard));
+}
+
+/// This thread's shards, one per registry it has recorded into, found by
+/// the registry's address (its [`Weak`] keeps the address from being
+/// reused). Dropped when the thread exits, retiring every shard whose
+/// registry is still alive.
+#[derive(Default)]
+struct LocalShards(Vec<(Weak<Core>, Arc<Shard>)>);
+
+impl LocalShards {
+    fn shard(&mut self, core: &Arc<Core>) -> &Shard {
+        let key = Arc::as_ptr(core);
+        if let Some(i) = self.0.iter().position(|(c, _)| c.as_ptr() == key) {
+            return &self.0[i].1;
+        }
+        // Shards of dropped registries go first, so a long-lived thread
+        // holds one per live registry at most.
+        self.0.retain(|(c, _)| c.strong_count() > 0);
+        let shard = Arc::new(Shard::default());
+        lock(core).live.push(Arc::clone(&shard));
+        self.0.push((Arc::downgrade(core), shard));
+        &self.0.last().expect("pushed above").1
+    }
+}
+
+impl Drop for LocalShards {
+    fn drop(&mut self) {
+        for (core, shard) in &self.0 {
+            if let Some(core) = core.upgrade() {
+                retire(&core, shard);
+            }
+        }
+    }
+}
+
+thread_local! {
+    static SHARDS: RefCell<LocalShards> = RefCell::new(LocalShards::default());
 }
 
 /// A registry of counters, gauges and histograms. Thread-safe; cheap to
 /// share behind an [`Arc`].
+///
+/// Counters and histograms are recorded into a shard of the calling
+/// thread's own, so threads recording together never wait on each other.
+/// Every read folds the shards: [`counter`], [`histogram`],
+/// [`label_values`], [`prometheus`], [`to_json`] and [`is_empty`] see all
+/// that has been recorded, exactly. When a thread exits, its shard is
+/// folded into the registry's retired totals and dropped, so the live
+/// shards ([`live_shards`]) never outnumber the live threads that
+/// recorded. Gauges are last-write-wins under the registry's lock.
+///
+/// [`counter`]: MetricsRegistry::counter
+/// [`histogram`]: MetricsRegistry::histogram
+/// [`label_values`]: MetricsRegistry::label_values
+/// [`prometheus`]: MetricsRegistry::prometheus
+/// [`to_json`]: MetricsRegistry::to_json
+/// [`is_empty`]: MetricsRegistry::is_empty
+/// [`live_shards`]: MetricsRegistry::live_shards
 #[derive(Default)]
 pub struct MetricsRegistry {
-    inner: Mutex<Inner>,
+    core: Arc<Core>,
 }
 
 impl std::fmt::Debug for MetricsRegistry {
@@ -203,21 +364,45 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // Observability must not take the process down on a panic
-        // elsewhere; a poisoned registry keeps counting.
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Runs `f` on the calling thread's shard, or on the retired totals
+    /// when the thread's shards are gone (a thread-local destructor is
+    /// recording).
+    fn record<R>(&self, f: impl FnOnce(&mut Tally) -> R) -> R {
+        let mut f = Some(f);
+        let recorded = SHARDS.try_with(|shards| {
+            let mut shards = shards.try_borrow_mut().ok()?;
+            let mut tally = lock(shards.shard(&self.core));
+            f.take().map(|f| f(&mut tally))
+        });
+        if let Ok(Some(r)) = recorded {
+            return r;
+        }
+        let f = f.expect("a recording that ran returned its result");
+        f(&mut lock(&self.core).retired)
+    }
+
+    /// Everything recorded so far — the retired totals with every live
+    /// shard folded in — and the gauges, read under the registry's lock.
+    fn snapshot(&self) -> (Tally, Series<f64>) {
+        let shared = lock(&self.core);
+        let mut folded = shared.retired.clone();
+        for shard in &shared.live {
+            folded.absorb(&lock(shard));
+        }
+        (folded, shared.gauges.clone())
     }
 
     /// Adds `delta` to a counter (created at zero on first touch).
     pub fn counter_add(&self, name: &str, label: Option<(&str, &str)>, delta: u64) {
-        *self.lock().counters.entry(name, label, || 0) += delta;
+        self.record(|t| *t.counters.entry(name, label, || 0) += delta);
     }
 
     /// Reads a counter (zero if never touched).
     #[must_use]
     pub fn counter(&self, name: &str, label: Option<(&str, &str)>) -> u64 {
-        self.lock().counters.get(name, label).copied().unwrap_or(0)
+        let shared = lock(&self.core);
+        let of = |t: &Tally| t.counters.get(name, label).copied().unwrap_or(0);
+        of(&shared.retired) + shared.live.iter().map(|s| of(&lock(s))).sum::<u64>()
     }
 
     /// Sets a gauge to `value` (non-finite values are dropped).
@@ -226,49 +411,51 @@ impl MetricsRegistry {
             self.counter_add("obs_nonfinite_samples_total", None, 1);
             return;
         }
-        *self.lock().gauges.entry(name, label, || value) = value;
+        *lock(&self.core).gauges.entry(name, label, || value) = value;
     }
 
     /// Reads a gauge, if it was ever set.
     #[must_use]
     pub fn gauge(&self, name: &str, label: Option<(&str, &str)>) -> Option<f64> {
-        self.lock().gauges.get(name, label).copied()
+        lock(&self.core).gauges.get(name, label).copied()
     }
 
-    /// Observes `value` into a fixed-bucket histogram. The first
-    /// observation fixes the bucket bounds; later `bounds` arguments for
-    /// the same series are ignored. Non-finite values are dropped and
-    /// tallied under `obs_nonfinite_samples_total`.
+    /// Observes `value` into a fixed-bucket histogram. The series's first
+    /// observation, in whichever thread, fixes its bucket bounds; later
+    /// `bounds` arguments for the same series are ignored. Non-finite
+    /// values are dropped and tallied under `obs_nonfinite_samples_total`.
     pub fn observe(&self, name: &str, label: Option<(&str, &str)>, value: f64, bounds: &[f64]) {
         if !value.is_finite() {
             self.counter_add("obs_nonfinite_samples_total", None, 1);
             return;
         }
-        let mut inner = self.lock();
-        let h = inner.histograms.entry(name, label, || Histo {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            sum: 0.0,
-            count: 0,
+        let seen = self.record(|t| {
+            t.histograms
+                .get_mut(name, label)
+                .map(|h| h.add(value))
+                .is_some()
         });
-        let idx = h
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(h.bounds.len());
-        h.counts[idx] += 1;
-        h.sum += value;
-        h.count += 1;
+        if !seen {
+            // This thread's first sample of the series: take the bounds
+            // the registry fixed for it (or fix them now).
+            let fixed = Arc::clone(lock(&self.core).bounds.entry(name, label, || bounds.into()));
+            self.record(|t| {
+                t.histograms
+                    .entry(name, label, || Histo::new(fixed))
+                    .add(value);
+            });
+        }
     }
 
     /// Snapshot of one histogram series, if it has any observations.
     #[must_use]
     pub fn histogram(&self, name: &str, label: Option<(&str, &str)>) -> Option<HistogramSnapshot> {
-        self.lock()
+        let (tally, _) = self.snapshot();
+        tally
             .histograms
             .get(name, label)
             .map(|h| HistogramSnapshot {
-                bounds: h.bounds.clone(),
+                bounds: h.bounds.to_vec(),
                 counts: h.counts.clone(),
                 sum: h.sum,
                 count: h.count,
@@ -279,17 +466,26 @@ impl MetricsRegistry {
     /// the UB classes a repair-latency histogram has touched.
     #[must_use]
     pub fn label_values(&self, name: &str) -> Vec<String> {
-        let inner = self.lock();
-        let mut out: Vec<String> = inner
+        let (tally, gauges) = self.snapshot();
+        let mut out: Vec<String> = tally
             .counters
             .labels_of(name)
-            .chain(inner.gauges.labels_of(name))
-            .chain(inner.histograms.labels_of(name))
+            .chain(gauges.labels_of(name))
+            .chain(tally.histograms.labels_of(name))
             .filter_map(|l| l.as_ref().map(|(_, v)| v.clone()))
             .collect();
         out.sort();
         out.dedup();
         out
+    }
+
+    /// How many threads hold a live shard of this registry: those that
+    /// have recorded into it and not yet exited. A thread's `join`
+    /// returns after its shard is retired; a thread scope can return
+    /// before the scoped threads it did not join have exited.
+    #[must_use]
+    pub fn live_shards(&self) -> usize {
+        lock(&self.core).live.len()
     }
 
     /// Prometheus-style text exposition: counters and gauges as single
@@ -298,15 +494,15 @@ impl MetricsRegistry {
     /// series key).
     #[must_use]
     pub fn prometheus(&self) -> String {
-        let inner = self.lock();
+        let (tally, gauges) = self.snapshot();
         let mut out = String::new();
-        for (name, label, v) in inner.counters.iter() {
+        for (name, label, v) in tally.counters.iter() {
             out.push_str(&format!("{} {v}\n", series_name(name, label)));
         }
-        for (name, label, v) in inner.gauges.iter() {
+        for (name, label, v) in gauges.iter() {
             out.push_str(&format!("{} {}\n", series_name(name, label), fmt_num(*v)));
         }
-        for (name, label, h) in inner.histograms.iter() {
+        for (name, label, h) in tally.histograms.iter() {
             let bucket = |le: &str| match label {
                 None => format!("{name}_bucket{{le=\"{le}\"}}"),
                 Some((k, v)) => {
@@ -339,9 +535,9 @@ impl MetricsRegistry {
     /// buckets non-cumulative with an `"inf"` overflow entry.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let inner = self.lock();
+        let (tally, gauges) = self.snapshot();
         let mut out = String::from("{\"counters\":{");
-        for (i, (name, label, v)) in inner.counters.iter().enumerate() {
+        for (i, (name, label, v)) in tally.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -350,7 +546,7 @@ impl MetricsRegistry {
             out.push_str(&v.to_string());
         }
         out.push_str("},\"gauges\":{");
-        for (i, (name, label, v)) in inner.gauges.iter().enumerate() {
+        for (i, (name, label, v)) in gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -359,7 +555,7 @@ impl MetricsRegistry {
             out.push_str(&fmt_num(*v));
         }
         out.push_str("},\"histograms\":{");
-        for (i, (name, label, h)) in inner.histograms.iter().enumerate() {
+        for (i, (name, label, h)) in tally.histograms.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -392,8 +588,8 @@ impl MetricsRegistry {
     /// Whether the registry holds no series at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        let inner = self.lock();
-        inner.counters.is_empty() && inner.gauges.is_empty() && inner.histograms.is_empty()
+        let (tally, gauges) = self.snapshot();
+        tally.is_empty() && gauges.is_empty()
     }
 }
 
@@ -557,5 +753,173 @@ mod tests {
         let a = metrics_arc();
         metrics().counter_add("obs_global_smoke_total", None, 1);
         assert!(a.counter("obs_global_smoke_total", None) >= 1);
+    }
+
+    #[test]
+    fn threads_joined_one_after_another_retire_their_shards() {
+        let reg = MetricsRegistry::new();
+        let start = reg.live_shards();
+        for t in 0..64u64 {
+            std::thread::scope(|scope| {
+                scope
+                    .spawn(|| {
+                        reg.counter_add("hits", None, 1);
+                        reg.counter_add("hits", Some(("thread", "any")), t);
+                        reg.observe("lat", None, t as f64, &[10.0, 100.0]);
+                        assert_eq!(reg.live_shards(), start + 1);
+                    })
+                    .join()
+                    .unwrap();
+            });
+            assert_eq!(reg.live_shards(), start, "thread {t} left its shard");
+        }
+        assert_eq!(reg.counter("hits", None), 64);
+        assert_eq!(reg.counter("hits", Some(("thread", "any"))), 63 * 64 / 2);
+        let h = reg.histogram("lat", None).unwrap();
+        assert_eq!((h.counts, h.count), (vec![11, 53, 0], 64));
+        assert_eq!(h.sum, (63 * 64 / 2) as f64);
+    }
+
+    #[test]
+    fn a_reader_sees_monotone_counts_while_two_threads_record() {
+        const EACH: u64 = 20_000;
+        let reg = MetricsRegistry::new();
+        let done = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let recorders: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        for _ in 0..EACH {
+                            reg.counter_add("hits", Some(("class", "panic")), 1);
+                            reg.observe("lat", None, 1.0, &[10.0]);
+                        }
+                        done.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    })
+                })
+                .collect();
+            scope.spawn(|| {
+                let mut last = (0, 0);
+                loop {
+                    let finished = done.load(std::sync::atomic::Ordering::SeqCst) == 2;
+                    let hits = reg.counter("hits", Some(("class", "panic")));
+                    let samples = reg.histogram("lat", None).map_or(0, |h| h.count);
+                    assert!(hits >= last.0 && samples >= last.1, "counts went back");
+                    assert!(hits <= 2 * EACH && samples <= 2 * EACH);
+                    last = (hits, samples);
+                    if finished {
+                        assert_eq!(last, (2 * EACH, 2 * EACH));
+                        break;
+                    }
+                }
+            });
+            // Joined, not just ended with the scope: a join returns after
+            // the thread's exit has retired its shard.
+            for recorder in recorders {
+                recorder.join().unwrap();
+            }
+        });
+        assert_eq!(reg.counter("hits", Some(("class", "panic"))), 2 * EACH);
+        assert!(reg
+            .prometheus()
+            .contains(&format!("hits{{class=\"panic\"}} {}\n", 2 * EACH)));
+        assert_eq!(reg.live_shards(), 0);
+    }
+
+    #[test]
+    fn a_registry_dropped_before_its_threads_exit_leaks_nothing() {
+        let reg = MetricsRegistry::new();
+        let core = Arc::downgrade(&reg.core);
+        let (recorded_tx, recorded_rx) = std::sync::mpsc::channel();
+        let (exit_tx, exit_rx) = std::sync::mpsc::channel::<()>();
+        let registry = Arc::new(reg);
+        let worker = {
+            let registry = Arc::clone(&registry);
+            std::thread::spawn(move || {
+                registry.counter_add("hits", None, 1);
+                drop(registry);
+                recorded_tx.send(()).unwrap();
+                exit_rx.recv().unwrap();
+            })
+        };
+        recorded_rx.recv().unwrap();
+        let shard = Arc::downgrade(&lock(&registry.core).live[0]);
+        assert_eq!(registry.counter("hits", None), 1);
+        drop(registry);
+        assert!(core.upgrade().is_none(), "the registry outlived its owner");
+        exit_tx.send(()).unwrap();
+        worker.join().unwrap();
+        assert!(
+            shard.upgrade().is_none(),
+            "the exited thread's shard leaked"
+        );
+
+        // A thread that outlives a registry drops its shard when it next
+        // records into another one.
+        let first = MetricsRegistry::new();
+        first.counter_add("hits", None, 1);
+        let shard = Arc::downgrade(&lock(&first.core).live[0]);
+        drop(first);
+        MetricsRegistry::new().counter_add("hits", None, 1);
+        assert!(
+            shard.upgrade().is_none(),
+            "a dropped registry's shard leaked"
+        );
+    }
+
+    #[test]
+    fn histogram_bounds_are_fixed_by_the_first_observation_in_any_thread() {
+        let reg = MetricsRegistry::new();
+        std::thread::scope(|scope| {
+            scope.spawn(|| reg.observe("lat", None, 5.0, &[10.0]));
+        });
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                reg.observe("lat", None, 50.0, &[1.0, 2.0, 3.0]);
+                // While this thread's shard is live, the fold agrees too.
+                let h = reg.histogram("lat", None).unwrap();
+                assert_eq!((h.bounds, h.counts), (vec![10.0], vec![1, 1]));
+            });
+        });
+        reg.observe("lat", None, 7.0, SIM_MS_BUCKETS);
+        let h = reg.histogram("lat", None).unwrap();
+        assert_eq!(h.bounds, vec![10.0]);
+        assert_eq!((h.counts, h.count, h.sum), (vec![2, 1], 3, 62.0));
+        let text = reg.prometheus();
+        assert!(text.contains("lat_bucket{le=\"10\"} 2\n"), "{text}");
+        assert!(!text.contains("le=\"1\""), "{text}");
+    }
+
+    #[test]
+    fn non_finite_samples_are_tallied_from_any_thread() {
+        struct RecordOnExit(Arc<MetricsRegistry>);
+        impl Drop for RecordOnExit {
+            fn drop(&mut self) {
+                self.0.observe("lat", None, f64::NAN, &[10.0]);
+                self.0.counter_add("exits", None, 1);
+            }
+        }
+        thread_local! {
+            static ON_EXIT: RefCell<Option<RecordOnExit>> = const { RefCell::new(None) };
+        }
+        let reg = Arc::new(MetricsRegistry::new());
+        for _ in 0..4 {
+            let reg = Arc::clone(&reg);
+            std::thread::spawn(move || {
+                // Set before the thread's first recording, so its shards
+                // may be gone by the time this destructor records.
+                ON_EXIT.with(|slot| *slot.borrow_mut() = Some(RecordOnExit(Arc::clone(&reg))));
+                reg.observe("lat", None, f64::INFINITY, &[10.0]);
+                reg.gauge_set("g", None, f64::NAN);
+                reg.observe("lat", None, 1.0, &[10.0]);
+            })
+            .join()
+            .unwrap();
+        }
+        assert_eq!(reg.counter("obs_nonfinite_samples_total", None), 12);
+        assert_eq!(reg.counter("exits", None), 4);
+        assert_eq!(reg.histogram("lat", None).unwrap().count, 4);
+        assert_eq!(reg.gauge("g", None), None);
+        assert_eq!(reg.live_shards(), 0);
+        assert!(!reg.prometheus().contains("NaN"));
     }
 }

@@ -182,6 +182,62 @@ fn daemon_reports_its_whole_store_before_any_request() {
 }
 
 #[test]
+fn request_counts_are_exact_while_the_handlers_still_run() {
+    const PER_CONNECTION: usize = 3;
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        jobs: 1,
+        handlers: 2,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    let daemon = std::thread::spawn(move || server.run());
+
+    // Two connections repair at once, each on its own handler thread,
+    // and both stay open: the handlers record into shards that are
+    // still live when the counts are read.
+    let requests = corpus_requests(SEED, PER_CLASS, UbClass::Panic);
+    let mut clients: Vec<Client> = std::thread::scope(|scope| {
+        let sessions: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut client = Client::connect(&addr).unwrap();
+                    for (source, reference) in requests.iter().cycle().take(PER_CONNECTION) {
+                        let response = client.call(&repair_request(source, reference, 42)).unwrap();
+                        assert!(response.starts_with("{\"ok\":true"), "{response}");
+                    }
+                    client
+                })
+            })
+            .collect();
+        sessions.into_iter().map(|s| s.join().unwrap()).collect()
+    });
+    let repairs = 2 * PER_CONNECTION as u64;
+
+    let response = clients[0].call(&stats_request()).unwrap();
+    let serve = parse(&response).unwrap().get("serve").cloned().unwrap();
+    assert_eq!(
+        serve.get("repairs").and_then(Value::as_u64),
+        Some(repairs),
+        "{response}"
+    );
+
+    let response = clients[1].call(&metrics_request()).unwrap();
+    let v = parse(&response).unwrap();
+    let exposition = v.get("exposition").and_then(Value::as_str).unwrap();
+    let series = format!("rustbrain_serve_requests_total{{verb=\"repair\"}} {repairs}\n");
+    assert!(
+        exposition.contains(&series),
+        "no {series:?} in\n{exposition}"
+    );
+
+    clients[0].call(&shutdown_request()).unwrap();
+    let finals = daemon.join().unwrap();
+    assert_eq!(finals.repairs, repairs);
+}
+
+#[test]
 fn a_store_that_does_not_decode_refuses_to_bind() {
     let store = scratch("kb.rbkb.d");
     seed_store(&store, SEED, PER_CLASS, &CLASSES).unwrap();
