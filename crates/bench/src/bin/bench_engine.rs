@@ -308,7 +308,7 @@ fn main() -> ExitCode {
             " \"per_class\":{},\n",
             " \"warm_start\":{},\n",
             " \"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},",
-            "\"evictions\":{},\"capacity\":{},\"hit_rate\":{}}}}}\n"
+            "\"hit_rate\":{}}}}}\n"
         ),
         corpus.len(),
         cores,
@@ -329,8 +329,6 @@ fn main() -> ExitCode {
         cache_stats.hits,
         cache_stats.misses,
         cache_stats.entries,
-        cache_stats.evictions,
-        cache_stats.capacity,
         fmt_num(cache_stats.hit_rate()),
     );
     if let Err(e) = std::fs::write(&args.out, &json) {

@@ -315,8 +315,6 @@ impl Engine {
             hits,
             misses: executed.len() as u64 - hits,
             entries: cache_now.entries,
-            evictions: cache_now.evictions,
-            capacity: cache_now.capacity,
         };
         let stats = EngineStats {
             workers: self.workers,
@@ -429,7 +427,7 @@ impl Engine {
         cases
             .iter()
             .map(|case| {
-                let reference = oracle.judge(&case.gold).outputs.clone();
+                let reference = oracle.judge_shared(&case.gold).0.outputs.clone();
                 system.repair_case_with(case, &reference)
             })
             .collect()

@@ -26,9 +26,9 @@
 //! 2. **Soundness of caching** — the oracle is pure, so the cache can
 //!    only change *when* a verdict is computed, never *what* it is; a
 //!    64-bit key collision is verified against the stored program and
-//!    degrades to an extra oracle run, not a wrong verdict; a bounded
-//!    cache ([`OracleCache::bounded`], clock eviction) only re-executes
-//!    evicted verdicts, it never changes them.
+//!    degrades to an extra oracle run, not a wrong verdict; the cache is
+//!    insert-only, so a verdict once stored is served for the cache's
+//!    whole life.
 //! 3. **Cross-case learning at scale** — every job starts from a handle
 //!    on the same read-only knowledge-base snapshot (shared, not copied)
 //!    and records its inserts into a [`rustbrain::KbDelta`]; the engine

@@ -91,8 +91,7 @@ pub struct EngineStats {
     /// Oracle-cache effect of the batch: `hits`/`misses` count exactly
     /// this batch's *gold-reference* lookups (attributed per job, so
     /// concurrent batches on a shared cache cannot pollute each other),
-    /// while `entries`/`evictions`/`capacity` are the cache's absolute
-    /// state when the batch finished.
+    /// while `entries` is the cache's size when the batch finished.
     pub cache: CacheStats,
     /// Dispatch telemetry (see [`SchedStats`]).
     pub sched: SchedStats,
@@ -160,7 +159,7 @@ impl EngineStats {
                 "\"contributing_jobs\":{},\"coalesced\":{},\"final_entries\":{},",
                 "\"shards_written\":{},\"shards_skipped\":{}}},",
                 "\"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},",
-                "\"evictions\":{},\"capacity\":{},\"hit_rate\":{}}}}}"
+                "\"hit_rate\":{}}}}}"
             ),
             self.workers,
             self.cases,
@@ -184,8 +183,6 @@ impl EngineStats {
             self.cache.hits,
             self.cache.misses,
             self.cache.entries,
-            self.cache.evictions,
-            self.cache.capacity,
             fmt_num(self.cache.hit_rate()),
         )
     }
@@ -249,8 +246,6 @@ mod tests {
                 hits: 1,
                 misses: 3,
                 entries: 3,
-                evictions: 4,
-                capacity: 64,
             },
             sched: SchedStats::default(),
         };
@@ -265,9 +260,9 @@ mod tests {
         assert!(json.contains("\"shards_written\":2"));
         assert!(json.contains("\"shards_skipped\":1"));
         assert!(json.contains("\"kb_query_ms\":18.5000"));
-        assert!(json.contains("\"evictions\":4"));
-        assert!(json.contains("\"capacity\":64"));
-        assert!(json.contains("\"hit_rate\":0.2500"));
+        assert!(
+            json.contains("\"cache\":{\"hits\":1,\"misses\":3,\"entries\":3,\"hit_rate\":0.2500}")
+        );
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 

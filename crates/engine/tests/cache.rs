@@ -156,10 +156,10 @@ fn a_cold_batch_keeps_each_case_gold_handle() {
 // The transition memo behind `CachedOracle::judge_edit`
 // ---------------------------------------------------------------------------
 
-/// A `CachedOracle` over its own cache of `cache`'s shape, with `from`
-/// judged so the cache holds its handle.
-fn memo_oracle(cache: OracleCache, from: &Arc<Program>) -> (CachedOracle, Arc<OracleCache>) {
-    let cache = Arc::new(cache);
+/// A `CachedOracle` over its own cache, with `from` judged so the cache
+/// holds its handle.
+fn memo_oracle(from: &Arc<Program>) -> (CachedOracle, Arc<OracleCache>) {
+    let cache = Arc::new(OracleCache::new());
     let oracle = CachedOracle::new(Arc::clone(&cache));
     oracle.judge_recording(from, &mut OracleUse::default());
     (oracle, cache)
@@ -179,7 +179,7 @@ const EDITED: &str = "fn main() { print(2i32); }";
 #[test]
 fn an_edit_is_derived_once_per_handle() {
     let from = Arc::new(program(FROM));
-    let (oracle, cache) = memo_oracle(OracleCache::new(), &from);
+    let (oracle, cache) = memo_oracle(&from);
     let calls = Cell::new(0);
     let mut used = OracleUse::default();
     let (first, first_report) = oracle
@@ -207,7 +207,7 @@ fn an_edit_is_derived_once_per_handle() {
 #[test]
 fn a_refused_edit_is_remembered() {
     let from = Arc::new(program(FROM));
-    let (oracle, cache) = memo_oracle(OracleCache::new(), &from);
+    let (oracle, cache) = memo_oracle(&from);
     let calls = Cell::new(0);
     let mut refuse = || {
         calls.set(calls.get() + 1);
@@ -228,7 +228,7 @@ fn a_refused_edit_is_remembered() {
 #[test]
 fn the_drift_bit_names_another_edit() {
     let from = Arc::new(program(FROM));
-    let (oracle, _cache) = memo_oracle(OracleCache::new(), &from);
+    let (oracle, _cache) = memo_oracle(&from);
     let (plain_calls, drift_calls) = (Cell::new(0), Cell::new(0));
     let mut used = OracleUse::default();
     let rule = 9u64;
@@ -258,7 +258,7 @@ fn the_drift_bit_names_another_edit() {
 #[test]
 fn an_equal_successor_is_served_by_content_with_the_canonical_handle() {
     let from = Arc::new(program(FROM));
-    let (oracle, cache) = memo_oracle(OracleCache::new(), &from);
+    let (oracle, cache) = memo_oracle(&from);
     // The successor's content was judged before, behind another handle.
     let earlier = Arc::new(program(EDITED));
     let (earlier_report, hit) = oracle.judge_shared(&earlier);
@@ -279,33 +279,6 @@ fn an_equal_successor_is_served_by_content_with_the_canonical_handle() {
     assert_eq!(calls.get(), 1);
     assert_eq!((used.executed, used.cached), (0, 2));
     assert_eq!(cache.stats().entries, 2);
-}
-
-#[test]
-fn an_evicted_source_derives_again_and_the_memo_stays_bounded() {
-    let from = Arc::new(program(FROM));
-    let (oracle, cache) = memo_oracle(OracleCache::bounded(16), &from);
-    let calls = Cell::new(0);
-    let mut used = OracleUse::default();
-    oracle.judge_edit(&from, 0, &mut counting(&calls, EDITED), &mut used);
-    assert_eq!(calls.get(), 1);
-    // One entry per shard: 200 cold programs evict every earlier entry.
-    for i in 0..200 {
-        oracle.judge(&program(&format!("fn main() {{ print({i}i64); }}")));
-    }
-    let stats = cache.stats();
-    assert!(stats.entries <= stats.capacity, "{stats:?}");
-    // The cache no longer owns `from`, and no index or edge kept it.
-    assert_eq!(Arc::strong_count(&from), 1);
-    oracle.judge_recording(&from, &mut used);
-    let (edited, report) = oracle
-        .judge_edit(&from, 0, &mut counting(&calls, EDITED), &mut used)
-        .unwrap();
-    assert_eq!(calls.get(), 2, "an evicted state's edge was served");
-    assert_eq!(*edited, program(EDITED));
-    assert_eq!(*report, run_program(&edited));
-    let stats = cache.stats();
-    assert!(stats.entries <= stats.capacity, "{stats:?}");
 }
 
 // ---------------------------------------------------------------------------

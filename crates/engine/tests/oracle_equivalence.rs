@@ -248,31 +248,9 @@ proptest! {
         prop_assert_eq!(cache_served as u64, cache.stats().hits);
     }
 
-    /// A minimum-size bounded cache — `bounded(1)` rounds up to one entry
-    /// per shard, 16 total, the smallest enforceable ceiling — evicts
-    /// constantly under a whole-corpus repair, and still must not change
-    /// a single bit of any outcome.
-    #[test]
-    fn eviction_thrash_preserves_outcomes(
-        corpus_seed in 0u64..500,
-        class_pick in 0usize..CLASS_POOL.len(),
-    ) {
-        let corpus = Corpus::generate(corpus_seed, 1, &[CLASS_POOL[class_pick]]);
-        let direct = repair_with(Arc::new(DirectOracle), 7, &corpus);
-        let tiny = Arc::new(OracleCache::bounded(1));
-        let thrashed = repair_with(Arc::new(CachedOracle::new(Arc::clone(&tiny))), 7, &corpus);
-        for (d, t) in direct.iter().zip(&thrashed) {
-            prop_assert_eq!(normalized(d), normalized(t));
-        }
-        let stats = tiny.stats();
-        prop_assert!(stats.entries <= stats.capacity);
-        prop_assert_eq!(stats.capacity, 16);
-    }
-
-    /// Two passes over one unbounded cache: the second is served entirely
-    /// from the transition memo (no edit is derived again), and both
-    /// match the direct oracle. Two passes over a thrashing `bounded(1)`
-    /// cache match it too.
+    /// Two passes over one cache: the second is served entirely from the
+    /// transition memo (no edit is derived again), and both match the
+    /// direct oracle.
     #[test]
     fn warm_memo_passes_match_direct(
         corpus_seed in 0u64..500,
@@ -286,14 +264,9 @@ proptest! {
         prop_assert!(cold > 0, "the first pass derived no edit");
         prop_assert_eq!(warm, 0, "the second pass derived an edit again");
         prop_assert_eq!(cache.stats().misses, cache.stats().entries);
-
-        let tiny = Arc::new(OracleCache::bounded(1));
-        two_passes_match_direct(&tiny, &direct, &corpus)?;
-        let stats = tiny.stats();
-        prop_assert!(stats.entries <= stats.capacity);
     }
 
-    /// Two passes over one unbounded cache, each with a new brain that
+    /// Two passes over one cache, each with a new brain that
     /// starts from a knowledge base learned on the corpus, so abstract
     /// reasoning queries it: the first pass fills the state slots, the
     /// second finds every state's facts and features in them — it fills
@@ -348,8 +321,8 @@ proptest! {
 
     /// The memo changes no attribution: per case, the executed/cached
     /// split through `CachedOracle` equals the split through an oracle
-    /// that derives and looks up every edit — cold, on a second sweep of
-    /// the same cache, and on a thrashing bounded cache.
+    /// that derives and looks up every edit — cold, and on a second sweep
+    /// of the same cache.
     #[test]
     fn memo_keeps_the_telemetry_split(
         corpus_seed in 0u64..500,
@@ -357,17 +330,14 @@ proptest! {
     ) {
         let classes = [CLASS_POOL[class_pick], CLASS_POOL[(class_pick + 1) % CLASS_POOL.len()]];
         let corpus = Corpus::generate(corpus_seed, 1, &classes);
-        for bounded in [false, true] {
-            let fresh = || Arc::new(if bounded { OracleCache::bounded(1) } else { OracleCache::new() });
-            let (memo_cache, plain_cache) = (fresh(), fresh());
-            let memo = Arc::new(CachedOracle::new(Arc::clone(&memo_cache)));
-            let plain = Arc::new(LookupOnly(Arc::clone(&plain_cache)));
-            for sweep in ["cold", "second"] {
-                let m = repair_shared_with(Arc::clone(&memo) as Arc<dyn Oracle>, 3, &corpus);
-                let p = repair_shared_with(Arc::clone(&plain) as Arc<dyn Oracle>, 3, &corpus);
-                prop_assert_eq!(splits(&m), splits(&p), "{} sweep, bounded: {}", sweep, bounded);
-                prop_assert_eq!(memo_cache.stats(), plain_cache.stats());
-            }
+        let (memo_cache, plain_cache) = (Arc::new(OracleCache::new()), Arc::new(OracleCache::new()));
+        let memo = Arc::new(CachedOracle::new(Arc::clone(&memo_cache)));
+        let plain = Arc::new(LookupOnly(Arc::clone(&plain_cache)));
+        for sweep in ["cold", "second"] {
+            let m = repair_shared_with(Arc::clone(&memo) as Arc<dyn Oracle>, 3, &corpus);
+            let p = repair_shared_with(Arc::clone(&plain) as Arc<dyn Oracle>, 3, &corpus);
+            prop_assert_eq!(splits(&m), splits(&p), "{} sweep", sweep);
+            prop_assert_eq!(memo_cache.stats(), plain_cache.stats());
         }
     }
 }

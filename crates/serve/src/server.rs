@@ -41,7 +41,7 @@ use rb_kb::{MergePolicy, COMPACTION_COALESCE_THRESHOLD};
 use rb_lang::parser::parse_program;
 use rb_lang::printer::print_program;
 use rb_llm::ModelId;
-use rb_miri::UbClass;
+use rb_miri::{OracleUse, UbClass};
 use rb_obs::json::{fmt_num, fmt_str};
 use rustbrain::{KnowledgeBase, RustBrain, RustBrainConfig};
 
@@ -371,7 +371,7 @@ fn dispatch(state: &Arc<ServeState>, line: &str) -> (String, Verb) {
             Ok((response, cases)) => (response, Verb::Batch(cases)),
             Err(e) => (error_response(&e), Verb::Error),
         },
-        Request::Analyze { source } => match handle_analyze(&source) {
+        Request::Analyze { source } => match handle_analyze(state, &source) {
             Ok(response) => (response, Verb::Analyze),
             Err(e) => (error_response(&e), Verb::Error),
         },
@@ -401,22 +401,11 @@ fn handle_repair(
     reference: &[String],
     seed: u64,
 ) -> Result<String, String> {
-    // Parsed once into a shared handle: the judgement below and the
-    // repair share it, and neither copies the program.
     let program = Arc::new(parse_program(source).map_err(|e| format!("parse error: {e}"))?);
     let oracle = state.engine.shared_oracle();
-    // Call-site span: this initial judgement goes through
-    // `Oracle::judge_shared` directly, not the instrumented
-    // `judge_recording` seam, so it must account for itself.
-    let report = {
-        let mut span = rb_obs::span("oracle.judge");
-        let (report, _) = oracle.judge_shared(&program);
-        span.tag(
-            "verdict",
-            report.primary().map_or("pass", |e| e.class().label()),
-        );
-        report
-    };
+    // The repair continues from the handle the cache keeps, so its own
+    // judgement of the input finds the entry by address.
+    let (program, report) = oracle.judge_canonical(&program, &mut OracleUse::default());
     if report.passes() {
         return Ok(
             "{\"ok\":true,\"verb\":\"repair\",\"already_clean\":true,\"passed\":true}".to_owned(),
@@ -458,12 +447,14 @@ fn handle_repair(
 }
 
 /// The `analyze` verb: the oracle's findings on the source
-/// (`rb_lint::analyze`) and the first finding's class as `top_class`. The
-/// lint runs the interpreter directly, so no engine or knowledge-base
+/// ([`rb_lint::Analysis::from_report`]) and the first finding's class as
+/// `top_class`. The verdict comes from the daemon's shared oracle, so a
+/// program already judged is not interpreted again; no knowledge-base
 /// state is touched and no oracle judgement is recorded.
-fn handle_analyze(source: &str) -> Result<String, String> {
-    let program = parse_program(source).map_err(|e| format!("parse error: {e}"))?;
-    let analysis = rb_lint::analyze(&program);
+fn handle_analyze(state: &Arc<ServeState>, source: &str) -> Result<String, String> {
+    let program = Arc::new(parse_program(source).map_err(|e| format!("parse error: {e}"))?);
+    let (report, _) = state.engine.shared_oracle().judge_shared(&program);
+    let analysis = rb_lint::Analysis::from_report(&report);
     let top_class = analysis
         .top()
         .map_or_else(|| "null".to_owned(), |f| fmt_str(f.class.label()));

@@ -59,10 +59,6 @@
 //!   --no-cache                                  judge through the direct
 //!                                               oracle, bypassing the cache
 //!                                               (not `serve`)
-//!   --cache-cap <N>                             bound the oracle cache to N
-//!                                               entries, rounded up to one
-//!                                               per shard (clock eviction;
-//!                                               not `serve`)
 //!   --kb-in <store>                             batch: start from a saved
 //!                                               knowledge store (warm start;
 //!                                               either layout)
@@ -82,11 +78,11 @@
 //! with `--no-cache` the direct interpreter — the results are
 //! byte-identical either way (CI diffs the two `--results-out` files).
 
-use rb_engine::{results_to_json, CachedOracle, Engine, OracleCache, SystemSpec};
+use rb_engine::{results_to_json, Engine, SystemSpec};
 use rb_lang::parser::parse_program;
 use rb_lang::printer::print_program;
 use rb_llm::ModelId;
-use rb_miri::{DirectOracle, Oracle};
+use rb_miri::Oracle;
 use rb_obs::json::{self, fmt_str};
 use rustbrain::{RustBrain, RustBrainConfig};
 use std::path::Path;
@@ -141,7 +137,6 @@ struct Cli {
     stats_out: Option<String>,
     results_out: Option<String>,
     use_cache: bool,
-    cache_cap: Option<usize>,
     kb_in: Option<String>,
     kb_out: Option<String>,
     /// `Some` only when `--threshold` was passed explicitly (so passing
@@ -180,61 +175,25 @@ struct Cli {
 /// otherwise.
 const DEFAULT_ADDR: &str = "127.0.0.1:4650";
 
-/// How the oracle cache flags resolve — the single place the
-/// `--no-cache`/`--cache-cap` policy is interpreted, so `check`/`repair`
-/// (via [`Cli::oracle`]) and `batch` (via [`CacheMode::engine`]) can
-/// never drift apart.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum CacheMode {
-    /// `--no-cache`: every judgement runs the interpreter.
-    Direct,
-    /// `--cache-cap N`: a private cache bounded to ~N entries.
-    Bounded(usize),
-    /// Default: the process-wide shared cache.
-    Global,
-}
-
-impl CacheMode {
-    /// Banner label for the batch header.
-    fn label(self) -> String {
-        match self {
-            CacheMode::Direct => "direct".to_owned(),
-            CacheMode::Bounded(cap) => format!("cached (cap {cap})"),
-            CacheMode::Global => "cached (process-wide)".to_owned(),
-        }
-    }
-
-    /// The batch engine for this mode.
-    fn engine(self, jobs: usize) -> Engine {
-        match self {
-            CacheMode::Direct => Engine::direct(jobs),
-            CacheMode::Bounded(cap) => {
-                Engine::with_cache(jobs, Arc::new(OracleCache::bounded(cap)))
-            }
-            CacheMode::Global => Engine::with_global_cache(jobs),
-        }
-    }
-}
-
 impl Cli {
-    /// Resolves the cache flags to their canonical mode.
-    fn cache_mode(&self) -> CacheMode {
-        match (self.use_cache, self.cache_cap) {
-            (false, _) => CacheMode::Direct,
-            (true, Some(cap)) => CacheMode::Bounded(cap),
-            (true, None) => CacheMode::Global,
+    /// The engine the cache flag selects, and its banner label: the
+    /// process-wide verdict cache, or with `--no-cache` the direct
+    /// interpreter. The single place the flag is read, so `check`/`repair`
+    /// (via [`Cli::oracle`]) and `batch` can never drift apart.
+    fn engine(&self) -> (Engine, &'static str) {
+        if self.use_cache {
+            (
+                Engine::with_global_cache(self.jobs),
+                "cached (process-wide)",
+            )
+        } else {
+            (Engine::direct(self.jobs), "direct")
         }
     }
 
     /// The oracle `check` and `repair` judge through.
     fn oracle(&self) -> Arc<dyn Oracle> {
-        match self.cache_mode() {
-            CacheMode::Direct => Arc::new(DirectOracle),
-            CacheMode::Bounded(cap) => {
-                Arc::new(CachedOracle::new(Arc::new(OracleCache::bounded(cap))))
-            }
-            CacheMode::Global => Arc::new(CachedOracle::global()),
-        }
+        self.engine().0.shared_oracle()
     }
 }
 
@@ -335,7 +294,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         stats_out: None,
         results_out: None,
         use_cache: true,
-        cache_cap: None,
         kb_in: None,
         kb_out: None,
         threshold: None,
@@ -547,16 +505,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             }
             "--json" => cli.json = true,
             "--no-cache" => cli.use_cache = false,
-            "--cache-cap" => {
-                let v = it.next().ok_or("--cache-cap needs a value")?;
-                let cap = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad --cache-cap `{v}`"))?;
-                if cap == 0 {
-                    return Err("--cache-cap must be at least 1".into());
-                }
-                cli.cache_cap = Some(cap);
-            }
             "--kb-in" => {
                 let v = it.next().ok_or("--kb-in needs a value")?;
                 cli.kb_in = Some(v.clone());
@@ -607,9 +555,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    if !cli.use_cache && cli.cache_cap.is_some() {
-        return Err("--cache-cap conflicts with --no-cache".into());
-    }
     if cli.json && !matches!(cli.command, Command::Analyze(_)) {
         return Err("--json only applies to `analyze`".into());
     }
@@ -626,8 +571,8 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         return Err("--kb/--compact-secs only apply to `serve`".into());
     }
     // The daemon always judges through the process-wide cache.
-    if (!cli.use_cache || cli.cache_cap.is_some()) && cli.command == Command::Serve {
-        return Err("--no-cache/--cache-cap do not apply to `serve`".into());
+    if !cli.use_cache && cli.command == Command::Serve {
+        return Err("--no-cache does not apply to `serve`".into());
     }
     if cli.classes.is_some() && !matches!(cli.command, Command::Client(ClientVerb::Batch)) {
         return Err("--classes only applies to `client batch`".into());
@@ -726,9 +671,6 @@ OPTIONS:
                                              JSON document instead of text
   --no-cache                                 bypass the oracle verdict cache
                                              (not serve)
-  --cache-cap <N>                            bound the cache to N entries
-                                             (rounded up; minimum 16; not
-                                             serve)
   --kb-in <store>                            batch: warm-start from a saved
                                              knowledge store (either layout)
   --kb-out <store>                           batch: save the merged knowledge
@@ -978,12 +920,11 @@ fn batch(cli: &Cli) -> ExitCode {
             temperature: cli.temperature,
         },
     };
-    // The cache mode decides both the engine and its banner label, so the
-    // printed oracle mode can never drift from what actually runs. The
-    // engine injects its oracle into every system it builds — the whole
-    // repair stack, not just gold references, shares one cache.
-    let mode = cli.cache_mode();
-    let mut engine = mode.engine(cli.jobs);
+    // The engine comes with its banner label, so the printed oracle mode
+    // can never drift from what actually runs. The engine injects its
+    // oracle into every system it builds — the whole repair stack, not
+    // just gold references, shares one cache.
+    let (mut engine, oracle_label) = cli.engine();
     // Tracing observes only: the results documents below are
     // byte-identical whether or not a tracer is attached.
     let tracer = match &cli.trace_out {
@@ -1006,7 +947,7 @@ fn batch(cli: &Cli) -> ExitCode {
         cli.per_class,
         spec.label(),
         cli.jobs,
-        mode.label(),
+        oracle_label,
         match &cli.kb_in {
             Some(path) => format!("warm ({path})"),
             None => "cold".to_owned(),
@@ -1602,7 +1543,7 @@ mod tests {
         assert_eq!(cli.per_class, 3);
         assert!(cli.stats_out.is_none());
         assert!(cli.results_out.is_none());
-        assert!(cli.use_cache && cli.cache_cap.is_none());
+        assert!(cli.use_cache);
         assert!(parse_cli(&argv("batch --jobs 0")).is_err());
         assert!(parse_cli(&argv("batch --per-class 0")).is_err());
         assert!(parse_cli(&argv("batch --system gpt-9")).is_err());
@@ -1709,11 +1650,9 @@ mod tests {
         assert!(parse_cli(&argv("demo --compact-secs 10")).is_err());
         assert!(parse_cli(&argv("client stats --classes alloc")).is_err());
         assert!(parse_cli(&argv("serve --classes alloc")).is_err());
-        // The daemon has one cache mode, the unbounded process-wide cache.
-        for flag in ["--no-cache", "--cache-cap 16"] {
-            let err = parse_cli(&argv(&format!("serve {flag}"))).unwrap_err();
-            assert!(err.contains("do not apply to `serve`"), "{flag}: {err}");
-        }
+        // The daemon has one cache mode, the process-wide cache.
+        let err = parse_cli(&argv("serve --no-cache")).unwrap_err();
+        assert!(err.contains("does not apply to `serve`"), "{err}");
         // But --addr works on both sides of the socket.
         assert!(parse_cli(&argv("client stats --addr 127.0.0.1:4700")).is_ok());
     }
@@ -1873,16 +1812,12 @@ mod tests {
     fn parses_cache_flags() {
         let cli = parse_cli(&argv("batch --no-cache --results-out r.json")).unwrap();
         assert!(!cli.use_cache);
-        assert_eq!(cli.cache_mode(), CacheMode::Direct);
+        assert_eq!(cli.engine().1, "direct");
         assert_eq!(cli.results_out.as_deref(), Some("r.json"));
-        let cli = parse_cli(&argv("batch --cache-cap 512")).unwrap();
-        assert_eq!(cli.cache_cap, Some(512));
-        assert_eq!(cli.cache_mode(), CacheMode::Bounded(512));
-        assert_eq!(
-            parse_cli(&argv("batch")).unwrap().cache_mode(),
-            CacheMode::Global
-        );
-        assert!(parse_cli(&argv("batch --cache-cap 0")).is_err());
-        assert!(parse_cli(&argv("batch --no-cache --cache-cap 8")).is_err());
+        let cli = parse_cli(&argv("batch")).unwrap();
+        assert_eq!(cli.engine().1, "cached (process-wide)");
+        // The cache has no size bound to set.
+        let err = parse_cli(&argv("batch --cache-cap 16")).unwrap_err();
+        assert!(err.contains("unknown flag `--cache-cap`"), "{err}");
     }
 }
