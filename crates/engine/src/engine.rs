@@ -20,7 +20,7 @@
 
 use crate::cache::{CachedOracle, OracleCache};
 use crate::job::{JobResult, JobSpec};
-use crate::stats::{EngineStats, KbMergeStats, SchedStats};
+use crate::stats::{BatchCache, EngineStats, KbMergeStats, SchedStats};
 use crate::system::{CaseResult, System, SystemSpec};
 use rb_dataset::UbCase;
 use rb_miri::{DirectOracle, Oracle, OracleUse};
@@ -51,10 +51,10 @@ pub struct BatchOutcome {
 /// The parallel batch-repair engine.
 pub struct Engine {
     workers: usize,
-    cache: Arc<OracleCache>,
-    /// When false, systems judge through [`DirectOracle`] and no verdict
-    /// is ever cached (the `--no-cache` equivalence baseline).
-    use_cache: bool,
+    /// The verdict cache the engine's jobs share; `None` judges every
+    /// program through [`DirectOracle`] (the `--no-cache` equivalence
+    /// baseline).
+    cache: Option<Arc<OracleCache>>,
     /// How per-job knowledge deltas fold back into the shared base after
     /// a batch (defaults to the bounded-growth [`MergePolicy::default`]).
     merge_policy: MergePolicy,
@@ -79,8 +79,7 @@ impl Engine {
     pub fn with_cache(workers: usize, cache: Arc<OracleCache>) -> Engine {
         Engine {
             workers: workers.max(1),
-            cache,
-            use_cache: true,
+            cache: Some(cache),
             merge_policy: MergePolicy::default(),
             tracer: None,
         }
@@ -99,8 +98,7 @@ impl Engine {
     pub fn direct(workers: usize) -> Engine {
         Engine {
             workers: workers.max(1),
-            cache: Arc::new(OracleCache::new()),
-            use_cache: false,
+            cache: None,
             merge_policy: MergePolicy::default(),
             tracer: None,
         }
@@ -136,12 +134,6 @@ impl Engine {
         self.workers
     }
 
-    /// The oracle cache the engine's jobs share.
-    #[must_use]
-    pub fn cache(&self) -> &Arc<OracleCache> {
-        &self.cache
-    }
-
     /// The oracle this engine injects into every system it builds: a
     /// [`CachedOracle`] over the engine's shared cache, or a plain
     /// [`DirectOracle`] for a cache-bypassing engine. Public since PR 6
@@ -149,41 +141,31 @@ impl Engine {
     /// same verdict cache its batches warm.
     #[must_use]
     pub fn shared_oracle(&self) -> Arc<dyn Oracle> {
-        if self.use_cache {
-            Arc::new(CachedOracle::new(Arc::clone(&self.cache)))
-        } else {
-            Arc::new(DirectOracle)
+        match &self.cache {
+            Some(cache) => Arc::new(CachedOracle::new(Arc::clone(cache))),
+            None => Arc::new(DirectOracle),
         }
     }
 
     /// Executes one job: build the system at the job's derived seed with
     /// the engine's oracle and the shared knowledge snapshot, resolve the
     /// gold reference through the same oracle, repair, and collect the
-    /// job's knowledge delta. The flag is whether the gold-reference
-    /// lookup was a cache hit.
+    /// job's knowledge delta. The [`OracleUse`] counts every judgement
+    /// the job made, the gold reference's included.
     fn execute(
         job: &JobSpec<'_>,
         oracle: &Arc<dyn Oracle>,
         snapshot: &KnowledgeBase,
-    ) -> (CaseResult, OracleUse, bool, Option<KbDelta>) {
+    ) -> (CaseResult, OracleUse, Option<KbDelta>) {
         let mut system = job
             .system
             .build_with(job.seed, Arc::clone(oracle), snapshot);
-        // The gold-reference lookup goes through judge_shared directly
-        // (no OracleUse to record into yet), so it needs its own
-        // call-site span — the judge_recording seam never sees it. On a
-        // miss the memo keeps the case's own gold handle, no copy.
-        let (reference, gold_hit) = {
-            let mut gold_span = rb_obs::span("oracle.gold");
-            let (reference, gold_hit) = oracle.judge_shared(&job.case.gold);
-            gold_span.tag("cached", if gold_hit { "cached" } else { "executed" });
-            (reference, gold_hit)
-        };
-        let (result, mut oracle_use) =
-            system.repair_case_instrumented(job.case, &reference.outputs);
-        oracle_use.record(gold_hit);
+        let mut oracle_use = OracleUse::default();
+        let reference = oracle.judge_recording(&job.case.gold, &mut oracle_use);
+        let (result, repair_use) = system.repair_case_instrumented(job.case, &reference.outputs);
+        oracle_use.absorb(repair_use);
         let kb_delta = system.kb_delta();
-        (result, oracle_use, gold_hit, kb_delta)
+        (result, oracle_use, kb_delta)
     }
 
     /// Runs a prepared job list on the worker pool, every job starting
@@ -225,7 +207,7 @@ impl Engine {
                             let mut job_span = rb_obs::span("engine.job");
                             job_span.tag("case", &job.case.id);
                             job_span.tag("worker", worker);
-                            let (result, oracle_use, cache_hit, kb_delta) =
+                            let (result, oracle_use, kb_delta) =
                                 Engine::execute(job, oracle, job_base);
                             let wall_s = job_started.elapsed().as_secs_f64();
                             job_span.add_sim_ms(result.overhead_ms);
@@ -244,7 +226,6 @@ impl Engine {
                                 index: job.index,
                                 worker,
                                 wall_ms: wall_s * 1e3,
-                                cache_hit,
                                 oracle_use,
                                 kb_delta,
                                 result,
@@ -306,16 +287,6 @@ impl Engine {
             worker_cases[j.worker] += 1;
             batch_use.absorb(j.oracle_use);
         }
-        // Per-job attribution, not a delta of the shared counters: other
-        // batches may be running on the same cache concurrently, and
-        // their lookups must not leak into this batch's telemetry.
-        let hits = executed.iter().filter(|j| j.cache_hit).count() as u64;
-        let cache_now = self.cache.stats();
-        let cache = crate::cache::CacheStats {
-            hits,
-            misses: executed.len() as u64 - hits,
-            entries: cache_now.entries,
-        };
         let stats = EngineStats {
             workers: self.workers,
             cases: results.len(),
@@ -334,7 +305,10 @@ impl Engine {
             oracle_cached: batch_use.cached as u64,
             oracle_prevetoed: batch_use.prevetoed as u64,
             kb,
-            cache,
+            cache: BatchCache {
+                enabled: self.cache.is_some(),
+                entries: self.cache.as_ref().map_or(0, |c| c.stats().entries),
+            },
             sched: SchedStats::default(),
         };
         // Batch-level gauges: the latest imbalance ratio and pool size
@@ -424,11 +398,12 @@ impl Engine {
     /// gold references served through the engine's oracle.
     pub fn run_stateful(&self, system: &mut System, cases: &[UbCase]) -> Vec<CaseResult> {
         let oracle = self.shared_oracle();
+        let mut oracle_use = OracleUse::default();
         cases
             .iter()
             .map(|case| {
-                let reference = oracle.judge_shared(&case.gold).0.outputs.clone();
-                system.repair_case_with(case, &reference)
+                let reference = oracle.judge_recording(&case.gold, &mut oracle_use);
+                system.repair_case_with(case, &reference.outputs)
             })
             .collect()
     }
@@ -510,10 +485,15 @@ mod tests {
         assert_eq!(out.stats.worker_cases.iter().sum::<usize>(), corpus.len());
         assert_eq!(out.stats.worker_utilization.len(), 2);
         assert!(out.stats.cases_per_sec > 0.0);
-        // Every gold reference went through the cache exactly once per
-        // distinct program.
-        let c = out.stats.cache;
-        assert_eq!(c.hits + c.misses, corpus.len() as u64);
+        // Every job judged its gold reference and at least its buggy
+        // input, and every judgement is in the split.
+        let judged: usize = out.jobs.iter().map(|j| j.oracle_use.total()).sum();
+        assert!(judged >= 2 * corpus.len());
+        assert_eq!(
+            judged as u64,
+            out.stats.oracle_executed + out.stats.oracle_cached
+        );
+        assert!(out.stats.cache.enabled);
     }
 
     #[test]
@@ -524,7 +504,14 @@ mod tests {
         let first = Engine::with_cache(1, Arc::clone(&cache)).run_batch(&spec, &corpus.cases, 5);
         let second = Engine::with_cache(2, Arc::clone(&cache)).run_batch(&spec, &corpus.cases, 5);
         assert_eq!(first.results, second.results);
-        assert_eq!(second.stats.cache.misses, 0, "warm cache re-ran the oracle");
-        assert_eq!(second.stats.cache.hits, corpus.len() as u64);
+        assert_eq!(
+            second.stats.oracle_executed, 0,
+            "warm cache re-ran the oracle"
+        );
+        assert_eq!(
+            second.stats.oracle_cached,
+            first.stats.oracle_executed + first.stats.oracle_cached
+        );
+        assert_eq!(second.stats.hit_rate(), Some(1.0));
     }
 }

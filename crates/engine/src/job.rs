@@ -76,11 +76,9 @@ pub struct JobResult {
     /// Real wall-clock time the job took on its worker, in milliseconds
     /// (telemetry only — distinct from the simulated `overhead_ms`).
     pub wall_ms: f64,
-    /// Whether the job's gold-reference oracle lookup was served from the
-    /// cache (per-job attribution for the batch telemetry).
-    pub cache_hit: bool,
-    /// Executed-vs-cached split of *every* oracle judgement the job made
-    /// (gold reference plus all repair-internal verifications).
+    /// Executed-vs-cached split of every oracle judgement the job made:
+    /// the gold reference and all repair-internal verifications, each
+    /// recorded once through [`rb_miri::JudgeRecord`].
     pub oracle_use: OracleUse,
     /// The knowledge-base inserts the job recorded on top of the shared
     /// snapshot (`None` for systems without a knowledge base). Merged

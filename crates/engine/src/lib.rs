@@ -37,9 +37,10 @@
 //!    so the merged base is identical for any `--jobs N` and can seed
 //!    the next batch — the paper's self-learning, recovered in parallel.
 //! 4. **Observability** — every batch reports throughput, per-worker
-//!    utilization, cache effectiveness, the executed-vs-cached oracle
-//!    split and the knowledge merge as an [`EngineStats`] that
-//!    serializes to JSON (`BENCH_engine.json` tracks it across PRs).
+//!    utilization, the executed-vs-cached oracle split (every judgement
+//!    counted once), the cache's size and the knowledge merge as an
+//!    [`EngineStats`] that serializes to JSON (`BENCH_engine.json`
+//!    tracks it across PRs).
 //!
 //! Stateful sequential sweeps (where a system learns across cases, as in
 //! the paper's experiments) run on the engine's sequential lane
@@ -71,5 +72,5 @@ pub mod system;
 pub use cache::{program_key, CacheStats, CachedOracle, OracleCache};
 pub use engine::{run_serial_reference, BatchOutcome, Engine};
 pub use job::{derive_case_seed, JobResult, JobSpec};
-pub use stats::{results_to_json, EngineStats, KbMergeStats, SchedStats};
+pub use stats::{results_to_json, BatchCache, EngineStats, KbMergeStats, SchedStats};
 pub use system::{CaseResult, System, SystemSpec};

@@ -1,6 +1,6 @@
-//! Engine telemetry: throughput, per-worker utilization, cache
-//! effectiveness, the executed-vs-cached oracle split and knowledge-base
-//! merge accounting, serializable to JSON.
+//! Engine telemetry: throughput, per-worker utilization, the
+//! executed-vs-cached oracle split, the verdict cache's size and
+//! knowledge-base merge accounting, serializable to JSON.
 //!
 //! The vendored `serde` is a marker stub (see `vendor/README.md`), so the
 //! JSON is written with `rb_obs::json`'s writers; [`EngineStats::to_json`]
@@ -8,7 +8,6 @@
 
 use rb_obs::json::{fmt_num, fmt_str};
 
-use crate::cache::CacheStats;
 use crate::system::CaseResult;
 
 /// Knowledge-base accounting of one batch: how the shared snapshot grew
@@ -47,6 +46,19 @@ pub struct SchedStats {
     pub steals: u64,
 }
 
+/// The verdict cache a batch judged through, as it stood when the batch
+/// finished. How well it served the batch is the oracle split
+/// ([`EngineStats::hit_rate`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BatchCache {
+    /// Whether the batch judged through a cache at all. A batch without
+    /// one (`Engine::direct`, the CLI's `--no-cache`) writes no `cache`
+    /// object.
+    pub enabled: bool,
+    /// Distinct programs the cache held (0 without a cache).
+    pub entries: u64,
+}
+
 /// Aggregate telemetry of one engine batch.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EngineStats {
@@ -80,6 +92,7 @@ pub struct EngineStats {
     pub kb_query_ms: f64,
     /// Oracle judgements across the whole batch (gold references plus
     /// every repair-internal verification) that executed the interpreter.
+    /// Each judgement is counted once, where it was recorded.
     pub oracle_executed: u64,
     /// Oracle judgements served from the verdict cache.
     pub oracle_cached: u64,
@@ -88,11 +101,8 @@ pub struct EngineStats {
     pub oracle_prevetoed: u64,
     /// Knowledge-base snapshot/delta merge accounting.
     pub kb: KbMergeStats,
-    /// Oracle-cache effect of the batch: `hits`/`misses` count exactly
-    /// this batch's *gold-reference* lookups (attributed per job, so
-    /// concurrent batches on a shared cache cannot pollute each other),
-    /// while `entries` is the cache's size when the batch finished.
-    pub cache: CacheStats,
+    /// The verdict cache the batch judged through.
+    pub cache: BatchCache,
     /// Dispatch telemetry (see [`SchedStats`]).
     pub sched: SchedStats,
 }
@@ -144,9 +154,26 @@ impl EngineStats {
             .collect()
     }
 
-    /// Serializes the telemetry to a single-line JSON object.
+    /// The share of the batch's judgements served from its cache,
+    /// `cached / (executed + cached)` (0 when nothing was judged), or
+    /// `None` when the batch had no cache.
+    #[must_use]
+    pub fn hit_rate(&self) -> Option<f64> {
+        let judged = self.oracle_executed + self.oracle_cached;
+        self.cache
+            .enabled
+            .then(|| self.oracle_cached as f64 / judged.max(1) as f64)
+    }
+
+    /// Serializes the telemetry to a single-line JSON object. The
+    /// `cache` object, last, is there only when the batch had a cache.
     #[must_use]
     pub fn to_json(&self) -> String {
+        let cache = if self.cache.enabled {
+            format!(",\"cache\":{{\"entries\":{}}}", self.cache.entries)
+        } else {
+            String::new()
+        };
         format!(
             concat!(
                 "{{\"workers\":{},\"cases\":{},\"wall_ms\":{},",
@@ -157,9 +184,7 @@ impl EngineStats {
                 "\"oracle\":{{\"executed\":{},\"cached\":{},\"prevetoed\":{}}},",
                 "\"kb\":{{\"seeded\":{},\"merged_inserts\":{},",
                 "\"contributing_jobs\":{},\"coalesced\":{},\"final_entries\":{},",
-                "\"shards_written\":{},\"shards_skipped\":{}}},",
-                "\"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},",
-                "\"hit_rate\":{}}}}}"
+                "\"shards_written\":{},\"shards_skipped\":{}}}{}}}"
             ),
             self.workers,
             self.cases,
@@ -180,10 +205,7 @@ impl EngineStats {
             self.kb.final_entries,
             self.kb.shards_written,
             self.kb.shards_skipped,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.entries,
-            fmt_num(self.cache.hit_rate()),
+            cache,
         )
     }
 }
@@ -242,28 +264,34 @@ mod tests {
                 shards_written: 2,
                 shards_skipped: 1,
             },
-            cache: CacheStats {
-                hits: 1,
-                misses: 3,
+            cache: BatchCache {
+                enabled: true,
                 entries: 3,
             },
             sched: SchedStats::default(),
         };
-        let json = stats.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"workers\":2"));
-        assert!(json.contains("\"worker_utilization\":[0.9000,0.8000]"));
-        assert!(json.contains("\"imbalance\":2.0000"));
-        assert!(json.contains("\"oracle\":{\"executed\":7,\"cached\":21,\"prevetoed\":4}"));
-        assert!(json.contains("\"merged_inserts\":3"));
-        assert!(json.contains("\"coalesced\":1"));
-        assert!(json.contains("\"shards_written\":2"));
-        assert!(json.contains("\"shards_skipped\":1"));
-        assert!(json.contains("\"kb_query_ms\":18.5000"));
-        assert!(
-            json.contains("\"cache\":{\"hits\":1,\"misses\":3,\"entries\":3,\"hit_rate\":0.2500}")
+        assert_eq!(stats.hit_rate(), Some(0.75));
+        // The whole shape, pinned: the oracle split is the only count of
+        // judgements, and the cache reports only its size.
+        let body = concat!(
+            "{\"workers\":2,\"cases\":3,\"wall_ms\":12.5000,\"cases_per_sec\":240.0000,",
+            "\"worker_utilization\":[0.9000,0.8000],\"worker_cases\":[2,1],",
+            "\"imbalance\":2.0000,\"simulated_overhead_ms\":99.0000,\"kb_query_ms\":18.5000,",
+            "\"oracle\":{\"executed\":7,\"cached\":21,\"prevetoed\":4},",
+            "\"kb\":{\"seeded\":1,\"merged_inserts\":3,\"contributing_jobs\":2,",
+            "\"coalesced\":1,\"final_entries\":3,\"shards_written\":2,\"shards_skipped\":1}"
         );
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(
+            stats.to_json(),
+            format!("{body},\"cache\":{{\"entries\":3}}}}")
+        );
+        // Without a cache there is no cache object and no hit rate.
+        let direct = EngineStats {
+            cache: BatchCache::default(),
+            ..stats
+        };
+        assert_eq!(direct.hit_rate(), None);
+        assert_eq!(direct.to_json(), format!("{body}}}"));
     }
 
     #[test]

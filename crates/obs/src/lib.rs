@@ -44,5 +44,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use analyze::{AnalyzeError, SpanTree, TraceSpan};
-pub use metrics::{metrics, metrics_arc, MetricsRegistry, REAL_US_BUCKETS, SIM_MS_BUCKETS};
+pub use metrics::{
+    metrics, metrics_arc, Counters, MetricsRegistry, REAL_US_BUCKETS, SIM_MS_BUCKETS,
+};
 pub use trace::{event, scope, span, ScopeGuard, Span, Tracer};

@@ -127,10 +127,6 @@ impl<V> Series<V> {
             .flat_map(|(name, labels)| labels.iter().map(move |(l, v)| (name.as_str(), l, v)))
     }
 
-    fn labels_of(&self, name: &str) -> impl Iterator<Item = &Label> {
-        self.by_name.get(name).into_iter().flatten().map(|(l, _)| l)
-    }
-
     fn is_empty(&self) -> bool {
         self.by_name.is_empty()
     }
@@ -203,11 +199,16 @@ fn borrowed(label: &Label) -> Option<(&str, &str)> {
     label.as_ref().map(|(k, v)| (k.as_str(), v.as_str()))
 }
 
+/// Adds `other`'s counters into `into`.
+fn add_counters(into: &mut Series<u64>, other: &Series<u64>) {
+    for (name, label, v) in other.iter() {
+        *into.entry(name, borrowed(label), || 0) += v;
+    }
+}
+
 impl Tally {
     fn absorb(&mut self, other: &Tally) {
-        for (name, label, v) in other.counters.iter() {
-            *self.counters.entry(name, borrowed(label), || 0) += v;
-        }
+        add_counters(&mut self.counters, &other.counters);
         for (name, label, h) in other.histograms.iter() {
             self.histograms
                 .entry(name, borrowed(label), || Histo::new(Arc::clone(&h.bounds)))
@@ -299,8 +300,8 @@ thread_local! {
 ///
 /// Counters and histograms are recorded into a shard of the calling
 /// thread's own, so threads recording together never wait on each other.
-/// Every read folds the shards: [`counter`], [`histogram`],
-/// [`label_values`], [`prometheus`], [`to_json`] and [`is_empty`] see all
+/// Every read folds the shards: [`counter`], [`counters`], [`histogram`],
+/// [`prometheus`], [`to_json`] and [`is_empty`] see all
 /// that has been recorded, exactly. When a thread exits, its shard is
 /// folded into the registry's retired totals and dropped, so the live
 /// shards ([`live_shards`]) never outnumber the live threads that
@@ -308,7 +309,7 @@ thread_local! {
 ///
 /// [`counter`]: MetricsRegistry::counter
 /// [`histogram`]: MetricsRegistry::histogram
-/// [`label_values`]: MetricsRegistry::label_values
+/// [`counters`]: MetricsRegistry::counters
 /// [`prometheus`]: MetricsRegistry::prometheus
 /// [`to_json`]: MetricsRegistry::to_json
 /// [`is_empty`]: MetricsRegistry::is_empty
@@ -397,6 +398,19 @@ impl MetricsRegistry {
         self.record(|t| *t.counters.entry(name, label, || 0) += delta);
     }
 
+    /// Every counter, folded once under the registry's lock: a reader of
+    /// several counters takes them from one view instead of locking every
+    /// shard once per counter.
+    #[must_use]
+    pub fn counters(&self) -> Counters {
+        let shared = lock(&self.core);
+        let mut folded = shared.retired.counters.clone();
+        for shard in &shared.live {
+            add_counters(&mut folded, &lock(shard).counters);
+        }
+        Counters(folded)
+    }
+
     /// Reads a counter (zero if never touched).
     #[must_use]
     pub fn counter(&self, name: &str, label: Option<(&str, &str)>) -> u64 {
@@ -460,23 +474,6 @@ impl MetricsRegistry {
                 sum: h.sum,
                 count: h.count,
             })
-    }
-
-    /// The label values seen for `name` across all metric kinds — e.g.
-    /// the UB classes a repair-latency histogram has touched.
-    #[must_use]
-    pub fn label_values(&self, name: &str) -> Vec<String> {
-        let (tally, gauges) = self.snapshot();
-        let mut out: Vec<String> = tally
-            .counters
-            .labels_of(name)
-            .chain(gauges.labels_of(name))
-            .chain(tally.histograms.labels_of(name))
-            .filter_map(|l| l.as_ref().map(|(_, v)| v.clone()))
-            .collect();
-        out.sort();
-        out.dedup();
-        out
     }
 
     /// How many threads hold a live shard of this registry: those that
@@ -593,6 +590,29 @@ impl MetricsRegistry {
     }
 }
 
+/// A registry's counters at one instant ([`MetricsRegistry::counters`]).
+pub struct Counters(Series<u64>);
+
+impl Counters {
+    /// A counter's value (zero if never touched).
+    #[must_use]
+    pub fn get(&self, name: &str, label: Option<(&str, &str)>) -> u64 {
+        self.0.get(name, label).copied().unwrap_or(0)
+    }
+
+    /// The sum of counter `name` over all its labels.
+    #[must_use]
+    pub fn sum(&self, name: &str) -> u64 {
+        self.0
+            .by_name
+            .get(name)
+            .into_iter()
+            .flatten()
+            .map(|(_, v)| v)
+            .sum()
+    }
+}
+
 static GLOBAL: OnceLock<Arc<MetricsRegistry>> = OnceLock::new();
 
 fn global() -> &'static Arc<MetricsRegistry> {
@@ -651,7 +671,10 @@ mod tests {
             reg.prometheus(),
             "a_total 1\nhits 5\nhits{class=\"alloc\"} 5\nhits{class=\"panic\"} 7\ndepth 3.5000\n"
         );
-        assert_eq!(reg.label_values("hits"), vec!["alloc", "panic"]);
+        let all = reg.counters();
+        assert_eq!(all.get("hits", Some(("class", "panic"))), 7);
+        assert_eq!(all.sum("hits"), 17);
+        assert_eq!(all.sum("misses"), 0);
     }
 
     #[test]
@@ -704,7 +727,6 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("lat_count{class=\"alloc\"}"), "{text}");
-        assert_eq!(reg.label_values("lat"), vec!["alloc".to_owned()]);
     }
 
     #[test]

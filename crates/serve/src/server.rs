@@ -405,8 +405,10 @@ fn handle_repair(
     let oracle = state.engine.shared_oracle();
     // The repair continues from the handle the cache keeps, so its own
     // judgement of the input finds the entry by address.
-    let (program, report) = oracle.judge_canonical(&program, &mut OracleUse::default());
+    let mut used = OracleUse::default();
+    let (program, report) = oracle.judge_canonical(&program, &mut used);
     if report.passes() {
+        state.stats.record_oracle(used);
         return Ok(
             "{\"ok\":true,\"verb\":\"repair\",\"already_clean\":true,\"passed\":true}".to_owned(),
         );
@@ -421,13 +423,12 @@ fn handle_repair(
         let merged = state.lock_kb().merge(&delta, state.engine.merge_policy());
         state.stats.record_merged_inserts(merged as u64);
     }
-    state.stats.record_oracle(
-        0,
-        0,
-        outcome.oracle_executed as u64,
-        outcome.oracle_cached as u64,
-        outcome.oracle_prevetoed as u64,
-    );
+    used.absorb(OracleUse {
+        executed: outcome.oracle_executed,
+        cached: outcome.oracle_cached,
+        prevetoed: outcome.oracle_prevetoed,
+    });
+    state.stats.record_oracle(used);
     maybe_compact(state);
     Ok(format!(
         concat!(
@@ -449,11 +450,17 @@ fn handle_repair(
 /// The `analyze` verb: the oracle's findings on the source
 /// ([`rb_lint::Analysis::from_report`]) and the first finding's class as
 /// `top_class`. The verdict comes from the daemon's shared oracle, so a
-/// program already judged is not interpreted again; no knowledge-base
-/// state is touched and no oracle judgement is recorded.
+/// program already judged is not interpreted again. The judgement is
+/// recorded in the daemon's oracle split; no knowledge-base state is
+/// touched.
 fn handle_analyze(state: &Arc<ServeState>, source: &str) -> Result<String, String> {
     let program = Arc::new(parse_program(source).map_err(|e| format!("parse error: {e}"))?);
-    let (report, _) = state.engine.shared_oracle().judge_shared(&program);
+    let mut used = OracleUse::default();
+    let report = state
+        .engine
+        .shared_oracle()
+        .judge_recording(&program, &mut used);
+    state.stats.record_oracle(used);
     let analysis = rb_lint::Analysis::from_report(&report);
     let top_class = analysis
         .top()
@@ -498,13 +505,12 @@ fn handle_batch(
         }
         kb.len()
     };
-    state.stats.record_oracle(
-        outcome.stats.cache.hits,
-        outcome.stats.cache.misses,
-        outcome.stats.oracle_executed,
-        outcome.stats.oracle_cached,
-        outcome.stats.oracle_prevetoed,
-    );
+    let batch = &outcome.stats;
+    state.stats.record_oracle(OracleUse {
+        executed: batch.oracle_executed as usize,
+        cached: batch.oracle_cached as usize,
+        prevetoed: batch.oracle_prevetoed as usize,
+    });
     maybe_compact(state);
     let (pass_rate, exec_rate) = rates(&outcome.results);
     let cases = outcome.results.len() as u64;

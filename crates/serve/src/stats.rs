@@ -6,15 +6,13 @@
 //! into a [`ServeStats`]. Latency percentiles come from a bounded [`LatencyRing`] of the
 //! most recent samples, so a long-lived daemon's memory stays flat.
 //!
-//! Since PR 7 the scalar counters live in a per-recorder
-//! [`rb_obs::MetricsRegistry`] rather than a parallel tally struct:
-//! [`StatsRecorder::record_request`] writes registry counters and the
-//! latency histogram, and [`StatsRecorder::snapshot`] *reads them back*.
-//! The registry is per-recorder (not the process-global one) so two
-//! daemons in one process — the integration tests run exactly that —
-//! never see each other's counts; the `metrics` verb exposes this
-//! registry alongside the global one.
+//! The scalar counters live in a per-recorder [`rb_obs::MetricsRegistry`]
+//! (not the process-global one, so two daemons in one process never see
+//! each other's counts), and [`StatsRecorder::snapshot`] reads them back
+//! from one fold of it. The oracle split counts every judgement a verb
+//! made, each recorded once through [`rb_miri::JudgeRecord`].
 
+use rb_miri::OracleUse;
 use rb_obs::MetricsRegistry;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -29,7 +27,6 @@ const BATCH_CASES: &str = "rustbrain_serve_batch_cases_total";
 const COMPACTIONS: &str = "rustbrain_serve_compactions_total";
 const TRIGGERED: &str = "rustbrain_serve_triggered_compactions_total";
 const MERGED_INSERTS: &str = "rustbrain_serve_kb_merged_inserts_total";
-const CACHE_LOOKUPS: &str = "rustbrain_serve_cache_lookups_total";
 const ORACLE_JUDGEMENTS: &str = "rustbrain_serve_oracle_judgements_total";
 const REQUEST_LATENCY_US: &str = "rustbrain_serve_request_us";
 
@@ -66,11 +63,8 @@ pub struct ServeStats {
     pub kb_weight: u64,
     /// Learned inserts merged into the resident base since startup.
     pub kb_merged_inserts: u64,
-    /// Oracle cache hits across all requests (gold-reference lookups).
-    pub cache_hits: u64,
-    /// Oracle cache misses across all requests.
-    pub cache_misses: u64,
-    /// Oracle judgements that executed the interpreter fresh.
+    /// Oracle judgements that executed the interpreter fresh, across
+    /// every verb.
     pub oracle_executed: u64,
     /// Oracle judgements served from the verdict cache.
     pub oracle_cached: u64,
@@ -88,17 +82,6 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Fraction of oracle lookups served from the cache (0 when idle).
-    #[must_use]
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
     /// The snapshot as one JSON object (engine telemetry conventions:
     /// floats at four decimals, stable field order).
     #[must_use]
@@ -112,9 +95,7 @@ impl ServeStats {
                 "\"compactions\":{},\"triggered_compactions\":{},",
                 "\"latency\":{{\"p50_ms\":{},\"p99_ms\":{},\"max_ms\":{}}},",
                 "\"kb\":{{\"entries\":{},\"weight\":{},\"merged_inserts\":{}}},",
-                "\"oracle\":{{\"cache_hits\":{},\"cache_misses\":{},",
-                "\"cache_hit_rate\":{},\"executed\":{},\"cached\":{},",
-                "\"prevetoed\":{}}},",
+                "\"oracle\":{{\"executed\":{},\"cached\":{},\"prevetoed\":{}}},",
                 "\"trace\":{{\"active\":{},\"spans\":{}}}}}"
             ),
             fmt_num(self.uptime_ms),
@@ -132,9 +113,6 @@ impl ServeStats {
             self.kb_entries,
             self.kb_weight,
             self.kb_merged_inserts,
-            self.cache_hits,
-            self.cache_misses,
-            fmt_num(self.cache_hit_rate()),
             self.oracle_executed,
             self.oracle_cached,
             self.oracle_prevetoed,
@@ -269,15 +247,9 @@ impl StatsRecorder {
     /// one process stay hermetic.
     #[must_use]
     pub fn new() -> StatsRecorder {
-        StatsRecorder::with_registry(Arc::new(MetricsRegistry::new()))
-    }
-
-    /// A recorder writing into an existing registry (shared counters).
-    #[must_use]
-    pub fn with_registry(registry: Arc<MetricsRegistry>) -> StatsRecorder {
         StatsRecorder {
             started: Instant::now(),
-            registry,
+            registry: Arc::new(MetricsRegistry::new()),
             ring: Mutex::new(LatencyRing::default()),
         }
     }
@@ -323,59 +295,47 @@ impl StatsRecorder {
         self.registry.counter_add(MERGED_INSERTS, None, inserts);
     }
 
-    /// Records a request's oracle traffic: gold-reference cache
-    /// hits/misses and the executed/cached/prevetoed judgement split.
-    pub fn record_oracle(
-        &self,
-        hits: u64,
-        misses: u64,
-        executed: u64,
-        cached: u64,
-        prevetoed: u64,
-    ) {
-        let reg = &self.registry;
-        reg.counter_add(CACHE_LOOKUPS, Some(("result", "hit")), hits);
-        reg.counter_add(CACHE_LOOKUPS, Some(("result", "miss")), misses);
-        reg.counter_add(ORACLE_JUDGEMENTS, Some(("result", "executed")), executed);
-        reg.counter_add(ORACLE_JUDGEMENTS, Some(("result", "cached")), cached);
-        reg.counter_add(ORACLE_JUDGEMENTS, Some(("result", "prevetoed")), prevetoed);
+    /// Records the executed/cached/prevetoed split of every oracle
+    /// judgement one request made.
+    pub fn record_oracle(&self, used: OracleUse) {
+        for (result, count) in [
+            ("executed", used.executed),
+            ("cached", used.cached),
+            ("prevetoed", used.prevetoed),
+        ] {
+            self.registry
+                .counter_add(ORACLE_JUDGEMENTS, Some(("result", result)), count as u64);
+        }
     }
 
-    /// Snapshots the counters by reading them back from the registry.
-    /// The knowledge-base gauges (resident shards, entries, weight,
-    /// shard loads) are the caller's — the recorder only holds what it
-    /// observed itself.
+    /// Snapshots the counters by reading them back from one fold of the
+    /// registry. The knowledge-base gauges (entries, weight) are the
+    /// caller's — the recorder only holds what it observed itself.
     #[must_use]
     pub fn snapshot(&self) -> ServeStats {
-        let reg = &self.registry;
-        let verb = |label: &str| reg.counter(REQUESTS, Some(("verb", label)));
-        let requests = reg
-            .label_values(REQUESTS)
-            .iter()
-            .map(|v| verb(v))
-            .sum::<u64>();
+        let counters = self.registry.counters();
+        let verb = |label: &str| counters.get(REQUESTS, Some(("verb", label)));
+        let oracle = |result: &str| counters.get(ORACLE_JUDGEMENTS, Some(("result", result)));
         let (p50, p99, max) = self.ring().percentiles();
         ServeStats {
             uptime_ms: self.started.elapsed().as_secs_f64() * 1e3,
-            requests,
+            requests: counters.sum(REQUESTS),
             errors: verb("error"),
             repairs: verb("repair"),
             batches: verb("batch"),
             analyzes: verb("analyze"),
-            batch_cases: reg.counter(BATCH_CASES, None),
-            compactions: reg.counter(COMPACTIONS, None),
-            triggered_compactions: reg.counter(TRIGGERED, None),
+            batch_cases: counters.get(BATCH_CASES, None),
+            compactions: counters.get(COMPACTIONS, None),
+            triggered_compactions: counters.get(TRIGGERED, None),
             p50_ms: p50,
             p99_ms: p99,
             max_ms: max,
             kb_entries: 0,
             kb_weight: 0,
-            kb_merged_inserts: reg.counter(MERGED_INSERTS, None),
-            cache_hits: reg.counter(CACHE_LOOKUPS, Some(("result", "hit"))),
-            cache_misses: reg.counter(CACHE_LOOKUPS, Some(("result", "miss"))),
-            oracle_executed: reg.counter(ORACLE_JUDGEMENTS, Some(("result", "executed"))),
-            oracle_cached: reg.counter(ORACLE_JUDGEMENTS, Some(("result", "cached"))),
-            oracle_prevetoed: reg.counter(ORACLE_JUDGEMENTS, Some(("result", "prevetoed"))),
+            kb_merged_inserts: counters.get(MERGED_INSERTS, None),
+            oracle_executed: oracle("executed"),
+            oracle_cached: oracle("cached"),
+            oracle_prevetoed: oracle("prevetoed"),
             trace_active: false,
             trace_spans: 0,
         }
@@ -414,7 +374,11 @@ mod tests {
         rec.record_compaction(false);
         rec.record_compaction(true);
         rec.record_merged_inserts(5);
-        rec.record_oracle(3, 1, 10, 2, 4);
+        rec.record_oracle(OracleUse {
+            executed: 10,
+            cached: 2,
+            prevetoed: 4,
+        });
         let s = rec.snapshot();
         assert_eq!(s.requests, 6);
         assert_eq!(s.repairs, 1);
@@ -424,11 +388,12 @@ mod tests {
         assert_eq!(s.compactions, 2);
         assert_eq!(s.triggered_compactions, 1);
         assert_eq!(s.kb_merged_inserts, 5);
-        assert_eq!((s.cache_hits, s.cache_misses), (3, 1));
         assert_eq!((s.oracle_executed, s.oracle_cached), (10, 2));
         assert_eq!(s.oracle_prevetoed, 4);
+        assert!(s
+            .to_json()
+            .contains("\"oracle\":{\"executed\":10,\"cached\":2,\"prevetoed\":4}"));
         assert_eq!(s.analyzes, 1);
-        assert!((s.cache_hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(s.max_ms, 10.0);
         assert!(s.uptime_ms >= 0.0);
         // The snapshot numbers ARE the registry's: no parallel tally to
@@ -484,7 +449,7 @@ mod tests {
         let s = StatsRecorder::new().snapshot();
         assert_eq!((s.requests, s.errors), (0, 0));
         assert_eq!((s.p50_ms, s.p99_ms, s.max_ms), (0.0, 0.0, 0.0));
-        assert_eq!(s.cache_hit_rate(), 0.0, "0/0 must not be NaN");
+        assert_eq!((s.oracle_executed, s.oracle_cached), (0, 0));
         let json = s.to_json();
         assert!(parse(&json).is_ok(), "{json}");
         assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");

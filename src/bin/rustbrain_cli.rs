@@ -968,12 +968,18 @@ fn batch(cli: &Cli) -> ExitCode {
     };
     let (pass, exec) = rb_bench::overall_rates(&outcome.results);
     outln!(
-        "pass rate: {:.1}% | exec rate: {:.1}% | wall: {:.0} ms | {:.1} cases/s | cache hit rate: {:.1}%",
+        "pass rate: {:.1}% | exec rate: {:.1}% | wall: {:.0} ms | {:.1} cases/s{}",
         pass.percent(),
         exec.percent(),
         outcome.stats.wall_ms,
         outcome.stats.cases_per_sec,
-        outcome.stats.cache.hit_rate() * 100.0,
+        outcome
+            .stats
+            .hit_rate()
+            .map_or_else(String::new, |rate| format!(
+                " | cache hit rate: {:.1}%",
+                rate * 100.0
+            )),
     );
     outln!(
         "oracle judgements: {} executed / {} cached | knowledge: {} seeded + {} learned - {} coalesced = {} entries | kb query time: {:.0} ms",
